@@ -161,7 +161,8 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the equality-reduced
     quadratic block and every constraint row that does not depend on
-    opponents. Only collision rows are rebuilt per best response."""
+    opponents, with its reduced projection. Only collision rows are rebuilt
+    per best response or violation check."""
 
     def __init__(self, game, vid):
         scenario = game.scenario
@@ -174,59 +175,52 @@ class _PlayerWorkspace:
         self.expansion = WeightExpansion(game.weights[vid].theta, game.segment.n_steps)
         self.f_vec = -self.expansion.diagonal * self.s_ref
 
-        eq_a, eq_b, eq_tags = dynamics_rows(self.reference, vehicle.geometry,
-                                            game.initial_states[vid])
-        beh_a, beh_b, beh_tags, beh_is_eq = behavior_rows(
+        eq_a, eq_b, _ = dynamics_rows(self.reference, vehicle.geometry,
+                                      game.initial_states[vid])
+        beh_a, beh_b, _, beh_is_eq = behavior_rows(
             vehicle.behavior, self.reference, scenario.road
         )
+        tail = []
         if beh_is_eq:
             eq_a = np.vstack([eq_a, beh_a])
             eq_b = np.concatenate([eq_b, beh_b])
-            eq_tags = eq_tags + beh_tags
-            self._beh_in = None
         else:
-            self._beh_in = (beh_a, beh_b, beh_tags)
-        self.eq_tags = eq_tags
+            tail.append((beh_a, beh_b))
         self.reduced = ReducedQp(self.expansion.matrix, eq_a, eq_b)
 
-        bx_a, bx_b, bx_tags = box_rows(scenario.limits, game.segment)
+        bx_a, bx_b, _ = box_rows(scenario.limits, game.segment)
         lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-        ln_a, ln_b, ln_tags = lane_rows(self.reference, vehicle.geometry, scenario.road, lanes)
-        self._fixed_in = [(bx_a, bx_b, bx_tags), (ln_a, ln_b, ln_tags)]
-        self._fixed_red = [self.reduced.reduce_rows(bx_a), self.reduced.reduce_rows(ln_a)]
-        if self._beh_in is not None:
-            self._beh_red = self.reduced.reduce_rows(self._beh_in[0])
+        ln_a, ln_b, _ = lane_rows(self.reference, vehicle.geometry, scenario.road, lanes)
+        # Canonical inequality order: box, lane, collision by opponent id,
+        # then lane-change behaviour rows.
+        self._head = [(bx_a, bx_b), (ln_a, ln_b)]
+        self._tail = tail
+        self._head_red = [self.reduced.reduce_rows(a) for a, _ in self._head]
+        self._tail_red = [self.reduced.reduce_rows(a) for a, _ in self._tail]
 
-    def inequality_stack(self, opponents):
-        """Canonical inequality stack against the given opponent strategies."""
-        blocks = list(self._fixed_in)
-        reds = list(self._fixed_red)
-        for oid in sorted(opponents):
-            co_a, co_b, co_tags = collision_rows(
-                self.reference, opponents[oid], self.vehicle.geometry, oid
-            )
-            blocks.append((co_a, co_b, co_tags))
-            reds.append(self.reduced.reduce_rows(co_a))
-        if self._beh_in is not None:
-            blocks.append(self._beh_in)
-            reds.append(self._beh_red)
-        a_in = np.vstack([b[0] for b in blocks])
-        b_in = np.concatenate([b[1] for b in blocks])
-        tags = tuple(t for b in blocks for t in b[2])
-        c_red = np.vstack(reds)
-        return a_in, b_in, tags, c_red
+    def _collision_blocks(self, opponents):
+        return [
+            collision_rows(self.reference, opponents[oid], self.vehicle.geometry, oid)[:2]
+            for oid in sorted(opponents)
+        ]
 
     def best_response(self, opponents, settings):
-        a_in, b_in, _, c_red = self.inequality_stack(opponents)
+        collisions = self._collision_blocks(opponents)
+        blocks = self._head + collisions + self._tail
+        a_in = np.vstack([a for a, _ in blocks])
+        b_in = np.concatenate([b for _, b in blocks])
+        c_red = np.vstack(
+            self._head_red + [self.reduced.reduce_rows(a) for a, _ in collisions] + self._tail_red
+        )
         return self.reduced.solve(self.f_vec, a_in, b_in, settings, c_red=c_red)
 
     def violation_at(self, s_vec, opponents):
-        a_in, b_in, _, _ = self.inequality_stack(opponents)
         worst = 0.0
         if self.reduced.a_eq.shape[0]:
             worst = float(np.max(np.abs(self.reduced.a_eq @ s_vec - self.reduced.b_eq)))
-        if a_in.shape[0]:
-            worst = max(worst, float(np.max(a_in @ s_vec - b_in)))
+        for a, b in self._head + self._collision_blocks(opponents) + self._tail:
+            if a.shape[0]:
+                worst = max(worst, float(np.max(a @ s_vec - b)))
         return max(worst, 0.0)
 
     def objective(self, s_vec):

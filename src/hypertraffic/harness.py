@@ -192,8 +192,6 @@ OFFLINE_FIELDS = (
 def _ground_truth_offline(scenario, settings=None):
     """The actual human trajectory: the human's component of its own
     subjective game, solved once per scenario."""
-    from .cognition import hv_subjective_game
-
     game = hv_subjective_game(scenario)
     result = solve_games(game, settings=settings)
     return result

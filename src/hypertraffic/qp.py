@@ -1,11 +1,14 @@
 """Deterministic convex QP solver with equality and inequality constraints.
 
-The solver eliminates equalities through an SVD null-space basis and runs a
-dual active-set method on the reduced problem: start at the unconstrained
-minimum, repeatedly enforce the most violated inequality, dropping working-set
-rows whose multipliers would cross zero. All pivots break ties by lowest
-index, so identical inputs give bitwise-identical outputs, and the working
-set at termination yields exact multipliers.
+The solver eliminates equalities by variable reduction: one LU factorization
+with partial pivoting of A_eq' splits the variables into dependent and free
+ones, the null-space basis is the identity on the free variables, and the
+same triangular factors give the particular solution and the equality
+multipliers. A dual active-set method then runs on the reduced problem:
+start at the unconstrained minimum, repeatedly enforce the most violated
+inequality, dropping working-set rows whose multipliers would cross zero. All
+pivots break ties by lowest index, so identical inputs give bitwise-identical
+outputs, and the working set at termination yields exact multipliers.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
 enforced and no working-set row opposes it.
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu, solve_triangular
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -217,12 +220,47 @@ class GiSolver:
         return self._g_solve(c_mat[work].T)
 
 
+def _require_finite(**arrays):
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"QP data {name} has non-finite entries")
+
+
+def _independent_rows(a_eq):
+    """LU factors of A_eq' over a maximal set of independent equality rows.
+
+    Row j is dropped when its pivot is at most max(m, n) * eps times the
+    largest pivot before it; the rest are re-factored, so a near-zero pivot
+    never feeds the elimination of later rows. Returns (rows, perm, lower,
+    upper) with A_eq[rows]' = lower[perm] @ upper.
+    """
+    m, n = a_eq.shape
+    rows = np.arange(m)
+    tol = max(m, n) * np.finfo(float).eps
+    while rows.size:
+        perm, lower, upper = lu(a_eq[rows].T, p_indices=True, check_finite=False)
+        piv = np.abs(np.diag(upper))
+        bad = np.flatnonzero(piv <= tol * np.maximum.accumulate(piv))
+        if bad.size:
+            rows = np.delete(rows, bad[0])
+        elif rows.size > n:
+            rows = rows[:n]  # n independent rows already span every later one
+        else:
+            return rows, perm, lower, upper
+    return rows, np.arange(n), np.zeros((n, 0)), np.zeros((0, 0))
+
+
 class ReducedQp:
     """Equality-eliminated view of a QP with a fixed quadratic block.
 
-    Precomputes the SVD-based null-space basis Z of A_eq, a particular
-    solution map for b_eq, and the Cholesky factor of Z'HZ, so repeated solves
-    that differ only in the linear term and the inequality rows stay cheap.
+    One LU factorization of A_eq' (variable reduction, Nocedal & Wright
+    section 15.3) yields the null-space basis Z, equal to the identity on the
+    free variables, and a particular solution for b_eq; the Cholesky factor
+    of Z'HZ is kept too, so repeated solves that differ only in the linear
+    term and the inequality rows stay cheap. Redundant equality rows are
+    dropped from the factorization and get zero multipliers; the particular
+    solution then fits b_eq over all rows in the least-squares sense, and
+    `eq_residual` over all rows flags inconsistent systems.
     """
 
     def __init__(self, h_mat, a_eq, b_eq):
@@ -230,25 +268,41 @@ class ReducedQp:
         n = h_mat.shape[0]
         a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
         b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+        _require_finite(h_mat=h_mat, a_eq=a_eq, b_eq=b_eq)
         self.h_mat = h_mat
         self.a_eq = a_eq
         self.b_eq = b_eq
         self.n = n
-        if a_eq.shape[0]:
-            u, sing, vt = np.linalg.svd(a_eq, full_matrices=True)
-            tol = max(a_eq.shape) * np.finfo(float).eps * (sing[0] if sing.size else 0.0)
-            rank = int(np.sum(sing > tol))
-            self.z_basis = vt[rank:].T
-            self._v_r = vt[:rank].T
-            self._u_r = u[:, :rank]
-            self._sing = sing[:rank]
-            coeff = (self._u_r.T @ b_eq) / self._sing if rank else np.zeros(0)
-            self.s_part = self._v_r @ coeff
-            self.eq_residual = float(np.max(np.abs(a_eq @ self.s_part - b_eq))) if a_eq.shape[0] else 0.0
-        else:
-            self.z_basis = np.eye(n)
-            self.s_part = np.zeros(n)
-            self.eq_residual = 0.0
+        rows, perm, lower, upper = _independent_rows(a_eq)
+        rank = rows.size
+        order = np.argsort(perm)
+        # A_eq[rows][:, dep]' = L1 U with L1 unit lower triangular.
+        self._rows = rows
+        self._dep = order[:rank]
+        self._l1 = lower[:rank]
+        self._u = upper
+        free = order[rank:]
+        self.z_basis = np.zeros((n, n - rank))
+        self.z_basis[free, np.arange(n - rank)] = 1.0
+        self.z_basis[self._dep] = -solve_triangular(
+            self._l1, lower[rank:].T, trans="T", lower=True, unit_diagonal=True,
+            check_finite=False,
+        )
+        self.s_part = np.zeros(n)
+        if rank:
+            b_fit = b_eq[rows]
+            if rank < a_eq.shape[0]:
+                # Dropped rows are combinations C of the kept ones; fit the
+                # kept right-hand sides y to [I; C] y = b in least squares.
+                dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
+                c_t = self._lu_solve(a_eq[dropped][:, self._dep].T)
+                b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
+                                        b_fit + c_t @ b_eq[dropped])
+            w = solve_triangular(upper, b_fit, trans="T", lower=False, check_finite=False)
+            self.s_part[self._dep] = solve_triangular(
+                self._l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
+            )
+        self.eq_residual = float(np.max(np.abs(a_eq @ self.s_part - b_eq))) if a_eq.shape[0] else 0.0
         self.null_dim = self.z_basis.shape[1]
         if self.null_dim:
             g_red = self.z_basis.T @ h_mat @ self.z_basis
@@ -257,6 +311,11 @@ class ReducedQp:
         else:
             self.gi = None
         self._h_spart = h_mat @ self.s_part
+
+    def _lu_solve(self, rhs):
+        """Solve (L1 U) x = rhs with the stored triangular factors."""
+        y = solve_triangular(self._l1, rhs, lower=True, unit_diagonal=True, check_finite=False)
+        return solve_triangular(self._u, y, lower=False, check_finite=False)
 
     def reduce_rows(self, a_in):
         """Project inequality rows into the null-space coordinates."""
@@ -272,6 +331,7 @@ class ReducedQp:
         f_vec = np.asarray(f_vec, dtype=float).reshape(-1)
         a_in = np.asarray(a_in, dtype=float).reshape(-1, self.n) if np.size(a_in) else np.zeros((0, self.n))
         b_in = np.asarray(b_in, dtype=float).reshape(-1)
+        _require_finite(f_vec=f_vec, b_in=b_in)
         tol = settings.qp_tolerance
         eq_scale = 1.0 + (float(np.max(np.abs(self.b_eq))) if self.b_eq.size else 0.0)
         if self.eq_residual > 1e-8 * eq_scale:
@@ -300,10 +360,9 @@ class ReducedQp:
             grad_full = grad + a_in.T @ lam
         else:
             grad_full = grad
-        if self.a_eq.shape[0]:
-            mu, *_ = np.linalg.lstsq(self.a_eq.T, -grad_full, rcond=None)
-        else:
-            mu = np.zeros(0)
+        mu = np.zeros(self.a_eq.shape[0])
+        if self._rows.size:
+            mu[self._rows] = -self._lu_solve(grad_full[self._dep])
         kkt = _residuals(self.h_mat, f_vec, self.a_eq, self.b_eq, a_in, b_in, s_star, lam, mu)
         objective = float(0.5 * s_star @ self.h_mat @ s_star + f_vec @ s_star)
         return QpSolution(

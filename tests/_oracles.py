@@ -68,6 +68,23 @@ def enumerate_qp(h_mat, f_vec, a_eq, b_eq, a_in, b_in, tol=1e-8):
     return best, best_obj
 
 
+def svd_null_space(a_eq, b_eq):
+    """Orthonormal null-space basis of A_eq and the minimum-norm
+    least-squares solution of A_eq s = b_eq, both from one full SVD.
+
+    Singular values at most max(m, n) * eps * sigma_max count as zero.
+    Returns (z_basis, s_part); the rank is n - z_basis.shape[1].
+    """
+    m, n = a_eq.shape
+    if m == 0:
+        return np.eye(n), np.zeros(n)
+    u, sing, vt = np.linalg.svd(a_eq, full_matrices=True)
+    tol = max(m, n) * np.finfo(float).eps * sing[0]
+    rank = int(np.sum(sing > tol))
+    s_part = vt[:rank].T @ ((u[:, :rank].T @ b_eq) / sing[:rank])
+    return vt[rank:].T, s_part
+
+
 def random_qp(rng, n_max=6, m_max=4, p_max=2):
     """Random strictly convex QP within the sizes the enumeration can afford.
 

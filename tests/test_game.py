@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,12 @@ def test_observer_sees_the_whole_session_in_order():
     crits = [e for e in rec.log if e[0] == "criterion"]
     assert len(crits) == result.iterations
     assert [e[2] for e in crits] == [False] * (result.iterations - 1) + [True]
+
+
+def test_non_finite_initial_state_is_refused():
+    scen = _scen()
+    hv = scen.vehicle(0)
+    broken = replace(hv, initial=replace(hv.initial, v=float("nan")))
+    scen = replace(scen, vehicles=(broken,) + scen.cavs)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_games(make_game(scen, _true_weights(scen)))

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from hypertraffic.constraints import Strategy, assemble
+from hypertraffic.game import make_game, objective_qp_data
 from hypertraffic.qp import (
     INFEASIBLE,
     OPTIMAL,
+    GiSolver,
     QpProblem,
     ReducedQp,
     SolverSettings,
     kkt_residual,
     solve,
 )
+from hypertraffic.scenario import (
+    default_offline_scenario,
+    default_online_scenario,
+    success_study_scenario,
+)
 
-from _oracles import enumerate_qp, random_qp
+from _oracles import enumerate_qp, random_qp, svd_null_space
 
 
 def test_unconstrained_minimum():
@@ -166,3 +174,84 @@ def test_reduced_qp_agrees_with_direct_solve():
             assert np.max(np.abs(rsol.s_star - direct.s_star)) < 1e-7
             assert abs(rsol.objective - direct.objective) < 1e-8
             assert np.max(np.abs(a_eq @ rsol.s_star - b_eq)) < 1e-8
+
+
+def test_redundant_equality_rows():
+    # A duplicated row changes nothing when consistent; when the copies
+    # disagree the best equality fit misses each by half the gap.
+    h = np.diag([1.0, 2.0, 3.0])
+    f = np.array([2.0, 0.0, 0.5])
+    a_eq = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    none = (np.zeros((0, 3)), np.zeros(0))
+    single = solve(QpProblem(h, f, a_eq[:1], [1.0], *none))
+    assert np.max(np.abs(single.s_star - np.array([0.0, 1.0, -1.0 / 6.0]))) < 1e-12
+    sol = solve(QpProblem(h, f, a_eq, [1.0, 1.0], *none))
+    assert sol.status == OPTIMAL
+    assert np.max(np.abs(sol.s_star - single.s_star)) < 1e-12
+    assert sol.kkt.stationarity <= 1e-9
+    bad = solve(QpProblem(h, f, a_eq, [1.0, 2.0], *none))
+    assert bad.status == INFEASIBLE
+    assert abs(bad.infeasibility - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "a_eq, b_eq, field",
+    [([[np.nan, 0.0, 0.0]], [1.0], "a_eq"), ([[1.0, 0.0, 0.0]], [np.nan], "b_eq")],
+)
+def test_non_finite_equality_data_is_refused(a_eq, b_eq, field):
+    with pytest.raises(ValueError, match=field):
+        ReducedQp(np.eye(3), a_eq, b_eq)
+
+
+def test_non_finite_solve_data_is_refused():
+    reduced = ReducedQp(np.eye(2), [[1.0, 1.0]], [1.0])
+    settings = SolverSettings()
+    with pytest.raises(ValueError, match="f_vec"):
+        reduced.solve([np.inf, 0.0], np.zeros((0, 2)), np.zeros(0), settings)
+    with pytest.raises(ValueError, match="b_in"):
+        reduced.solve(np.zeros(2), [[1.0, 0.0]], [np.nan], settings)
+
+
+def _player_qps(scenario):
+    """Each decision player's QP in the scenario's full-horizon game with the
+    true weights, opponents held at their reference strategies."""
+    game = make_game(scenario, {v.vid: v.weights_true for v in scenario.vehicles})
+    seeds = {
+        vid: Strategy.from_reference(game.references[vid], game.segment)
+        for vid in game.decision_ids
+    }
+    for vid in game.decision_ids:
+        opponents = {k: s for k, s in seeds.items() if k != vid}
+        system = assemble(vid, opponents, scenario, game.segment, game.references[vid],
+                          game.initial_states[vid])
+        h, f = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
+        yield h, f, system
+
+
+@pytest.mark.parametrize(
+    "make_scenario",
+    [default_offline_scenario, success_study_scenario, default_online_scenario],
+)
+def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
+    settings = SolverSettings()
+    n_optimal = 0
+    for h, f, system in _player_qps(make_scenario()):
+        a_eq, b_eq, a_in, b_in = system.a_eq, system.b_eq, system.a_in, system.b_in
+        reduced = ReducedQp(h, a_eq, b_eq)
+        z_svd, s_part = svd_null_space(a_eq, b_eq)
+        assert np.linalg.norm(a_eq @ reduced.z_basis) <= 1e-10 * (1.0 + np.linalg.norm(a_eq))
+        assert reduced.z_basis.shape[1] == z_svd.shape[1]
+        sol = reduced.solve(f, a_in, b_in, settings)
+        oracle = GiSolver(z_svd.T @ h @ z_svd).solve(
+            z_svd.T @ (h @ s_part + f), a_in @ z_svd, b_in - a_in @ s_part,
+            tol=settings.qp_tolerance,
+        )
+        assert sol.status == oracle.status
+        if sol.status != OPTIMAL:
+            continue
+        n_optimal += 1
+        assert np.max(np.abs(sol.s_star - (s_part + z_svd @ oracle.y))) <= 1e-9
+        grad = h @ sol.s_star + f + a_in.T @ sol.lam
+        mu_ref = np.linalg.lstsq(a_eq.T, -grad, rcond=None)[0]
+        assert np.max(np.abs(sol.mu - mu_ref)) <= 1e-9
+    assert n_optimal >= 3
