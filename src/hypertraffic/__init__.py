@@ -33,7 +33,6 @@ from .game import (
     ve_residual,
 )
 from .harness import (
-    MetricsRecord,
     NoiseSpec,
     StagePlan,
     apply_noise,

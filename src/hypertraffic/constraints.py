@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VehicleState
-from .scenario import LANE_CHANGE, STRAIGHT
+from .dynamics import CONTROL_DIM, VehicleState, linearize_steps
+from .scenario import STRAIGHT
 
 STEP_VARS = 6
 # Column offsets inside one (u, x) block.
@@ -150,69 +150,44 @@ class ConstraintSystem:
         return max(worst, 0.0)
 
 
-def _state_cols(j, comp):
-    return STEP_VARS * j + X_PX + comp
-
-
 def dynamics_rows(reference, geometry, initial_state=None):
     """Equality rows chaining the linearized Euler steps along the segment.
 
-    The linearization is taken at the reference states with zero nominal
-    controls; the initial state (default: the reference's first point) enters
-    only the right-hand side.
+    Step j is linearized at reference point j with zero nominal control; the
+    initial state (default: the reference's first point) enters only the
+    right-hand side.
     """
     n = len(reference) - 1
-    ts = reference.ts
-    length = geometry.length
-    a_eq = np.zeros((4 * n, STEP_VARS * n))
-    b_eq = np.zeros(4 * n)
     x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
-    for j in range(n):
-        ref = reference.states[j]
-        v, psi = ref[2], ref[3]
-        a_mat = np.eye(4)
-        a_mat[0, 2] = ts * math.cos(psi)
-        a_mat[0, 3] = -ts * v * math.sin(psi)
-        a_mat[1, 2] = ts * math.sin(psi)
-        a_mat[1, 3] = ts * v * math.cos(psi)
-        b_mat = np.zeros((4, 2))
-        b_mat[2, 0] = ts
-        b_mat[3, 1] = ts * v / length
-        f0 = np.array([v * math.cos(psi), v * math.sin(psi), 0.0, 0.0])
-        c_vec = ref + ts * f0 - a_mat @ ref  # b_mat @ 0 vanishes
-        rows = slice(4 * j, 4 * j + 4)
-        a_eq[rows, STEP_VARS * j + U_A : STEP_VARS * j + X_PX] = -b_mat
-        a_eq[rows, STEP_VARS * j + X_PX : STEP_VARS * (j + 1)] = np.eye(4)
-        if j == 0:
-            b_eq[rows] = a_mat @ x0 + c_vec
-        else:
-            a_eq[rows, STEP_VARS * (j - 1) + X_PX : STEP_VARS * j] = -a_mat
-            b_eq[rows] = c_vec
-    tags = tuple("dynamics" for _ in range(4 * n))
-    return a_eq, b_eq, tags
+    a_mat, b_mat, c_vec = linearize_steps(
+        reference.states[:-1], np.zeros((n, CONTROL_DIM)), geometry, reference.ts
+    )
+    a_eq = np.zeros((4 * n, STEP_VARS * n))
+    blocks = a_eq.reshape(n, 4, n, STEP_VARS)  # [step, row, step, column] view
+    j = np.arange(n)
+    blocks[j, :, j, U_A:X_PX] = -b_mat
+    blocks[j, :, j, X_PX:] = np.eye(4)
+    blocks[j[1:], :, j[:-1], X_PX:] = -a_mat[1:]
+    b_eq = c_vec.reshape(-1)
+    b_eq[:4] += a_mat[0] @ x0
+    return a_eq, b_eq, ("dynamics",) * (4 * n)
 
 
 def box_rows(limits, segment):
-    """Two-sided bounds on v, a, delta at every step."""
+    """Two-sided bounds on v, a, delta at every step: upper then lower row
+    per step, family by family."""
     n = segment.n_steps
-    rows = []
+    steps = np.arange(n)
+    blocks = []
     rhs = []
-    for col_of, lo, hi in (
-        (lambda j: _state_cols(j, 2), limits.v_min, limits.v_max),
-        (lambda j: STEP_VARS * j + U_A, limits.a_min, limits.a_max),
-        (lambda j: STEP_VARS * j + U_DELTA, limits.delta_min, limits.delta_max),
-    ):
-        for j in range(n):
-            upper = np.zeros(STEP_VARS * n)
-            upper[col_of(j)] = 1.0
-            rows.append(upper)
-            rhs.append(hi)
-            lower = np.zeros(STEP_VARS * n)
-            lower[col_of(j)] = -1.0
-            rows.append(lower)
-            rhs.append(-lo)
-    tags = tuple("box" for _ in rows)
-    return np.array(rows), np.array(rhs), tags
+    for col, lo, hi in ((X_V, limits.v_min, limits.v_max), (U_A, limits.a_min, limits.a_max),
+                        (U_DELTA, limits.delta_min, limits.delta_max)):
+        block = np.zeros((2 * n, STEP_VARS * n))
+        block[2 * steps, STEP_VARS * steps + col] = 1.0
+        block[2 * steps + 1, STEP_VARS * steps + col] = -1.0
+        blocks.append(block)
+        rhs.append(np.tile([hi, -lo], n))
+    return np.vstack(blocks), np.concatenate(rhs), ("box",) * (6 * n)
 
 
 def lane_rows(reference, geometry, road, permitted_lanes):
@@ -228,8 +203,7 @@ def lane_rows(reference, geometry, road, permitted_lanes):
     band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
     offsets = RectangleFootprint(geometry).body_offsets()
     poses = reference.states[1:, :]  # decision points only
-    a_rows = np.zeros((0, STEP_VARS * n))
-    rhs = np.zeros(0)
+    blocks = []
     for b_idx in boundaries:
         probe = (float(poses[0, 0]), band_mid)
         a, b, c = road.tangent_at(f"boundary_{b_idx}", (float(poses[0, 0]), float(poses[0, 1])), probe)
@@ -249,10 +223,9 @@ def lane_rows(reference, geometry, road, permitted_lanes):
             block[rows_idx, STEP_VARS * np.arange(n) + X_PSI] = dpsi
             grad_dot_ref = a * poses[:, 0] + b * poses[:, 1] + dpsi * poses[:, 3]
             block_rhs[rows_idx] = grad_dot_ref - f_ref
-        a_rows = np.vstack([a_rows, block])
-        rhs = np.concatenate([rhs, block_rhs])
-    tags = tuple("lane" for _ in range(a_rows.shape[0]))
-    return a_rows, rhs, tags
+        blocks.append((block, block_rhs))
+    a_rows = np.vstack([a for a, _ in blocks])
+    return a_rows, np.concatenate([b for _, b in blocks]), ("lane",) * a_rows.shape[0]
 
 
 def collision_value(own_pose, opponent_pos, geometry):
@@ -330,15 +303,47 @@ def behavior_rows(behavior, reference, road):
     return a_rows, rhs, tuple("behavior" for _ in range(n)), False
 
 
+@dataclass(frozen=True)
+class StaticRows:
+    """One player's opponent-independent rows, in the order every solve uses.
+
+    Equalities are the dynamics chain then the straight heading pins. The
+    inequality blocks, each (rows, rhs, tags), split around the collision
+    blocks, which depend on the opponents: the head is box then lane rows,
+    the tail the lane-change behavior rows (empty when driving straight).
+    """
+
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    eq_tags: tuple
+    head: tuple
+    tail: tuple
+
+
+def static_rows(vehicle, scenario, segment, reference, initial_state):
+    """Build a player's static rows; the one owner of the row order."""
+    a_eq, b_eq, eq_tags = dynamics_rows(reference, vehicle.geometry, initial_state)
+    beh_a, beh_b, beh_tags, beh_is_eq = behavior_rows(vehicle.behavior, reference, scenario.road)
+    tail = ()
+    if beh_is_eq:
+        a_eq = np.vstack([a_eq, beh_a])
+        b_eq = np.concatenate([b_eq, beh_b])
+        eq_tags = eq_tags + beh_tags
+    else:
+        tail = ((beh_a, beh_b, beh_tags),)
+    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
+    head = (box_rows(scenario.limits, segment),
+            lane_rows(reference, vehicle.geometry, scenario.road, lanes))
+    return StaticRows(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, head=head, tail=tail)
+
+
 def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=None,
              initial_state=None):
     """Full constraint system for one player against fixed opponent strategies.
 
-    Row order: equalities are dynamics then straight-behavior rows;
-    inequalities are box, lane, collision by opponent id ascending, then
-    lane-change behavior rows.
+    Row order: the static equalities; then the head inequalities, collision
+    rows by opponent id ascending, and the tail (see ``StaticRows``).
     """
-    vehicle = scenario.vehicle(player_vid)
     if segment is None:
         segment = Segment(1, scenario.horizon)
     if reference is None:
@@ -347,47 +352,22 @@ def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=
         raise ValueError("reference does not cover the requested segment")
     if initial_state is None:
         initial_state = VehicleState.from_array(reference.states[0])
-
-    eq_a, eq_b, eq_tags = dynamics_rows(reference, vehicle.geometry, initial_state)
-    beh_a, beh_b, beh_tags, beh_is_eq = behavior_rows(vehicle.behavior, reference, scenario.road)
-    if beh_is_eq:
-        eq_a = np.vstack([eq_a, beh_a])
-        eq_b = np.concatenate([eq_b, beh_b])
-        eq_tags = eq_tags + beh_tags
-
-    in_blocks = []
-    in_rhs = []
-    in_tags = ()
-    bx_a, bx_b, bx_tags = box_rows(scenario.limits, segment)
-    in_blocks.append(bx_a)
-    in_rhs.append(bx_b)
-    in_tags += bx_tags
-    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-    ln_a, ln_b, ln_tags = lane_rows(reference, vehicle.geometry, scenario.road, lanes)
-    in_blocks.append(ln_a)
-    in_rhs.append(ln_b)
-    in_tags += ln_tags
-    for opp_id in sorted(opponent_strategies):
-        if opp_id == player_vid:
-            raise ValueError(f"player {player_vid} listed among its own opponents")
-        co_a, co_b, co_tags = collision_rows(
-            reference, opponent_strategies[opp_id], vehicle.geometry, opp_id
-        )
-        in_blocks.append(co_a)
-        in_rhs.append(co_b)
-        in_tags += co_tags
-    if not beh_is_eq:
-        in_blocks.append(beh_a)
-        in_rhs.append(beh_b)
-        in_tags += beh_tags
-
+    if player_vid in opponent_strategies:
+        raise ValueError(f"player {player_vid} listed among its own opponents")
+    vehicle = scenario.vehicle(player_vid)
+    rows = static_rows(vehicle, scenario, segment, reference, initial_state)
+    collisions = tuple(
+        collision_rows(reference, opponent_strategies[opp_id], vehicle.geometry, opp_id)
+        for opp_id in sorted(opponent_strategies)
+    )
+    blocks = rows.head + collisions + rows.tail
     return ConstraintSystem(
-        a_eq=eq_a,
-        b_eq=eq_b,
-        eq_tags=eq_tags,
-        a_in=np.vstack(in_blocks),
-        b_in=np.concatenate(in_rhs),
-        in_tags=in_tags,
+        a_eq=rows.a_eq,
+        b_eq=rows.b_eq,
+        eq_tags=rows.eq_tags,
+        a_in=np.vstack([a for a, _, _ in blocks]),
+        b_in=np.concatenate([b for _, b, _ in blocks]),
+        in_tags=tuple(tag for _, _, tags in blocks for tag in tags),
     )
 
 

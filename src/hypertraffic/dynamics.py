@@ -111,40 +111,49 @@ def continuous_rhs(state, control, geometry):
     )
 
 
-def _jacobians(v, psi, delta, length):
-    """State and control Jacobians of the continuous dynamics."""
-    jx = np.zeros((STATE_DIM, STATE_DIM))
-    jx[0, 2] = math.cos(psi)
-    jx[0, 3] = -v * math.sin(psi)
-    jx[1, 2] = math.sin(psi)
-    jx[1, 3] = v * math.cos(psi)
-    jx[3, 2] = math.tan(delta) / length
-    ju = np.zeros((STATE_DIM, CONTROL_DIM))
-    ju[2, 0] = 1.0
-    ju[3, 1] = v * (1.0 + math.tan(delta) ** 2) / length
-    return jx, ju
+def linearize_steps(states, controls, geometry, ts):
+    """First-order Taylor expansions of the Euler step at n nominal points.
 
+    Args:
+        states: (n, 4) nominal states.
+        controls: (n, 2) nominal controls; every |delta| must be below pi/2.
+        geometry: VehicleGeometry supplying the wheelbase (body length).
+        ts: step size.
 
-def linearize_discrete(nominal_state, nominal_control, geometry, ts):
-    """First-order Taylor expansion of the Euler step about a nominal point.
-
-    The affine term is chosen so the linear model reproduces the nonlinear
-    Euler step exactly at the nominal (state, control).
+    Returns:
+        (A, B, c) of shapes (n, 4, 4), (n, 4, 2) and (n, 4). The affine term
+        makes each linear step reproduce the nonlinear Euler step exactly at
+        its nominal (state, control).
     """
     if ts <= 0:
         raise ValueError("step size must be positive")
-    if abs(nominal_control.delta) >= math.pi / 2:
-        raise ValueError(
-            f"nominal steering angle {nominal_control.delta} outside (-pi/2, pi/2)"
-        )
-    x0 = nominal_state.as_array()
-    u0 = nominal_control.as_array()
-    jx, ju = _jacobians(nominal_state.v, nominal_state.psi, nominal_control.delta, geometry.length)
-    a_mat = np.eye(STATE_DIM) + ts * jx
-    b_mat = ts * ju
-    f0 = continuous_rhs(nominal_state, nominal_control, geometry)
-    c_vec = x0 + ts * f0 - a_mat @ x0 - b_mat @ u0
-    return LinearizedStep(a_mat=a_mat, b_mat=b_mat, c_vec=c_vec, ts=ts)
+    states = np.asarray(states, dtype=float).reshape(-1, STATE_DIM)
+    controls = np.asarray(controls, dtype=float).reshape(-1, CONTROL_DIM)
+    if np.any(np.abs(controls[:, 1]) >= math.pi / 2):
+        raise ValueError(f"nominal steering angles {controls[:, 1]} outside (-pi/2, pi/2)")
+    v, psi = states[:, 2], states[:, 3]
+    cos, sin, tan = np.cos(psi), np.sin(psi), np.tan(controls[:, 1])
+    a_mat = np.tile(np.eye(STATE_DIM), (states.shape[0], 1, 1))
+    a_mat[:, 0, 2] = ts * cos
+    a_mat[:, 0, 3] = -ts * v * sin
+    a_mat[:, 1, 2] = ts * sin
+    a_mat[:, 1, 3] = ts * v * cos
+    a_mat[:, 3, 2] = ts * tan / geometry.length
+    b_mat = np.zeros((states.shape[0], STATE_DIM, CONTROL_DIM))
+    b_mat[:, 2, 0] = ts
+    b_mat[:, 3, 1] = ts * v * (1.0 + tan**2) / geometry.length
+    rhs = np.column_stack([v * cos, v * sin, controls[:, 0], v * tan / geometry.length])
+    c_vec = (states + ts * rhs - (a_mat @ states[:, :, None])[:, :, 0]
+             - (b_mat @ controls[:, :, None])[:, :, 0])
+    return a_mat, b_mat, c_vec
+
+
+def linearize_discrete(nominal_state, nominal_control, geometry, ts):
+    """The one-point case of ``linearize_steps``."""
+    a_mat, b_mat, c_vec = linearize_steps(
+        nominal_state.as_array(), nominal_control.as_array(), geometry, ts
+    )
+    return LinearizedStep(a_mat=a_mat[0], b_mat=b_mat[0], c_vec=c_vec[0], ts=ts)
 
 
 def euler_step(state, control, geometry, ts):

@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (
-    Segment,
-    Strategy,
-    behavior_rows,
-    box_rows,
-    collision_rows,
-    dynamics_rows,
-    lane_rows,
-)
+from .constraints import Segment, Strategy, collision_rows, static_rows
+from .dynamics import VehicleState
 from .qp import OPTIMAL, ReducedQp, SolverSettings
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
@@ -120,6 +113,8 @@ class GameSpec:
                 raise ValueError(f"reference for player {vid} does not cover the segment")
             if vid not in self.initial_states:
                 raise ValueError(f"decision player {vid} has no initial state")
+            if not np.all(np.isfinite(self.initial_states[vid].as_array())):
+                raise ValueError(f"initial state of player {vid} has non-finite entries")
         for vid, strat in self.fixed.items():
             if strat.segment != self.segment:
                 raise ValueError(f"fixed strategy for player {vid} lives on a different segment")
@@ -145,8 +140,6 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
             if segment.start == 1:
                 initial_states[vid] = scenario.vehicle(vid).initial
             else:
-                from .dynamics import VehicleState
-
                 initial_states[vid] = VehicleState.from_array(references[vid].states[0])
     return GameSpec(
         scenario=scenario,
@@ -160,65 +153,62 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
 
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the equality-reduced
-    quadratic block and every constraint row that does not depend on
-    opponents, with its reduced projection. Only collision rows are rebuilt
-    per best response or violation check."""
+    quadratic block and the inequality rows in solver order, held in buffers
+    with their reduced projections. The static head and tail rows are written
+    once; only the collision rows between them are rebuilt per best response
+    or violation check."""
 
     def __init__(self, game, vid):
-        scenario = game.scenario
-        vehicle = scenario.vehicle(vid)
+        vehicle = game.scenario.vehicle(vid)
         self.vid = vid
         self.vehicle = vehicle
-        self.segment = game.segment
         self.reference = game.references[vid]
         self.s_ref = reference_vector(self.reference, game.segment)
         self.expansion = WeightExpansion(game.weights[vid].theta, game.segment.n_steps)
         self.f_vec = -self.expansion.diagonal * self.s_ref
+        rows = static_rows(vehicle, game.scenario, game.segment, self.reference,
+                           game.initial_states[vid])
+        self.reduced = ReducedQp(self.expansion.matrix, rows.a_eq, rows.b_eq)
+        self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
+        n_coll = len(self.opponent_ids) * game.segment.n_steps
+        n_head = sum(a.shape[0] for a, _, _ in rows.head)
+        slots = (np.zeros((n_coll, game.segment.n_vars)), np.zeros(n_coll), ())
+        blocks = rows.head + (slots,) + rows.tail
+        self._a_in = np.vstack([a for a, _, _ in blocks])
+        self._b_in = np.concatenate([b for _, b, _ in blocks])
+        self._head = slice(0, n_head)
+        self._tail = slice(n_head + n_coll, self._a_in.shape[0])
+        self._c_red = np.zeros((self._a_in.shape[0], self.reduced.null_dim))
+        for part in (self._head, self._tail):
+            self._c_red[part] = self.reduced.reduce_rows(self._a_in[part])
 
-        eq_a, eq_b, _ = dynamics_rows(self.reference, vehicle.geometry,
-                                      game.initial_states[vid])
-        beh_a, beh_b, _, beh_is_eq = behavior_rows(
-            vehicle.behavior, self.reference, scenario.road
-        )
-        tail = []
-        if beh_is_eq:
-            eq_a = np.vstack([eq_a, beh_a])
-            eq_b = np.concatenate([eq_b, beh_b])
-        else:
-            tail.append((beh_a, beh_b))
-        self.reduced = ReducedQp(self.expansion.matrix, eq_a, eq_b)
-
-        bx_a, bx_b, _ = box_rows(scenario.limits, game.segment)
-        lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-        ln_a, ln_b, _ = lane_rows(self.reference, vehicle.geometry, scenario.road, lanes)
-        # Canonical inequality order: box, lane, collision by opponent id,
-        # then lane-change behaviour rows.
-        self._head = [(bx_a, bx_b), (ln_a, ln_b)]
-        self._tail = tail
-        self._head_red = [self.reduced.reduce_rows(a) for a, _ in self._head]
-        self._tail_red = [self.reduced.reduce_rows(a) for a, _ in self._tail]
-
-    def _collision_blocks(self, opponents):
+    def _collisions(self, opponents):
+        """Collision (rows, rhs) by opponent id, in solver order."""
+        if tuple(sorted(opponents)) != self.opponent_ids:
+            raise ValueError(f"player {self.vid} plays against {self.opponent_ids}, "
+                             f"got {tuple(sorted(opponents))}")
         return [
             collision_rows(self.reference, opponents[oid], self.vehicle.geometry, oid)[:2]
-            for oid in sorted(opponents)
+            for oid in self.opponent_ids
         ]
 
     def best_response(self, opponents, settings):
-        collisions = self._collision_blocks(opponents)
-        blocks = self._head + collisions + self._tail
-        a_in = np.vstack([a for a, _ in blocks])
-        b_in = np.concatenate([b for _, b in blocks])
-        c_red = np.vstack(
-            self._head_red + [self.reduced.reduce_rows(a) for a, _ in collisions] + self._tail_red
-        )
-        return self.reduced.solve(self.f_vec, a_in, b_in, settings, c_red=c_red)
+        start = self._head.stop
+        for a, b in self._collisions(opponents):
+            rows = slice(start, start + a.shape[0])
+            self._a_in[rows] = a
+            self._b_in[rows] = b
+            self._c_red[rows] = self.reduced.reduce_rows(a)
+            start = rows.stop
+        return self.reduced.solve(self.f_vec, self._a_in, self._b_in, settings,
+                                  c_red=self._c_red)
 
     def violation_at(self, s_vec, opponents):
         worst = 0.0
         if self.reduced.a_eq.shape[0]:
             worst = float(np.max(np.abs(self.reduced.a_eq @ s_vec - self.reduced.b_eq)))
-        for a, b in self._head + self._collision_blocks(opponents) + self._tail:
+        static = [(self._a_in[part], self._b_in[part]) for part in (self._head, self._tail)]
+        for a, b in static + self._collisions(opponents):
             if a.shape[0]:
                 worst = max(worst, float(np.max(a @ s_vec - b)))
         return max(worst, 0.0)

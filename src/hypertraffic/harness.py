@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cognition import hv_subjective_game, plan_cavs, predict_hv
+from .cognition import average_weights, hv_subjective_game, plan_cavs, predict_hv
 from .constraints import STEP_VARS, X_PX, Segment, Strategy, profile_violation
 from .dynamics import VehicleState
 from .game import make_game, solve_games
@@ -40,21 +40,14 @@ SUCCESS_VIOLATION = 1e-3
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """What gets perturbed and how. Only the human's longitudinal position
-    carries observation noise in these studies."""
+    """Gaussian observation noise on the human's longitudinal position, the
+    only quantity perturbed in these studies."""
 
     std: float
-    target: str = "hv_px"
-    distribution: str = "gaussian"
-    seed: int = 0
 
     def __post_init__(self):
         if self.std < 0:
             raise ValueError("noise std cannot be negative")
-        if self.target != "hv_px":
-            raise ValueError(f"unsupported noise target {self.target!r}")
-        if self.distribution != "gaussian":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
 
 
 def px_state_indices(segment):
@@ -109,30 +102,6 @@ class StagePlan:
         return cls((1, scenario.horizon))
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One repetition's (or one stage's) measured quantities."""
-
-    position_observation_error: float
-    parameter_estimation_error: float
-    trajectory_prediction_error: float
-    position_prediction_error: float
-    success: bool
-    stage: int = 0
-    wall_seconds: float = 0.0
-
-    def __post_init__(self):
-        for name in (
-            "position_observation_error",
-            "parameter_estimation_error",
-            "trajectory_prediction_error",
-            "position_prediction_error",
-        ):
-            value = getattr(self, name)
-            if np.isfinite(value) and value < 0:
-                raise ValueError(f"{name} cannot be negative")
-
-
 def position_observation_error(observed, actual):
     """(1/T) * l2 distance between observed and actual position sequences."""
     diff = observed.positions() - actual.positions()
@@ -150,8 +119,29 @@ def position_prediction_error(predicted, actual):
     return float(np.mean(np.linalg.norm(diff, axis=1)))
 
 
-def _profile_success(strategies, scenario):
-    return profile_violation(strategies, scenario) <= SUCCESS_VIOLATION
+def _profile_success(hv_strategy, plans, scenario, degraded):
+    """A run succeeds when planning did not degrade and the executed joint
+    profile (the actual human strategy with the CAV plans) stays clean."""
+    clean = profile_violation({0: hv_strategy, **plans}, scenario) <= SUCCESS_VIOLATION
+    return clean and not degraded
+
+
+def _interpret_predict_plan(scenario, s_actual, spec, rng, inverse_settings, solver_settings):
+    """The offline pipeline on one noisy observation of the human strategy.
+
+    Returns the observation, the interpretation, the prediction model, the
+    plans with their solve result, and the interpret/predict/plan durations.
+    """
+    t0 = time.perf_counter()
+    obs = apply_noise(s_actual, spec, rng)
+    interp = interpret_offline(obs, scenario, settings=inverse_settings,
+                               solver_settings=solver_settings)
+    t1 = time.perf_counter()
+    model = predict_hv(scenario, interp.theta_0c, settings=solver_settings)
+    t2 = time.perf_counter()
+    plans, plan_result, _ = plan_cavs(scenario, model.s_0c, settings=solver_settings)
+    t3 = time.perf_counter()
+    return obs, interp, model, plans, plan_result, (t1 - t0, t2 - t1, t3 - t2)
 
 
 def format_cell(value):
@@ -189,39 +179,22 @@ OFFLINE_FIELDS = (
 )
 
 
-def _ground_truth_offline(scenario, settings=None):
-    """The actual human trajectory: the human's component of its own
-    subjective game, solved once per scenario."""
-    game = hv_subjective_game(scenario)
-    result = solve_games(game, settings=settings)
-    return result
-
-
 def run_offline_experiment(scenario, noise_stds, repetitions, seed, solver_settings=None):
     """Generate, perturb, interpret, re-predict, plan; one row per repetition
     per noise level. Failures become rows, not exceptions."""
-    truth = _ground_truth_offline(scenario, solver_settings)
+    truth = solve_games(hv_subjective_game(scenario), settings=solver_settings)
     s_actual = truth.strategies[0]
     inverse_settings = InverseSettings.offline(scenario)
     rows = []
     for std in noise_stds:
-        spec = NoiseSpec(std=float(std), seed=seed)
+        spec = NoiseSpec(std=float(std))
         for rep in range(repetitions):
             rng = np.random.default_rng([seed, rep, int(round(std * 10000))])
             row = {"noise_std": float(std), "rep": rep, "failure": None}
             try:
-                t0 = time.perf_counter()
-                obs = apply_noise(s_actual, spec, rng)
-                interp = interpret_offline(
-                    obs, scenario, settings=inverse_settings, solver_settings=solver_settings
+                obs, interp, model, plans, plan_result, seconds = _interpret_predict_plan(
+                    scenario, s_actual, spec, rng, inverse_settings, solver_settings
                 )
-                t1 = time.perf_counter()
-                model = predict_hv(scenario, interp.theta_0c, settings=solver_settings)
-                t2 = time.perf_counter()
-                plans, plan_result, _ = plan_cavs(scenario, model.s_0c, settings=solver_settings)
-                t3 = time.perf_counter()
-                profile = {0: s_actual}
-                profile.update(plans)
                 row.update(
                     position_observation_error=position_observation_error(
                         obs.strategy, s_actual
@@ -233,11 +206,11 @@ def run_offline_experiment(scenario, noise_stds, repetitions, seed, solver_setti
                         model.s_0c, s_actual
                     ),
                     position_prediction_error=position_prediction_error(model.s_0c, s_actual),
-                    success=_profile_success(profile, scenario) and not plan_result.degraded,
+                    success=_profile_success(s_actual, plans, scenario, plan_result.degraded),
                     low_identifiability=interp.low_identifiability,
-                    interpret_seconds=t1 - t0,
-                    predict_seconds=t2 - t1,
-                    plan_seconds=t3 - t2,
+                    interpret_seconds=seconds[0],
+                    predict_seconds=seconds[1],
+                    plan_seconds=seconds[2],
                 )
             except Exception as exc:
                 row["failure"] = f"{type(exc).__name__}: {exc}"
@@ -333,10 +306,7 @@ class _OnlineRep:
                 t0 = time.perf_counter()
                 cav_game = make_game(
                     self.scenario,
-                    {vid: style_weights_for(
-                        self.scenario.vehicle(vid).behavior.kind,
-                        self.scenario.vehicle(vid).style,
-                    ) for vid in self.cav_ids},
+                    average_weights(self.scenario),
                     segment=self.prev["segment"],
                     fixed={0: self.prev["observation"].strategy},
                     references=self.prev["cav_refs"],
@@ -407,8 +377,6 @@ class _OnlineRep:
             gt_result = solve_games(gt_game, settings=self.solver_settings)
             hv_actual = gt_result.strategies[0]
 
-            executed = {0: hv_actual}
-            executed.update(plans)
             observation = apply_noise(
                 hv_actual, NoiseSpec(std=self.std), self.rng
             )
@@ -422,8 +390,7 @@ class _OnlineRep:
                 ),
                 trajectory_prediction_error=trajectory_prediction_error(model.s_0c, hv_actual),
                 position_prediction_error=position_prediction_error(model.s_0c, hv_actual),
-                success=_profile_success(executed, self.scenario)
-                and not plan_result.degraded,
+                success=_profile_success(hv_actual, plans, self.scenario, plan_result.degraded),
                 interpret_seconds=interp_seconds + fit_seconds,
                 predict_seconds=predict_seconds,
                 plan_seconds=plan_seconds,
@@ -529,20 +496,17 @@ def run_success_rate(scenario, mode, repetitions, seed, solver_settings=None):
     """
     if mode not in ("with_interpretation", "random_cognition"):
         raise ValueError(f"unknown success-rate mode {mode!r}")
-    truth = _ground_truth_offline(scenario, solver_settings)
+    truth = solve_games(hv_subjective_game(scenario), settings=solver_settings)
     s_actual = truth.strategies[0]
     inverse_settings = InverseSettings.offline(scenario)
-    spec = NoiseSpec(std=scenario.noise_std, seed=seed)
+    spec = NoiseSpec(std=scenario.noise_std)
     outcomes = []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
         if mode == "with_interpretation":
-            obs = apply_noise(s_actual, spec, rng)
-            interp = interpret_offline(
-                obs, scenario, settings=inverse_settings, solver_settings=solver_settings
+            _, interp, _, plans, plan_result, _ = _interpret_predict_plan(
+                scenario, s_actual, spec, rng, inverse_settings, solver_settings
             )
-            model = predict_hv(scenario, interp.theta_0c, settings=solver_settings)
-            plans, plan_result, _ = plan_cavs(scenario, model.s_0c, settings=solver_settings)
             error = parameter_error(
                 interp.theta_0c, scenario.hv.weights_true, scenario.hv.behavior.kind
             )
@@ -558,37 +522,20 @@ def run_success_rate(scenario, mode, repetitions, seed, solver_settings=None):
                 guess, scenario.hv.weights_true, scenario.hv.behavior.kind
             )
             degraded = result.degraded
-        profile = {0: s_actual}
-        profile.update(plans)
-        outcomes.append((error, _profile_success(profile, scenario) and not degraded))
+        outcomes.append((error, _profile_success(s_actual, plans, scenario, degraded)))
+
+    def rate_row(low, high, hits):
+        return {"mode": mode, "bin_low": low, "bin_high": high, "count": len(hits),
+                "successes": sum(hits), "success_rate": sum(hits) / len(hits)}
 
     edges = np.arange(0.0, max(o[0] for o in outcomes) + SUCCESS_BIN_WIDTH, SUCCESS_BIN_WIDTH)
     rows = []
     for low in edges:
         high = low + SUCCESS_BIN_WIDTH
         hits = [ok for err, ok in outcomes if low <= err < high]
-        if not hits:
-            continue
-        rows.append(
-            {
-                "mode": mode,
-                "bin_low": float(low),
-                "bin_high": float(high),
-                "count": len(hits),
-                "successes": sum(hits),
-                "success_rate": sum(hits) / len(hits),
-            }
-        )
-    rows.append(
-        {
-            "mode": mode,
-            "bin_low": None,
-            "bin_high": None,
-            "count": len(outcomes),
-            "successes": sum(ok for _, ok in outcomes),
-            "success_rate": sum(ok for _, ok in outcomes) / len(outcomes),
-        }
-    )
+        if hits:
+            rows.append(rate_row(float(low), float(high), hits))
+    rows.append(rate_row(None, None, [ok for _, ok in outcomes]))
     return rows
 
 

@@ -30,7 +30,6 @@ from .scenario import (
 )
 
 IDENTIFIABILITY_EPS = 1e-8
-UNIT_EFFECTIVE_NORM = "unit_effective_norm"
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class InverseSettings:
     omega_dist: float = 1.0
     theta_min: float = THETA_MIN_DEFAULT
     theta_max: float = THETA_MAX_DEFAULT
-    normalization: str = UNIT_EFFECTIVE_NORM
     identifiability_eps: float = IDENTIFIABILITY_EPS
 
     def __post_init__(self):
@@ -66,8 +64,6 @@ class InverseSettings:
             raise ValueError("kappa must be positive")
         if self.omega_dist < 0:
             raise ValueError("omega_dist cannot be negative")
-        if self.normalization != UNIT_EFFECTIVE_NORM:
-            raise ValueError(f"unsupported normalization rule {self.normalization!r}")
 
     @classmethod
     def offline(cls, scenario):
@@ -124,12 +120,12 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
             observation, scenario, solver_settings, references, initial_states
         )
     segment = observation.segment
+    if hv_reference is None:
+        hv_reference = scenario.references()[0].window(segment.start, segment.stop)
     system = assemble(
         0, cav_strategies, scenario, segment=segment,
         reference=hv_reference, initial_state=hv_initial,
     )
-    if hv_reference is None:
-        hv_reference = scenario.references()[0].window(segment.start, segment.stop)
     s_hat = observation.strategy.data
     s_ref = reference_vector(hv_reference, segment)
     dev = s_hat - s_ref

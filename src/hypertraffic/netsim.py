@@ -12,11 +12,12 @@ one.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import solve_games
+from .game import _NullObserver, solve_games
 
 RSU = "rsu"
 CENTER = "center"
@@ -211,21 +212,16 @@ class _DistributedObserver:
         pass
 
 
-class _CentralizedObserver:
+class _CentralizedObserver(_NullObserver):
     """Single-node bookkeeping: compute events only, nothing on the link."""
 
     def __init__(self):
+        self.messages = []
         self.events = []
         self.rounds = 0
 
-    def session_started(self, game, strategies):
-        pass
-
     def round_started(self, zeta):
         self.rounds = zeta
-
-    def opponents_view(self, vid, current):
-        return current
 
     def computed(self, vid, zeta, strategy, seconds, status):
         self.events.append(ComputeEvent(CENTER, "best_response", vid, zeta, seconds))
@@ -233,23 +229,13 @@ class _CentralizedObserver:
     def criterion(self, zeta, rel_step, violation, seconds, stop):
         self.events.append(ComputeEvent(CENTER, "criterion", None, zeta, seconds))
 
-    def session_finished(self, result):
-        pass
 
-
-def run_distributed(game, settings=None, initial=None):
-    """Solve one game over the simulated message layer.
-
-    Returns the equilibrium result together with the full session trace.
-    """
-    import time
-
-    observer = _DistributedObserver(game)
+def _run(mode, observer, game, settings, initial):
     t0 = time.perf_counter()
     result = solve_games(game, settings=settings, initial=initial, observer=observer)
     total = time.perf_counter() - t0
     trace = SessionTrace(
-        mode="distributed",
+        mode=mode,
         messages=tuple(observer.messages),
         events=tuple(observer.events),
         rounds=observer.rounds,
@@ -258,19 +244,14 @@ def run_distributed(game, settings=None, initial=None):
     return result, trace
 
 
+def run_distributed(game, settings=None, initial=None):
+    """Solve one game over the simulated message layer.
+
+    Returns the equilibrium result together with the full session trace.
+    """
+    return _run("distributed", _DistributedObserver(game), game, settings, initial)
+
+
 def run_centralized(game, settings=None, initial=None):
     """Solve the same game on a single node, tracing computations only."""
-    import time
-
-    observer = _CentralizedObserver()
-    t0 = time.perf_counter()
-    result = solve_games(game, settings=settings, initial=initial, observer=observer)
-    total = time.perf_counter() - t0
-    trace = SessionTrace(
-        mode="centralized",
-        messages=(),
-        events=tuple(observer.events),
-        rounds=observer.rounds,
-        total_seconds=total,
-    )
-    return result, trace
+    return _run("centralized", _CentralizedObserver(), game, settings, initial)

@@ -133,14 +133,6 @@ class LaneGeometry:
         if self.x_extent[0] >= self.x_extent[1]:
             raise ValueError("x_extent must be an increasing interval")
 
-    @property
-    def boundary_index_set(self):
-        return tuple(f"boundary_{i}" for i in range(self.lane_count + 1))
-
-    @property
-    def centerline_index_set(self):
-        return tuple(f"centerline_{i}" for i in range(self.lane_count))
-
     def boundary_y(self, index):
         if not 0 <= index <= self.lane_count:
             raise ValueError(f"boundary index {index} out of range")
@@ -505,45 +497,12 @@ def success_study_scenario():
     and the human behind, so whether CAV 1 can commit to the change depends on
     how far back the human is read to drop. A correct read leaves room; a
     sufficiently wrong one leaves CAV 1's program with no feasible response,
-    which the sweep records as a degraded run.
+    which the sweep records as a degraded run. It is the default roster with
+    CAV 2 moved into the target lane just ahead of CAV 1, slightly slower.
     """
     road = LaneGeometry()
-    y_right = road.centerline_y(0)
-    y_left = road.centerline_y(1)
-    straight = BehaviorSpec(kind=STRAIGHT)
-    change = BehaviorSpec(kind=LANE_CHANGE, source_lane=0, target_lane=1, start_x=5.0)
-    hv = VehicleConfig(
-        vid=0,
-        is_hv=True,
-        style=COMFORT,
-        behavior=straight,
-        initial=VehicleState(-3.0, y_left, 10.0, 0.0),
-        weights_true=true_style_weights(STRAIGHT, COMFORT),
-    )
-    cav1 = VehicleConfig(
-        vid=1,
-        is_hv=False,
-        style=COMFORT,
-        behavior=change,
-        initial=VehicleState(0.0, y_right, 10.0, 0.0),
-        weights_true=true_style_weights(LANE_CHANGE, COMFORT),
-    )
-    cav2 = VehicleConfig(
-        vid=2,
-        is_hv=False,
-        style=VELOCITY,
-        behavior=straight,
-        initial=VehicleState(5.5, y_left, 9.4, 0.0),
-        weights_true=true_style_weights(STRAIGHT, VELOCITY),
-    )
-    cav3 = VehicleConfig(
-        vid=3,
-        is_hv=False,
-        style=POSE,
-        behavior=straight,
-        initial=VehicleState(-24.0, y_right, 10.0, 0.0),
-        weights_true=true_style_weights(STRAIGHT, POSE),
-    )
+    hv, cav1, cav2, cav3 = _default_roster(COMFORT, (COMFORT, VELOCITY, POSE), road)
+    cav2 = replace(cav2, initial=VehicleState(5.5, road.centerline_y(1), 9.4, 0.0))
     return ScenarioConfig(
         vehicles=(hv, cav1, cav2, cav3),
         road=road,
@@ -575,81 +534,99 @@ def default_online_scenario():
 
 # --- configuration file ingestion -------------------------------------------
 
+def _path(context, key):
+    return f"{context}.{key}" if context else key
+
+
 def _req(mapping, key, context):
     if key not in mapping:
-        raise ValueError(f"config field {context}.{key} is missing")
+        raise ValueError(f"config field {_path(context, key)} is missing")
     return mapping[key]
 
 
-def _behavior_from_config(raw, vid):
-    kind = _req(raw, "kind", f"vehicles[{vid}].behavior")
+def _num(mapping, key, context, default=None):
+    """A numeric field (scalar or list) as float(s); required when no default
+    is given. Non-finite values are refused with the field's path."""
+    raw = _req(mapping, key, context) if default is None else mapping.get(key, default)
+    value = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"config field {_path(context, key)} is not finite: {raw!r}")
+    return float(value) if value.ndim == 0 else tuple(value.tolist())
+
+
+def _behavior_from_config(raw, context):
+    kind = _req(raw, "kind", context)
     if kind == STRAIGHT:
-        return BehaviorSpec(kind=STRAIGHT, direction=tuple(raw.get("direction", (1.0, 0.0))))
+        return BehaviorSpec(kind=STRAIGHT, direction=_num(raw, "direction", context, (1.0, 0.0)))
     if kind == LANE_CHANGE:
         return BehaviorSpec(
             kind=LANE_CHANGE,
-            source_lane=int(_req(raw, "source_lane", f"vehicles[{vid}].behavior")),
-            target_lane=int(_req(raw, "target_lane", f"vehicles[{vid}].behavior")),
-            start_x=float(_req(raw, "start_x", f"vehicles[{vid}].behavior")),
-            transition_length=float(raw.get("transition_length", 30.0)),
+            source_lane=int(_num(raw, "source_lane", context)),
+            target_lane=int(_num(raw, "target_lane", context)),
+            start_x=_num(raw, "start_x", context),
+            transition_length=_num(raw, "transition_length", context, 30.0),
         )
-    raise ValueError(f"config field vehicles[{vid}].behavior.kind has unknown value {kind!r}")
+    raise ValueError(f"config field {context}.kind has unknown value {kind!r}")
 
 
 def load_config(text):
     """Parse a YAML scenario document into a ScenarioConfig.
 
     Angles appear in degrees in the document (psi_deg, delta bounds) and are
-    converted here; everything downstream is radians.
+    converted here; everything downstream is radians. A missing required field
+    or a non-finite number fails here, naming the field.
     """
     raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ValueError("config document must be a mapping")
     road_raw = raw.get("road", {})
     road = LaneGeometry(
-        lane_count=int(road_raw.get("lane_count", 2)),
-        lane_width=float(road_raw.get("lane_width", 4.0)),
-        x_extent=tuple(road_raw.get("x_extent", (-200.0, 2000.0))),
+        lane_count=int(_num(road_raw, "lane_count", "road", 2)),
+        lane_width=_num(road_raw, "lane_width", "road", 4.0),
+        x_extent=_num(road_raw, "x_extent", "road", (-200.0, 2000.0)),
     )
     lim_raw = raw.get("limits", {})
     defaults = BoxLimits()
     limits = BoxLimits(
-        v_min=float(lim_raw.get("v_min", defaults.v_min)),
-        v_max=float(lim_raw.get("v_max", defaults.v_max)),
-        a_min=float(lim_raw.get("a_min", defaults.a_min)),
-        a_max=float(lim_raw.get("a_max", defaults.a_max)),
-        delta_min=math.radians(lim_raw.get("delta_min_deg", math.degrees(defaults.delta_min))),
-        delta_max=math.radians(lim_raw.get("delta_max_deg", math.degrees(defaults.delta_max))),
+        v_min=_num(lim_raw, "v_min", "limits", defaults.v_min),
+        v_max=_num(lim_raw, "v_max", "limits", defaults.v_max),
+        a_min=_num(lim_raw, "a_min", "limits", defaults.a_min),
+        a_max=_num(lim_raw, "a_max", "limits", defaults.a_max),
+        delta_min=math.radians(
+            _num(lim_raw, "delta_min_deg", "limits", math.degrees(defaults.delta_min))),
+        delta_max=math.radians(
+            _num(lim_raw, "delta_max_deg", "limits", math.degrees(defaults.delta_max))),
     )
     geo_raw = raw.get("geometry", {})
     geometry = VehicleGeometry(
-        length=float(geo_raw.get("length", 3.63)),
-        width=float(geo_raw.get("width", 1.85)),
-        extended_length=float(geo_raw.get("extended_length", 3.73)),
-        extended_width=float(geo_raw.get("extended_width", 1.95)),
+        length=_num(geo_raw, "length", "geometry", 3.63),
+        width=_num(geo_raw, "width", "geometry", 1.85),
+        extended_length=_num(geo_raw, "extended_length", "geometry", 3.73),
+        extended_width=_num(geo_raw, "extended_width", "geometry", 1.95),
     )
     sol_raw = raw.get("solver", {})
     sd = SolverSettings()
     solver = SolverSettings(
-        violation_eps=float(sol_raw.get("violation_eps", sd.violation_eps)),
-        step_eps=float(sol_raw.get("step_eps", sd.step_eps)),
-        max_iterations=int(sol_raw.get("max_iterations", sd.max_iterations)),
-        qp_tolerance=float(sol_raw.get("qp_tolerance", sd.qp_tolerance)),
+        violation_eps=_num(sol_raw, "violation_eps", "solver", sd.violation_eps),
+        step_eps=_num(sol_raw, "step_eps", "solver", sd.step_eps),
+        max_iterations=int(_num(sol_raw, "max_iterations", "solver", sd.max_iterations)),
+        qp_tolerance=_num(sol_raw, "qp_tolerance", "solver", sd.qp_tolerance),
     )
     vehicles = []
-    for idx, v_raw in enumerate(_req(raw, "vehicles", "<root>")):
-        vid = int(_req(v_raw, "id", f"vehicles[{idx}]"))
-        behavior = _behavior_from_config(_req(v_raw, "behavior", f"vehicles[{idx}]"), vid)
-        init_raw = _req(v_raw, "initial", f"vehicles[{idx}]")
+    for idx, v_raw in enumerate(_req(raw, "vehicles", "")):
+        ctx = f"vehicles[{idx}]"
+        vid = int(_num(v_raw, "id", ctx))
+        behavior = _behavior_from_config(_req(v_raw, "behavior", ctx), f"{ctx}.behavior")
+        init_raw = _req(v_raw, "initial", ctx)
         initial = VehicleState(
-            p_x=float(_req(init_raw, "x", f"vehicles[{idx}].initial")),
-            p_y=float(_req(init_raw, "y", f"vehicles[{idx}].initial")),
-            v=float(_req(init_raw, "v", f"vehicles[{idx}].initial")),
-            psi=math.radians(init_raw.get("psi_deg", 0.0)),
+            p_x=_num(init_raw, "x", f"{ctx}.initial"),
+            p_y=_num(init_raw, "y", f"{ctx}.initial"),
+            v=_num(init_raw, "v", f"{ctx}.initial"),
+            psi=math.radians(_num(init_raw, "psi_deg", f"{ctx}.initial", 0.0)),
         )
-        style = _req(v_raw, "style", f"vehicles[{idx}]")
+        style = _req(v_raw, "style", ctx)
         if "weights_true" in v_raw:
-            weights = StyleWeights(np.asarray(v_raw["weights_true"], dtype=float)).normalized(
+            weights = StyleWeights(np.asarray(_num(v_raw, "weights_true", ctx))).normalized(
                 behavior.kind
             )
         else:
@@ -668,15 +645,15 @@ def load_config(text):
     return ScenarioConfig(
         vehicles=tuple(vehicles),
         road=road,
-        horizon=int(raw.get("horizon", 36)),
-        ts=float(raw.get("ts", 0.1)),
+        horizon=int(_num(raw, "horizon", "", 36)),
+        ts=_num(raw, "ts", "", 0.1),
         limits=limits,
-        stages=tuple(raw.get("stages", ())),
+        stages=_num(raw, "stages", "", ()),
         solver=solver,
-        noise_std=float(raw.get("noise_std", 0.05)),
-        kappa_offline=float(raw.get("kappa_offline", 1.5)),
-        kappa_online=float(raw.get("kappa_online", 0.3)),
-        omega_dist=float(raw.get("omega_dist", 1.0)),
+        noise_std=_num(raw, "noise_std", "", 0.05),
+        kappa_offline=_num(raw, "kappa_offline", "", 1.5),
+        kappa_online=_num(raw, "kappa_online", "", 0.3),
+        omega_dist=_num(raw, "omega_dist", "", 1.0),
     )
 
 

@@ -6,6 +6,7 @@ calculus. None of it imports solver internals.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -83,6 +84,51 @@ def svd_null_space(a_eq, b_eq):
     rank = int(np.sum(sing > tol))
     s_part = vt[:rank].T @ ((u[:, :rank].T @ b_eq) / sing[:rank])
     return vt[rank:].T, s_part
+
+
+def loop_dynamics_rows(ref_states, ts, length, x0):
+    """Euler-chain equality rows built step by step from the hand-derived
+    zero-control Jacobians, in the (a, delta, p_x, p_y, v, psi) step layout.
+    Step j is linearized at ref_states[j]; x0 enters the first right-hand side.
+    """
+    n = len(ref_states) - 1
+    a_eq = np.zeros((4 * n, 6 * n))
+    b_eq = np.zeros(4 * n)
+    for j in range(n):
+        v, psi = ref_states[j][2], ref_states[j][3]
+        a_mat = np.eye(4)
+        a_mat[0, 2] = ts * math.cos(psi)
+        a_mat[0, 3] = -ts * v * math.sin(psi)
+        a_mat[1, 2] = ts * math.sin(psi)
+        a_mat[1, 3] = ts * v * math.cos(psi)
+        b_mat = np.zeros((4, 2))
+        b_mat[2, 0] = ts
+        b_mat[3, 1] = ts * v / length
+        drift = np.array([v * math.cos(psi), v * math.sin(psi), 0.0, 0.0])
+        c_vec = ref_states[j] + ts * drift - a_mat @ ref_states[j]
+        rows = slice(4 * j, 4 * j + 4)
+        a_eq[rows, 6 * j : 6 * j + 2] = -b_mat
+        a_eq[rows, 6 * j + 2 : 6 * j + 6] = np.eye(4)
+        if j == 0:
+            b_eq[rows] = a_mat @ x0 + c_vec
+        else:
+            a_eq[rows, 6 * j - 4 : 6 * j] = -a_mat
+            b_eq[rows] = c_vec
+    return a_eq, b_eq
+
+
+def loop_box_rows(limits, n):
+    """Upper then lower bound row per step for v, then a, then delta."""
+    rows, rhs = [], []
+    for col, lo, hi in ((4, limits.v_min, limits.v_max), (0, limits.a_min, limits.a_max),
+                        (1, limits.delta_min, limits.delta_max)):
+        for j in range(n):
+            for sign, bound in ((1.0, hi), (-1.0, -lo)):
+                row = np.zeros(6 * n)
+                row[6 * j + col] = sign
+                rows.append(row)
+                rhs.append(bound)
+    return np.array(rows), np.array(rhs)
 
 
 def random_qp(rng, n_max=6, m_max=4, p_max=2):

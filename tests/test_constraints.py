@@ -19,10 +19,10 @@ from hypertraffic.constraints import (
     lane_rows,
     profile_violation,
 )
-from hypertraffic.dynamics import VehicleGeometry, VehicleState
-from hypertraffic.scenario import default_offline_scenario
+from hypertraffic.dynamics import ControlInput, VehicleGeometry, VehicleState, linearize_discrete
+from hypertraffic.scenario import default_offline_scenario, default_online_scenario
 
-from _oracles import fd_gradient
+from _oracles import fd_gradient, loop_box_rows, loop_dynamics_rows
 
 
 def _scen():
@@ -114,6 +114,55 @@ def test_dynamics_rows_initial_state_only_moves_first_block():
     assert np.array_equal(a1, a2)
     assert np.any(b1[:4] != b2[:4])
     assert np.array_equal(b1[4:], b2[4:])
+
+
+@pytest.mark.parametrize("vid", [0, 1])
+def test_dynamics_rows_are_the_zero_control_linearization(vid):
+    # Block j chains x(j+1) = A_j x(j) + B_j u(j) + c_j, linearized at the
+    # reference state j with zero control: [-B_j | I] on its own step,
+    # -A_j on the previous state, c_j (plus A_0 x0 on the first) on the right.
+    scen = _scen()
+    ref = _ref(scen, vid)
+    geo = scen.vehicle(vid).geometry
+    x0 = VehicleState.from_array(ref.states[0] + np.array([0.5, 0.1, 0.2, 0.01]))
+    a_eq, b_eq, _ = dynamics_rows(ref, geo, initial_state=x0)
+    n = len(ref) - 1
+    for j in range(n):
+        lin = linearize_discrete(VehicleState.from_array(ref.states[j]), ControlInput(0.0, 0.0),
+                                 geo, ref.ts)
+        rows = a_eq[4 * j : 4 * j + 4]
+        own = slice(STEP_VARS * j, STEP_VARS * (j + 1))
+        assert np.array_equal(rows[:, own], np.hstack([-lin.b_mat, np.eye(4)]))
+        if j:
+            prev = slice(STEP_VARS * (j - 1) + X_PX, STEP_VARS * j)
+            assert np.array_equal(rows[:, prev], -lin.a_mat)
+            assert np.array_equal(b_eq[4 * j : 4 * j + 4], lin.c_vec)
+            rest = np.delete(rows, np.r_[prev, own], axis=1)
+        else:
+            assert np.array_equal(b_eq[:4], lin.a_mat @ x0.as_array() + lin.c_vec)
+            rest = np.delete(rows, np.r_[own], axis=1)
+        assert not np.any(rest)
+
+
+@pytest.mark.parametrize("make_scenario", [default_offline_scenario, default_online_scenario])
+def test_vectorized_rows_match_the_loop_oracles(make_scenario):
+    # Box rows only place +-1 entries, so they must agree exactly; dynamics
+    # rows use numpy's cos/sin where the oracle uses math's, so allow a few
+    # units in the last place.
+    scen = make_scenario()
+    for segment in (Segment(1, scen.horizon), Segment(13, 25)):
+        a_box, b_box, _ = box_rows(scen.limits, segment)
+        o_a, o_b = loop_box_rows(scen.limits, segment.n_steps)
+        assert np.array_equal(a_box, o_a) and np.array_equal(b_box, o_b)
+        for vid, full in scen.references().items():
+            ref = full.window(segment.start, segment.stop)
+            x0 = ref.states[0] + np.array([0.3, -0.1, 0.2, 0.02])
+            geo = scen.vehicle(vid).geometry
+            a_eq, b_eq, _ = dynamics_rows(ref, geo, VehicleState.from_array(x0))
+            o_a, o_b = loop_dynamics_rows(ref.states, ref.ts, geo.length, x0)
+            tol = 8 * np.finfo(float).eps
+            assert np.allclose(a_eq, o_a, rtol=tol, atol=tol)
+            assert np.allclose(b_eq, o_b, rtol=tol, atol=tol * np.max(np.abs(o_b)))
 
 
 def test_box_rows_localize_violations():

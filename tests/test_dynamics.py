@@ -10,6 +10,7 @@ from hypertraffic.dynamics import (
     continuous_rhs,
     euler_step,
     linearize_discrete,
+    linearize_steps,
     rollout,
 )
 
@@ -39,16 +40,21 @@ def test_steering_domain():
 def test_linearization_matches_finite_differences():
     geo = VehicleGeometry()
     rng = np.random.default_rng(7)
+    points = [random_nominal(rng) for _ in range(100)]
+    # The same points once more through the batched path, nonzero controls.
+    batch_a, batch_b, _ = linearize_steps(
+        [s.as_array() for s, _ in points], [u.as_array() for _, u in points], geo, 0.1
+    )
     worst = 0.0
-    for _ in range(100):
-        state, control = random_nominal(rng)
+    for j, (state, control) in enumerate(points):
         lin = linearize_discrete(state, control, geo, 0.1)
         fd_a, fd_b = fd_step_jacobians(state, control, geo, 0.1)
-        worst = max(
-            worst,
-            float(np.max(np.abs(lin.a_mat - fd_a))),
-            float(np.max(np.abs(lin.b_mat - fd_b))),
-        )
+        for a_mat, b_mat in ((lin.a_mat, lin.b_mat), (batch_a[j], batch_b[j])):
+            worst = max(
+                worst,
+                float(np.max(np.abs(a_mat - fd_a))),
+                float(np.max(np.abs(b_mat - fd_b))),
+            )
     assert worst <= 1e-6
 
 

@@ -32,8 +32,6 @@ def test_settings_validation_and_presets():
         InverseSettings(kappa=0.0)
     with pytest.raises(ValueError):
         InverseSettings(omega_dist=-1.0)
-    with pytest.raises(ValueError):
-        InverseSettings(normalization="softmax")
     scen = default_offline_scenario()
     off = InverseSettings.offline(scen)
     assert off.kappa == scen.kappa_offline

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,3 +252,19 @@ def test_load_config_rejects_missing_fields():
     bad_kind = CONFIG_DOC.replace("{kind: straight}", "{kind: teleport}")
     with pytest.raises(ValueError):
         load_config(bad_kind)
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("v: 10.0}", "v: .nan}", "vehicles[0].initial.v"),
+        ("ts: 0.1", "ts: .inf", "ts"),
+        ("v_max: 15.0", "v_max: -.inf", "limits.v_max"),
+        ("start_x: 2.0", "start_x: .nan", "vehicles[1].behavior.start_x"),
+        ("[1.0, 1.0, 4.0", "[1.0, .nan, 4.0", "vehicles[1].weights_true"),
+    ],
+)
+def test_load_config_refuses_non_finite_fields(old, new, field):
+    assert old in CONFIG_DOC
+    with pytest.raises(ValueError, match=re.escape(f"config field {field} is not finite")):
+        load_config(CONFIG_DOC.replace(old, new, 1))
