@@ -420,8 +420,7 @@ class _OnlineRep:
         return rows, timing
 
 
-def run_online_experiment(scenario, stage_plan=None, repetitions=50, seed=0,
-                          solver_settings=None):
+def run_online_experiment(scenario, repetitions=50, seed=0, solver_settings=None):
     """Staged interpretation and planning; one row per repetition per stage.
 
     The parameter_error column reports the estimate in use during the stage;
@@ -431,7 +430,7 @@ def run_online_experiment(scenario, stage_plan=None, repetitions=50, seed=0,
     flagged unidentifiable is discarded and the previous cognition kept, so
     a non-interactive stage never overwrites a usable estimate.
     """
-    plan = stage_plan or StagePlan.from_scenario(scenario)
+    plan = StagePlan.from_scenario(scenario)
     rows = []
     for rep in range(repetitions):
         try:
@@ -552,13 +551,13 @@ TIMING_FIELDS = (
 )
 
 
-def run_timing(scenario, stage_plan=None, repetitions=10, seed=0, solver_settings=None):
+def run_timing(scenario, repetitions=10, seed=0, solver_settings=None):
     """Per-stage durations of the online pipeline under both transports.
 
     Distributed durations follow the slowest-node model from the session
     traces; centralized durations are plain wall-clock totals.
     """
-    plan = stage_plan or StagePlan.from_scenario(scenario)
+    plan = StagePlan.from_scenario(scenario)
     rows = []
     for rep in range(repetitions):
         for mode, transport in (("distributed", run_distributed),

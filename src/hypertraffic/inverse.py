@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import lsq_linear
 
 from .cognition import average_weights
 from .constraints import Segment, Strategy, assemble
 from .game import WEIGHT_PATTERN, make_game, reference_vector, solve_games
+from .qp import variable_reduction
 from .scenario import (
     EFFECTIVE_INDICES,
     THETA_MAX_DEFAULT,
@@ -43,6 +43,18 @@ class Observation:
     strategy: Strategy
     perturbed: tuple = ()
     noise_std: float = 0.0
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.strategy.data)):
+            raise ValueError("observation strategy has non-finite entries")
+        n_vars = self.strategy.segment.n_vars
+        for i in self.perturbed:
+            if not 0 <= i < n_vars:
+                raise ValueError(f"observation perturbed index {i} outside [0, {n_vars})")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(
+                f"observation noise_std must be finite and nonnegative, got {self.noise_std!r}"
+            )
 
     @property
     def segment(self):
@@ -78,12 +90,13 @@ class InverseSettings:
 
 @dataclass(frozen=True)
 class InverseResult:
-    """Recovered weights with the multipliers and diagnostics behind them."""
+    """Recovered weights with the inequality multipliers and diagnostics
+    behind them. `residual` is the stationarity residual on the equality null
+    space, which equals the full residual at the best equality multipliers."""
 
     theta_0c: StyleWeights
     theta_raw: np.ndarray
     lam: np.ndarray
-    mu: np.ndarray
     residual: float
     active_rows: tuple
     warnings: tuple
@@ -92,33 +105,28 @@ class InverseResult:
     cav_strategies: dict
 
 
-def _embedded_cav_solve(observation, scenario, solver_settings, references, initial_states):
+def _embedded_cav_solve(observation, scenario, solver_settings):
     """CAV-only equilibrium with the observed human strategy as data and the
     typical per-style weights, reconstructing what the human reacted to."""
-    weights = average_weights(scenario)
-    if references is not None:
-        references = {vid: references[vid] for vid in weights}
-    if initial_states is not None:
-        initial_states = {vid: initial_states[vid] for vid in weights}
     game = make_game(
         scenario,
-        weights,
+        average_weights(scenario),
         segment=observation.segment,
         fixed={0: observation.strategy},
-        references=references,
-        initial_states=initial_states,
     )
     result = solve_games(game, settings=solver_settings)
     return {vid: result.strategies[vid] for vid in game.decision_ids}
 
 
+def null_space(a_eq):
+    """Orthonormal basis of the null space of A_eq: the forward solver's
+    variable-reduction basis, orthonormalized by one QR. The fit's
+    identifiability test and column weighting assume orthonormal columns."""
+    return np.linalg.qr(variable_reduction(a_eq)[-1])[0]
+
+
 def _interpret(observation, scenario, settings, prev_theta, use_conservativeness,
-               solver_settings, cav_strategies, references, initial_states,
-               hv_reference, hv_initial):
-    if cav_strategies is None:
-        cav_strategies = _embedded_cav_solve(
-            observation, scenario, solver_settings, references, initial_states
-        )
+               cav_strategies, hv_reference=None, hv_initial=None):
     segment = observation.segment
     if hv_reference is None:
         hv_reference = scenario.references()[0].window(segment.start, segment.stop)
@@ -145,7 +153,7 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
             f"({', '.join(tags)}); treating them as active"
         )
 
-    z_basis = null_space(system.a_eq) if system.a_eq.shape[0] else np.eye(n)
+    z_basis = null_space(system.a_eq)
     zc = z_basis.T @ c_mat
     a_free = system.a_in[free_idx]
     za_t = z_basis.T @ a_free.T
@@ -187,12 +195,7 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
     lam = np.zeros(system.a_in.shape[0])
     lam[kept_idx] = np.maximum(fit.x[6:], 0.0)
 
-    grad = c_mat @ theta_raw + system.a_in.T @ lam
-    if system.a_eq.shape[0]:
-        mu = np.linalg.lstsq(system.a_eq.T, -grad, rcond=None)[0]
-    else:
-        mu = np.zeros(0)
-    residual = float(np.linalg.norm(grad + (system.a_eq.T @ mu if mu.size else 0.0)))
+    residual = float(np.linalg.norm(z_basis.T @ (c_mat @ theta_raw + system.a_in.T @ lam)))
 
     theta_0c = StyleWeights(theta_raw, settings.theta_min, settings.theta_max).normalized(
         scenario.hv.behavior.kind
@@ -201,7 +204,6 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
         theta_0c=theta_0c,
         theta_raw=theta_raw,
         lam=lam,
-        mu=mu,
         residual=residual,
         active_rows=tuple(int(j) for j in free_idx),
         warnings=tuple(warnings),
@@ -212,8 +214,7 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
 
 
 def interpret_offline(observation, scenario, settings=None, solver_settings=None,
-                      cav_strategies=None, references=None, initial_states=None,
-                      hv_reference=None, hv_initial=None):
+                      cav_strategies=None):
     """Recover weights from a full-horizon observation.
 
     Runs the embedded CAV reconstruction first (unless strategies are
@@ -223,28 +224,23 @@ def interpret_offline(observation, scenario, settings=None, solver_settings=None
     settings = settings or InverseSettings.offline(scenario)
     if observation.segment != Segment(1, scenario.horizon):
         raise ValueError("offline interpretation needs a full-horizon observation")
-    return _interpret(
-        observation, scenario, settings, prev_theta=None, use_conservativeness=False,
-        solver_settings=solver_settings, cav_strategies=cav_strategies,
-        references=references, initial_states=initial_states,
-        hv_reference=hv_reference, hv_initial=hv_initial,
-    )
+    if cav_strategies is None:
+        cav_strategies = _embedded_cav_solve(observation, scenario, solver_settings)
+    return _interpret(observation, scenario, settings, prev_theta=None,
+                      use_conservativeness=False, cav_strategies=cav_strategies)
 
 
-def interpret_online(observation, prev_theta, scenario, settings=None,
-                     include_conservativeness=True, solver_settings=None,
-                     cav_strategies=None, references=None, initial_states=None,
-                     hv_reference=None, hv_initial=None):
+def interpret_online(observation, prev_theta, scenario, cav_strategies, settings=None,
+                     include_conservativeness=True, hv_reference=None, hv_initial=None):
     """Per-stage interpretation with an optional pull toward the previous
     estimate. The caller decides the flag; the first update after the initial
-    guess runs without it."""
+    guess runs without it. The caller also supplies the CAV stage strategies
+    the human reacted to, solved on its own anchored stage references."""
     settings = settings or InverseSettings.online(scenario)
     theta_prev = prev_theta.theta if isinstance(prev_theta, StyleWeights) else prev_theta
     return _interpret(
         observation, scenario, settings, prev_theta=theta_prev,
-        use_conservativeness=include_conservativeness,
-        solver_settings=solver_settings, cav_strategies=cav_strategies,
-        references=references, initial_states=initial_states,
+        use_conservativeness=include_conservativeness, cav_strategies=cav_strategies,
         hv_reference=hv_reference, hv_initial=hv_initial,
     )
 

@@ -226,13 +226,18 @@ def _require_finite(**arrays):
             raise ValueError(f"QP data {name} has non-finite entries")
 
 
-def _independent_rows(a_eq):
-    """LU factors of A_eq' over a maximal set of independent equality rows.
+def variable_reduction(a_eq):
+    """Split the variables of A_eq s = b_eq into dependent and free ones by
+    one LU factorization with partial pivoting of A_eq' (variable reduction,
+    Nocedal & Wright section 15.3).
 
-    Row j is dropped when its pivot is at most max(m, n) * eps times the
-    largest pivot before it; the rest are re-factored, so a near-zero pivot
-    never feeds the elimination of later rows. Returns (rows, perm, lower,
-    upper) with A_eq[rows]' = lower[perm] @ upper.
+    Equality row j is dropped when its pivot is at most max(m, n) * eps times
+    the largest pivot before it; the rest are re-factored, so a near-zero
+    pivot never feeds the elimination of later rows. Returns (rows, dep, l1,
+    upper, z_basis): the kept independent rows, the dependent variables, the
+    factors A_eq[rows][:, dep]' = l1 @ upper with l1 unit lower triangular,
+    and the null-space basis Z of A_eq, equal to the identity on the free
+    variables. With no equality rows every variable is free and Z = I.
     """
     m, n = a_eq.shape
     rows = np.arange(m)
@@ -246,21 +251,31 @@ def _independent_rows(a_eq):
         elif rows.size > n:
             rows = rows[:n]  # n independent rows already span every later one
         else:
-            return rows, perm, lower, upper
-    return rows, np.arange(n), np.zeros((n, 0)), np.zeros((0, 0))
+            break
+    else:  # no independent equality row
+        perm, lower, upper = np.arange(n), np.zeros((n, 0)), np.zeros((0, 0))
+    rank = rows.size
+    order = np.argsort(perm)
+    dep, free = order[:rank], order[rank:]
+    l1 = lower[:rank]
+    z_basis = np.zeros((n, n - rank))
+    z_basis[free, np.arange(n - rank)] = 1.0
+    z_basis[dep] = -solve_triangular(
+        l1, lower[rank:].T, trans="T", lower=True, unit_diagonal=True, check_finite=False,
+    )
+    return rows, dep, l1, upper, z_basis
 
 
 class ReducedQp:
     """Equality-eliminated view of a QP with a fixed quadratic block.
 
-    One LU factorization of A_eq' (variable reduction, Nocedal & Wright
-    section 15.3) yields the null-space basis Z, equal to the identity on the
-    free variables, and a particular solution for b_eq; the Cholesky factor
-    of Z'HZ is kept too, so repeated solves that differ only in the linear
-    term and the inequality rows stay cheap. Redundant equality rows are
-    dropped from the factorization and get zero multipliers; the particular
-    solution then fits b_eq over all rows in the least-squares sense, and
-    `eq_residual` over all rows flags inconsistent systems.
+    `variable_reduction` yields the null-space basis Z, and its LU factors a
+    particular solution for b_eq; the Cholesky factor of Z'HZ is kept too, so
+    repeated solves that differ only in the linear term and the inequality
+    rows stay cheap. Redundant equality rows are dropped from the
+    factorization and get zero multipliers; the particular solution then fits
+    b_eq over all rows in the least-squares sense, and `eq_residual` over all
+    rows flags inconsistent systems.
     """
 
     def __init__(self, h_mat, a_eq, b_eq):
@@ -273,21 +288,9 @@ class ReducedQp:
         self.a_eq = a_eq
         self.b_eq = b_eq
         self.n = n
-        rows, perm, lower, upper = _independent_rows(a_eq)
+        rows, self._dep, self._l1, self._u, self.z_basis = variable_reduction(a_eq)
         rank = rows.size
-        order = np.argsort(perm)
-        # A_eq[rows][:, dep]' = L1 U with L1 unit lower triangular.
         self._rows = rows
-        self._dep = order[:rank]
-        self._l1 = lower[:rank]
-        self._u = upper
-        free = order[rank:]
-        self.z_basis = np.zeros((n, n - rank))
-        self.z_basis[free, np.arange(n - rank)] = 1.0
-        self.z_basis[self._dep] = -solve_triangular(
-            self._l1, lower[rank:].T, trans="T", lower=True, unit_diagonal=True,
-            check_finite=False,
-        )
         self.s_part = np.zeros(n)
         if rank:
             b_fit = b_eq[rows]
@@ -298,7 +301,7 @@ class ReducedQp:
                 c_t = self._lu_solve(a_eq[dropped][:, self._dep].T)
                 b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
                                         b_fit + c_t @ b_eq[dropped])
-            w = solve_triangular(upper, b_fit, trans="T", lower=False, check_finite=False)
+            w = solve_triangular(self._u, b_fit, trans="T", lower=False, check_finite=False)
             self.s_part[self._dep] = solve_triangular(
                 self._l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
             )

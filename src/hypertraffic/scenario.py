@@ -404,6 +404,13 @@ class ScenarioConfig:
             raise ValueError("horizon must span at least two time points")
         if self.ts <= 0:
             raise ValueError("ts must be positive")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std cannot be negative, got {self.noise_std}")
+        for name in ("kappa_offline", "kappa_online"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.omega_dist < 0:
+            raise ValueError(f"omega_dist cannot be negative, got {self.omega_dist}")
         stages = tuple(int(k) for k in self.stages)
         object.__setattr__(self, "stages", stages)
         if stages:
@@ -538,8 +545,20 @@ def _path(context, key):
     return f"{context}.{key}" if context else key
 
 
+def _fields(raw, context, known):
+    """A config mapping whose keys are all known; the first unknown key is
+    refused with its path, so a misspelled field never falls back to its
+    default."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config field {context} must be a mapping")
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"config field {_path(context, key)} is not a known field")
+    return raw
+
+
 def _req(mapping, key, context):
-    if key not in mapping:
+    if not isinstance(mapping, dict) or key not in mapping:
         raise ValueError(f"config field {_path(context, key)} is missing")
     return mapping[key]
 
@@ -554,38 +573,49 @@ def _num(mapping, key, context, default=None):
     return float(value) if value.ndim == 0 else tuple(value.tolist())
 
 
+_BEHAVIOR_FIELDS = {
+    STRAIGHT: ("kind", "direction"),
+    LANE_CHANGE: ("kind", "source_lane", "target_lane", "start_x", "transition_length"),
+}
+
+
 def _behavior_from_config(raw, context):
     kind = _req(raw, "kind", context)
+    if kind not in _BEHAVIOR_FIELDS:
+        raise ValueError(f"config field {context}.kind has unknown value {kind!r}")
+    _fields(raw, context, _BEHAVIOR_FIELDS[kind])
     if kind == STRAIGHT:
         return BehaviorSpec(kind=STRAIGHT, direction=_num(raw, "direction", context, (1.0, 0.0)))
-    if kind == LANE_CHANGE:
-        return BehaviorSpec(
-            kind=LANE_CHANGE,
-            source_lane=int(_num(raw, "source_lane", context)),
-            target_lane=int(_num(raw, "target_lane", context)),
-            start_x=_num(raw, "start_x", context),
-            transition_length=_num(raw, "transition_length", context, 30.0),
-        )
-    raise ValueError(f"config field {context}.kind has unknown value {kind!r}")
+    return BehaviorSpec(
+        kind=LANE_CHANGE,
+        source_lane=int(_num(raw, "source_lane", context)),
+        target_lane=int(_num(raw, "target_lane", context)),
+        start_x=_num(raw, "start_x", context),
+        transition_length=_num(raw, "transition_length", context, 30.0),
+    )
 
 
 def load_config(text):
     """Parse a YAML scenario document into a ScenarioConfig.
 
     Angles appear in degrees in the document (psi_deg, delta bounds) and are
-    converted here; everything downstream is radians. A missing required field
-    or a non-finite number fails here, naming the field.
+    converted here; everything downstream is radians. A missing required
+    field, an unknown field or a non-finite number fails here, naming the
+    field.
     """
     raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ValueError("config document must be a mapping")
-    road_raw = raw.get("road", {})
+    _fields(raw, "", ("vehicles", "road", "limits", "geometry", "solver", "horizon", "ts",
+                      "stages", "noise_std", "kappa_offline", "kappa_online", "omega_dist"))
+    road_raw = _fields(raw.get("road", {}), "road", ("lane_count", "lane_width", "x_extent"))
     road = LaneGeometry(
         lane_count=int(_num(road_raw, "lane_count", "road", 2)),
         lane_width=_num(road_raw, "lane_width", "road", 4.0),
         x_extent=_num(road_raw, "x_extent", "road", (-200.0, 2000.0)),
     )
-    lim_raw = raw.get("limits", {})
+    lim_raw = _fields(raw.get("limits", {}), "limits",
+                      ("v_min", "v_max", "a_min", "a_max", "delta_min_deg", "delta_max_deg"))
     defaults = BoxLimits()
     limits = BoxLimits(
         v_min=_num(lim_raw, "v_min", "limits", defaults.v_min),
@@ -597,14 +627,16 @@ def load_config(text):
         delta_max=math.radians(
             _num(lim_raw, "delta_max_deg", "limits", math.degrees(defaults.delta_max))),
     )
-    geo_raw = raw.get("geometry", {})
+    geo_raw = _fields(raw.get("geometry", {}), "geometry",
+                      ("length", "width", "extended_length", "extended_width"))
     geometry = VehicleGeometry(
         length=_num(geo_raw, "length", "geometry", 3.63),
         width=_num(geo_raw, "width", "geometry", 1.85),
         extended_length=_num(geo_raw, "extended_length", "geometry", 3.73),
         extended_width=_num(geo_raw, "extended_width", "geometry", 1.95),
     )
-    sol_raw = raw.get("solver", {})
+    sol_raw = _fields(raw.get("solver", {}), "solver",
+                      ("violation_eps", "step_eps", "max_iterations", "qp_tolerance"))
     sd = SolverSettings()
     solver = SolverSettings(
         violation_eps=_num(sol_raw, "violation_eps", "solver", sd.violation_eps),
@@ -615,9 +647,11 @@ def load_config(text):
     vehicles = []
     for idx, v_raw in enumerate(_req(raw, "vehicles", "")):
         ctx = f"vehicles[{idx}]"
+        _fields(v_raw, ctx, ("id", "is_hv", "style", "behavior", "initial", "weights_true"))
         vid = int(_num(v_raw, "id", ctx))
         behavior = _behavior_from_config(_req(v_raw, "behavior", ctx), f"{ctx}.behavior")
-        init_raw = _req(v_raw, "initial", ctx)
+        init_raw = _fields(_req(v_raw, "initial", ctx), f"{ctx}.initial",
+                           ("x", "y", "v", "psi_deg"))
         initial = VehicleState(
             p_x=_num(init_raw, "x", f"{ctx}.initial"),
             p_y=_num(init_raw, "y", f"{ctx}.initial"),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hypertraffic import harness, inverse
 from hypertraffic.cognition import hv_subjective_game
-from hypertraffic.constraints import Segment, Strategy
+from hypertraffic.constraints import Segment, Strategy, assemble
 from hypertraffic.game import solve_games
+from hypertraffic.harness import NoiseSpec, apply_noise, run_online_experiment
 from hypertraffic.inverse import (
     InverseSettings,
     Observation,
@@ -17,8 +19,12 @@ from hypertraffic.scenario import (
     STRAIGHT,
     StyleWeights,
     default_offline_scenario,
+    default_online_scenario,
     style_weights_for,
+    success_study_scenario,
 )
+
+from _oracles import svd_null_space
 
 
 def _observed_truth(scen):
@@ -176,6 +182,11 @@ def test_parameter_error_formula():
         parameter_error(np.ones(3), np.ones(3), LANE_CHANGE)
 
 
+def _reference_strategy(scen, vid=0):
+    seg = Segment(1, scen.horizon)
+    return Strategy.from_reference(scen.references()[vid].window(1, scen.horizon), seg)
+
+
 def test_observation_segment_property():
     scen = default_offline_scenario()
     seg = Segment(1, scen.horizon)
@@ -183,3 +194,89 @@ def test_observation_segment_property():
     obs = Observation(strat, perturbed=(2, 8), noise_std=0.05)
     assert obs.segment == seg
     assert obs.perturbed == (2, 8)
+
+
+N_VARS = Segment(1, default_offline_scenario().horizon).n_vars
+
+
+@pytest.mark.parametrize(
+    "field, entry, perturbed, noise_std",
+    [
+        ("strategy", np.nan, (2, 8), 0.05),
+        ("strategy", -np.inf, (2, 8), 0.05),
+        ("perturbed", None, (2, -1), 0.05),
+        ("perturbed", None, (2, N_VARS), 0.05),
+        ("noise_std", None, (2, 8), -0.5),
+        ("noise_std", None, (2, 8), np.nan),
+        ("noise_std", None, (2, 8), np.inf),
+    ],
+)
+def test_observation_refuses_bad_input(field, entry, perturbed, noise_std):
+    strat = _reference_strategy(default_offline_scenario())
+    data = strat.data.copy()
+    if entry is not None:
+        data[7] = entry
+    with pytest.raises(ValueError, match=f"observation {field}"):
+        Observation(Strategy(strat.segment, data), perturbed=perturbed, noise_std=noise_std)
+
+
+def _svd_null_space(a_eq):
+    return svd_null_space(a_eq, np.zeros(a_eq.shape[0]))[0]
+
+
+def _hv_systems():
+    """The human's full-horizon constraint system in each built-in scenario,
+    the CAVs held at their reference strategies."""
+    for make in (default_offline_scenario, success_study_scenario, default_online_scenario):
+        scen = make()
+        yield assemble(0, {cav.vid: _reference_strategy(scen, cav.vid) for cav in scen.cavs}, scen)
+
+
+def test_null_space_is_orthonormal_and_spans_the_svd_null_space():
+    for system in _hv_systems():
+        z_basis = inverse.null_space(system.a_eq)
+        z_svd = _svd_null_space(system.a_eq)
+        assert z_basis.shape == z_svd.shape
+        assert np.max(np.abs(z_basis.T @ z_basis - np.eye(z_basis.shape[1]))) <= 1e-12
+        assert np.linalg.norm(system.a_eq @ z_basis) <= 1e-10 * np.linalg.norm(system.a_eq)
+        assert np.max(np.abs(z_basis @ z_basis.T - z_svd @ z_svd.T)) <= 1e-12
+
+
+def _assert_fits_agree(fast, slow):
+    for name in ("theta_raw", "lam", "sigma_min", "residual"):
+        a, b = np.asarray(getattr(fast, name)), np.asarray(getattr(slow, name))
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(b), initial=0.0)), name
+    assert fast.low_identifiability == slow.low_identifiability
+    assert fast.active_rows == slow.active_rows
+
+
+def test_offline_fit_matches_the_svd_basis_fit(monkeypatch):
+    scen = default_offline_scenario()
+    s_actual = _observed_truth(scen)
+    cavs = interpret_offline(Observation(s_actual), scen).cav_strategies
+    for std in (0.0, 0.05, 0.2, 0.4):
+        for seed in (0, 1):
+            obs = apply_noise(s_actual, NoiseSpec(std), np.random.default_rng([seed, 7]))
+            fast = interpret_offline(obs, scen, cav_strategies=cavs)
+            with monkeypatch.context() as patch:
+                patch.setattr(inverse, "null_space", _svd_null_space)
+                slow = interpret_offline(obs, scen, cav_strategies=cavs)
+            _assert_fits_agree(fast, slow)
+
+
+def test_online_stage_fit_matches_the_svd_basis_fit(monkeypatch):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return interpret_online(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "interpret_online", record)
+    run_online_experiment(default_online_scenario(), repetitions=1, seed=0)
+    pulled = [(a, k) for a, k in calls if k["include_conservativeness"]]
+    assert pulled
+    args, kwargs = pulled[0]
+    fast = interpret_online(*args, **kwargs)
+    monkeypatch.setattr(inverse, "null_space", _svd_null_space)
+    slow = interpret_online(*args, **kwargs)
+    _assert_fits_agree(fast, slow)

@@ -268,3 +268,44 @@ def test_load_config_refuses_non_finite_fields(old, new, field):
     assert old in CONFIG_DOC
     with pytest.raises(ValueError, match=re.escape(f"config field {field} is not finite")):
         load_config(CONFIG_DOC.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("v_max: 15.0", "v_mx: 15.0", "limits.v_mx"),
+        ("lane_width: 4.0", "lane_widht: 4.0", "road.lane_widht"),
+        ("horizon: 20", "horizon: 20\nhorizn: 30", "horizn"),
+        ("v: 10.0}", "v: 10.0, vx: 1.0}", "vehicles[0].initial.vx"),
+        ("style: comfort_oriented", "style: comfort_oriented\n    weight: 2", "vehicles[0].weight"),
+        ("{kind: straight}", "{kind: straight, start_x: 2.0}", "vehicles[0].behavior.start_x"),
+        ("transition_length: 15.0", "transition_len: 15.0", "vehicles[1].behavior.transition_len"),
+        ("noise_std: 0.02", "noise_std: 0.02\nsolver: {max_iter: 5}", "solver.max_iter"),
+        ("noise_std: 0.02", "noise_std: 0.02\ngeometry: {lenght: 4.0}", "geometry.lenght"),
+    ],
+)
+def test_load_config_refuses_unknown_fields(old, new, field):
+    assert old in CONFIG_DOC
+    with pytest.raises(ValueError, match=re.escape(f"config field {field} is not a known field")):
+        load_config(CONFIG_DOC.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("noise_std: 0.02", "noise_std: -0.5", "noise_std"),
+        ("noise_std: 0.02", "noise_std: 0.02\nkappa_offline: 0.0", "kappa_offline"),
+        ("noise_std: 0.02", "noise_std: 0.02\nkappa_online: -0.3", "kappa_online"),
+        ("noise_std: 0.02", "noise_std: 0.02\nomega_dist: -1.0", "omega_dist"),
+    ],
+)
+def test_load_config_refuses_out_of_range_fields(old, new, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        load_config(CONFIG_DOC.replace(old, new, 1))
+
+
+def test_load_config_refuses_a_field_that_is_not_a_mapping():
+    with pytest.raises(ValueError, match=re.escape("config field limits must be a mapping")):
+        load_config(CONFIG_DOC.replace(
+            "limits:\n  v_max: 15.0\n  delta_min_deg: -20.0\n  delta_max_deg: 20.0",
+            "limits: 15.0", 1))
