@@ -48,8 +48,22 @@ def _parse_stds(text):
         if step <= 0:
             raise ValueError("step must be positive")
         count = int(round((stop - start) / step))
-        return [round(start + i * step, 10) for i in range(count + 1)]
-    return [float(p) for p in text.split(",") if p.strip()]
+        stds = [round(start + i * step, 10) for i in range(count + 1)]
+    else:
+        stds = [float(p) for p in text.split(",") if p.strip()]
+    if not stds:
+        raise ValueError(f"--stds {text!r} gives no noise level")
+    return stds
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_solve(args):
@@ -175,7 +189,7 @@ def build_parser():
     def common(p, reps_default):
         p.add_argument("--config", help="scenario YAML; defaults to the built-in study")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=int, default=reps_default)
+        p.add_argument("--reps", type=_positive_int, default=reps_default)
         p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("solve", help="solve one forward game with true weights")

@@ -267,13 +267,12 @@ class _OnlineRep:
     """
 
     def __init__(self, scenario, plan, seed, rep, solver_settings=None,
-                 transport=run_distributed, collect_timing=False):
+                 transport=run_distributed):
         self.scenario = scenario
         self.plan = plan
         self.rng = np.random.default_rng([seed, rep])
         self.solver_settings = solver_settings
         self.transport = transport
-        self.collect_timing = collect_timing
         self.std = scenario.noise_std
         self.full_refs = scenario.references()
         self.inverse_settings = InverseSettings.online(scenario)
@@ -328,8 +327,7 @@ class _OnlineRep:
                 fit_seconds = time.perf_counter() - t0
                 if not update.low_identifiability:
                     self.theta = update.theta_0c
-                if self.collect_timing:
-                    timing.append(("interpret", t, embed_trace, interp_seconds + fit_seconds))
+                timing.append(("interpret", t, embed_trace, interp_seconds + fit_seconds))
 
             # The autonomous side's view of this stage.
             cav_refs = self._cav_refs(segment, self.actual)
@@ -359,9 +357,8 @@ class _OnlineRep:
                 transport=self.transport,
             )
             plan_seconds = time.perf_counter() - t0
-            if self.collect_timing:
-                timing.append(("predict", t, model.trace, predict_seconds))
-                timing.append(("plan", t, plan_trace, plan_seconds))
+            timing.append(("predict", t, model.trace, predict_seconds))
+            timing.append(("plan", t, plan_trace, plan_seconds))
 
             # The human's actual stage: its own subjective game, anchored at
             # its exact state and its noisy view of the autonomous vehicles.
@@ -562,10 +559,7 @@ def run_timing(scenario, repetitions=10, seed=0, solver_settings=None):
     for rep in range(repetitions):
         for mode, transport in (("distributed", run_distributed),
                                 ("centralized", run_centralized)):
-            runner = _OnlineRep(
-                scenario, plan, seed, rep, solver_settings,
-                transport=transport, collect_timing=True,
-            )
+            runner = _OnlineRep(scenario, plan, seed, rep, solver_settings, transport=transport)
             rep_rows, timing = runner.run()
             per_stage = {t: {"interpret": 0.0, "predict": 0.0, "plan": 0.0,
                              "predict_iter": 0, "plan_iter": 0}

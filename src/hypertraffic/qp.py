@@ -3,20 +3,21 @@
 The solver eliminates equalities by variable reduction: one LU factorization
 with partial pivoting of A_eq' splits the variables into dependent and free
 ones, the null-space basis is the identity on the free variables, and the
-same triangular factors give the particular solution and the equality
-multipliers. A dual active-set method then runs on the reduced problem:
-start at the unconstrained minimum, repeatedly enforce the most violated
-inequality, dropping working-set rows whose multipliers would cross zero. All
-pivots break ties by lowest index, so identical inputs give bitwise-identical
-outputs, and the working set at termination yields exact multipliers.
+same triangular factors give the particular solution. A dual active-set
+method then runs on the reduced problem: start at the unconstrained minimum,
+repeatedly enforce the most violated inequality, dropping working-set rows
+whose multipliers would cross zero. All pivots break ties by lowest index, so
+identical inputs give bitwise-identical outputs, and the working set at
+termination yields exact multipliers.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
-enforced and no working-set row opposes it.
+enforced and no working-set row opposes it. A solve returns the primal point,
+the inequality multipliers and a status; `kkt_residual` certifies it on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu, solve_triangular
@@ -44,11 +45,14 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class KktResiduals:
+    """KKT residuals of a candidate point; `mu` are its equality multipliers."""
+
     stationarity: float
     primal_eq: float
     primal_in: float
     complementarity: float
     min_lambda: float
+    mu: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,10 +101,8 @@ class QpSolution:
     status: str
     s_star: np.ndarray
     lam: np.ndarray
-    mu: np.ndarray
     objective: float
     iterations: int
-    kkt: KktResiduals
     infeasibility: float = 0.0
 
     @property
@@ -123,7 +125,6 @@ class GiSolver:
 
     def __init__(self, g_mat):
         g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
-        self._g = g_mat
         self._cho = cho_factor(g_mat, lower=True, check_finite=False)
         self.dim = g_mat.shape[0]
 
@@ -173,30 +174,22 @@ class GiSolver:
                     dy = -ginv_cp
                 descent = -float(c_p @ dy)  # equals dy'G dy >= 0
                 viol_p = float(c_p @ y - d_vec[p])
-                blocking = [j for j in range(len(work)) if dlam[j] < -1e-14]
+                t1, j_out = min(
+                    ((lam_work[j] / -dlam[j], j) for j in range(len(work)) if dlam[j] < -1e-14),
+                    default=(np.inf, -1),
+                )
                 if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
                     # Constraint value cannot move: dual-only step.
-                    if not blocking:
+                    if j_out < 0:
                         lam = np.zeros(m)
                         lam[work] = lam_work
                         return GiResult(INFEASIBLE, y, lam, iterations, infeasibility=viol_p)
-                    t1, j_out = min(
-                        ((lam_work[j] / -dlam[j], j) for j in blocking),
-                        key=lambda item: (item[0], item[1]),
-                    )
                     lam_work = [lw + t1 * dl for lw, dl in zip(lam_work, dlam)]
                     lam_p += t1
                     self._drop(work, lam_work, j_out)
                     ginv_cw = self._ginv_columns(c_mat, work)
                     continue
                 t2 = viol_p / descent
-                if blocking:
-                    t1, j_out = min(
-                        ((lam_work[j] / -dlam[j], j) for j in blocking),
-                        key=lambda item: (item[0], item[1]),
-                    )
-                else:
-                    t1, j_out = np.inf, -1
                 t = min(t1, t2)
                 y = y + t * dy
                 lam_work = [lw + t * dl for lw, dl in zip(lam_work, dlam)]
@@ -266,6 +259,12 @@ def variable_reduction(a_eq):
     return rows, dep, l1, upper, z_basis
 
 
+def _lu_solve(l1, upper, rhs):
+    """Solve (l1 @ upper) x = rhs with the factors of `variable_reduction`."""
+    y = solve_triangular(l1, rhs, lower=True, unit_diagonal=True, check_finite=False)
+    return solve_triangular(upper, y, lower=False, check_finite=False)
+
+
 class ReducedQp:
     """Equality-eliminated view of a QP with a fixed quadratic block.
 
@@ -273,9 +272,9 @@ class ReducedQp:
     particular solution for b_eq; the Cholesky factor of Z'HZ is kept too, so
     repeated solves that differ only in the linear term and the inequality
     rows stay cheap. Redundant equality rows are dropped from the
-    factorization and get zero multipliers; the particular solution then fits
-    b_eq over all rows in the least-squares sense, and `eq_residual` over all
-    rows flags inconsistent systems.
+    factorization; the particular solution then fits b_eq over all rows in
+    the least-squares sense, and `eq_residual` over all rows flags
+    inconsistent systems.
     """
 
     def __init__(self, h_mat, a_eq, b_eq):
@@ -288,9 +287,8 @@ class ReducedQp:
         self.a_eq = a_eq
         self.b_eq = b_eq
         self.n = n
-        rows, self._dep, self._l1, self._u, self.z_basis = variable_reduction(a_eq)
+        rows, dep, l1, upper, self.z_basis = variable_reduction(a_eq)
         rank = rows.size
-        self._rows = rows
         self.s_part = np.zeros(n)
         if rank:
             b_fit = b_eq[rows]
@@ -298,12 +296,12 @@ class ReducedQp:
                 # Dropped rows are combinations C of the kept ones; fit the
                 # kept right-hand sides y to [I; C] y = b in least squares.
                 dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
-                c_t = self._lu_solve(a_eq[dropped][:, self._dep].T)
+                c_t = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
                 b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
                                         b_fit + c_t @ b_eq[dropped])
-            w = solve_triangular(self._u, b_fit, trans="T", lower=False, check_finite=False)
-            self.s_part[self._dep] = solve_triangular(
-                self._l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
+            w = solve_triangular(upper, b_fit, trans="T", lower=False, check_finite=False)
+            self.s_part[dep] = solve_triangular(
+                l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
             )
         self.eq_residual = float(np.max(np.abs(a_eq @ self.s_part - b_eq))) if a_eq.shape[0] else 0.0
         self.null_dim = self.z_basis.shape[1]
@@ -314,11 +312,6 @@ class ReducedQp:
         else:
             self.gi = None
         self._h_spart = h_mat @ self.s_part
-
-    def _lu_solve(self, rhs):
-        """Solve (L1 U) x = rhs with the stored triangular factors."""
-        y = solve_triangular(self._l1, rhs, lower=True, unit_diagonal=True, check_finite=False)
-        return solve_triangular(self._u, y, lower=False, check_finite=False)
 
     def reduce_rows(self, a_in):
         """Project inequality rows into the null-space coordinates."""
@@ -338,15 +331,13 @@ class ReducedQp:
         tol = settings.qp_tolerance
         eq_scale = 1.0 + (float(np.max(np.abs(self.b_eq))) if self.b_eq.size else 0.0)
         if self.eq_residual > 1e-8 * eq_scale:
-            return self._finish(
-                INFEASIBLE, self.s_part, np.zeros(a_in.shape[0]), f_vec, a_in, b_in, 0,
-                infeasibility=self.eq_residual,
-            )
+            return self._finish(INFEASIBLE, self.s_part, np.zeros(a_in.shape[0]), f_vec, 0,
+                                infeasibility=self.eq_residual)
         if self.null_dim == 0:
             resid = a_in @ self.s_part - b_in if a_in.shape[0] else np.zeros(0)
             worst = float(np.max(resid)) if resid.size else 0.0
             status = OPTIMAL if worst <= tol * (1.0 + float(np.max(np.abs(b_in))) if b_in.size else 1.0) else INFEASIBLE
-            return self._finish(status, self.s_part, np.zeros(a_in.shape[0]), f_vec, a_in, b_in, 0,
+            return self._finish(status, self.s_part, np.zeros(a_in.shape[0]), f_vec, 0,
                                 infeasibility=max(worst, 0.0))
         a_red = self.z_basis.T @ (self._h_spart + f_vec)
         if c_red is None:
@@ -354,67 +345,48 @@ class ReducedQp:
         d_red = b_in - a_in @ self.s_part if a_in.shape[0] else np.zeros(0)
         res = self.gi.solve(a_red, c_red, d_red, tol=tol)
         s_star = self.s_part + self.z_basis @ res.y
-        return self._finish(res.status, s_star, res.lam, f_vec, a_in, b_in, res.iterations,
+        return self._finish(res.status, s_star, res.lam, f_vec, res.iterations,
                             infeasibility=res.infeasibility)
 
-    def _finish(self, status, s_star, lam, f_vec, a_in, b_in, iterations, infeasibility=0.0):
-        grad = self.h_mat @ s_star + f_vec
-        if a_in.shape[0]:
-            grad_full = grad + a_in.T @ lam
-        else:
-            grad_full = grad
-        mu = np.zeros(self.a_eq.shape[0])
-        if self._rows.size:
-            mu[self._rows] = -self._lu_solve(grad_full[self._dep])
-        kkt = _residuals(self.h_mat, f_vec, self.a_eq, self.b_eq, a_in, b_in, s_star, lam, mu)
+    def _finish(self, status, s_star, lam, f_vec, iterations, infeasibility=0.0):
         objective = float(0.5 * s_star @ self.h_mat @ s_star + f_vec @ s_star)
-        return QpSolution(
-            status=status,
-            s_star=s_star,
-            lam=lam,
-            mu=mu,
-            objective=objective,
-            iterations=iterations,
-            kkt=kkt,
-            infeasibility=infeasibility,
-        )
-
-
-def _residuals(h_mat, f_vec, a_eq, b_eq, a_in, b_in, s, lam, mu):
-    grad = h_mat @ s + f_vec
-    if a_in.shape[0]:
-        grad = grad + a_in.T @ lam
-    if a_eq.shape[0]:
-        grad = grad + a_eq.T @ mu
-    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-    primal_eq = float(np.max(np.abs(a_eq @ s - b_eq))) if a_eq.shape[0] else 0.0
-    if a_in.shape[0]:
-        slack = a_in @ s - b_in
-        primal_in = float(np.max(np.maximum(slack, 0.0)))
-        complementarity = float(np.max(np.abs(lam * slack)))
-        min_lambda = float(np.min(lam))
-    else:
-        primal_in = 0.0
-        complementarity = 0.0
-        min_lambda = 0.0
-    return KktResiduals(stationarity, primal_eq, primal_in, complementarity, min_lambda)
+        return QpSolution(status, s_star, lam, objective, iterations, infeasibility)
 
 
 def solve(problem, settings=None):
     """Solve a convex QP; H must be positive definite on the equality null space.
 
-    Returns a QpSolution carrying the primal point, both multiplier vectors,
-    KKT residuals, and a status of optimal / infeasible / max_iter.
+    Returns a QpSolution carrying the primal point, the inequality
+    multipliers and a status of optimal / infeasible / max_iter.
     """
     settings = settings or SolverSettings()
     reduced = ReducedQp(problem.h_mat, problem.a_eq, problem.b_eq)
     return reduced.solve(problem.f_vec, problem.a_in, problem.b_in, settings)
 
 
-def kkt_residual(problem, s, lam, mu):
-    """KKT residuals of a candidate primal/dual triple for a QpProblem."""
+def kkt_residual(problem, s, lam):
+    """KKT residuals of a primal point and its inequality multipliers for a
+    QpProblem. The equality multipliers `mu` solve stationarity on the
+    dependent variables of `variable_reduction`; dropped rows get zero."""
     s = np.asarray(s, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    return _residuals(problem.h_mat, problem.f_vec, problem.a_eq, problem.b_eq,
-                      problem.a_in, problem.b_in, s, lam, mu)
+    a_eq, a_in = problem.a_eq, problem.a_in
+    grad = problem.h_mat @ s + problem.f_vec
+    if a_in.shape[0]:
+        grad = grad + a_in.T @ lam
+    mu = np.zeros(a_eq.shape[0])
+    if a_eq.shape[0]:
+        rows, dep, l1, upper, _ = variable_reduction(a_eq)
+        if rows.size:
+            mu[rows] = -_lu_solve(l1, upper, grad[dep])
+        grad = grad + a_eq.T @ mu
+    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
+    primal_eq = float(np.max(np.abs(a_eq @ s - problem.b_eq))) if a_eq.shape[0] else 0.0
+    if a_in.shape[0]:
+        slack = a_in @ s - problem.b_in
+        primal_in = float(np.max(np.maximum(slack, 0.0)))
+        complementarity = float(np.max(np.abs(lam * slack)))
+        min_lambda = float(np.min(lam))
+    else:
+        primal_in = complementarity = min_lambda = 0.0
+    return KktResiduals(stationarity, primal_eq, primal_in, complementarity, min_lambda, mu)

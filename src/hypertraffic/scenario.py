@@ -563,11 +563,12 @@ def _req(mapping, key, context):
     return mapping[key]
 
 
-def _num(mapping, key, context, default=None, vector=False, integer=False):
+def _num(mapping, key, context, default=None, vector=False, integer=False, length=None):
     """A numeric field as a float, or as a tuple of floats when `vector` is
-    set; required when no default is given. A value of the wrong shape, one
-    that is not a number, a non-finite one, or a non-integral one for an
-    `integer` field (returned as int) is refused with the field's path."""
+    set (with exactly `length` entries when given); required when no default
+    is given. A value of the wrong shape or length, one that is not a number,
+    a non-finite one, or a non-integral one for an `integer` field (returned
+    as int) is refused with the field's path."""
     raw = _req(mapping, key, context) if default is None else mapping.get(key, default)
     path = _path(context, key)
     try:
@@ -577,6 +578,8 @@ def _num(mapping, key, context, default=None, vector=False, integer=False):
     if value.ndim != (1 if vector else 0):
         shape = "a list of numbers" if vector else "a single number"
         raise ValueError(f"config field {path} must be {shape}: {raw!r}")
+    if length is not None and value.size != length:
+        raise ValueError(f"config field {path} must have {length} entries: {raw!r}")
     if not np.all(np.isfinite(value)):
         raise ValueError(f"config field {path} is not finite: {raw!r}")
     if integer:
@@ -598,7 +601,7 @@ def _behavior_from_config(raw, context):
         raise ValueError(f"config field {context}.kind has unknown value {kind!r}")
     _fields(raw, context, _BEHAVIOR_FIELDS[kind])
     if kind == STRAIGHT:
-        direction = _num(raw, "direction", context, (1.0, 0.0), vector=True)
+        direction = _num(raw, "direction", context, (1.0, 0.0), vector=True, length=2)
         return BehaviorSpec(kind=STRAIGHT, direction=direction)
     return BehaviorSpec(
         kind=LANE_CHANGE,
@@ -627,7 +630,7 @@ def load_config(text):
     road = LaneGeometry(
         lane_count=_num(road_raw, "lane_count", "road", 2, integer=True),
         lane_width=_num(road_raw, "lane_width", "road", 4.0),
-        x_extent=_num(road_raw, "x_extent", "road", (-200.0, 2000.0), vector=True),
+        x_extent=_num(road_raw, "x_extent", "road", (-200.0, 2000.0), vector=True, length=2),
     )
     lim_raw = _fields(raw.get("limits", {}), "limits",
                       ("v_min", "v_max", "a_min", "a_max", "delta_min_deg", "delta_max_deg"))
@@ -680,15 +683,18 @@ def load_config(text):
         if initial.v < 0:
             raise ValueError(f"config field {ctx}.initial.v cannot be negative: {initial.v}")
         style = _req(v_raw, "style", ctx)
+        is_hv = v_raw.get("is_hv", vid == 0)
+        if not isinstance(is_hv, bool):
+            raise ValueError(f"config field {ctx}.is_hv must be true or false: {is_hv!r}")
         if "weights_true" in v_raw:
-            theta = np.asarray(_num(v_raw, "weights_true", ctx, vector=True))
+            theta = np.asarray(_num(v_raw, "weights_true", ctx, vector=True, length=6))
             weights = StyleWeights(theta).normalized(behavior.kind)
         else:
             weights = true_style_weights(behavior.kind, style)
         vehicles.append(
             VehicleConfig(
                 vid=vid,
-                is_hv=bool(v_raw.get("is_hv", vid == 0)),
+                is_hv=is_hv,
                 style=style,
                 behavior=behavior,
                 initial=initial,

@@ -46,6 +46,23 @@ def test_parse_stds_forms():
     assert cli._parse_stds("0.2") == [0.2]
 
 
+@pytest.mark.parametrize("stds", ["0.4:0.1:0.1", "", ","])
+def test_sweep_noise_refuses_stds_without_a_noise_level(tmp_path, capsys, stds):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep-noise", "--stds", stds, "--reps", "1", "--out", str(out)]) == 1
+    assert "gives no noise level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["interpret-offline", "run-online", "success-rate"])
+@pytest.mark.parametrize("reps", ["0", "-2", "two"])
+def test_reps_below_one_is_a_usage_error(capsys, command, reps):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--reps", reps])
+    assert excinfo.value.code == 2
+    assert "argument --reps" in capsys.readouterr().err
+
+
 def test_solve_writes_trajectory_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert cli.main(["solve", "--out", str(out)]) == 0

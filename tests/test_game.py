@@ -16,7 +16,7 @@ from hypertraffic.game import (
     solve_games,
     ve_residual,
 )
-from hypertraffic.qp import OPTIMAL
+from hypertraffic.qp import OPTIMAL, QpProblem, kkt_residual
 from hypertraffic.scenario import (
     StyleWeights,
     default_offline_scenario,
@@ -138,14 +138,15 @@ def test_best_response_satisfies_kkt_and_constraints():
     opponents = {vid: _seed(scen, vid) for vid in (1, 2, 3)}
     sol = best_response(0, opponents, game)
     assert sol.status == OPTIMAL and sol.ok
-    assert sol.kkt.stationarity < 1e-6
     system = assemble(0, opponents, scen)
+    ref = game.references[0]
+    h_mat, f_vec = objective_qp_data(game.weights[0], ref, game.segment)
+    problem = QpProblem(h_mat, f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)
+    assert kkt_residual(problem, sol.s_star, sol.lam).stationarity < 1e-6
     assert system.violation(sol.s_star) < 1e-8
     # the raw QP value omits the constant reference term; adding it back
     # gives the tracking cost, which is positive because the seeded merge
     # overlaps the human's reference and forces a move
-    ref = game.references[0]
-    h_mat, _ = objective_qp_data(game.weights[0], ref, game.segment)
     s_ref = reference_vector(ref, game.segment)
     tracking = sol.objective + 0.5 * s_ref @ (np.diag(h_mat) * s_ref)
     assert tracking > 1e-6

@@ -87,14 +87,13 @@ def test_kkt_residuals_reported_at_solution():
         if sol.status != OPTIMAL:
             continue
         checked += 1
-        assert sol.kkt.stationarity < 1e-7
-        assert sol.kkt.primal_eq < 1e-8
-        assert sol.kkt.primal_in < 1e-8
-        assert sol.kkt.complementarity < 1e-7
-        assert sol.kkt.min_lambda > -1e-9
-        # the standalone residual helper agrees with the packed report
-        again = kkt_residual(problem, sol.s_star, sol.lam, sol.mu)
-        assert abs(again.stationarity - sol.kkt.stationarity) < 1e-12
+        kkt = kkt_residual(problem, sol.s_star, sol.lam)
+        assert kkt.stationarity < 1e-7
+        assert kkt.primal_eq < 1e-8
+        assert kkt.primal_in < 1e-8
+        assert kkt.complementarity < 1e-7
+        assert kkt.min_lambda > -1e-9
+        assert kkt.mu.shape == b_eq.shape
 
 
 def test_active_constraint_gets_positive_multiplier():
@@ -185,10 +184,16 @@ def test_redundant_equality_rows():
     none = (np.zeros((0, 3)), np.zeros(0))
     single = solve(QpProblem(h, f, a_eq[:1], [1.0], *none))
     assert np.max(np.abs(single.s_star - np.array([0.0, 1.0, -1.0 / 6.0]))) < 1e-12
-    sol = solve(QpProblem(h, f, a_eq, [1.0, 1.0], *none))
+    problem = QpProblem(h, f, a_eq, [1.0, 1.0], *none)
+    sol = solve(problem)
     assert sol.status == OPTIMAL
     assert np.max(np.abs(sol.s_star - single.s_star)) < 1e-12
-    assert sol.kkt.stationarity <= 1e-9
+    kkt = kkt_residual(problem, sol.s_star, sol.lam)
+    assert kkt.stationarity <= 1e-9
+    # the dropped copy gets a zero multiplier; the kept one carries it all
+    assert kkt.mu[1] == 0.0
+    single_kkt = kkt_residual(QpProblem(h, f, a_eq[:1], [1.0], *none), single.s_star, single.lam)
+    assert abs(kkt.mu[0] - single_kkt.mu[0]) < 1e-12
     bad = solve(QpProblem(h, f, a_eq, [1.0, 2.0], *none))
     assert bad.status == INFEASIBLE
     assert abs(bad.infeasibility - 0.5) < 1e-9
@@ -253,5 +258,6 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
         assert np.max(np.abs(sol.s_star - (s_part + z_svd @ oracle.y))) <= 1e-9
         grad = h @ sol.s_star + f + a_in.T @ sol.lam
         mu_ref = np.linalg.lstsq(a_eq.T, -grad, rcond=None)[0]
-        assert np.max(np.abs(sol.mu - mu_ref)) <= 1e-9
+        mu = kkt_residual(QpProblem(h, f, a_eq, b_eq, a_in, b_in), sol.s_star, sol.lam).mu
+        assert np.max(np.abs(mu - mu_ref)) <= 1e-9
     assert n_optimal >= 3

@@ -325,6 +325,15 @@ def test_load_config_refuses_a_field_that_is_not_a_mapping():
         ("[1.0, 1.0, 4.0, 1.0, 1.0, 1.0]", "3.0",
          "config field vehicles[1].weights_true must be a list of numbers"),
         ("v: 10.0}", "v: -3.0}", "config field vehicles[0].initial.v cannot be negative"),
+        ("lane_width: 4.0", "lane_width: 4.0\n  x_extent: [1.0]",
+         "config field road.x_extent must have 2 entries"),
+        ("{kind: straight}", "{kind: straight, direction: [1.0, 0.0, 0.0]}",
+         "config field vehicles[0].behavior.direction must have 2 entries"),
+        ("[1.0, 1.0, 4.0, 1.0, 1.0, 1.0]", "[1.0, 1.0, 4.0, 1.0, 1.0]",
+         "config field vehicles[1].weights_true must have 6 entries"),
+        ("is_hv: true", "is_hv: 'no'", "config field vehicles[0].is_hv must be true or false"),
+        ("style: velocity_consistent", "style: velocity_consistent\n    is_hv: 1",
+         "config field vehicles[1].is_hv must be true or false"),
     ],
 )
 def test_load_config_refuses_wrongly_typed_or_out_of_range_values(old, new, message):

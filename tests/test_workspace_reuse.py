@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from hypertraffic import game as game_module
-from hypertraffic.constraints import Strategy
-from hypertraffic.game import _PlayerWorkspace, best_response, make_game, solve_games, ve_residual
+from hypertraffic.constraints import Strategy, assemble
+from hypertraffic.game import (
+    _PlayerWorkspace,
+    best_response,
+    make_game,
+    objective_qp_data,
+    solve_games,
+    ve_residual,
+)
 from hypertraffic.netsim import run_distributed
-from hypertraffic.qp import ReducedQp
+from hypertraffic.qp import QpProblem, ReducedQp, kkt_residual
 from hypertraffic.scenario import (
     default_offline_scenario,
     default_online_scenario,
@@ -36,11 +43,20 @@ def _seeds(game):
             for vid in game.decision_ids}
 
 
-def _assert_same_solution(got, want):
+def _player_problem(game, vid, opponents):
+    system = assemble(vid, opponents, game.scenario, game.segment, game.references[vid],
+                      game.initial_states[vid])
+    h_mat, f_vec = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
+    return QpProblem(h_mat, f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)
+
+
+def _assert_same_solution(got, want, problem):
     assert got.status == want.status
     assert got.iterations == want.iterations
-    for field in ("s_star", "lam", "mu"):
+    for field in ("s_star", "lam"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(kkt_residual(problem, got.s_star, got.lam).mu,
+                          kkt_residual(problem, want.s_star, want.lam).mu)
 
 
 @pytest.mark.parametrize("transport", ["centralized", "distributed"])
@@ -92,7 +108,8 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
         for profile in (solved, mixed, dict(mixed)):
             opponents = game.opponents_of(vid, profile)
             got = ws.best_response(opponents, settings)
-            _assert_same_solution(got, best_response(vid, opponents, game))
+            _assert_same_solution(got, best_response(vid, opponents, game),
+                                  _player_problem(game, vid, opponents))
             fresh = _PlayerWorkspace(game, vid)
             s_vec = profile[vid].data
             assert ws.violation_at(s_vec, opponents) == fresh.violation_at(s_vec, opponents)
@@ -143,4 +160,4 @@ def test_a_new_strategy_object_with_equal_data_is_rebuilt(monkeypatch):
     again = ws.best_response(copies, game.scenario.solver)
     assert sorted(calls) == sorted(opponents)
     assert again is not first
-    _assert_same_solution(again, first)
+    _assert_same_solution(again, first, _player_problem(game, 0, opponents))
