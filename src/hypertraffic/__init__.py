@@ -11,7 +11,6 @@ from .cognition import (
     CognitionProfile,
     HneTolerance,
     HneVerdict,
-    cav_perceived_hv_game,
     cognition_profile,
     hne_gap_sweep,
     hv_subjective_game,
@@ -44,7 +43,6 @@ from .harness import (
 )
 from .inverse import (
     InverseResult,
-    InverseSettings,
     Observation,
     interpret_offline,
     interpret_online,

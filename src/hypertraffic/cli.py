@@ -186,14 +186,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reps_default):
+    def common(p, reps_default=None, out="optional"):
+        """Add --config; --seed and --reps when `reps_default` is given; --out
+        when `out` is "optional" or "required"."""
         p.add_argument("--config", help="scenario YAML; defaults to the built-in study")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=_positive_int, default=reps_default)
-        p.add_argument("--out", help="CSV output path")
+        if reps_default is not None:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--reps", type=_positive_int, default=reps_default)
+        if out is not None:
+            p.add_argument("--out", required=out == "required", help="CSV output path")
 
     p = sub.add_parser("solve", help="solve one forward game with true weights")
-    common(p, 1)
+    common(p)
     p.add_argument("--trace", help="JSONL path for the session trace of the game, "
                                    "solved over the simulated V2X message layer")
     p.set_defaults(func=_cmd_solve)
@@ -221,13 +225,10 @@ def build_parser():
         help="offline noise sweep",
         epilog="CSV columns: " + ", ".join(OFFLINE_FIELDS),
     )
-    common(p, 50)
+    common(p, 50, out="required")
     p.add_argument("--stds", default="0.01:0.40:0.01",
                    help="comma list or start:stop:step range of noise stds")
     p.set_defaults(func=_cmd_sweep_noise)
-    for action in p._actions:
-        if action.dest == "out":
-            action.required = True
 
     p = sub.add_parser(
         "success-rate",
@@ -244,15 +245,12 @@ def build_parser():
         help="per-stage distributed vs centralized durations",
         epilog="CSV columns: " + ", ".join(TIMING_FIELDS),
     )
-    common(p, 10)
+    common(p, 10, out="required")
     p.set_defaults(func=_cmd_timing)
-    for action in p._actions:
-        if action.dest == "out":
-            action.required = True
 
     p = sub.add_parser("gap-sweep",
                        help="human-side equilibrium gap versus cognitive mismatch")
-    common(p, 1)
+    common(p, out=None)
     p.set_defaults(func=_cmd_gap_sweep)
 
     return parser

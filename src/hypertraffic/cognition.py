@@ -86,36 +86,29 @@ def _as_style_weights(scenario, theta):
 def hv_subjective_game(scenario, hv_weights=None, segment=None, references=None,
                        initial_states=None):
     """The game the human believes it is playing: own true weights, typical
-    weights for every autonomous opponent."""
+    weights for every autonomous opponent. With `hv_weights` it is the
+    autonomous side's reconstruction of that game, the human weight slot
+    filled by the current estimate."""
     weights = {0: hv_weights or scenario.hv.weights_true}
     weights.update(average_weights(scenario))
     return make_game(scenario, weights, segment=segment, references=references,
                      initial_states=initial_states)
 
 
-def cav_perceived_hv_game(scenario, theta_0c, segment=None, references=None,
-                          initial_states=None):
-    """The autonomous side's reconstruction of the human's game, with the
-    human weight slot filled by the current estimate."""
-    weights = {0: _as_style_weights(scenario, theta_0c)}
-    weights.update(average_weights(scenario))
-    return make_game(scenario, weights, segment=segment, references=references,
-                     initial_states=initial_states)
-
-
-def predict_hv(scenario, theta_0c, settings=None, segment=None, references=None,
-               initial_states=None, transport=run_distributed):
+def predict_hv(scenario, theta_0c, segment=None, references=None, initial_states=None,
+               transport=run_distributed):
     """Predict the human trajectory by solving the reconstructed game.
 
     The solve runs over the simulated message layer; the human-side
     subproblem is hosted at the roadside unit.
     """
-    game = cav_perceived_hv_game(scenario, theta_0c, segment=segment,
-                                 references=references, initial_states=initial_states)
-    result, trace = transport(game, settings=settings)
+    theta_0c = _as_style_weights(scenario, theta_0c)
+    game = hv_subjective_game(scenario, hv_weights=theta_0c, segment=segment,
+                              references=references, initial_states=initial_states)
+    result, trace = transport(game)
     views = {vid: result.strategies[vid] for vid in game.decision_ids if vid != 0}
     return CognitionModel(
-        theta_0c=_as_style_weights(scenario, theta_0c),
+        theta_0c=theta_0c,
         s_0c=result.strategies[0],
         cav_views=views,
         result=result,
@@ -123,8 +116,8 @@ def predict_hv(scenario, theta_0c, settings=None, segment=None, references=None,
     )
 
 
-def plan_cavs(scenario, s_0c, settings=None, segment=None, references=None,
-              initial_states=None, transport=run_distributed):
+def plan_cavs(scenario, s_0c, segment=None, references=None, initial_states=None,
+              transport=run_distributed):
     """Plan the autonomous trajectories against the predicted human strategy.
 
     The human is frozen data here; the planners use their own true weights.
@@ -137,7 +130,7 @@ def plan_cavs(scenario, s_0c, settings=None, segment=None, references=None,
         initial_states = {vid: initial_states[vid] for vid in weights}
     game = make_game(scenario, weights, segment=segment, fixed={0: s_0c},
                      references=references, initial_states=initial_states)
-    result, trace = transport(game, settings=settings)
+    result, trace = transport(game)
     plans = {vid: result.strategies[vid] for vid in game.decision_ids}
     return plans, result, trace
 
@@ -155,9 +148,8 @@ class HneVerdict:
     max_violation: float
 
 
-def verify_hne(profile, scenario, eps_p, settings=None, gap_tol=1e-4, segment=None,
-               references=None, initial_states=None):
-    """Check a complete joint profile against true objectives.
+def verify_hne(profile, scenario, eps_p, gap_tol=1e-4):
+    """Check a complete full-horizon joint profile against true objectives.
 
     Autonomous players must be exact best responses up to the solver-quality
     tolerance, relative to their cost scale; the human side passes when its
@@ -166,9 +158,7 @@ def verify_hne(profile, scenario, eps_p, settings=None, gap_tol=1e-4, segment=No
     eps_p = eps_p.perceptual_threshold if isinstance(eps_p, HneTolerance) else float(eps_p)
     weights = {0: scenario.hv.weights_true}
     weights.update({cav.vid: cav.weights_true for cav in scenario.cavs})
-    game = make_game(scenario, weights, segment=segment, references=references,
-                     initial_states=initial_states)
-    report = ve_residual(profile, game, settings=settings)
+    report = ve_residual(profile, make_game(scenario, weights))
     failing = []
     cav_gaps = {}
     for vid in sorted(report.gaps):
@@ -215,7 +205,7 @@ class GapSweep:
         return all(b >= a - tol for a, b in zip(gaps, gaps[1:]))
 
 
-def hne_gap_sweep(scenario, alphas=(0.0, 0.25, 0.5, 0.75, 1.0), settings=None):
+def hne_gap_sweep(scenario, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)):
     """Run the predict/plan pipeline across a family of shrinking-mismatch
     scenarios and regress the human-side gap against the cognitive threshold.
 
@@ -225,11 +215,11 @@ def hne_gap_sweep(scenario, alphas=(0.0, 0.25, 0.5, 0.75, 1.0), settings=None):
     rows = []
     for alpha in sorted(alphas):
         scen = interpolated_scenario(scenario, alpha)
-        model = predict_hv(scen, scen.hv.weights_true, settings=settings)
-        plans, _, _ = plan_cavs(scen, model.s_0c, settings=settings)
+        model = predict_hv(scen, scen.hv.weights_true)
+        plans, _, _ = plan_cavs(scen, model.s_0c)
         profile = {0: model.s_0c}
         profile.update(plans)
-        verdict = verify_hne(profile, scen, eps_p=float("inf"), settings=settings)
+        verdict = verify_hne(profile, scen, eps_p=float("inf"))
         # The human strategy can undercut the best feasible response when the
         # misread plans squeeze its feasible set, which flips the sign of the
         # raw gap.  Distance from equilibrium is the magnitude either way.

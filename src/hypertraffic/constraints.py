@@ -321,6 +321,14 @@ class StaticRows:
     tail: tuple
 
 
+def start_state(vehicle, segment, reference):
+    """A player's default start state: its configured initial state on a
+    segment from step 1, the reference's first point on a later one."""
+    if segment.start == 1:
+        return vehicle.initial
+    return VehicleState.from_array(reference.states[0])
+
+
 def static_rows(vehicle, scenario, segment, reference, initial_state):
     """Build a player's static rows; the one owner of the row order."""
     a_eq, b_eq, eq_tags = dynamics_rows(reference, vehicle.geometry, initial_state)
@@ -351,11 +359,11 @@ def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=
         reference = scenario.references()[player_vid].window(segment.start, segment.stop)
     if len(reference) != segment.n_steps + 1 or reference.start != segment.start:
         raise ValueError("reference does not cover the requested segment")
-    if initial_state is None:
-        initial_state = VehicleState.from_array(reference.states[0])
     if player_vid in opponent_strategies:
         raise ValueError(f"player {player_vid} listed among its own opponents")
     vehicle = scenario.vehicle(player_vid)
+    if initial_state is None:
+        initial_state = start_state(vehicle, segment, reference)
     rows = static_rows(vehicle, scenario, segment, reference, initial_state)
     collisions = tuple(
         collision_rows(reference, opponent_strategies[opp_id], vehicle.geometry, opp_id)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import Segment, Strategy, collision_rows, static_rows
-from .dynamics import VehicleState
-from .qp import OPTIMAL, ReducedQp, SolverSettings
+from .constraints import Segment, Strategy, collision_rows, start_state, static_rows
+from .qp import OPTIMAL, ReducedQp
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
@@ -135,12 +134,8 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
         full = scenario.references()
         references = {vid: full[vid].window(segment.start, segment.stop) for vid in weights}
     if initial_states is None:
-        initial_states = {}
-        for vid in weights:
-            if segment.start == 1:
-                initial_states[vid] = scenario.vehicle(vid).initial
-            else:
-                initial_states[vid] = VehicleState.from_array(references[vid].states[0])
+        initial_states = {vid: start_state(scenario.vehicle(vid), segment, references[vid])
+                          for vid in weights}
     return GameSpec(
         scenario=scenario,
         weights=dict(weights),
@@ -163,13 +158,14 @@ class _PlayerWorkspace:
     object, and a transport passes on the objects it receives. A slot's rows
     are rebuilt only when that opponent's strategy has changed, and its
     projection only when a best response needs it. A best response against
-    the same opponent objects and settings as the last one returns the stored
-    solution."""
+    the same opponent objects as the last one returns the stored solution.
+    Every solve uses the scenario's solver settings."""
 
     def __init__(self, game, vid):
         vehicle = game.scenario.vehicle(vid)
         self.vid = vid
         self.vehicle = vehicle
+        self.settings = game.scenario.solver
         self.reference = game.references[vid]
         self.s_ref = reference_vector(self.reference, game.segment)
         self.expansion = WeightExpansion(game.weights[vid].theta, game.segment.n_steps)
@@ -194,7 +190,7 @@ class _PlayerWorkspace:
                        for k, oid in enumerate(self.opponent_ids)}
         self._built = dict.fromkeys(self.opponent_ids)
         self._projected = dict.fromkeys(self.opponent_ids)
-        self._solved = None  # (opponent strategies, settings, solution)
+        self._solved = None  # (opponent strategies, solution)
 
     def _sync(self, opponents, project):
         """Bring the collision slots up to date with `opponents`, projecting
@@ -216,15 +212,15 @@ class _PlayerWorkspace:
                 self._projected[oid] = strat
         return strategies
 
-    def best_response(self, opponents, settings):
+    def best_response(self, opponents):
         strategies = self._sync(opponents, project=True)
         if self._solved is not None:
-            last, last_settings, sol = self._solved
-            if last_settings is settings and all(a is b for a, b in zip(last, strategies)):
+            last, sol = self._solved
+            if all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self._a_in, self._b_in, settings,
+        sol = self.reduced.solve(self.f_vec, self._a_in, self._b_in, self.settings,
                                  c_red=self._c_red)
-        self._solved = (strategies, settings, sol)
+        self._solved = (strategies, sol)
         return sol
 
     def violation_at(self, s_vec, opponents):
@@ -276,14 +272,14 @@ class _NullObserver:
         pass
 
 
-def _profile_certificates(game, workspaces, current, settings):
+def _profile_certificates(game, workspaces, current):
     """Exact best-response gaps and objectives of a joint profile."""
     gaps = {}
     objectives = {}
     for vid in game.decision_ids:
         ws = workspaces[vid]
         objectives[vid] = ws.objective(current[vid].data)
-        sol = ws.best_response(game.opponents_of(vid, current), settings)
+        sol = ws.best_response(game.opponents_of(vid, current))
         gaps[vid] = objectives[vid] - ws.objective(sol.s_star) if sol.ok else float("inf")
     return gaps, objectives
 
@@ -297,23 +293,21 @@ def _profile_violation(game, workspaces, current):
     )
 
 
-def solve_games(game, settings=None, initial=None, observer=None):
+def solve_games(game, observer=None):
     """Best-response iteration to a generalized equilibrium of one game.
 
     Players update in ascending id against the latest strategies; iteration
     stops once the largest relative strategy step and the worst constraint
     violation both fall under their thresholds. An infeasible subproblem keeps
-    that player's previous iterate and marks the result degraded.
+    that player's previous iterate and marks the result degraded. Every
+    player starts from its reference; the thresholds and the round budget are
+    the scenario's solver settings.
     """
-    settings = settings or game.scenario.solver
+    settings = game.scenario.solver
     observer = observer or _NullObserver()
     workspaces = {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
-    strategies = {}
-    for vid in game.decision_ids:
-        if initial is not None and vid in initial:
-            strategies[vid] = initial[vid]
-        else:
-            strategies[vid] = Strategy.from_reference(game.references[vid], game.segment)
+    strategies = {vid: Strategy.from_reference(game.references[vid], game.segment)
+                  for vid in game.decision_ids}
     current = dict(game.fixed)
     current.update(strategies)
     observer.session_started(game, dict(current))
@@ -331,7 +325,7 @@ def solve_games(game, settings=None, initial=None, observer=None):
             view = observer.opponents_view(vid, current)
             opponents = game.opponents_of(vid, view)
             t0 = time.perf_counter()
-            sol = workspaces[vid].best_response(opponents, settings)
+            sol = workspaces[vid].best_response(opponents)
             seconds = time.perf_counter() - t0
             if sol.status == OPTIMAL:
                 strategies[vid] = Strategy(game.segment, sol.s_star)
@@ -362,7 +356,7 @@ def solve_games(game, settings=None, initial=None, observer=None):
 
     # The last round's violation was taken on this final profile, and
     # max_iterations >= 1 guarantees there was a round.
-    gaps, objectives = _profile_certificates(game, workspaces, current, settings)
+    gaps, objectives = _profile_certificates(game, workspaces, current)
     result = EquilibriumResult(
         strategies=dict(strategies),
         converged=converged,
@@ -377,11 +371,9 @@ def solve_games(game, settings=None, initial=None, observer=None):
     return result
 
 
-def best_response(player, opponents, game, settings=None):
+def best_response(player, opponents, game):
     """Single best-response QP of one player against fixed opponent strategies."""
-    settings = settings or game.scenario.solver
-    ws = _PlayerWorkspace(game, player)
-    return ws.best_response(opponents, settings)
+    return _PlayerWorkspace(game, player).best_response(opponents)
 
 
 @dataclass(frozen=True)
@@ -399,12 +391,11 @@ class VeReport:
         )
 
 
-def ve_residual(strategies, game, settings=None):
+def ve_residual(strategies, game):
     """Best-response gaps and worst violation of a given joint profile."""
-    settings = settings or game.scenario.solver
     workspaces = {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
     current = dict(game.fixed)
     current.update({vid: strategies[vid] for vid in game.decision_ids})
-    gaps, objectives = _profile_certificates(game, workspaces, current, settings)
+    gaps, objectives = _profile_certificates(game, workspaces, current)
     violation = _profile_violation(game, workspaces, current)
     return VeReport(gaps=gaps, objectives=objectives, max_violation=violation)

@@ -25,13 +25,7 @@ from .cognition import average_weights, hv_subjective_game, plan_cavs, predict_h
 from .constraints import STEP_VARS, X_PX, Segment, Strategy, profile_violation
 from .dynamics import VehicleState
 from .game import make_game, solve_games
-from .inverse import (
-    InverseSettings,
-    Observation,
-    interpret_offline,
-    interpret_online,
-    parameter_error,
-)
+from .inverse import Observation, interpret_offline, interpret_online, parameter_error
 from .netsim import run_centralized, run_distributed
 from .scenario import EFFECTIVE_INDICES, StyleWeights, style_weights_for
 
@@ -126,7 +120,7 @@ def _profile_success(hv_strategy, plans, scenario, degraded):
     return clean and not degraded
 
 
-def _interpret_predict_plan(scenario, s_actual, spec, rng, inverse_settings, solver_settings):
+def _interpret_predict_plan(scenario, s_actual, spec, rng):
     """The offline pipeline on one noisy observation of the human strategy.
 
     Returns the observation, the interpretation, the prediction model, the
@@ -134,12 +128,11 @@ def _interpret_predict_plan(scenario, s_actual, spec, rng, inverse_settings, sol
     """
     t0 = time.perf_counter()
     obs = apply_noise(s_actual, spec, rng)
-    interp = interpret_offline(obs, scenario, settings=inverse_settings,
-                               solver_settings=solver_settings)
+    interp = interpret_offline(obs, scenario)
     t1 = time.perf_counter()
-    model = predict_hv(scenario, interp.theta_0c, settings=solver_settings)
+    model = predict_hv(scenario, interp.theta_0c)
     t2 = time.perf_counter()
-    plans, plan_result, _ = plan_cavs(scenario, model.s_0c, settings=solver_settings)
+    plans, plan_result, _ = plan_cavs(scenario, model.s_0c)
     t3 = time.perf_counter()
     return obs, interp, model, plans, plan_result, (t1 - t0, t2 - t1, t3 - t2)
 
@@ -179,12 +172,11 @@ OFFLINE_FIELDS = (
 )
 
 
-def run_offline_experiment(scenario, noise_stds, repetitions, seed, solver_settings=None):
+def run_offline_experiment(scenario, noise_stds, repetitions, seed):
     """Generate, perturb, interpret, re-predict, plan; one row per repetition
     per noise level. Failures become rows, not exceptions."""
-    truth = solve_games(hv_subjective_game(scenario), settings=solver_settings)
+    truth = solve_games(hv_subjective_game(scenario))
     s_actual = truth.strategies[0]
-    inverse_settings = InverseSettings.offline(scenario)
     rows = []
     for std in noise_stds:
         spec = NoiseSpec(std=float(std))
@@ -193,7 +185,7 @@ def run_offline_experiment(scenario, noise_stds, repetitions, seed, solver_setti
             row = {"noise_std": float(std), "rep": rep, "failure": None}
             try:
                 obs, interp, model, plans, plan_result, seconds = _interpret_predict_plan(
-                    scenario, s_actual, spec, rng, inverse_settings, solver_settings
+                    scenario, s_actual, spec, rng
                 )
                 row.update(
                     position_observation_error=position_observation_error(
@@ -266,16 +258,13 @@ class _OnlineRep:
     implementations.
     """
 
-    def __init__(self, scenario, plan, seed, rep, solver_settings=None,
-                 transport=run_distributed):
+    def __init__(self, scenario, plan, seed, rep, transport=run_distributed):
         self.scenario = scenario
         self.plan = plan
         self.rng = np.random.default_rng([seed, rep])
-        self.solver_settings = solver_settings
         self.transport = transport
         self.std = scenario.noise_std
         self.full_refs = scenario.references()
-        self.inverse_settings = InverseSettings.online(scenario)
         self.cav_ids = [cav.vid for cav in scenario.cavs]
 
         self.actual = {v.vid: v.initial for v in scenario.vehicles}
@@ -311,14 +300,13 @@ class _OnlineRep:
                     references=self.prev["cav_refs"],
                     initial_states=self.prev["cav_initials"],
                 )
-                embed_result, embed_trace = self.transport(cav_game, settings=self.solver_settings)
+                embed_result, embed_trace = self.transport(cav_game)
                 interp_seconds = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 update = interpret_online(
                     self.prev["observation"],
                     self.theta,
                     self.scenario,
-                    settings=self.inverse_settings,
                     include_conservativeness=(t >= 3),
                     cav_strategies={vid: embed_result.strategies[vid] for vid in self.cav_ids},
                     hv_reference=self.prev["hv_ref_cav_side"],
@@ -339,7 +327,6 @@ class _OnlineRep:
             model = predict_hv(
                 self.scenario,
                 self.theta,
-                settings=self.solver_settings,
                 segment=segment,
                 references={0: hv_ref_cav, **cav_refs},
                 initial_states={0: hv_init_cav, **{v: self.actual[v] for v in self.cav_ids}},
@@ -350,7 +337,6 @@ class _OnlineRep:
             plans, plan_result, plan_trace = plan_cavs(
                 self.scenario,
                 model.s_0c,
-                settings=self.solver_settings,
                 segment=segment,
                 references=cav_refs,
                 initial_states={v: self.actual[v] for v in self.cav_ids},
@@ -371,7 +357,7 @@ class _OnlineRep:
                 initial_states={0: self.actual[0],
                                 **{v: self.cavs_seen_by_hv[v] for v in self.cav_ids}},
             )
-            gt_result = solve_games(gt_game, settings=self.solver_settings)
+            gt_result = solve_games(gt_game)
             hv_actual = gt_result.strategies[0]
 
             observation = apply_noise(
@@ -417,7 +403,7 @@ class _OnlineRep:
         return rows, timing
 
 
-def run_online_experiment(scenario, repetitions=50, seed=0, solver_settings=None):
+def run_online_experiment(scenario, repetitions=50, seed=0):
     """Staged interpretation and planning; one row per repetition per stage.
 
     The parameter_error column reports the estimate in use during the stage;
@@ -431,7 +417,7 @@ def run_online_experiment(scenario, repetitions=50, seed=0, solver_settings=None
     rows = []
     for rep in range(repetitions):
         try:
-            runner = _OnlineRep(scenario, plan, seed, rep, solver_settings)
+            runner = _OnlineRep(scenario, plan, seed, rep)
             rep_rows, _ = runner.run()
             for row in rep_rows:
                 row["rep"] = rep
@@ -480,7 +466,7 @@ def _random_hv_guess(scenario, rng):
     return StyleWeights(theta, scenario.theta_min, scenario.theta_max)
 
 
-def run_success_rate(scenario, mode, repetitions, seed, solver_settings=None):
+def run_success_rate(scenario, mode, repetitions, seed):
     """Success fraction binned by parameter error.
 
     with_interpretation runs the full observe/interpret/predict/plan pipeline
@@ -492,16 +478,15 @@ def run_success_rate(scenario, mode, repetitions, seed, solver_settings=None):
     """
     if mode not in ("with_interpretation", "random_cognition"):
         raise ValueError(f"unknown success-rate mode {mode!r}")
-    truth = solve_games(hv_subjective_game(scenario), settings=solver_settings)
+    truth = solve_games(hv_subjective_game(scenario))
     s_actual = truth.strategies[0]
-    inverse_settings = InverseSettings.offline(scenario)
     spec = NoiseSpec(std=scenario.noise_std)
     outcomes = []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
         if mode == "with_interpretation":
             _, interp, _, plans, plan_result, _ = _interpret_predict_plan(
-                scenario, s_actual, spec, rng, inverse_settings, solver_settings
+                scenario, s_actual, spec, rng
             )
             error = parameter_error(
                 interp.theta_0c, scenario.hv.weights_true, scenario.hv.behavior.kind
@@ -511,8 +496,7 @@ def run_success_rate(scenario, mode, repetitions, seed, solver_settings=None):
             guess = _random_hv_guess(scenario, rng)
             weights = {0: guess}
             weights.update({cav.vid: cav.weights_true for cav in scenario.cavs})
-            game = make_game(scenario, weights)
-            result = solve_games(game, settings=solver_settings)
+            result = solve_games(make_game(scenario, weights))
             plans = {vid: result.strategies[vid] for vid in weights if vid != 0}
             error = parameter_error(
                 guess, scenario.hv.weights_true, scenario.hv.behavior.kind
@@ -548,7 +532,7 @@ TIMING_FIELDS = (
 )
 
 
-def run_timing(scenario, repetitions=10, seed=0, solver_settings=None):
+def run_timing(scenario, repetitions=10, seed=0):
     """Per-stage durations of the online pipeline under both transports.
 
     Distributed durations follow the slowest-node model from the session
@@ -559,7 +543,7 @@ def run_timing(scenario, repetitions=10, seed=0, solver_settings=None):
     for rep in range(repetitions):
         for mode, transport in (("distributed", run_distributed),
                                 ("centralized", run_centralized)):
-            runner = _OnlineRep(scenario, plan, seed, rep, solver_settings, transport=transport)
+            runner = _OnlineRep(scenario, plan, seed, rep, transport=transport)
             rep_rows, timing = runner.run()
             per_stage = {t: {"interpret": 0.0, "predict": 0.0, "plan": 0.0,
                              "predict_iter": 0, "plan_iter": 0}

@@ -22,12 +22,7 @@ from .cognition import average_weights
 from .constraints import Segment, Strategy, assemble
 from .game import WEIGHT_PATTERN, make_game, reference_vector, solve_games
 from .qp import variable_reduction
-from .scenario import (
-    EFFECTIVE_INDICES,
-    THETA_MAX_DEFAULT,
-    THETA_MIN_DEFAULT,
-    StyleWeights,
-)
+from .scenario import EFFECTIVE_INDICES, StyleWeights
 
 IDENTIFIABILITY_EPS = 1e-8
 
@@ -62,33 +57,6 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class InverseSettings:
-    """Knobs of the interpretation problem."""
-
-    kappa: float = 1.5
-    omega_dist: float = 1.0
-    theta_min: float = THETA_MIN_DEFAULT
-    theta_max: float = THETA_MAX_DEFAULT
-    identifiability_eps: float = IDENTIFIABILITY_EPS
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.omega_dist < 0:
-            raise ValueError("omega_dist cannot be negative")
-
-    @classmethod
-    def offline(cls, scenario):
-        return cls(kappa=scenario.kappa_offline, omega_dist=0.0,
-                   theta_min=scenario.theta_min, theta_max=scenario.theta_max)
-
-    @classmethod
-    def online(cls, scenario):
-        return cls(kappa=scenario.kappa_online, omega_dist=scenario.omega_dist,
-                   theta_min=scenario.theta_min, theta_max=scenario.theta_max)
-
-
-@dataclass(frozen=True)
 class InverseResult:
     """Recovered weights with the inequality multipliers and diagnostics
     behind them. `residual` is the stationarity residual on the equality null
@@ -105,7 +73,7 @@ class InverseResult:
     cav_strategies: dict
 
 
-def _embedded_cav_solve(observation, scenario, solver_settings):
+def _embedded_cav_solve(observation, scenario):
     """CAV-only equilibrium with the observed human strategy as data and the
     typical per-style weights, reconstructing what the human reacted to."""
     game = make_game(
@@ -114,7 +82,7 @@ def _embedded_cav_solve(observation, scenario, solver_settings):
         segment=observation.segment,
         fixed={0: observation.strategy},
     )
-    result = solve_games(game, settings=solver_settings)
+    result = solve_games(game)
     return {vid: result.strategies[vid] for vid in game.decision_ids}
 
 
@@ -125,8 +93,11 @@ def null_space(a_eq):
     return np.linalg.qr(variable_reduction(a_eq)[-1])[0]
 
 
-def _interpret(observation, scenario, settings, prev_theta, use_conservativeness,
-               cav_strategies, hv_reference=None, hv_initial=None):
+def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
+               hv_reference=None, hv_initial=None):
+    """Stationarity fit with rows farther than `kappa` from active pinned to
+    zero multipliers and, when `omega` > 0, a pull of weight `omega` toward
+    `prev_theta`; the weights stay in the scenario's box."""
     segment = observation.segment
     if hv_reference is None:
         hv_reference = scenario.references()[0].window(segment.start, segment.stop)
@@ -144,8 +115,8 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
 
     warnings = []
     g_vals = system.a_in @ s_hat - system.b_in
-    free_idx = np.flatnonzero(g_vals + settings.kappa >= 0.0)
-    violated = np.flatnonzero(g_vals > settings.kappa)
+    free_idx = np.flatnonzero(g_vals + kappa >= 0.0)
+    violated = np.flatnonzero(g_vals > kappa)
     if violated.size:
         tags = sorted({system.in_tags[j] for j in violated})
         warnings.append(
@@ -168,7 +139,7 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
     eff = list(EFFECTIVE_INDICES[scenario.hv.behavior.kind])
     eff_block = zc[:, eff]
     sigma_min = float(np.linalg.svd(eff_block, compute_uv=False).min()) if eff_block.size else 0.0
-    low_ident = sigma_min < settings.identifiability_eps
+    low_ident = sigma_min < IDENTIFIABILITY_EPS
     if low_ident:
         warnings.append(
             "stationarity system is rank-deficient in the weight block; "
@@ -177,27 +148,28 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
 
     m_mat = np.hstack([zc, za_kept])
     b_vec = np.zeros(m_mat.shape[0])
-    if use_conservativeness and settings.omega_dist > 0.0:
+    if omega > 0.0:
         if prev_theta is None:
             raise ValueError("conservativeness requires a previous weight estimate")
-        root = np.sqrt(settings.omega_dist)
+        root = np.sqrt(omega)
         pull = np.zeros((6, m_mat.shape[1]))
         pull[:, :6] = root * np.eye(6)
         m_mat = np.vstack([m_mat, pull])
         b_vec = np.concatenate([b_vec, root * np.asarray(prev_theta, dtype=float)])
 
     k = za_kept.shape[1]
-    lower = np.concatenate([np.full(6, settings.theta_min), np.zeros(k)])
-    upper = np.concatenate([np.full(6, settings.theta_max), np.full(k, np.inf)])
+    theta_min, theta_max = scenario.theta_min, scenario.theta_max
+    lower = np.concatenate([np.full(6, theta_min), np.zeros(k)])
+    upper = np.concatenate([np.full(6, theta_max), np.full(k, np.inf)])
     fit = lsq_linear(m_mat, b_vec, bounds=(lower, upper), method="bvls", tol=1e-14)
 
-    theta_raw = np.clip(fit.x[:6], settings.theta_min, settings.theta_max)
+    theta_raw = np.clip(fit.x[:6], theta_min, theta_max)
     lam = np.zeros(system.a_in.shape[0])
     lam[kept_idx] = np.maximum(fit.x[6:], 0.0)
 
     residual = float(np.linalg.norm(z_basis.T @ (c_mat @ theta_raw + system.a_in.T @ lam)))
 
-    theta_0c = StyleWeights(theta_raw, settings.theta_min, settings.theta_max).normalized(
+    theta_0c = StyleWeights(theta_raw, theta_min, theta_max).normalized(
         scenario.hv.behavior.kind
     )
     return InverseResult(
@@ -213,36 +185,32 @@ def _interpret(observation, scenario, settings, prev_theta, use_conservativeness
     )
 
 
-def interpret_offline(observation, scenario, settings=None, solver_settings=None,
-                      cav_strategies=None):
+def interpret_offline(observation, scenario, cav_strategies=None):
     """Recover weights from a full-horizon observation.
 
     Runs the embedded CAV reconstruction first (unless strategies are
     supplied), then solves the stationarity fit with inactive multipliers
-    pinned by the kappa rule.
+    pinned by the scenario's `kappa_offline` rule.
     """
-    settings = settings or InverseSettings.offline(scenario)
     if observation.segment != Segment(1, scenario.horizon):
         raise ValueError("offline interpretation needs a full-horizon observation")
     if cav_strategies is None:
-        cav_strategies = _embedded_cav_solve(observation, scenario, solver_settings)
-    return _interpret(observation, scenario, settings, prev_theta=None,
-                      use_conservativeness=False, cav_strategies=cav_strategies)
+        cav_strategies = _embedded_cav_solve(observation, scenario)
+    return _interpret(observation, scenario, scenario.kappa_offline, 0.0, None,
+                      cav_strategies)
 
 
-def interpret_online(observation, prev_theta, scenario, cav_strategies, settings=None,
+def interpret_online(observation, prev_theta, scenario, cav_strategies,
                      include_conservativeness=True, hv_reference=None, hv_initial=None):
-    """Per-stage interpretation with an optional pull toward the previous
-    estimate. The caller decides the flag; the first update after the initial
-    guess runs without it. The caller also supplies the CAV stage strategies
-    the human reacted to, solved on its own anchored stage references."""
-    settings = settings or InverseSettings.online(scenario)
+    """Per-stage interpretation under the scenario's `kappa_online`, with an
+    optional pull of weight `omega_dist` toward the previous estimate. The
+    caller decides the flag; the first update after the initial guess runs
+    without it. The caller also supplies the CAV stage strategies the human
+    reacted to, solved on its own anchored stage references."""
     theta_prev = prev_theta.theta if isinstance(prev_theta, StyleWeights) else prev_theta
-    return _interpret(
-        observation, scenario, settings, prev_theta=theta_prev,
-        use_conservativeness=include_conservativeness, cav_strategies=cav_strategies,
-        hv_reference=hv_reference, hv_initial=hv_initial,
-    )
+    omega = scenario.omega_dist if include_conservativeness else 0.0
+    return _interpret(observation, scenario, scenario.kappa_online, omega, theta_prev,
+                      cav_strategies, hv_reference=hv_reference, hv_initial=hv_initial)
 
 
 def parameter_error(theta_est, theta_true, behavior_kind):

@@ -230,9 +230,9 @@ class _CentralizedObserver(_NullObserver):
         self.events.append(ComputeEvent(CENTER, "criterion", None, zeta, seconds))
 
 
-def _run(mode, observer, game, settings, initial):
+def _run(mode, observer, game):
     t0 = time.perf_counter()
-    result = solve_games(game, settings=settings, initial=initial, observer=observer)
+    result = solve_games(game, observer)
     total = time.perf_counter() - t0
     trace = SessionTrace(
         mode=mode,
@@ -244,14 +244,14 @@ def _run(mode, observer, game, settings, initial):
     return result, trace
 
 
-def run_distributed(game, settings=None, initial=None):
+def run_distributed(game):
     """Solve one game over the simulated message layer.
 
     Returns the equilibrium result together with the full session trace.
     """
-    return _run("distributed", _DistributedObserver(game), game, settings, initial)
+    return _run("distributed", _DistributedObserver(game), game)
 
 
-def run_centralized(game, settings=None, initial=None):
+def run_centralized(game):
     """Solve the same game on a single node, tracing computations only."""
-    return _run("centralized", _CentralizedObserver(), game, settings, initial)
+    return _run("centralized", _CentralizedObserver(), game)

@@ -9,7 +9,7 @@ numeric settings every downstream module shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml

@@ -63,6 +63,23 @@ def test_reps_below_one_is_a_usage_error(capsys, command, reps):
     assert "argument --reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "solve --seed 3", "solve --reps 2", "gap-sweep --seed 3", "gap-sweep --reps 7",
+    "gap-sweep --out gap.csv", "sweep-noise", "timing",
+])
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # An option the command would ignore is refused, and so is a missing --out
+    # where the CSV is the command's only output.
+    monkeypatch.chdir(tmp_path)
+    argv = command.split()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert (argv[1] if len(argv) > 1 else "--out") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_writes_trajectory_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert cli.main(["solve", "--out", str(out)]) == 0
@@ -87,6 +104,13 @@ def test_solve_accepts_scenario_config(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "converged=True" in captured
     assert "player 1:" in captured
+
+
+def test_solve_reads_the_config_solver_settings(tmp_path, capsys):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(CONFIG_DOC + "solver: {max_iterations: 1}\n", encoding="utf-8")
+    cli.main(["solve", "--config", str(config)])
+    assert "iterations=1 " in capsys.readouterr().out
 
 
 def test_solve_trace_writes_the_session_and_changes_no_output(tmp_path, capsys):

@@ -5,7 +5,6 @@ from hypertraffic.cognition import (
     GapSweep,
     HneTolerance,
     average_weights,
-    cav_perceived_hv_game,
     cognition_profile,
     hne_gap_sweep,
     hv_subjective_game,
@@ -66,7 +65,7 @@ def test_subjective_and_perceived_games_align_at_exact_estimate():
 def test_perceived_game_uses_estimate_for_the_human():
     scen = _scen()
     guess = style_weights_for(scen.hv.behavior.kind, scen.hv.style)
-    game = cav_perceived_hv_game(scen, guess)
+    game = hv_subjective_game(scen, hv_weights=guess)
     assert np.array_equal(game.weights[0].theta, guess.theta)
     for cav in scen.cavs:
         typical = style_weights_for(cav.behavior.kind, cav.style)

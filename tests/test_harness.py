@@ -1,9 +1,13 @@
 """Tests for the experiment harness: noise model, metrics, CSV output,
 stage plans, and the experiment runners' bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hypertraffic import game, harness, inverse, netsim
+from hypertraffic.cognition import plan_cavs, predict_hv
 from hypertraffic.constraints import STEP_VARS, X_PX, Segment, Strategy
 from hypertraffic.harness import (
     NoiseSpec,
@@ -17,11 +21,13 @@ from hypertraffic.harness import (
     position_prediction_error,
     px_state_indices,
     run_offline_experiment,
+    run_online_experiment,
     run_success_rate,
     run_timing,
     trajectory_prediction_error,
     write_csv,
 )
+from hypertraffic.inverse import Observation, interpret_offline
 from hypertraffic.scenario import default_offline_scenario, default_online_scenario
 
 
@@ -215,3 +221,33 @@ def test_run_timing_row_structure():
         assert row["plan_seconds"] >= 0.0
         assert row["predict_iterations"] >= 1
         assert row["plan_iterations"] >= 1
+
+
+def test_every_solve_reads_the_scenario_solver_settings(monkeypatch):
+    # Prediction, planning, the embedded CAV solve of the offline fit and the
+    # staged online run all take their round budget from `scenario.solver`.
+    rounds = {}
+
+    def recording(module):
+        def solve(g, observer=None):
+            result = game.solve_games(g, observer)
+            rounds.setdefault(module.__name__, []).append(result.iterations)
+            return result
+        return solve
+
+    for module in (netsim, inverse, harness):
+        monkeypatch.setattr(module, "solve_games", recording(module))
+
+    def one_round(scen):
+        return replace(scen, solver=replace(scen.solver, max_iterations=1))
+
+    scen = one_round(default_offline_scenario())
+    model = predict_hv(scen, scen.hv.weights_true)
+    _, result, _ = plan_cavs(scen, model.s_0c)
+    assert model.result.iterations == 1 and result.iterations == 1
+    interpret_offline(Observation(model.s_0c), scen)
+    assert rounds.pop("hypertraffic.inverse") == [1]
+    run_online_experiment(one_round(default_online_scenario()), repetitions=1, seed=0)
+    assert rounds.pop("hypertraffic.harness") == [1] * 5
+    assert set(rounds.pop("hypertraffic.netsim")) == {1}
+    assert not rounds

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hypertraffic.constraints import Segment, Strategy, assemble
 from hypertraffic.game import solve_games
 from hypertraffic.harness import NoiseSpec, apply_noise, run_online_experiment
 from hypertraffic.inverse import (
-    InverseSettings,
     Observation,
     interpret_offline,
     interpret_online,
@@ -31,20 +32,6 @@ def _observed_truth(scen):
     result = solve_games(hv_subjective_game(scen))
     assert result.converged
     return result.strategies[0]
-
-
-def test_settings_validation_and_presets():
-    with pytest.raises(ValueError):
-        InverseSettings(kappa=0.0)
-    with pytest.raises(ValueError):
-        InverseSettings(omega_dist=-1.0)
-    scen = default_offline_scenario()
-    off = InverseSettings.offline(scen)
-    assert off.kappa == scen.kappa_offline
-    assert off.omega_dist == 0.0
-    on = InverseSettings.online(scen)
-    assert on.kappa == scen.kappa_online
-    assert on.omega_dist == scen.omega_dist
 
 
 def test_noise_free_recovery_is_exact():
@@ -83,14 +70,27 @@ def test_kappa_controls_the_active_set():
     scen = default_offline_scenario()
     s_actual = _observed_truth(scen)
     obs = Observation(s_actual)
-    tight = interpret_offline(
-        obs, scen, settings=InverseSettings(kappa=0.01, omega_dist=0.0)
-    )
-    loose = interpret_offline(
-        obs, scen, settings=InverseSettings(kappa=50.0, omega_dist=0.0)
-    )
+    tight = interpret_offline(obs, replace(scen, kappa_offline=0.01))
+    loose = interpret_offline(obs, replace(scen, kappa_offline=50.0))
     assert len(tight.active_rows) < len(loose.active_rows)
     assert set(tight.active_rows) <= set(loose.active_rows)
+
+
+def test_online_active_rows_follow_kappa_online():
+    scen = default_offline_scenario()
+    s_actual = _observed_truth(scen)
+    cavs = interpret_offline(Observation(s_actual), scen).cav_strategies
+    prev = style_weights_for(STRAIGHT, COMFORT)
+
+    def online_rows(**kappas):
+        return interpret_online(Observation(s_actual), prev, replace(scen, **kappas),
+                                cav_strategies=cavs).active_rows
+
+    tight = online_rows(kappa_online=0.01, kappa_offline=50.0)
+    loose = online_rows(kappa_online=50.0, kappa_offline=0.01)
+    assert len(tight) < len(loose)
+    assert tight == online_rows(kappa_online=0.01, kappa_offline=0.01)
+    assert loose == online_rows(kappa_online=50.0, kappa_offline=50.0)
 
 
 def test_violated_rows_are_reported():
@@ -120,11 +120,11 @@ def test_zero_deviation_is_low_identifiability():
 def test_online_with_zero_pull_matches_offline():
     scen = default_offline_scenario()
     s_actual = _observed_truth(scen)
-    settings = InverseSettings(kappa=scen.kappa_offline, omega_dist=0.0)
-    off = interpret_offline(Observation(s_actual), scen, settings=settings)
+    off = interpret_offline(Observation(s_actual), scen)
     prev = style_weights_for(STRAIGHT, COMFORT)
     on = interpret_online(
-        Observation(s_actual), prev, scen, settings=settings,
+        Observation(s_actual), prev,
+        replace(scen, kappa_online=scen.kappa_offline, omega_dist=0.0),
         cav_strategies=off.cav_strategies,
     )
     assert np.allclose(on.theta_raw, off.theta_raw, atol=1e-10)
@@ -136,16 +136,16 @@ def test_conservativeness_pulls_toward_previous_estimate():
     base = interpret_offline(Observation(s_actual), scen)
     prev = style_weights_for(STRAIGHT, COMFORT)
     heavy = interpret_online(
-        Observation(s_actual), prev, scen,
-        settings=InverseSettings(kappa=scen.kappa_offline, omega_dist=1e6),
+        Observation(s_actual), prev,
+        replace(scen, kappa_online=scen.kappa_offline, omega_dist=1e6),
         cav_strategies=base.cav_strategies,
     )
     assert np.max(np.abs(heavy.theta_raw - prev.theta)) < 1e-3
 
     with pytest.raises(ValueError):
         interpret_online(
-            Observation(s_actual), None, scen,
-            settings=InverseSettings(kappa=scen.kappa_offline, omega_dist=1.0),
+            Observation(s_actual), None,
+            replace(scen, kappa_online=scen.kappa_offline, omega_dist=1.0),
             cav_strategies=base.cav_strategies,
         )
 
@@ -155,9 +155,9 @@ def test_online_skips_pull_when_disabled():
     s_actual = _observed_truth(scen)
     base = interpret_offline(Observation(s_actual), scen)
     prev = style_weights_for(STRAIGHT, COMFORT)
-    settings = InverseSettings(kappa=scen.kappa_offline, omega_dist=1e6)
     free = interpret_online(
-        Observation(s_actual), prev, scen, settings=settings,
+        Observation(s_actual), prev,
+        replace(scen, kappa_online=scen.kappa_offline, omega_dist=1e6),
         include_conservativeness=False, cav_strategies=base.cav_strategies,
     )
     # without the pull the huge omega is inert and the fit tracks the data

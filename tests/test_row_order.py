@@ -6,6 +6,7 @@ rows a best response actually solves with are bitwise the assembled ones, in
 the same order, and that every assembled row carries its family's tag.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,10 +33,21 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
+def _off_centre_offline():
+    """The offline study with the human started 0.4 m off its lane centre
+    and heading 0.02 rad, so its start state is not its reference's first
+    point."""
+    scen = default_offline_scenario()
+    start = replace(scen.hv.initial, p_y=scen.hv.initial.p_y + 0.4, psi=0.02)
+    return replace(scen, vehicles=tuple(replace(v, initial=start) if v.is_hv else v
+                                        for v in scen.vehicles))
+
+
 SCENARIOS = {
     "offline": default_offline_scenario,
     "success": success_study_scenario,
     "online": default_online_scenario,
+    "off_centre": _off_centre_offline,
 }
 
 
@@ -61,12 +73,11 @@ def _solved_rows(monkeypatch, game, vid, opponents):
     return seen[0]
 
 
-def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of):
+def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled):
     for vid in game.decision_ids:
         opponents = opponents_of(vid)
         a_eq, b_eq, a_in, b_in, c_red, reduced = _solved_rows(monkeypatch, game, vid, opponents)
-        system = assemble(vid, opponents, game.scenario, game.segment, game.references[vid],
-                          game.initial_states[vid])
+        system = assembled(vid, opponents)
         assert np.array_equal(a_eq, system.a_eq), vid
         assert np.array_equal(b_eq, system.b_eq), vid
         assert np.array_equal(a_in, system.a_in), vid
@@ -81,8 +92,11 @@ def test_game_solves_with_assembled_rows_on_full_horizon(monkeypatch, name):
     game = game_module.make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     seeds = {vid: Strategy.from_reference(game.references[vid], game.segment)
              for vid in game.decision_ids}
+    # `make_game` and `assemble` both default the segment, the reference and
+    # the start state, by the same rule.
     _assert_game_reads_assembled_rows(
-        monkeypatch, game, lambda vid: {k: s for k, s in seeds.items() if k != vid}
+        monkeypatch, game, lambda vid: {k: s for k, s in seeds.items() if k != vid},
+        lambda vid, opponents: assemble(vid, opponents, scen),
     )
 
 
@@ -104,7 +118,9 @@ def test_game_solves_with_assembled_rows_on_reanchored_stage(monkeypatch, name):
         references=refs, initial_states=initials,
     )
     _assert_game_reads_assembled_rows(
-        monkeypatch, game, lambda vid: {k: s for k, s in seeds.items() if k != vid}
+        monkeypatch, game, lambda vid: {k: s for k, s in seeds.items() if k != vid},
+        lambda vid, opponents: assemble(vid, opponents, scen, segment, refs[vid],
+                                        initials[vid]),
     )
 
 

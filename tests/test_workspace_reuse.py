@@ -100,14 +100,13 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
     seeds = _seeds(game)
     for vid in game.decision_ids:
         ws = _PlayerWorkspace(game, vid)
-        settings = game.scenario.solver
-        ws.best_response(game.opponents_of(vid, seeds), settings)
+        ws.best_response(game.opponents_of(vid, seeds))
         # Rows rebuilt by a violation check, then projected by the next solve.
         ws.violation_at(solved[vid].data, game.opponents_of(vid, solved))
         mixed = {k: (solved[k] if k < vid else seeds[k]) for k in game.decision_ids}
         for profile in (solved, mixed, dict(mixed)):
             opponents = game.opponents_of(vid, profile)
-            got = ws.best_response(opponents, settings)
+            got = ws.best_response(opponents)
             _assert_same_solution(got, best_response(vid, opponents, game),
                                   _player_problem(game, vid, opponents))
             fresh = _PlayerWorkspace(game, vid)
@@ -151,13 +150,13 @@ def test_a_new_strategy_object_with_equal_data_is_rebuilt(monkeypatch):
     seeds = _seeds(game)
     ws = _PlayerWorkspace(game, 0)
     opponents = game.opponents_of(0, seeds)
-    first = ws.best_response(opponents, game.scenario.solver)
+    first = ws.best_response(opponents)
     calls = []
     original = game_module.collision_rows
     monkeypatch.setattr(game_module, "collision_rows",
                         lambda *args: calls.append(args[3]) or original(*args))
     copies = {k: Strategy(s.segment, s.data.copy()) for k, s in opponents.items()}
-    again = ws.best_response(copies, game.scenario.solver)
+    again = ws.best_response(copies)
     assert sorted(calls) == sorted(opponents)
     assert again is not first
     _assert_same_solution(again, first, _player_problem(game, 0, opponents))
