@@ -9,6 +9,7 @@ line (error kind=<type> msg="...") to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness
@@ -37,23 +38,30 @@ def _scenario_from(args, default_builder):
     return default_builder()
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_stds(text):
     """Either a comma list ("0.05,0.1") or a start:stop:step range, stop
-    inclusive up to rounding."""
+    inclusive up to rounding; every number must be finite. The list may
+    come out empty (a range that runs backwards)."""
     if ":" in text:
-        parts = [float(p) for p in text.split(":")]
+        parts = [_finite_float(p) for p in text.split(":")]
         if len(parts) != 3:
-            raise ValueError("range form is start:stop:step")
+            raise argparse.ArgumentTypeError("range form is start:stop:step")
         start, stop, step = parts
         if step <= 0:
-            raise ValueError("step must be positive")
+            raise argparse.ArgumentTypeError("step must be positive")
         count = int(round((stop - start) / step))
-        stds = [round(start + i * step, 10) for i in range(count + 1)]
-    else:
-        stds = [float(p) for p in text.split(",") if p.strip()]
-    if not stds:
-        raise ValueError(f"--stds {text!r} gives no noise level")
-    return stds
+        return [round(start + i * step, 10) for i in range(count + 1)]
+    return [_finite_float(p) for p in text.split(",") if p.strip()]
 
 
 def _positive_int(text):
@@ -142,8 +150,9 @@ def _cmd_run_online(args):
 
 def _cmd_sweep_noise(args):
     scenario = _scenario_from(args, default_offline_scenario)
-    stds = _parse_stds(args.stds)
-    rows = harness.run_offline_experiment(scenario, stds, args.reps, args.seed)
+    if not args.stds:
+        raise ValueError("--stds gives no noise level")
+    rows = harness.run_offline_experiment(scenario, args.stds, args.reps, args.seed)
     write_csv(args.out, OFFLINE_FIELDS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -208,7 +217,7 @@ def build_parser():
         epilog="CSV columns: " + ", ".join(OFFLINE_FIELDS),
     )
     common(p, 1)
-    p.add_argument("--noise-std", type=float, default=None,
+    p.add_argument("--noise-std", type=_finite_float, default=None,
                    help="observation noise std in metres (default: scenario value)")
     p.set_defaults(func=_cmd_interpret_offline)
 
@@ -226,7 +235,7 @@ def build_parser():
         epilog="CSV columns: " + ", ".join(OFFLINE_FIELDS),
     )
     common(p, 50, out="required")
-    p.add_argument("--stds", default="0.01:0.40:0.01",
+    p.add_argument("--stds", type=_parse_stds, default="0.01:0.40:0.01",
                    help="comma list or start:stop:step range of noise stds")
     p.set_defaults(func=_cmd_sweep_noise)
 

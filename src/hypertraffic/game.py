@@ -11,16 +11,23 @@ message-passing transport can drive the identical computation.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import Segment, Strategy, collision_rows, start_state, static_rows
-from .qp import OPTIMAL, ReducedQp
+from .qp import OPTIMAL, Elimination, ReducedQp, eliminate
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
+
+# Most player systems kept in `_STATIC_PARTS`. An entry is largest for a
+# lane-changing player: at H=121 (120 steps, 720 variables) its basis Z is
+# 720 x 240, its head projection 1,680 x 240 and its tail projection 120 x 240,
+# 4,844,160 bytes with s_part, so a full cache holds at most 38.8 MB.
+STATIC_CACHE_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,6 @@ class WeightExpansion:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "diagonal", np.tile(theta[WEIGHT_PATTERN], self.n_steps))
 
-    @property
-    def matrix(self):
-        return np.diag(self.diagonal)
-
 
 def reference_vector(reference, segment):
     """Reference states stacked in strategy layout with zero controls."""
@@ -51,10 +54,11 @@ def reference_vector(reference, segment):
 
 
 def objective_qp_data(weights, reference, segment):
-    """Quadratic form (H, f) whose minimizer tracks the reference at zero cost."""
-    expansion = WeightExpansion(weights.theta, segment.n_steps)
-    s_ref = reference_vector(reference, segment)
-    return expansion.matrix, -expansion.diagonal * s_ref
+    """Objective 0.5 s'diag(h)s + f's whose minimizer tracks the reference at
+    zero cost, as (h, f): the diagonal h of the quadratic form, not a matrix,
+    and the linear term f."""
+    h_diag = WeightExpansion(weights.theta, segment.n_steps).diagonal
+    return h_diag, -h_diag * reference_vector(reference, segment)
 
 
 def objective_value(strategy, weights, reference):
@@ -146,20 +150,53 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
     )
 
 
+@dataclass(frozen=True)
+class _StaticPart:
+    """The weight-independent part of one player's system: its equality
+    elimination and the projections of its head and tail rows, read-only
+    like the elimination's arrays, since workspaces share them."""
+
+    elimination: Elimination
+    c_head: np.ndarray
+    c_tail: np.ndarray
+
+    def __post_init__(self):
+        self.c_head.flags.writeable = False
+        self.c_tail.flags.writeable = False
+
+
+# Least recently used first; see STATIC_CACHE_ENTRIES.
+_STATIC_PARTS = OrderedDict()
+
+
+def _static_key(vehicle, scenario, segment, reference, initial_state):
+    """Every input `static_rows` reads, by value. The settings are keyed by
+    their repr, which spells each float exactly (0.0 and -0.0 apart); the
+    reference and start states by their bytes."""
+    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
+    settings = repr((vehicle.vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road,
+                     scenario.limits, segment, reference.start, reference.ts))
+    return settings, reference.states.tobytes(), initial_state.as_array().tobytes()
+
+
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the equality-reduced
     quadratic block and the inequality rows in solver order, held in buffers
     with their reduced projections.
 
-    The static head and tail rows are written once. Between them sits one
-    collision slot per opponent, which records the opponent `Strategy` object
-    its rows were built from and the one its projection was built from. The
-    check is by identity: every accepted best response makes a new strategy
-    object, and a transport passes on the objects it receives. A slot's rows
-    are rebuilt only when that opponent's strategy has changed, and its
-    projection only when a best response needs it. A best response against
-    the same opponent objects as the last one returns the stored solution.
-    Every solve uses the scenario's solver settings."""
+    The equality elimination and the projections of the static head and tail
+    rows do not depend on the weights. They come from `_STATIC_PARTS` when an
+    earlier workspace built them from the same static inputs; only Z'HZ and
+    its Cholesky factor are built per weights. The static rows themselves are
+    rebuilt, since `violation_at` reads them, and written once. Between head
+    and tail sits one collision slot per opponent, which records the opponent
+    `Strategy` object its rows were built from and the one its projection was
+    built from. The check is by identity: every accepted best response makes
+    a new strategy object, and a transport passes on the objects it receives.
+    A slot's rows are rebuilt only when that opponent's strategy has changed,
+    and its projection only when a best response needs it. A best response
+    against the same opponent objects as the last one returns the stored
+    solution. Every solve uses the scenario's solver settings."""
 
     def __init__(self, game, vid):
         vehicle = game.scenario.vehicle(vid)
@@ -168,11 +205,16 @@ class _PlayerWorkspace:
         self.settings = game.scenario.solver
         self.reference = game.references[vid]
         self.s_ref = reference_vector(self.reference, game.segment)
-        self.expansion = WeightExpansion(game.weights[vid].theta, game.segment.n_steps)
-        self.f_vec = -self.expansion.diagonal * self.s_ref
-        rows = static_rows(vehicle, game.scenario, game.segment, self.reference,
-                           game.initial_states[vid])
-        self.reduced = ReducedQp(self.expansion.matrix, rows.a_eq, rows.b_eq)
+        self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.reference,
+                                                    game.segment)
+        initial_state = game.initial_states[vid]
+        rows = static_rows(vehicle, game.scenario, game.segment, self.reference, initial_state)
+        self._a_eq, self._b_eq = rows.a_eq, rows.b_eq
+        key = _static_key(vehicle, game.scenario, game.segment, self.reference, initial_state)
+        static = _STATIC_PARTS.pop(key, None)
+        elimination = (eliminate(rows.a_eq, rows.b_eq) if static is None
+                       else static.elimination)
+        self.reduced = ReducedQp(self.h_diag, elimination)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
         n = game.segment.n_steps
         n_coll = len(self.opponent_ids) * n
@@ -183,9 +225,15 @@ class _PlayerWorkspace:
         self._b_in = np.concatenate([b for _, b, _ in blocks])
         self._head = slice(0, n_head)
         self._tail = slice(n_head + n_coll, self._a_in.shape[0])
+        if static is None:
+            static = _StaticPart(elimination, *(self.reduced.reduce_rows(self._a_in[part])
+                                                for part in (self._head, self._tail)))
+        _STATIC_PARTS[key] = static
+        while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
+            _STATIC_PARTS.popitem(last=False)
         self._c_red = np.zeros((self._a_in.shape[0], self.reduced.null_dim))
-        for part in (self._head, self._tail):
-            self._c_red[part] = self.reduced.reduce_rows(self._a_in[part])
+        self._c_red[self._head] = static.c_head
+        self._c_red[self._tail] = static.c_tail
         self._slots = {oid: slice(n_head + k * n, n_head + (k + 1) * n)
                        for k, oid in enumerate(self.opponent_ids)}
         self._built = dict.fromkeys(self.opponent_ids)
@@ -226,8 +274,8 @@ class _PlayerWorkspace:
     def violation_at(self, s_vec, opponents):
         self._sync(opponents, project=False)
         worst = 0.0
-        if self.reduced.a_eq.shape[0]:
-            worst = float(np.max(np.abs(self.reduced.a_eq @ s_vec - self.reduced.b_eq)))
+        if self._a_eq.shape[0]:
+            worst = float(np.max(np.abs(self._a_eq @ s_vec - self._b_eq)))
         for part in (self._head, self._tail, *self._slots.values()):
             if part.stop > part.start:
                 worst = max(worst, float(np.max(self._a_in[part] @ s_vec - self._b_in[part])))
@@ -235,7 +283,7 @@ class _PlayerWorkspace:
 
     def objective(self, s_vec):
         dev = s_vec - self.s_ref
-        return float(0.5 * dev @ (self.expansion.diagonal * dev))
+        return float(0.5 * dev @ (self.h_diag * dev))
 
 
 @dataclass(frozen=True)

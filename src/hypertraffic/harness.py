@@ -16,6 +16,7 @@ columns, and CSV floats are written with 17 significant digits.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -40,8 +41,8 @@ class NoiseSpec:
     std: float
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("noise std cannot be negative")
+        if not (math.isfinite(self.std) and self.std >= 0):
+            raise ValueError(f"std must be a finite non-negative number, got {self.std}")
 
 
 def px_state_indices(segment):

@@ -3,12 +3,13 @@
 The solver eliminates equalities by variable reduction: one LU factorization
 with partial pivoting of A_eq' splits the variables into dependent and free
 ones, the null-space basis is the identity on the free variables, and the
-same triangular factors give the particular solution. A dual active-set
-method then runs on the reduced problem: start at the unconstrained minimum,
-repeatedly enforce the most violated inequality, dropping working-set rows
-whose multipliers would cross zero. All pivots break ties by lowest index, so
-identical inputs give bitwise-identical outputs, and the working set at
-termination yields exact multipliers.
+same triangular factors give the particular solution. That `Elimination`
+depends on the equality rows only, so many objectives can share one. A dual
+active-set method then runs on the reduced problem: start at the
+unconstrained minimum, repeatedly enforce the most violated inequality,
+dropping working-set rows whose multipliers would cross zero. All pivots
+break ties by lowest index, so identical inputs give bitwise-identical
+outputs, and the working set at termination yields exact multipliers.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
 enforced and no working-set row opposes it. A solve returns the primal point,
@@ -17,6 +18,7 @@ the inequality multipliers and a status; `kkt_residual` certifies it on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,10 @@ class SolverSettings:
     qp_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.violation_eps <= 0 or self.step_eps <= 0 or self.qp_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("violation_eps", "step_eps", "qp_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -265,53 +269,91 @@ def _lu_solve(l1, upper, rhs):
     return solve_triangular(upper, y, lower=False, check_finite=False)
 
 
+@dataclass(frozen=True)
+class Elimination:
+    """What a QP's equality rows A_eq s = b_eq fix, independent of its
+    objective: every feasible point is s_part + Z y. `eq_residual` is the
+    largest miss of s_part over all rows, and `eq_scale` is 1 + max |b_eq|,
+    the scale that residual is judged against. The arrays are read-only, so
+    one elimination can be shared by many quadratic blocks."""
+
+    z_basis: np.ndarray
+    s_part: np.ndarray
+    eq_residual: float
+    eq_scale: float
+
+
+def eliminate(a_eq, b_eq):
+    """The `Elimination` of A_eq s = b_eq, by `variable_reduction`.
+
+    A_eq must be two-dimensional, with zero rows when there are no
+    equalities. Redundant rows are dropped from the factorization; the
+    particular solution then fits b_eq over all rows in the least-squares
+    sense, and `eq_residual` over all rows flags inconsistent systems.
+    """
+    a_eq = np.asarray(a_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+    if a_eq.ndim != 2 or a_eq.shape[0] != b_eq.shape[0]:
+        raise ValueError(f"A_eq must be a matrix with one row per b_eq entry, "
+                         f"got {a_eq.shape} and {b_eq.shape}")
+    _require_finite(a_eq=a_eq, b_eq=b_eq)
+    rows, dep, l1, upper, z_basis = variable_reduction(a_eq)
+    rank = rows.size
+    s_part = np.zeros(a_eq.shape[1])
+    if rank:
+        b_fit = b_eq[rows]
+        if rank < a_eq.shape[0]:
+            # Dropped rows are combinations C of the kept ones; fit the
+            # kept right-hand sides y to [I; C] y = b in least squares.
+            dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
+            c_t = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
+            b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
+                                    b_fit + c_t @ b_eq[dropped])
+        w = solve_triangular(upper, b_fit, trans="T", lower=False, check_finite=False)
+        s_part[dep] = solve_triangular(
+            l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
+        )
+    eq_residual = float(np.max(np.abs(a_eq @ s_part - b_eq))) if a_eq.shape[0] else 0.0
+    eq_scale = 1.0 + (float(np.max(np.abs(b_eq))) if b_eq.size else 0.0)
+    z_basis.flags.writeable = False
+    s_part.flags.writeable = False
+    return Elimination(z_basis, s_part, eq_residual, eq_scale)
+
+
 class ReducedQp:
     """Equality-eliminated view of a QP with a fixed quadratic block.
 
-    `variable_reduction` yields the null-space basis Z, and its LU factors a
-    particular solution for b_eq; the Cholesky factor of Z'HZ is kept too, so
-    repeated solves that differ only in the linear term and the inequality
-    rows stay cheap. Redundant equality rows are dropped from the
-    factorization; the particular solution then fits b_eq over all rows in
-    the least-squares sense, and `eq_residual` over all rows flags
-    inconsistent systems.
+    The `Elimination` carries the null-space basis Z and the particular
+    solution; this class adds the quadratic block H and keeps the Cholesky
+    factor of Z'HZ, so repeated solves that differ only in the linear term
+    and the inequality rows stay cheap. H is given either as its diagonal,
+    as the game's tracking objectives are, and then Z'HZ, H s and s'Hs cost
+    no dense n x n product, or as a dense symmetric matrix for a one-shot
+    `QpProblem`. Both forms give bitwise the same numbers for a diagonal H.
     """
 
-    def __init__(self, h_mat, a_eq, b_eq):
-        h_mat = np.atleast_2d(np.asarray(h_mat, dtype=float))
-        n = h_mat.shape[0]
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
-        b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-        _require_finite(h_mat=h_mat, a_eq=a_eq, b_eq=b_eq)
-        self.h_mat = h_mat
-        self.a_eq = a_eq
-        self.b_eq = b_eq
-        self.n = n
-        rows, dep, l1, upper, self.z_basis = variable_reduction(a_eq)
-        rank = rows.size
-        self.s_part = np.zeros(n)
-        if rank:
-            b_fit = b_eq[rows]
-            if rank < a_eq.shape[0]:
-                # Dropped rows are combinations C of the kept ones; fit the
-                # kept right-hand sides y to [I; C] y = b in least squares.
-                dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
-                c_t = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
-                b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
-                                        b_fit + c_t @ b_eq[dropped])
-            w = solve_triangular(upper, b_fit, trans="T", lower=False, check_finite=False)
-            self.s_part[dep] = solve_triangular(
-                l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
-            )
-        self.eq_residual = float(np.max(np.abs(a_eq @ self.s_part - b_eq))) if a_eq.shape[0] else 0.0
-        self.null_dim = self.z_basis.shape[1]
-        if self.null_dim:
-            g_red = self.z_basis.T @ h_mat @ self.z_basis
-            g_red = 0.5 * (g_red + g_red.T)
-            self.gi = GiSolver(g_red)
+    def __init__(self, h, elimination):
+        self.z_basis = elimination.z_basis
+        self.s_part = elimination.s_part
+        self.eq_residual = elimination.eq_residual
+        self._eq_scale = elimination.eq_scale
+        self.n, self.null_dim = self.z_basis.shape
+        h = np.asarray(h, dtype=float)
+        if h.shape not in ((self.n,), (self.n, self.n)):
+            raise ValueError(f"H must be a diagonal of length {self.n} or a square matrix "
+                             f"of that size, got {h.shape}")
+        _require_finite(h=h)
+        self.h = h
+        z_basis = self.z_basis
+        if h.ndim == 1:
+            # The contiguous copy keeps the product bitwise equal to the
+            # dense Z' diag(h) Z.
+            g_red = np.ascontiguousarray(z_basis.T * h) @ z_basis
+            self._h_spart = h * self.s_part
         else:
-            self.gi = None
-        self._h_spart = h_mat @ self.s_part
+            g_red = z_basis.T @ h @ z_basis
+            self._h_spart = h @ self.s_part
+        self.gi = GiSolver(0.5 * (g_red + g_red.T)) if self.null_dim else None
 
     def reduce_rows(self, a_in):
         """Project inequality rows into the null-space coordinates."""
@@ -329,8 +371,7 @@ class ReducedQp:
         b_in = np.asarray(b_in, dtype=float).reshape(-1)
         _require_finite(f_vec=f_vec, b_in=b_in)
         tol = settings.qp_tolerance
-        eq_scale = 1.0 + (float(np.max(np.abs(self.b_eq))) if self.b_eq.size else 0.0)
-        if self.eq_residual > 1e-8 * eq_scale:
+        if self.eq_residual > 1e-8 * self._eq_scale:
             return self._finish(INFEASIBLE, self.s_part, np.zeros(a_in.shape[0]), f_vec, 0,
                                 infeasibility=self.eq_residual)
         if self.null_dim == 0:
@@ -349,7 +390,9 @@ class ReducedQp:
                             infeasibility=res.infeasibility)
 
     def _finish(self, status, s_star, lam, f_vec, iterations, infeasibility=0.0):
-        objective = float(0.5 * s_star @ self.h_mat @ s_star + f_vec @ s_star)
+        half = 0.5 * s_star
+        quad = (half * self.h if self.h.ndim == 1 else half @ self.h) @ s_star
+        objective = float(quad + f_vec @ s_star)
         return QpSolution(status, s_star, lam, objective, iterations, infeasibility)
 
 
@@ -360,7 +403,7 @@ def solve(problem, settings=None):
     multipliers and a status of optimal / infeasible / max_iter.
     """
     settings = settings or SolverSettings()
-    reduced = ReducedQp(problem.h_mat, problem.a_eq, problem.b_eq)
+    reduced = ReducedQp(problem.h_mat, eliminate(problem.a_eq, problem.b_eq))
     return reduced.solve(problem.f_vec, problem.a_in, problem.b_in, settings)
 
 

@@ -402,15 +402,12 @@ class ScenarioConfig:
             raise ValueError("the HV must have id 0")
         if self.horizon < 2:
             raise ValueError("horizon must span at least two time points")
-        if self.ts <= 0:
-            raise ValueError("ts must be positive")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std cannot be negative, got {self.noise_std}")
-        for name in ("kappa_offline", "kappa_online"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.omega_dist < 0:
-            raise ValueError(f"omega_dist cannot be negative, got {self.omega_dist}")
+        for name, positive in (("ts", True), ("noise_std", False), ("kappa_offline", True),
+                               ("kappa_online", True), ("omega_dist", False)):
+            value = getattr(self, name)
+            if not math.isfinite(value) or (value <= 0 if positive else value < 0):
+                sign = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be a finite {sign} number, got {value}")
         stages = tuple(int(k) for k in self.stages)
         object.__setattr__(self, "stages", stages)
         if stages:

@@ -209,6 +209,23 @@ def test_missing_config_reports_error(tmp_path, capsys):
     assert "error kind=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["interpret-offline", "--noise-std", "nan"], "--noise-std"),
+        (["interpret-offline", "--noise-std", "inf"], "--noise-std"),
+        (["sweep-noise", "--stds", "0.1,nan"], "--stds"),
+        (["sweep-noise", "--stds", "0.1:0.2:inf"], "--stds"),
+        (["sweep-noise", "--stds", "0.1:inf:0.1"], "--stds"),
+    ],
+)
+def test_non_finite_noise_levels_are_usage_errors(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--reps", "1", "--out", str(tmp_path / "out.csv")])
+    assert excinfo.value.code == 2
+    assert f"argument {option}: not a finite number" in capsys.readouterr().err
+
+
 def test_invalid_mode_exits_with_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["success-rate", "--mode", "oracle"])

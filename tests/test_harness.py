@@ -42,6 +42,12 @@ def test_noise_spec_validation():
         NoiseSpec(std=-0.1)
 
 
+@pytest.mark.parametrize("std", [float("nan"), float("inf"), -0.1])
+def test_noise_spec_refuses_a_non_finite_or_negative_std(std):
+    with pytest.raises(ValueError, match="^std must be a finite non-negative number"):
+        NoiseSpec(std=std)
+
+
 def test_px_state_indices_layout():
     segment = Segment(1, 6)
     idx = px_state_indices(segment)

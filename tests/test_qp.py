@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from hypertraffic import qp as qp_module
 from hypertraffic.constraints import Strategy, assemble
 from hypertraffic.game import make_game, objective_qp_data
 from hypertraffic.qp import (
@@ -10,6 +14,7 @@ from hypertraffic.qp import (
     QpProblem,
     ReducedQp,
     SolverSettings,
+    eliminate,
     kkt_residual,
     solve,
 )
@@ -154,6 +159,13 @@ def test_settings_validation():
         SolverSettings(violation_eps=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["violation_eps", "step_eps", "qp_tolerance"])
+def test_settings_refuse_non_finite_tolerances(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite positive number"):
+        SolverSettings(**{name: value})
+
+
 def test_reduced_qp_agrees_with_direct_solve():
     # The equality-eliminated path used inside the game loop has to land on
     # the same point as solving the full problem in one shot.
@@ -165,7 +177,7 @@ def test_reduced_qp_agrees_with_direct_solve():
         if a_eq.shape[0] == 0:
             continue
         direct = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
-        reduced = ReducedQp(h, a_eq, b_eq)
+        reduced = ReducedQp(h, eliminate(a_eq, b_eq))
         rsol = reduced.solve(f, a_in, b_in, settings)
         assert rsol.status == direct.status
         if direct.status == OPTIMAL:
@@ -205,11 +217,11 @@ def test_redundant_equality_rows():
 )
 def test_non_finite_equality_data_is_refused(a_eq, b_eq, field):
     with pytest.raises(ValueError, match=field):
-        ReducedQp(np.eye(3), a_eq, b_eq)
+        eliminate(a_eq, b_eq)
 
 
 def test_non_finite_solve_data_is_refused():
-    reduced = ReducedQp(np.eye(2), [[1.0, 1.0]], [1.0])
+    reduced = ReducedQp(np.eye(2), eliminate([[1.0, 1.0]], [1.0]))
     settings = SolverSettings()
     with pytest.raises(ValueError, match="f_vec"):
         reduced.solve([np.inf, 0.0], np.zeros((0, 2)), np.zeros(0), settings)
@@ -229,8 +241,8 @@ def _player_qps(scenario):
         opponents = {k: s for k, s in seeds.items() if k != vid}
         system = assemble(vid, opponents, scenario, game.segment, game.references[vid],
                           game.initial_states[vid])
-        h, f = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
-        yield h, f, system
+        h_diag, f = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
+        yield np.diag(h_diag), f, system
 
 
 @pytest.mark.parametrize(
@@ -242,7 +254,7 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
     n_optimal = 0
     for h, f, system in _player_qps(make_scenario()):
         a_eq, b_eq, a_in, b_in = system.a_eq, system.b_eq, system.a_in, system.b_in
-        reduced = ReducedQp(h, a_eq, b_eq)
+        reduced = ReducedQp(h, eliminate(a_eq, b_eq))
         z_svd, s_part = svd_null_space(a_eq, b_eq)
         assert np.linalg.norm(a_eq @ reduced.z_basis) <= 1e-10 * (1.0 + np.linalg.norm(a_eq))
         assert reduced.z_basis.shape[1] == z_svd.shape[1]
@@ -261,3 +273,67 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
         mu = kkt_residual(QpProblem(h, f, a_eq, b_eq, a_in, b_in), sol.s_star, sol.lam).mu
         assert np.max(np.abs(mu - mu_ref)) <= 1e-9
     assert n_optimal >= 3
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    copies=st.lists(st.tuples(st.integers(0, 5), st.one_of(st.just(1.0), st.floats(0.25, 4.0))),
+                    min_size=1, max_size=3),
+    diagonal=st.booleans(),
+)
+def test_reduced_qp_matches_enumeration_on_degenerate_rows(seed, copies, diagonal):
+    # Inequality rows repeated verbatim (scale 1) or as positively scaled
+    # copies describe the same half-spaces; the dual active set must still
+    # find the enumerated optimum, or report infeasibility exactly when the
+    # enumeration finds no feasible point.
+    rng = np.random.default_rng(seed)
+    h, f, a_eq, b_eq, a_in, b_in = random_qp(rng, m_max=3)
+    if diagonal:
+        h = rng.uniform(0.5, 3.0, h.shape[0])
+    if a_in.shape[0] == 0:
+        a_in = rng.normal(size=(1, h.shape[0]))
+        b_in = rng.uniform(-0.5, 1.0, 1)
+    for row, scale in copies:
+        row %= a_in.shape[0]
+        a_in = np.vstack([a_in, scale * a_in[row]])
+        b_in = np.append(b_in, scale * b_in[row])
+    h_mat = np.diag(h) if diagonal else h
+    expect_s, expect_obj = enumerate_qp(h_mat, f, a_eq, b_eq, a_in, b_in)
+    sol = ReducedQp(h, eliminate(a_eq, b_eq)).solve(f, a_in, b_in, SolverSettings())
+    if expect_s is None:
+        assert sol.status == INFEASIBLE
+        return
+    assert sol.status == OPTIMAL
+    assert np.max(np.abs(sol.s_star - expect_s)) <= 1e-6
+    assert abs(sol.objective - expect_obj) <= 1e-6
+    assert np.all(sol.lam >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "make_scenario",
+    [default_offline_scenario, success_study_scenario, default_online_scenario],
+)
+def test_diagonal_and_dense_h_give_bitwise_equal_reductions(monkeypatch, make_scenario):
+    # The game passes the weights as a diagonal; the one-shot solve passes a
+    # dense matrix. On every player's QP both must form the same reduced
+    # Hessian and land on the same point, bit for bit.
+    reduced_hessians = []
+    original = qp_module.GiSolver
+
+    def capture(g_mat):
+        reduced_hessians.append(g_mat)
+        return original(g_mat)
+
+    monkeypatch.setattr(qp_module, "GiSolver", capture)
+    settings = SolverSettings()
+    for h, f, system in _player_qps(make_scenario()):
+        elimination = eliminate(system.a_eq, system.b_eq)
+        solutions = [ReducedQp(form, elimination).solve(f, system.a_in, system.b_in, settings)
+                     for form in (np.diag(h), h)]
+        g_diag, g_dense = reduced_hessians[-2:]
+        assert np.array_equal(g_diag, g_dense)
+        assert solutions[0].status == solutions[1].status
+        for field in ("s_star", "lam"):
+            assert np.array_equal(getattr(solutions[0], field), getattr(solutions[1], field))
+        assert solutions[0].objective == solutions[1].objective

@@ -25,7 +25,7 @@ from hypertraffic.constraints import (
 )
 from hypertraffic.dynamics import VehicleState
 from hypertraffic.harness import _anchored_reference
-from hypertraffic.qp import ReducedQp
+from hypertraffic.qp import ReducedQp, eliminate
 from hypertraffic.scenario import (
     STRAIGHT,
     default_offline_scenario,
@@ -58,12 +58,13 @@ def _scenario(name):
 
 
 def _solved_rows(monkeypatch, game, vid, opponents):
-    """The equality and inequality data of one best response, as solved."""
+    """The equality elimination and inequality data of one best response,
+    as solved."""
     seen = []
     original = ReducedQp.solve
 
     def spy(self, f_vec, a_in, b_in, settings, c_red=None):
-        seen.append((self.a_eq, self.b_eq, a_in, b_in, c_red, self))
+        seen.append((self.z_basis, self.s_part, a_in, b_in, c_red, self))
         return original(self, f_vec, a_in, b_in, settings, c_red=c_red)
 
     monkeypatch.setattr(ReducedQp, "solve", spy)
@@ -76,10 +77,14 @@ def _solved_rows(monkeypatch, game, vid, opponents):
 def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled):
     for vid in game.decision_ids:
         opponents = opponents_of(vid)
-        a_eq, b_eq, a_in, b_in, c_red, reduced = _solved_rows(monkeypatch, game, vid, opponents)
+        z_basis, s_part, a_in, b_in, c_red, reduced = _solved_rows(monkeypatch, game, vid,
+                                                                   opponents)
         system = assembled(vid, opponents)
-        assert np.array_equal(a_eq, system.a_eq), vid
-        assert np.array_equal(b_eq, system.b_eq), vid
+        # The equalities reach the solve as their elimination, which may come
+        # from the cache of static parts.
+        elimination = eliminate(system.a_eq, system.b_eq)
+        assert np.array_equal(z_basis, elimination.z_basis), vid
+        assert np.array_equal(s_part, elimination.s_part), vid
         assert np.array_equal(a_in, system.a_in), vid
         assert np.array_equal(b_in, system.b_in), vid
         # The cached projections of the static blocks match a fresh one.

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,3 +357,12 @@ def test_load_config_reads_integer_lists_and_exponent_strings():
     assert scen.stages == (1, 10, 20)
     assert scen.solver.qp_tolerance == 1e-8
     assert scen.solver.max_iterations == 40 and isinstance(scen.solver.max_iterations, int)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["ts", "noise_std", "kappa_offline", "kappa_online",
+                                  "omega_dist"])
+def test_scenario_refuses_non_finite_settings(name, value):
+    scen = default_offline_scenario()
+    with pytest.raises(ValueError, match=f"^{name} must be a finite "):
+        replace(scen, **{name: value})

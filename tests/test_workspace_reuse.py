@@ -46,8 +46,8 @@ def _seeds(game):
 def _player_problem(game, vid, opponents):
     system = assemble(vid, opponents, game.scenario, game.segment, game.references[vid],
                       game.initial_states[vid])
-    h_mat, f_vec = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
-    return QpProblem(h_mat, f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)
+    h_diag, f_vec = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
+    return QpProblem(np.diag(h_diag), f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)
 
 
 def _assert_same_solution(got, want, problem):
