@@ -49,9 +49,9 @@ def _finite_float(text):
 
 
 def _parse_stds(text):
-    """Either a comma list ("0.05,0.1") or a start:stop:step range, stop
-    inclusive up to rounding; every number must be finite. The list may
-    come out empty (a range that runs backwards)."""
+    """Either a comma list ("0.05,0.1") or a start:stop:step range of at
+    most 10,000 levels, stop inclusive up to rounding; every number must be
+    finite. The list may come out empty (a range that runs backwards)."""
     if ":" in text:
         parts = [_finite_float(p) for p in text.split(":")]
         if len(parts) != 3:
@@ -59,7 +59,10 @@ def _parse_stds(text):
         start, stop, step = parts
         if step <= 0:
             raise argparse.ArgumentTypeError("step must be positive")
-        count = int(round((stop - start) / step))
+        steps = (stop - start) / step  # round(steps) + 1 levels
+        if steps >= 9_999.5:
+            raise argparse.ArgumentTypeError("range gives more than 10000 noise levels")
+        count = int(round(steps))
         return [round(start + i * step, 10) for i in range(count + 1)]
     return [_finite_float(p) for p in text.split(",") if p.strip()]
 

@@ -68,10 +68,13 @@ class Strategy:
     @classmethod
     def from_reference(cls, reference, segment):
         """Reference states with zero controls; the conventional iteration seed."""
+        first, last = segment.start + 1, segment.stop
+        if not reference.start <= first <= last <= reference.stop:
+            raise ValueError(f"reference [{reference.start}, {reference.stop}] does not cover "
+                             f"the decision points [{first}, {last}]")
         data = np.zeros(segment.n_vars)
         blocks = data.reshape(segment.n_steps, STEP_VARS)
-        for j, k in enumerate(segment.decision_points()):
-            blocks[j, X_PX:] = reference.state(k)
+        blocks[:, X_PX:] = reference.states[first - reference.start:last - reference.start + 1]
         return cls(segment, data)
 
     def blocks(self):
@@ -135,10 +138,6 @@ class ConstraintSystem:
             raise ValueError("inequality rows, rhs, and tags must agree in length")
         if self.a_eq.shape[0] and self.a_in.shape[0] and self.a_eq.shape[1] != self.a_in.shape[1]:
             raise ValueError("equality and inequality column counts differ")
-
-    @property
-    def n_vars(self):
-        return self.a_eq.shape[1] if self.a_eq.shape[0] else self.a_in.shape[1]
 
     def violation(self, s):
         """Worst constraint violation of a candidate vector (0 when feasible)."""
@@ -272,8 +271,7 @@ def collision_rows(reference, opponent_strategy, geometry, opponent_id):
     a_rows[np.arange(n), cols + X_PSI] = d_psi
     grad_dot_ref = d_px * poses[:, 0] + d_py * poses[:, 1] + d_psi * poses[:, 3]
     rhs = grad_dot_ref - h_ref
-    tags = tuple(f"collision({opponent_id})" for _ in range(n))
-    return a_rows, rhs, tags
+    return a_rows, rhs, (f"collision({opponent_id})",) * n
 
 
 def behavior_rows(behavior, reference, road):
@@ -288,7 +286,7 @@ def behavior_rows(behavior, reference, road):
         a_rows = np.zeros((n, STEP_VARS * n))
         a_rows[np.arange(n), STEP_VARS * np.arange(n) + X_PSI] = 1.0
         rhs = np.full(n, behavior.heading)
-        return a_rows, rhs, tuple("behavior" for _ in range(n)), True
+        return a_rows, rhs, ("behavior",) * n, True
     y_tgt = road.centerline_y(behavior.target_lane)
     poses = reference.states[1:, :]
     a, b, c = road.tangent_at(
@@ -301,7 +299,7 @@ def behavior_rows(behavior, reference, road):
     a_rows[np.arange(n), cols + X_PX] = a
     a_rows[np.arange(n), cols + X_PY] = b
     rhs = np.full(n, -c)
-    return a_rows, rhs, tuple("behavior" for _ in range(n)), False
+    return a_rows, rhs, ("behavior",) * n, False
 
 
 @dataclass(frozen=True)
@@ -359,6 +357,9 @@ def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=
         reference = scenario.references()[player_vid].window(segment.start, segment.stop)
     if len(reference) != segment.n_steps + 1 or reference.start != segment.start:
         raise ValueError("reference does not cover the requested segment")
+    if reference.ts != scenario.ts:
+        raise ValueError(f"reference for player {player_vid} has step {reference.ts}, "
+                         f"the scenario {scenario.ts}")
     if player_vid in opponent_strategies:
         raise ValueError(f"player {player_vid} listed among its own opponents")
     vehicle = scenario.vehicle(player_vid)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import Segment, Strategy, collision_rows, start_state, static_rows
+from .constraints import (Segment, StaticRows, Strategy, collision_rows, start_state,
+                          static_rows)
 from .qp import OPTIMAL, Elimination, ReducedQp, eliminate
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
@@ -24,9 +25,11 @@ from .qp import OPTIMAL, Elimination, ReducedQp, eliminate
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
 # Most player systems kept in `_STATIC_PARTS`. An entry is largest for a
-# lane-changing player: at H=121 (120 steps, 720 variables) its basis Z is
-# 720 x 240, its head projection 1,680 x 240 and its tail projection 120 x 240,
-# 4,844,160 bytes with s_part, so a full cache holds at most 38.8 MB.
+# lane-changing player: at H=121 (120 steps, 720 variables) it holds 2,280
+# static rows of 720 columns (480 dynamics, 720 box, 960 lane, 120 lane-change),
+# the basis Z (720 x 240) and 1,800 reduced inequality rows of 240 columns,
+# 18,009,600 bytes with the right-hand sides and s_part, so a full cache holds
+# at most 144.1 MB.
 STATIC_CACHE_ENTRIES = 8
 
 
@@ -114,6 +117,9 @@ class GameSpec:
                 raise ValueError(f"decision player {vid} has no reference")
             if ref.start != self.segment.start or len(ref) != self.segment.n_steps + 1:
                 raise ValueError(f"reference for player {vid} does not cover the segment")
+            if ref.ts != self.scenario.ts:
+                raise ValueError(f"reference for player {vid} has step {ref.ts}, "
+                                 f"the scenario {self.scenario.ts}")
             if vid not in self.initial_states:
                 raise ValueError(f"decision player {vid} has no initial state")
             if not np.all(np.isfinite(self.initial_states[vid].as_array())):
@@ -151,114 +157,117 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
 
 
 @dataclass(frozen=True)
-class _StaticPart:
-    """The weight-independent part of one player's system: its equality
-    elimination and the projections of its head and tail rows, read-only
-    like the elimination's arrays, since workspaces share them."""
+class _PlayerSystem:
+    """The weight-independent part of one player's system: its static rows,
+    their equality elimination, and each static inequality block reduced by
+    `ReducedQp.reduce_rows`, one (C, d) pair per block of `rows.head` and
+    `rows.tail`. Workspaces share it, so every array is read-only."""
 
+    rows: StaticRows
     elimination: Elimination
-    c_head: np.ndarray
-    c_tail: np.ndarray
+    head: tuple
+    tail: tuple
 
     def __post_init__(self):
-        self.c_head.flags.writeable = False
-        self.c_tail.flags.writeable = False
+        for a, b, *_ in ((self.rows.a_eq, self.rows.b_eq), *self.rows.head, *self.rows.tail,
+                         *self.head, *self.tail):
+            a.flags.writeable = b.flags.writeable = False
 
 
 # Least recently used first; see STATIC_CACHE_ENTRIES.
 _STATIC_PARTS = OrderedDict()
 
 
-def _static_key(vehicle, scenario, segment, reference, initial_state):
-    """Every input `static_rows` reads, by value. The settings are keyed by
-    their repr, which spells each float exactly (0.0 and -0.0 apart); the
+def _player_system(game, vid, h_diag):
+    """Player `vid`'s `_PlayerSystem` from `_STATIC_PARTS`, built and stored
+    on a miss, and its `ReducedQp` with the quadratic diagonal `h_diag`.
+
+    The cache key is every input `static_rows` reads, by value: the settings
+    by their repr, which spells each float exactly (0.0 and -0.0 apart), the
     reference and start states by their bytes."""
+    scenario, vehicle = game.scenario, game.scenario.vehicle(vid)
+    reference, start = game.references[vid], game.initial_states[vid]
     lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-    settings = repr((vehicle.vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road,
-                     scenario.limits, segment, reference.start, reference.ts))
-    return settings, reference.states.tobytes(), initial_state.as_array().tobytes()
+    key = (repr((vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road, scenario.limits,
+                 game.segment, reference.start, reference.ts)),
+           reference.states.tobytes(), start.as_array().tobytes())
+    system = _STATIC_PARTS.pop(key, None)
+    if system is None:
+        rows = static_rows(vehicle, scenario, game.segment, reference, start)
+        elimination = eliminate(rows.a_eq, rows.b_eq)
+        reduced = ReducedQp(h_diag, elimination)
+        system = _PlayerSystem(rows, elimination, *(
+            tuple(reduced.reduce_rows(a, b) for a, b, _ in part) for part in (rows.head, rows.tail)))
+    else:
+        reduced = ReducedQp(h_diag, system.elimination)
+    _STATIC_PARTS[key] = system
+    while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
+        _STATIC_PARTS.popitem(last=False)
+    return system, reduced
 
 
 class _PlayerWorkspace:
-    """Per-player QP data that survives the whole game: the equality-reduced
-    quadratic block and the inequality rows in solver order, held in buffers
-    with their reduced projections.
-
-    The equality elimination and the projections of the static head and tail
-    rows do not depend on the weights. They come from `_STATIC_PARTS` when an
-    earlier workspace built them from the same static inputs; only Z'HZ and
-    its Cholesky factor are built per weights. The static rows themselves are
-    rebuilt, since `violation_at` reads them, and written once. Between head
-    and tail sits one collision slot per opponent, which records the opponent
-    `Strategy` object its rows were built from and the one its projection was
-    built from. The check is by identity: every accepted best response makes
-    a new strategy object, and a transport passes on the objects it receives.
-    A slot's rows are rebuilt only when that opponent's strategy has changed,
-    and its projection only when a best response needs it. A best response
-    against the same opponent objects as the last one returns the stored
-    solution. Every solve uses the scenario's solver settings."""
+    """Per-player QP data that survives the whole game: the player's shared
+    `_PlayerSystem`, the reduced quadratic block for its weights, and one
+    buffer of reduced inequality rows in solver order for the active-set
+    solver. Between the static head and tail blocks sits one collision
+    block per opponent, kept as `collision_rows` returns it with the
+    opponent `Strategy` object it was built from; its slot in the buffer
+    records the object its reduction was built from. The check is by
+    identity: every accepted best response makes a new strategy object, and
+    a transport passes on the objects it receives. A block is rebuilt only
+    when its opponent's strategy has changed, and reduced only when a best
+    response needs it; a best response against the same opponent objects as
+    the last one returns the stored solution. Every solve uses the
+    scenario's solver settings."""
 
     def __init__(self, game, vid):
-        vehicle = game.scenario.vehicle(vid)
         self.vid = vid
-        self.vehicle = vehicle
+        self.geometry = game.scenario.vehicle(vid).geometry
         self.settings = game.scenario.solver
         self.reference = game.references[vid]
         self.s_ref = reference_vector(self.reference, game.segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.reference,
                                                     game.segment)
-        initial_state = game.initial_states[vid]
-        rows = static_rows(vehicle, game.scenario, game.segment, self.reference, initial_state)
-        self._a_eq, self._b_eq = rows.a_eq, rows.b_eq
-        key = _static_key(vehicle, game.scenario, game.segment, self.reference, initial_state)
-        static = _STATIC_PARTS.pop(key, None)
-        elimination = (eliminate(rows.a_eq, rows.b_eq) if static is None
-                       else static.elimination)
-        self.reduced = ReducedQp(self.h_diag, elimination)
+        self.system, self.reduced = _player_system(game, vid, self.h_diag)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
         n = game.segment.n_steps
+        n_head = sum(d.shape[0] for _, d in self.system.head)
         n_coll = len(self.opponent_ids) * n
-        n_head = sum(a.shape[0] for a, _, _ in rows.head)
-        slots = (np.zeros((n_coll, game.segment.n_vars)), np.zeros(n_coll), ())
-        blocks = rows.head + (slots,) + rows.tail
-        self._a_in = np.vstack([a for a, _, _ in blocks])
-        self._b_in = np.concatenate([b for _, b, _ in blocks])
-        self._head = slice(0, n_head)
-        self._tail = slice(n_head + n_coll, self._a_in.shape[0])
-        if static is None:
-            static = _StaticPart(elimination, *(self.reduced.reduce_rows(self._a_in[part])
-                                                for part in (self._head, self._tail)))
-        _STATIC_PARTS[key] = static
-        while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
-            _STATIC_PARTS.popitem(last=False)
-        self._c_red = np.zeros((self._a_in.shape[0], self.reduced.null_dim))
-        self._c_red[self._head] = static.c_head
-        self._c_red[self._tail] = static.c_tail
+        slots = np.zeros((n_coll, self.reduced.null_dim)), np.zeros(n_coll)
+        reduced_blocks = (*self.system.head, slots, *self.system.tail)
+        self._c_red = np.vstack([c for c, _ in reduced_blocks])
+        self._d_red = np.concatenate([d for _, d in reduced_blocks])
         self._slots = {oid: slice(n_head + k * n, n_head + (k + 1) * n)
                        for k, oid in enumerate(self.opponent_ids)}
-        self._built = dict.fromkeys(self.opponent_ids)
+        self._collisions = dict.fromkeys(self.opponent_ids, (None, None))  # (strategy, rows)
         self._projected = dict.fromkeys(self.opponent_ids)
         self._solved = None  # (opponent strategies, solution)
 
     def _sync(self, opponents, project):
-        """Bring the collision slots up to date with `opponents`, projecting
-        them too when `project` is set; returns the opponent strategies in
-        solver order."""
+        """Bring the collision blocks up to date with `opponents`, reducing
+        them into the buffer too when `project` is set; returns the opponent
+        strategies in solver order."""
         if tuple(sorted(opponents)) != self.opponent_ids:
             raise ValueError(f"player {self.vid} plays against {self.opponent_ids}, "
                              f"got {tuple(sorted(opponents))}")
         strategies = tuple(opponents[oid] for oid in self.opponent_ids)
         for oid, strat in zip(self.opponent_ids, strategies):
-            rows = self._slots[oid]
-            if self._built[oid] is not strat:
-                a, b, _ = collision_rows(self.reference, strat, self.vehicle.geometry, oid)
-                self._a_in[rows] = a
-                self._b_in[rows] = b
-                self._built[oid] = strat
+            if self._collisions[oid][0] is not strat:
+                self._collisions[oid] = strat, collision_rows(self.reference, strat,
+                                                              self.geometry, oid)
             if project and self._projected[oid] is not strat:
-                self._c_red[rows] = self.reduced.reduce_rows(self._a_in[rows])
+                a, b, _ = self._collisions[oid][1]
+                slot = self._slots[oid]
+                self._c_red[slot], self._d_red[slot] = self.reduced.reduce_rows(a, b)
                 self._projected[oid] = strat
         return strategies
+
+    def inequality_blocks(self):
+        """The (rows, rhs, tags) inequality blocks in solver order, each
+        collision block as last built."""
+        collisions = (self._collisions[oid][1] for oid in self.opponent_ids)
+        return (*self.system.rows.head, *collisions, *self.system.rows.tail)
 
     def best_response(self, opponents):
         strategies = self._sync(opponents, project=True)
@@ -266,20 +275,17 @@ class _PlayerWorkspace:
             last, sol = self._solved
             if all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self._a_in, self._b_in, self.settings,
-                                 c_red=self._c_red)
+        sol = self.reduced.solve(self.f_vec, self._c_red, self._d_red, self.settings)
         self._solved = (strategies, sol)
         return sol
 
     def violation_at(self, s_vec, opponents):
         self._sync(opponents, project=False)
-        worst = 0.0
-        if self._a_eq.shape[0]:
-            worst = float(np.max(np.abs(self._a_eq @ s_vec - self._b_eq)))
-        for part in (self._head, self._tail, *self._slots.values()):
-            if part.stop > part.start:
-                worst = max(worst, float(np.max(self._a_in[part] @ s_vec - self._b_in[part])))
-        return max(worst, 0.0)
+        rows = self.system.rows
+        worst = float(np.max(np.abs(rows.a_eq @ s_vec - rows.b_eq)))
+        for a, b, _ in self.inequality_blocks():
+            worst = max(worst, float(np.max(a @ s_vec - b)))
+        return worst
 
     def objective(self, s_vec):
         dev = s_vec - self.s_ref

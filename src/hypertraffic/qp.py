@@ -80,24 +80,16 @@ class QpProblem:
         f = np.asarray(self.f_vec, dtype=float).reshape(-1)
         if f.shape != (n,):
             raise ValueError(f"f must have length {n}, got {f.shape}")
-        a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n) if np.size(self.a_eq) else np.zeros((0, n))
-        b_eq = np.asarray(self.b_eq, dtype=float).reshape(-1)
-        if a_eq.shape[0] != b_eq.shape[0]:
-            raise ValueError("A_eq and b_eq row counts differ")
-        a_in = np.asarray(self.a_in, dtype=float).reshape(-1, n) if np.size(self.a_in) else np.zeros((0, n))
-        b_in = np.asarray(self.b_in, dtype=float).reshape(-1)
-        if a_in.shape[0] != b_in.shape[0]:
-            raise ValueError("A_in and b_in row counts differ")
         object.__setattr__(self, "h_mat", h)
         object.__setattr__(self, "f_vec", f)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "a_in", a_in)
-        object.__setattr__(self, "b_in", b_in)
-
-    @property
-    def n(self):
-        return self.h_mat.shape[0]
+        for a_name, b_name in (("a_eq", "b_eq"), ("a_in", "b_in")):
+            a = getattr(self, a_name)
+            a = np.asarray(a, dtype=float).reshape(-1, n) if np.size(a) else np.zeros((0, n))
+            b = np.asarray(getattr(self, b_name), dtype=float).reshape(-1)
+            if a.shape[0] != b.shape[0]:
+                raise ValueError(f"A{a_name[1:]} and {b_name} row counts differ")
+            object.__setattr__(self, a_name, a)
+            object.__setattr__(self, b_name, b)
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,8 @@ class GiSolver:
                         return GiResult(INFEASIBLE, y, lam, iterations, infeasibility=viol_p)
                     lam_work = [lw + t1 * dl for lw, dl in zip(lam_work, dlam)]
                     lam_p += t1
-                    self._drop(work, lam_work, j_out)
+                    work.pop(j_out)
+                    lam_work.pop(j_out)
                     ginv_cw = self._ginv_columns(c_mat, work)
                     continue
                 t2 = viol_p / descent
@@ -203,13 +196,9 @@ class GiSolver:
                     lam_work.append(lam_p)
                     ginv_cw = np.column_stack([ginv_cw, ginv_cp])
                     break
-                self._drop(work, lam_work, j_out)
+                work.pop(j_out)
+                lam_work.pop(j_out)
                 ginv_cw = self._ginv_columns(c_mat, work)
-
-    @staticmethod
-    def _drop(work, lam_work, j_out):
-        work.pop(j_out)
-        lam_work.pop(j_out)
 
     def _ginv_columns(self, c_mat, work):
         if not work:
@@ -355,35 +344,34 @@ class ReducedQp:
             self._h_spart = h @ self.s_part
         self.gi = GiSolver(0.5 * (g_red + g_red.T)) if self.null_dim else None
 
-    def reduce_rows(self, a_in):
-        """Project inequality rows into the null-space coordinates."""
-        if not np.size(a_in):
-            return np.zeros((0, self.null_dim))
-        return np.asarray(a_in, dtype=float).reshape(-1, self.n) @ self.z_basis
-
-    def solve(self, f_vec, a_in, b_in, settings, c_red=None):
-        """Solve with the stored quadratic block and fresh linear/inequality data.
-
-        `c_red` may carry precomputed reduced inequality rows (matching a_in).
-        """
-        f_vec = np.asarray(f_vec, dtype=float).reshape(-1)
-        a_in = np.asarray(a_in, dtype=float).reshape(-1, self.n) if np.size(a_in) else np.zeros((0, self.n))
+    def reduce_rows(self, a_in, b_in):
+        """Inequality rows A_in s <= b_in in the null-space coordinates y,
+        where s = s_part + Z y: the pair (A_in Z, b_in - A_in s_part)."""
+        a_in = np.asarray(a_in, dtype=float).reshape(-1, self.n)
         b_in = np.asarray(b_in, dtype=float).reshape(-1)
-        _require_finite(f_vec=f_vec, b_in=b_in)
+        if b_in.shape != (a_in.shape[0],):
+            raise ValueError(f"A_in has {a_in.shape[0]} rows but b_in {b_in.shape[0]} entries")
+        _require_finite(b_in=b_in)
+        return a_in @ self.z_basis, b_in - a_in @ self.s_part
+
+    def solve(self, f_vec, c_red, d_red, settings):
+        """Solve with the stored quadratic block, a fresh linear term and
+        inequality rows C y <= d as `reduce_rows` gives them."""
+        f_vec = np.asarray(f_vec, dtype=float).reshape(-1)
+        _require_finite(f_vec=f_vec, d_red=d_red)
         tol = settings.qp_tolerance
+        no_lam = np.zeros(d_red.shape[0])
         if self.eq_residual > 1e-8 * self._eq_scale:
-            return self._finish(INFEASIBLE, self.s_part, np.zeros(a_in.shape[0]), f_vec, 0,
+            return self._finish(INFEASIBLE, self.s_part, no_lam, f_vec, 0,
                                 infeasibility=self.eq_residual)
         if self.null_dim == 0:
-            resid = a_in @ self.s_part - b_in if a_in.shape[0] else np.zeros(0)
-            worst = float(np.max(resid)) if resid.size else 0.0
-            status = OPTIMAL if worst <= tol * (1.0 + float(np.max(np.abs(b_in))) if b_in.size else 1.0) else INFEASIBLE
-            return self._finish(status, self.s_part, np.zeros(a_in.shape[0]), f_vec, 0,
-                                infeasibility=max(worst, 0.0))
+            # s_part is the only feasible point; each row is judged as the
+            # active-set solver judges it.
+            miss = -d_red
+            worst = float(np.max(miss, initial=0.0))
+            status = OPTIMAL if np.all(miss <= tol * (1.0 + np.abs(d_red))) else INFEASIBLE
+            return self._finish(status, self.s_part, no_lam, f_vec, 0, infeasibility=worst)
         a_red = self.z_basis.T @ (self._h_spart + f_vec)
-        if c_red is None:
-            c_red = self.reduce_rows(a_in)
-        d_red = b_in - a_in @ self.s_part if a_in.shape[0] else np.zeros(0)
         res = self.gi.solve(a_red, c_red, d_red, tol=tol)
         s_star = self.s_part + self.z_basis @ res.y
         return self._finish(res.status, s_star, res.lam, f_vec, res.iterations,
@@ -404,7 +392,8 @@ def solve(problem, settings=None):
     """
     settings = settings or SolverSettings()
     reduced = ReducedQp(problem.h_mat, eliminate(problem.a_eq, problem.b_eq))
-    return reduced.solve(problem.f_vec, problem.a_in, problem.b_in, settings)
+    return reduced.solve(problem.f_vec, *reduced.reduce_rows(problem.a_in, problem.b_in),
+                         settings)
 
 
 def kkt_residual(problem, s, lam):

@@ -46,6 +46,20 @@ def test_parse_stds_forms():
     assert cli._parse_stds("0.2") == [0.2]
 
 
+def test_parse_stds_takes_a_range_up_to_the_level_bound():
+    levels = cli._parse_stds("0:9999:1")
+    assert len(levels) == 10_000 and levels[-1] == 9999.0
+
+
+@pytest.mark.parametrize("stds", ["0:1:1e-6", "0:10000:1"])
+def test_a_range_of_too_many_noise_levels_is_a_usage_error(capsys, stds):
+    # Parsed only: a parser that accepted the range would not run the sweep.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(["sweep-noise", "--stds", stds, "--out", "sweep.csv"])
+    assert excinfo.value.code == 2
+    assert "argument --stds: range gives more than 10000 noise levels" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stds", ["0.4:0.1:0.1", "", ","])
 def test_sweep_noise_refuses_stds_without_a_noise_level(tmp_path, capsys, stds):
     out = tmp_path / "sweep.csv"

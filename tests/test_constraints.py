@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,31 @@ def test_assemble_rejects_self_opponent_and_short_reference():
         assemble(0, {0: _seed_strategy(scen, 0)}, scen)
     with pytest.raises(ValueError):
         assemble(0, {}, scen, reference=scen.references()[0].window(1, 10))
+
+
+def test_assemble_refuses_a_reference_stepped_otherwise_than_the_scenario():
+    scen = _scen()
+    longer = replace(_ref(scen, 1), ts=1.1 * scen.ts)
+    with pytest.raises(ValueError, match="^reference for player 1 has step"):
+        assemble(1, {}, scen, reference=longer)
+
+
+@pytest.mark.parametrize("start, stop", [(1, 36), (5, 12), (35, 36)])
+def test_strategy_from_reference_copies_every_decision_state(start, stop):
+    ref = default_offline_scenario().references()[2]
+    segment = Segment(start, stop)
+    strat = Strategy.from_reference(ref, segment)
+    assert not strat.controls().any()
+    for j, k in enumerate(segment.decision_points()):
+        assert np.array_equal(strat.states()[j], ref.state(k))
+
+
+@pytest.mark.parametrize("window, segment", [((3, 20), (1, 10)), ((1, 9), (1, 10)),
+                                             ((4, 30), (2, 8))])
+def test_strategy_from_reference_refuses_a_reference_short_of_the_segment(window, segment):
+    ref = default_offline_scenario().references()[0].window(*window)
+    with pytest.raises(ValueError, match="does not cover the decision points"):
+        Strategy.from_reference(ref, Segment(*segment))
 
 
 def test_profile_violation_clean_and_overlapping():

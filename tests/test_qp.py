@@ -178,7 +178,7 @@ def test_reduced_qp_agrees_with_direct_solve():
             continue
         direct = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
         reduced = ReducedQp(h, eliminate(a_eq, b_eq))
-        rsol = reduced.solve(f, a_in, b_in, settings)
+        rsol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), settings)
         assert rsol.status == direct.status
         if direct.status == OPTIMAL:
             checked += 1
@@ -224,9 +224,41 @@ def test_non_finite_solve_data_is_refused():
     reduced = ReducedQp(np.eye(2), eliminate([[1.0, 1.0]], [1.0]))
     settings = SolverSettings()
     with pytest.raises(ValueError, match="f_vec"):
-        reduced.solve([np.inf, 0.0], np.zeros((0, 2)), np.zeros(0), settings)
+        reduced.solve([np.inf, 0.0], *reduced.reduce_rows(np.zeros((0, 2)), np.zeros(0)),
+                      settings)
     with pytest.raises(ValueError, match="b_in"):
-        reduced.solve(np.zeros(2), [[1.0, 0.0]], [np.nan], settings)
+        reduced.solve(np.zeros(2), *reduced.reduce_rows([[1.0, 0.0]], [np.nan]), settings)
+    # A non-finite row reaches the reduced right-hand side.
+    with pytest.raises(ValueError, match="d_red"):
+        reduced.solve(np.zeros(2), *reduced.reduce_rows([[np.inf, 0.0]], [1.0]), settings)
+
+
+def test_reduce_rows_refuses_a_row_count_mismatch():
+    # One right-hand side for two rows is refused, not broadcast.
+    reduced = ReducedQp(np.eye(2), eliminate([[1.0, 1.0]], [1.0]))
+    with pytest.raises(ValueError, match="A_in has 2 rows but b_in 1 entries"):
+        reduced.reduce_rows([[1.0, 0.0], [0.0, 1.0]], [1.0])
+
+
+@pytest.mark.parametrize("b_in, status, infeasibility", [
+    ([2.5, -0.5], OPTIMAL, 0.0),
+    ([1.5, -0.5], INFEASIBLE, 0.5),
+])
+def test_fully_determined_qp(b_in, status, infeasibility):
+    # Two independent equalities in two variables leave an empty null space:
+    # s = (1.5, 0.5) is the only feasible point, and the inequality rows
+    # s_0 + s_1 <= b_0, -s_0 <= b_1 only judge it.
+    h = np.diag([1.0, 2.0])
+    f = np.array([0.5, -1.0])
+    a_eq = np.array([[1.0, 1.0], [1.0, -1.0]])
+    a_in = np.array([[1.0, 1.0], [-1.0, 0.0]])
+    sol = solve(QpProblem(h, f, a_eq, [2.0, 1.0], a_in, b_in))
+    assert sol.status == status
+    assert sol.infeasibility == infeasibility
+    assert np.array_equal(sol.s_star, [1.5, 0.5])
+    assert np.array_equal(sol.lam, [0.0, 0.0])
+    assert sol.iterations == 0
+    assert sol.objective == 0.5 * (1.5**2 + 2.0 * 0.5**2) + 0.75 - 0.5
 
 
 def _player_qps(scenario):
@@ -258,7 +290,7 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
         z_svd, s_part = svd_null_space(a_eq, b_eq)
         assert np.linalg.norm(a_eq @ reduced.z_basis) <= 1e-10 * (1.0 + np.linalg.norm(a_eq))
         assert reduced.z_basis.shape[1] == z_svd.shape[1]
-        sol = reduced.solve(f, a_in, b_in, settings)
+        sol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), settings)
         oracle = GiSolver(z_svd.T @ h @ z_svd).solve(
             z_svd.T @ (h @ s_part + f), a_in @ z_svd, b_in - a_in @ s_part,
             tol=settings.qp_tolerance,
@@ -300,7 +332,8 @@ def test_reduced_qp_matches_enumeration_on_degenerate_rows(seed, copies, diagona
         b_in = np.append(b_in, scale * b_in[row])
     h_mat = np.diag(h) if diagonal else h
     expect_s, expect_obj = enumerate_qp(h_mat, f, a_eq, b_eq, a_in, b_in)
-    sol = ReducedQp(h, eliminate(a_eq, b_eq)).solve(f, a_in, b_in, SolverSettings())
+    reduced = ReducedQp(h, eliminate(a_eq, b_eq))
+    sol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), SolverSettings())
     if expect_s is None:
         assert sol.status == INFEASIBLE
         return
@@ -329,8 +362,11 @@ def test_diagonal_and_dense_h_give_bitwise_equal_reductions(monkeypatch, make_sc
     settings = SolverSettings()
     for h, f, system in _player_qps(make_scenario()):
         elimination = eliminate(system.a_eq, system.b_eq)
-        solutions = [ReducedQp(form, elimination).solve(f, system.a_in, system.b_in, settings)
-                     for form in (np.diag(h), h)]
+        solutions = []
+        for form in (np.diag(h), h):
+            reduced = ReducedQp(form, elimination)
+            solutions.append(reduced.solve(f, *reduced.reduce_rows(system.a_in, system.b_in),
+                                           settings))
         g_diag, g_dense = reduced_hessians[-2:]
         assert np.array_equal(g_diag, g_dense)
         assert solutions[0].status == solutions[1].status

@@ -58,37 +58,43 @@ def _scenario(name):
 
 
 def _solved_rows(monkeypatch, game, vid, opponents):
-    """The equality elimination and inequality data of one best response,
-    as solved."""
+    """The reduced QP and inequality data of one best response, as solved,
+    and the workspace's dense inequality rows in solver order."""
     seen = []
     original = ReducedQp.solve
 
-    def spy(self, f_vec, a_in, b_in, settings, c_red=None):
-        seen.append((self.z_basis, self.s_part, a_in, b_in, c_red, self))
-        return original(self, f_vec, a_in, b_in, settings, c_red=c_red)
+    def spy(self, f_vec, c_red, d_red, settings):
+        seen.append((self, c_red.copy(), d_red.copy()))
+        return original(self, f_vec, c_red, d_red, settings)
 
     monkeypatch.setattr(ReducedQp, "solve", spy)
-    game_module.best_response(vid, opponents, game)
+    workspace = game_module._PlayerWorkspace(game, vid)
+    workspace.best_response(opponents)
     monkeypatch.setattr(ReducedQp, "solve", original)
-    assert len(seen) == 1
-    return seen[0]
+    assert len(seen) == 1 and seen[0][0] is workspace.reduced
+    blocks = workspace.inequality_blocks()
+    a_in = np.vstack([a for a, _, _ in blocks])
+    b_in = np.concatenate([b for _, b, _ in blocks])
+    return (*seen[0], a_in, b_in)
 
 
 def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled):
     for vid in game.decision_ids:
         opponents = opponents_of(vid)
-        z_basis, s_part, a_in, b_in, c_red, reduced = _solved_rows(monkeypatch, game, vid,
-                                                                   opponents)
+        reduced, c_red, d_red, a_in, b_in = _solved_rows(monkeypatch, game, vid, opponents)
         system = assembled(vid, opponents)
         # The equalities reach the solve as their elimination, which may come
         # from the cache of static parts.
         elimination = eliminate(system.a_eq, system.b_eq)
-        assert np.array_equal(z_basis, elimination.z_basis), vid
-        assert np.array_equal(s_part, elimination.s_part), vid
+        assert np.array_equal(reduced.z_basis, elimination.z_basis), vid
+        assert np.array_equal(reduced.s_part, elimination.s_part), vid
         assert np.array_equal(a_in, system.a_in), vid
         assert np.array_equal(b_in, system.b_in), vid
-        # The cached projections of the static blocks match a fresh one.
-        assert np.max(np.abs(c_red - reduced.reduce_rows(a_in))) <= 1e-12, vid
+        # The reduced rows solved with, static blocks from the cache, match
+        # a fresh reduction of the assembled rows.
+        c_want, d_want = reduced.reduce_rows(system.a_in, system.b_in)
+        assert np.max(np.abs(c_red - c_want)) <= 1e-12, vid
+        assert np.max(np.abs(d_red - d_want)) <= 1e-12, vid
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -1,7 +1,9 @@
-"""The weight-independent part of a player's system (its equality elimination
-and the projections of its static rows) is cached across games. These tests
-pin that a cache hit is bitwise a fresh build, that any change of a static
-input misses, and that the cache keeps to its bound."""
+"""The weight-independent part of a player's system (its static rows, their
+equality elimination and the reductions of its static inequality blocks) is
+cached across games. These tests pin that a cache hit builds no row and is
+bitwise a fresh build, that any change of a static input misses, that a
+reference stepped otherwise than its scenario is refused, and that the cache
+keeps to its bound."""
 
 from dataclasses import replace
 from functools import lru_cache
@@ -69,6 +71,15 @@ def _workspaces(game):
     return {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
 
 
+def _system_parts(system):
+    """The arrays and tags of a cached player system, in a fixed order."""
+    rows = system.rows
+    blocks = rows.head + rows.tail
+    arrays = [rows.a_eq, rows.b_eq, *(x for a, b, _ in blocks for x in (a, b)),
+              *(x for pair in system.head + system.tail for x in pair)]
+    return arrays, (rows.eq_tags, tuple(tags for *_, tags in blocks))
+
+
 def _assert_same_workspaces(got, want, game):
     seeds = {vid: Strategy.from_reference(game.references[vid], game.segment)
              for vid in game.decision_ids}
@@ -76,16 +87,18 @@ def _assert_same_workspaces(got, want, game):
         a, b = got[vid], want[vid]
         for name in ("z_basis", "s_part", "eq_residual"):
             assert np.array_equal(getattr(a.reduced, name), getattr(b.reduced, name)), (vid, name)
-        assert np.array_equal(a._a_in, b._a_in) and np.array_equal(a._b_in, b._b_in), vid
-        assert np.array_equal(a._c_red, b._c_red), vid
+        (arrays_a, tags_a), (arrays_b, tags_b) = _system_parts(a.system), _system_parts(b.system)
+        assert len(arrays_a) == len(arrays_b) and tags_a == tags_b, vid
+        assert all(np.array_equal(x, y) for x, y in zip(arrays_a, arrays_b)), vid
+        assert np.array_equal(a._c_red, b._c_red) and np.array_equal(a._d_red, b._d_red), vid
         opponents = game.opponents_of(vid, seeds)
         sol_a, sol_b = a.best_response(opponents), b.best_response(opponents)
         assert sol_a.status == sol_b.status and sol_a.iterations == sol_b.iterations, vid
         assert np.array_equal(sol_a.s_star, sol_b.s_star), vid
         assert np.array_equal(sol_a.lam, sol_b.lam), vid
         assert sol_a.objective == sol_b.objective, vid
-        # The collision slots are projected by now, so the whole buffer is due.
-        assert np.array_equal(a._c_red, b._c_red), vid
+        # The collision slots are reduced by now, so the whole buffer is due.
+        assert np.array_equal(a._c_red, b._c_red) and np.array_equal(a._d_red, b._d_red), vid
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -98,6 +111,7 @@ def test_a_cache_hit_equals_a_fresh_build(name, eliminations):
     hit = _workspaces(game)
     assert len(eliminations) == n_players
     for vid, ws in hit.items():
+        assert ws.system is warm[vid].system
         assert ws.reduced.z_basis is warm[vid].reduced.z_basis
     game_module._STATIC_PARTS.clear()
     fresh = _workspaces(game)
@@ -139,8 +153,13 @@ def _shifted_window(scen, game):
 
 
 def _longer_step(scen, game):
-    return {"references": {vid: replace(ref, ts=1.1 * ref.ts)
-                           for vid, ref in game.references.items()}}
+    # A scenario with a longer step, tracked along its own references.
+    changed = replace(scen, ts=1.1 * scen.ts)
+    full = changed.references()
+    segment = game.segment
+    return {"scenario": changed,
+            "references": {vid: full[vid].window(segment.start, segment.stop)
+                           for vid in game.decision_ids}}
 
 
 def _with_scenario(changes):
@@ -160,7 +179,7 @@ def _lane_changer_start_x(scen):
 VARIANTS = {
     "start_state": _off_centre_start,
     "reference_window": _shifted_window,
-    "reference_ts": _longer_step,
+    "scenario_ts": _longer_step,
     "v_max": _with_scenario(lambda s: {"limits": replace(s.limits, v_max=s.limits.v_max - 2.0)}),
     "lane_width": _with_scenario(lambda s: {"road": replace(s.road, lane_width=4.2)}),
     "geometry": _with_scenario(lambda s: {"vehicles": tuple(
@@ -209,3 +228,28 @@ def test_the_cache_keeps_to_its_bound_and_drops_the_least_recent(eliminations):
     assert len(eliminations) == len(games) * n_players
     _workspaces(games[0])
     assert len(eliminations) == (len(games) + 1) * n_players
+
+
+def test_a_cache_hit_builds_no_static_rows(monkeypatch):
+    scen = _scenario("offline")
+    _workspaces(make_game(scen, _scaled_weights(scen, 1)))
+    calls = []
+    original = game_module.static_rows
+    monkeypatch.setattr(game_module, "static_rows",
+                        lambda *args: calls.append(args[0].vid) or original(*args))
+    hit = make_game(scen, _scaled_weights(scen, 2))
+    solve_games(hit)
+    assert calls == []
+    game_module._STATIC_PARTS.clear()
+    _workspaces(hit)
+    assert sorted(calls) == sorted(hit.decision_ids)
+
+
+def test_a_reference_stepped_otherwise_than_the_scenario_is_refused():
+    scen = _scenario("offline")
+    weights = {v.vid: v.weights_true for v in scen.vehicles}
+    base = make_game(scen, weights)
+    longer = {vid: replace(ref, ts=1.1 * ref.ts) if vid == 2 else ref
+              for vid, ref in base.references.items()}
+    with pytest.raises(ValueError, match="^reference for player 2 has step"):
+        make_game(scen, weights, references=longer, initial_states=base.initial_states)

@@ -63,6 +63,8 @@ def _assert_same_solution(got, want, problem):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, name, transport):
     game = _game(name)
+    for vid in game.decision_ids:
+        _PlayerWorkspace(game, vid)  # every player's static blocks are reduced by now
     builds = {}
     keep = []  # holds every argument, so no id() is reused during the solve
     original_rows = game_module.collision_rows
@@ -76,9 +78,9 @@ def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, nam
     projections = []
     original_reduce = ReducedQp.reduce_rows
 
-    def counting_reduce(self, a_in):
+    def counting_reduce(self, a_in, b_in):
         projections.append(a_in.shape[0])
-        return original_reduce(self, a_in)
+        return original_reduce(self, a_in, b_in)
 
     monkeypatch.setattr(game_module, "collision_rows", counting_rows)
     monkeypatch.setattr(ReducedQp, "reduce_rows", counting_reduce)
@@ -87,10 +89,9 @@ def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, nam
     else:
         result = solve_games(game)
     assert builds and max(builds.values()) == 1
-    # Every collision projection follows a build; the rest are each
-    # workspace's head and tail, projected once when it is made.
-    n_players = len(game.decision_ids)
-    assert len(projections) - 2 * n_players <= len(builds)
+    # Every projection is a collision block's and follows its build.
+    assert set(projections) == {game.segment.n_steps}
+    assert len(projections) <= len(builds)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
