@@ -243,6 +243,7 @@ class _PlayerWorkspace:
         self._collisions = dict.fromkeys(self.opponent_ids, (None, None))  # (strategy, rows)
         self._projected = dict.fromkeys(self.opponent_ids)
         self._solved = None  # (opponent strategies, solution)
+        self._warm = ()  # the last optimal working set; `_c_red` keeps its layout
 
     def _sync(self, opponents, project):
         """Bring the collision blocks up to date with `opponents`, reducing
@@ -275,7 +276,8 @@ class _PlayerWorkspace:
             last, sol = self._solved
             if all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self._c_red, self._d_red, self.settings)
+        sol = self.reduced.solve(self.f_vec, self._c_red, self._d_red, self.settings, self._warm)
+        self._warm = sol.working_set if sol.ok else self._warm
         self._solved = (strategies, sol)
         return sol
 
@@ -401,11 +403,12 @@ def solve_games(game, observer=None):
             converged = True
             break
         if rel_step == 0.0:
-            # Exact fixed point of the sweep: no accepted update moved, and
-            # each best response is a deterministic function of the others,
-            # so every further round would replay this one.  Stop without
-            # claiming convergence; the violation that kept `stop` false is
-            # frozen in.
+            # Exact fixed point of the sweep: no accepted update moved. A best
+            # response is a function of the opponents and the workspace's last
+            # working set; a solve from the same set on the same data repeats
+            # bit for bit, and one started on its optimal set ends on it, so
+            # further rounds would replay this one. Stop without claiming
+            # convergence; the violation that kept `stop` false is frozen in.
             break
 
     # The last round's violation was taken on this final profile, and

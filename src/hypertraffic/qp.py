@@ -6,10 +6,12 @@ ones, the null-space basis is the identity on the free variables, and the
 same triangular factors give the particular solution. That `Elimination`
 depends on the equality rows only, so many objectives can share one. A dual
 active-set method then runs on the reduced problem: start at the
-unconstrained minimum, repeatedly enforce the most violated inequality,
-dropping working-set rows whose multipliers would cross zero. All pivots
-break ties by lowest index, so identical inputs give bitwise-identical
-outputs, and the working set at termination yields exact multipliers.
+unconstrained minimum, or warm on a given working set (say the one a solve
+of a nearby problem ended on, which every solve returns) after dropping its
+rows with negative multipliers, then repeatedly enforce the most violated
+inequality, dropping working-set rows whose multipliers would cross zero.
+All pivots break ties by lowest index, so identical inputs and starting sets
+give bitwise-identical outputs; the final working set yields exact multipliers.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
 enforced and no working-set row opposes it. A solve returns the primal point,
@@ -100,6 +102,7 @@ class QpSolution:
     objective: float
     iterations: int
     infeasibility: float = 0.0
+    working_set: tuple = ()
 
     @property
     def ok(self):
@@ -113,6 +116,7 @@ class GiResult:
     lam: np.ndarray
     iterations: int
     infeasibility: float = 0.0
+    working_set: tuple = ()
 
 
 class GiSolver:
@@ -127,7 +131,8 @@ class GiSolver:
     def _g_solve(self, rhs):
         return cho_solve(self._cho, rhs, check_finite=False)
 
-    def solve(self, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None):
+    def solve(self, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, warm=()):
+        """Solve from the start `_warm_start` makes of the row indices `warm`."""
         a_vec = np.asarray(a_vec, dtype=float).reshape(-1)
         c_mat = np.asarray(c_mat, dtype=float).reshape(-1, self.dim)
         d_vec = np.asarray(d_vec, dtype=float).reshape(-1)
@@ -135,25 +140,23 @@ class GiSolver:
         if max_iterations is None:
             max_iterations = 50 + 10 * (m + self.dim)
 
-        y = -self._g_solve(a_vec)
-        work: list[int] = []
-        lam_work: list[float] = []
-        # Cache G^{-1} C_W' columns for the current working set.
-        ginv_cw = np.zeros((self.dim, 0))
+        # The working set, its multipliers and the cached G^{-1} C_W' columns.
+        y, work, lam_work, ginv_cw, iterations = self._warm_start(
+            -self._g_solve(a_vec), c_mat, d_vec, list(warm), max_iterations)
 
-        iterations = 0
+        def result(status, infeasibility=0.0):
+            lam = np.zeros(m)
+            lam[work] = lam_work
+            return GiResult(status, y, lam, iterations, infeasibility, tuple(work))
+
         while True:
             iterations += 1
             if iterations > max_iterations:
-                lam = np.zeros(m)
-                lam[work] = lam_work
-                return GiResult(MAX_ITER, y, lam, iterations)
+                return result(MAX_ITER)
             resid = c_mat @ y - d_vec if m else np.zeros(0)
             scale = 1.0 + np.abs(d_vec) if m else np.zeros(0)
             if m == 0 or np.all(resid <= tol * scale):
-                lam = np.zeros(m)
-                lam[work] = lam_work
-                return GiResult(OPTIMAL, y, lam, iterations)
+                return result(OPTIMAL)
             p = int(np.argmax(resid / scale))
             c_p = c_mat[p]
             lam_p = 0.0
@@ -161,13 +164,11 @@ class GiSolver:
                 # Direction pair: move y along dy while growing lambda_p,
                 # adjusting working-set multipliers along dlam.
                 ginv_cp = self._g_solve(c_p)
+                dlam, dy = np.zeros(0), -ginv_cp
                 if work:
-                    s_mat = c_mat[work] @ ginv_cw
-                    dlam = -np.linalg.solve(s_mat, c_mat[work] @ ginv_cp)
-                    dy = -ginv_cp - ginv_cw @ dlam
-                else:
-                    dlam = np.zeros(0)
-                    dy = -ginv_cp
+                    c_w = c_mat[work]
+                    dlam = -np.linalg.solve(c_w @ ginv_cw, c_w @ ginv_cp)
+                    dy = dy - ginv_cw @ dlam
                 descent = -float(c_p @ dy)  # equals dy'G dy >= 0
                 viol_p = float(c_p @ y - d_vec[p])
                 t1, j_out = min(
@@ -177,14 +178,12 @@ class GiSolver:
                 if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
                     # Constraint value cannot move: dual-only step.
                     if j_out < 0:
-                        lam = np.zeros(m)
-                        lam[work] = lam_work
-                        return GiResult(INFEASIBLE, y, lam, iterations, infeasibility=viol_p)
+                        return result(INFEASIBLE, viol_p)
                     lam_work = [lw + t1 * dl for lw, dl in zip(lam_work, dlam)]
                     lam_p += t1
                     work.pop(j_out)
                     lam_work.pop(j_out)
-                    ginv_cw = self._ginv_columns(c_mat, work)
+                    ginv_cw = np.delete(ginv_cw, j_out, axis=1)
                     continue
                 t2 = viol_p / descent
                 t = min(t1, t2)
@@ -198,12 +197,34 @@ class GiSolver:
                     break
                 work.pop(j_out)
                 lam_work.pop(j_out)
-                ginv_cw = self._ginv_columns(c_mat, work)
+                ginv_cw = np.delete(ginv_cw, j_out, axis=1)
 
-    def _ginv_columns(self, c_mat, work):
-        if not work:
-            return np.zeros((self.dim, 0))
-        return self._g_solve(c_mat[work].T)
+    def _warm_start(self, y, c_mat, d_vec, work, budget):
+        """(y, work, lam, G^{-1} C_W', solves) of a dual feasible start: from
+        the unconstrained minimum y, the minimum with the rows `work` held as
+        equalities, y - G^{-1} C_W' lam where (C_W G^{-1} C_W') lam = C_W y - d_W,
+        dropping the row of the most negative lam (lowest index first) until
+        none is. Each solve is one of `budget` iterations. The start is cold
+        if that matrix has no Cholesky factor, a pivot the main loop would
+        refuse or non-finite entries, or if the budget runs out."""
+        ginv_cw = self._g_solve(c_mat[work].T) if work else None
+        solves = 0
+        while work and solves < budget:
+            solves += 1
+            c_w = c_mat[work]
+            try:
+                factor, _ = cho_factor(c_w @ ginv_cw, lower=True)
+            except (np.linalg.LinAlgError, ValueError):
+                break
+            if np.any(np.diag(factor) ** 2 <= 1e-13 * (1.0 + np.sum(c_w * c_w, axis=1))):
+                break
+            lam = cho_solve((factor, True), c_w @ y - d_vec[work])
+            j = int(np.argmin(lam))
+            if lam[j] >= 0.0:
+                return y - ginv_cw @ lam, work, lam.tolist(), ginv_cw, solves
+            work.pop(j)
+            ginv_cw = np.delete(ginv_cw, j, axis=1)
+        return y, [], [], np.zeros((self.dim, 0)), solves
 
 
 def _require_finite(**arrays):
@@ -354,9 +375,10 @@ class ReducedQp:
         _require_finite(b_in=b_in)
         return a_in @ self.z_basis, b_in - a_in @ self.s_part
 
-    def solve(self, f_vec, c_red, d_red, settings):
+    def solve(self, f_vec, c_red, d_red, settings, warm=()):
         """Solve with the stored quadratic block, a fresh linear term and
-        inequality rows C y <= d as `reduce_rows` gives them."""
+        inequality rows C y <= d as `reduce_rows` gives them, starting the
+        active set from the row indices `warm` (see `GiSolver.solve`)."""
         f_vec = np.asarray(f_vec, dtype=float).reshape(-1)
         _require_finite(f_vec=f_vec, d_red=d_red)
         tol = settings.qp_tolerance
@@ -372,16 +394,16 @@ class ReducedQp:
             status = OPTIMAL if np.all(miss <= tol * (1.0 + np.abs(d_red))) else INFEASIBLE
             return self._finish(status, self.s_part, no_lam, f_vec, 0, infeasibility=worst)
         a_red = self.z_basis.T @ (self._h_spart + f_vec)
-        res = self.gi.solve(a_red, c_red, d_red, tol=tol)
+        res = self.gi.solve(a_red, c_red, d_red, tol=tol, warm=warm)
         s_star = self.s_part + self.z_basis @ res.y
         return self._finish(res.status, s_star, res.lam, f_vec, res.iterations,
-                            infeasibility=res.infeasibility)
+                            res.infeasibility, res.working_set)
 
-    def _finish(self, status, s_star, lam, f_vec, iterations, infeasibility=0.0):
+    def _finish(self, status, s_star, lam, f_vec, iterations, infeasibility=0.0, working_set=()):
         half = 0.5 * s_star
         quad = (half * self.h if self.h.ndim == 1 else half @ self.h) @ s_star
         objective = float(quad + f_vec @ s_star)
-        return QpSolution(status, s_star, lam, objective, iterations, infeasibility)
+        return QpSolution(status, s_star, lam, objective, iterations, infeasibility, working_set)
 
 
 def solve(problem, settings=None):

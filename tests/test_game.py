@@ -7,6 +7,7 @@ from hypertraffic.constraints import Segment, Strategy, X_V, STEP_VARS, assemble
 from hypertraffic.game import (
     WEIGHT_PATTERN,
     WeightExpansion,
+    _PlayerWorkspace,
     best_response,
     make_game,
     objective_qp_data,
@@ -183,7 +184,7 @@ def test_fixed_player_stays_data():
     assert result.converged
 
 
-def test_blocked_game_stalls_without_convergence():
+def test_blocked_game_stalls_without_convergence(monkeypatch):
     # In the pinched merge the true-weight game wedges: a best response goes
     # infeasible, the sweep freezes at an exact fixed point and reports the
     # failure instead of burning the iteration budget.
@@ -200,6 +201,16 @@ def test_blocked_game_stalls_without_convergence():
     assert again.iterations == result.iterations
     for vid in result.strategies:
         assert np.array_equal(again.strategies[vid].data, result.strategies[vid].data)
+
+    # Warm-started best responses stall in the same round as cold ones.
+    original = _PlayerWorkspace.best_response
+
+    def cold(self, opponents):
+        self._warm = ()
+        return original(self, opponents)
+
+    monkeypatch.setattr(_PlayerWorkspace, "best_response", cold)
+    assert solve_games(game).iterations == result.iterations
 
 
 def test_ve_residual_flags_perturbed_profile():

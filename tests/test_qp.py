@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from hypertraffic import qp as qp_module
 from hypertraffic.constraints import Strategy, assemble
 from hypertraffic.game import make_game, objective_qp_data
 from hypertraffic.qp import (
     INFEASIBLE,
+    MAX_ITER,
     OPTIMAL,
     GiSolver,
     QpProblem,
@@ -373,3 +374,91 @@ def test_diagonal_and_dense_h_give_bitwise_equal_reductions(monkeypatch, make_sc
         for field in ("s_star", "lam"):
             assert np.array_equal(getattr(solutions[0], field), getattr(solutions[1], field))
         assert solutions[0].objective == solutions[1].objective
+
+
+@pytest.mark.parametrize("warm, max_iterations, status, point, iterations, working_set", [
+    ((), None, OPTIMAL, [1.0, 0.0], 2, (0,)),
+    ((0,), None, OPTIMAL, [1.0, 0.0], 2, (0,)),
+    # Row 1 gets a negative multiplier, is dropped, and S is solved again.
+    ((1, 0), None, OPTIMAL, [1.0, 0.0], 3, (0,)),
+    # The drop used the whole budget: the start is cold and the loop stops.
+    ((1, 0), 1, MAX_ITER, [2.0, 0.0], 2, ()),
+    # A repeated row makes S singular: one solve, then the cold start.
+    ((0, 0), None, OPTIMAL, [1.0, 0.0], 3, (0,)),
+])
+def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point, iterations,
+                                             working_set):
+    # min 0.5 |y|^2 - 2 y_0  s.t.  y_0 <= 1 (active at the optimum), y_1 <= 5.
+    res = GiSolver(np.eye(2)).solve([-2.0, 0.0], np.eye(2), [1.0, 5.0],
+                                    max_iterations=max_iterations, warm=warm)
+    assert res.status == status
+    assert np.array_equal(res.y, point)
+    assert res.iterations == iterations
+    assert res.working_set == working_set
+
+
+def _degenerate_rows(a_in, b_in, extra):
+    """Append dependent copies of existing inequality rows: `dup` repeats a
+    row, `scaled` repeats it times a positive factor, `collinear` adds the
+    opposite half-space shifted by `width` (a slab for width > 0, an equality
+    for 0, an empty set below; the draw keeps |width| off the solver's
+    tolerance, where feasibility is a matter of round-off), and `sum` adds
+    the sum of two rows."""
+    for kind, row, other, factor, width in extra:
+        row %= a_in.shape[0]
+        other %= a_in.shape[0]
+        if kind == "dup":
+            a_new, b_new = a_in[row], b_in[row]
+        elif kind == "scaled":
+            a_new, b_new = factor * a_in[row], factor * b_in[row]
+        elif kind == "collinear":
+            a_new, b_new = -factor * a_in[row], -factor * (b_in[row] - width)
+        else:
+            a_new, b_new = a_in[row] + a_in[other], b_in[row] + b_in[other]
+        a_in = np.vstack([a_in, a_new])
+        b_in = np.append(b_in, b_new)
+    return a_in, b_in
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.tuples(st.sampled_from(("dup", "scaled", "collinear", "sum")),
+                             st.integers(0, 5), st.integers(0, 5), st.floats(0.25, 4.0),
+                             st.one_of(st.just(0.0), st.floats(0.01, 1.0),
+                                       st.floats(-0.3, -0.01))),
+                   min_size=1, max_size=3),
+    warm=st.lists(st.integers(0, 63), max_size=8),
+)
+# An empty slab whose two rows both seed the working set: S is singular, yet
+# its Cholesky factor can succeed on a round-off pivot.
+@example(seed=3, extra=[("collinear", 0, 0, 1.0, -0.25)], warm=[0, 1])
+def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra, warm):
+    # Any subset of rows may seed the working set: rows inactive at the
+    # optimum, dependent copies, or rows of an infeasible problem. The warm
+    # solve must reach the cold solve's status and point, and the enumerated
+    # optimum; an empty warm set is the cold solve itself.
+    rng = np.random.default_rng(seed)
+    h, f, a_eq, b_eq, a_in, b_in = random_qp(rng, m_max=3)
+    if a_in.shape[0] == 0:
+        a_in = rng.normal(size=(1, h.shape[0]))
+        b_in = rng.uniform(-0.5, 1.0, 1)
+    a_in, b_in = _degenerate_rows(a_in, b_in, extra)
+    warm = tuple(dict.fromkeys(i % a_in.shape[0] for i in warm))
+    expect_s, _ = enumerate_qp(h, f, a_eq, b_eq, a_in, b_in)
+    reduced = ReducedQp(h, eliminate(a_eq, b_eq))
+    rows = reduced.reduce_rows(a_in, b_in)
+    settings = SolverSettings()
+    cold = reduced.solve(f, *rows, settings)
+    empty = reduced.solve(f, *rows, settings, warm=())
+    for name in ("status", "s_star", "lam", "objective", "iterations", "infeasibility",
+                 "working_set"):
+        assert np.array_equal(getattr(empty, name), getattr(cold, name)), name
+    hot = reduced.solve(f, *rows, settings, warm=warm)
+    status = INFEASIBLE if expect_s is None else OPTIMAL
+    assert cold.status == hot.status == status
+    if status == OPTIMAL:
+        assert np.max(np.abs(cold.s_star - expect_s)) <= 1e-6
+        assert np.max(np.abs(hot.s_star - expect_s)) <= 1e-6
+        assert np.max(np.abs(hot.s_star - cold.s_star)) <= 1e-9
+        assert np.all(hot.lam >= 0.0)

@@ -63,9 +63,9 @@ def _solved_rows(monkeypatch, game, vid, opponents):
     seen = []
     original = ReducedQp.solve
 
-    def spy(self, f_vec, c_red, d_red, settings):
+    def spy(self, f_vec, c_red, d_red, settings, warm=()):
         seen.append((self, c_red.copy(), d_red.copy()))
-        return original(self, f_vec, c_red, d_red, settings)
+        return original(self, f_vec, c_red, d_red, settings, warm=warm)
 
     monkeypatch.setattr(ReducedQp, "solve", spy)
     workspace = game_module._PlayerWorkspace(game, vid)
