@@ -23,13 +23,13 @@ from .dynamics import ControlInput, VehicleGeometry, VehicleState, linearize_dis
 from .game import (
     EquilibriumResult,
     GameSpec,
-    WeightExpansion,
     best_response,
     make_game,
     objective_qp_data,
     pseudo_gradient,
     solve_games,
     ve_residual,
+    weight_diagonal,
 )
 from .harness import (
     NoiseSpec,

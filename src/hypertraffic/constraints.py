@@ -17,12 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CONTROL_DIM, VehicleState, linearize_steps
+from .qp import SparseRows
 from .scenario import STRAIGHT
 
 STEP_VARS = 6
 # Column offsets inside one (u, x) block.
 U_A, U_DELTA = 0, 1
 X_PX, X_PY, X_V, X_PSI = 2, 3, 4, 5
+# The pose columns a lane or collision row touches.
+_POSE_COLUMNS = np.array([X_PX, X_PY, X_PSI])
 
 
 @dataclass(frozen=True)
@@ -149,44 +152,55 @@ class ConstraintSystem:
         return max(worst, 0.0)
 
 
+def _step_rows(steps, offsets, coef, n_steps):
+    """`SparseRows` over an n-step strategy whose row i has the coefficients
+    coef[i] on the columns `offsets` (broadcast per row) of step steps[i]."""
+    return SparseRows(STEP_VARS * steps[:, None] + offsets, coef, STEP_VARS * n_steps)
+
+
 def dynamics_rows(reference, geometry, initial_state=None):
     """Equality rows chaining the linearized Euler steps along the segment.
 
     Step j is linearized at reference point j with zero nominal control; the
     initial state (default: the reference's first point) enters only the
-    right-hand side.
+    right-hand side. Row 4 j + i holds -B_j[i] on u(j), 1 on x_i(j) and
+    -A_j[i] on x(j-1), seven slots; the first step's previous state is data,
+    so its last four slots hold 0 on x_i(0).
     """
     n = len(reference) - 1
     x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
     a_mat, b_mat, c_vec = linearize_steps(
         reference.states[:-1], np.zeros((n, CONTROL_DIM)), geometry, reference.ts
     )
-    a_eq = np.zeros((4 * n, STEP_VARS * n))
-    blocks = a_eq.reshape(n, 4, n, STEP_VARS)  # [step, row, step, column] view
-    j = np.arange(n)
-    blocks[j, :, j, U_A:X_PX] = -b_mat
-    blocks[j, :, j, X_PX:] = np.eye(4)
-    blocks[j[1:], :, j[:-1], X_PX:] = -a_mat[1:]
+    state = X_PX + np.arange(4)
+    offsets = np.empty((n, 4, 7), dtype=np.intp)
+    coef = np.empty((n, 4, 7))
+    offsets[:, :, :2] = U_A, U_DELTA
+    coef[:, :, :2] = -b_mat
+    offsets[:, :, 2] = state
+    coef[:, :, 2] = 1.0
+    offsets[:, :, 3:] = state - STEP_VARS
+    coef[:, :, 3:] = -a_mat
+    offsets[0, :, 3:] = state[:, None]
+    coef[0, :, 3:] = 0.0
     b_eq = c_vec.reshape(-1)
     b_eq[:4] += a_mat[0] @ x0
-    return a_eq, b_eq, ("dynamics",) * (4 * n)
+    rows = _step_rows(np.repeat(np.arange(n), 4), offsets.reshape(4 * n, 7),
+                      coef.reshape(4 * n, 7), n)
+    return rows, b_eq, ("dynamics",) * (4 * n)
 
 
 def box_rows(limits, segment):
     """Two-sided bounds on v, a, delta at every step: upper then lower row
     per step, family by family."""
     n = segment.n_steps
-    steps = np.arange(n)
-    blocks = []
-    rhs = []
-    for col, lo, hi in ((X_V, limits.v_min, limits.v_max), (U_A, limits.a_min, limits.a_max),
-                        (U_DELTA, limits.delta_min, limits.delta_max)):
-        block = np.zeros((2 * n, STEP_VARS * n))
-        block[2 * steps, STEP_VARS * steps + col] = 1.0
-        block[2 * steps + 1, STEP_VARS * steps + col] = -1.0
-        blocks.append(block)
-        rhs.append(np.tile([hi, -lo], n))
-    return np.vstack(blocks), np.concatenate(rhs), ("box",) * (6 * n)
+    families = ((X_V, limits.v_min, limits.v_max), (U_A, limits.a_min, limits.a_max),
+                (U_DELTA, limits.delta_min, limits.delta_max))
+    offsets = np.repeat([col for col, _, _ in families], 2 * n)[:, None]
+    rows = _step_rows(np.tile(np.repeat(np.arange(n), 2), 3), offsets,
+                      np.tile([1.0, -1.0], 3 * n)[:, None], n)
+    rhs = np.concatenate([np.tile([hi, -lo], n) for _, lo, hi in families])
+    return rows, rhs, ("box",) * (6 * n)
 
 
 def lane_rows(reference, geometry, road, permitted_lanes):
@@ -209,9 +223,7 @@ def lane_rows(reference, geometry, road, permitted_lanes):
     # step * 4 + vertex.
     vx = poses[:, 0, None] + lx * cos - wy * sin
     vy = poses[:, 1, None] + lx * sin + wy * cos
-    rows_idx = np.arange(4 * n)
-    cols = np.repeat(STEP_VARS * np.arange(n), 4)
-    blocks = []
+    coefs, rhs = [], []
     for b_idx in boundaries:
         probe = (float(poses[0, 0]), band_mid)
         a, b, c = road.tangent_at(f"boundary_{b_idx}", (float(poses[0, 0]), float(poses[0, 1])), probe)
@@ -219,13 +231,13 @@ def lane_rows(reference, geometry, road, permitted_lanes):
         dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
         f_ref = a * vx + b * vy + c
         grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
-        block = np.zeros((n * 4, STEP_VARS * n))
-        block[rows_idx, cols + X_PX] = a
-        block[rows_idx, cols + X_PY] = b
-        block[rows_idx, cols + X_PSI] = dpsi.reshape(-1)
-        blocks.append((block, (grad_dot_ref - f_ref).reshape(-1)))
-    a_rows = np.vstack([a for a, _ in blocks])
-    return a_rows, np.concatenate([b for _, b in blocks]), ("lane",) * a_rows.shape[0]
+        coef = np.empty((4 * n, 3))
+        coef[:, :2] = a, b
+        coef[:, 2] = dpsi.reshape(-1)
+        coefs.append(coef)
+        rhs.append((grad_dot_ref - f_ref).reshape(-1))
+    rows = _step_rows(np.tile(np.repeat(np.arange(n), 4), 2), _POSE_COLUMNS, np.vstack(coefs), n)
+    return rows, np.concatenate(rhs), ("lane",) * (8 * n)
 
 
 def collision_value(own_pose, opponent_pos, geometry):
@@ -261,17 +273,14 @@ def collision_rows(reference, opponent_strategy, geometry, opponent_id):
     h_ref = 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
     gx = 6.0 * rx**5 / ax**6
     gy = 6.0 * ry**5 / by**6
-    d_px = gx * cos - gy * sin
-    d_py = gx * sin + gy * cos
-    d_psi = -gx * ry + gy * rx
-    a_rows = np.zeros((n, STEP_VARS * n))
-    cols = STEP_VARS * np.arange(n)
-    a_rows[np.arange(n), cols + X_PX] = d_px
-    a_rows[np.arange(n), cols + X_PY] = d_py
-    a_rows[np.arange(n), cols + X_PSI] = d_psi
+    grad = np.empty((n, 3))  # the gradient in (p_x, p_y, psi), one row per step
+    grad[:, 0] = gx * cos - gy * sin
+    grad[:, 1] = gx * sin + gy * cos
+    grad[:, 2] = -gx * ry + gy * rx
+    d_px, d_py, d_psi = grad.T
     grad_dot_ref = d_px * poses[:, 0] + d_py * poses[:, 1] + d_psi * poses[:, 3]
-    rhs = grad_dot_ref - h_ref
-    return a_rows, rhs, (f"collision({opponent_id})",) * n
+    rows = _step_rows(np.arange(n), _POSE_COLUMNS, grad, n)
+    return rows, grad_dot_ref - h_ref, (f"collision({opponent_id})",) * n
 
 
 def behavior_rows(behavior, reference, road):
@@ -283,10 +292,8 @@ def behavior_rows(behavior, reference, road):
     """
     n = len(reference) - 1
     if behavior.kind == STRAIGHT:
-        a_rows = np.zeros((n, STEP_VARS * n))
-        a_rows[np.arange(n), STEP_VARS * np.arange(n) + X_PSI] = 1.0
-        rhs = np.full(n, behavior.heading)
-        return a_rows, rhs, ("behavior",) * n, True
+        rows = _step_rows(np.arange(n), [X_PSI], np.ones((n, 1)), n)
+        return rows, np.full(n, behavior.heading), ("behavior",) * n, True
     y_tgt = road.centerline_y(behavior.target_lane)
     poses = reference.states[1:, :]
     a, b, c = road.tangent_at(
@@ -294,29 +301,32 @@ def behavior_rows(behavior, reference, road):
         (float(poses[0, 0]), float(poses[0, 1])),
         (float(poses[0, 0]), y_tgt),
     )
-    a_rows = np.zeros((n, STEP_VARS * n))
-    cols = STEP_VARS * np.arange(n)
-    a_rows[np.arange(n), cols + X_PX] = a
-    a_rows[np.arange(n), cols + X_PY] = b
-    rhs = np.full(n, -c)
-    return a_rows, rhs, ("behavior",) * n, False
+    rows = _step_rows(np.arange(n), [X_PX, X_PY], np.tile([a, b], (n, 1)), n)
+    return rows, np.full(n, -c), ("behavior",) * n, False
 
 
 @dataclass(frozen=True)
 class StaticRows:
-    """One player's opponent-independent rows, in the order every solve uses.
+    """One player's opponent-independent rows, in the order every solve uses,
+    as blocks (rows, rhs, tags) whose rows are `SparseRows`.
 
-    Equalities are the dynamics chain then the straight heading pins. The
-    inequality blocks, each (rows, rhs, tags), split around the collision
-    blocks, which depend on the opponents: the head is box then lane rows,
-    the tail the lane-change behavior rows (empty when driving straight).
+    The equality blocks are the dynamics chain then the straight heading
+    pins. The inequality blocks split around the collision blocks, which
+    depend on the opponents: the head is box then lane rows, the tail the
+    lane-change behavior rows (empty when driving straight).
     """
 
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    eq_tags: tuple
+    eq: tuple
     head: tuple
     tail: tuple
+
+
+def stack_dense(blocks):
+    """(A, b, tags) of (rows, rhs, tags) blocks stacked in order, with A
+    dense: the form the equality elimination and the inverse fit read."""
+    return (np.vstack([rows.dense() for rows, _, _ in blocks]),
+            np.concatenate([rhs for _, rhs, _ in blocks]),
+            sum((tags for _, _, tags in blocks), ()))
 
 
 def start_state(vehicle, segment, reference):
@@ -329,19 +339,15 @@ def start_state(vehicle, segment, reference):
 
 def static_rows(vehicle, scenario, segment, reference, initial_state):
     """Build a player's static rows; the one owner of the row order."""
-    a_eq, b_eq, eq_tags = dynamics_rows(reference, vehicle.geometry, initial_state)
-    beh_a, beh_b, beh_tags, beh_is_eq = behavior_rows(vehicle.behavior, reference, scenario.road)
-    tail = ()
-    if beh_is_eq:
-        a_eq = np.vstack([a_eq, beh_a])
-        b_eq = np.concatenate([b_eq, beh_b])
-        eq_tags = eq_tags + beh_tags
-    else:
-        tail = ((beh_a, beh_b, beh_tags),)
+    dynamics = dynamics_rows(reference, vehicle.geometry, initial_state)
+    beh_rows, beh_rhs, beh_tags, beh_is_eq = behavior_rows(vehicle.behavior, reference,
+                                                           scenario.road)
+    behavior = (beh_rows, beh_rhs, beh_tags)
+    eq, tail = ((dynamics, behavior), ()) if beh_is_eq else ((dynamics,), (behavior,))
     lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
     head = (box_rows(scenario.limits, segment),
             lane_rows(reference, vehicle.geometry, scenario.road, lanes))
-    return StaticRows(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, head=head, tail=tail)
+    return StaticRows(eq=eq, head=head, tail=tail)
 
 
 def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=None,
@@ -370,15 +376,10 @@ def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=
         collision_rows(reference, opponent_strategies[opp_id], vehicle.geometry, opp_id)
         for opp_id in sorted(opponent_strategies)
     )
-    blocks = rows.head + collisions + rows.tail
-    return ConstraintSystem(
-        a_eq=rows.a_eq,
-        b_eq=rows.b_eq,
-        eq_tags=rows.eq_tags,
-        a_in=np.vstack([a for a, _, _ in blocks]),
-        b_in=np.concatenate([b for _, b, _ in blocks]),
-        in_tags=tuple(tag for _, _, tags in blocks for tag in tags),
-    )
+    a_eq, b_eq, eq_tags = stack_dense(rows.eq)
+    a_in, b_in, in_tags = stack_dense(rows.head + collisions + rows.tail)
+    return ConstraintSystem(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, a_in=a_in, b_in=b_in,
+                            in_tags=in_tags)
 
 
 def profile_violation(strategies, scenario):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (Segment, StaticRows, Strategy, collision_rows, start_state,
-                          static_rows)
+from .constraints import (Segment, StaticRows, Strategy, collision_rows, stack_dense,
+                          start_state, static_rows)
 from .qp import OPTIMAL, Elimination, ReducedQp, eliminate
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
@@ -25,30 +25,23 @@ from .qp import OPTIMAL, Elimination, ReducedQp, eliminate
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
 # Most player systems kept in `_STATIC_PARTS`. An entry is largest for a
-# lane-changing player: at H=121 (120 steps, 720 variables) it holds 2,280
-# static rows of 720 columns (480 dynamics, 720 box, 960 lane, 120 lane-change),
-# the basis Z (720 x 240) and 1,800 reduced inequality rows of 240 columns,
-# 18,009,600 bytes with the right-hand sides and s_part, so a full cache holds
-# at most 144.1 MB.
+# lane-changing player: at H=121 (120 steps, 720 variables) it holds the basis
+# Z (720 x 240), 1,800 reduced inequality rows of 240 columns and its 2,280
+# static rows in sparse form (480 dynamics rows of 7 slots, 720 box rows of 1,
+# 960 lane rows of 3, 120 lane-change rows of 2), 5.0 MB with the right-hand
+# sides and s_part, so a full cache holds at most 40 MB.
 STATIC_CACHE_ENTRIES = 8
 
 
-@dataclass(frozen=True)
-class WeightExpansion:
-    """Objective weights repeated along a segment as a diagonal quadratic form."""
-
-    theta: np.ndarray
-    n_steps: int
-    diagonal: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.shape != (6,):
-            raise ValueError("weight vector must have 6 components")
-        if np.any(theta <= 0):
-            raise ValueError("weights must be strictly positive")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "diagonal", np.tile(theta[WEIGHT_PATTERN], self.n_steps))
+def weight_diagonal(theta, n_steps):
+    """Objective weights repeated along `n_steps` steps in strategy layout:
+    the diagonal of the tracking cost's quadratic form."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (6,):
+        raise ValueError("weight vector must have 6 components")
+    if np.any(theta <= 0):
+        raise ValueError("weights must be strictly positive")
+    return np.tile(theta[WEIGHT_PATTERN], n_steps)
 
 
 def reference_vector(reference, segment):
@@ -60,16 +53,15 @@ def objective_qp_data(weights, reference, segment):
     """Objective 0.5 s'diag(h)s + f's whose minimizer tracks the reference at
     zero cost, as (h, f): the diagonal h of the quadratic form, not a matrix,
     and the linear term f."""
-    h_diag = WeightExpansion(weights.theta, segment.n_steps).diagonal
+    h_diag = weight_diagonal(weights.theta, segment.n_steps)
     return h_diag, -h_diag * reference_vector(reference, segment)
 
 
 def objective_value(strategy, weights, reference):
     """Tracking cost 0.5 * ||s - s_ref||^2 weighted by the expanded diagonal."""
     seg = strategy.segment
-    expansion = WeightExpansion(weights.theta, seg.n_steps)
     dev = strategy.data - reference_vector(reference, seg)
-    return float(0.5 * dev @ (expansion.diagonal * dev))
+    return float(0.5 * dev @ (weight_diagonal(weights.theta, seg.n_steps) * dev))
 
 
 def pseudo_gradient(strategies, weights, references):
@@ -82,9 +74,9 @@ def pseudo_gradient(strategies, weights, references):
     parts = []
     for vid in sorted(strategies):
         strat = strategies[vid]
-        expansion = WeightExpansion(weights[vid].theta, strat.segment.n_steps)
+        h_diag = weight_diagonal(weights[vid].theta, strat.segment.n_steps)
         s_ref = reference_vector(references[vid], strat.segment)
-        parts.append(expansion.diagonal * (strat.data - s_ref))
+        parts.append(h_diag * (strat.data - s_ref))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -161,7 +153,8 @@ class _PlayerSystem:
     """The weight-independent part of one player's system: its static rows,
     their equality elimination, and each static inequality block reduced by
     `ReducedQp.reduce_rows`, one (C, d) pair per block of `rows.head` and
-    `rows.tail`. Workspaces share it, so every array is read-only."""
+    `rows.tail`. Workspaces share it, so every array is read-only (the
+    `SparseRows` are already)."""
 
     rows: StaticRows
     elimination: Elimination
@@ -169,9 +162,11 @@ class _PlayerSystem:
     tail: tuple
 
     def __post_init__(self):
-        for a, b, *_ in ((self.rows.a_eq, self.rows.b_eq), *self.rows.head, *self.rows.tail,
-                         *self.head, *self.tail):
-            a.flags.writeable = b.flags.writeable = False
+        rows = self.rows
+        for _, b, _ in (*rows.eq, *rows.head, *rows.tail):
+            b.flags.writeable = False
+        for c, d in (*self.head, *self.tail):
+            c.flags.writeable = d.flags.writeable = False
 
 
 # Least recently used first; see STATIC_CACHE_ENTRIES.
@@ -194,7 +189,8 @@ def _player_system(game, vid, h_diag):
     system = _STATIC_PARTS.pop(key, None)
     if system is None:
         rows = static_rows(vehicle, scenario, game.segment, reference, start)
-        elimination = eliminate(rows.a_eq, rows.b_eq)
+        a_eq, b_eq, _ = stack_dense(rows.eq)
+        elimination = eliminate(a_eq, b_eq)
         reduced = ReducedQp(h_diag, elimination)
         system = _PlayerSystem(rows, elimination, *(
             tuple(reduced.reduce_rows(a, b) for a, b, _ in part) for part in (rows.head, rows.tail)))
@@ -283,11 +279,9 @@ class _PlayerWorkspace:
 
     def violation_at(self, s_vec, opponents):
         self._sync(opponents, project=False)
-        rows = self.system.rows
-        worst = float(np.max(np.abs(rows.a_eq @ s_vec - rows.b_eq)))
-        for a, b, _ in self.inequality_blocks():
-            worst = max(worst, float(np.max(a @ s_vec - b)))
-        return worst
+        eq, ineq = (np.concatenate([a @ s_vec - b for a, b, _ in blocks])
+                    for blocks in (self.system.rows.eq, self.inequality_blocks()))
+        return max(float(np.abs(eq).max()), float(ineq.max()))
 
     def objective(self, s_vec):
         dev = s_vec - self.s_ref

@@ -229,8 +229,44 @@ class GiSolver:
 
 def _require_finite(**arrays):
     for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"QP data {name} has non-finite entries")
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """An m x n_cols matrix with at most k nonzeros in a row, kept as the
+    (m, k) arrays `cols` and `coef` (the ELLPACK layout): row i is the sum
+    over slots j of coef[i, j] times the unit row of column cols[i, j]. A
+    row with fewer nonzeros fills its spare slots with coefficient 0. A
+    product `rows @ x` gathers the rows of x, k multiply-adds per row and
+    column of x in place of n_cols. The arrays are made read-only."""
+
+    cols: np.ndarray
+    coef: np.ndarray
+    n_cols: int
+
+    def __post_init__(self):
+        if self.cols.ndim != 2 or self.cols.shape != self.coef.shape:
+            raise ValueError(f"cols and coef must be matrices of one shape, "
+                             f"got {self.cols.shape} and {self.coef.shape}")
+        self.cols.flags.writeable = self.coef.flags.writeable = False
+
+    @property
+    def shape(self):
+        return self.cols.shape[0], self.n_cols
+
+    def __matmul__(self, x):
+        if x.shape[0] != self.n_cols:
+            raise ValueError(f"rows have {self.n_cols} columns, the operand {x.shape[0]} rows")
+        return np.einsum("ij,ij...->i...", self.coef, x.take(self.cols, axis=0))
+
+    def dense(self):
+        """The dense matrix; a column repeated in a row gets the sum of its
+        coefficients, added slot by slot."""
+        m, n = self.shape
+        flat = np.arange(m)[:, None] * n + self.cols
+        return np.bincount(flat.ravel(), self.coef.ravel(), m * n).reshape(m, n)
 
 
 def variable_reduction(a_eq):
@@ -282,11 +318,14 @@ def _lu_solve(l1, upper, rhs):
 @dataclass(frozen=True)
 class Elimination:
     """What a QP's equality rows A_eq s = b_eq fix, independent of its
-    objective: every feasible point is s_part + Z y. `eq_residual` is the
-    largest miss of s_part over all rows, and `eq_scale` is 1 + max |b_eq|,
-    the scale that residual is judged against. The arrays are read-only, so
-    one elimination can be shared by many quadratic blocks."""
+    objective: every feasible point is s_part + Z y. `affine` is [Z | s_part]
+    in one array, of which `z_basis` and `s_part` are views, so one product
+    reduces a row against both. `eq_residual` is the largest miss of s_part
+    over all rows, and `eq_scale` is 1 + max |b_eq|, the scale that residual
+    is judged against. The arrays are read-only, so one elimination can be
+    shared by many quadratic blocks."""
 
+    affine: np.ndarray
     z_basis: np.ndarray
     s_part: np.ndarray
     eq_residual: float
@@ -325,9 +364,9 @@ def eliminate(a_eq, b_eq):
         )
     eq_residual = float(np.max(np.abs(a_eq @ s_part - b_eq))) if a_eq.shape[0] else 0.0
     eq_scale = 1.0 + (float(np.max(np.abs(b_eq))) if b_eq.size else 0.0)
-    z_basis.flags.writeable = False
-    s_part.flags.writeable = False
-    return Elimination(z_basis, s_part, eq_residual, eq_scale)
+    affine = np.column_stack([z_basis, s_part])
+    affine.flags.writeable = False
+    return Elimination(affine, affine[:, :-1], affine[:, -1], eq_residual, eq_scale)
 
 
 class ReducedQp:
@@ -343,6 +382,7 @@ class ReducedQp:
     """
 
     def __init__(self, h, elimination):
+        self._affine = elimination.affine
         self.z_basis = elimination.z_basis
         self.s_part = elimination.s_part
         self.eq_residual = elimination.eq_residual
@@ -367,13 +407,17 @@ class ReducedQp:
 
     def reduce_rows(self, a_in, b_in):
         """Inequality rows A_in s <= b_in in the null-space coordinates y,
-        where s = s_part + Z y: the pair (A_in Z, b_in - A_in s_part)."""
-        a_in = np.asarray(a_in, dtype=float).reshape(-1, self.n)
+        where s = s_part + Z y: the pair (A_in Z, b_in - A_in s_part). A_in
+        is a dense matrix or `SparseRows`, whose products gather the rows of
+        Z and s_part that each row touches."""
+        if not isinstance(a_in, SparseRows):
+            a_in = np.asarray(a_in, dtype=float).reshape(-1, self.n)
         b_in = np.asarray(b_in, dtype=float).reshape(-1)
         if b_in.shape != (a_in.shape[0],):
             raise ValueError(f"A_in has {a_in.shape[0]} rows but b_in {b_in.shape[0]} entries")
         _require_finite(b_in=b_in)
-        return a_in @ self.z_basis, b_in - a_in @ self.s_part
+        reduced = a_in @ self._affine
+        return reduced[:, :-1], b_in - reduced[:, -1]
 
     def solve(self, f_vec, c_red, d_red, settings, warm=()):
         """Solve with the stored quadratic block, a fresh linear term and

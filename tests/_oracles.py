@@ -167,6 +167,134 @@ def loop_lane_rows(reference, geometry, road, permitted_lanes):
     return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
 
 
+def densify(rows):
+    """Dense matrix of a `SparseRows`, one entry at a time."""
+    a = np.zeros(rows.shape)
+    for i, (cols, coefs) in enumerate(zip(rows.cols, rows.coef)):
+        for col, coef in zip(cols, coefs):
+            a[i, col] += coef
+    return a
+
+
+# The vectorized dense row builders the library used before its rows became
+# sparse, kept as references for the sparse builders: each returns what its
+# namesake in `hypertraffic.constraints` returns, with a dense matrix.
+
+def dense_dynamics_rows(reference, geometry, initial_state=None):
+    from hypertraffic.dynamics import CONTROL_DIM, linearize_steps
+
+    n = len(reference) - 1
+    x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
+    a_mat, b_mat, c_vec = linearize_steps(
+        reference.states[:-1], np.zeros((n, CONTROL_DIM)), geometry, reference.ts
+    )
+    a_eq = np.zeros((4 * n, 6 * n))
+    blocks = a_eq.reshape(n, 4, n, 6)  # [step, row, step, column] view
+    j = np.arange(n)
+    blocks[j, :, j, 0:2] = -b_mat
+    blocks[j, :, j, 2:] = np.eye(4)
+    blocks[j[1:], :, j[:-1], 2:] = -a_mat[1:]
+    b_eq = c_vec.reshape(-1)
+    b_eq[:4] += a_mat[0] @ x0
+    return a_eq, b_eq, ("dynamics",) * (4 * n)
+
+
+def dense_box_rows(limits, segment):
+    n = segment.n_steps
+    steps = np.arange(n)
+    blocks = []
+    rhs = []
+    for col, lo, hi in ((4, limits.v_min, limits.v_max), (0, limits.a_min, limits.a_max),
+                        (1, limits.delta_min, limits.delta_max)):
+        block = np.zeros((2 * n, 6 * n))
+        block[2 * steps, 6 * steps + col] = 1.0
+        block[2 * steps + 1, 6 * steps + col] = -1.0
+        blocks.append(block)
+        rhs.append(np.tile([hi, -lo], n))
+    return np.vstack(blocks), np.concatenate(rhs), ("box",) * (6 * n)
+
+
+def dense_lane_rows(reference, geometry, road, permitted_lanes):
+    from hypertraffic.constraints import RectangleFootprint
+
+    n = len(reference) - 1
+    lanes = sorted(permitted_lanes)
+    boundaries = (lanes[0], lanes[-1] + 1)
+    band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
+    offsets = RectangleFootprint(geometry).body_offsets()
+    poses = reference.states[1:, :]
+    cos = np.cos(poses[:, 3])[:, None]
+    sin = np.sin(poses[:, 3])[:, None]
+    lx, wy = offsets[:, 0], offsets[:, 1]
+    vx = poses[:, 0, None] + lx * cos - wy * sin
+    vy = poses[:, 1, None] + lx * sin + wy * cos
+    rows_idx = np.arange(4 * n)
+    cols = np.repeat(6 * np.arange(n), 4)
+    blocks = []
+    for b_idx in boundaries:
+        probe = (float(poses[0, 0]), band_mid)
+        a, b, c = road.tangent_at(f"boundary_{b_idx}", (float(poses[0, 0]), float(poses[0, 1])), probe)
+        dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
+        f_ref = a * vx + b * vy + c
+        grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
+        block = np.zeros((n * 4, 6 * n))
+        block[rows_idx, cols + 2] = a
+        block[rows_idx, cols + 3] = b
+        block[rows_idx, cols + 5] = dpsi.reshape(-1)
+        blocks.append((block, (grad_dot_ref - f_ref).reshape(-1)))
+    a_rows = np.vstack([a for a, _ in blocks])
+    return a_rows, np.concatenate([b for _, b in blocks]), ("lane",) * a_rows.shape[0]
+
+
+def dense_collision_rows(reference, opponent_strategy, geometry, opponent_id):
+    n = len(reference) - 1
+    opp = opponent_strategy.positions()
+    poses = reference.states[1:, :]
+    ax = (geometry.length + geometry.diagonal) / 2.0
+    by = (geometry.width + geometry.diagonal) / 2.0
+    cos = np.cos(poses[:, 3])
+    sin = np.sin(poses[:, 3])
+    dx = opp[:, 0] - poses[:, 0]
+    dy = opp[:, 1] - poses[:, 1]
+    rx = cos * dx + sin * dy
+    ry = -sin * dx + cos * dy
+    h_ref = 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
+    gx = 6.0 * rx**5 / ax**6
+    gy = 6.0 * ry**5 / by**6
+    d_px = gx * cos - gy * sin
+    d_py = gx * sin + gy * cos
+    d_psi = -gx * ry + gy * rx
+    a_rows = np.zeros((n, 6 * n))
+    cols = 6 * np.arange(n)
+    a_rows[np.arange(n), cols + 2] = d_px
+    a_rows[np.arange(n), cols + 3] = d_py
+    a_rows[np.arange(n), cols + 5] = d_psi
+    grad_dot_ref = d_px * poses[:, 0] + d_py * poses[:, 1] + d_psi * poses[:, 3]
+    return a_rows, grad_dot_ref - h_ref, (f"collision({opponent_id})",) * n
+
+
+def dense_behavior_rows(behavior, reference, road):
+    from hypertraffic.scenario import STRAIGHT
+
+    n = len(reference) - 1
+    if behavior.kind == STRAIGHT:
+        a_rows = np.zeros((n, 6 * n))
+        a_rows[np.arange(n), 6 * np.arange(n) + 5] = 1.0
+        return a_rows, np.full(n, behavior.heading), ("behavior",) * n, True
+    y_tgt = road.centerline_y(behavior.target_lane)
+    poses = reference.states[1:, :]
+    a, b, c = road.tangent_at(
+        f"centerline_{behavior.source_lane}",
+        (float(poses[0, 0]), float(poses[0, 1])),
+        (float(poses[0, 0]), y_tgt),
+    )
+    a_rows = np.zeros((n, 6 * n))
+    cols = 6 * np.arange(n)
+    a_rows[np.arange(n), cols + 2] = a
+    a_rows[np.arange(n), cols + 3] = b
+    return a_rows, np.full(n, -c), ("behavior",) * n, False
+
+
 def random_qp(rng, n_max=6, m_max=4, p_max=2):
     """Random strictly convex QP within the sizes the enumeration can afford.
 

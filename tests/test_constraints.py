@@ -28,7 +28,18 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import fd_gradient, loop_box_rows, loop_dynamics_rows, loop_lane_rows
+from _oracles import (
+    dense_behavior_rows,
+    dense_box_rows,
+    dense_collision_rows,
+    dense_dynamics_rows,
+    dense_lane_rows,
+    densify,
+    fd_gradient,
+    loop_box_rows,
+    loop_dynamics_rows,
+    loop_lane_rows,
+)
 
 
 def _scen():
@@ -117,7 +128,7 @@ def test_dynamics_rows_initial_state_only_moves_first_block():
     a1, b1, _ = dynamics_rows(ref, geo)
     shifted = VehicleState.from_array(ref.states[0] + np.array([0.5, 0.1, 0.2, 0.01]))
     a2, b2, _ = dynamics_rows(ref, geo, initial_state=shifted)
-    assert np.array_equal(a1, a2)
+    assert np.array_equal(densify(a1), densify(a2))
     assert np.any(b1[:4] != b2[:4])
     assert np.array_equal(b1[4:], b2[4:])
 
@@ -132,6 +143,7 @@ def test_dynamics_rows_are_the_zero_control_linearization(vid):
     geo = scen.vehicle(vid).geometry
     x0 = VehicleState.from_array(ref.states[0] + np.array([0.5, 0.1, 0.2, 0.01]))
     a_eq, b_eq, _ = dynamics_rows(ref, geo, initial_state=x0)
+    a_eq = densify(a_eq)
     n = len(ref) - 1
     for j in range(n):
         lin = linearize_discrete(VehicleState.from_array(ref.states[j]), ControlInput(0.0, 0.0),
@@ -157,26 +169,49 @@ def test_vectorized_rows_match_the_loop_oracles(make_scenario):
     # Box rows only place +-1 entries and lane rows do the oracle's
     # arithmetic in the same order, so both must agree exactly; dynamics
     # rows use numpy's cos/sin where the oracle uses math's, so allow a few
-    # units in the last place.
+    # units in the last place. Every family's sparse rows, densified, are
+    # exactly the dense rows the library built before they became sparse.
     scen = make_scenario()
     for segment in (Segment(1, scen.horizon), Segment(13, 25)):
-        a_box, b_box, _ = box_rows(scen.limits, segment)
+        box = box_rows(scen.limits, segment)
+        a_box, b_box = densify(box[0]), box[1]
         o_a, o_b = loop_box_rows(scen.limits, segment.n_steps)
         assert np.array_equal(a_box, o_a) and np.array_equal(b_box, o_b)
-        for vid, full in scen.references().items():
+        _assert_dense_equal(box, dense_box_rows(scen.limits, segment))
+        full_refs = scen.references()
+        for vid, full in full_refs.items():
             ref = full.window(segment.start, segment.stop)
             x0 = ref.states[0] + np.array([0.3, -0.1, 0.2, 0.02])
             geo = scen.vehicle(vid).geometry
-            a_eq, b_eq, _ = dynamics_rows(ref, geo, VehicleState.from_array(x0))
+            dynamics = dynamics_rows(ref, geo, VehicleState.from_array(x0))
+            a_eq, b_eq = densify(dynamics[0]), dynamics[1]
             o_a, o_b = loop_dynamics_rows(ref.states, ref.ts, geo.length, x0)
             tol = 8 * np.finfo(float).eps
             assert np.allclose(a_eq, o_a, rtol=tol, atol=tol)
             assert np.allclose(b_eq, o_b, rtol=tol, atol=tol * np.max(np.abs(o_b)))
+            _assert_dense_equal(dynamics, dense_dynamics_rows(ref, geo, VehicleState.from_array(x0)))
             vehicle = scen.vehicle(vid)
             lanes = vehicle.behavior.permitted_lanes(scen.road, vehicle.initial.p_y)
-            a_lane, b_lane, _ = lane_rows(ref, geo, scen.road, lanes)
+            lane = lane_rows(ref, geo, scen.road, lanes)
+            a_lane, b_lane = densify(lane[0]), lane[1]
             o_a, o_b = loop_lane_rows(ref, geo, scen.road, lanes)
             assert np.array_equal(a_lane, o_a) and np.array_equal(b_lane, o_b)
+            _assert_dense_equal(lane, dense_lane_rows(ref, geo, scen.road, lanes))
+            _assert_dense_equal(behavior_rows(vehicle.behavior, ref, scen.road),
+                                dense_behavior_rows(vehicle.behavior, ref, scen.road))
+            for other in sorted(set(full_refs) - {vid}):
+                opp = Strategy.from_reference(full_refs[other].window(segment.start, segment.stop),
+                                              segment)
+                _assert_dense_equal(collision_rows(ref, opp, geo, other),
+                                    dense_collision_rows(ref, opp, geo, other))
+
+
+def _assert_dense_equal(sparse, dense):
+    """A sparse builder's output, densified, equals the dense builder's."""
+    rows, *rest = sparse
+    want, *want_rest = dense
+    assert rows.shape == want.shape and np.array_equal(densify(rows), want)
+    assert np.array_equal(rest[0], want_rest[0]) and tuple(rest[1:]) == tuple(want_rest[1:])
 
 
 def test_box_rows_localize_violations():
@@ -261,7 +296,7 @@ def test_collision_row_gradient_matches_finite_differences():
     ref = _ref(scen, 0)
     geo = scen.vehicle(0).geometry
     opp = _seed_strategy(scen, 1)
-    a_in, _, _ = collision_rows(ref, opp, geo, 1)
+    a_in = densify(collision_rows(ref, opp, geo, 1)[0])
     opp_pos = opp.positions()
     for k in (5, 20, 34):
         pose = ref.states[k + 1]

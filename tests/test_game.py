@@ -6,7 +6,6 @@ import pytest
 from hypertraffic.constraints import Segment, Strategy, X_V, STEP_VARS, assemble, profile_violation
 from hypertraffic.game import (
     WEIGHT_PATTERN,
-    WeightExpansion,
     _PlayerWorkspace,
     best_response,
     make_game,
@@ -16,6 +15,7 @@ from hypertraffic.game import (
     reference_vector,
     solve_games,
     ve_residual,
+    weight_diagonal,
 )
 from hypertraffic.qp import OPTIMAL, QpProblem, kkt_residual
 from hypertraffic.scenario import (
@@ -46,16 +46,15 @@ def _seed(scen, vid):
     return Strategy.from_reference(scen.references()[vid].window(1, scen.horizon), seg)
 
 
-def test_weight_expansion_layout():
+def test_weight_diagonal_layout():
     theta = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    exp = WeightExpansion(theta, 2)
     # block order is (a, delta, p_x, p_y, v, psi); theta stores
     # (p_x, p_y, v, psi, a, delta)
-    assert exp.diagonal.tolist() == [5.0, 6.0, 1.0, 2.0, 3.0, 4.0] * 2
-    with pytest.raises(ValueError):
-        WeightExpansion(np.zeros(6), 2)
-    with pytest.raises(ValueError):
-        WeightExpansion(np.ones(3), 2)
+    assert weight_diagonal(theta, 2).tolist() == [5.0, 6.0, 1.0, 2.0, 3.0, 4.0] * 2
+    with pytest.raises(ValueError, match="strictly positive"):
+        weight_diagonal(np.zeros(6), 2)
+    with pytest.raises(ValueError, match="6 components"):
+        weight_diagonal(np.ones(3), 2)
 
 
 def test_objective_value_matches_qp_data():

@@ -2,14 +2,17 @@
 only: every name a module imports is read somewhere in that module
 (`__init__.py` is exempt, since it imports only to re-export), and every
 module-level private function, class or constant is referenced by some
-library module."""
+library module. Also, the CI workflow (read with PyYAML) installs the
+package and runs the tier-1 command."""
 
 import ast
 from pathlib import Path
 
 import pytest
+import yaml
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hypertraffic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hypertraffic"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -83,3 +86,16 @@ def test_every_private_module_level_name_is_referenced():
     unreferenced = [(module, line, name) for module, source in sources.items()
                     for line, name in private_definitions(source) if name not in referenced]
     assert unreferenced == []
+
+
+def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    steps = job["steps"]
+    assert [s["with"]["python-version"] for s in steps if "setup-python" in s.get("uses", "")] == ["3.11"]
+    runs = [(s["run"], s.get("env", {})) for s in steps if "run" in s]
+    assert runs[0][0] == "pip install -e '.[test]'"
+    command, env = runs[-1]
+    assert command == ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+                       "python -m pytest -q --continue-on-collection-errors")
+    assert env == {"OPENBLAS_NUM_THREADS": "1"}

@@ -14,15 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertraffic import game as game_module
-from hypertraffic.constraints import (
-    Segment,
-    Strategy,
-    assemble,
-    behavior_rows,
-    box_rows,
-    collision_rows,
-    lane_rows,
-)
+from hypertraffic.constraints import Segment, Strategy, assemble
 from hypertraffic.dynamics import VehicleState
 from hypertraffic.harness import _anchored_reference
 from hypertraffic.qp import ReducedQp, eliminate
@@ -32,6 +24,15 @@ from hypertraffic.scenario import (
     default_online_scenario,
     success_study_scenario,
 )
+
+from _oracles import (
+    dense_behavior_rows,
+    dense_box_rows,
+    dense_collision_rows,
+    dense_lane_rows,
+    densify,
+)
+
 
 def _off_centre_offline():
     """The offline study with the human started 0.4 m off its lane centre
@@ -58,8 +59,8 @@ def _scenario(name):
 
 
 def _solved_rows(monkeypatch, game, vid, opponents):
-    """The reduced QP and inequality data of one best response, as solved,
-    and the workspace's dense inequality rows in solver order."""
+    """The workspace of one best response, its reduced QP and inequality
+    data as solved, and its inequality rows in solver order, densified."""
     seen = []
     original = ReducedQp.solve
 
@@ -73,15 +74,17 @@ def _solved_rows(monkeypatch, game, vid, opponents):
     monkeypatch.setattr(ReducedQp, "solve", original)
     assert len(seen) == 1 and seen[0][0] is workspace.reduced
     blocks = workspace.inequality_blocks()
-    a_in = np.vstack([a for a, _, _ in blocks])
+    a_in = np.vstack([densify(a) for a, _, _ in blocks])
     b_in = np.concatenate([b for _, b, _ in blocks])
-    return (*seen[0], a_in, b_in)
+    return (workspace, *seen[0], a_in, b_in)
 
 
 def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled):
+    rng = np.random.default_rng(11)
     for vid in game.decision_ids:
         opponents = opponents_of(vid)
-        reduced, c_red, d_red, a_in, b_in = _solved_rows(monkeypatch, game, vid, opponents)
+        workspace, reduced, c_red, d_red, a_in, b_in = _solved_rows(monkeypatch, game, vid,
+                                                                    opponents)
         system = assembled(vid, opponents)
         # The equalities reach the solve as their elimination, which may come
         # from the cache of static parts.
@@ -91,10 +94,24 @@ def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled
         assert np.array_equal(a_in, system.a_in), vid
         assert np.array_equal(b_in, system.b_in), vid
         # The reduced rows solved with, static blocks from the cache, match
-        # a fresh reduction of the assembled rows.
+        # a fresh dense reduction of the assembled rows up to the rounding of
+        # a row of at most 7 products: the sparse rows gather without fused
+        # multiply-adds, BLAS multiplies with them.
         c_want, d_want = reduced.reduce_rows(system.a_in, system.b_in)
-        assert np.max(np.abs(c_red - c_want)) <= 1e-12, vid
-        assert np.max(np.abs(d_red - d_want)) <= 1e-12, vid
+        eps = np.finfo(float).eps
+        abs_a = np.abs(system.a_in)
+        assert np.all(np.abs(c_red - c_want) <= 8 * eps * (abs_a @ np.abs(reduced.z_basis))), vid
+        d_scale = abs_a @ np.abs(reduced.s_part) + np.abs(system.b_in)
+        assert np.all(np.abs(d_red - d_want) <= 8 * eps * d_scale), vid
+        # So is the violation gathered from the sparse rows, against the
+        # largest |a_i| . |s| + |b_i|.
+        a_all = np.vstack([system.a_eq, system.a_in])
+        b_all = np.concatenate([system.b_eq, system.b_in])
+        s_star = workspace.best_response(opponents).s_star
+        for s_vec in (s_star, s_star + rng.normal(0.0, 0.5, s_star.size)):
+            scale = np.max(np.abs(a_all) @ np.abs(s_vec) + np.abs(b_all))
+            got = workspace.violation_at(s_vec, opponents)
+            assert abs(got - system.violation(s_vec)) <= 8 * eps * scale, vid
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -172,14 +189,14 @@ def test_assembled_row_counts_and_tags_follow_the_families(name, vid, start, len
     tags = np.array(system.in_tags)
     lanes = vehicle.behavior.permitted_lanes(scen.road, vehicle.initial.p_y)
     expected = {
-        "box": box_rows(scen.limits, segment),
-        "lane": lane_rows(reference, vehicle.geometry, scen.road, lanes),
+        "box": dense_box_rows(scen.limits, segment),
+        "lane": dense_lane_rows(reference, vehicle.geometry, scen.road, lanes),
     }
     for k in others:
-        expected[f"collision({k})"] = collision_rows(reference, opponents[k],
-                                                     vehicle.geometry, k)
+        expected[f"collision({k})"] = dense_collision_rows(reference, opponents[k],
+                                                           vehicle.geometry, k)
     if not straight:
-        expected["behavior"] = behavior_rows(vehicle.behavior, reference, scen.road)
+        expected["behavior"] = dense_behavior_rows(vehicle.behavior, reference, scen.road)
     for tag, (rows, rhs, *_) in expected.items():
         assert np.array_equal(system.a_in[tags == tag], rows), tag
         assert np.array_equal(system.b_in[tags == tag], rhs), tag

@@ -72,12 +72,15 @@ def _workspaces(game):
 
 
 def _system_parts(system):
-    """The arrays and tags of a cached player system, in a fixed order."""
+    """The arrays and tags of a cached player system, in a fixed order: its
+    sparse rows' columns, coefficients and right-hand sides, the reduced
+    static blocks, and the null-space basis and particular solution."""
     rows = system.rows
-    blocks = rows.head + rows.tail
-    arrays = [rows.a_eq, rows.b_eq, *(x for a, b, _ in blocks for x in (a, b)),
-              *(x for pair in system.head + system.tail for x in pair)]
-    return arrays, (rows.eq_tags, tuple(tags for *_, tags in blocks))
+    blocks = rows.eq + rows.head + rows.tail
+    arrays = [*(x for a, b, _ in blocks for x in (a.cols, a.coef, b)),
+              *(x for pair in system.head + system.tail for x in pair),
+              system.elimination.z_basis, system.elimination.s_part]
+    return arrays, tuple(tuple(tags for *_, tags in part) for part in (rows.eq, rows.head, rows.tail))
 
 
 def _assert_same_workspaces(got, want, game):
@@ -243,6 +246,20 @@ def test_a_cache_hit_builds_no_static_rows(monkeypatch):
     game_module._STATIC_PARTS.clear()
     _workspaces(hit)
     assert sorted(calls) == sorted(hit.decision_ids)
+
+
+@pytest.mark.parametrize("kind, bound", [("lane change", 5.5e6), ("straight", 2.7e6)])
+def test_a_cache_entry_at_h121_stays_small(kind, bound):
+    # The static rows are kept sparse, so an entry is about the basis Z and
+    # the reduced static blocks: 4.99 MB for a lane changer, whose dense rows
+    # took 13.1 MB more, and 2.45 MB for a straight driver.
+    scen = _scenario("h121")
+    game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
+    vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
+    _PlayerWorkspace(game, vid)
+    (system,) = game_module._STATIC_PARTS.values()
+    arrays, _ = _system_parts(system)
+    assert sum(a.nbytes for a in arrays) <= bound
 
 
 def test_a_reference_stepped_otherwise_than_the_scenario_is_refused():
