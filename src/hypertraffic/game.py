@@ -28,8 +28,9 @@ WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 # lane-changing player: at H=121 (120 steps, 720 variables) it holds the basis
 # Z (720 x 240), 1,800 reduced inequality rows of 240 columns and its 2,280
 # static rows in sparse form (480 dynamics rows of 7 slots, 720 box rows of 1,
-# 960 lane rows of 3, 120 lane-change rows of 2), 5.0 MB with the right-hand
-# sides and s_part, so a full cache holds at most 40 MB.
+# 960 lane rows of 3, 120 lane-change rows of 2), 5,006,400 bytes with the
+# right-hand sides, s_part and the A_in s_part column each reduced block keeps
+# alive, so a full cache holds at most 40 MB.
 STATIC_CACHE_ENTRIES = 8
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu, solve_triangular
@@ -319,17 +320,23 @@ def _lu_solve(l1, upper, rhs):
 class Elimination:
     """What a QP's equality rows A_eq s = b_eq fix, independent of its
     objective: every feasible point is s_part + Z y. `affine` is [Z | s_part]
-    in one array, of which `z_basis` and `s_part` are views, so one product
-    reduces a row against both. `eq_residual` is the largest miss of s_part
-    over all rows, and `eq_scale` is 1 + max |b_eq|, the scale that residual
-    is judged against. The arrays are read-only, so one elimination can be
-    shared by many quadratic blocks."""
+    in one read-only array, so one product reduces a row against both and
+    one elimination can be shared by many quadratic blocks; `z_basis` and
+    `s_part` are views of it, made once. `eq_residual` is the largest miss
+    of s_part over all rows, and `eq_scale` is 1 + max |b_eq|, the scale
+    that residual is judged against."""
 
     affine: np.ndarray
-    z_basis: np.ndarray
-    s_part: np.ndarray
     eq_residual: float
     eq_scale: float
+
+    @cached_property
+    def z_basis(self):
+        return self.affine[:, :-1]
+
+    @cached_property
+    def s_part(self):
+        return self.affine[:, -1]
 
 
 def eliminate(a_eq, b_eq):
@@ -366,7 +373,7 @@ def eliminate(a_eq, b_eq):
     eq_scale = 1.0 + (float(np.max(np.abs(b_eq))) if b_eq.size else 0.0)
     affine = np.column_stack([z_basis, s_part])
     affine.flags.writeable = False
-    return Elimination(affine, affine[:, :-1], affine[:, -1], eq_residual, eq_scale)
+    return Elimination(affine, eq_residual, eq_scale)
 
 
 class ReducedQp:
@@ -383,8 +390,7 @@ class ReducedQp:
 
     def __init__(self, h, elimination):
         self._affine = elimination.affine
-        self.z_basis = elimination.z_basis
-        self.s_part = elimination.s_part
+        self.z_basis, self.s_part = elimination.z_basis, elimination.s_part
         self.eq_residual = elimination.eq_residual
         self._eq_scale = elimination.eq_scale
         self.n, self.null_dim = self.z_basis.shape

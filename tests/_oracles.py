@@ -176,6 +176,22 @@ def densify(rows):
     return a
 
 
+def sparsify(a):
+    """`SparseRows` of a dense matrix: each row's nonzero columns in
+    increasing order, padded with coefficient 0 on column 0 to the longest
+    row's count."""
+    from hypertraffic.qp import SparseRows
+
+    nonzero = [np.flatnonzero(row) for row in a]
+    k = max((len(c) for c in nonzero), default=0)
+    cols = np.zeros((a.shape[0], k), dtype=np.intp)
+    coef = np.zeros((a.shape[0], k))
+    for i, c in enumerate(nonzero):
+        cols[i, :len(c)] = c
+        coef[i, :len(c)] = a[i, c]
+    return SparseRows(cols, coef, a.shape[1])
+
+
 # The vectorized dense row builders the library used before its rows became
 # sparse, kept as references for the sparse builders: each returns what its
 # namesake in `hypertraffic.constraints` returns, with a dense matrix.
