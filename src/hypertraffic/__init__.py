@@ -8,10 +8,8 @@ and experiment harnesses with a CLI on top.
 
 from .cognition import (
     CognitionModel,
-    CognitionProfile,
-    HneTolerance,
     HneVerdict,
-    cognition_profile,
+    cognitive_threshold,
     hne_gap_sweep,
     hv_subjective_game,
     plan_cavs,

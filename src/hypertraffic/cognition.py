@@ -27,43 +27,12 @@ def average_weights(scenario):
     }
 
 
-@dataclass(frozen=True)
-class CognitionProfile:
-    """How far the autonomous fleet's assumed weights sit from the truth."""
-
-    theta_ave: dict
-    epsilon_c: float
-
-    def __post_init__(self):
-        if self.epsilon_c < 0:
-            raise ValueError("cognitive threshold cannot be negative")
-
-
-def cognition_profile(scenario):
+def cognitive_threshold(scenario):
+    """How far the autonomous fleet's typical weights sit from the truth: the
+    largest distance over the CAVs."""
     ave = average_weights(scenario)
-    eps = 0.0
-    for cav in scenario.cavs:
-        eps = max(eps, float(np.linalg.norm(cav.weights_true.theta - ave[cav.vid].theta)))
-    return CognitionProfile(theta_ave=ave, epsilon_c=eps)
-
-
-@dataclass(frozen=True)
-class HneTolerance:
-    """Acceptable human-side optimality gap, in cost units."""
-
-    perceptual_threshold: float
-    linear_coefficient: float = None
-
-    def __post_init__(self):
-        if self.perceptual_threshold <= 0:
-            raise ValueError("perceptual threshold must be positive")
-
-    @classmethod
-    def from_sweep(cls, sweep, epsilon_c, floor=1e-4):
-        """Threshold twice the measured gap growth rate times the cognitive
-        threshold, floored so a zero-mismatch family still has a usable bound."""
-        eps_p = max(2.0 * sweep.slope * epsilon_c, floor)
-        return cls(perceptual_threshold=eps_p, linear_coefficient=sweep.slope)
+    return max((float(np.linalg.norm(cav.weights_true.theta - ave[cav.vid].theta))
+                for cav in scenario.cavs), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -153,9 +122,13 @@ def verify_hne(profile, scenario, eps_p, gap_tol=1e-4):
 
     Autonomous players must be exact best responses up to the solver-quality
     tolerance, relative to their cost scale; the human side passes when its
-    gap stays within the perceptual threshold.
+    gap stays within the perceptual threshold. A NaN threshold would pass
+    every gap, so both must be positive (inf included).
     """
-    eps_p = eps_p.perceptual_threshold if isinstance(eps_p, HneTolerance) else float(eps_p)
+    eps_p, gap_tol = float(eps_p), float(gap_tol)
+    for name, value in (("eps_p", eps_p), ("gap_tol", gap_tol)):
+        if not value > 0:
+            raise ValueError(f"{name} must be a positive number or inf, got {value}")
     weights = {0: scenario.hv.weights_true}
     weights.update({cav.vid: cav.weights_true for cav in scenario.cavs})
     report = ve_residual(profile, make_game(scenario, weights))
@@ -200,10 +173,6 @@ class GapSweep:
     slope: float
     intercept: float
 
-    def monotone(self, tol=0.0):
-        gaps = [g for _, g in self.rows]
-        return all(b >= a - tol for a, b in zip(gaps, gaps[1:]))
-
 
 def hne_gap_sweep(scenario, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)):
     """Run the predict/plan pipeline across a family of shrinking-mismatch
@@ -223,7 +192,7 @@ def hne_gap_sweep(scenario, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)):
         # The human strategy can undercut the best feasible response when the
         # misread plans squeeze its feasible set, which flips the sign of the
         # raw gap.  Distance from equilibrium is the magnitude either way.
-        rows.append((cognition_profile(scen).epsilon_c, abs(verdict.hv_gap)))
+        rows.append((cognitive_threshold(scen), abs(verdict.hv_gap)))
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
     slope, intercept = np.polyfit(xs, ys, 1)

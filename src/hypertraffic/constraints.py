@@ -11,7 +11,6 @@ produced them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,33 +92,16 @@ class Strategy:
     def positions(self):
         return self.blocks()[:, X_PX:X_PY + 1]
 
-    def state_at(self, k):
-        points = self.segment.decision_points()
-        if k not in points:
-            raise ValueError(f"time point {k} has no decision state in this strategy")
-        return VehicleState.from_array(self.states()[k - self.segment.start - 1])
-
     def terminal_state(self):
         return VehicleState.from_array(self.states()[-1])
 
 
-@dataclass(frozen=True)
-class RectangleFootprint:
-    """Extended body rectangle; vertices counterclockwise from front-left."""
-
-    geometry: object
-
-    def body_offsets(self):
-        l = self.geometry.extended_length / 2.0
-        w = self.geometry.extended_width / 2.0
-        return np.array([[l, w], [-l, w], [-l, -w], [l, -w]])
-
-    def vertices(self, pose):
-        """World positions of the four vertices for a pose (p_x, p_y, psi)."""
-        px, py, psi = float(pose[0]), float(pose[1]), float(pose[2])
-        c, s = math.cos(psi), math.sin(psi)
-        rot = np.array([[c, -s], [s, c]])
-        return np.array([px, py]) + self.body_offsets() @ rot.T
+def body_offsets(geometry):
+    """Extended body rectangle's vertices relative to the vehicle center in
+    the body frame, counterclockwise from front-left."""
+    l = geometry.extended_length / 2.0
+    w = geometry.extended_width / 2.0
+    return np.array([[l, w], [-l, w], [-l, -w], [l, -w]])
 
 
 @dataclass(frozen=True)
@@ -214,7 +196,7 @@ def lane_rows(reference, geometry, road, permitted_lanes):
     lanes = sorted(permitted_lanes)
     boundaries = (lanes[0], lanes[-1] + 1)
     band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
-    offsets = RectangleFootprint(geometry).body_offsets()
+    offsets = body_offsets(geometry)
     poses = reference.states[1:, :]  # decision points only
     cos = np.cos(poses[:, 3])[:, None]
     sin = np.sin(poses[:, 3])[:, None]
@@ -226,7 +208,7 @@ def lane_rows(reference, geometry, road, permitted_lanes):
     coefs, rhs = [], []
     for b_idx in boundaries:
         probe = (float(poses[0, 0]), band_mid)
-        a, b, c = road.tangent_at(f"boundary_{b_idx}", (float(poses[0, 0]), float(poses[0, 1])), probe)
+        a, b, c = road.tangent_at(road.boundary_y(b_idx), poses[0, :2], probe)
         # f = a*(px + lx cos - wy sin) + b*(py + lx sin + wy cos) + c
         dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
         f_ref = a * vx + b * vy + c
@@ -238,20 +220,6 @@ def lane_rows(reference, geometry, road, permitted_lanes):
         rhs.append((grad_dot_ref - f_ref).reshape(-1))
     rows = _step_rows(np.tile(np.repeat(np.arange(n), 4), 2), _POSE_COLUMNS, np.vstack(coefs), n)
     return rows, np.concatenate(rhs), ("lane",) * (8 * n)
-
-
-def collision_value(own_pose, opponent_pos, geometry):
-    """Nonlinear keep-out value: negative outside the inflated super-ellipse
-    around the opponent, zero on its boundary, positive inside."""
-    px, py, psi = float(own_pose[0]), float(own_pose[1]), float(own_pose[2])
-    dx = float(opponent_pos[0]) - px
-    dy = float(opponent_pos[1]) - py
-    c, s = math.cos(psi), math.sin(psi)
-    rx = c * dx + s * dy
-    ry = -s * dx + c * dy
-    ax = (geometry.length + geometry.diagonal) / 2.0
-    by = (geometry.width + geometry.diagonal) / 2.0
-    return 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
 
 
 def collision_rows(reference, opponent_strategy, geometry, opponent_id):
@@ -296,11 +264,8 @@ def behavior_rows(behavior, reference, road):
         return rows, np.full(n, behavior.heading), ("behavior",) * n, True
     y_tgt = road.centerline_y(behavior.target_lane)
     poses = reference.states[1:, :]
-    a, b, c = road.tangent_at(
-        f"centerline_{behavior.source_lane}",
-        (float(poses[0, 0]), float(poses[0, 1])),
-        (float(poses[0, 0]), y_tgt),
-    )
+    a, b, c = road.tangent_at(road.centerline_y(behavior.source_lane), poses[0, :2],
+                              (poses[0, 0], y_tgt))
     rows = _step_rows(np.arange(n), [X_PX, X_PY], np.tile([a, b], (n, 1)), n)
     return rows, np.full(n, -c), ("behavior",) * n, False
 
@@ -386,42 +351,35 @@ def profile_violation(strategies, scenario):
     """Worst nonlinear constraint violation of a realized joint profile.
 
     Checks box limits directly, lane containment of the extended-rectangle
-    vertices, and the pairwise keep-out value; behavior rows are planning
-    commitments and are not graded here. Returns the largest violation
-    (0 when the profile is clean).
+    vertices, and the pairwise keep-out value, one array pass per player over
+    all steps and opponents; behavior rows are planning commitments and are
+    not graded here. Returns the largest violation (0 when the profile is
+    clean).
     """
-    worst = 0.0
+    lim, road = scenario.limits, scenario.road
+    lower = np.array([lim.v_min, lim.a_min, lim.delta_min])
+    upper = np.array([lim.v_max, lim.a_max, lim.delta_max])
     ids = sorted(strategies)
-    for vid in ids:
+    positions = np.stack([strategies[vid].positions() for vid in ids])
+    worst = 0.0
+    for k, vid in enumerate(ids):
         vehicle = scenario.vehicle(vid)
-        strat = strategies[vid]
-        states = strat.states()
-        controls = strat.controls()
-        lim = scenario.limits
-        worst = max(
-            worst,
-            float(np.max(states[:, 2] - lim.v_max, initial=0.0)),
-            float(np.max(lim.v_min - states[:, 2], initial=0.0)),
-            float(np.max(controls[:, 0] - lim.a_max, initial=0.0)),
-            float(np.max(lim.a_min - controls[:, 0], initial=0.0)),
-            float(np.max(controls[:, 1] - lim.delta_max, initial=0.0)),
-            float(np.max(lim.delta_min - controls[:, 1], initial=0.0)),
-        )
-        lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-        y_lo = scenario.road.boundary_y(min(lanes))
-        y_hi = scenario.road.boundary_y(max(lanes) + 1)
-        foot = RectangleFootprint(vehicle.geometry)
-        for row in states:
-            verts = foot.vertices((row[0], row[1], row[3]))
-            worst = max(
-                worst,
-                float(np.max(verts[:, 1] - y_hi, initial=0.0)),
-                float(np.max(y_lo - verts[:, 1], initial=0.0)),
-            )
-        for other in ids:
-            if other == vid:
-                continue
-            opp_pos = strategies[other].positions()
-            for row, opp in zip(states, opp_pos):
-                worst = max(worst, collision_value((row[0], row[1], row[3]), opp, vehicle.geometry))
+        geo = vehicle.geometry
+        blocks = strategies[vid].blocks()
+        limited = blocks[:, [X_V, U_A, U_DELTA]]
+        px, py, psi = blocks[:, X_PX], blocks[:, X_PY], blocks[:, X_PSI]
+        cos, sin = np.cos(psi), np.sin(psi)
+        lanes = vehicle.behavior.permitted_lanes(road, vehicle.initial.p_y)
+        lx, wy = body_offsets(geo).T
+        vy = py[:, None] + (lx * sin[:, None] + wy * cos[:, None])
+        dx = np.delete(positions[:, :, 0], k, axis=0) - px
+        dy = np.delete(positions[:, :, 1], k, axis=0) - py
+        rx = cos * dx + sin * dy
+        ry = -sin * dx + cos * dy
+        ax = (geo.length + geo.diagonal) / 2.0
+        by = (geo.width + geo.diagonal) / 2.0
+        worst = max(worst, *(float(np.max(term, initial=0.0)) for term in (
+            np.maximum(limited - upper, lower - limited),
+            np.maximum(vy - road.boundary_y(max(lanes) + 1), road.boundary_y(min(lanes)) - vy),
+            1.0 - (rx / ax) ** 6 - (ry / by) ** 6)))
     return worst

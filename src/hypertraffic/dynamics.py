@@ -1,5 +1,5 @@
-"""Kinematic bicycle model: continuous dynamics, forward-Euler discretization,
-and first-order linearization about a nominal point.
+"""Kinematic bicycle model: forward-Euler discretization and first-order
+linearization about a nominal point.
 
 States are (p_x, p_y, v, psi); controls are (a, delta). Angles are radians
 everywhere inside the library; degree conversion happens at config boundaries.
@@ -87,28 +87,19 @@ class LinearizedStep:
     ts: float
 
 
-def continuous_rhs(state, control, geometry):
-    """Time derivative of the bicycle state.
-
-    Args:
-        state: VehicleState.
-        control: ControlInput; |delta| must be below pi/2.
-        geometry: VehicleGeometry supplying the wheelbase (body length).
-
-    Returns:
-        ndarray (4,): (v cos psi, v sin psi, a, v tan(delta) / L).
-    """
-    if abs(control.delta) >= math.pi / 2:
-        raise ValueError(f"steering angle {control.delta} outside (-pi/2, pi/2)")
-    v, psi = state.v, state.psi
-    return np.array(
-        [
-            v * math.cos(psi),
-            v * math.sin(psi),
-            control.a,
-            v * math.tan(control.delta) / geometry.length,
-        ]
-    )
+def euler_steps(states, controls, geometry, ts):
+    """Forward-Euler steps x + ts (v cos psi, v sin psi, a, v tan(delta) / L)
+    of the nonlinear model from n (state, control) pairs, as an (n, 4) array;
+    every |delta| must be below pi/2 and L is the body length."""
+    if ts <= 0:
+        raise ValueError("step size must be positive")
+    states = np.asarray(states, dtype=float).reshape(-1, STATE_DIM)
+    controls = np.asarray(controls, dtype=float).reshape(-1, CONTROL_DIM)
+    if np.any(np.abs(controls[:, 1]) >= math.pi / 2):
+        raise ValueError(f"steering angles {controls[:, 1]} outside (-pi/2, pi/2)")
+    v, psi = states[:, 2], states[:, 3]
+    return states + ts * np.column_stack([v * np.cos(psi), v * np.sin(psi), controls[:, 0],
+                                          v * np.tan(controls[:, 1]) / geometry.length])
 
 
 def linearize_steps(states, controls, geometry, ts):
@@ -125,12 +116,9 @@ def linearize_steps(states, controls, geometry, ts):
         makes each linear step reproduce the nonlinear Euler step exactly at
         its nominal (state, control).
     """
-    if ts <= 0:
-        raise ValueError("step size must be positive")
+    nominal_next = euler_steps(states, controls, geometry, ts)
     states = np.asarray(states, dtype=float).reshape(-1, STATE_DIM)
     controls = np.asarray(controls, dtype=float).reshape(-1, CONTROL_DIM)
-    if np.any(np.abs(controls[:, 1]) >= math.pi / 2):
-        raise ValueError(f"nominal steering angles {controls[:, 1]} outside (-pi/2, pi/2)")
     v, psi = states[:, 2], states[:, 3]
     cos, sin, tan = np.cos(psi), np.sin(psi), np.tan(controls[:, 1])
     a_mat = np.tile(np.eye(STATE_DIM), (states.shape[0], 1, 1))
@@ -142,8 +130,7 @@ def linearize_steps(states, controls, geometry, ts):
     b_mat = np.zeros((states.shape[0], STATE_DIM, CONTROL_DIM))
     b_mat[:, 2, 0] = ts
     b_mat[:, 3, 1] = ts * v * (1.0 + tan**2) / geometry.length
-    rhs = np.column_stack([v * cos, v * sin, controls[:, 0], v * tan / geometry.length])
-    c_vec = (states + ts * rhs - (a_mat @ states[:, :, None])[:, :, 0]
+    c_vec = (nominal_next - (a_mat @ states[:, :, None])[:, :, 0]
              - (b_mat @ controls[:, :, None])[:, :, 0])
     return a_mat, b_mat, c_vec
 
@@ -158,8 +145,8 @@ def linearize_discrete(nominal_state, nominal_control, geometry, ts):
 
 def euler_step(state, control, geometry, ts):
     """One forward-Euler step of the nonlinear model."""
-    x = state.as_array() + ts * continuous_rhs(state, control, geometry)
-    return VehicleState.from_array(x)
+    return VehicleState.from_array(
+        euler_steps(state.as_array(), control.as_array(), geometry, ts)[0])
 
 
 def rollout(initial, controls, geometry, ts):

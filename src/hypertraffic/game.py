@@ -58,13 +58,6 @@ def objective_qp_data(weights, reference, segment):
     return h_diag, -h_diag * reference_vector(reference, segment)
 
 
-def objective_value(strategy, weights, reference):
-    """Tracking cost 0.5 * ||s - s_ref||^2 weighted by the expanded diagonal."""
-    seg = strategy.segment
-    dev = strategy.data - reference_vector(reference, seg)
-    return float(0.5 * dev @ (weight_diagonal(weights.theta, seg.n_steps) * dev))
-
-
 def pseudo_gradient(strategies, weights, references):
     """Stacked per-player objective gradients for the autonomous players.
 
@@ -435,12 +428,6 @@ class VeReport:
     gaps: dict
     objectives: dict
     max_violation: float
-
-    def certified(self, tol):
-        """True when every player's gap is within tol * (1 + |J_i|)."""
-        return all(
-            gap <= tol * (1.0 + abs(self.objectives[vid])) for vid, gap in self.gaps.items()
-        )
 
 
 def ve_residual(strategies, game):

@@ -70,9 +70,6 @@ class SessionTrace:
     def message_count(self):
         return len(self.messages)
 
-    def messages_in_round(self, zeta):
-        return tuple(m for m in self.messages if m.iteration == zeta)
-
     def node_seconds(self, node, zeta=None):
         return sum(
             e.seconds

@@ -25,9 +25,6 @@ VELOCITY = "velocity_consistent"
 COMFORT = "comfort_oriented"
 STYLE_NAMES = (POSE, VELOCITY, COMFORT)
 
-# Weight components, in vector order: (p_x, p_y, v, psi, a, delta).
-WEIGHT_LABELS = ("theta_px", "theta_py", "theta_v", "theta_psi", "theta_a", "theta_delta")
-
 # Effective components per behavior. Straight driving pins the lateral motion,
 # so only longitudinal tracking, speed, and acceleration weights act.
 EFFECTIVE_INDICES = {
@@ -118,8 +115,7 @@ def true_style_weights(behavior_kind, style):
 @dataclass(frozen=True)
 class LaneGeometry:
     """Parallel horizontal lanes. Lane i spans y in [i*w, (i+1)*w]; boundary i
-    is the line y = i*w. Curves are addressed by string ids so the tangent
-    query stays the single entry point for road shape."""
+    is the line y = i*w, centerline i the line y = (i + 0.5)*w."""
 
     lane_count: int = 2
     lane_width: float = 4.0
@@ -148,28 +144,15 @@ class LaneGeometry:
         idx = int(math.floor(p_y / self.lane_width))
         return min(max(idx, 0), self.lane_count - 1)
 
-    def _curve_y(self, curve_id):
-        kind, _, num = curve_id.partition("_")
-        try:
-            index = int(num)
-        except ValueError:
-            raise ValueError(f"malformed curve id {curve_id!r}") from None
-        if kind == "boundary":
-            return self.boundary_y(index)
-        if kind == "centerline":
-            return self.centerline_y(index)
-        raise ValueError(f"unknown curve kind in id {curve_id!r}")
-
-    def tangent_at(self, curve_id, point, feasible_point=None):
-        """Normalized tangent-line coefficients (a, b, c) of a curve at the
-        projection of `point`, signed so that the feasible side satisfies
-        a*x + b*y + c <= 0.
+    def tangent_at(self, y0, point, feasible_point=None):
+        """Normalized tangent-line coefficients (a, b, c) of the line y = y0
+        at the projection of `point`, signed so that the feasible side
+        satisfies a*x + b*y + c <= 0.
 
         `feasible_point` picks the permitted side; it defaults to `point`
         itself, which covers the lane-keeping case. Points projecting outside
         the road's x extent are rejected.
         """
-        y0 = self._curve_y(curve_id)
         px = float(point[0])
         if not self.x_extent[0] <= px <= self.x_extent[1]:
             raise ValueError(
@@ -598,14 +581,16 @@ def _behavior_from_config(raw, context):
         raise ValueError(f"config field {context}.kind has unknown value {kind!r}")
     _fields(raw, context, _BEHAVIOR_FIELDS[kind])
     if kind == STRAIGHT:
-        direction = _num(raw, "direction", context, (1.0, 0.0), vector=True, length=2)
+        direction = _num(raw, "direction", context, BehaviorSpec.direction, vector=True,
+                         length=2)
         return BehaviorSpec(kind=STRAIGHT, direction=direction)
     return BehaviorSpec(
         kind=LANE_CHANGE,
         source_lane=_num(raw, "source_lane", context, integer=True),
         target_lane=_num(raw, "target_lane", context, integer=True),
         start_x=_num(raw, "start_x", context),
-        transition_length=_num(raw, "transition_length", context, 30.0),
+        transition_length=_num(raw, "transition_length", context,
+                               BehaviorSpec.transition_length),
     )
 
 
@@ -625,9 +610,10 @@ def load_config(text):
                       "stages", "noise_std", "kappa_offline", "kappa_online", "omega_dist"))
     road_raw = _fields(raw.get("road", {}), "road", ("lane_count", "lane_width", "x_extent"))
     road = LaneGeometry(
-        lane_count=_num(road_raw, "lane_count", "road", 2, integer=True),
-        lane_width=_num(road_raw, "lane_width", "road", 4.0),
-        x_extent=_num(road_raw, "x_extent", "road", (-200.0, 2000.0), vector=True, length=2),
+        lane_count=_num(road_raw, "lane_count", "road", LaneGeometry.lane_count, integer=True),
+        lane_width=_num(road_raw, "lane_width", "road", LaneGeometry.lane_width),
+        x_extent=_num(road_raw, "x_extent", "road", LaneGeometry.x_extent, vector=True,
+                      length=2),
     )
     lim_raw = _fields(raw.get("limits", {}), "limits",
                       ("v_min", "v_max", "a_min", "a_max", "delta_min_deg", "delta_max_deg"))
@@ -642,14 +628,10 @@ def load_config(text):
         delta_max=math.radians(
             _num(lim_raw, "delta_max_deg", "limits", math.degrees(defaults.delta_max))),
     )
-    geo_raw = _fields(raw.get("geometry", {}), "geometry",
-                      ("length", "width", "extended_length", "extended_width"))
-    geometry = VehicleGeometry(
-        length=_num(geo_raw, "length", "geometry", 3.63),
-        width=_num(geo_raw, "width", "geometry", 1.85),
-        extended_length=_num(geo_raw, "extended_length", "geometry", 3.73),
-        extended_width=_num(geo_raw, "extended_width", "geometry", 1.95),
-    )
+    geo_keys = ("length", "width", "extended_length", "extended_width")
+    geo_raw = _fields(raw.get("geometry", {}), "geometry", geo_keys)
+    geometry = VehicleGeometry(**{key: _num(geo_raw, key, "geometry", getattr(VehicleGeometry, key))
+                                  for key in geo_keys})
     sol_raw = _fields(raw.get("solver", {}), "solver",
                       ("violation_eps", "step_eps", "max_iterations", "qp_tolerance"))
     sd = SolverSettings()
@@ -702,15 +684,15 @@ def load_config(text):
     return ScenarioConfig(
         vehicles=tuple(vehicles),
         road=road,
-        horizon=_num(raw, "horizon", "", 36, integer=True),
-        ts=_num(raw, "ts", "", 0.1),
+        horizon=_num(raw, "horizon", "", ScenarioConfig.horizon, integer=True),
+        ts=_num(raw, "ts", "", ScenarioConfig.ts),
         limits=limits,
-        stages=_num(raw, "stages", "", (), vector=True, integer=True),
+        stages=_num(raw, "stages", "", ScenarioConfig.stages, vector=True, integer=True),
         solver=solver,
-        noise_std=_num(raw, "noise_std", "", 0.05),
-        kappa_offline=_num(raw, "kappa_offline", "", 1.5),
-        kappa_online=_num(raw, "kappa_online", "", 0.3),
-        omega_dist=_num(raw, "omega_dist", "", 1.0),
+        noise_std=_num(raw, "noise_std", "", ScenarioConfig.noise_std),
+        kappa_offline=_num(raw, "kappa_offline", "", ScenarioConfig.kappa_offline),
+        kappa_online=_num(raw, "kappa_online", "", ScenarioConfig.kappa_online),
+        omega_dist=_num(raw, "omega_dist", "", ScenarioConfig.omega_dist),
     )
 
 

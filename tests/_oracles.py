@@ -147,7 +147,8 @@ def loop_lane_rows(reference, geometry, road, permitted_lanes):
     blocks = []
     for b_idx in boundaries:
         probe = (float(poses[0, 0]), band_mid)
-        a, b, c = road.tangent_at(f"boundary_{b_idx}", (float(poses[0, 0]), float(poses[0, 1])), probe)
+        a, b, c = road.tangent_at(road.boundary_y(b_idx), (float(poses[0, 0]), float(poses[0, 1])),
+                                  probe)
         cos = np.cos(poses[:, 3])
         sin = np.sin(poses[:, 3])
         block = np.zeros((n * 4, 6 * n))
@@ -231,13 +232,13 @@ def dense_box_rows(limits, segment):
 
 
 def dense_lane_rows(reference, geometry, road, permitted_lanes):
-    from hypertraffic.constraints import RectangleFootprint
+    from hypertraffic.constraints import body_offsets
 
     n = len(reference) - 1
     lanes = sorted(permitted_lanes)
     boundaries = (lanes[0], lanes[-1] + 1)
     band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
-    offsets = RectangleFootprint(geometry).body_offsets()
+    offsets = body_offsets(geometry)
     poses = reference.states[1:, :]
     cos = np.cos(poses[:, 3])[:, None]
     sin = np.sin(poses[:, 3])[:, None]
@@ -249,7 +250,8 @@ def dense_lane_rows(reference, geometry, road, permitted_lanes):
     blocks = []
     for b_idx in boundaries:
         probe = (float(poses[0, 0]), band_mid)
-        a, b, c = road.tangent_at(f"boundary_{b_idx}", (float(poses[0, 0]), float(poses[0, 1])), probe)
+        a, b, c = road.tangent_at(road.boundary_y(b_idx), (float(poses[0, 0]), float(poses[0, 1])),
+                                  probe)
         dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
         f_ref = a * vx + b * vy + c
         grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
@@ -300,7 +302,7 @@ def dense_behavior_rows(behavior, reference, road):
     y_tgt = road.centerline_y(behavior.target_lane)
     poses = reference.states[1:, :]
     a, b, c = road.tangent_at(
-        f"centerline_{behavior.source_lane}",
+        road.centerline_y(behavior.source_lane),
         (float(poses[0, 0]), float(poses[0, 1])),
         (float(poses[0, 0]), y_tgt),
     )
@@ -309,6 +311,74 @@ def dense_behavior_rows(behavior, reference, road):
     a_rows[np.arange(n), cols + 2] = a
     a_rows[np.arange(n), cols + 3] = b
     return a_rows, np.full(n, -c), ("behavior",) * n, False
+
+
+def collision_value(own_pose, opponent_pos, geometry):
+    """Nonlinear keep-out value: negative outside the inflated super-ellipse
+    around the opponent, zero on its boundary, positive inside."""
+    px, py, psi = float(own_pose[0]), float(own_pose[1]), float(own_pose[2])
+    dx = float(opponent_pos[0]) - px
+    dy = float(opponent_pos[1]) - py
+    c, s = math.cos(psi), math.sin(psi)
+    rx = c * dx + s * dy
+    ry = -s * dx + c * dy
+    ax = (geometry.length + geometry.diagonal) / 2.0
+    by = (geometry.width + geometry.diagonal) / 2.0
+    return 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
+
+
+def footprint_vertices(geometry, pose):
+    """World positions of the extended rectangle's four vertices for a pose
+    (p_x, p_y, psi), counterclockwise from front-left."""
+    from hypertraffic.constraints import body_offsets
+
+    px, py, psi = float(pose[0]), float(pose[1]), float(pose[2])
+    c, s = math.cos(psi), math.sin(psi)
+    rot = np.array([[c, -s], [s, c]])
+    return np.array([px, py]) + body_offsets(geometry) @ rot.T
+
+
+VIOLATION_FAMILIES = ("box", "lane", "keep_out")
+
+
+def loop_profile_violation(strategies, scenario, families=VIOLATION_FAMILIES):
+    """`profile_violation` one step, vertex and pair at a time, over the
+    violation families named in `families` only."""
+    worst = 0.0
+    ids = sorted(strategies)
+    for vid in ids:
+        vehicle = scenario.vehicle(vid)
+        strat = strategies[vid]
+        states = strat.states()
+        controls = strat.controls()
+        lim = scenario.limits
+        if "box" in families:
+            worst = max(
+                worst,
+                float(np.max(states[:, 2] - lim.v_max, initial=0.0)),
+                float(np.max(lim.v_min - states[:, 2], initial=0.0)),
+                float(np.max(controls[:, 0] - lim.a_max, initial=0.0)),
+                float(np.max(lim.a_min - controls[:, 0], initial=0.0)),
+                float(np.max(controls[:, 1] - lim.delta_max, initial=0.0)),
+                float(np.max(lim.delta_min - controls[:, 1], initial=0.0)),
+            )
+        lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
+        y_lo = scenario.road.boundary_y(min(lanes))
+        y_hi = scenario.road.boundary_y(max(lanes) + 1)
+        for row in states if "lane" in families else ():
+            verts = footprint_vertices(vehicle.geometry, (row[0], row[1], row[3]))
+            worst = max(
+                worst,
+                float(np.max(verts[:, 1] - y_hi, initial=0.0)),
+                float(np.max(y_lo - verts[:, 1], initial=0.0)),
+            )
+        for other in ids if "keep_out" in families else ():
+            if other == vid:
+                continue
+            opp_pos = strategies[other].positions()
+            for row, opp in zip(states, opp_pos):
+                worst = max(worst, collision_value((row[0], row[1], row[3]), opp, vehicle.geometry))
+    return worst
 
 
 def random_qp(rng, n_max=6, m_max=4, p_max=2):

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from hypertraffic.cognition import (
-    GapSweep,
-    HneTolerance,
     average_weights,
-    cognition_profile,
+    cognitive_threshold,
     hne_gap_sweep,
     hv_subjective_game,
     interpolated_scenario,
@@ -33,10 +31,10 @@ def test_average_weights_are_the_typical_styles():
 
 def test_cognitive_threshold_scales_linearly_with_mismatch():
     scen = _scen()
-    full = cognition_profile(scen).epsilon_c
+    full = cognitive_threshold(scen)
     assert full > 0.0
     for alpha in (0.0, 0.25, 0.5, 1.0):
-        eps = cognition_profile(interpolated_scenario(scen, alpha)).epsilon_c
+        eps = cognitive_threshold(interpolated_scenario(scen, alpha))
         assert eps == pytest.approx(alpha * full, abs=1e-12)
 
 
@@ -47,7 +45,7 @@ def test_cognitive_threshold_is_the_worst_cav():
         float(np.linalg.norm(cav.weights_true.theta - ave[cav.vid].theta))
         for cav in scen.cavs
     )
-    assert cognition_profile(scen).epsilon_c == pytest.approx(expect)
+    assert cognitive_threshold(scen) == pytest.approx(expect)
 
 
 def test_subjective_and_perceived_games_align_at_exact_estimate():
@@ -122,6 +120,24 @@ def test_verify_hne_flags_deviating_players():
     assert 2 in verdict.failing
 
 
+@pytest.mark.parametrize("thresholds", [{"eps_p": float("nan")}, {"eps_p": 0.0},
+                                        {"eps_p": -1e-3}, {"gap_tol": float("nan")},
+                                        {"gap_tol": 0.0}], ids=str)
+def test_verify_hne_refuses_a_nan_or_non_positive_threshold(thresholds):
+    # A human guessed to drive for speed sits far from its best response, so
+    # a NaN threshold, which no gap exceeds, would let it pass.
+    scen = _scen()
+    model = predict_hv(scen, style_weights_for(scen.hv.behavior.kind, "velocity_consistent"))
+    plans, _, _ = plan_cavs(scen, model.s_0c)
+    profile = {0: model.s_0c, **plans}
+    verdict = verify_hne(profile, scen, eps_p=1e-3)
+    assert 0 in verdict.failing and verdict.hv_gap > 1.0
+    assert 0 not in verify_hne(profile, scen, eps_p=float("inf")).failing
+    name = next(iter(thresholds))
+    with pytest.raises(ValueError, match=f"{name} must be a positive number or inf"):
+        verify_hne(profile, scen, **{"eps_p": 1e-3, **thresholds})
+
+
 def test_gap_sweep_grows_from_zero_with_positive_slope():
     scen = _scen()
     sweep = hne_gap_sweep(scen, alphas=(0.0, 0.5, 1.0))
@@ -132,18 +148,10 @@ def test_gap_sweep_grows_from_zero_with_positive_slope():
     # no mismatch, no gap beyond solver tolerance
     assert sweep.rows[0][1] <= 1e-4
     assert sweep.rows[-1][1] > sweep.rows[0][1]
-    assert sweep.monotone(tol=1e-9)
+    gaps = [gap for _, gap in sweep.rows]
+    assert all(b >= a - 1e-9 for a, b in zip(gaps, gaps[1:]))
     assert np.isfinite(sweep.slope)
     assert sweep.slope > 0.0
-
-
-def test_hne_tolerance_from_sweep():
-    sweep = GapSweep(rows=((0.0, 0.0), (0.2, 0.08)), slope=0.4, intercept=0.0)
-    tol = HneTolerance.from_sweep(sweep, epsilon_c=0.5)
-    assert tol.perceptual_threshold == pytest.approx(0.4)
-    assert tol.linear_coefficient == 0.4
-    floored = HneTolerance.from_sweep(sweep, epsilon_c=0.0)
-    assert floored.perceptual_threshold == 1e-4
 
 
 def test_interpolated_scenario_endpoints():

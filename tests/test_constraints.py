@@ -2,21 +2,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypertraffic.constraints import (
     STEP_VARS,
     X_PSI,
     X_PX,
     X_PY,
+    X_V,
     ConstraintSystem,
-    RectangleFootprint,
     Segment,
     Strategy,
     assemble,
     behavior_rows,
     box_rows,
     collision_rows,
-    collision_value,
     dynamics_rows,
     lane_rows,
     profile_violation,
@@ -29,6 +29,8 @@ from hypertraffic.scenario import (
 )
 
 from _oracles import (
+    VIOLATION_FAMILIES,
+    collision_value,
     dense_behavior_rows,
     dense_box_rows,
     dense_collision_rows,
@@ -36,9 +38,11 @@ from _oracles import (
     dense_lane_rows,
     densify,
     fd_gradient,
+    footprint_vertices,
     loop_box_rows,
     loop_dynamics_rows,
     loop_lane_rows,
+    loop_profile_violation,
 )
 
 
@@ -69,24 +73,21 @@ def test_strategy_round_trip():
     strat = _seed_strategy(scen, 0)
     assert strat.controls().shape == (35, 2)
     assert np.all(strat.controls() == 0.0)
-    for k in strat.segment.decision_points():
-        assert np.array_equal(strat.state_at(k).as_array(), ref.state(k))
+    for j, k in enumerate(strat.segment.decision_points()):
+        assert np.array_equal(strat.states()[j], ref.state(k))
     assert np.array_equal(strat.terminal_state().as_array(), ref.state(36))
-    with pytest.raises(ValueError):
-        strat.state_at(1)
     with pytest.raises(ValueError):
         Strategy(Segment(1, 3), np.zeros(5))
 
 
 def test_rectangle_footprint_vertices():
     geo = VehicleGeometry()
-    foot = RectangleFootprint(geo)
-    verts = foot.vertices((10.0, 2.0, 0.0))
+    verts = footprint_vertices(geo, (10.0, 2.0, 0.0))
     l, w = geo.extended_length / 2.0, geo.extended_width / 2.0
     assert np.allclose(verts[0], [10.0 + l, 2.0 + w])
     assert np.allclose(verts[2], [10.0 - l, 2.0 - w])
     # a quarter turn swaps the roles of length and width
-    turned = foot.vertices((0.0, 0.0, np.pi / 2.0))
+    turned = footprint_vertices(geo, (0.0, 0.0, np.pi / 2.0))
     assert np.allclose(sorted(np.abs(turned[:, 0])), [w, w, w, w])
     assert np.allclose(sorted(np.abs(turned[:, 1])), [l, l, l, l])
 
@@ -411,14 +412,50 @@ def test_profile_violation_clean_and_overlapping():
     assert profile_violation(clean, scen) == 0.0
 
     # HV and the merging vehicle end up sharing the lane a car length apart,
-    # which the keep-out test flags; the direct double loop is the oracle.
+    # which the keep-out test flags; the loop over steps and pairs is the oracle.
     tangled = {0: _seed_strategy(scen, 0), 1: _seed_strategy(scen, 1)}
-    expect = 0.0
-    for vid, other in ((0, 1), (1, 0)):
-        states = tangled[vid].states()
-        opp = tangled[other].positions()
-        geo = scen.vehicle(vid).geometry
-        for row, pos in zip(states, opp):
-            expect = max(expect, collision_value((row[0], row[1], row[3]), pos, geo))
+    expect = loop_profile_violation(tangled, scen, ("keep_out",))
     assert expect > 0.0
+    assert loop_profile_violation(tangled, scen) == expect
     assert profile_violation(tangled, scen) == pytest.approx(expect)
+
+
+SCENARIOS = (default_offline_scenario, default_online_scenario, success_study_scenario)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    make=st.sampled_from(SCENARIOS),
+    ids=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    family=st.sampled_from((None,) + VIOLATION_FAMILIES),
+    scale=st.sampled_from((0.0, 0.01, 0.3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_profile_violation_matches_the_loop_oracle(make, ids, family, scale, seed):
+    """Perturbed profiles of 1-4 players; a draw that pushes one family
+    makes it the worst, so each family leads in some draws."""
+    scen = make()
+    rng = np.random.default_rng(seed)
+    other = next(v for v in ids + [0] if v != 1)
+    if family == "keep_out":
+        ids = sorted(set(ids[:2]) | {1, other})
+    profile = {}
+    for vid in ids:
+        data = _seed_strategy(scen, vid).data
+        profile[vid] = Strategy(Segment(1, scen.horizon), data + scale * rng.normal(size=data.size))
+    vid, step = min(ids), int(rng.integers(scen.horizon - 1))
+    blocks = profile[vid].blocks()  # a view: edits reach the strategy
+    if family == "box":
+        blocks[step, X_V] = scen.limits.v_max + 10.0
+    elif family == "lane":
+        blocks[step, X_PY] += 3.0 * scen.road.lane_width
+    elif family == "keep_out":
+        # The lane changer's band holds every lane, so it can sit on anyone.
+        profile[1].blocks()[step, X_PX:X_PY + 1] = profile[other].blocks()[step, X_PX:X_PY + 1]
+
+    expect = loop_profile_violation(profile, scen)
+    got = profile_violation(profile, scen)
+    assert abs(got - expect) <= 1e-12 * (1.0 + abs(expect))
+    if family is not None and scale <= 0.01:
+        worst = {f: loop_profile_violation(profile, scen, (f,)) for f in VIOLATION_FAMILIES}
+        assert max(worst, key=worst.get) == family

@@ -7,7 +7,6 @@ from hypertraffic.dynamics import (
     ControlInput,
     VehicleGeometry,
     VehicleState,
-    continuous_rhs,
     euler_step,
     linearize_discrete,
     linearize_steps,
@@ -21,7 +20,7 @@ def test_rhs_hand_values():
     geo = VehicleGeometry()
     state = VehicleState(p_x=0.0, p_y=0.0, v=10.0, psi=0.1)
     control = ControlInput(a=1.0, delta=0.2)
-    rhs = continuous_rhs(state, control, geo)
+    rhs = (euler_step(state, control, geo, 0.1).as_array() - state.as_array()) / 0.1
     assert abs(rhs[0] - 10.0 * math.cos(0.1)) < 1e-12
     assert abs(rhs[1] - 10.0 * math.sin(0.1)) < 1e-12
     assert abs(rhs[2] - 1.0) < 1e-12
@@ -32,7 +31,7 @@ def test_steering_domain():
     geo = VehicleGeometry()
     state = VehicleState(0.0, 0.0, 5.0, 0.0)
     with pytest.raises(ValueError):
-        continuous_rhs(state, ControlInput(0.0, math.pi / 2), geo)
+        euler_step(state, ControlInput(0.0, math.pi / 2), geo, 0.1)
     with pytest.raises(ValueError):
         linearize_discrete(state, ControlInput(0.0, -math.pi / 2), geo, 0.1)
 

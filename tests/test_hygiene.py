@@ -1,9 +1,10 @@
 """Source hygiene of the library modules, checked with the standard library
 only: every name a module imports is read somewhere in that module
-(`__init__.py` is exempt, since it imports only to re-export), and every
+(`__init__.py` is exempt, since it imports only to re-export), every
 module-level private function, class or constant is referenced by some
-library module. Also, the CI workflow (read with PyYAML) installs the
-package and runs the tier-1 command."""
+library module, and every public one, and every public method, by some
+library or benchmark module. Also, the CI workflow (read with PyYAML)
+installs the package and runs the tier-1 command."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hypertraffic"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
+BENCH_MODULES = sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -42,21 +44,36 @@ def test_library_modules_import_nothing_unused(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source):
-    """(line, name) of every module-level function, class or assigned name
-    that starts with one underscore."""
+def module_level_definitions(source):
+    """(line, name) of every module-level function, class or assigned name,
+    and of every method as `Class.method`."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            found.append((node.lineno, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        found += [(node.lineno, name) for name in names
-                  if name.startswith("_") and not name.startswith("__")]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{node.name}.{item.name}") for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return found
+
+
+def private_definitions(source):
+    """(line, name) of every module-level function, class or assigned name
+    that starts with one underscore."""
+    return [(line, name) for line, name in module_level_definitions(source)
+            if "." not in name and name.startswith("_") and not name.startswith("__")]
+
+
+def public_definitions(source):
+    """(line, name) of every module-level function, class or assigned name,
+    and every method (as `Class.method`), whose own name has no leading
+    underscore."""
+    return [(line, name) for line, name in module_level_definitions(source)
+            if not name.rpartition(".")[2].startswith("_")]
 
 
 def referenced_names(source):
@@ -85,6 +102,26 @@ def test_every_private_module_level_name_is_referenced():
     referenced = set().union(*(referenced_names(s) for s in sources.values()))
     unreferenced = [(module, line, name) for module, source in sources.items()
                     for line, name in private_definitions(source) if name not in referenced]
+    assert unreferenced == []
+
+
+def test_public_definitions_are_found():
+    source = ("A = 1\n_b, c = 2, 3\n__all__ = []\nclass C:\n    def m(self):\n        pass\n"
+              "    def _n(self):\n        pass\n    def __init__(self):\n        pass\n"
+              "def f():\n    return A\n")
+    assert public_definitions(source) == [(1, "A"), (2, "c"), (4, "C"), (5, "C.m"), (11, "f")]
+    assert private_definitions(source) == [(2, "_b")]
+
+
+def test_every_public_name_and_method_is_referenced():
+    """A public module-level name or method that no library or benchmark
+    module reads (a re-export in `__init__.py` counts) is reached by tests
+    alone, so it is dead code."""
+    referenced = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
+                               for p in ALL_MODULES + BENCH_MODULES))
+    unreferenced = [(path.name, line, name) for path in ALL_MODULES
+                    for line, name in public_definitions(path.read_text(encoding="utf-8"))
+                    if name.rpartition(".")[2] not in referenced]
     assert unreferenced == []
 
 

@@ -66,7 +66,8 @@ def test_message_accounting_for_converged_session():
     # broadcasts within a round go out in sweep order
     for zeta in range(1, trace.rounds + 1):
         senders = [
-            m.player for m in trace.messages_in_round(zeta) if m.kind == STRATEGY_BROADCAST
+            m.player for m in trace.messages
+            if m.iteration == zeta and m.kind == STRATEGY_BROADCAST
         ]
         assert senders == sorted(game.decision_ids)
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypertraffic.dynamics import VehicleState
+from hypertraffic.dynamics import VehicleGeometry, VehicleState
 from hypertraffic.scenario import (
     COMFORT,
     LANE_CHANGE,
@@ -17,6 +17,7 @@ from hypertraffic.scenario import (
     BoxLimits,
     LaneGeometry,
     ReferenceTrajectory,
+    ScenarioConfig,
     StyleWeights,
     build_reference,
     default_offline_scenario,
@@ -77,15 +78,13 @@ def test_lane_geometry_layout():
 def test_tangent_sign_convention():
     road = LaneGeometry()
     # top boundary, feasible side below: f <= 0 inside the road
-    a, b, c = road.tangent_at("boundary_2", (0.0, 6.0), (0.0, 4.0))
+    a, b, c = road.tangent_at(road.boundary_y(2), (0.0, 6.0), (0.0, 4.0))
     assert a * 0.0 + b * 4.0 + c < 0.0
     assert a * 0.0 + b * 8.0 + c == pytest.approx(0.0)
     assert a * 0.0 + b * 9.0 + c > 0.0
     assert math.hypot(a, b) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        road.tangent_at("median_1", (0.0, 0.0))
-    with pytest.raises(ValueError):
-        road.tangent_at("boundary_0", (5000.0, 0.0))
+    with pytest.raises(ValueError, match="outside the road extent"):
+        road.tangent_at(road.boundary_y(0), (5000.0, 0.0))
 
 
 def test_behavior_spec():
@@ -347,6 +346,27 @@ def test_load_config_refuses_vehicles_that_are_not_a_list():
     doc = CONFIG_DOC[:CONFIG_DOC.index("vehicles:")] + "vehicles: 5\n"
     with pytest.raises(ValueError, match=re.escape("config field vehicles must be a list")):
         load_config(doc)
+
+
+MINIMAL_DOC = """
+vehicles:
+  - {id: 0, style: comfort_oriented, behavior: {kind: straight}, initial: {x: -3.0, y: 6.0, v: 10.0}}
+  - id: 1
+    style: velocity_consistent
+    behavior: {kind: lane_change, source_lane: 0, target_lane: 1, start_x: 2.0}
+    initial: {x: 0.0, y: 2.0, v: 10.0}
+"""
+
+
+def test_load_config_fills_omitted_fields_with_the_dataclass_defaults():
+    scen = load_config(MINIMAL_DOC)
+    assert scen == ScenarioConfig(vehicles=scen.vehicles)
+    hv, cav = scen.vehicles
+    assert hv.behavior == BehaviorSpec(kind=STRAIGHT)
+    assert cav.behavior == BehaviorSpec(kind=LANE_CHANGE, source_lane=0, target_lane=1,
+                                        start_x=2.0)
+    assert hv.geometry == cav.geometry == VehicleGeometry()
+    assert hv.is_hv and not cav.is_hv and hv.initial.psi == 0.0
 
 
 def test_load_config_reads_integer_lists_and_exponent_strings():
