@@ -11,7 +11,9 @@ of a nearby problem ended on, which every solve returns) after dropping its
 rows with negative multipliers, then repeatedly enforce the most violated
 inequality, dropping working-set rows whose multipliers would cross zero.
 All pivots break ties by lowest index, so identical inputs and starting sets
-give bitwise-identical outputs; the final working set yields exact multipliers.
+give bitwise-identical outputs. The working rows' Cholesky factor is updated,
+not re-formed, so at the optimum one refinement step puts the point back on
+those rows; the multipliers keep the round-off of the steps.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
 enforced and no working-set row opposes it. A solve returns the primal point,
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu, solve_triangular
+from scipy.linalg import lu, solve_triangular
+from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -121,111 +124,133 @@ class GiResult:
 
 
 class GiSolver:
-    """Dual active-set method for min 0.5 y'Gy + a'y s.t. C y <= d with G
-    positive definite. The Cholesky factor of G is reused across solves."""
+    """Dual active-set method (Goldfarb & Idnani, 1983) for min 0.5 y'Gy + a'y
+    s.t. C y <= d with G positive definite, reusing the Cholesky factor of G
+    across solves. A solve updates the Cholesky factor of S = C_W G^{-1} C_W'
+    as rows enter its working set W (bordered) and leave it (`_drop`)."""
 
     def __init__(self, g_mat):
         g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
-        self._cho = cho_factor(g_mat, lower=True, check_finite=False)
+        self._factor, info = dpotrf(g_mat, lower=1, clean=0)
+        if info:
+            raise np.linalg.LinAlgError(f"G is not positive definite (LAPACK info {info})")
         self.dim = g_mat.shape[0]
 
-    def _g_solve(self, rhs):
-        return cho_solve(self._cho, rhs, check_finite=False)
-
     def solve(self, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, warm=()):
-        """Solve from the start `_warm_start` makes of the row indices `warm`."""
+        """Solve from the start `_warm_start` makes of the row indices `warm`.
+        At OPTIMAL, one refinement step y -= G^{-1} C_W' S^{-1} (C_W y - d_W)
+        puts y back on its working rows; the multipliers are the last step's."""
         a_vec = np.asarray(a_vec, dtype=float).reshape(-1)
         c_mat = np.asarray(c_mat, dtype=float).reshape(-1, self.dim)
         d_vec = np.asarray(d_vec, dtype=float).reshape(-1)
         m = c_mat.shape[0]
         if max_iterations is None:
             max_iterations = 50 + 10 * (m + self.dim)
+        scale = 1.0 + np.abs(d_vec)
 
-        # The working set, its multipliers and the cached G^{-1} C_W' columns.
-        y, work, lam_work, ginv_cw, iterations = self._warm_start(
-            -self._g_solve(a_vec), c_mat, d_vec, list(warm), max_iterations)
+        # The working set, its multipliers, its rows G^{-1} c_j and the lower
+        # Cholesky factor of S, all in working-set order.
+        y, work, lam_w, ginv_cw, s_chol, iterations = self._warm_start(
+            -dpotrs(self._factor, a_vec, lower=1)[0], c_mat, d_vec, list(warm), max_iterations)
 
         def result(status, infeasibility=0.0):
             lam = np.zeros(m)
-            lam[work] = lam_work
+            lam[work] = lam_w
             return GiResult(status, y, lam, iterations, infeasibility, tuple(work))
 
         while True:
             iterations += 1
             if iterations > max_iterations:
                 return result(MAX_ITER)
-            resid = c_mat @ y - d_vec if m else np.zeros(0)
-            scale = 1.0 + np.abs(d_vec) if m else np.zeros(0)
-            if m == 0 or np.all(resid <= tol * scale):
+            resid = c_mat @ y - d_vec
+            if np.all(resid <= tol * scale):
+                if work:
+                    y = y - dpotrs(s_chol, resid[work], lower=1)[0] @ ginv_cw
                 return result(OPTIMAL)
             p = int(np.argmax(resid / scale))
             c_p = c_mat[p]
+            ginv_cp = dpotrs(self._factor, c_p, lower=1)[0]
             lam_p = 0.0
             while True:
                 # Direction pair: move y along dy while growing lambda_p,
                 # adjusting working-set multipliers along dlam.
-                ginv_cp = self._g_solve(c_p)
-                dlam, dy = np.zeros(0), -ginv_cp
-                if work:
-                    c_w = c_mat[work]
-                    dlam = -np.linalg.solve(c_w @ ginv_cw, c_w @ ginv_cp)
-                    dy = dy - ginv_cw @ dlam
+                dlam = -dpotrs(s_chol, ginv_cw @ c_p, lower=1)[0] if work else np.zeros(0)
+                dy = -ginv_cp - dlam @ ginv_cw
                 descent = -float(c_p @ dy)  # equals dy'G dy >= 0
                 viol_p = float(c_p @ y - d_vec[p])
-                t1, j_out = min(
-                    ((lam_work[j] / -dlam[j], j) for j in range(len(work)) if dlam[j] < -1e-14),
-                    default=(np.inf, -1),
-                )
+                # Ratio test: the first working row whose multiplier reaches
+                # zero at t1, lowest index on ties; t1 = inf if none does.
+                ratios = np.full(len(work) + 1, np.inf)
+                np.divide(lam_w, -dlam, out=ratios[:-1], where=dlam < -1e-14)
+                j_out = int(np.argmin(ratios))
+                t1 = ratios[j_out]
                 if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
                     # Constraint value cannot move: dual-only step.
-                    if j_out < 0:
+                    if t1 == np.inf:
                         return result(INFEASIBLE, viol_p)
-                    lam_work = [lw + t1 * dl for lw, dl in zip(lam_work, dlam)]
+                    lam_w = lam_w + t1 * dlam
                     lam_p += t1
-                    work.pop(j_out)
-                    lam_work.pop(j_out)
-                    ginv_cw = np.delete(ginv_cw, j_out, axis=1)
+                    work, s_chol, lam_w, ginv_cw = _drop(j_out, work, s_chol, lam_w, ginv_cw)
                     continue
                 t2 = viol_p / descent
                 t = min(t1, t2)
                 y = y + t * dy
-                lam_work = [lw + t * dl for lw, dl in zip(lam_work, dlam)]
+                lam_w = lam_w + t * dlam
                 lam_p += t
                 if t2 <= t1:
+                    # Border the factor: row p's Schur complement is descent.
+                    w = len(work)
+                    bordered = np.zeros((w + 1, w + 1))
+                    bordered[:w, :w] = s_chol
+                    bordered[w, :w] = -(dlam @ s_chol)
+                    bordered[w, w] = math.sqrt(descent)
+                    s_chol = bordered
                     work.append(p)
-                    lam_work.append(lam_p)
-                    ginv_cw = np.column_stack([ginv_cw, ginv_cp])
+                    lam_w = np.append(lam_w, lam_p)
+                    ginv_cw = np.concatenate([ginv_cw, ginv_cp[None, :]])
                     break
-                work.pop(j_out)
-                lam_work.pop(j_out)
-                ginv_cw = np.delete(ginv_cw, j_out, axis=1)
+                work, s_chol, lam_w, ginv_cw = _drop(j_out, work, s_chol, lam_w, ginv_cw)
 
     def _warm_start(self, y, c_mat, d_vec, work, budget):
-        """(y, work, lam, G^{-1} C_W', solves) of a dual feasible start: from
-        the unconstrained minimum y, the minimum with the rows `work` held as
-        equalities, y - G^{-1} C_W' lam where (C_W G^{-1} C_W') lam = C_W y - d_W,
-        dropping the row of the most negative lam (lowest index first) until
-        none is. Each solve is one of `budget` iterations. The start is cold
-        if that matrix has no Cholesky factor, a pivot the main loop would
-        refuse or non-finite entries, or if the budget runs out."""
-        ginv_cw = self._g_solve(c_mat[work].T) if work else None
-        solves = 0
-        while work and solves < budget:
-            solves += 1
-            c_w = c_mat[work]
-            try:
-                factor, _ = cho_factor(c_w @ ginv_cw, lower=True)
-            except (np.linalg.LinAlgError, ValueError):
-                break
-            if np.any(np.diag(factor) ** 2 <= 1e-13 * (1.0 + np.sum(c_w * c_w, axis=1))):
-                break
-            lam = cho_solve((factor, True), c_w @ y - d_vec[work])
+        """(y, work, lam, G^{-1} C_W' rows, Cholesky factor of S, solves) of a
+        dual feasible start: from the unconstrained minimum y, the minimum with
+        the rows `work` held as equalities, y - G^{-1} C_W' lam where S lam =
+        C_W y - d_W, dropping the row of the most negative lam (lowest index
+        first) until none is. Each solve is one of `budget` iterations. The
+        start is cold if S has non-finite entries, no Cholesky factor or a pivot
+        the main loop would refuse (a drop shrinks none), or if budget runs out."""
+        cold = (y, [], np.zeros(0), np.zeros((0, self.dim)), np.zeros((0, 0)))
+        if not work or budget < 1:
+            return *cold, 0
+        c_w = c_mat[work]
+        ginv_cw = dpotrs(self._factor, c_w.T, lower=1)[0].T
+        s_mat = c_w @ ginv_cw.T
+        s_chol, info = dpotrf(s_mat, lower=1)
+        if (info or not np.isfinite(s_mat).all()
+                or np.any(np.diag(s_chol) ** 2 <= 1e-13 * (1.0 + np.sum(c_w * c_w, axis=1)))):
+            return *cold, 1
+        rhs = c_w @ y - d_vec[work]
+        for solves in range(1, budget + 1):
+            lam = dpotrs(s_chol, rhs, lower=1)[0]
             j = int(np.argmin(lam))
             if lam[j] >= 0.0:
-                return y - ginv_cw @ lam, work, lam.tolist(), ginv_cw, solves
-            work.pop(j)
-            ginv_cw = np.delete(ginv_cw, j, axis=1)
-        return y, [], [], np.zeros((self.dim, 0)), solves
+                return y - lam @ ginv_cw, work, lam, ginv_cw, s_chol, solves
+            work, s_chol, rhs, ginv_cw = _drop(j, work, s_chol, rhs, ginv_cw)
+            if not work:
+                break
+        return *cold, solves
+
+
+def _drop(j, work, s_chol, *rows):
+    """`work` and `rows` without their j-th entry, and S's lower Cholesky factor
+    without row j: one QR folds the column j of later rows into their block."""
+    keep = np.arange(len(work)) != j
+    col = s_chol[j + 1:, j]
+    s_chol = s_chol[np.ix_(keep, keep)]
+    if col.size:
+        packed = dgeqrf(np.column_stack([s_chol[j:, j:], col]).T)[0]
+        s_chol[j:, j:] = np.tril(packed[:col.size].T)
+    return work[:j] + work[j + 1:], s_chol, *(r[keep] for r in rows)
 
 
 def _require_finite(**arrays):

@@ -7,8 +7,11 @@ calculus. None of it imports solver internals.
 
 import itertools
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 def enumerate_qp(h_mat, f_vec, a_eq, b_eq, a_in, b_in, tol=1e-8):
@@ -400,6 +403,134 @@ def random_qp(rng, n_max=6, m_max=4, p_max=2):
     a_in = rng.normal(size=(m, n))
     b_in = a_in @ anchor + rng.uniform(-0.8, 1.5, size=m)
     return h_mat, f_vec, a_eq, b_eq, a_in, b_in
+
+
+def loop_gi_solve(g_mat, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, warm=()):
+    """The dual active-set method of `qp.GiSolver.solve` with nothing kept
+    between its steps: every inner step gathers the working rows C_W, forms
+    S = C_W G^{-1} C_W' and solves it afresh, every warm-start repair factors
+    S again, and the ratio test loops over the working set. Same pivot rules
+    and iteration count, no refinement step. Returns a namespace with
+    `status` ("optimal", "infeasible" or "max_iter"), `y`, `lam`,
+    `iterations`, `infeasibility` and `working_set`."""
+    g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
+    cho = cho_factor(g_mat, lower=True, check_finite=False)
+    dim = g_mat.shape[0]
+    c_mat = np.asarray(c_mat, dtype=float).reshape(-1, dim)
+    d_vec = np.asarray(d_vec, dtype=float).reshape(-1)
+    m = c_mat.shape[0]
+    if max_iterations is None:
+        max_iterations = 50 + 10 * (m + dim)
+
+    def g_solve(rhs):
+        return cho_solve(cho, rhs, check_finite=False)
+
+    # The warm start: drop the row of the most negative multiplier, lowest
+    # index first, until none is; cold on a refused factor or budget.
+    y = -g_solve(np.asarray(a_vec, dtype=float).reshape(-1))
+    work = list(warm)
+    ginv_cw = g_solve(c_mat[work].T) if work else None
+    iterations = 0
+    warm_start = None
+    while work and iterations < max_iterations:
+        iterations += 1
+        c_w = c_mat[work]
+        try:
+            factor, _ = cho_factor(c_w @ ginv_cw, lower=True)
+        except (np.linalg.LinAlgError, ValueError):
+            break
+        if np.any(np.diag(factor) ** 2 <= 1e-13 * (1.0 + np.sum(c_w * c_w, axis=1))):
+            break
+        lam = cho_solve((factor, True), c_w @ y - d_vec[work])
+        j = int(np.argmin(lam))
+        if lam[j] >= 0.0:
+            warm_start = (y - ginv_cw @ lam, work, lam.tolist(), ginv_cw)
+            break
+        work.pop(j)
+        ginv_cw = np.delete(ginv_cw, j, axis=1)
+    y, work, lam_work, ginv_cw = warm_start or (y, [], [], np.zeros((dim, 0)))
+
+    def result(status, infeasibility=0.0):
+        lam = np.zeros(m)
+        lam[work] = lam_work
+        return SimpleNamespace(status=status, y=y, lam=lam, iterations=iterations,
+                               infeasibility=infeasibility, working_set=tuple(work))
+
+    while True:
+        iterations += 1
+        if iterations > max_iterations:
+            return result("max_iter")
+        resid = c_mat @ y - d_vec if m else np.zeros(0)
+        scale = 1.0 + np.abs(d_vec) if m else np.zeros(0)
+        if m == 0 or np.all(resid <= tol * scale):
+            return result("optimal")
+        p = int(np.argmax(resid / scale))
+        c_p = c_mat[p]
+        lam_p = 0.0
+        while True:
+            ginv_cp = g_solve(c_p)
+            dlam, dy = np.zeros(0), -ginv_cp
+            if work:
+                c_w = c_mat[work]
+                dlam = -np.linalg.solve(c_w @ ginv_cw, c_w @ ginv_cp)
+                dy = dy - ginv_cw @ dlam
+            descent = -float(c_p @ dy)
+            viol_p = float(c_p @ y - d_vec[p])
+            t1, j_out = min(
+                ((lam_work[j] / -dlam[j], j) for j in range(len(work)) if dlam[j] < -1e-14),
+                default=(np.inf, -1),
+            )
+            if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
+                if j_out < 0:
+                    return result("infeasible", viol_p)
+                lam_work = [lw + t1 * dl for lw, dl in zip(lam_work, dlam)]
+                lam_p += t1
+                work.pop(j_out)
+                lam_work.pop(j_out)
+                ginv_cw = np.delete(ginv_cw, j_out, axis=1)
+                continue
+            t2 = viol_p / descent
+            t = min(t1, t2)
+            y = y + t * dy
+            lam_work = [lw + t * dl for lw, dl in zip(lam_work, dlam)]
+            lam_p += t
+            if t2 <= t1:
+                work.append(p)
+                lam_work.append(lam_p)
+                ginv_cw = np.column_stack([ginv_cw, ginv_cp])
+                break
+            work.pop(j_out)
+            lam_work.pop(j_out)
+            ginv_cw = np.delete(ginv_cw, j_out, axis=1)
+
+
+def exact_kkt_objective(h_mat, f_vec, a_eq, b_eq):
+    """Objective of the minimizer of 0.5 s'Hs + f's subject to A_eq s = b_eq,
+    in exact rational arithmetic on the exact values of the floats: the KKT
+    system [[H, A_eq'], [A_eq, 0]] [s; mu] = [-f; b_eq] solved by Gauss-Jordan
+    elimination over `fractions.Fraction`. The KKT matrix must be
+    nonsingular."""
+    n, k = h_mat.shape[0], a_eq.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = h_mat
+    kkt[:n, n:] = a_eq.T
+    kkt[n:, :n] = a_eq
+    rhs = np.concatenate([-np.asarray(f_vec, dtype=float), b_eq])
+    rows = [[Fraction(float(x)) for x in row] + [Fraction(float(r))]
+            for row, r in zip(kkt, rhs)]
+    for col in range(n + k):
+        pivot = next(i for i in range(col, n + k) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for i in range(n + k):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    s = [rows[i][-1] for i in range(n)]
+    h = [[Fraction(float(x)) for x in row] for row in h_mat]
+    quad = sum(s[i] * h[i][j] * s[j] for i in range(n) for j in range(n))
+    return quad / 2 + sum(Fraction(float(f)) * x for f, x in zip(f_vec, s))
 
 
 def fd_step_jacobians(state, control, geometry, ts, eps=1e-6):

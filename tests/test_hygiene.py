@@ -4,7 +4,8 @@ only: every name a module imports is read somewhere in that module
 module-level private function, class or constant is referenced by some
 library module, and every public one, and every public method, by some
 library or benchmark module. Also, the CI workflow (read with PyYAML)
-installs the package and runs the tier-1 command."""
+installs the package, runs the tier-1 command and checks the benchmark
+against its reference."""
 
 import ast
 from pathlib import Path
@@ -126,13 +127,19 @@ def test_every_public_name_and_method_is_referenced():
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
+    """The workflow installs the package, runs the tier-1 tests, and then the
+    benchmark on its reference seed, which exits non-zero when any op misses
+    `bench/reference.json`."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
     assert [s["with"]["python-version"] for s in steps if "setup-python" in s.get("uses", "")] == ["3.11"]
     runs = [(s["run"], s.get("env", {})) for s in steps if "run" in s]
-    assert runs[0][0] == "pip install -e '.[test]'"
-    command, env = runs[-1]
-    assert command == ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
-                       "python -m pytest -q --continue-on-collection-errors")
-    assert env == {"OPENBLAS_NUM_THREADS": "1"}
+    assert [command for command, _ in runs] == [
+        "pip install -e '.[test]'",
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+        "--continue-on-collection-errors",
+        "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
+        "--trace 0",
+    ]
+    assert runs[1][1] == {"OPENBLAS_NUM_THREADS": "1"}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import enumerate_qp, random_qp, svd_null_space
+from _oracles import (
+    enumerate_qp,
+    exact_kkt_objective,
+    loop_gi_solve,
+    random_qp,
+    svd_null_space,
+)
 
 
 def test_unconstrained_minimum():
@@ -379,11 +386,13 @@ def test_diagonal_and_dense_h_give_bitwise_equal_reductions(monkeypatch, make_sc
 @pytest.mark.parametrize("warm, max_iterations, status, point, iterations, working_set", [
     ((), None, OPTIMAL, [1.0, 0.0], 2, (0,)),
     ((0,), None, OPTIMAL, [1.0, 0.0], 2, (0,)),
-    # Row 1 gets a negative multiplier, is dropped, and S is solved again.
+    # Row 1 gets a negative multiplier and is dropped from the Cholesky
+    # factor of S, not factored again; a second solve gives row 0's.
     ((1, 0), None, OPTIMAL, [1.0, 0.0], 3, (0,)),
     # The drop used the whole budget: the start is cold and the loop stops.
     ((1, 0), 1, MAX_ITER, [2.0, 0.0], 2, ()),
-    # A repeated row makes S singular: one solve, then the cold start.
+    # A repeated row makes S singular: its refused factor counts as one
+    # solve, then the cold start.
     ((0, 0), None, OPTIMAL, [1.0, 0.0], 3, (0,)),
 ])
 def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point, iterations,
@@ -395,6 +404,47 @@ def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point
     assert np.array_equal(res.y, point)
     assert res.iterations == iterations
     assert res.working_set == working_set
+
+
+# Hand-worked drops with G = I in three variables. Each ends at iteration 4
+# on the working set (2, 1), with row 0, which entered first, dropped.
+@pytest.mark.parametrize("a_vec, c_mat, d_vec, point", [
+    # A drop after a partial step (t1 < t2). Rows 0 (10 y_0 >= 10) and 2
+    # (5 y_2 >= 5) enter: y = (1, 0, 1), lambda_0 = 0.1. Row 1 (y_0 + y_1 >= 3)
+    # moves y along (0, 1, 0) while lambda_0 falls by 0.1 a unit: lambda_0
+    # reaches zero at t1 = 1 before row 1 holds at t2 = 2, so row 0 leaves
+    # at y = (1, 1, 1). Row 1 then enters at y = (1.5, 1.5, 1).
+    ([0.0, 0.0, 0.0], [[-10.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, -5.0]],
+     [-10.0, -3.0, -5.0], [1.5, 1.5, 1.0]),
+    # A dual-only step. From y = (2, 0, 0), rows 0 (10 y_0 <= 10) and 2
+    # (5 y_2 >= 5) enter: y = (1, 0, 1), lambda_0 = 0.1. Row 1 (y_0 <= 0.9)
+    # is parallel to row 0, so y cannot move: lambda_1 takes over lambda_0
+    # until it is zero, row 0 leaves, and row 1 enters at y = (0.9, 0, 1).
+    ([-2.0, 0.0, 0.0], [[10.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -5.0]],
+     [10.0, 0.9, -5.0], [0.9, 0.0, 1.0]),
+])
+def test_hand_worked_drops(a_vec, c_mat, d_vec, point):
+    res = GiSolver(np.eye(3)).solve(a_vec, c_mat, d_vec)
+    assert res.status == OPTIMAL
+    assert np.array_equal(res.y, point)
+    assert res.iterations == 4
+    assert res.working_set == (2, 1)
+
+
+def test_ill_conditioned_working_set_meets_the_exact_objective():
+    # Criterion 01's draw 540 (rng 2024): two nearly parallel rows are active
+    # at the optimum, with multipliers of order 1e5. The refinement step puts
+    # the point back on its working rows; the objective must match the exact
+    # rational one on that working set.
+    rng = np.random.default_rng(2024)
+    for _ in range(541):
+        h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
+    sol = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
+    assert sol.status == OPTIMAL and sol.working_set == (1, 0)
+    rows = list(sol.working_set)
+    exact = exact_kkt_objective(h, f, np.vstack([a_eq, a_in[rows]]),
+                                np.concatenate([b_eq, b_in[rows]]))
+    assert abs(Fraction(sol.objective) - exact) <= 1e-8
 
 
 def _degenerate_rows(a_in, b_in, extra):
@@ -462,3 +512,55 @@ def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra,
         assert np.max(np.abs(hot.s_star - expect_s)) <= 1e-6
         assert np.max(np.abs(hot.s_star - cold.s_star)) <= 1e-9
         assert np.all(hot.lam >= 0.0)
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.tuples(st.sampled_from(("dup", "scaled", "collinear", "sum")),
+                             st.integers(0, 5), st.integers(0, 5), st.floats(0.25, 4.0),
+                             st.one_of(st.just(0.0), st.floats(0.01, 1.0),
+                                       st.floats(-0.3, -0.01))),
+                   max_size=3),
+    warm=st.lists(st.integers(0, 63), max_size=8),
+)
+# Infeasible draws whose dual ray both find on different working sets: an
+# empty slab on a full working set, and two nearly parallel rows in a plane.
+@example(seed=1048, extra=[("collinear", 3, 0, 1.0, -0.25)], warm=[])
+@example(seed=4011589171, extra=[], warm=[56])
+# Three rows seed the warm set in a plane, two of them almost opposite, so S
+# is nearly singular (an explicit S^{-1} has entries near 1e16). Each drop
+# must still leave a factor of the rows left: the optimum is the cold one.
+@example(seed=1852456101, extra=[("dup", 2, 3, 0.5563541670300529, 0.0)],
+         warm=[35, 10, 8, 63, 9])
+def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm):
+    # The oracle re-forms and re-solves S at every step; the solver updates
+    # its Cholesky factor. Same pivots, so the same status; at an optimum,
+    # the same working set and points equal to round-off, and without
+    # degenerate rows the same iteration count. On which working set an
+    # infeasible problem shows its dual ray is decided by round-off: over
+    # 100,000 draws of this test, 99 infeasible ones ended on another working
+    # set than the oracle's, and 77 when the oracle solves S by Cholesky
+    # instead of LU; no optimal one did.
+    rng = np.random.default_rng(seed)
+    h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
+    if a_in.shape[0] == 0:
+        a_in = rng.normal(size=(1, h.shape[0]))
+        b_in = rng.uniform(-0.5, 1.0, 1)
+    a_in, b_in = _degenerate_rows(a_in, b_in, extra)
+    warm = tuple(dict.fromkeys(i % a_in.shape[0] for i in warm))
+    reduced = ReducedQp(h, eliminate(a_eq, b_eq))
+    z_basis = reduced.z_basis
+    g_mat = z_basis.T @ h @ z_basis
+    g_mat = 0.5 * (g_mat + g_mat.T)
+    a_vec = z_basis.T @ (h @ reduced.s_part + f)
+    c_mat, d_vec = reduced.reduce_rows(a_in, b_in)
+    new = GiSolver(g_mat).solve(a_vec, c_mat, d_vec, warm=warm)
+    old = loop_gi_solve(g_mat, a_vec, c_mat, d_vec, warm=warm)
+    assert new.status == old.status
+    if new.status == INFEASIBLE:
+        return
+    assert new.working_set == old.working_set
+    assert np.max(np.abs(new.y - old.y)) <= 1e-9 * (1.0 + np.max(np.abs(old.y)))
+    if not extra:
+        assert new.iterations == old.iterations
