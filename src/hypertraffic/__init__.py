@@ -46,7 +46,7 @@ from .inverse import (
     interpret_online,
     parameter_error,
 )
-from .netsim import ProtocolMessage, SessionTrace, run_centralized, run_distributed
+from .netsim import ProtocolMessage, SessionTrace, run_distributed
 from .qp import QpProblem, QpSolution, SolverSettings, kkt_residual, solve
 from .scenario import (
     BehaviorSpec,

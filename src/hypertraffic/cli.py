@@ -82,7 +82,7 @@ def _cmd_solve(args):
     weights = {v.vid: v.weights_true for v in scenario.vehicles}
     game = make_game(scenario, weights)
     if args.trace:
-        # The message layer reproduces the centralized sweep bit for bit, so
+        # The message layer reproduces the untraced sweep bit for bit, so
         # the printed result and --out do not depend on --trace.
         result, trace = run_distributed(game)
         trace.write_jsonl(args.trace)

@@ -64,8 +64,7 @@ def hv_subjective_game(scenario, hv_weights=None, segment=None, references=None,
                      initial_states=initial_states)
 
 
-def predict_hv(scenario, theta_0c, segment=None, references=None, initial_states=None,
-               transport=run_distributed):
+def predict_hv(scenario, theta_0c, segment=None, references=None, initial_states=None):
     """Predict the human trajectory by solving the reconstructed game.
 
     The solve runs over the simulated message layer; the human-side
@@ -74,7 +73,7 @@ def predict_hv(scenario, theta_0c, segment=None, references=None, initial_states
     theta_0c = _as_style_weights(scenario, theta_0c)
     game = hv_subjective_game(scenario, hv_weights=theta_0c, segment=segment,
                               references=references, initial_states=initial_states)
-    result, trace = transport(game)
+    result, trace = run_distributed(game)
     views = {vid: result.strategies[vid] for vid in game.decision_ids if vid != 0}
     return CognitionModel(
         theta_0c=theta_0c,
@@ -85,8 +84,7 @@ def predict_hv(scenario, theta_0c, segment=None, references=None, initial_states
     )
 
 
-def plan_cavs(scenario, s_0c, segment=None, references=None, initial_states=None,
-              transport=run_distributed):
+def plan_cavs(scenario, s_0c, segment=None, references=None, initial_states=None):
     """Plan the autonomous trajectories against the predicted human strategy.
 
     The human is frozen data here; the planners use their own true weights.
@@ -99,7 +97,7 @@ def plan_cavs(scenario, s_0c, segment=None, references=None, initial_states=None
         initial_states = {vid: initial_states[vid] for vid in weights}
     game = make_game(scenario, weights, segment=segment, fixed={0: s_0c},
                      references=references, initial_states=initial_states)
-    result, trace = transport(game)
+    result, trace = run_distributed(game)
     plans = {vid: result.strategies[vid] for vid in game.decision_ids}
     return plans, result, trace
 

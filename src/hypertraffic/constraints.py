@@ -86,9 +86,6 @@ class Strategy:
         """Decision states, one row per time point start+1..stop."""
         return self.blocks()[:, X_PX:]
 
-    def controls(self):
-        return self.blocks()[:, :X_PX]
-
     def positions(self):
         return self.blocks()[:, X_PX:X_PY + 1]
 
@@ -123,15 +120,6 @@ class ConstraintSystem:
             raise ValueError("inequality rows, rhs, and tags must agree in length")
         if self.a_eq.shape[0] and self.a_in.shape[0] and self.a_eq.shape[1] != self.a_in.shape[1]:
             raise ValueError("equality and inequality column counts differ")
-
-    def violation(self, s):
-        """Worst constraint violation of a candidate vector (0 when feasible)."""
-        worst = 0.0
-        if self.a_eq.shape[0]:
-            worst = float(np.max(np.abs(self.a_eq @ s - self.b_eq)))
-        if self.a_in.shape[0]:
-            worst = max(worst, float(np.max(self.a_in @ s - self.b_in)))
-        return max(worst, 0.0)
 
 
 def _step_rows(steps, offsets, coef, n_steps):

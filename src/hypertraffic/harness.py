@@ -6,8 +6,8 @@ prediction, and planning survive the noise. The online run alternates
 per-stage interpretation and planning while both sides observe each other's
 longitudinal position through noise. The success-rate study contrasts the
 full interpretation pipeline against planning from a randomly drawn guess of
-the human's weights. The timing run drives the same per-stage pipeline
-through both transports and records the deployment-model durations.
+the human's weights. The timing run drives the same per-stage pipeline once
+and records its durations under both deployment models.
 
 Every runner is deterministic for a given seed: repetition r draws from
 numpy's default generator seeded with [seed, r], rows are sorted by their key
@@ -27,7 +27,7 @@ from .constraints import STEP_VARS, X_PX, Segment, Strategy, profile_violation
 from .dynamics import VehicleState
 from .game import make_game, solve_games
 from .inverse import Observation, interpret_offline, interpret_online, parameter_error
-from .netsim import run_centralized, run_distributed
+from .netsim import run_distributed
 from .scenario import EFFECTIVE_INDICES, StyleWeights, style_weights_for
 
 SUCCESS_VIOLATION = 1e-3
@@ -53,15 +53,12 @@ def px_state_indices(segment):
 def apply_noise(strategy, spec, rng):
     """Observation of a strategy under the noise model."""
     if spec.std == 0.0:
-        return Observation(strategy=strategy, perturbed=(), noise_std=0.0)
+        # No draw at all, so the generator's stream is left as it was.
+        return Observation(strategy)
     idx = px_state_indices(strategy.segment)
     data = strategy.data.copy()
     data[idx] = data[idx] + rng.normal(0.0, spec.std, idx.size)
-    return Observation(
-        strategy=Strategy(strategy.segment, data),
-        perturbed=tuple(int(i) for i in idx),
-        noise_std=spec.std,
-    )
+    return Observation(Strategy(strategy.segment, data))
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ ONLINE_FIELDS = (
 )
 
 
-def _anchored_reference(full_ref, segment, p_x, start=None):
+def _anchored_reference(full_ref, segment, p_x):
     """Stage reference obtained by matching a longitudinal position onto the
     complete reference and re-labelling it to the stage's steps."""
     anchor = full_ref.nearest_by_px(p_x)
@@ -254,16 +251,13 @@ class _OnlineRep:
     """One repetition of the staged online interaction.
 
     Keeps the actual vehicle states, each side's noisy estimate of the other,
-    and the data needed to interpret the previous stage. The transport is a
-    parameter so the timing study can run the same repetition through both
-    implementations.
+    and the data needed to interpret the previous stage.
     """
 
-    def __init__(self, scenario, plan, seed, rep, transport=run_distributed):
+    def __init__(self, scenario, plan, seed, rep):
         self.scenario = scenario
         self.plan = plan
         self.rng = np.random.default_rng([seed, rep])
-        self.transport = transport
         self.std = scenario.noise_std
         self.full_refs = scenario.references()
         self.cav_ids = [cav.vid for cav in scenario.cavs]
@@ -301,7 +295,7 @@ class _OnlineRep:
                     references=self.prev["cav_refs"],
                     initial_states=self.prev["cav_initials"],
                 )
-                embed_result, embed_trace = self.transport(cav_game)
+                embed_result, embed_trace = run_distributed(cav_game)
                 interp_seconds = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 update = interpret_online(
@@ -331,7 +325,6 @@ class _OnlineRep:
                 segment=segment,
                 references={0: hv_ref_cav, **cav_refs},
                 initial_states={0: hv_init_cav, **{v: self.actual[v] for v in self.cav_ids}},
-                transport=self.transport,
             )
             predict_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -341,7 +334,6 @@ class _OnlineRep:
                 segment=segment,
                 references=cav_refs,
                 initial_states={v: self.actual[v] for v in self.cav_ids},
-                transport=self.transport,
             )
             plan_seconds = time.perf_counter() - t0
             timing.append(("predict", t, model.trace, predict_seconds))
@@ -534,48 +526,28 @@ TIMING_FIELDS = (
 
 
 def run_timing(scenario, repetitions=10, seed=0):
-    """Per-stage durations of the online pipeline under both transports.
+    """Per-stage durations of the online pipeline under both deployment
+    models, read from one run of each repetition over the message layer.
 
     Distributed durations follow the slowest-node model from the session
-    traces; centralized durations are plain wall-clock totals.
+    traces; centralized durations are the stages' wall-clock totals.
     """
     plan = StagePlan.from_scenario(scenario)
     rows = []
     for rep in range(repetitions):
-        for mode, transport in (("distributed", run_distributed),
-                                ("centralized", run_centralized)):
-            runner = _OnlineRep(scenario, plan, seed, rep, transport=transport)
-            rep_rows, timing = runner.run()
-            per_stage = {t: {"interpret": 0.0, "predict": 0.0, "plan": 0.0,
-                             "predict_iter": 0, "plan_iter": 0}
-                         for t in range(1, plan.count + 1)}
-            for kind, t, trace, wall in timing:
-                if mode == "distributed":
-                    seconds = trace.simulated_seconds()
-                    if kind == "interpret":
-                        # The stationarity fit happens once at the roadside
-                        # unit; its wall time rides on top of the solve.
-                        seconds = seconds + (wall - trace.total_seconds)
-                else:
-                    seconds = wall
-                per_stage[t][kind] = seconds
-                if kind == "predict":
-                    per_stage[t]["predict_iter"] = trace.rounds
-                elif kind == "plan":
-                    per_stage[t]["plan_iter"] = trace.rounds
-            for t, cell in per_stage.items():
-                rows.append(
-                    {
-                        "rep": rep,
-                        "stage": t,
-                        "mode": mode,
-                        "interpret_seconds": cell["interpret"],
-                        "predict_seconds": cell["predict"],
-                        "plan_seconds": cell["plan"],
-                        "total_seconds": cell["interpret"] + cell["predict"] + cell["plan"],
-                        "predict_iterations": cell["predict_iter"],
-                        "plan_iterations": cell["plan_iter"],
-                    }
-                )
+        _, timing = _OnlineRep(scenario, plan, seed, rep).run()
+        # Per stage and kind: (distributed, centralized) seconds and rounds.
+        stages = {t: {"interpret": (0.0, 0.0, 0)} for t in range(1, plan.count + 1)}
+        for kind, t, trace, wall in timing:
+            # The stationarity fit happens once at the roadside unit; its
+            # wall time rides on top of the solve.
+            fit = wall - trace.total_seconds if kind == "interpret" else 0.0
+            stages[t][kind] = (trace.simulated_seconds() + fit, wall, trace.rounds)
+        for t, cell in stages.items():
+            for i, mode in enumerate(("distributed", "centralized")):
+                seconds = [cell[kind][i] for kind in ("interpret", "predict", "plan")]
+                rows.append(dict(zip(TIMING_FIELDS, (
+                    rep, t, mode, *seconds, sum(seconds),
+                    cell["predict"][2], cell["plan"][2]))))
     rows.sort(key=lambda r: (r["rep"], r["stage"], r["mode"]))
     return rows

@@ -29,27 +29,13 @@ IDENTIFIABILITY_EPS = 1e-8
 
 @dataclass(frozen=True)
 class Observation:
-    """An observed human strategy, possibly noise-perturbed.
-
-    perturbed lists the strategy-vector indices that received noise; an empty
-    tuple means the observation is exact.
-    """
+    """An observed human strategy, possibly noise-perturbed."""
 
     strategy: Strategy
-    perturbed: tuple = ()
-    noise_std: float = 0.0
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.strategy.data)):
             raise ValueError("observation strategy has non-finite entries")
-        n_vars = self.strategy.segment.n_vars
-        for i in self.perturbed:
-            if not 0 <= i < n_vars:
-                raise ValueError(f"observation perturbed index {i} outside [0, {n_vars})")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ValueError(
-                f"observation noise_std must be finite and nonnegative, got {self.noise_std!r}"
-            )
 
     @property
     def segment(self):

@@ -5,8 +5,8 @@ criterion; each autonomous vehicle that decides in the game runs on its own
 node. Strategies cross node boundaries only inside ProtocolMessage values, so
 a session trace is a complete record of what every node knew and when. The
 sweep itself is the engine from the game module driven through its observer
-hooks, which keeps the distributed run numerically identical to a centralized
-one.
+hooks, which keeps the distributed run numerically identical to an untraced
+`solve_games` of the same game.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import _NullObserver, solve_games
+from .game import solve_games
 
 RSU = "rsu"
-CENTER = "center"
 
 SESSION_START = "session_start"
 ROUND_START = "round_start"
@@ -60,7 +59,6 @@ class ComputeEvent:
 class SessionTrace:
     """Everything that happened on the link and on the nodes during one game."""
 
-    mode: str
     messages: tuple
     events: tuple
     rounds: int
@@ -70,21 +68,12 @@ class SessionTrace:
     def message_count(self):
         return len(self.messages)
 
-    def node_seconds(self, node, zeta=None):
-        return sum(
-            e.seconds
-            for e in self.events
-            if e.node == node and (zeta is None or e.iteration == zeta)
-        )
+    def node_seconds(self, node, zeta):
+        return sum(e.seconds for e in self.events if e.node == node and e.iteration == zeta)
 
     def simulated_seconds(self):
-        """Session duration under the deployment model.
-
-        Distributed rounds cost as much as their slowest node; a centralized
-        session costs its wall-clock total.
-        """
-        if self.mode == "centralized":
-            return self.total_seconds
+        """Session duration under the distributed deployment model: each
+        round costs as much as its slowest node."""
         nodes = {e.node for e in self.events}
         total = 0.0
         for zeta in range(1, self.rounds + 1):
@@ -123,7 +112,7 @@ class SessionTrace:
                 json.dumps(
                     {
                         "record": "summary",
-                        "mode": self.mode,
+                        "mode": "distributed",
                         "rounds": self.rounds,
                         "messages": self.message_count,
                         "total_seconds": self.total_seconds,
@@ -209,46 +198,19 @@ class _DistributedObserver:
         pass
 
 
-class _CentralizedObserver(_NullObserver):
-    """Single-node bookkeeping: compute events only, nothing on the link."""
+def run_distributed(game):
+    """Solve one game over the simulated message layer.
 
-    def __init__(self):
-        self.messages = []
-        self.events = []
-        self.rounds = 0
-
-    def round_started(self, zeta):
-        self.rounds = zeta
-
-    def computed(self, vid, zeta, strategy, seconds, status):
-        self.events.append(ComputeEvent(CENTER, "best_response", vid, zeta, seconds))
-
-    def criterion(self, zeta, rel_step, violation, seconds, stop):
-        self.events.append(ComputeEvent(CENTER, "criterion", None, zeta, seconds))
-
-
-def _run(mode, observer, game):
+    Returns the equilibrium result together with the full session trace.
+    """
+    observer = _DistributedObserver(game)
     t0 = time.perf_counter()
     result = solve_games(game, observer)
     total = time.perf_counter() - t0
     trace = SessionTrace(
-        mode=mode,
         messages=tuple(observer.messages),
         events=tuple(observer.events),
         rounds=observer.rounds,
         total_seconds=total,
     )
     return result, trace
-
-
-def run_distributed(game):
-    """Solve one game over the simulated message layer.
-
-    Returns the equilibrium result together with the full session trace.
-    """
-    return _run("distributed", _DistributedObserver(game), game)
-
-
-def run_centralized(game):
-    """Solve the same game on a single node, tracing computations only."""
-    return _run("centralized", _CentralizedObserver(), game)

@@ -245,11 +245,6 @@ class ReferenceTrajectory:
     def stop(self):
         return self.start + len(self) - 1
 
-    def state(self, k):
-        if not self.start <= k <= self.stop:
-            raise ValueError(f"time point {k} outside reference range [{self.start}, {self.stop}]")
-        return self.states[k - self.start]
-
     def window(self, start, stop):
         """Sub-reference over time points start..stop inclusive."""
         if start < self.start or stop > self.stop or start >= stop:

@@ -341,6 +341,14 @@ def footprint_vertices(geometry, pose):
     return np.array([px, py]) + body_offsets(geometry) @ rot.T
 
 
+def system_violation(system, s):
+    """Worst violation at s of a constraint system's dense rows, A_eq s = b_eq
+    and A_in s <= b_in (0 when feasible)."""
+    eq = np.abs(system.a_eq @ s - system.b_eq)
+    ineq = system.a_in @ s - system.b_in
+    return max(float(np.max(eq, initial=0.0)), float(np.max(ineq, initial=0.0)))
+
+
 VIOLATION_FAMILIES = ("box", "lane", "keep_out")
 
 
@@ -353,7 +361,7 @@ def loop_profile_violation(strategies, scenario, families=VIOLATION_FAMILIES):
         vehicle = scenario.vehicle(vid)
         strat = strategies[vid]
         states = strat.states()
-        controls = strat.controls()
+        controls = strat.blocks()[:, :2]
         lim = scenario.limits
         if "box" in families:
             worst = max(

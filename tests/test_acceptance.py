@@ -17,7 +17,7 @@ from hypertraffic.harness import (
     run_success_rate,
     run_timing,
 )
-from hypertraffic.netsim import run_centralized, run_distributed
+from hypertraffic.netsim import run_distributed
 from hypertraffic.qp import INFEASIBLE, OPTIMAL, QpProblem, solve
 from hypertraffic.scenario import (
     StyleWeights,
@@ -132,7 +132,7 @@ def test_criterion_05_distributed_matches_centralized_bitwise():
             )
             weights[vehicle.vid] = StyleWeights(theta, base.theta_min, base.theta_max)
         game = make_game(base, weights)
-        res_c, trace_c = run_centralized(game)
+        res_c = solve_games(game)
         res_d, trace_d = run_distributed(game)
         assert res_c.iterations == res_d.iterations
         assert res_c.converged == res_d.converged
@@ -142,7 +142,6 @@ def test_criterion_05_distributed_matches_centralized_bitwise():
                 res_c.strategies[vid].data, res_d.strategies[vid].data
             )
         assert res_c.gaps == res_d.gaps
-        assert len(trace_c.messages) == 0
         assert len(trace_d.messages) > 0
     _report(5, "20 seeded weight draws, strategies and gaps bitwise identical")
 

@@ -204,7 +204,7 @@ def test_timing_writes_rows(tmp_path):
     assert cli.main(["timing", "--reps", "1", "--out", str(out)]) == 0
     header, rows = _read_csv(out)
     assert header == list(TIMING_FIELDS)
-    # Five stages, two transport modes each.
+    # Five stages, a row for each deployment model.
     assert len(rows) == 10
 
 

@@ -43,6 +43,7 @@ from _oracles import (
     loop_dynamics_rows,
     loop_lane_rows,
     loop_profile_violation,
+    system_violation,
 )
 
 
@@ -71,11 +72,11 @@ def test_strategy_round_trip():
     scen = _scen()
     ref = _ref(scen, 0)
     strat = _seed_strategy(scen, 0)
-    assert strat.controls().shape == (35, 2)
-    assert np.all(strat.controls() == 0.0)
+    assert strat.blocks().shape == (35, 6)
+    assert np.all(strat.blocks()[:, :X_PX] == 0.0)
     for j, k in enumerate(strat.segment.decision_points()):
-        assert np.array_equal(strat.states()[j], ref.state(k))
-    assert np.array_equal(strat.terminal_state().as_array(), ref.state(36))
+        assert np.array_equal(strat.states()[j], ref.states[k - ref.start])
+    assert np.array_equal(strat.terminal_state().as_array(), ref.states[36 - ref.start])
     with pytest.raises(ValueError):
         Strategy(Segment(1, 3), np.zeros(5))
 
@@ -101,8 +102,8 @@ def test_constraint_system_violation():
         b_in=np.array([0.0]),
         in_tags=("in",),
     )
-    assert sys.violation(np.array([1.5, 0.7])) == pytest.approx(0.7)
-    assert sys.violation(np.array([1.0, -0.3])) == 0.0
+    assert system_violation(sys, np.array([1.5, 0.7])) == pytest.approx(0.7)
+    assert system_violation(sys, np.array([1.0, -0.3])) == 0.0
     with pytest.raises(ValueError):
         ConstraintSystem(
             a_eq=np.zeros((1, 2)), b_eq=np.zeros(2), eq_tags=("eq",),
@@ -393,9 +394,9 @@ def test_strategy_from_reference_copies_every_decision_state(start, stop):
     ref = default_offline_scenario().references()[2]
     segment = Segment(start, stop)
     strat = Strategy.from_reference(ref, segment)
-    assert not strat.controls().any()
+    assert not strat.blocks()[:, :X_PX].any()
     for j, k in enumerate(segment.decision_points()):
-        assert np.array_equal(strat.states()[j], ref.state(k))
+        assert np.array_equal(strat.states()[j], ref.states[k - ref.start])
 
 
 @pytest.mark.parametrize("window, segment", [((3, 20), (1, 10)), ((1, 9), (1, 10)),

@@ -24,6 +24,8 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
+from _oracles import system_violation
+
 
 def _scen():
     return default_offline_scenario()
@@ -148,7 +150,7 @@ def test_best_response_satisfies_kkt_and_constraints():
     h_diag, f_vec = objective_qp_data(game.weights[0], ref, game.segment)
     problem = QpProblem(np.diag(h_diag), f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)
     assert kkt_residual(problem, sol.s_star, sol.lam).stationarity < 1e-6
-    assert system.violation(sol.s_star) < 1e-8
+    assert system_violation(system, sol.s_star) < 1e-8
     # the raw QP value omits the constant reference term; adding it back
     # gives the tracking cost, which is positive because the seeded merge
     # overlaps the human's reference and forces a move

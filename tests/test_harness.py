@@ -56,10 +56,11 @@ def test_px_state_indices_layout():
 
 def test_apply_noise_zero_std_is_identity():
     strategy = _strategy(Segment(1, 6), seed=0)
-    obs = apply_noise(strategy, NoiseSpec(std=0.0), np.random.default_rng(1))
-    assert obs.perturbed == ()
-    assert obs.noise_std == 0.0
+    rng = np.random.default_rng(1)
+    obs = apply_noise(strategy, NoiseSpec(std=0.0), rng)
     np.testing.assert_array_equal(obs.strategy.data, strategy.data)
+    # Nothing is drawn, so the stream the later draws read is left as it was.
+    assert rng.random() == np.random.default_rng(1).random()
 
 
 def test_apply_noise_touches_only_longitudinal_positions():
@@ -67,9 +68,8 @@ def test_apply_noise_touches_only_longitudinal_positions():
     strategy = _strategy(segment, seed=2)
     obs = apply_noise(strategy, NoiseSpec(std=0.3), np.random.default_rng(7))
     idx = px_state_indices(segment)
-    assert obs.perturbed == tuple(idx.tolist())
-    assert obs.noise_std == 0.3
     delta = obs.strategy.data - strategy.data
+    assert np.flatnonzero(delta).tolist() == idx.tolist()
     mask = np.zeros(segment.n_vars, dtype=bool)
     mask[idx] = True
     assert np.all(delta[~mask] == 0.0)
@@ -227,6 +227,28 @@ def test_run_timing_row_structure():
         assert row["plan_seconds"] >= 0.0
         assert row["predict_iterations"] >= 1
         assert row["plan_iterations"] >= 1
+
+
+def test_run_timing_reads_both_models_from_one_run(monkeypatch):
+    runs = []
+    original = harness._OnlineRep.run
+
+    def counting(self):
+        runs.append(self)
+        return original(self)
+
+    monkeypatch.setattr(harness._OnlineRep, "run", counting)
+    rows = run_timing(default_online_scenario(), repetitions=2, seed=0)
+    assert len(runs) == 2
+    pairs = {}
+    for row in rows:
+        pairs.setdefault((row["rep"], row["stage"]), {})[row["mode"]] = row
+    assert len(pairs) == 2 * StagePlan.from_scenario(default_online_scenario()).count
+    for pair in pairs.values():
+        dist, cent = pair["distributed"], pair["centralized"]
+        for field in ("predict_iterations", "plan_iterations"):
+            assert dist[field] == cent[field] >= 1
+        assert dist["total_seconds"] <= cent["total_seconds"]
 
 
 def test_every_solve_reads_the_scenario_solver_settings(monkeypatch):

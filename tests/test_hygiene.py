@@ -2,10 +2,11 @@
 only: every name a module imports is read somewhere in that module
 (`__init__.py` is exempt, since it imports only to re-export), every
 module-level private function, class or constant is referenced by some
-library module, and every public one, and every public method, by some
-library or benchmark module. Also, the CI workflow (read with PyYAML)
-installs the package, runs the tier-1 command and checks the benchmark
-against its reference."""
+library module, every public one by some library or benchmark module, and
+every public method is read as an attribute by some library or benchmark
+module. No module-level function takes a parameter its body never reads.
+Also, the CI workflow (read with PyYAML) installs the package, runs the
+tier-1 command and checks the benchmark against its reference."""
 
 import ast
 from pathlib import Path
@@ -114,16 +115,58 @@ def test_public_definitions_are_found():
     assert private_definitions(source) == [(2, "_b")]
 
 
+def attribute_reads(source):
+    """Every name the source reads as an attribute (`x.name`)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_attribute_reads_are_found():
+    source = "state = 1\nx.controls()\ny.violation = 2\nz.ref.state\n"
+    assert attribute_reads(source) == {"controls", "ref", "state"}
+
+
 def test_every_public_name_and_method_is_referenced():
-    """A public module-level name or method that no library or benchmark
-    module reads (a re-export in `__init__.py` counts) is reached by tests
-    alone, so it is dead code."""
-    referenced = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
-                               for p in ALL_MODULES + BENCH_MODULES))
+    """A public module-level name that no library or benchmark module reads
+    (a re-export in `__init__.py` counts), or a public method that none reads
+    as an attribute, is reached by tests alone, so it is dead code. A local
+    variable that shares a method's name does not count as a read of it."""
+    sources = [p.read_text(encoding="utf-8") for p in ALL_MODULES + BENCH_MODULES]
+    referenced = set().union(*map(referenced_names, sources))
+    attributes = set().union(*map(attribute_reads, sources))
     unreferenced = [(path.name, line, name) for path in ALL_MODULES
                     for line, name in public_definitions(path.read_text(encoding="utf-8"))
-                    if name.rpartition(".")[2] not in referenced]
+                    if name.rpartition(".")[2] not in (attributes if "." in name else referenced)]
     assert unreferenced == []
+
+
+def unread_parameters(source):
+    """(line, `function.parameter`) of every parameter of a module-level
+    function that its body never reads. Methods are exempt: observer hooks
+    share one signature whether or not a hook uses every argument."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, f"{node.name}.{p}") for p in params if p not in read]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b=None, *args, c, **kw):\n    return a + c\n"
+              "def g(x):\n    return lambda: x\n"
+              "class C:\n    def m(self, unused):\n        pass\n")
+    assert unread_parameters(source) == [(1, "f.b"), (1, "f.args"), (1, "f.kw")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_level_functions_read_every_parameter(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():

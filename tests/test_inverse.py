@@ -191,33 +191,17 @@ def test_observation_segment_property():
     scen = default_offline_scenario()
     seg = Segment(1, scen.horizon)
     strat = Strategy.from_reference(scen.references()[0].window(1, scen.horizon), seg)
-    obs = Observation(strat, perturbed=(2, 8), noise_std=0.05)
+    obs = Observation(strat)
     assert obs.segment == seg
-    assert obs.perturbed == (2, 8)
 
 
-N_VARS = Segment(1, default_offline_scenario().horizon).n_vars
-
-
-@pytest.mark.parametrize(
-    "field, entry, perturbed, noise_std",
-    [
-        ("strategy", np.nan, (2, 8), 0.05),
-        ("strategy", -np.inf, (2, 8), 0.05),
-        ("perturbed", None, (2, -1), 0.05),
-        ("perturbed", None, (2, N_VARS), 0.05),
-        ("noise_std", None, (2, 8), -0.5),
-        ("noise_std", None, (2, 8), np.nan),
-        ("noise_std", None, (2, 8), np.inf),
-    ],
-)
-def test_observation_refuses_bad_input(field, entry, perturbed, noise_std):
+@pytest.mark.parametrize("field, entry", [("strategy", np.nan), ("strategy", -np.inf)])
+def test_observation_refuses_bad_input(field, entry):
     strat = _reference_strategy(default_offline_scenario())
     data = strat.data.copy()
-    if entry is not None:
-        data[7] = entry
+    data[7] = entry
     with pytest.raises(ValueError, match=f"observation {field}"):
-        Observation(Strategy(strat.segment, data), perturbed=perturbed, noise_std=noise_std)
+        Observation(Strategy(strat.segment, data))
 
 
 def _svd_null_space(a_eq):

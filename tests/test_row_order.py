@@ -32,6 +32,7 @@ from _oracles import (
     dense_lane_rows,
     densify,
     sparsify,
+    system_violation,
 )
 
 
@@ -117,7 +118,7 @@ def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled
         for s_vec in (s_star, s_star + rng.normal(0.0, 0.5, s_star.size)):
             scale = np.max(np.abs(a_all) @ np.abs(s_vec) + np.abs(b_all))
             got = workspace.violation_at(s_vec, opponents)
-            assert abs(got - system.violation(s_vec)) <= 8 * eps * scale, vid
+            assert abs(got - system_violation(system, s_vec)) <= 8 * eps * scale, vid
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -141,7 +142,7 @@ def test_game_solves_with_assembled_rows_on_reanchored_stage(monkeypatch, name):
     segment = Segment(13, 25)
     refs, initials, seeds = {}, {}, {}
     for v in scen.vehicles:
-        p_x = full[v.vid].state(segment.start)[0] + rng.normal(0.0, 0.5)
+        p_x = full[v.vid].states[segment.start - full[v.vid].start][0] + rng.normal(0.0, 0.5)
         refs[v.vid] = _anchored_reference(full[v.vid], segment, p_x)
         initials[v.vid] = VehicleState.from_array(
             refs[v.vid].states[0] + rng.normal(0.0, 0.05, 4))

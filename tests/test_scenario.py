@@ -108,7 +108,7 @@ def test_straight_reference_is_constant_speed():
         BehaviorSpec(kind=STRAIGHT), VehicleState(-3.0, 6.0, 10.0, 0.0), 36, 0.1, road
     )
     assert ref.start == 1 and ref.stop == 36
-    assert np.array_equal(ref.state(1), [-3.0, 6.0, 10.0, 0.0])
+    assert np.array_equal(ref.states[0], [-3.0, 6.0, 10.0, 0.0])
     diffs = np.diff(ref.states, axis=0)
     assert np.allclose(diffs[:, 0], 1.0)
     assert np.all(diffs[:, 1:] == 0.0)
@@ -118,12 +118,13 @@ def test_lane_change_reference_crosses_midpoint():
     road = LaneGeometry()
     change = BehaviorSpec(kind=LANE_CHANGE, source_lane=0, target_lane=1, start_x=5.0)
     ref = build_reference(change, VehicleState(0.0, 2.0, 10.0, 0.0), 36, 0.1, road)
-    assert ref.state(1)[1] == pytest.approx(2.0)
-    # px = 20 is the middle of the 30 m transition starting at x = 5
-    assert ref.state(21)[0] == pytest.approx(20.0)
-    assert ref.state(21)[1] == pytest.approx(4.0)
-    assert ref.state(21)[3] > 0.0
-    assert np.array_equal(ref.state(36), [35.0, 6.0, 10.0, 0.0])
+    assert ref.start == 1
+    assert ref.states[0][1] == pytest.approx(2.0)
+    # px = 20 (time point 21) is the middle of the 30 m transition starting at x = 5
+    assert ref.states[20][0] == pytest.approx(20.0)
+    assert ref.states[20][1] == pytest.approx(4.0)
+    assert ref.states[20][3] > 0.0
+    assert np.array_equal(ref.states[35], [35.0, 6.0, 10.0, 0.0])
     assert np.all(np.diff(ref.states[:, 1]) >= 0.0)
     # a transition that cannot finish within the horizon is rejected
     late = BehaviorSpec(kind=LANE_CHANGE, source_lane=0, target_lane=1, start_x=30.0)
@@ -138,15 +139,15 @@ def test_reference_window_and_anchoring():
     )
     win = ref.window(5, 15)
     assert win.start == 5 and win.stop == 15 and len(win) == 11
-    assert np.array_equal(win.state(7), ref.state(7))
+    assert np.array_equal(win.states, ref.states[4:15])
     moved = win.rebased(1)
     assert moved.start == 1 and np.array_equal(moved.states, win.states)
-    assert ref.nearest_by_px(ref.state(10)[0]) == 10
-    assert ref.nearest_by_px(ref.state(10)[0] + 0.4) == 10
+    assert ref.nearest_by_px(ref.states[9][0]) == 10
+    assert ref.nearest_by_px(ref.states[9][0] + 0.4) == 10
     with pytest.raises(ValueError):
         ref.window(0, 10)
     with pytest.raises(ValueError):
-        ref.state(41)
+        ref.window(30, 41)
 
 
 def test_box_limits_validation():
