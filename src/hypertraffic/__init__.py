@@ -30,8 +30,6 @@ from .game import (
     weight_diagonal,
 )
 from .harness import (
-    NoiseSpec,
-    StagePlan,
     apply_noise,
     run_offline_experiment,
     run_online_experiment,

@@ -20,7 +20,7 @@ from .harness import (
     ONLINE_FIELDS,
     SUCCESS_FIELDS,
     TIMING_FIELDS,
-    StagePlan,
+    stage_segments,
     write_csv,
 )
 from .netsim import run_distributed
@@ -77,6 +77,14 @@ def _positive_int(text):
     return value
 
 
+def _finished(rows):
+    """The rows of repetitions that did not fail; an error when none is left."""
+    finished = [r for r in rows if not r.get("failure")]
+    if not finished:
+        raise RuntimeError(f"all repetitions failed: {rows[0].get('failure')}")
+    return finished
+
+
 def _cmd_solve(args):
     scenario = _scenario_from(args, default_offline_scenario)
     weights = {v.vid: v.weights_true for v in scenario.vehicles}
@@ -124,9 +132,7 @@ def _cmd_interpret_offline(args):
     if args.out:
         write_csv(args.out, OFFLINE_FIELDS, rows)
         print(f"wrote {args.out}")
-    finished = [r for r in rows if not r.get("failure")]
-    if not finished:
-        raise RuntimeError(f"all repetitions failed: {rows[0].get('failure')}")
+    finished = _finished(rows)
     errs = sorted(r["parameter_estimation_error"] for r in finished)
     print(f"reps={len(finished)} median_parameter_error={errs[len(errs) // 2]:.6f}")
     return 0
@@ -138,13 +144,9 @@ def _cmd_run_online(args):
     if args.out:
         write_csv(args.out, ONLINE_FIELDS, rows)
         print(f"wrote {args.out}")
-    plan = StagePlan.from_scenario(scenario)
-    for t in range(1, plan.count + 1):
-        errs = sorted(
-            r["parameter_error"]
-            for r in rows
-            if r["stage"] == t and not r.get("failure")
-        )
+    finished = _finished(rows)
+    for t in range(1, len(stage_segments(scenario)) + 1):
+        errs = sorted(r["parameter_error"] for r in finished if r["stage"] == t)
         if errs:
             print(f"stage {t}: reps={len(errs)} "
                   f"median_parameter_error={errs[len(errs) // 2]:.6f}")
@@ -158,6 +160,7 @@ def _cmd_sweep_noise(args):
     rows = harness.run_offline_experiment(scenario, args.stds, args.reps, args.seed)
     write_csv(args.out, OFFLINE_FIELDS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
+    _finished(rows)
     return 0
 
 

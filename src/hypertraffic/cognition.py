@@ -39,17 +39,10 @@ def cognitive_threshold(scenario):
 class CognitionModel:
     """The autonomous side's working model of the human player."""
 
-    theta_0c: StyleWeights
     s_0c: object
     cav_views: dict
     result: object = None
     trace: object = None
-
-
-def _as_style_weights(scenario, theta):
-    if isinstance(theta, StyleWeights):
-        return theta
-    return StyleWeights(np.asarray(theta, dtype=float), scenario.theta_min, scenario.theta_max)
 
 
 def hv_subjective_game(scenario, hv_weights=None, segment=None, references=None,
@@ -70,13 +63,11 @@ def predict_hv(scenario, theta_0c, segment=None, references=None, initial_states
     The solve runs over the simulated message layer; the human-side
     subproblem is hosted at the roadside unit.
     """
-    theta_0c = _as_style_weights(scenario, theta_0c)
     game = hv_subjective_game(scenario, hv_weights=theta_0c, segment=segment,
                               references=references, initial_states=initial_states)
     result, trace = run_distributed(game)
     views = {vid: result.strategies[vid] for vid in game.decision_ids if vid != 0}
     return CognitionModel(
-        theta_0c=theta_0c,
         s_0c=result.strategies[0],
         cav_views=views,
         result=result,
@@ -108,9 +99,6 @@ class HneVerdict:
 
     ok: bool
     hv_gap: float
-    cav_gaps: dict
-    perceptual_threshold: float
-    gap_tol: float
     failing: tuple
     max_violation: float
 
@@ -131,12 +119,8 @@ def verify_hne(profile, scenario, eps_p, gap_tol=1e-4):
     weights.update({cav.vid: cav.weights_true for cav in scenario.cavs})
     report = ve_residual(profile, make_game(scenario, weights))
     failing = []
-    cav_gaps = {}
     for vid in sorted(report.gaps):
-        if vid == 0:
-            continue
-        cav_gaps[vid] = report.gaps[vid]
-        if report.gaps[vid] > gap_tol * (1.0 + abs(report.objectives[vid])):
+        if vid != 0 and report.gaps[vid] > gap_tol * (1.0 + abs(report.objectives[vid])):
             failing.append(vid)
     hv_gap = report.gaps[0]
     if hv_gap > eps_p:
@@ -144,9 +128,6 @@ def verify_hne(profile, scenario, eps_p, gap_tol=1e-4):
     return HneVerdict(
         ok=not failing,
         hv_gap=hv_gap,
-        cav_gaps=cav_gaps,
-        perceptual_threshold=eps_p,
-        gap_tol=gap_tol,
         failing=tuple(sorted(failing)),
         max_violation=report.max_violation,
     )

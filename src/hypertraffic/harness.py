@@ -2,9 +2,13 @@
 
 Four studies are covered. The offline sweep perturbs a full-horizon
 observation of the human trajectory and measures how well interpretation,
-prediction, and planning survive the noise. The online run alternates
-per-stage interpretation and planning while both sides observe each other's
-longitudinal position through noise. The success-rate study contrasts the
+prediction, and planning survive the noise. The online run plays the
+scenario's stages in turn: in each the autonomous side predicts the human and
+plans, the human drives its own subjective game, and at the stage's end the
+autonomous side interprets what it observed for the next stage, while both
+sides observe each other's longitudinal position through noise. The scenario
+alone sets the stages and the noise level, so one online repetition is a
+function of the scenario, the seed and its index. The success-rate study contrasts the
 full interpretation pipeline against planning from a randomly drawn guess of
 the human's weights. The timing run drives the same per-stage pipeline once
 and records its durations under both deployment models.
@@ -18,8 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cognition import average_weights, hv_subjective_game, plan_cavs, predict_hv
@@ -33,65 +35,29 @@ from .scenario import EFFECTIVE_INDICES, StyleWeights, style_weights_for
 SUCCESS_VIOLATION = 1e-3
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian observation noise on the human's longitudinal position, the
-    only quantity perturbed in these studies."""
-
-    std: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.std) and self.std >= 0):
-            raise ValueError(f"std must be a finite non-negative number, got {self.std}")
-
-
 def px_state_indices(segment):
     """Strategy-vector indices of the longitudinal position states."""
     return np.arange(segment.n_steps) * STEP_VARS + X_PX
 
 
-def apply_noise(strategy, spec, rng):
-    """Observation of a strategy under the noise model."""
-    if spec.std == 0.0:
+def apply_noise(strategy, std, rng):
+    """Observation of a strategy with Gaussian noise of the given std on the
+    human's longitudinal position, the only quantity perturbed in these
+    studies."""
+    if std == 0.0:
         # No draw at all, so the generator's stream is left as it was.
         return Observation(strategy)
     idx = px_state_indices(strategy.segment)
     data = strategy.data.copy()
-    data[idx] = data[idx] + rng.normal(0.0, spec.std, idx.size)
+    data[idx] = data[idx] + rng.normal(0.0, std, idx.size)
     return Observation(Strategy(strategy.segment, data))
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Partition of the horizon into consecutive game stages."""
-
-    boundaries: tuple
-
-    def __post_init__(self):
-        b = tuple(int(x) for x in self.boundaries)
-        if len(b) < 2:
-            raise ValueError("a stage plan needs at least two boundaries")
-        if b[0] != 1:
-            raise ValueError("stage plan must start at step 1")
-        if any(y <= x for x, y in zip(b, b[1:])):
-            raise ValueError("stage boundaries must be strictly increasing")
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def count(self):
-        return len(self.boundaries) - 1
-
-    def segment(self, t):
-        """Segment of stage t, counted from 1."""
-        if not 1 <= t <= self.count:
-            raise ValueError(f"stage {t} outside 1..{self.count}")
-        return Segment(self.boundaries[t - 1], self.boundaries[t])
-
-    @classmethod
-    def from_scenario(cls, scenario):
-        if scenario.stages:
-            return cls(tuple(scenario.stages))
-        return cls((1, scenario.horizon))
+def stage_segments(scenario):
+    """The game stages: the segments between the scenario's stage boundaries,
+    or the whole horizon as one stage."""
+    bounds = scenario.stages or (1, scenario.horizon)
+    return [Segment(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def position_observation_error(observed, actual):
@@ -118,14 +84,14 @@ def _profile_success(hv_strategy, plans, scenario, degraded):
     return clean and not degraded
 
 
-def _interpret_predict_plan(scenario, s_actual, spec, rng):
+def _interpret_predict_plan(scenario, s_actual, std, rng):
     """The offline pipeline on one noisy observation of the human strategy.
 
     Returns the observation, the interpretation, the prediction model, the
     plans with their solve result, and the interpret/predict/plan durations.
     """
     t0 = time.perf_counter()
-    obs = apply_noise(s_actual, spec, rng)
+    obs = apply_noise(s_actual, std, rng)
     interp = interpret_offline(obs, scenario)
     t1 = time.perf_counter()
     model = predict_hv(scenario, interp.theta_0c)
@@ -173,17 +139,20 @@ OFFLINE_FIELDS = (
 def run_offline_experiment(scenario, noise_stds, repetitions, seed):
     """Generate, perturb, interpret, re-predict, plan; one row per repetition
     per noise level. Failures become rows, not exceptions."""
+    stds = [float(std) for std in noise_stds]
+    for std in stds:
+        if not (math.isfinite(std) and std >= 0):
+            raise ValueError(f"std must be a finite non-negative number, got {std}")
     truth = solve_games(hv_subjective_game(scenario))
     s_actual = truth.strategies[0]
     rows = []
-    for std in noise_stds:
-        spec = NoiseSpec(std=float(std))
+    for std in stds:
         for rep in range(repetitions):
             rng = np.random.default_rng([seed, rep, int(round(std * 10000))])
-            row = {"noise_std": float(std), "rep": rep, "failure": None}
+            row = {"noise_std": std, "rep": rep, "failure": None}
             try:
                 obs, interp, model, plans, plan_result, seconds = _interpret_predict_plan(
-                    scenario, s_actual, spec, rng
+                    scenario, s_actual, std, rng
                 )
                 row.update(
                     position_observation_error=position_observation_error(
@@ -247,153 +216,112 @@ def _noisy_state(state, std, rng):
     return VehicleState.from_array(arr)
 
 
-class _OnlineRep:
+def _online_rep(scenario, seed, rep):
     """One repetition of the staged online interaction.
 
-    Keeps the actual vehicle states, each side's noisy estimate of the other,
-    and the data needed to interpret the previous stage.
+    Returns the stage rows and, for every game solved over the message
+    layer, (kind, stage, session trace, wall seconds). At the end of each
+    stage but the last, the autonomous side interprets the human trajectory
+    it observed in that stage; the update serves the next stage, which is
+    also where its duration is reported.
     """
+    rng = np.random.default_rng([seed, rep])
+    std = scenario.noise_std
+    full_refs = scenario.references()
+    cav_ids = [cav.vid for cav in scenario.cavs]
+    kind = scenario.hv.behavior.kind
+    segments = stage_segments(scenario)
 
-    def __init__(self, scenario, plan, seed, rep):
-        self.scenario = scenario
-        self.plan = plan
-        self.rng = np.random.default_rng([seed, rep])
-        self.std = scenario.noise_std
-        self.full_refs = scenario.references()
-        self.cav_ids = [cav.vid for cav in scenario.cavs]
+    def anchored(vid, segment, state):
+        return _anchored_reference(full_refs[vid], segment, state.p_x)
 
-        self.actual = {v.vid: v.initial for v in scenario.vehicles}
-        # Positions are common knowledge at the start; noisy cross-estimates
-        # begin once trajectories are observed.
-        self.hv_seen_by_cavs = scenario.hv.initial
-        self.cavs_seen_by_hv = dict(self.actual)
-        self.theta = style_weights_for(scenario.hv.behavior.kind, scenario.hv.style)
-        self.prev = None
+    actual = {v.vid: v.initial for v in scenario.vehicles}
+    # Positions are common knowledge at the start; noisy cross-estimates
+    # begin once trajectories are observed.
+    hv_seen_by_cavs = scenario.hv.initial
+    cavs_seen_by_hv = dict(actual)
+    theta = style_weights_for(kind, scenario.hv.style)
+    interpret_seconds = 0.0
+    rows, timing = [], []
+    for t, segment in enumerate(segments, 1):
+        # The autonomous side's view of this stage.
+        cav_initials = {vid: actual[vid] for vid in cav_ids}
+        cav_refs = {vid: anchored(vid, segment, actual[vid]) for vid in cav_ids}
+        hv_ref_cav = anchored(0, segment, hv_seen_by_cavs)
+        t0 = time.perf_counter()
+        model = predict_hv(scenario, theta, segment=segment,
+                           references={0: hv_ref_cav, **cav_refs},
+                           initial_states={0: hv_seen_by_cavs, **cav_initials})
+        t1 = time.perf_counter()
+        plans, plan_result, plan_trace = plan_cavs(
+            scenario, model.s_0c, segment=segment, references=cav_refs,
+            initial_states=cav_initials)
+        t2 = time.perf_counter()
+        timing += [("predict", t, model.trace, t1 - t0), ("plan", t, plan_trace, t2 - t1)]
 
-    def _cav_refs(self, segment, anchors):
-        return {
-            vid: _anchored_reference(self.full_refs[vid], segment, anchors[vid].p_x)
-            for vid in self.cav_ids
+        # The human's actual stage: its own subjective game, anchored at its
+        # exact state and its noisy view of the autonomous vehicles.
+        gt_game = hv_subjective_game(
+            scenario,
+            segment=segment,
+            references={0: anchored(0, segment, actual[0]),
+                        **{vid: anchored(vid, segment, cavs_seen_by_hv[vid])
+                           for vid in cav_ids}},
+            initial_states={0: actual[0], **{vid: cavs_seen_by_hv[vid] for vid in cav_ids}},
+        )
+        hv_actual = solve_games(gt_game).strategies[0]
+        observation = apply_noise(hv_actual, std, rng)
+        row = {
+            "rep": rep,
+            "stage": t,
+            "parameter_error": parameter_error(theta, scenario.hv.weights_true, kind),
+            "parameter_error_updated": None,
+            "low_identifiability": None,
+            "position_observation_error": position_observation_error(
+                observation.strategy, hv_actual),
+            "trajectory_prediction_error": trajectory_prediction_error(model.s_0c, hv_actual),
+            "position_prediction_error": position_prediction_error(model.s_0c, hv_actual),
+            "success": _profile_success(hv_actual, plans, scenario, plan_result.degraded),
+            "interpret_seconds": interpret_seconds,
+            "predict_seconds": t1 - t0,
+            "plan_seconds": t2 - t1,
+            "failure": None,
         }
+        rows.append(row)
 
-    def run(self):
-        rows = []
-        timing = []
-        for t in range(1, self.plan.count + 1):
-            segment = self.plan.segment(t)
-            row = {"rep": None, "stage": t, "failure": None}
-            interp_seconds = 0.0
-            fit_seconds = 0.0
-            update = None
-            if t > 1:
-                t0 = time.perf_counter()
-                cav_game = make_game(
-                    self.scenario,
-                    average_weights(self.scenario),
-                    segment=self.prev["segment"],
-                    fixed={0: self.prev["observation"].strategy},
-                    references=self.prev["cav_refs"],
-                    initial_states=self.prev["cav_initials"],
-                )
-                embed_result, embed_trace = run_distributed(cav_game)
-                interp_seconds = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                update = interpret_online(
-                    self.prev["observation"],
-                    self.theta,
-                    self.scenario,
-                    include_conservativeness=(t >= 3),
-                    cav_strategies={vid: embed_result.strategies[vid] for vid in self.cav_ids},
-                    hv_reference=self.prev["hv_ref_cav_side"],
-                    hv_initial=self.prev["hv_initial_cav_side"],
-                )
-                fit_seconds = time.perf_counter() - t0
-                if not update.low_identifiability:
-                    self.theta = update.theta_0c
-                timing.append(("interpret", t, embed_trace, interp_seconds + fit_seconds))
-
-            # The autonomous side's view of this stage.
-            cav_refs = self._cav_refs(segment, self.actual)
-            hv_ref_cav = _anchored_reference(
-                self.full_refs[0], segment, self.hv_seen_by_cavs.p_x
-            )
-            hv_init_cav = self.hv_seen_by_cavs
+        if t < len(segments):
+            # Interpret the observation against the CAV-only equilibrium with
+            # the observed human as data and typical CAV weights: what the
+            # human reacted to.
             t0 = time.perf_counter()
-            model = predict_hv(
-                self.scenario,
-                self.theta,
-                segment=segment,
-                references={0: hv_ref_cav, **cav_refs},
-                initial_states={0: hv_init_cav, **{v: self.actual[v] for v in self.cav_ids}},
+            cav_game = make_game(scenario, average_weights(scenario), segment=segment,
+                                 fixed={0: observation.strategy}, references=cav_refs,
+                                 initial_states=cav_initials)
+            embed_result, embed_trace = run_distributed(cav_game)
+            # The first update, from stage 1, would only be pulled toward the
+            # initial guess, so it runs without the pull.
+            update = interpret_online(
+                observation,
+                theta,
+                scenario,
+                include_conservativeness=(t >= 2),
+                cav_strategies={vid: embed_result.strategies[vid] for vid in cav_ids},
+                hv_reference=hv_ref_cav,
+                hv_initial=hv_seen_by_cavs,
             )
-            predict_seconds = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            plans, plan_result, plan_trace = plan_cavs(
-                self.scenario,
-                model.s_0c,
-                segment=segment,
-                references=cav_refs,
-                initial_states={v: self.actual[v] for v in self.cav_ids},
-            )
-            plan_seconds = time.perf_counter() - t0
-            timing.append(("predict", t, model.trace, predict_seconds))
-            timing.append(("plan", t, plan_trace, plan_seconds))
+            interpret_seconds = time.perf_counter() - t0
+            if not update.low_identifiability:
+                theta = update.theta_0c
+            row["parameter_error_updated"] = parameter_error(
+                theta, scenario.hv.weights_true, kind)
+            row["low_identifiability"] = update.low_identifiability
+            timing.append(("interpret", t + 1, embed_trace, interpret_seconds))
 
-            # The human's actual stage: its own subjective game, anchored at
-            # its exact state and its noisy view of the autonomous vehicles.
-            hv_ref_own = _anchored_reference(self.full_refs[0], segment, self.actual[0].p_x)
-            cav_refs_hv_side = self._cav_refs(segment, self.cavs_seen_by_hv)
-            gt_game = hv_subjective_game(
-                self.scenario,
-                segment=segment,
-                references={0: hv_ref_own, **cav_refs_hv_side},
-                initial_states={0: self.actual[0],
-                                **{v: self.cavs_seen_by_hv[v] for v in self.cav_ids}},
-            )
-            gt_result = solve_games(gt_game)
-            hv_actual = gt_result.strategies[0]
-
-            observation = apply_noise(
-                hv_actual, NoiseSpec(std=self.std), self.rng
-            )
-
-            row.update(
-                parameter_error=parameter_error(
-                    self.theta, self.scenario.hv.weights_true, self.scenario.hv.behavior.kind
-                ),
-                position_observation_error=position_observation_error(
-                    observation.strategy, hv_actual
-                ),
-                trajectory_prediction_error=trajectory_prediction_error(model.s_0c, hv_actual),
-                position_prediction_error=position_prediction_error(model.s_0c, hv_actual),
-                success=_profile_success(hv_actual, plans, self.scenario, plan_result.degraded),
-                interpret_seconds=interp_seconds + fit_seconds,
-                predict_seconds=predict_seconds,
-                plan_seconds=plan_seconds,
-                parameter_error_updated=None,
-                low_identifiability=None,
-            )
-            rows.append(row)
-            if t > 1 and update is not None:
-                rows[-2]["parameter_error_updated"] = row["parameter_error"]
-                rows[-2]["low_identifiability"] = update.low_identifiability
-
-            self.prev = {
-                "segment": segment,
-                "observation": observation,
-                "cav_refs": cav_refs,
-                "cav_initials": {v: self.actual[v] for v in self.cav_ids},
-                "hv_ref_cav_side": hv_ref_cav,
-                "hv_initial_cav_side": hv_init_cav,
-            }
-            self.actual = {0: hv_actual.terminal_state()}
-            self.actual.update({vid: plans[vid].terminal_state() for vid in self.cav_ids})
-            self.hv_seen_by_cavs = observation.strategy.terminal_state()
-            self.cavs_seen_by_hv = {
-                vid: _noisy_state(self.actual[vid], self.std, self.rng)
-                for vid in self.cav_ids
-            }
-        return rows, timing
+        actual = {0: hv_actual.terminal_state(),
+                  **{vid: plans[vid].terminal_state() for vid in cav_ids}}
+        hv_seen_by_cavs = observation.strategy.terminal_state()
+        cavs_seen_by_hv = {vid: _noisy_state(actual[vid], std, rng) for vid in cav_ids}
+    return rows, timing
 
 
 def run_online_experiment(scenario, repetitions=50, seed=0):
@@ -406,20 +334,14 @@ def run_online_experiment(scenario, repetitions=50, seed=0):
     flagged unidentifiable is discarded and the previous cognition kept, so
     a non-interactive stage never overwrites a usable estimate.
     """
-    plan = StagePlan.from_scenario(scenario)
+    stages = len(stage_segments(scenario))
     rows = []
     for rep in range(repetitions):
         try:
-            runner = _OnlineRep(scenario, plan, seed, rep)
-            rep_rows, _ = runner.run()
-            for row in rep_rows:
-                row["rep"] = rep
+            rows += _online_rep(scenario, seed, rep)[0]
         except Exception as exc:
-            rep_rows = [
-                {"rep": rep, "stage": t, "failure": f"{type(exc).__name__}: {exc}"}
-                for t in range(1, plan.count + 1)
-            ]
-        rows.extend(rep_rows)
+            rows += [{"rep": rep, "stage": t, "failure": f"{type(exc).__name__}: {exc}"}
+                     for t in range(1, stages + 1)]
     rows.sort(key=lambda r: (r["rep"], r["stage"]))
     return rows
 
@@ -473,13 +395,12 @@ def run_success_rate(scenario, mode, repetitions, seed):
         raise ValueError(f"unknown success-rate mode {mode!r}")
     truth = solve_games(hv_subjective_game(scenario))
     s_actual = truth.strategies[0]
-    spec = NoiseSpec(std=scenario.noise_std)
     outcomes = []
     for rep in range(repetitions):
         rng = np.random.default_rng([seed, rep])
         if mode == "with_interpretation":
             _, interp, _, plans, plan_result, _ = _interpret_predict_plan(
-                scenario, s_actual, spec, rng
+                scenario, s_actual, scenario.noise_std, rng
             )
             error = parameter_error(
                 interp.theta_0c, scenario.hv.weights_true, scenario.hv.behavior.kind
@@ -532,12 +453,12 @@ def run_timing(scenario, repetitions=10, seed=0):
     Distributed durations follow the slowest-node model from the session
     traces; centralized durations are the stages' wall-clock totals.
     """
-    plan = StagePlan.from_scenario(scenario)
+    count = len(stage_segments(scenario))
     rows = []
     for rep in range(repetitions):
-        _, timing = _OnlineRep(scenario, plan, seed, rep).run()
+        _, timing = _online_rep(scenario, seed, rep)
         # Per stage and kind: (distributed, centralized) seconds and rounds.
-        stages = {t: {"interpret": (0.0, 0.0, 0)} for t in range(1, plan.count + 1)}
+        stages = {t: {"interpret": (0.0, 0.0, 0)} for t in range(1, count + 1)}
         for kind, t, trace, wall in timing:
             # The stationarity fit happens once at the roadside unit; its
             # wall time rides on top of the solve.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,33 +81,17 @@ class SessionTrace:
         return total
 
     def write_jsonl(self, path):
+        """One JSON record per message, per event, then a summary. A message
+        record carries every field but the payload; a strategy broadcast adds
+        the payload's norm."""
         with open(path, "w", encoding="utf-8") as fh:
             for msg in self.messages:
-                row = {
-                    "record": "message",
-                    "kind": msg.kind,
-                    "sender": msg.sender,
-                    "recipients": list(msg.recipients),
-                    "iteration": msg.iteration,
-                    "player": msg.player,
-                }
+                row = _record("message", msg, skip="payload")
                 if msg.kind == STRATEGY_BROADCAST:
                     row["payload_norm"] = float(np.linalg.norm(msg.payload.data))
                 fh.write(json.dumps(row) + "\n")
             for ev in self.events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "record": "event",
-                            "node": ev.node,
-                            "kind": ev.kind,
-                            "player": ev.player,
-                            "iteration": ev.iteration,
-                            "seconds": ev.seconds,
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(_record("event", ev)) + "\n")
             fh.write(
                 json.dumps(
                     {
@@ -121,6 +105,12 @@ class SessionTrace:
                 )
                 + "\n"
             )
+
+
+def _record(kind, item, skip=None):
+    """A trace record: its kind, then the dataclass fields in order."""
+    return {"record": kind,
+            **{f.name: getattr(item, f.name) for f in fields(item) if f.name != skip}}
 
 
 class _DistributedObserver:

@@ -11,11 +11,11 @@ from hypertraffic.constraints import Segment, Strategy
 from hypertraffic.dynamics import VehicleGeometry, linearize_discrete
 from hypertraffic.game import make_game, pseudo_gradient, solve_games
 from hypertraffic.harness import (
-    StagePlan,
     run_offline_experiment,
     run_online_experiment,
     run_success_rate,
     run_timing,
+    stage_segments,
 )
 from hypertraffic.netsim import run_distributed
 from hypertraffic.qp import INFEASIBLE, OPTIMAL, QpProblem, solve
@@ -241,9 +241,8 @@ def test_criterion_10_cognitive_threshold_and_distributed_timing():
 
     scen = default_online_scenario()
     rows = run_timing(scen, repetitions=10, seed=0)
-    plan = StagePlan.from_scenario(scen)
     ratios = []
-    for stage in range(1, plan.count + 1):
+    for stage in range(1, len(stage_segments(scen)) + 1):
         per_mode = {}
         for mode in ("centralized", "distributed"):
             values = [

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hypertraffic import cli
+from hypertraffic import cli, harness
 from hypertraffic.harness import OFFLINE_FIELDS, SUCCESS_FIELDS, TIMING_FIELDS
 
 CONFIG_DOC = """
@@ -242,6 +242,25 @@ def test_non_finite_noise_levels_are_usage_errors(tmp_path, capsys, argv, option
         cli.main(argv + ["--reps", "1", "--out", str(tmp_path / "out.csv")])
     assert excinfo.value.code == 2
     assert f"argument {option}: not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["interpret-offline"], "interpret_offline"),
+    (["run-online"], "predict_hv"),
+    (["sweep-noise", "--stds", "0.05,0.1"], "interpret_offline"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_every_repetition_failing_exits_nonzero(tmp_path, monkeypatch, capsys, argv, target):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, target, fail)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--reps", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == 'error kind=RuntimeError msg="all repetitions failed: ValueError: boom"\n'
+    # The failure rows are still written.
+    _, rows = _read_csv(out)
+    assert rows and all(line.endswith(",ValueError: boom") for line in rows)
 
 
 def test_invalid_mode_exits_with_usage_error():

@@ -1,5 +1,5 @@
 """Tests for the experiment harness: noise model, metrics, CSV output,
-stage plans, and the experiment runners' bookkeeping."""
+stage segments, and the experiment runners' bookkeeping."""
 
 from dataclasses import replace
 
@@ -10,9 +10,7 @@ from hypertraffic import game, harness, inverse, netsim
 from hypertraffic.cognition import plan_cavs, predict_hv
 from hypertraffic.constraints import STEP_VARS, X_PX, Segment, Strategy
 from hypertraffic.harness import (
-    NoiseSpec,
     OFFLINE_FIELDS,
-    StagePlan,
     TIMING_FIELDS,
     _random_hv_guess,
     apply_noise,
@@ -24,6 +22,7 @@ from hypertraffic.harness import (
     run_online_experiment,
     run_success_rate,
     run_timing,
+    stage_segments,
     trajectory_prediction_error,
     write_csv,
 )
@@ -36,16 +35,12 @@ def _strategy(segment, seed):
     return Strategy(segment, rng.normal(0.0, 1.0, segment.n_vars))
 
 
-def test_noise_spec_validation():
-    assert NoiseSpec(std=0.0).std == 0.0
-    with pytest.raises(ValueError):
-        NoiseSpec(std=-0.1)
-
-
 @pytest.mark.parametrize("std", [float("nan"), float("inf"), -0.1])
-def test_noise_spec_refuses_a_non_finite_or_negative_std(std):
-    with pytest.raises(ValueError, match="^std must be a finite non-negative number"):
-        NoiseSpec(std=std)
+def test_offline_experiment_refuses_a_non_finite_or_negative_std(std, monkeypatch):
+    # Refused before the ground truth is solved, so no game runs at all.
+    monkeypatch.setattr(harness, "solve_games", None)
+    with pytest.raises(ValueError, match=f"^std must be a finite non-negative number, got {std}$"):
+        run_offline_experiment(default_offline_scenario(), [0.05, std], repetitions=1, seed=0)
 
 
 def test_px_state_indices_layout():
@@ -57,7 +52,7 @@ def test_px_state_indices_layout():
 def test_apply_noise_zero_std_is_identity():
     strategy = _strategy(Segment(1, 6), seed=0)
     rng = np.random.default_rng(1)
-    obs = apply_noise(strategy, NoiseSpec(std=0.0), rng)
+    obs = apply_noise(strategy, 0.0, rng)
     np.testing.assert_array_equal(obs.strategy.data, strategy.data)
     # Nothing is drawn, so the stream the later draws read is left as it was.
     assert rng.random() == np.random.default_rng(1).random()
@@ -66,7 +61,7 @@ def test_apply_noise_zero_std_is_identity():
 def test_apply_noise_touches_only_longitudinal_positions():
     segment = Segment(1, 11)
     strategy = _strategy(segment, seed=2)
-    obs = apply_noise(strategy, NoiseSpec(std=0.3), np.random.default_rng(7))
+    obs = apply_noise(strategy, 0.3, np.random.default_rng(7))
     idx = px_state_indices(segment)
     delta = obs.strategy.data - strategy.data
     assert np.flatnonzero(delta).tolist() == idx.tolist()
@@ -78,9 +73,8 @@ def test_apply_noise_touches_only_longitudinal_positions():
 
 def test_apply_noise_deterministic_under_seeded_rng():
     strategy = _strategy(Segment(1, 11), seed=3)
-    spec = NoiseSpec(std=0.2)
-    a = apply_noise(strategy, spec, np.random.default_rng(5))
-    b = apply_noise(strategy, spec, np.random.default_rng(5))
+    a = apply_noise(strategy, 0.2, np.random.default_rng(5))
+    b = apply_noise(strategy, 0.2, np.random.default_rng(5))
     np.testing.assert_array_equal(a.strategy.data, b.strategy.data)
 
 
@@ -129,35 +123,22 @@ def test_write_csv_golden_output(tmp_path):
     assert text == "name,value,flag,note\na,0.5,1,\nb,2,0,\n"
 
 
-def test_stage_plan_segments_and_validation():
-    plan = StagePlan((1, 13, 25, 36))
-    assert plan.count == 3
-    assert plan.segment(1) == Segment(1, 13)
-    assert plan.segment(2) == Segment(13, 25)
-    assert plan.segment(3) == Segment(25, 36)
-    with pytest.raises(ValueError):
-        plan.segment(0)
-    with pytest.raises(ValueError):
-        plan.segment(4)
-    with pytest.raises(ValueError):
-        StagePlan((1,))
-    with pytest.raises(ValueError):
-        StagePlan((2, 10))
-    with pytest.raises(ValueError):
-        StagePlan((1, 10, 10))
-
-
-def test_stage_plan_from_scenario():
+def test_stage_segments_split_the_horizon_at_the_scenario_stages():
+    scen = replace(default_offline_scenario(), horizon=36, stages=(1, 13, 25, 36))
+    assert stage_segments(scen) == [Segment(1, 13), Segment(13, 25), Segment(25, 36)]
+    # Boundaries that split nothing never reach it: the scenario refuses them.
+    for bad in ((1,), (2, 36), (1, 10, 10, 36)):
+        with pytest.raises(ValueError, match="^stage boundaries"):
+            replace(scen, stages=bad)
     online = default_online_scenario()
-    plan = StagePlan.from_scenario(online)
-    assert plan.boundaries == tuple(online.stages)
-    assert plan.boundaries[0] == 1
-    assert plan.boundaries[-1] == online.horizon
+    segments = stage_segments(online)
+    assert [s.start for s in segments] + [segments[-1].stop] == list(online.stages)
 
+
+def test_stage_segments_fall_back_to_one_stage():
     offline = default_offline_scenario()
-    fallback = StagePlan.from_scenario(offline)
-    assert fallback.boundaries == (1, offline.horizon)
-    assert fallback.count == 1
+    assert offline.stages == ()
+    assert stage_segments(offline) == [Segment(1, offline.horizon)]
 
 
 def test_random_hv_guess_stays_inside_cone_and_box():
@@ -208,6 +189,38 @@ def test_run_offline_rows_and_determinism():
     assert strip_timing(different) != strip_timing(rows_a)
 
 
+def test_online_rows_carry_each_stage_update_into_the_next_stage():
+    # Stage t's observation is interpreted for stage t + 1: the update's
+    # estimate is the one the next row reports as in use, and its duration is
+    # billed to the next row and the next stage's timing.
+    scen = default_online_scenario()
+    count = len(stage_segments(scen))
+    rows = run_online_experiment(scen, repetitions=2, seed=0)
+    assert [(r["rep"], r["stage"]) for r in rows] == [
+        (rep, t) for rep in range(2) for t in range(1, count + 1)]
+    for rep in range(2):
+        stages = rows[rep * count:(rep + 1) * count]
+        assert not any(r["failure"] for r in stages)
+        for row, following in zip(stages, stages[1:]):
+            assert row["parameter_error_updated"] == following["parameter_error"]
+            assert row["low_identifiability"] in (True, False)
+        # An identifiable update moves the estimate; a flagged one is dropped.
+        assert any(r["parameter_error_updated"] != r["parameter_error"]
+                   for r in stages[:-1] if not r["low_identifiability"])
+        assert stages[-1]["parameter_error_updated"] is None
+        assert stages[-1]["low_identifiability"] is None
+        assert stages[0]["interpret_seconds"] == 0.0
+        assert all(r["interpret_seconds"] > 0.0 for r in stages[1:])
+
+    rep_rows, timing = harness._online_rep(scen, 0, 1)
+
+    def untimed(rows):
+        return [{k: v for k, v in r.items() if not k.endswith("_seconds")} for r in rows]
+
+    assert untimed(rep_rows) == untimed(rows[count:])
+    assert [t for kind, t, _, _ in timing if kind == "interpret"] == list(range(2, count + 1))
+
+
 def test_run_success_rate_rejects_unknown_mode():
     with pytest.raises(ValueError):
         run_success_rate(default_offline_scenario(), "oracle", repetitions=1, seed=0)
@@ -231,19 +244,19 @@ def test_run_timing_row_structure():
 
 def test_run_timing_reads_both_models_from_one_run(monkeypatch):
     runs = []
-    original = harness._OnlineRep.run
+    original = harness._online_rep
 
-    def counting(self):
-        runs.append(self)
-        return original(self)
+    def counting(*args):
+        runs.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(harness._OnlineRep, "run", counting)
+    monkeypatch.setattr(harness, "_online_rep", counting)
     rows = run_timing(default_online_scenario(), repetitions=2, seed=0)
     assert len(runs) == 2
     pairs = {}
     for row in rows:
         pairs.setdefault((row["rep"], row["stage"]), {})[row["mode"]] = row
-    assert len(pairs) == 2 * StagePlan.from_scenario(default_online_scenario()).count
+    assert len(pairs) == 2 * len(stage_segments(default_online_scenario()))
     for pair in pairs.values():
         dist, cent = pair["distributed"], pair["centralized"]
         for field in ("predict_iterations", "plan_iterations"):

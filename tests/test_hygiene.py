@@ -4,7 +4,9 @@ only: every name a module imports is read somewhere in that module
 module-level private function, class or constant is referenced by some
 library module, every public one by some library or benchmark module, and
 every public method is read as an attribute by some library or benchmark
-module. No module-level function takes a parameter its body never reads.
+module. No module-level function takes a parameter its body never reads,
+and every dataclass field is read as an attribute by some library,
+benchmark or test module.
 Also, the CI workflow (read with PyYAML) installs the package, runs the
 tier-1 command and checks the benchmark against its reference."""
 
@@ -19,6 +21,7 @@ SRC = ROOT / "src" / "hypertraffic"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 BENCH_MODULES = sorted((ROOT / "bench").glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -167,6 +170,40 @@ def test_unread_parameters_are_found():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_module_level_functions_read_every_parameter(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def dataclass_fields(source):
+    """(line, `Class.field`) of every annotated field of a module-level class
+    decorated with `dataclass`, bare or called, plain or `dataclasses.`."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+            found += [(item.lineno, f"{node.name}.{item.target.id}") for item in node.body
+                      if isinstance(item, ast.AnnAssign)]
+    return found
+
+
+def test_dataclass_fields_are_found():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: float = 0.0\n"
+              "    def m(self):\n        return self.x\n"
+              "@dataclass\nclass B:\n    z: str\n@functools.total_ordering\nclass C:\n"
+              "    w: int\n@dataclasses.dataclass\nclass D:\n    v: int\n")
+    assert dataclass_fields(source) == [(3, "A.x"), (4, "A.y"), (9, "B.z"), (15, "D.v")]
+
+
+def test_every_dataclass_field_is_read():
+    """A field that no library, benchmark or test module reads as an attribute
+    is a result nothing looks at."""
+    sources = [p.read_text(encoding="utf-8") for p in ALL_MODULES + BENCH_MODULES + TEST_MODULES]
+    attributes = set().union(*map(attribute_reads, sources))
+    unread = [(path.name, line, name) for path in ALL_MODULES
+              for line, name in dataclass_fields(path.read_text(encoding="utf-8"))
+              if name.rpartition(".")[2] not in attributes]
+    assert unread == []
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():

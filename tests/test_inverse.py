@@ -7,7 +7,7 @@ from hypertraffic import harness, inverse
 from hypertraffic.cognition import hv_subjective_game
 from hypertraffic.constraints import Segment, Strategy, assemble
 from hypertraffic.game import solve_games
-from hypertraffic.harness import NoiseSpec, apply_noise, run_online_experiment
+from hypertraffic.harness import apply_noise, run_online_experiment
 from hypertraffic.inverse import (
     Observation,
     interpret_offline,
@@ -240,7 +240,7 @@ def test_offline_fit_matches_the_svd_basis_fit(monkeypatch):
     cavs = interpret_offline(Observation(s_actual), scen).cav_strategies
     for std in (0.0, 0.05, 0.2, 0.4):
         for seed in (0, 1):
-            obs = apply_noise(s_actual, NoiseSpec(std), np.random.default_rng([seed, 7]))
+            obs = apply_noise(s_actual, std, np.random.default_rng([seed, 7]))
             fast = interpret_offline(obs, scen, cav_strategies=cavs)
             with monkeypatch.context() as patch:
                 patch.setattr(inverse, "null_space", _svd_null_space)
