@@ -102,23 +102,11 @@ def _cmd_solve(args):
         print(f"player {vid}: objective={result.objectives[vid]:.6f} "
               f"gap={result.gaps[vid]:.3e}")
     if args.out:
-        rows = []
-        for vid in sorted(result.strategies):
-            strat = result.strategies[vid]
-            for k, state in zip(
-                strat.segment.decision_points(), strat.states()
-            ):
-                rows.append(
-                    {
-                        "player": vid,
-                        "step": k,
-                        "p_x": state[0],
-                        "p_y": state[1],
-                        "v": state[2],
-                        "psi": state[3],
-                    }
-                )
-        write_csv(args.out, ("player", "step", "p_x", "p_y", "v", "psi"), rows)
+        fields = ("player", "step", "p_x", "p_y", "v", "psi")
+        rows = [dict(zip(fields, (vid, k, *state)))
+                for vid, strat in sorted(result.strategies.items())
+                for k, state in zip(strat.segment.decision_points(), strat.states())]
+        write_csv(args.out, fields, rows)
         print(f"wrote {args.out}")
     if not result.converged:
         raise RuntimeError("best-response iteration did not converge")
@@ -181,6 +169,7 @@ def _cmd_timing(args):
     rows = harness.run_timing(scenario, repetitions=args.reps, seed=args.seed)
     write_csv(args.out, TIMING_FIELDS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
+    _finished(rows)
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constraints import (Segment, StaticRows, Strategy, collision_rows, stack_dense,
                           start_state, static_rows)
-from .qp import OPTIMAL, Elimination, ReducedQp, eliminate
+from .qp import OPTIMAL, Elimination, ReducedQp, SparseRows, eliminate
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
@@ -26,11 +26,10 @@ WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
 # Most player systems kept in `_STATIC_PARTS`. An entry is largest for a
 # lane-changing player: at H=121 (120 steps, 720 variables) it holds the basis
-# Z (720 x 240), 1,800 reduced inequality rows of 240 columns and its 2,280
-# static rows in sparse form (480 dynamics rows of 7 slots, 720 box rows of 1,
-# 960 lane rows of 3, 120 lane-change rows of 2), 5,006,400 bytes with the
-# right-hand sides, s_part and the A_in s_part column each reduced block keeps
-# alive, so a full cache holds at most 40 MB.
+# Z (720 x 240) and its 2,280 static rows in sparse form (480 dynamics rows of
+# 7 slots, 720 box rows of 1, 960 lane rows of 3, 120 lane-change rows of 2),
+# 1,521,600 bytes with the right-hand sides and s_part, so a full cache holds
+# at most 12.2 MB.
 STATIC_CACHE_ENTRIES = 8
 
 
@@ -144,32 +143,25 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
 
 @dataclass(frozen=True)
 class _PlayerSystem:
-    """The weight-independent part of one player's system: its static rows,
-    their equality elimination, and each static inequality block reduced by
-    `ReducedQp.reduce_rows`, one (C, d) pair per block of `rows.head` and
-    `rows.tail`. Workspaces share it, so every array is read-only (the
-    `SparseRows` are already)."""
+    """The weight-independent part of one player's system: its static rows
+    and their equality elimination. Workspaces share it, so every array is
+    read-only (the `SparseRows` and the elimination's already are)."""
 
     rows: StaticRows
     elimination: Elimination
-    head: tuple
-    tail: tuple
 
     def __post_init__(self):
-        rows = self.rows
-        for _, b, _ in (*rows.eq, *rows.head, *rows.tail):
+        for _, b, _ in (*self.rows.eq, *self.rows.head, *self.rows.tail):
             b.flags.writeable = False
-        for c, d in (*self.head, *self.tail):
-            c.flags.writeable = d.flags.writeable = False
 
 
 # Least recently used first; see STATIC_CACHE_ENTRIES.
 _STATIC_PARTS = OrderedDict()
 
 
-def _player_system(game, vid, h_diag):
+def _player_system(game, vid):
     """Player `vid`'s `_PlayerSystem` from `_STATIC_PARTS`, built and stored
-    on a miss, and its `ReducedQp` with the quadratic diagonal `h_diag`.
+    on a miss.
 
     The cache key is every input `static_rows` reads, by value: the settings
     by their repr, which spells each float exactly (0.0 and -0.0 apart), the
@@ -184,32 +176,27 @@ def _player_system(game, vid, h_diag):
     if system is None:
         rows = static_rows(vehicle, scenario, game.segment, reference, start)
         a_eq, b_eq, _ = stack_dense(rows.eq)
-        elimination = eliminate(a_eq, b_eq)
-        reduced = ReducedQp(h_diag, elimination)
-        system = _PlayerSystem(rows, elimination, *(
-            tuple(reduced.reduce_rows(a, b) for a, b, _ in part) for part in (rows.head, rows.tail)))
-    else:
-        reduced = ReducedQp(h_diag, system.elimination)
+        system = _PlayerSystem(rows, eliminate(a_eq, b_eq))
     _STATIC_PARTS[key] = system
     while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
         _STATIC_PARTS.popitem(last=False)
-    return system, reduced
+    return system
 
 
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the player's shared
     `_PlayerSystem`, the reduced quadratic block for its weights, and one
-    buffer of reduced inequality rows in solver order for the active-set
-    solver. Between the static head and tail blocks sits one collision
-    block per opponent, kept as `collision_rows` returns it with the
-    opponent `Strategy` object it was built from; its slot in the buffer
-    records the object its reduction was built from. The check is by
-    identity: every accepted best response makes a new strategy object, and
-    a transport passes on the objects it receives. A block is rebuilt only
-    when its opponent's strategy has changed, and reduced only when a best
-    response needs it; a best response against the same opponent objects as
-    the last one returns the stored solution. Every solve uses the
-    scenario's solver settings."""
+    stack of its inequality rows in solver order, as the solver reads them:
+    `SparseRows` padded to the widest static block (a collision row touches
+    the pose columns, as a lane row does), with each row's b and its d from
+    `ReducedQp.reduce_rows`. Between the static head and tail blocks sits one
+    collision slot per opponent, written in place from the rows
+    `collision_rows` builds against the opponent `Strategy` object the slot
+    records. The check is by identity: every accepted best response makes a
+    new strategy object, and a transport passes on the objects it receives.
+    A slot is rebuilt only when its opponent's strategy has changed; a best
+    response against the same opponent objects as the last one returns the
+    stored solution. Every solve uses the scenario's solver settings."""
 
     def __init__(self, game, vid):
         self.vid = vid
@@ -219,63 +206,67 @@ class _PlayerWorkspace:
         self.s_ref = reference_vector(self.reference, game.segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.reference,
                                                     game.segment)
-        self.system, self.reduced = _player_system(game, vid, self.h_diag)
+        self.system = _player_system(game, vid)
+        self.reduced = ReducedQp(self.h_diag, self.system.elimination)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
+        head, tail = self.system.rows.head, self.system.rows.tail
         n = game.segment.n_steps
-        n_head = sum(d.shape[0] for _, d in self.system.head)
-        n_coll = len(self.opponent_ids) * n
-        slots = np.zeros((n_coll, self.reduced.null_dim)), np.zeros(n_coll)
-        reduced_blocks = (*self.system.head, slots, *self.system.tail)
-        self._c_red = np.vstack([c for c, _ in reduced_blocks])
-        self._d_red = np.concatenate([d for _, d in reduced_blocks])
+        n_head = sum(b.size for _, b, _ in head)
+        n_coll = n * len(self.opponent_ids)
+        m = n_head + n_coll + sum(b.size for _, b, _ in tail)
+        width = max(a.coef.shape[1] for a, _, _ in (*head, *tail))
+        self._cols = np.zeros((m, width), dtype=np.intp)
+        self._coef = np.zeros((m, width))
+        self._b, self._d = np.zeros(m), np.zeros(m)
+        # Views: the rows are read-only, the slots written here show through.
+        self._rows = SparseRows(self._cols.view(), self._coef.view(), game.segment.n_vars)
         self._slots = {oid: slice(n_head + k * n, n_head + (k + 1) * n)
                        for k, oid in enumerate(self.opponent_ids)}
-        self._collisions = dict.fromkeys(self.opponent_ids, (None, None))  # (strategy, rows)
-        self._projected = dict.fromkeys(self.opponent_ids)
+        at = 0
+        for blocks, slots in ((head, n_coll), (tail, 0)):
+            for a, b, _ in blocks:
+                self._write(slice(at, at + b.size), a, b)
+                at += b.size
+            at += slots
+        self._built = dict.fromkeys(self.opponent_ids)  # the strategy each slot holds
         self._solved = None  # (opponent strategies, solution)
-        self._warm = ()  # the last optimal working set; `_c_red` keeps its layout
+        self._warm = ()  # the last optimal working set, as row indices of the stack
 
-    def _sync(self, opponents, project):
-        """Bring the collision blocks up to date with `opponents`, reducing
-        them into the buffer too when `project` is set; returns the opponent
-        strategies in solver order."""
+    def _write(self, span, rows, b_in):
+        """Write a block of rows, its b and its d into the rows `span` of the stack."""
+        k = rows.coef.shape[1]
+        self._cols[span, :k], self._coef[span, :k] = rows.cols, rows.coef
+        self._b[span], self._d[span] = b_in, self.reduced.reduce_rows(rows, b_in)[1]
+
+    def _sync(self, opponents):
+        """Bring the collision slots up to date with `opponents`; returns the
+        opponent strategies in solver order."""
         if tuple(sorted(opponents)) != self.opponent_ids:
             raise ValueError(f"player {self.vid} plays against {self.opponent_ids}, "
                              f"got {tuple(sorted(opponents))}")
         strategies = tuple(opponents[oid] for oid in self.opponent_ids)
         for oid, strat in zip(self.opponent_ids, strategies):
-            if self._collisions[oid][0] is not strat:
-                self._collisions[oid] = strat, collision_rows(self.reference, strat,
-                                                              self.geometry, oid)
-            if project and self._projected[oid] is not strat:
-                a, b, _ = self._collisions[oid][1]
-                slot = self._slots[oid]
-                self._c_red[slot], self._d_red[slot] = self.reduced.reduce_rows(a, b)
-                self._projected[oid] = strat
+            if self._built[oid] is not strat:
+                rows, b_in, _ = collision_rows(self.reference, strat, self.geometry, oid)
+                self._write(self._slots[oid], rows, b_in)
+                self._built[oid] = strat
         return strategies
 
-    def inequality_blocks(self):
-        """The (rows, rhs, tags) inequality blocks in solver order, each
-        collision block as last built."""
-        collisions = (self._collisions[oid][1] for oid in self.opponent_ids)
-        return (*self.system.rows.head, *collisions, *self.system.rows.tail)
-
     def best_response(self, opponents):
-        strategies = self._sync(opponents, project=True)
+        strategies = self._sync(opponents)
         if self._solved is not None:
             last, sol = self._solved
             if all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self._c_red, self._d_red, self.settings, self._warm)
+        sol = self.reduced.solve(self.f_vec, self._rows, self._d, self.settings, self._warm)
         self._warm = sol.working_set if sol.ok else self._warm
         self._solved = (strategies, sol)
         return sol
 
     def violation_at(self, s_vec, opponents):
-        self._sync(opponents, project=False)
-        eq, ineq = (np.concatenate([a @ s_vec - b for a, b, _ in blocks])
-                    for blocks in (self.system.rows.eq, self.inequality_blocks()))
-        return max(float(np.abs(eq).max()), float(ineq.max()))
+        self._sync(opponents)
+        eq = np.concatenate([a @ s_vec - b for a, b, _ in self.system.rows.eq])
+        return max(float(np.abs(eq).max()), float((self._rows @ s_vec - self._b).max()))
 
     def objective(self, s_vec):
         dev = s_vec - self.s_ref

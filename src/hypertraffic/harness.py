@@ -443,6 +443,7 @@ TIMING_FIELDS = (
     "total_seconds",
     "predict_iterations",
     "plan_iterations",
+    "failure",
 )
 
 
@@ -451,12 +452,20 @@ def run_timing(scenario, repetitions=10, seed=0):
     models, read from one run of each repetition over the message layer.
 
     Distributed durations follow the slowest-node model from the session
-    traces; centralized durations are the stages' wall-clock totals.
+    traces; centralized durations are the stages' wall-clock totals. A
+    failing repetition leaves rows with only their keys and its failure.
     """
     count = len(stage_segments(scenario))
+    modes = ("distributed", "centralized")
     rows = []
     for rep in range(repetitions):
-        _, timing = _online_rep(scenario, seed, rep)
+        try:
+            _, timing = _online_rep(scenario, seed, rep)
+        except Exception as exc:
+            rows += [{"rep": rep, "stage": t, "mode": mode,
+                      "failure": f"{type(exc).__name__}: {exc}"}
+                     for t in range(1, count + 1) for mode in modes]
+            continue
         # Per stage and kind: (distributed, centralized) seconds and rounds.
         stages = {t: {"interpret": (0.0, 0.0, 0)} for t in range(1, count + 1)}
         for kind, t, trace, wall in timing:
@@ -465,10 +474,10 @@ def run_timing(scenario, repetitions=10, seed=0):
             fit = wall - trace.total_seconds if kind == "interpret" else 0.0
             stages[t][kind] = (trace.simulated_seconds() + fit, wall, trace.rounds)
         for t, cell in stages.items():
-            for i, mode in enumerate(("distributed", "centralized")):
+            for i, mode in enumerate(modes):
                 seconds = [cell[kind][i] for kind in ("interpret", "predict", "plan")]
                 rows.append(dict(zip(TIMING_FIELDS, (
                     rep, t, mode, *seconds, sum(seconds),
-                    cell["predict"][2], cell["plan"][2]))))
+                    cell["predict"][2], cell["plan"][2], None))))
     rows.sort(key=lambda r: (r["rep"], r["stage"], r["mode"]))
     return rows

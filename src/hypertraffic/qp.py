@@ -5,11 +5,13 @@ with partial pivoting of A_eq' splits the variables into dependent and free
 ones, the null-space basis is the identity on the free variables, and the
 same triangular factors give the particular solution. That `Elimination`
 depends on the equality rows only, so many objectives can share one. A dual
-active-set method then runs on the reduced problem: start at the
-unconstrained minimum, or warm on a given working set (say the one a solve
-of a nearby problem ended on, which every solve returns) after dropping its
-rows with negative multipliers, then repeatedly enforce the most violated
-inequality, dropping working-set rows whose multipliers would cross zero.
+active-set method then runs on the reduced problem, reading the inequality
+rows as the sparse rows A they were built as (`SparseRows`), with d = b -
+A s_part: it starts at the unconstrained minimum, or warm on a given
+working set (say the one a solve of a nearby problem ended on, which every
+solve returns) after dropping its rows with negative multipliers, then
+repeatedly enforces the most violated inequality, dropping working-set rows
+whose multipliers would cross zero.
 All pivots break ties by lowest index, so identical inputs and starting sets
 give bitwise-identical outputs. The working rows' Cholesky factor is updated,
 not re-formed, so at the optimum one refinement step puts the point back on
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu, solve_triangular
@@ -125,9 +126,12 @@ class GiResult:
 
 class GiSolver:
     """Dual active-set method (Goldfarb & Idnani, 1983) for min 0.5 y'Gy + a'y
-    s.t. C y <= d with G positive definite, reusing the Cholesky factor of G
-    across solves. A solve updates the Cholesky factor of S = C_W G^{-1} C_W'
-    as rows enter its working set W (bordered) and leave it (`_drop`)."""
+    s.t. C y <= d, C = A Z, with G positive definite, reusing the Cholesky
+    factor of G across solves. A step judges every row of the `SparseRows` A
+    by one gather of Z y; a row c_p = A_p Z is formed, from at most k rows of
+    Z, only when row p enters the working set W or starts in it. A solve
+    updates the Cholesky factor of S = C_W G^{-1} C_W' as rows enter W
+    (bordered) and leave it (`_drop`)."""
 
     def __init__(self, g_mat):
         g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
@@ -136,14 +140,13 @@ class GiSolver:
             raise np.linalg.LinAlgError(f"G is not positive definite (LAPACK info {info})")
         self.dim = g_mat.shape[0]
 
-    def solve(self, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, warm=()):
+    def solve(self, a_vec, rows, z_basis, d_vec, tol=1e-8, max_iterations=None, warm=()):
         """Solve from the start `_warm_start` makes of the row indices `warm`.
         At OPTIMAL, one refinement step y -= G^{-1} C_W' S^{-1} (C_W y - d_W)
         puts y back on its working rows; the multipliers are the last step's."""
         a_vec = np.asarray(a_vec, dtype=float).reshape(-1)
-        c_mat = np.asarray(c_mat, dtype=float).reshape(-1, self.dim)
         d_vec = np.asarray(d_vec, dtype=float).reshape(-1)
-        m = c_mat.shape[0]
+        m = d_vec.shape[0]
         if max_iterations is None:
             max_iterations = 50 + 10 * (m + self.dim)
         scale = 1.0 + np.abs(d_vec)
@@ -151,7 +154,8 @@ class GiSolver:
         # The working set, its multipliers, its rows G^{-1} c_j and the lower
         # Cholesky factor of S, all in working-set order.
         y, work, lam_w, ginv_cw, s_chol, iterations = self._warm_start(
-            -dpotrs(self._factor, a_vec, lower=1)[0], c_mat, d_vec, list(warm), max_iterations)
+            -dpotrs(self._factor, a_vec, lower=1)[0], rows, z_basis, d_vec, list(warm),
+            max_iterations)
 
         def result(status, infeasibility=0.0):
             lam = np.zeros(m)
@@ -162,13 +166,13 @@ class GiSolver:
             iterations += 1
             if iterations > max_iterations:
                 return result(MAX_ITER)
-            resid = c_mat @ y - d_vec
+            resid = rows @ (z_basis @ y) - d_vec
             if np.all(resid <= tol * scale):
                 if work:
                     y = y - dpotrs(s_chol, resid[work], lower=1)[0] @ ginv_cw
                 return result(OPTIMAL)
             p = int(np.argmax(resid / scale))
-            c_p = c_mat[p]
+            c_p = _reduced_rows(rows, z_basis, [p])[0]
             ginv_cp = dpotrs(self._factor, c_p, lower=1)[0]
             lam_p = 0.0
             while True:
@@ -211,7 +215,7 @@ class GiSolver:
                     break
                 work, s_chol, lam_w, ginv_cw = _drop(j_out, work, s_chol, lam_w, ginv_cw)
 
-    def _warm_start(self, y, c_mat, d_vec, work, budget):
+    def _warm_start(self, y, rows, z_basis, d_vec, work, budget):
         """(y, work, lam, G^{-1} C_W' rows, Cholesky factor of S, solves) of a
         dual feasible start: from the unconstrained minimum y, the minimum with
         the rows `work` held as equalities, y - G^{-1} C_W' lam where S lam =
@@ -222,7 +226,7 @@ class GiSolver:
         cold = (y, [], np.zeros(0), np.zeros((0, self.dim)), np.zeros((0, 0)))
         if not work or budget < 1:
             return *cold, 0
-        c_w = c_mat[work]
+        c_w = _reduced_rows(rows, z_basis, work)
         ginv_cw = dpotrs(self._factor, c_w.T, lower=1)[0].T
         s_mat = c_w @ ginv_cw.T
         s_chol, info = dpotrf(s_mat, lower=1)
@@ -239,6 +243,12 @@ class GiSolver:
             if not work:
                 break
         return *cold, solves
+
+
+def _reduced_rows(rows, z_basis, index):
+    """The rows `index` of A Z, each a gather of the rows of Z its row of A
+    touches."""
+    return np.einsum("ij,ijk->ik", rows.coef[index], z_basis[rows.cols[index]])
 
 
 def _drop(j, work, s_chol, *rows):
@@ -277,6 +287,17 @@ class SparseRows:
             raise ValueError(f"cols and coef must be matrices of one shape, "
                              f"got {self.cols.shape} and {self.coef.shape}")
         self.cols.flags.writeable = self.coef.flags.writeable = False
+
+    @classmethod
+    def from_dense(cls, a):
+        """The rows of a dense matrix: each row's nonzero columns in
+        increasing order, padded with its zero entries to the longest row's
+        count."""
+        a = np.asarray(a, dtype=float)
+        nonzero = a != 0.0
+        k = int(np.max(np.sum(nonzero, axis=1), initial=0))
+        cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
+        return cls(cols, np.take_along_axis(a, cols, axis=1), a.shape[1])
 
     @property
     def shape(self):
@@ -344,24 +365,15 @@ def _lu_solve(l1, upper, rhs):
 @dataclass(frozen=True)
 class Elimination:
     """What a QP's equality rows A_eq s = b_eq fix, independent of its
-    objective: every feasible point is s_part + Z y. `affine` is [Z | s_part]
-    in one read-only array, so one product reduces a row against both and
-    one elimination can be shared by many quadratic blocks; `z_basis` and
-    `s_part` are views of it, made once. `eq_residual` is the largest miss
-    of s_part over all rows, and `eq_scale` is 1 + max |b_eq|, the scale
-    that residual is judged against."""
+    objective: every feasible point is s_part + Z y, so one elimination can
+    be shared by many quadratic blocks; both arrays are read-only.
+    `eq_residual` is the largest miss of s_part over all rows, and
+    `eq_scale` is 1 + max |b_eq|, the scale that residual is judged against."""
 
-    affine: np.ndarray
+    z_basis: np.ndarray
+    s_part: np.ndarray
     eq_residual: float
     eq_scale: float
-
-    @cached_property
-    def z_basis(self):
-        return self.affine[:, :-1]
-
-    @cached_property
-    def s_part(self):
-        return self.affine[:, -1]
 
 
 def eliminate(a_eq, b_eq):
@@ -396,9 +408,8 @@ def eliminate(a_eq, b_eq):
         )
     eq_residual = float(np.max(np.abs(a_eq @ s_part - b_eq))) if a_eq.shape[0] else 0.0
     eq_scale = 1.0 + (float(np.max(np.abs(b_eq))) if b_eq.size else 0.0)
-    affine = np.column_stack([z_basis, s_part])
-    affine.flags.writeable = False
-    return Elimination(affine, eq_residual, eq_scale)
+    z_basis.flags.writeable = s_part.flags.writeable = False
+    return Elimination(z_basis, s_part, eq_residual, eq_scale)
 
 
 class ReducedQp:
@@ -414,7 +425,6 @@ class ReducedQp:
     """
 
     def __init__(self, h, elimination):
-        self._affine = elimination.affine
         self.z_basis, self.s_part = elimination.z_basis, elimination.s_part
         self.eq_residual = elimination.eq_residual
         self._eq_scale = elimination.eq_scale
@@ -438,22 +448,21 @@ class ReducedQp:
 
     def reduce_rows(self, a_in, b_in):
         """Inequality rows A_in s <= b_in in the null-space coordinates y,
-        where s = s_part + Z y: the pair (A_in Z, b_in - A_in s_part). A_in
-        is a dense matrix or `SparseRows`, whose products gather the rows of
-        Z and s_part that each row touches."""
+        where s = s_part + Z y, as the pair (A_in, b_in - A_in s_part): the
+        rows stay as they are, as `SparseRows` (a dense A_in is converted),
+        and the solver reduces a row against Z only when it needs it."""
         if not isinstance(a_in, SparseRows):
-            a_in = np.asarray(a_in, dtype=float).reshape(-1, self.n)
+            a_in = SparseRows.from_dense(np.asarray(a_in, dtype=float).reshape(-1, self.n))
         b_in = np.asarray(b_in, dtype=float).reshape(-1)
         if b_in.shape != (a_in.shape[0],):
             raise ValueError(f"A_in has {a_in.shape[0]} rows but b_in {b_in.shape[0]} entries")
         _require_finite(b_in=b_in)
-        reduced = a_in @ self._affine
-        return reduced[:, :-1], b_in - reduced[:, -1]
+        return a_in, b_in - a_in @ self.s_part
 
-    def solve(self, f_vec, c_red, d_red, settings, warm=()):
+    def solve(self, f_vec, rows, d_red, settings, warm=()):
         """Solve with the stored quadratic block, a fresh linear term and
-        inequality rows C y <= d as `reduce_rows` gives them, starting the
-        active set from the row indices `warm` (see `GiSolver.solve`)."""
+        inequality rows A Z y <= d_red as `reduce_rows` gives them, starting
+        the active set from the row indices `warm` (see `GiSolver.solve`)."""
         f_vec = np.asarray(f_vec, dtype=float).reshape(-1)
         _require_finite(f_vec=f_vec, d_red=d_red)
         tol = settings.qp_tolerance
@@ -469,7 +478,7 @@ class ReducedQp:
             status = OPTIMAL if np.all(miss <= tol * (1.0 + np.abs(d_red))) else INFEASIBLE
             return self._finish(status, self.s_part, no_lam, f_vec, 0, infeasibility=worst)
         a_red = self.z_basis.T @ (self._h_spart + f_vec)
-        res = self.gi.solve(a_red, c_red, d_red, tol=tol, warm=warm)
+        res = self.gi.solve(a_red, rows, self.z_basis, d_red, tol=tol, warm=warm)
         s_star = self.s_part + self.z_basis @ res.y
         return self._finish(res.status, s_star, res.lam, f_vec, res.iterations,
                             res.infeasibility, res.working_set)

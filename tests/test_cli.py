@@ -208,6 +208,42 @@ def test_timing_writes_rows(tmp_path):
     assert len(rows) == 10
 
 
+def test_a_failing_timing_repetition_keeps_the_finished_rows(tmp_path, monkeypatch):
+    # predict_hv raises in the second repetition only. The first's rows are
+    # written as a one-repetition run writes them, outside *_seconds; the
+    # second's carry only their keys and the failure.
+    once = tmp_path / "once.csv"
+    assert cli.main(["timing", "--reps", "1", "--out", str(once)]) == 0
+    reps = []
+    original_rep, original_predict = harness._online_rep, harness.predict_hv
+
+    def tracking_rep(scenario, seed, rep):
+        reps.append(rep)
+        return original_rep(scenario, seed, rep)
+
+    def predict(*args, **kwargs):
+        if reps[-1] == 1:
+            raise ValueError("boom")
+        return original_predict(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_online_rep", tracking_rep)
+    monkeypatch.setattr(harness, "predict_hv", predict)
+    out = tmp_path / "t.csv"
+    assert cli.main(["timing", "--reps", "2", "--out", str(out)]) == 0
+    assert reps == [0, 1]
+    header, rows = _read_csv(out)
+    assert header == list(TIMING_FIELDS)
+    cells = [row.split(",") for row in rows]
+    assert [c[0] for c in cells] == ["0"] * 10 + ["1"] * 10
+    kept = [i for i, name in enumerate(TIMING_FIELDS) if not name.endswith("_seconds")]
+    want = [row.split(",") for row in _read_csv(once)[1]]
+    assert [[c[i] for i in kept] for c in cells[:10]] == [[c[i] for i in kept] for c in want]
+    assert all(c[-1] == "" for c in cells[:10])
+    assert [c[1:3] for c in cells[10:]] == [[str(t), mode] for t in range(1, 6)
+                                           for mode in ("centralized", "distributed")]
+    assert all(c[3:] == [""] * 6 + ["ValueError: boom"] for c in cells[10:])
+
+
 def test_gap_sweep_prints_regression(capsys):
     assert cli.main(["gap-sweep"]) == 0
     captured = capsys.readouterr().out
@@ -248,6 +284,7 @@ def test_non_finite_noise_levels_are_usage_errors(tmp_path, capsys, argv, option
     (["interpret-offline"], "interpret_offline"),
     (["run-online"], "predict_hv"),
     (["sweep-noise", "--stds", "0.05,0.1"], "interpret_offline"),
+    (["timing"], "predict_hv"),
 ], ids=lambda v: v[0] if isinstance(v, list) else v)
 def test_every_repetition_failing_exits_nonzero(tmp_path, monkeypatch, capsys, argv, target):
     def fail(*args, **kwargs):

@@ -223,3 +223,11 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "--trace 0",
     ]
     assert runs[1][1] == {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_property_tests_draw_the_same_examples_on_every_run():
+    """`conftest.py` loads a profile that derives every example from its test
+    and keeps no example database, so tier-1, CI and local runs agree."""
+    from hypothesis import settings
+
+    assert settings.default.derandomize and settings.default.database is None

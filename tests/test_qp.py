@@ -16,6 +16,7 @@ from hypertraffic.qp import (
     QpProblem,
     ReducedQp,
     SolverSettings,
+    SparseRows,
     eliminate,
     kkt_residual,
     solve,
@@ -300,8 +301,8 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
         assert reduced.z_basis.shape[1] == z_svd.shape[1]
         sol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), settings)
         oracle = GiSolver(z_svd.T @ h @ z_svd).solve(
-            z_svd.T @ (h @ s_part + f), a_in @ z_svd, b_in - a_in @ s_part,
-            tol=settings.qp_tolerance,
+            z_svd.T @ (h @ s_part + f), SparseRows.from_dense(a_in), z_svd,
+            b_in - a_in @ s_part, tol=settings.qp_tolerance,
         )
         assert sol.status == oracle.status
         if sol.status != OPTIMAL:
@@ -398,8 +399,9 @@ def test_diagonal_and_dense_h_give_bitwise_equal_reductions(monkeypatch, make_sc
 def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point, iterations,
                                              working_set):
     # min 0.5 |y|^2 - 2 y_0  s.t.  y_0 <= 1 (active at the optimum), y_1 <= 5.
-    res = GiSolver(np.eye(2)).solve([-2.0, 0.0], np.eye(2), [1.0, 5.0],
-                                    max_iterations=max_iterations, warm=warm)
+    eye = np.eye(2)
+    res = GiSolver(eye).solve([-2.0, 0.0], SparseRows.from_dense(eye), eye, [1.0, 5.0],
+                              max_iterations=max_iterations, warm=warm)
     assert res.status == status
     assert np.array_equal(res.y, point)
     assert res.iterations == iterations
@@ -424,7 +426,8 @@ def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point
      [10.0, 0.9, -5.0], [0.9, 0.0, 1.0]),
 ])
 def test_hand_worked_drops(a_vec, c_mat, d_vec, point):
-    res = GiSolver(np.eye(3)).solve(a_vec, c_mat, d_vec)
+    eye = np.eye(3)
+    res = GiSolver(eye).solve(a_vec, SparseRows.from_dense(c_mat), eye, d_vec)
     assert res.status == OPTIMAL
     assert np.array_equal(res.y, point)
     assert res.iterations == 4
@@ -523,19 +526,28 @@ def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra,
                                        st.floats(-0.3, -0.01))),
                    max_size=3),
     warm=st.lists(st.integers(0, 63), max_size=8),
+    s_space=st.booleans(),
 )
 # Infeasible draws whose dual ray both find on different working sets: an
 # empty slab on a full working set, and two nearly parallel rows in a plane.
-@example(seed=1048, extra=[("collinear", 3, 0, 1.0, -0.25)], warm=[])
-@example(seed=4011589171, extra=[], warm=[56])
+@example(seed=1048, extra=[("collinear", 3, 0, 1.0, -0.25)], warm=[], s_space=False)
+@example(seed=4011589171, extra=[], warm=[56], s_space=False)
 # Three rows seed the warm set in a plane, two of them almost opposite, so S
 # is nearly singular (an explicit S^{-1} has entries near 1e16). Each drop
 # must still leave a factor of the rows left: the optimum is the cold one.
 @example(seed=1852456101, extra=[("dup", 2, 3, 0.5563541670300529, 0.0)],
-         warm=[35, 10, 8, 63, 9])
-def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm):
-    # The oracle re-forms and re-solves S at every step; the solver updates
-    # its Cholesky factor. Same pivots, so the same status; at an optimum,
+         warm=[35, 10, 8, 63, 9], s_space=False)
+# The same three draws with the rows read in s-space against the basis Z.
+@example(seed=1048, extra=[("collinear", 3, 0, 1.0, -0.25)], warm=[], s_space=True)
+@example(seed=4011589171, extra=[], warm=[56], s_space=True)
+@example(seed=1852456101, extra=[("dup", 2, 3, 0.5563541670300529, 0.0)],
+         warm=[35, 10, 8, 63, 9], s_space=True)
+def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm, s_space):
+    # The oracle re-forms and re-solves S at every step on the dense reduced
+    # rows C = A_in Z; the solver updates its Cholesky factor and reads the
+    # rows either in s-space, A_in against the elimination's basis Z (which
+    # is not the identity when the draw has equality rows), or as C itself
+    # against the identity. Same pivots, so the same status; at an optimum,
     # the same working set and points equal to round-off, and without
     # degenerate rows the same iteration count. On which working set an
     # infeasible problem shows its dual ray is decided by round-off: over
@@ -554,8 +566,13 @@ def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm):
     g_mat = z_basis.T @ h @ z_basis
     g_mat = 0.5 * (g_mat + g_mat.T)
     a_vec = z_basis.T @ (h @ reduced.s_part + f)
-    c_mat, d_vec = reduced.reduce_rows(a_in, b_in)
-    new = GiSolver(g_mat).solve(a_vec, c_mat, d_vec, warm=warm)
+    rows, d_vec = reduced.reduce_rows(a_in, b_in)
+    c_mat = a_in @ z_basis
+    if s_space:
+        new = GiSolver(g_mat).solve(a_vec, rows, z_basis, d_vec, warm=warm)
+    else:
+        eye = np.eye(z_basis.shape[1])
+        new = GiSolver(g_mat).solve(a_vec, SparseRows.from_dense(c_mat), eye, d_vec, warm=warm)
     old = loop_gi_solve(g_mat, a_vec, c_mat, d_vec, warm=warm)
     assert new.status == old.status
     if new.status == INFEASIBLE:

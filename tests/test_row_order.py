@@ -61,53 +61,47 @@ def _scenario(name):
 
 
 def _solved_rows(monkeypatch, game, vid, opponents):
-    """The workspace of one best response, its reduced QP and inequality
-    data as solved, and its inequality rows in solver order, densified."""
+    """The workspace of one best response, its reduced QP, and the
+    inequality rows (densified) and right-hand sides d it solved with."""
     seen = []
     original = ReducedQp.solve
 
-    def spy(self, f_vec, c_red, d_red, settings, warm=()):
-        seen.append((self, c_red.copy(), d_red.copy()))
-        return original(self, f_vec, c_red, d_red, settings, warm=warm)
+    def spy(self, f_vec, rows, d_red, settings, warm=()):
+        seen.append((self, densify(rows), d_red.copy()))
+        return original(self, f_vec, rows, d_red, settings, warm=warm)
 
     monkeypatch.setattr(ReducedQp, "solve", spy)
     workspace = game_module._PlayerWorkspace(game, vid)
     workspace.best_response(opponents)
     monkeypatch.setattr(ReducedQp, "solve", original)
     assert len(seen) == 1 and seen[0][0] is workspace.reduced
-    blocks = workspace.inequality_blocks()
-    a_in = np.vstack([densify(a) for a, _, _ in blocks])
-    b_in = np.concatenate([b for _, b, _ in blocks])
-    return (workspace, *seen[0], a_in, b_in)
+    return (workspace, *seen[0])
 
 
 def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled):
     rng = np.random.default_rng(11)
     for vid in game.decision_ids:
         opponents = opponents_of(vid)
-        workspace, reduced, c_red, d_red, a_in, b_in = _solved_rows(monkeypatch, game, vid,
-                                                                    opponents)
+        workspace, reduced, a_in, d_red = _solved_rows(monkeypatch, game, vid, opponents)
         system = assembled(vid, opponents)
         # The equalities reach the solve as their elimination, which may come
         # from the cache of static parts.
         elimination = eliminate(system.a_eq, system.b_eq)
         assert np.array_equal(reduced.z_basis, elimination.z_basis), vid
         assert np.array_equal(reduced.s_part, elimination.s_part), vid
+        # The stacked rows solved with are the assembled ones, padded with
+        # zero coefficients, and so are the stacked b they are judged by.
         assert np.array_equal(a_in, system.a_in), vid
-        assert np.array_equal(b_in, system.b_in), vid
-        # The reduced rows solved with, static blocks from the cache, match
-        # a fresh reduction of the assembled rows, read in the row form the
-        # game builds.
-        c_want, d_want = reduced.reduce_rows(sparsify(system.a_in), system.b_in)
-        assert np.max(np.abs(c_red - c_want)) <= 1e-12, vid
+        assert np.array_equal(workspace._b, system.b_in), vid
+        # Their d matches a fresh `reduce_rows` of the assembled rows, read
+        # in the row form the game builds, ...
+        _, d_want = reduced.reduce_rows(sparsify(system.a_in), system.b_in)
         assert np.max(np.abs(d_red - d_want)) <= 1e-12, vid
-        # Reduced as dense rows by BLAS, which may round each entry
-        # differently (fused multiply-adds), they agree within 8 eps of the
-        # sums of |products|; on entries near 4e4 one ulp exceeds 1e-12.
-        c_dense, d_dense = reduced.reduce_rows(system.a_in, system.b_in)
+        # ... and b - A s_part by BLAS, which may round each entry otherwise
+        # (fused multiply-adds), within 8 eps of the sums of |products|.
         eps = np.finfo(float).eps
         abs_a = np.abs(system.a_in)
-        assert np.all(np.abs(c_red - c_dense) <= 8 * eps * (abs_a @ np.abs(reduced.z_basis))), vid
+        d_dense = system.b_in - system.a_in @ reduced.s_part
         d_scale = abs_a @ np.abs(reduced.s_part) + np.abs(system.b_in)
         assert np.all(np.abs(d_red - d_dense) <= 8 * eps * d_scale), vid
         # So is the violation gathered from the sparse rows, against the

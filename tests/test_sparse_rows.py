@@ -1,17 +1,19 @@
-"""`qp.SparseRows`, the row form every constraint builder emits, against the
-dense matrix `_oracles.densify` builds from it entry by entry: the product
-with a vector, the reduction onto an equality null space, and its own
-densified form, on random blocks. The sparse products gather and sum at most
-k products per row where BLAS sums n, so they agree within a few ulps of the
+"""`qp.SparseRows`, the row form every constraint builder emits and the
+active-set solver reads, against the dense matrix `_oracles.densify` builds
+from it entry by entry: the product with a vector, the reduced rows A Z the
+solver forms for its working set, the right-hand sides `reduce_rows` gives,
+its own densified form, and the rows `SparseRows.from_dense` reads off the
+dense matrix, on random blocks. The sparse products gather and sum at most k
+products per row where BLAS sums n, so they agree within a few ulps of the
 row's sum of |products|."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertraffic.qp import ReducedQp, SparseRows, eliminate
+from hypertraffic.qp import ReducedQp, SparseRows, _reduced_rows, eliminate
 
-from _oracles import densify
+from _oracles import densify, sparsify
 
 EPS = np.finfo(float).eps
 # Zero in both signs is a coefficient the builders emit: the padding slots
@@ -56,14 +58,23 @@ def test_sparse_rows_agree_with_their_dense_oracle(block):
     assert np.all(np.abs(rows @ x - dense @ x) <= 16 * EPS * _gathered_scale(rows, x))
 
     reduced = ReducedQp(np.ones(rows.n_cols), eliminate(a_eq, b_eq))
+    z_basis = reduced.z_basis
+    c_sparse = _reduced_rows(rows, z_basis, np.arange(rows.shape[0]))
+    assert c_sparse.shape == (rows.shape[0], z_basis.shape[1])
+    assert np.all(np.abs(c_sparse - dense @ z_basis) <= 16 * EPS * _gathered_scale(rows, z_basis))
+
+    # Sparse rows pass through `reduce_rows` as they are; dense ones come
+    # back as the rows `from_dense` reads: the same matrix, as many slots
+    # as the longest row has nonzeros (`sparsify` pads to that count too).
     b_in = np.arange(rows.shape[0], dtype=float)
-    c_sparse, d_sparse = reduced.reduce_rows(rows, b_in)
-    c_dense, d_dense = reduced.reduce_rows(dense, b_in)
-    assert c_sparse.shape == c_dense.shape and d_sparse.shape == d_dense.shape
-    z_scale = _gathered_scale(rows, reduced.z_basis)
-    assert np.all(np.abs(c_sparse - c_dense) <= 16 * EPS * z_scale)
+    same, d_sparse = reduced.reduce_rows(rows, b_in)
+    assert same is rows
+    read, d_dense = reduced.reduce_rows(dense, b_in)
+    assert np.array_equal(densify(read), dense)
+    assert read.coef.shape == sparsify(dense).coef.shape
     d_scale = _gathered_scale(rows, reduced.s_part) + np.abs(b_in)
-    assert np.all(np.abs(d_sparse - d_dense) <= 16 * EPS * d_scale)
+    assert np.all(np.abs(d_sparse - (b_in - dense @ reduced.s_part)) <= 16 * EPS * d_scale)
+    assert np.all(np.abs(d_dense - d_sparse) <= 16 * EPS * d_scale)
 
 
 def test_sparse_rows_refuse_mismatched_shapes():

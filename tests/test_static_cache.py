@@ -1,9 +1,8 @@
-"""The weight-independent part of a player's system (its static rows, their
-equality elimination and the reductions of its static inequality blocks) is
-cached across games. These tests pin that a cache hit builds no row and is
-bitwise a fresh build, that any change of a static input misses, that a
-reference stepped otherwise than its scenario is refused, and that the cache
-keeps to its bound."""
+"""The weight-independent part of a player's system (its static rows and
+their equality elimination) is cached across games. These tests pin that a
+cache hit builds no row and is bitwise a fresh build, that any change of a
+static input misses, that a reference stepped otherwise than its scenario is
+refused, and that the cache keeps to its bound."""
 
 from dataclasses import replace
 from functools import lru_cache
@@ -73,14 +72,18 @@ def _workspaces(game):
 
 def _system_parts(system):
     """The arrays and tags of a cached player system, in a fixed order: its
-    sparse rows' columns, coefficients and right-hand sides, the reduced
-    static blocks, and the null-space basis and particular solution."""
+    sparse rows' columns, coefficients and right-hand sides, and the
+    null-space basis and particular solution."""
     rows = system.rows
     blocks = rows.eq + rows.head + rows.tail
     arrays = [*(x for a, b, _ in blocks for x in (a.cols, a.coef, b)),
-              *(x for pair in system.head + system.tail for x in pair),
               system.elimination.z_basis, system.elimination.s_part]
     return arrays, tuple(tuple(tags for *_, tags in part) for part in (rows.eq, rows.head, rows.tail))
+
+
+def _stack(ws):
+    """A workspace's stacked inequality rows, their b and their d."""
+    return ws._rows.cols, ws._rows.coef, ws._b, ws._d
 
 
 def _assert_same_workspaces(got, want, game):
@@ -93,15 +96,15 @@ def _assert_same_workspaces(got, want, game):
         (arrays_a, tags_a), (arrays_b, tags_b) = _system_parts(a.system), _system_parts(b.system)
         assert len(arrays_a) == len(arrays_b) and tags_a == tags_b, vid
         assert all(np.array_equal(x, y) for x, y in zip(arrays_a, arrays_b)), vid
-        assert np.array_equal(a._c_red, b._c_red) and np.array_equal(a._d_red, b._d_red), vid
+        assert all(np.array_equal(x, y) for x, y in zip(_stack(a), _stack(b))), vid
         opponents = game.opponents_of(vid, seeds)
         sol_a, sol_b = a.best_response(opponents), b.best_response(opponents)
         assert sol_a.status == sol_b.status and sol_a.iterations == sol_b.iterations, vid
         assert np.array_equal(sol_a.s_star, sol_b.s_star), vid
         assert np.array_equal(sol_a.lam, sol_b.lam), vid
         assert sol_a.objective == sol_b.objective, vid
-        # The collision slots are reduced by now, so the whole buffer is due.
-        assert np.array_equal(a._c_red, b._c_red) and np.array_equal(a._d_red, b._d_red), vid
+        # The collision slots are written by now, so the whole stack is due.
+        assert all(np.array_equal(x, y) for x, y in zip(_stack(a), _stack(b))), vid
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -248,13 +251,12 @@ def test_a_cache_hit_builds_no_static_rows(monkeypatch):
     assert sorted(calls) == sorted(hit.decision_ids)
 
 
-@pytest.mark.parametrize("kind, bound", [("lane change", 5.5e6), ("straight", 2.7e6)])
+@pytest.mark.parametrize("kind, bound", [("lane change", 1.6e6), ("straight", 0.9e6)])
 def test_a_cache_entry_at_h121_stays_small(kind, bound):
-    # The static rows are kept sparse, so an entry is about the basis Z and
-    # the reduced static blocks: 5.0 MB for a lane changer, whose dense rows
-    # took 13.1 MB more, and 2.47 MB for a straight driver. A view counts as
-    # the array it keeps alive: each reduced block keeps its column of
-    # A_in s_part.
+    # The static rows are kept sparse and no reduced row is kept, so an
+    # entry is about the basis Z: 1.52 MB for a lane changer and 0.83 MB
+    # for a straight driver, of which Z is 1.38 MB and 0.69 MB. A view
+    # counts as the array it keeps alive.
     scen = _scenario("h121")
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))

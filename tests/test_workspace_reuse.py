@@ -68,23 +68,24 @@ def _cold_sweeps(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, name, transport):
     game = _game(name)
-    for vid in game.decision_ids:
-        _PlayerWorkspace(game, vid)  # every player's static blocks are reduced by now
     builds = {}
     keep = []  # holds every argument, so no id() is reused during the solve
+    built = []  # every collision block, in build order
     original_rows = game_module.collision_rows
 
     def counting_rows(reference, opponent_strategy, geometry, opponent_id):
         keep.append((reference, opponent_strategy))
         key = (id(reference), opponent_id, id(opponent_strategy))
         builds[key] = builds.get(key, 0) + 1
-        return original_rows(reference, opponent_strategy, geometry, opponent_id)
+        block = original_rows(reference, opponent_strategy, geometry, opponent_id)
+        built.append(block[0])
+        return block
 
-    projections = []
+    reduced = []  # every block `reduce_rows` is given, in call order
     original_reduce = ReducedQp.reduce_rows
 
     def counting_reduce(self, a_in, b_in):
-        projections.append(a_in.shape[0])
+        reduced.append(a_in)
         return original_reduce(self, a_in, b_in)
 
     monkeypatch.setattr(game_module, "collision_rows", counting_rows)
@@ -94,9 +95,10 @@ def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, nam
     else:
         result = solve_games(game)
     assert builds and max(builds.values()) == 1
-    # Every projection is a collision block's and follows its build.
-    assert set(projections) == {game.segment.n_steps}
-    assert len(projections) <= len(builds)
+    # Each collision block built is reduced once, in build order.
+    collisions = [rows for rows in reduced if any(rows is block for block in built)]
+    assert len(collisions) == len(built)
+    assert all(a is b for a, b in zip(collisions, built))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
