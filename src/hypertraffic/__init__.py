@@ -1,9 +1,10 @@
 """Game-theoretic interaction modeling for mixed human and autonomous traffic.
 
 The package is organized bottom up: vehicle dynamics and scenarios, linear
-constraint assembly, a dense active-set QP solver, best-response game solving,
-a simulated V2X transport, the cognition hierarchy with weight interpretation,
-and experiment harnesses with a CLI on top.
+constraint assembly as sparse rows, a dual active-set QP solver that reads
+those rows, best-response game solving, a simulated V2X transport, the
+cognition hierarchy with weight interpretation, and experiment harnesses with
+a CLI on top.
 """
 
 from .cognition import (

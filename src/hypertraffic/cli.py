@@ -158,7 +158,7 @@ def _cmd_success_rate(args):
     if args.out:
         write_csv(args.out, SUCCESS_FIELDS, rows)
         print(f"wrote {args.out}")
-    overall = rows[-1]
+    overall = _finished(rows)[-1]
     print(f"mode={args.mode} reps={overall['count']} "
           f"success_rate={overall['success_rate']:.4f}")
     return 0

@@ -6,20 +6,25 @@ prediction, and planning survive the noise. The online run plays the
 scenario's stages in turn: in each the autonomous side predicts the human and
 plans, the human drives its own subjective game, and at the stage's end the
 autonomous side interprets what it observed for the next stage, while both
-sides observe each other's longitudinal position through noise. The scenario
-alone sets the stages and the noise level, so one online repetition is a
-function of the scenario, the seed and its index. The success-rate study contrasts the
-full interpretation pipeline against planning from a randomly drawn guess of
-the human's weights. The timing run drives the same per-stage pipeline once
-and records its durations under both deployment models.
+sides observe each other's longitudinal position through noise. The
+success-rate study contrasts the full interpretation pipeline against
+planning from a randomly drawn guess of the human's weights. The timing run
+drives the same per-stage pipeline once and records its durations under both
+deployment models.
+
+A repetition of any study is a function of the scenario, the ground truth
+its study shares, the seed and its index. All four runners map theirs through
+`_repeat`, which turns a repetition that raises into rows with its `failure`.
 
 Every runner is deterministic for a given seed: repetition r draws from
-numpy's default generator seeded with [seed, r], rows are sorted by their key
-columns, and CSV floats are written with 17 significant digits.
+numpy's default generator seeded with [seed, r] (with the noise level as a
+third entry offline), rows are sorted by their key columns, and CSV floats
+are written with 17 significant digits.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 import numpy as np
@@ -112,12 +117,27 @@ def format_cell(value):
 
 
 def write_csv(path, fieldnames, rows):
-    """Plain deterministic CSV: fixed column order, 17 significant digits,
-    no timestamps. Values missing from a row are left empty."""
+    """Deterministic CSV: fixed column order, 17 significant digits, no
+    timestamps, and a cell quoted only when it holds a comma, a quote or a
+    line break. Values missing from a row are left empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(row.get(name)) for name in fieldnames) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([format_cell(row.get(name)) for name in fieldnames] for row in rows)
+
+
+def _repeat(keys, run, key_rows):
+    """The rows of `run(key)` for every key, in key order. A key whose run
+    raises gives the rows `key_rows(key)` instead, each carrying the error
+    as its `failure`, "<Type>: <message>"."""
+    rows = []
+    for key in keys:
+        try:
+            rows += run(key)
+        except Exception as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+            rows += [dict(row, failure=failure) for row in key_rows(key)]
+    return rows
 
 
 OFFLINE_FIELDS = (
@@ -136,6 +156,21 @@ OFFLINE_FIELDS = (
 )
 
 
+def _offline_rep(scenario, s_actual, std, seed, rep):
+    """One repetition of the offline round trip at one noise level: its row."""
+    rng = np.random.default_rng([seed, rep, int(round(std * 10000))])
+    obs, interp, model, plans, plan_result, seconds = _interpret_predict_plan(
+        scenario, s_actual, std, rng)
+    return [dict(zip(OFFLINE_FIELDS, (
+        std, rep,
+        position_observation_error(obs.strategy, s_actual),
+        parameter_error(interp.theta_0c, scenario.hv.weights_true, scenario.hv.behavior.kind),
+        trajectory_prediction_error(model.s_0c, s_actual),
+        position_prediction_error(model.s_0c, s_actual),
+        _profile_success(s_actual, plans, scenario, plan_result.degraded),
+        interp.low_identifiability, *seconds, None)))]
+
+
 def run_offline_experiment(scenario, noise_stds, repetitions, seed):
     """Generate, perturb, interpret, re-predict, plan; one row per repetition
     per noise level. Failures become rows, not exceptions."""
@@ -143,37 +178,10 @@ def run_offline_experiment(scenario, noise_stds, repetitions, seed):
     for std in stds:
         if not (math.isfinite(std) and std >= 0):
             raise ValueError(f"std must be a finite non-negative number, got {std}")
-    truth = solve_games(hv_subjective_game(scenario))
-    s_actual = truth.strategies[0]
-    rows = []
-    for std in stds:
-        for rep in range(repetitions):
-            rng = np.random.default_rng([seed, rep, int(round(std * 10000))])
-            row = {"noise_std": std, "rep": rep, "failure": None}
-            try:
-                obs, interp, model, plans, plan_result, seconds = _interpret_predict_plan(
-                    scenario, s_actual, std, rng
-                )
-                row.update(
-                    position_observation_error=position_observation_error(
-                        obs.strategy, s_actual
-                    ),
-                    parameter_estimation_error=parameter_error(
-                        interp.theta_0c, scenario.hv.weights_true, scenario.hv.behavior.kind
-                    ),
-                    trajectory_prediction_error=trajectory_prediction_error(
-                        model.s_0c, s_actual
-                    ),
-                    position_prediction_error=position_prediction_error(model.s_0c, s_actual),
-                    success=_profile_success(s_actual, plans, scenario, plan_result.degraded),
-                    low_identifiability=interp.low_identifiability,
-                    interpret_seconds=seconds[0],
-                    predict_seconds=seconds[1],
-                    plan_seconds=seconds[2],
-                )
-            except Exception as exc:
-                row["failure"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+    s_actual = solve_games(hv_subjective_game(scenario)).strategies[0]
+    rows = _repeat([(std, rep) for std in stds for rep in range(repetitions)],
+                   lambda key: _offline_rep(scenario, s_actual, key[0], seed, key[1]),
+                   lambda key: [{"noise_std": key[0], "rep": key[1]}])
     rows.sort(key=lambda r: (r["noise_std"], r["rep"]))
     return rows
 
@@ -335,13 +343,8 @@ def run_online_experiment(scenario, repetitions=50, seed=0):
     a non-interactive stage never overwrites a usable estimate.
     """
     stages = len(stage_segments(scenario))
-    rows = []
-    for rep in range(repetitions):
-        try:
-            rows += _online_rep(scenario, seed, rep)[0]
-        except Exception as exc:
-            rows += [{"rep": rep, "stage": t, "failure": f"{type(exc).__name__}: {exc}"}
-                     for t in range(1, stages + 1)]
+    rows = _repeat(range(repetitions), lambda rep: _online_rep(scenario, seed, rep)[0],
+                   lambda rep: [{"rep": rep, "stage": t} for t in range(1, stages + 1)])
     rows.sort(key=lambda r: (r["rep"], r["stage"]))
     return rows
 
@@ -353,6 +356,7 @@ SUCCESS_FIELDS = (
     "count",
     "successes",
     "success_rate",
+    "failure",
 )
 
 SUCCESS_BIN_WIDTH = 0.1
@@ -381,6 +385,25 @@ def _random_hv_guess(scenario, rng):
     return StyleWeights(theta, scenario.theta_min, scenario.theta_max)
 
 
+def _success_rep(scenario, s_actual, mode, seed, rep):
+    """One repetition of the success-rate study: the parameter error the
+    connected vehicles planned with, and whether the profile they executed
+    with the actual human strategy succeeded."""
+    rng = np.random.default_rng([seed, rep])
+    if mode == "with_interpretation":
+        _, interp, _, plans, plan_result, _ = _interpret_predict_plan(
+            scenario, s_actual, scenario.noise_std, rng)
+        guess, degraded = interp.theta_0c, plan_result.degraded
+    else:
+        guess = _random_hv_guess(scenario, rng)
+        weights = {0: guess, **{cav.vid: cav.weights_true for cav in scenario.cavs}}
+        result = solve_games(make_game(scenario, weights))
+        plans = {vid: result.strategies[vid] for vid in weights if vid != 0}
+        degraded = result.degraded
+    return [{"error": parameter_error(guess, scenario.hv.weights_true, scenario.hv.behavior.kind),
+             "success": _profile_success(s_actual, plans, scenario, degraded)}]
+
+
 def run_success_rate(scenario, mode, repetitions, seed):
     """Success fraction binned by parameter error.
 
@@ -390,47 +413,31 @@ def run_success_rate(scenario, mode, repetitions, seed):
     human's weights standing in for the real driver and execute their own
     components of that equilibrium, never simulating how the human actually
     reasons about them.
+
+    A failing repetition counts in no bin; it becomes a row with its mode and
+    failure before the overall row, which is left out when every one failed.
     """
     if mode not in ("with_interpretation", "random_cognition"):
         raise ValueError(f"unknown success-rate mode {mode!r}")
-    truth = solve_games(hv_subjective_game(scenario))
-    s_actual = truth.strategies[0]
-    outcomes = []
-    for rep in range(repetitions):
-        rng = np.random.default_rng([seed, rep])
-        if mode == "with_interpretation":
-            _, interp, _, plans, plan_result, _ = _interpret_predict_plan(
-                scenario, s_actual, scenario.noise_std, rng
-            )
-            error = parameter_error(
-                interp.theta_0c, scenario.hv.weights_true, scenario.hv.behavior.kind
-            )
-            degraded = plan_result.degraded
-        else:
-            guess = _random_hv_guess(scenario, rng)
-            weights = {0: guess}
-            weights.update({cav.vid: cav.weights_true for cav in scenario.cavs})
-            result = solve_games(make_game(scenario, weights))
-            plans = {vid: result.strategies[vid] for vid in weights if vid != 0}
-            error = parameter_error(
-                guess, scenario.hv.weights_true, scenario.hv.behavior.kind
-            )
-            degraded = result.degraded
-        outcomes.append((error, _profile_success(s_actual, plans, scenario, degraded)))
+    s_actual = solve_games(hv_subjective_game(scenario)).strategies[0]
+    results = _repeat(range(repetitions),
+                      lambda rep: _success_rep(scenario, s_actual, mode, seed, rep),
+                      lambda rep: [{"mode": mode}])
+    failed = [r for r in results if "failure" in r]
+    outcomes = [(r["error"], r["success"]) for r in results if "failure" not in r]
+    if not outcomes:
+        return failed
 
     def rate_row(low, high, hits):
         return {"mode": mode, "bin_low": low, "bin_high": high, "count": len(hits),
                 "successes": sum(hits), "success_rate": sum(hits) / len(hits)}
 
-    edges = np.arange(0.0, max(o[0] for o in outcomes) + SUCCESS_BIN_WIDTH, SUCCESS_BIN_WIDTH)
     rows = []
-    for low in edges:
-        high = low + SUCCESS_BIN_WIDTH
-        hits = [ok for err, ok in outcomes if low <= err < high]
+    for low in np.arange(0.0, max(o[0] for o in outcomes) + SUCCESS_BIN_WIDTH, SUCCESS_BIN_WIDTH):
+        hits = [ok for err, ok in outcomes if low <= err < low + SUCCESS_BIN_WIDTH]
         if hits:
-            rows.append(rate_row(float(low), float(high), hits))
-    rows.append(rate_row(None, None, [ok for _, ok in outcomes]))
-    return rows
+            rows.append(rate_row(float(low), float(low + SUCCESS_BIN_WIDTH), hits))
+    return rows + failed + [rate_row(None, None, [ok for _, ok in outcomes])]
 
 
 TIMING_FIELDS = (
@@ -446,6 +453,29 @@ TIMING_FIELDS = (
     "failure",
 )
 
+_TIMING_MODES = ("distributed", "centralized")
+
+
+def _timing_rep(scenario, seed, rep):
+    """Both deployment models' rows of every stage of one online repetition."""
+    count = len(stage_segments(scenario))
+    _, timing = _online_rep(scenario, seed, rep)
+    # Per stage and kind: (distributed, centralized) seconds and rounds.
+    stages = {t: {"interpret": (0.0, 0.0, 0)} for t in range(1, count + 1)}
+    for kind, t, trace, wall in timing:
+        # The stationarity fit happens once at the roadside unit; its
+        # wall time rides on top of the solve.
+        fit = wall - trace.total_seconds if kind == "interpret" else 0.0
+        stages[t][kind] = (trace.simulated_seconds() + fit, wall, trace.rounds)
+    rows = []
+    for t, cell in stages.items():
+        for i, mode in enumerate(_TIMING_MODES):
+            seconds = [cell[kind][i] for kind in ("interpret", "predict", "plan")]
+            rows.append(dict(zip(TIMING_FIELDS, (
+                rep, t, mode, *seconds, sum(seconds),
+                cell["predict"][2], cell["plan"][2], None))))
+    return rows
+
 
 def run_timing(scenario, repetitions=10, seed=0):
     """Per-stage durations of the online pipeline under both deployment
@@ -456,28 +486,8 @@ def run_timing(scenario, repetitions=10, seed=0):
     failing repetition leaves rows with only their keys and its failure.
     """
     count = len(stage_segments(scenario))
-    modes = ("distributed", "centralized")
-    rows = []
-    for rep in range(repetitions):
-        try:
-            _, timing = _online_rep(scenario, seed, rep)
-        except Exception as exc:
-            rows += [{"rep": rep, "stage": t, "mode": mode,
-                      "failure": f"{type(exc).__name__}: {exc}"}
-                     for t in range(1, count + 1) for mode in modes]
-            continue
-        # Per stage and kind: (distributed, centralized) seconds and rounds.
-        stages = {t: {"interpret": (0.0, 0.0, 0)} for t in range(1, count + 1)}
-        for kind, t, trace, wall in timing:
-            # The stationarity fit happens once at the roadside unit; its
-            # wall time rides on top of the solve.
-            fit = wall - trace.total_seconds if kind == "interpret" else 0.0
-            stages[t][kind] = (trace.simulated_seconds() + fit, wall, trace.rounds)
-        for t, cell in stages.items():
-            for i, mode in enumerate(modes):
-                seconds = [cell[kind][i] for kind in ("interpret", "predict", "plan")]
-                rows.append(dict(zip(TIMING_FIELDS, (
-                    rep, t, mode, *seconds, sum(seconds),
-                    cell["predict"][2], cell["plan"][2], None))))
+    rows = _repeat(range(repetitions), lambda rep: _timing_rep(scenario, seed, rep),
+                   lambda rep: [{"rep": rep, "stage": t, "mode": mode}
+                                for t in range(1, count + 1) for mode in _TIMING_MODES])
     rows.sort(key=lambda r: (r["rep"], r["stage"], r["mode"]))
     return rows

@@ -141,7 +141,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
         pull = np.zeros((6, m_mat.shape[1]))
         pull[:, :6] = root * np.eye(6)
         m_mat = np.vstack([m_mat, pull])
-        b_vec = np.concatenate([b_vec, root * np.asarray(prev_theta, dtype=float)])
+        b_vec = np.concatenate([b_vec, root * prev_theta.theta])
 
     k = za_kept.shape[1]
     theta_min, theta_max = scenario.theta_min, scenario.theta_max
@@ -189,34 +189,18 @@ def interpret_offline(observation, scenario, cav_strategies=None):
 def interpret_online(observation, prev_theta, scenario, cav_strategies,
                      include_conservativeness=True, hv_reference=None, hv_initial=None):
     """Per-stage interpretation under the scenario's `kappa_online`, with an
-    optional pull of weight `omega_dist` toward the previous estimate. The
-    caller decides the flag; the first update after the initial guess runs
-    without it. The caller also supplies the CAV stage strategies the human
-    reacted to, solved on its own anchored stage references."""
-    theta_prev = prev_theta.theta if isinstance(prev_theta, StyleWeights) else prev_theta
+    optional pull of weight `omega_dist` toward the previous estimate, a
+    StyleWeights. The caller decides the flag; the first update after the
+    initial guess runs without it. The caller also supplies the CAV stage
+    strategies the human reacted to, solved on its own anchored stage
+    references."""
     omega = scenario.omega_dist if include_conservativeness else 0.0
-    return _interpret(observation, scenario, scenario.kappa_online, omega, theta_prev,
+    return _interpret(observation, scenario, scenario.kappa_online, omega, prev_theta,
                       cav_strategies, hv_reference=hv_reference, hv_initial=hv_initial)
 
 
 def parameter_error(theta_est, theta_true, behavior_kind):
-    """Relative error between effective weight vectors.
-
-    Accepts StyleWeights (normalized internally) or plain arrays, which are
-    taken as already normalized; 6-vectors are sliced to the behavior's
-    effective components."""
-    eff = list(EFFECTIVE_INDICES[behavior_kind])
-
-    def effective_of(value):
-        if isinstance(value, StyleWeights):
-            return value.normalized(behavior_kind).effective(behavior_kind)
-        arr = np.asarray(value, dtype=float)
-        if arr.shape == (6,):
-            return arr[eff]
-        if arr.shape == (len(eff),):
-            return arr
-        raise ValueError(f"weight vector of shape {arr.shape} does not fit the behavior")
-
-    a = effective_of(theta_est)
-    b = effective_of(theta_true)
+    """Relative error between the effective components of two StyleWeights,
+    each normalized for the behavior first."""
+    a, b = (w.normalized(behavior_kind).effective(behavior_kind) for w in (theta_est, theta_true))
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))

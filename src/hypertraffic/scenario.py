@@ -46,6 +46,8 @@ TYPICAL_RATIOS = {
 THETA_MIN_DEFAULT = 1e-3
 THETA_MAX_DEFAULT = 1e2
 
+REFERENCE_EXTENSION = 40  # steps every reference runs past the horizon
+
 
 def _ratio_to_full(behavior_kind, ratio):
     """Expand a per-behavior ratio tuple to the 6-component weight vector."""
@@ -363,7 +365,6 @@ class ScenarioConfig:
     omega_dist: float = 1.0
     theta_min: float = THETA_MIN_DEFAULT
     theta_max: float = THETA_MAX_DEFAULT
-    reference_extension: int = 40
 
     def __post_init__(self):
         vehicles = tuple(self.vehicles)
@@ -414,7 +415,7 @@ class ScenarioConfig:
         refs = {}
         for v in self.vehicles:
             refs[v.vid] = build_reference(
-                v.behavior, v.initial, self.horizon + self.reference_extension, self.ts, self.road
+                v.behavior, v.initial, self.horizon + REFERENCE_EXTENSION, self.ts, self.road
             )
         return refs
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: every subcommand driven through main(),
 plus output files, error paths, and the module entry point."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from hypertraffic import cli, harness
 from hypertraffic.harness import OFFLINE_FIELDS, SUCCESS_FIELDS, TIMING_FIELDS
+from hypertraffic.scenario import success_study_scenario
 
 CONFIG_DOC = """
 horizon: 20
@@ -244,6 +246,43 @@ def test_a_failing_timing_repetition_keeps_the_finished_rows(tmp_path, monkeypat
     assert all(c[3:] == [""] * 6 + ["ValueError: boom"] for c in cells[10:])
 
 
+@pytest.mark.parametrize("mode, target", [
+    ("with_interpretation", "interpret_offline"),
+    ("random_cognition", "make_game"),
+])
+def test_a_failing_success_repetition_counts_in_no_bin(tmp_path, monkeypatch, capsys, mode,
+                                                       target):
+    # `target` is called once per repetition and raises in the second
+    # repetition of each run. The
+    # bins and the overall row are those of a one-repetition run; the failure
+    # gets a row of its own just before the overall row.
+    scenario = success_study_scenario()
+    once = harness.run_success_rate(scenario, mode, 1, 0)
+    original, calls = getattr(harness, target), []
+
+    def second_call_raises(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise ValueError("need step 130, have 101")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, target, second_call_raises)
+    failure = "ValueError: need step 130, have 101"
+    rows = harness.run_success_rate(scenario, mode, 2, 0)
+    assert rows == once[:-1] + [{"mode": mode, "failure": failure}] + once[-1:]
+
+    # The CLI writes the comma in the message inside one quoted cell.
+    out = tmp_path / "success.csv"
+    assert cli.main(["success-rate", "--mode", mode, "--reps", "2", "--out", str(out)]) == 0
+    assert f"mode={mode} reps=1 " in capsys.readouterr().out
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *cells = csv.reader(fh)
+    assert header == list(SUCCESS_FIELDS)
+    assert all(len(row) == len(header) for row in cells)
+    assert cells[-2] == [mode] + [""] * 5 + [failure]
+    assert [row[-1] for row in cells[:-2] + cells[-1:]] == [""] * (len(cells) - 1)
+
+
 def test_gap_sweep_prints_regression(capsys):
     assert cli.main(["gap-sweep"]) == 0
     captured = capsys.readouterr().out
@@ -285,6 +324,8 @@ def test_non_finite_noise_levels_are_usage_errors(tmp_path, capsys, argv, option
     (["run-online"], "predict_hv"),
     (["sweep-noise", "--stds", "0.05,0.1"], "interpret_offline"),
     (["timing"], "predict_hv"),
+    (["success-rate", "--mode", "with_interpretation"], "interpret_offline"),
+    (["success-rate", "--mode", "random_cognition"], "make_game"),
 ], ids=lambda v: v[0] if isinstance(v, list) else v)
 def test_every_repetition_failing_exits_nonzero(tmp_path, monkeypatch, capsys, argv, target):
     def fail(*args, **kwargs):

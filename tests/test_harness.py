@@ -1,6 +1,7 @@
 """Tests for the experiment harness: noise model, metrics, CSV output,
 stage segments, and the experiment runners' bookkeeping."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -114,13 +115,23 @@ def test_format_cell_rules():
 def test_write_csv_golden_output(tmp_path):
     path = tmp_path / "out.csv"
     fields = ("name", "value", "flag", "note")
+    # A failure message may hold a comma, as an anchored stage reference's
+    # does, or a quote; only such a cell is quoted.
+    failure = "ValueError: reference extension too short: need step 130, have 101"
     rows = [
         {"name": "a", "value": 0.5, "flag": True, "note": None},
         {"name": "b", "value": 2, "flag": False},
+        {"name": "c", "note": failure},
+        {"name": 'say "x"'},
     ]
     write_csv(path, fields, rows)
     text = path.read_text(encoding="utf-8")
-    assert text == "name,value,flag,note\na,0.5,1,\nb,2,0,\n"
+    assert text == ('name,value,flag,note\na,0.5,1,\nb,2,0,\nc,,,"' + failure + '"\n'
+                    '"say ""x""",,,\n')
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *cells = csv.reader(fh)
+    assert [len(row) for row in cells] == [len(header)] * 4
+    assert cells[2][3] == failure and cells[3][0] == 'say "x"'
 
 
 def test_stage_segments_split_the_horizon_at_the_scenario_stages():

@@ -8,7 +8,8 @@ module. No module-level function takes a parameter its body never reads,
 and every dataclass field is read as an attribute by some library,
 benchmark or test module.
 Also, the CI workflow (read with PyYAML) installs the package, runs the
-tier-1 command and checks the benchmark against its reference."""
+tier-1 command and the installed console script, and checks the benchmark
+against its reference."""
 
 import ast
 from pathlib import Path
@@ -207,7 +208,8 @@ def test_every_dataclass_field_is_read():
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
-    """The workflow installs the package, runs the tier-1 tests, and then the
+    """The workflow installs the package, runs the tier-1 tests, runs a short
+    study through the installed `hypertraffic` console script, and then the
     benchmark on its reference seed, which exits non-zero when any op misses
     `bench/reference.json`."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
@@ -219,6 +221,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "pip install -e '.[test]'",
         "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
         "--continue-on-collection-errors",
+        "hypertraffic success-rate --mode random_cognition --reps 3 --seed 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
     ]

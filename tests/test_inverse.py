@@ -166,20 +166,26 @@ def test_online_skips_pull_when_disabled():
 
 
 def test_parameter_error_formula():
-    est = np.array([0.6, 0.8, 0.0])
-    true = np.array([1.0, 0.0, 0.0])
-    expect = np.linalg.norm(est - true) / np.linalg.norm(true)
-    assert parameter_error(est, true, STRAIGHT) == pytest.approx(expect)
+    # Straight effective components are (p_x, v, a), entries 0, 2 and 4.
+    est = StyleWeights(np.array([0.6, 1.0, 0.8, 1.0, 0.01, 1.0]))
+    true = StyleWeights(np.array([1.0, 1.0, 0.01, 1.0, 0.01, 1.0]))
+    unit_est = np.array([0.6, 0.8, 0.01]) / np.linalg.norm([0.6, 0.8, 0.01])
+    unit_true = np.array([1.0, 0.01, 0.01]) / np.linalg.norm([1.0, 0.01, 0.01])
+    expect = np.linalg.norm(unit_est - unit_true)
+    assert parameter_error(est, true, STRAIGHT) == pytest.approx(expect, rel=1e-12)
 
     sw_true = style_weights_for(STRAIGHT, COMFORT)
     assert parameter_error(sw_true, sw_true, STRAIGHT) == 0.0
-    # a 6-vector is sliced to the effective straight components (p_x, v, a)
-    six = np.array([1.0, 9.0, 0.0, 9.0, 0.0, 9.0])
-    assert parameter_error(six, np.array([1.0, 0.0, 0.0]), STRAIGHT) == 0.0
+    # Only the effective components count, and only their direction.
+    other = StyleWeights(np.array([2.0, 9.0, 0.02, 9.0, 0.02, 9.0]))
+    assert parameter_error(other, true, STRAIGHT) == pytest.approx(0.0, abs=1e-15)
+    # Every component counts for a lane change.
+    unit = [w.theta / np.linalg.norm(w.theta) for w in (other, true)]
+    assert parameter_error(other, true, LANE_CHANGE) == pytest.approx(
+        np.linalg.norm(unit[0] - unit[1]), rel=1e-12)
+    # A vector of the wrong size is refused where weights are made.
     with pytest.raises(ValueError):
-        parameter_error(np.ones(4), np.ones(3), STRAIGHT)
-    with pytest.raises(ValueError):
-        parameter_error(np.ones(3), np.ones(3), LANE_CHANGE)
+        StyleWeights(np.ones(3))
 
 
 def _reference_strategy(scen, vid=0):
