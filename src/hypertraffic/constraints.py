@@ -131,17 +131,15 @@ def _step_rows(steps, offsets, coef, n_steps):
 def dynamics_rows(reference, geometry, initial_state=None):
     """Equality rows chaining the linearized Euler steps along the segment.
 
-    Step j is linearized at reference point j with zero nominal control; the
-    initial state (default: the reference's first point) enters only the
-    right-hand side. Row 4 j + i holds -B_j[i] on u(j), 1 on x_i(j) and
+    Step j is linearized at reference point j with zero nominal control, so
+    the coefficients read only the reference's v and psi; the initial state
+    (default: the reference's first point) enters only the right-hand side,
+    `dynamics_rhs`. Row 4 j + i holds -B_j[i] on u(j), 1 on x_i(j) and
     -A_j[i] on x(j-1), seven slots; the first step's previous state is data,
     so its last four slots hold 0 on x_i(0).
     """
     n = len(reference) - 1
-    x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
-    a_mat, b_mat, c_vec = linearize_steps(
-        reference.states[:-1], np.zeros((n, CONTROL_DIM)), geometry, reference.ts
-    )
+    a_mat, b_mat, _ = _linearized(reference, geometry)
     state = X_PX + np.arange(4)
     offsets = np.empty((n, 4, 7), dtype=np.intp)
     coef = np.empty((n, 4, 7))
@@ -153,11 +151,26 @@ def dynamics_rows(reference, geometry, initial_state=None):
     coef[:, :, 3:] = -a_mat
     offsets[0, :, 3:] = state[:, None]
     coef[0, :, 3:] = 0.0
-    b_eq = c_vec.reshape(-1)
-    b_eq[:4] += a_mat[0] @ x0
     rows = _step_rows(np.repeat(np.arange(n), 4), offsets.reshape(4 * n, 7),
                       coef.reshape(4 * n, 7), n)
-    return rows, b_eq, ("dynamics",) * (4 * n)
+    return rows, dynamics_rhs(reference, geometry, initial_state), ("dynamics",) * (4 * n)
+
+
+def _linearized(reference, geometry):
+    """(A, B, c) of the Euler steps at the reference's points but its last,
+    with zero nominal control."""
+    return linearize_steps(reference.states[:-1], np.zeros((len(reference) - 1, CONTROL_DIM)),
+                           geometry, reference.ts)
+
+
+def dynamics_rhs(reference, geometry, initial_state=None):
+    """The right-hand side of `dynamics_rows`: each step's affine term, the
+    first step's also carrying A_0 x(0)."""
+    x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
+    a_mat, _, c_vec = _linearized(reference, geometry)
+    b_eq = c_vec.reshape(-1)
+    b_eq[:4] += a_mat[0] @ x0
+    return b_eq
 
 
 def box_rows(limits, segment):
@@ -178,36 +191,55 @@ def lane_rows(reference, geometry, road, permitted_lanes):
     band, linearized about the reference poses.
 
     Four rows per boundary per decision step: the band's outer boundaries are
-    the relevant curves, one tangent query each.
+    the relevant curves, one tangent query each. The coefficients read the
+    reference's headings only; its positions enter the right-hand side,
+    `lane_rhs`.
     """
     n = len(reference) - 1
-    lanes = sorted(permitted_lanes)
-    boundaries = (lanes[0], lanes[-1] + 1)
-    band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
-    offsets = body_offsets(geometry)
-    poses = reference.states[1:, :]  # decision points only
-    cos = np.cos(poses[:, 3])[:, None]
-    sin = np.sin(poses[:, 3])[:, None]
-    lx, wy = offsets[:, 0], offsets[:, 1]
-    # One column per vertex; row-major flattening gives the row order
-    # step * 4 + vertex.
-    vx = poses[:, 0, None] + lx * cos - wy * sin
-    vy = poses[:, 1, None] + lx * sin + wy * cos
-    coefs, rhs = [], []
-    for b_idx in boundaries:
-        probe = (float(poses[0, 0]), band_mid)
-        a, b, c = road.tangent_at(road.boundary_y(b_idx), poses[0, :2], probe)
-        # f = a*(px + lx cos - wy sin) + b*(py + lx sin + wy cos) + c
-        dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
-        f_ref = a * vx + b * vy + c
-        grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
+    coefs = []
+    for a, b, _, dpsi in _lane_lines(reference, geometry, road, permitted_lanes)[2]:
         coef = np.empty((4 * n, 3))
         coef[:, :2] = a, b
         coef[:, 2] = dpsi.reshape(-1)
         coefs.append(coef)
-        rhs.append((grad_dot_ref - f_ref).reshape(-1))
     rows = _step_rows(np.tile(np.repeat(np.arange(n), 4), 2), _POSE_COLUMNS, np.vstack(coefs), n)
-    return rows, np.concatenate(rhs), ("lane",) * (8 * n)
+    return rows, lane_rhs(reference, geometry, road, permitted_lanes), ("lane",) * (8 * n)
+
+
+def _lane_lines(reference, geometry, road, permitted_lanes):
+    """(vx, vy, lines): the vertex positions at the reference's decision
+    poses, one column per vertex (row-major flattening gives the row order
+    step * 4 + vertex), and per band boundary its feasible side a x + b y + c
+    <= 0 with the vertex rows' d/dpsi."""
+    lanes = sorted(permitted_lanes)
+    boundaries = (lanes[0], lanes[-1] + 1)
+    band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
+    poses = reference.states[1:, :]  # decision points only
+    cos = np.cos(poses[:, 3])[:, None]
+    sin = np.sin(poses[:, 3])[:, None]
+    lx, wy = body_offsets(geometry).T
+    vx = poses[:, 0, None] + lx * cos - wy * sin
+    vy = poses[:, 1, None] + lx * sin + wy * cos
+    lines = []
+    for b_idx in boundaries:
+        probe = (float(poses[0, 0]), band_mid)
+        a, b, c = road.tangent_at(road.boundary_y(b_idx), poses[0, :2], probe)
+        # f = a*(px + lx cos - wy sin) + b*(py + lx sin + wy cos) + c
+        lines.append((a, b, c, a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)))
+    return vx, vy, lines
+
+
+def lane_rhs(reference, geometry, road, permitted_lanes):
+    """The right-hand side of `lane_rows`: grad f . pose - f at each
+    reference pose."""
+    poses = reference.states[1:, :]
+    vx, vy, lines = _lane_lines(reference, geometry, road, permitted_lanes)
+    rhs = []
+    for a, b, c, dpsi in lines:
+        f_ref = a * vx + b * vy + c
+        grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
+        rhs.append((grad_dot_ref - f_ref).reshape(-1))
+    return np.concatenate(rhs)
 
 
 def collision_rows(reference, opponent_strategy, geometry, opponent_id):
@@ -245,6 +277,8 @@ def behavior_rows(behavior, reference, road):
     Straight driving pins the heading to the lane direction (equalities); a
     lane change keeps the vehicle center on the target side of the source-lane
     centerline (inequalities). Returns (rows, rhs, tags, is_equality).
+    Both read the reference only for its length and the x-extent check of
+    its first decision point.
     """
     n = len(reference) - 1
     if behavior.kind == STRAIGHT:
@@ -272,6 +306,10 @@ class StaticRows:
     eq: tuple
     head: tuple
     tail: tuple
+
+    def eq_miss(self, s_vec):
+        """A_eq s - b_eq over the equality blocks, in order."""
+        return np.concatenate([a @ s_vec - b for a, b, _ in self.eq])
 
 
 def stack_dense(blocks):
@@ -301,6 +339,20 @@ def static_rows(vehicle, scenario, segment, reference, initial_state):
     head = (box_rows(scenario.limits, segment),
             lane_rows(reference, vehicle.geometry, scenario.road, lanes))
     return StaticRows(eq=eq, head=head, tail=tail)
+
+
+def restated_rows(rows, vehicle, scenario, reference, initial_state):
+    """`rows`, a player's static rows, as `static_rows` would give them for
+    a reference and start state that differ from theirs in the reference's
+    positions and the start state alone: only the dynamics and lane rows'
+    right-hand sides read those, and they come from the functions the row
+    builders call. No row is built, but the lane rows' x-extent check runs
+    on the new reference."""
+    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
+    rhs = {"dynamics": dynamics_rhs(reference, vehicle.geometry, initial_state),
+           "lane": lane_rhs(reference, vehicle.geometry, scenario.road, lanes)}
+    return StaticRows(*(tuple((a, rhs.get(tags[0], b), tags) for a, b, tags in part)
+                        for part in (rows.eq, rows.head, rows.tail)))
 
 
 def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=None,

@@ -16,20 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (Segment, StaticRows, Strategy, collision_rows, stack_dense,
-                          start_state, static_rows)
-from .qp import OPTIMAL, Elimination, ReducedQp, SparseRows, eliminate
+from .constraints import (Segment, StaticRows, Strategy, collision_rows, restated_rows,
+                          stack_dense, start_state, static_rows)
+from .qp import (OPTIMAL, Elimination, EqFactors, ReducedQp, SparseRows, factor_equalities,
+                 particular)
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
-# Most player systems kept in `_STATIC_PARTS`. An entry is largest for a
-# lane-changing player: at H=121 (120 steps, 720 variables) it holds the basis
-# Z (720 x 240) and its 2,280 static rows in sparse form (480 dynamics rows of
-# 7 slots, 720 box rows of 1, 960 lane rows of 3, 120 lane-change rows of 2),
-# 1,521,600 bytes with the right-hand sides and s_part, so a full cache holds
-# at most 12.2 MB.
+# Most player systems kept in `_STATIC_PARTS`. At H=121 (120 steps, 720
+# variables) an entry holds the basis Z, the static rows in sparse form with
+# their right-hand sides, s_part, and the triangular factors of the equality
+# rows by their nonzeros: 1,892,472 bytes for a lane changer (Z 720 x 240, the
+# factors 361,272) and 1,738,788 for a straight driver (Z 720 x 120, the
+# factors 899,748), so a full cache holds at most 15.1 MB. Dense, the factors
+# would take 3.7 MB and 5.8 MB.
 STATIC_CACHE_ENTRIES = 8
 
 
@@ -155,32 +157,62 @@ class _PlayerSystem:
             b.flags.writeable = False
 
 
+@dataclass
+class _StaticEntry:
+    """What players with the same coefficients share: the factors of their
+    equality rows and a one-slot memo, (right-hand-side key,
+    `_PlayerSystem`), of the system of the latest right-hand side, whose
+    rows a later right-hand side re-states."""
+
+    factors: EqFactors
+    last: tuple = (None, None)
+
+
 # Least recently used first; see STATIC_CACHE_ENTRIES.
 _STATIC_PARTS = OrderedDict()
 
 
-def _player_system(game, vid):
-    """Player `vid`'s `_PlayerSystem` from `_STATIC_PARTS`, built and stored
-    on a miss.
-
-    The cache key is every input `static_rows` reads, by value: the settings
-    by their repr, which spells each float exactly (0.0 and -0.0 apart), the
-    reference and start states by their bytes."""
+def _coefficient_key(game, vid):
+    """What player `vid`'s coefficients read, by value: its id, geometry,
+    behavior and permitted lanes, the road, the limits, the step count and
+    step, each by its repr, which spells every float exactly (0.0 and -0.0
+    apart), and the bytes of the reference's v and psi columns. The
+    reference's positions, the start state and the segment's first step
+    reach only the right-hand sides."""
     scenario, vehicle = game.scenario, game.scenario.vehicle(vid)
-    reference, start = game.references[vid], game.initial_states[vid]
+    reference = game.references[vid]
     lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-    key = (repr((vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road, scenario.limits,
-                 game.segment, reference.start, reference.ts)),
-           reference.states.tobytes(), start.as_array().tobytes())
-    system = _STATIC_PARTS.pop(key, None)
-    if system is None:
-        rows = static_rows(vehicle, scenario, game.segment, reference, start)
-        a_eq, b_eq, _ = stack_dense(rows.eq)
-        system = _PlayerSystem(rows, eliminate(a_eq, b_eq))
-    _STATIC_PARTS[key] = system
+    return (*map(repr, (vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road,
+                        scenario.limits, game.segment.n_steps, reference.ts)),
+            reference.states[:, 2:].tobytes())
+
+
+def _player_system(game, vid):
+    """Player `vid`'s `_PlayerSystem`, from its entry in `_STATIC_PARTS`
+    under `_coefficient_key`.
+
+    A miss builds the static rows and factors their equality rows. A new
+    right-hand side, keyed by the bytes of the reference and the start
+    state, takes its b from `restated_rows` and s_part from the kept factors
+    by `qp.particular`; the system of the entry's last right-hand side is
+    returned as it is."""
+    vehicle, reference = game.scenario.vehicle(vid), game.references[vid]
+    start = game.initial_states[vid]
+    key = _coefficient_key(game, vid)
+    rhs_key = (reference.states.tobytes(), start.as_array().tobytes())
+    entry = _STATIC_PARTS.pop(key, None)
+    if entry is None:
+        rows = static_rows(vehicle, game.scenario, game.segment, reference, start)
+        entry = _StaticEntry(factor_equalities(stack_dense(rows.eq)[0]))
+    elif entry.last[0] != rhs_key:
+        rows = restated_rows(entry.last[1].rows, vehicle, game.scenario, reference, start)
+    if entry.last[0] != rhs_key:
+        b_eq = np.concatenate([b for _, b, _ in rows.eq])
+        entry.last = (rhs_key, _PlayerSystem(rows, particular(entry.factors, b_eq, rows.eq_miss)))
+    _STATIC_PARTS[key] = entry
     while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
         _STATIC_PARTS.popitem(last=False)
-    return system
+    return entry.last[1]
 
 
 class _PlayerWorkspace:
@@ -265,7 +297,7 @@ class _PlayerWorkspace:
 
     def violation_at(self, s_vec, opponents):
         self._sync(opponents)
-        eq = np.concatenate([a @ s_vec - b for a, b, _ in self.system.rows.eq])
+        eq = self.system.rows.eq_miss(s_vec)
         return max(float(np.abs(eq).max()), float((self._rows @ s_vec - self._b).max()))
 
     def objective(self, s_vec):

@@ -356,6 +356,7 @@ SUCCESS_FIELDS = (
     "count",
     "successes",
     "success_rate",
+    "rep",
     "failure",
 )
 
@@ -414,15 +415,16 @@ def run_success_rate(scenario, mode, repetitions, seed):
     components of that equilibrium, never simulating how the human actually
     reasons about them.
 
-    A failing repetition counts in no bin; it becomes a row with its mode and
-    failure before the overall row, which is left out when every one failed.
+    A failing repetition counts in no bin; it becomes a row with its mode,
+    rep and failure before the overall row, which is left out when every one
+    failed.
     """
     if mode not in ("with_interpretation", "random_cognition"):
         raise ValueError(f"unknown success-rate mode {mode!r}")
     s_actual = solve_games(hv_subjective_game(scenario)).strategies[0]
     results = _repeat(range(repetitions),
                       lambda rep: _success_rep(scenario, s_actual, mode, seed, rep),
-                      lambda rep: [{"mode": mode}])
+                      lambda rep: [{"mode": mode, "rep": rep}])
     failed = [r for r in results if "failure" in r]
     outcomes = [(r["error"], r["success"]) for r in results if "failure" not in r]
     if not outcomes:

@@ -3,8 +3,11 @@
 The solver eliminates equalities by variable reduction: one LU factorization
 with partial pivoting of A_eq' splits the variables into dependent and free
 ones, the null-space basis is the identity on the free variables, and the
-same triangular factors give the particular solution. That `Elimination`
-depends on the equality rows only, so many objectives can share one. A dual
+same triangular factors give the particular solution. The factor step
+(`factor_equalities`) reads A_eq only, so systems that differ in b_eq alone
+share it and take their particular solutions by two triangular solves
+(`particular`); the resulting `Elimination` does not depend on the
+objective, so many objectives can share one. A dual
 active-set method then runs on the reduced problem, reading the inequality
 rows as the sparse rows A they were built as (`SparseRows`), with d = b -
 A s_part: it starts at the unconstrained minimum, or warm on a given
@@ -362,6 +365,51 @@ def _lu_solve(l1, upper, rhs):
     return solve_triangular(upper, y, lower=False, check_finite=False)
 
 
+def _compact(a):
+    """A square matrix as (size, the flat indices of its entries whose bits
+    are not all zero, in the smallest unsigned type that holds them, their
+    values): a -0.0 is kept, so `_dense` gives the matrix back bitwise."""
+    flat = np.flatnonzero(np.ascontiguousarray(a).view(np.uint64))
+    return a.shape[0], flat.astype(np.min_scalar_type(a.size)), a.ravel()[flat]
+
+
+def _dense(compact):
+    size, flat, values = compact
+    a = np.zeros(size * size)
+    a[flat] = values
+    return a.reshape(size, size)
+
+
+@dataclass(frozen=True)
+class EqFactors:
+    """The factor step of `eliminate`: what A_eq alone fixes, so that a new
+    right-hand side needs only `particular`. `rows`, `dep`, `l1`, `upper`
+    and the read-only `z_basis` are those of `variable_reduction`, the two
+    triangles kept by `_compact` (at H=121, l1 is 12.5 % nonzero and U 0.6 %
+    for a lane changer, 16.5 % and 4.4 % for a straight driver); `dropped`
+    are the rows it dropped and `fit` their coefficients C' on the kept
+    ones."""
+
+    rows: np.ndarray
+    dep: np.ndarray
+    l1: tuple
+    upper: tuple
+    dropped: np.ndarray
+    fit: np.ndarray
+    z_basis: np.ndarray
+
+
+def factor_equalities(a_eq):
+    """The `EqFactors` of a dense A_eq with finite entries."""
+    _require_finite(a_eq=a_eq)
+    rows, dep, l1, upper, z_basis = variable_reduction(a_eq)
+    dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
+    # Dropped rows are combinations C of the kept ones.
+    fit = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
+    z_basis.flags.writeable = False
+    return EqFactors(rows, dep, _compact(l1), _compact(upper), dropped, fit, z_basis)
+
+
 @dataclass(frozen=True)
 class Elimination:
     """What a QP's equality rows A_eq s = b_eq fix, independent of its
@@ -376,40 +424,51 @@ class Elimination:
     eq_scale: float
 
 
+def particular(factors, b_eq, eq_miss):
+    """The particular step of `eliminate`: the `Elimination` of A_eq s = b_eq
+    from the `EqFactors` of A_eq, by two triangular solves. With dropped rows
+    the particular solution fits b_eq over all rows in the least-squares
+    sense. `eq_miss(s)` is A_eq s - b_eq, in whatever form the caller keeps
+    A_eq; `eq_residual` is its largest magnitude at s_part."""
+    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+    rank = factors.rows.size
+    if b_eq.size != rank + factors.dropped.size:
+        raise ValueError(f"b_eq has {b_eq.size} entries for "
+                         f"{rank + factors.dropped.size} equality rows")
+    _require_finite(b_eq=b_eq)
+    s_part = np.zeros(factors.z_basis.shape[0])
+    if rank:
+        b_fit = b_eq[factors.rows]
+        if factors.dropped.size:
+            # Fit the kept right-hand sides y to [I; C] y = b in least squares.
+            c_t = factors.fit
+            b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
+                                    b_fit + c_t @ b_eq[factors.dropped])
+        w = solve_triangular(_dense(factors.upper), b_fit, trans="T", lower=False,
+                             check_finite=False)
+        s_part[factors.dep] = solve_triangular(
+            _dense(factors.l1), w, trans="T", lower=True, unit_diagonal=True, check_finite=False
+        )
+    eq_residual = float(np.max(np.abs(eq_miss(s_part)), initial=0.0))
+    eq_scale = 1.0 + float(np.max(np.abs(b_eq), initial=0.0))
+    s_part.flags.writeable = False
+    return Elimination(factors.z_basis, s_part, eq_residual, eq_scale)
+
+
 def eliminate(a_eq, b_eq):
-    """The `Elimination` of A_eq s = b_eq, by `variable_reduction`.
+    """The `Elimination` of A_eq s = b_eq: `particular` on the
+    `factor_equalities` of A_eq.
 
     A_eq must be two-dimensional, with zero rows when there are no
-    equalities. Redundant rows are dropped from the factorization; the
-    particular solution then fits b_eq over all rows in the least-squares
-    sense, and `eq_residual` over all rows flags inconsistent systems.
+    equalities. Redundant rows are dropped from the factorization, and
+    `eq_residual` over all rows flags inconsistent systems.
     """
     a_eq = np.asarray(a_eq, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
     if a_eq.ndim != 2 or a_eq.shape[0] != b_eq.shape[0]:
         raise ValueError(f"A_eq must be a matrix with one row per b_eq entry, "
                          f"got {a_eq.shape} and {b_eq.shape}")
-    _require_finite(a_eq=a_eq, b_eq=b_eq)
-    rows, dep, l1, upper, z_basis = variable_reduction(a_eq)
-    rank = rows.size
-    s_part = np.zeros(a_eq.shape[1])
-    if rank:
-        b_fit = b_eq[rows]
-        if rank < a_eq.shape[0]:
-            # Dropped rows are combinations C of the kept ones; fit the
-            # kept right-hand sides y to [I; C] y = b in least squares.
-            dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
-            c_t = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
-            b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
-                                    b_fit + c_t @ b_eq[dropped])
-        w = solve_triangular(upper, b_fit, trans="T", lower=False, check_finite=False)
-        s_part[dep] = solve_triangular(
-            l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
-        )
-    eq_residual = float(np.max(np.abs(a_eq @ s_part - b_eq))) if a_eq.shape[0] else 0.0
-    eq_scale = 1.0 + (float(np.max(np.abs(b_eq))) if b_eq.size else 0.0)
-    z_basis.flags.writeable = s_part.flags.writeable = False
-    return Elimination(z_basis, s_part, eq_residual, eq_scale)
+    return particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
 
 
 class ReducedQp:

@@ -269,7 +269,7 @@ def test_a_failing_success_repetition_counts_in_no_bin(tmp_path, monkeypatch, ca
     monkeypatch.setattr(harness, target, second_call_raises)
     failure = "ValueError: need step 130, have 101"
     rows = harness.run_success_rate(scenario, mode, 2, 0)
-    assert rows == once[:-1] + [{"mode": mode, "failure": failure}] + once[-1:]
+    assert rows == once[:-1] + [{"mode": mode, "rep": 1, "failure": failure}] + once[-1:]
 
     # The CLI writes the comma in the message inside one quoted cell.
     out = tmp_path / "success.csv"
@@ -279,8 +279,8 @@ def test_a_failing_success_repetition_counts_in_no_bin(tmp_path, monkeypatch, ca
         header, *cells = csv.reader(fh)
     assert header == list(SUCCESS_FIELDS)
     assert all(len(row) == len(header) for row in cells)
-    assert cells[-2] == [mode] + [""] * 5 + [failure]
-    assert [row[-1] for row in cells[:-2] + cells[-1:]] == [""] * (len(cells) - 1)
+    assert cells[-2] == [mode] + [""] * 5 + ["1", failure]
+    assert [row[-2:] for row in cells[:-2] + cells[-1:]] == [["", ""]] * (len(cells) - 1)
 
 
 def test_gap_sweep_prints_regression(capsys):

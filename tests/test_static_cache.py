@@ -1,17 +1,21 @@
-"""The weight-independent part of a player's system (its static rows and
-their equality elimination) is cached across games. These tests pin that a
-cache hit builds no row and is bitwise a fresh build, that any change of a
-static input misses, that a reference stepped otherwise than its scenario is
-refused, and that the cache keeps to its bound."""
+"""The weight-independent part of a player's system (its static rows, the
+factors of their equality rows and the particular solution) is cached
+across games. The cache is keyed by what the coefficients read; a new
+right-hand side is solved from the kept factors. These tests pin that a hit
+builds no row and is bitwise a fresh build, that inputs reaching only the
+right-hand sides hit and any change of a coefficient input misses, that every
+field of the key is needed, that a reference stepped otherwise than its
+scenario is refused, and that the cache keeps to its bound."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from hypertraffic import game as game_module
-from hypertraffic.constraints import Strategy
+from hypertraffic import harness
+from hypertraffic.constraints import Segment, Strategy
 from hypertraffic.game import _PlayerWorkspace, make_game, solve_games
 from hypertraffic.scenario import (
     STRAIGHT,
@@ -37,16 +41,16 @@ def empty_cache():
 
 
 @pytest.fixture
-def eliminations(monkeypatch):
-    """Count of the equality eliminations computed, i.e. of cache misses."""
+def factorizations(monkeypatch):
+    """Count of the equality factorizations computed, i.e. of cache misses."""
     calls = []
-    original = game_module.eliminate
+    original = game_module.factor_equalities
 
-    def counting(a_eq, b_eq):
+    def counting(a_eq):
         calls.append(a_eq.shape)
-        return original(a_eq, b_eq)
+        return original(a_eq)
 
-    monkeypatch.setattr(game_module, "eliminate", counting)
+    monkeypatch.setattr(game_module, "factor_equalities", counting)
     return calls
 
 
@@ -71,14 +75,22 @@ def _workspaces(game):
 
 
 def _system_parts(system):
-    """The arrays and tags of a cached player system, in a fixed order: its
-    sparse rows' columns, coefficients and right-hand sides, and the
-    null-space basis and particular solution."""
+    """The arrays and tags of a player system, in a fixed order: its sparse
+    rows' columns, coefficients and right-hand sides, and the null-space
+    basis and particular solution."""
     rows = system.rows
     blocks = rows.eq + rows.head + rows.tail
     arrays = [*(x for a, b, _ in blocks for x in (a.cols, a.coef, b)),
               system.elimination.z_basis, system.elimination.s_part]
     return arrays, tuple(tuple(tags for *_, tags in part) for part in (rows.eq, rows.head, rows.tail))
+
+
+def _same_system(a, b):
+    (arrays_a, tags_a), (arrays_b, tags_b) = _system_parts(a), _system_parts(b)
+    return (len(arrays_a) == len(arrays_b) and tags_a == tags_b
+            and all(x.shape == y.shape and np.array_equal(x, y)
+                    for x, y in zip(arrays_a, arrays_b))
+            and a.elimination.eq_residual == b.elimination.eq_residual)
 
 
 def _stack(ws):
@@ -93,9 +105,7 @@ def _assert_same_workspaces(got, want, game):
         a, b = got[vid], want[vid]
         for name in ("z_basis", "s_part", "eq_residual"):
             assert np.array_equal(getattr(a.reduced, name), getattr(b.reduced, name)), (vid, name)
-        (arrays_a, tags_a), (arrays_b, tags_b) = _system_parts(a.system), _system_parts(b.system)
-        assert len(arrays_a) == len(arrays_b) and tags_a == tags_b, vid
-        assert all(np.array_equal(x, y) for x, y in zip(arrays_a, arrays_b)), vid
+        assert _same_system(a.system, b.system), vid
         assert all(np.array_equal(x, y) for x, y in zip(_stack(a), _stack(b))), vid
         opponents = game.opponents_of(vid, seeds)
         sol_a, sol_b = a.best_response(opponents), b.best_response(opponents)
@@ -108,20 +118,20 @@ def _assert_same_workspaces(got, want, game):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_a_cache_hit_equals_a_fresh_build(name, eliminations):
+def test_a_cache_hit_equals_a_fresh_build(name, factorizations):
     scen = _scenario(name)
     warm = _workspaces(make_game(scen, _scaled_weights(scen, 1)))
     n_players = len(warm)
-    assert len(eliminations) == n_players
+    assert len(factorizations) == n_players
     game = make_game(scen, _scaled_weights(scen, 2))
     hit = _workspaces(game)
-    assert len(eliminations) == n_players
+    assert len(factorizations) == n_players
     for vid, ws in hit.items():
         assert ws.system is warm[vid].system
         assert ws.reduced.z_basis is warm[vid].reduced.z_basis
     game_module._STATIC_PARTS.clear()
     fresh = _workspaces(game)
-    assert len(eliminations) == 2 * n_players
+    assert len(factorizations) == 2 * n_players
     _assert_same_workspaces(hit, fresh, game)
 
 
@@ -135,19 +145,44 @@ def _assert_same_result(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_a_game_solved_cold_then_warm_gives_the_same_result(name, eliminations):
+def test_a_game_solved_cold_then_warm_gives_the_same_result(name, factorizations):
     scen = _scenario(name)
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     cold = solve_games(game)
-    misses = len(eliminations)
+    misses = len(factorizations)
     warm = solve_games(game)
-    assert len(eliminations) == misses
+    assert len(factorizations) == misses
     _assert_same_result(warm, cold)
+
+
+def _mapped_references(game, change):
+    """The game's references with `change` applied to a copy of each one's
+    states."""
+    refs = {}
+    for vid, ref in game.references.items():
+        states = ref.states.copy()
+        change(vid, states)
+        refs[vid] = replace(ref, states=states)
+    return {"references": refs}
 
 
 def _off_centre_start(scen, game):
     start = game.initial_states[0]
     return {"initial_states": {**game.initial_states, 0: replace(start, p_y=start.p_y + 0.4)}}
+
+
+def _translated_reference(scen, game):
+    def shift(vid, states):
+        states[:, :2] += (0.7, 0.05)
+    return _mapped_references(game, shift)
+
+
+def _restaged(scen, game):
+    # The same references on a segment three steps later.
+    segment = Segment(game.segment.start + 3, game.segment.stop + 3)
+    return {"segment": segment,
+            "references": {vid: ref.rebased(segment.start)
+                           for vid, ref in game.references.items()}}
 
 
 def _shifted_window(scen, game):
@@ -156,6 +191,22 @@ def _shifted_window(scen, game):
     stop = game.segment.stop
     return {"references": {vid: full[vid].window(2, stop + 1).rebased(1)
                            for vid in game.decision_ids}}
+
+
+def _one_entry(column, delta):
+    def change(scen, game):
+        def nudge(vid, states):
+            if vid == 0:
+                states[3, column] += delta
+        return _mapped_references(game, nudge)
+    return change
+
+
+def _fewer_steps(scen, game):
+    segment = Segment(game.segment.start, game.segment.stop - 1)
+    return {"segment": segment,
+            "references": {vid: ref.window(segment.start, segment.stop)
+                           for vid, ref in game.references.items()}}
 
 
 def _longer_step(scen, game):
@@ -168,10 +219,23 @@ def _longer_step(scen, game):
                            for vid in game.decision_ids}}
 
 
+def _restepped(scen, game):
+    # A scenario with a longer step, tracked along the same reference states.
+    changed = replace(scen, ts=1.1 * scen.ts)
+    return {"scenario": changed,
+            "references": {vid: replace(ref, ts=changed.ts)
+                           for vid, ref in game.references.items()}}
+
+
 def _with_scenario(changes):
     def change(scen, game):
         return {"scenario": replace(scen, **changes(scen))}
     return change
+
+
+def _with_vehicle(vid, changes):
+    return _with_scenario(lambda s: {"vehicles": tuple(
+        replace(v, **changes(v)) if v.vid == vid else v for v in s.vehicles)})
 
 
 def _lane_changer_start_x(scen):
@@ -182,38 +246,103 @@ def _lane_changer_start_x(scen):
     return {"vehicles": vehicles}
 
 
+# Each variant changes one input of the offline game, keeping the others (the
+# references and starts too), and says whether every player's coefficients
+# stay those of the base game: then the variant must hit.
 VARIANTS = {
-    "start_state": _off_centre_start,
-    "reference_window": _shifted_window,
-    "scenario_ts": _longer_step,
-    "v_max": _with_scenario(lambda s: {"limits": replace(s.limits, v_max=s.limits.v_max - 2.0)}),
-    "lane_width": _with_scenario(lambda s: {"road": replace(s.road, lane_width=4.2)}),
-    "geometry": _with_scenario(lambda s: {"vehicles": tuple(
-        replace(v, geometry=replace(v.geometry, length=3.7)) for v in s.vehicles)}),
-    "behavior_start_x": _with_scenario(_lane_changer_start_x),
+    "start_state": (_off_centre_start, True),
+    "translated_reference": (_translated_reference, True),
+    "restaged": (_restaged, True),
+    "reference_window": (_shifted_window, False),
+    "one_v_entry": (_one_entry(2, 0.25), False),
+    "one_psi_entry": (_one_entry(3, 0.01), False),
+    "n_steps": (_fewer_steps, False),
+    "scenario_ts": (_longer_step, False),
+    "restepped_reference": (_restepped, False),
+    "v_max": (_with_scenario(lambda s: {"limits": replace(s.limits, v_max=s.limits.v_max - 2.0)}),
+              False),
+    "lane_width": (_with_scenario(lambda s: {"road": replace(s.road, lane_width=4.2)}), False),
+    "geometry": (_with_scenario(lambda s: {"vehicles": tuple(
+        replace(v, geometry=replace(v.geometry, length=3.7)) for v in s.vehicles)}), False),
+    "behavior_start_x": (_with_scenario(_lane_changer_start_x), False),
+    "heading": (_with_vehicle(0, lambda v: {"behavior": replace(v.behavior,
+                                                                direction=(1.0, 0.001))}),
+                False),
+    "permitted_lanes": (_with_vehicle(2, lambda v: {"initial": replace(v.initial, p_y=6.0)}),
+                        False),
 }
 
 
+def _variant_game(scen, weights, base, variant):
+    """The base game with one input changed by `variant`."""
+    args = {"scenario": scen, "segment": base.segment, "initial_states": base.initial_states,
+            "references": base.references}
+    args.update(variant(scen, base))
+    return make_game(args["scenario"], weights, segment=args["segment"],
+                     references=args["references"], initial_states=args["initial_states"])
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_a_changed_static_input_never_reuses_a_stale_entry(variant, eliminations):
+def test_a_changed_static_input_never_reuses_a_stale_entry(variant, factorizations):
     scen = _scenario("offline")
     weights = {v.vid: v.weights_true for v in scen.vehicles}
     base = make_game(scen, weights)
-    _workspaces(base)
-    misses = len(eliminations)
-    # Everything but the one input is kept, the references and starts too.
-    args = {"scenario": scen, "initial_states": base.initial_states,
-            "references": base.references}
-    args.update(VARIANTS[variant](scen, base))
-    changed = make_game(args["scenario"], weights, references=args["references"],
-                        initial_states=args["initial_states"])
+    warm = _workspaces(base)
+    misses = len(factorizations)
+    change, hits = VARIANTS[variant]
+    changed = _variant_game(scen, weights, base, change)
     got = _workspaces(changed)
-    assert len(eliminations) > misses
+    if hits:
+        assert len(factorizations) == misses
+        assert all(got[vid].reduced.z_basis is warm[vid].reduced.z_basis for vid in got)
+    else:
+        assert len(factorizations) > misses
     game_module._STATIC_PARTS.clear()
     _assert_same_workspaces(got, _workspaces(changed), changed)
 
 
-def test_the_cache_keeps_to_its_bound_and_drops_the_least_recent(eliminations):
+# The key's fields in `_coefficient_key` order, each with the variant that
+# changes it alone. The player id and the step count have none: players alike
+# in every other field have the same coefficients, and the step count is the
+# length of the v and psi bytes.
+KEY_FIELDS = {
+    "geometry": (1, "geometry"),
+    "behavior": (2, "heading"),
+    "lanes": (3, "permitted_lanes"),
+    "road": (4, "lane_width"),
+    "limits": (5, "v_max"),
+    "ts": (7, "restepped_reference"),
+    "v_psi": (8, "one_psi_entry"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(KEY_FIELDS))
+def test_a_key_without_any_one_field_serves_a_stale_system(field, monkeypatch):
+    # Mutation check: with the field's slot blanked, the variant that changes
+    # only that field gets the base game's entry, and some player's system
+    # then differs from a fresh build of the variant.
+    slot, variant = KEY_FIELDS[field]
+    scen = _scenario("offline")
+    weights = {v.vid: v.weights_true for v in scen.vehicles}
+    base = make_game(scen, weights)
+    original = game_module._coefficient_key
+    assert len(original(base, 0)) == 9
+
+    def blanked(game, vid):
+        key = list(original(game, vid))
+        key[slot] = None
+        return tuple(key)
+
+    monkeypatch.setattr(game_module, "_coefficient_key", blanked)
+    _workspaces(base)
+    changed = _variant_game(scen, weights, base, VARIANTS[variant][0])
+    stale = _workspaces(changed)
+    game_module._STATIC_PARTS.clear()
+    fresh = _workspaces(changed)
+    assert not all(_same_system(stale[vid].system, fresh[vid].system) for vid in stale)
+
+
+def test_the_cache_keeps_to_its_bound_and_drops_the_least_recent(factorizations):
     scen = _scenario("offline")
     weights = {v.vid: v.weights_true for v in scen.vehicles}
     base = make_game(scen, weights)
@@ -221,19 +350,20 @@ def test_the_cache_keeps_to_its_bound_and_drops_the_least_recent(eliminations):
     cap = game_module.STATIC_CACHE_ENTRIES
     n_players = len(base.decision_ids)
     for k in range(cap // n_players + 2):
-        shifted = {vid: replace(s, p_x=s.p_x + 0.01 * k)
-                   for vid, s in base.initial_states.items()}
-        games.append(make_game(scen, weights, initial_states=shifted))
+        # A speed limit is read by every player's coefficient key.
+        limited = replace(scen, limits=replace(scen.limits, v_max=scen.limits.v_max - 0.01 * k))
+        games.append(make_game(limited, weights, references=base.references,
+                               initial_states=base.initial_states))
     for game in games:
         _workspaces(game)
         assert len(game_module._STATIC_PARTS) <= cap
-    assert len(eliminations) == len(games) * n_players > cap
+    assert len(factorizations) == len(games) * n_players > cap
     assert len(game_module._STATIC_PARTS) == cap
     # The latest game's systems are kept, the first game's were dropped.
     _workspaces(games[-1])
-    assert len(eliminations) == len(games) * n_players
+    assert len(factorizations) == len(games) * n_players
     _workspaces(games[0])
-    assert len(eliminations) == (len(games) + 1) * n_players
+    assert len(factorizations) == (len(games) + 1) * n_players
 
 
 def test_a_cache_hit_builds_no_static_rows(monkeypatch):
@@ -245,26 +375,88 @@ def test_a_cache_hit_builds_no_static_rows(monkeypatch):
                         lambda *args: calls.append(args[0].vid) or original(*args))
     hit = make_game(scen, _scaled_weights(scen, 2))
     solve_games(hit)
+    # A new right-hand side builds no row either.
+    solve_games(_variant_game(scen, _scaled_weights(scen, 2), hit, _translated_reference))
     assert calls == []
     game_module._STATIC_PARTS.clear()
     _workspaces(hit)
     assert sorted(calls) == sorted(hit.decision_ids)
 
 
-@pytest.mark.parametrize("kind, bound", [("lane change", 1.6e6), ("straight", 0.9e6)])
+def test_a_reference_off_the_road_is_refused_on_a_hit_as_on_a_miss(factorizations):
+    scen = _scenario("offline")
+    weights = {v.vid: v.weights_true for v in scen.vehicles}
+    base = make_game(scen, weights)
+    _workspaces(base)
+    misses = len(factorizations)
+    # Player 1's reference, translated so that its first decision point lies
+    # 5 m behind the road.
+    behind = scen.road.x_extent[0] - 5.0 - base.references[1].states[1, 0]
+
+    def translate(vid, states):
+        if vid == 1:
+            states[:, 0] += behind
+
+    off = _variant_game(scen, weights, base, lambda s, g: _mapped_references(g, translate))
+    message = r"^point x=-20\d\.\d+ projects outside the road extent \(-200\.0, 2000\.0\)$"
+    with pytest.raises(ValueError, match=message) as on_hit:
+        _workspaces(off)
+    assert len(factorizations) == misses
+    game_module._STATIC_PARTS.clear()
+    with pytest.raises(ValueError, match=message) as on_miss:
+        _workspaces(off)
+    assert str(on_hit.value) == str(on_miss.value)
+
+
+def _kept_arrays(obj, seen):
+    """Every array reachable from `obj` through dataclass fields, tuples,
+    lists and dicts, by the array that holds its memory: a view counts as
+    its base."""
+    if isinstance(obj, np.ndarray):
+        base = obj if obj.base is None else obj.base
+        seen[id(base)] = base
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _kept_arrays(getattr(obj, f.name), seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _kept_arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _kept_arrays(item, seen)
+    return seen
+
+
+@pytest.mark.parametrize("kind, bound", [("lane change", 1.95e6), ("straight", 1.8e6)])
 def test_a_cache_entry_at_h121_stays_small(kind, bound):
-    # The static rows are kept sparse and no reduced row is kept, so an
-    # entry is about the basis Z: 1.52 MB for a lane changer and 0.83 MB
-    # for a straight driver, of which Z is 1.38 MB and 0.69 MB. A view
-    # counts as the array it keeps alive.
+    # An entry is about the basis Z (1.38 MB for a lane changer, 0.69 MB for
+    # a straight driver) and the triangular factors of the equality rows,
+    # kept by their nonzeros (l1 is 12.5 % and 16.5 % nonzero, U 0.6 % and
+    # 4.4 %): 0.36 MB and 0.90 MB. Whole, the entry holds 1.89 MB and
+    # 1.74 MB; kept dense, the factors alone would take 3.7 MB and 5.8 MB.
+    # Every array reachable from the entry counts, a view as its base.
     scen = _scenario("h121")
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
     _PlayerWorkspace(game, vid)
-    (system,) = game_module._STATIC_PARTS.values()
-    arrays, _ = _system_parts(system)
-    held = {id(a): a for a in (x if x.base is None else x.base for x in arrays)}
+    (entry,) = game_module._STATIC_PARTS.values()
+    held = _kept_arrays(entry, {})
+    assert any(a is entry.factors.l1[2] or a is entry.factors.l1[2].base for a in held.values())
     assert sum(a.nbytes for a in held.values()) <= bound
+
+
+def test_cold_and_warm_caches_give_the_same_online_repetition(factorizations):
+    scen = default_online_scenario()
+
+    def timeless(rows):
+        return [{k: v for k, v in row.items() if not k.endswith("_seconds")} for row in rows]
+
+    cold, _ = harness._online_rep(scen, 3, 1)
+    assert 0 < len(factorizations) <= 7
+    misses = len(factorizations)
+    warm, _ = harness._online_rep(scen, 3, 1)
+    assert len(factorizations) == misses
+    assert timeless(warm) == timeless(cold)
 
 
 def test_a_reference_stepped_otherwise_than_the_scenario_is_refused():
