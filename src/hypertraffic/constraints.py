@@ -300,12 +300,18 @@ class StaticRows:
     The equality blocks are the dynamics chain then the straight heading
     pins. The inequality blocks split around the collision blocks, which
     depend on the opponents: the head is box then lane rows, the tail the
-    lane-change behavior rows (empty when driving straight).
+    lane-change behavior rows (empty when driving straight). The right-hand
+    sides are made read-only, as `SparseRows` makes its arrays, so that many
+    solves can share the rows.
     """
 
     eq: tuple
     head: tuple
     tail: tuple
+
+    def __post_init__(self):
+        for _, b, _ in (*self.eq, *self.head, *self.tail):
+            b.flags.writeable = False
 
     def eq_miss(self, s_vec):
         """A_eq s - b_eq over the equality blocks, in order."""
@@ -328,6 +334,20 @@ def start_state(vehicle, segment, reference):
     return VehicleState.from_array(reference.states[0])
 
 
+def coefficient_key(vehicle, scenario, segment, reference):
+    """What the coefficients of the vehicle's `static_rows` read, by value:
+    its id, geometry, behavior and permitted lanes, the road, the limits,
+    the step count and step, each by its repr, which spells every float
+    exactly (0.0 and -0.0 apart), and the bytes of the reference's v and psi
+    columns. The reference's positions, the start state and the segment's
+    first step reach only the right-hand sides, which `restated_rows`
+    recomputes."""
+    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
+    return (*map(repr, (vehicle.vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road,
+                        scenario.limits, segment.n_steps, reference.ts)),
+            reference.states[:, 2:].tobytes())
+
+
 def static_rows(vehicle, scenario, segment, reference, initial_state):
     """Build a player's static rows; the one owner of the row order."""
     dynamics = dynamics_rows(reference, vehicle.geometry, initial_state)
@@ -343,11 +363,10 @@ def static_rows(vehicle, scenario, segment, reference, initial_state):
 
 def restated_rows(rows, vehicle, scenario, reference, initial_state):
     """`rows`, a player's static rows, as `static_rows` would give them for
-    a reference and start state that differ from theirs in the reference's
-    positions and the start state alone: only the dynamics and lane rows'
-    right-hand sides read those, and they come from the functions the row
-    builders call. No row is built, but the lane rows' x-extent check runs
-    on the new reference."""
+    a reference and start state with the same `coefficient_key`: only the
+    dynamics and lane rows' right-hand sides read what the key leaves out,
+    and they come from the functions the row builders call. No row is built,
+    but the lane rows' x-extent check runs on the new reference."""
     lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
     rhs = {"dynamics": dynamics_rhs(reference, vehicle.geometry, initial_state),
            "lane": lane_rhs(reference, vehicle.geometry, scenario.road, lanes)}

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (Segment, StaticRows, Strategy, collision_rows, restated_rows,
-                          stack_dense, start_state, static_rows)
+from .constraints import (Segment, StaticRows, Strategy, coefficient_key, collision_rows,
+                          restated_rows, stack_dense, start_state, static_rows)
 from .qp import (OPTIMAL, Elimination, EqFactors, ReducedQp, SparseRows, factor_equalities,
                  particular)
 
@@ -80,7 +80,8 @@ class GameSpec:
     """One concrete game: who decides with which weights, who is frozen data.
 
     References and initial states are per decision player and must cover the
-    segment exactly; fixed strategies must live on the same segment.
+    segment exactly; fixed strategies must live on the same segment. All are
+    refused here, by player, if not finite.
     """
 
     scenario: object
@@ -107,6 +108,8 @@ class GameSpec:
             if ref.ts != self.scenario.ts:
                 raise ValueError(f"reference for player {vid} has step {ref.ts}, "
                                  f"the scenario {self.scenario.ts}")
+            if not np.all(np.isfinite(ref.states)):
+                raise ValueError(f"reference for player {vid} has non-finite states")
             if vid not in self.initial_states:
                 raise ValueError(f"decision player {vid} has no initial state")
             if not np.all(np.isfinite(self.initial_states[vid].as_array())):
@@ -114,6 +117,8 @@ class GameSpec:
         for vid, strat in self.fixed.items():
             if strat.segment != self.segment:
                 raise ValueError(f"fixed strategy for player {vid} lives on a different segment")
+            if not np.all(np.isfinite(strat.data)):
+                raise ValueError(f"fixed strategy for player {vid} has non-finite entries")
 
     @property
     def decision_ids(self):
@@ -143,92 +148,68 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
     )
 
 
-@dataclass(frozen=True)
-class _PlayerSystem:
-    """The weight-independent part of one player's system: its static rows
-    and their equality elimination. Workspaces share it, so every array is
-    read-only (the `SparseRows` and the elimination's already are)."""
-
-    rows: StaticRows
-    elimination: Elimination
-
-    def __post_init__(self):
-        for _, b, _ in (*self.rows.eq, *self.rows.head, *self.rows.tail):
-            b.flags.writeable = False
-
-
 @dataclass
 class _StaticEntry:
     """What players with the same coefficients share: the factors of their
-    equality rows and a one-slot memo, (right-hand-side key,
-    `_PlayerSystem`), of the system of the latest right-hand side, whose
-    rows a later right-hand side re-states."""
+    equality rows, and the static rows and elimination of the latest
+    right-hand side, keyed by `rhs_key`, whose rows a later right-hand side
+    re-states. A new right-hand side re-points `rhs_key`, `rows` and
+    `elimination` at new objects; the arrays they held stay as they were."""
 
     factors: EqFactors
-    last: tuple = (None, None)
+    rhs_key: tuple
+    rows: StaticRows
+    elimination: Elimination
 
 
 # Least recently used first; see STATIC_CACHE_ENTRIES.
 _STATIC_PARTS = OrderedDict()
 
 
-def _coefficient_key(game, vid):
-    """What player `vid`'s coefficients read, by value: its id, geometry,
-    behavior and permitted lanes, the road, the limits, the step count and
-    step, each by its repr, which spells every float exactly (0.0 and -0.0
-    apart), and the bytes of the reference's v and psi columns. The
-    reference's positions, the start state and the segment's first step
-    reach only the right-hand sides."""
-    scenario, vehicle = game.scenario, game.scenario.vehicle(vid)
-    reference = game.references[vid]
-    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-    return (*map(repr, (vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road,
-                        scenario.limits, game.segment.n_steps, reference.ts)),
-            reference.states[:, 2:].tobytes())
-
-
 def _player_system(game, vid):
-    """Player `vid`'s `_PlayerSystem`, from its entry in `_STATIC_PARTS`
-    under `_coefficient_key`.
+    """Player `vid`'s static rows and their `Elimination`, from its entry in
+    `_STATIC_PARTS` under `constraints.coefficient_key`.
 
     A miss builds the static rows and factors their equality rows. A new
     right-hand side, keyed by the bytes of the reference and the start
     state, takes its b from `restated_rows` and s_part from the kept factors
-    by `qp.particular`; the system of the entry's last right-hand side is
-    returned as it is."""
+    by `qp.particular`; the entry's last right-hand side is returned as it
+    is."""
     vehicle, reference = game.scenario.vehicle(vid), game.references[vid]
     start = game.initial_states[vid]
-    key = _coefficient_key(game, vid)
+    key = coefficient_key(vehicle, game.scenario, game.segment, reference)
     rhs_key = (reference.states.tobytes(), start.as_array().tobytes())
     entry = _STATIC_PARTS.pop(key, None)
     if entry is None:
         rows = static_rows(vehicle, game.scenario, game.segment, reference, start)
-        entry = _StaticEntry(factor_equalities(stack_dense(rows.eq)[0]))
-    elif entry.last[0] != rhs_key:
-        rows = restated_rows(entry.last[1].rows, vehicle, game.scenario, reference, start)
-    if entry.last[0] != rhs_key:
-        b_eq = np.concatenate([b for _, b, _ in rows.eq])
-        entry.last = (rhs_key, _PlayerSystem(rows, particular(entry.factors, b_eq, rows.eq_miss)))
+        entry = _StaticEntry(factor_equalities(stack_dense(rows.eq)[0]), None, rows, None)
+    elif entry.rhs_key != rhs_key:
+        entry.rows = restated_rows(entry.rows, vehicle, game.scenario, reference, start)
+    if entry.rhs_key != rhs_key:
+        b_eq = np.concatenate([b for _, b, _ in entry.rows.eq])
+        entry.elimination = particular(entry.factors, b_eq, entry.rows.eq_miss)
+        entry.rhs_key = rhs_key
     _STATIC_PARTS[key] = entry
     while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
         _STATIC_PARTS.popitem(last=False)
-    return entry.last[1]
+    return entry.rows, entry.elimination
 
 
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the player's shared
-    `_PlayerSystem`, the reduced quadratic block for its weights, and one
-    stack of its inequality rows in solver order, as the solver reads them:
-    `SparseRows` padded to the widest static block (a collision row touches
-    the pose columns, as a lane row does), with each row's b and its d from
-    `ReducedQp.reduce_rows`. Between the static head and tail blocks sits one
-    collision slot per opponent, written in place from the rows
-    `collision_rows` builds against the opponent `Strategy` object the slot
-    records. The check is by identity: every accepted best response makes a
-    new strategy object, and a transport passes on the objects it receives.
-    A slot is rebuilt only when its opponent's strategy has changed; a best
-    response against the same opponent objects as the last one returns the
-    stored solution. Every solve uses the scenario's solver settings."""
+    static rows `rows`, the reduced quadratic block for its weights on their
+    shared elimination, and one stack of its inequality rows in solver order,
+    as the solver reads them: `SparseRows` padded to the widest static block
+    (a collision row touches the pose columns, as a lane row does), with each
+    row's b and its d from `ReducedQp.reduce_rows`. Between the static head
+    and tail blocks sits one collision slot per opponent, written in place
+    from the rows `collision_rows` builds against the opponent `Strategy`
+    object the slot records. The check is by identity: every accepted best
+    response makes a new strategy object, and a transport passes on the
+    objects it receives. A slot is rebuilt only when its opponent's strategy
+    has changed; a best response against the same opponent objects as the
+    last one returns the stored solution. Every solve uses the scenario's
+    solver settings."""
 
     def __init__(self, game, vid):
         self.vid = vid
@@ -238,10 +219,10 @@ class _PlayerWorkspace:
         self.s_ref = reference_vector(self.reference, game.segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.reference,
                                                     game.segment)
-        self.system = _player_system(game, vid)
-        self.reduced = ReducedQp(self.h_diag, self.system.elimination)
+        self.rows, elimination = _player_system(game, vid)
+        self.reduced = ReducedQp(self.h_diag, elimination)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
-        head, tail = self.system.rows.head, self.system.rows.tail
+        head, tail = self.rows.head, self.rows.tail
         n = game.segment.n_steps
         n_head = sum(b.size for _, b, _ in head)
         n_coll = n * len(self.opponent_ids)
@@ -251,7 +232,7 @@ class _PlayerWorkspace:
         self._coef = np.zeros((m, width))
         self._b, self._d = np.zeros(m), np.zeros(m)
         # Views: the rows are read-only, the slots written here show through.
-        self._rows = SparseRows(self._cols.view(), self._coef.view(), game.segment.n_vars)
+        self._stack = SparseRows(self._cols.view(), self._coef.view(), game.segment.n_vars)
         self._slots = {oid: slice(n_head + k * n, n_head + (k + 1) * n)
                        for k, oid in enumerate(self.opponent_ids)}
         at = 0
@@ -290,15 +271,15 @@ class _PlayerWorkspace:
             last, sol = self._solved
             if all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self._rows, self._d, self.settings, self._warm)
+        sol = self.reduced.solve(self.f_vec, self._stack, self._d, self.settings, self._warm)
         self._warm = sol.working_set if sol.ok else self._warm
         self._solved = (strategies, sol)
         return sol
 
     def violation_at(self, s_vec, opponents):
         self._sync(opponents)
-        eq = self.system.rows.eq_miss(s_vec)
-        return max(float(np.abs(eq).max()), float((self._rows @ s_vec - self._b).max()))
+        eq = self.rows.eq_miss(s_vec)
+        return max(float(np.abs(eq).max()), float((self._stack @ s_vec - self._b).max()))
 
     def objective(self, s_vec):
         dev = s_vec - self.s_ref

@@ -21,7 +21,7 @@ from scipy.optimize import lsq_linear
 from .cognition import average_weights
 from .constraints import Segment, Strategy, assemble
 from .game import WEIGHT_PATTERN, make_game, reference_vector, solve_games
-from .qp import variable_reduction
+from .qp import factor_equalities
 from .scenario import EFFECTIVE_INDICES, StyleWeights
 
 IDENTIFIABILITY_EPS = 1e-8
@@ -73,10 +73,10 @@ def _embedded_cav_solve(observation, scenario):
 
 
 def null_space(a_eq):
-    """Orthonormal basis of the null space of A_eq: the forward solver's
-    variable-reduction basis, orthonormalized by one QR. The fit's
+    """Orthonormal basis of the null space of A_eq: the Z of the forward
+    solver's `factor_equalities`, orthonormalized by one QR. The fit's
     identifiability test and column weighting assume orthonormal columns."""
-    return np.linalg.qr(variable_reduction(a_eq)[-1])[0]
+    return np.linalg.qr(factor_equalities(a_eq).z_basis)[0]
 
 
 def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,

@@ -4,7 +4,8 @@ The solver eliminates equalities by variable reduction: one LU factorization
 with partial pivoting of A_eq' splits the variables into dependent and free
 ones, the null-space basis is the identity on the free variables, and the
 same triangular factors give the particular solution. The factor step
-(`factor_equalities`) reads A_eq only, so systems that differ in b_eq alone
+(`factor_equalities`, the one LU, which `kkt_residual` and the inverse fit's
+null space read too) reads A_eq only, so systems that differ in b_eq alone
 share it and take their particular solutions by two triangular solves
 (`particular`); the resulting `Elimination` does not depend on the
 objective, so many objectives can share one. A dual
@@ -319,48 +320,9 @@ class SparseRows:
         return np.bincount(flat.ravel(), self.coef.ravel(), m * n).reshape(m, n)
 
 
-def variable_reduction(a_eq):
-    """Split the variables of A_eq s = b_eq into dependent and free ones by
-    one LU factorization with partial pivoting of A_eq' (variable reduction,
-    Nocedal & Wright section 15.3).
-
-    Equality row j is dropped when its pivot is at most max(m, n) * eps times
-    the largest pivot before it; the rest are re-factored, so a near-zero
-    pivot never feeds the elimination of later rows. Returns (rows, dep, l1,
-    upper, z_basis): the kept independent rows, the dependent variables, the
-    factors A_eq[rows][:, dep]' = l1 @ upper with l1 unit lower triangular,
-    and the null-space basis Z of A_eq, equal to the identity on the free
-    variables. With no equality rows every variable is free and Z = I.
-    """
-    m, n = a_eq.shape
-    rows = np.arange(m)
-    tol = max(m, n) * np.finfo(float).eps
-    while rows.size:
-        perm, lower, upper = lu(a_eq[rows].T, p_indices=True, check_finite=False)
-        piv = np.abs(np.diag(upper))
-        bad = np.flatnonzero(piv <= tol * np.maximum.accumulate(piv))
-        if bad.size:
-            rows = np.delete(rows, bad[0])
-        elif rows.size > n:
-            rows = rows[:n]  # n independent rows already span every later one
-        else:
-            break
-    else:  # no independent equality row
-        perm, lower, upper = np.arange(n), np.zeros((n, 0)), np.zeros((0, 0))
-    rank = rows.size
-    order = np.argsort(perm)
-    dep, free = order[:rank], order[rank:]
-    l1 = lower[:rank]
-    z_basis = np.zeros((n, n - rank))
-    z_basis[free, np.arange(n - rank)] = 1.0
-    z_basis[dep] = -solve_triangular(
-        l1, lower[rank:].T, trans="T", lower=True, unit_diagonal=True, check_finite=False,
-    )
-    return rows, dep, l1, upper, z_basis
-
-
 def _lu_solve(l1, upper, rhs):
-    """Solve (l1 @ upper) x = rhs with the factors of `variable_reduction`."""
+    """Solve (l1 @ upper) x = rhs with the triangles of an `EqFactors`, given
+    dense (`_dense` gives them back bitwise)."""
     y = solve_triangular(l1, rhs, lower=True, unit_diagonal=True, check_finite=False)
     return solve_triangular(upper, y, lower=False, check_finite=False)
 
@@ -382,13 +344,14 @@ def _dense(compact):
 
 @dataclass(frozen=True)
 class EqFactors:
-    """The factor step of `eliminate`: what A_eq alone fixes, so that a new
-    right-hand side needs only `particular`. `rows`, `dep`, `l1`, `upper`
-    and the read-only `z_basis` are those of `variable_reduction`, the two
-    triangles kept by `_compact` (at H=121, l1 is 12.5 % nonzero and U 0.6 %
-    for a lane changer, 16.5 % and 4.4 % for a straight driver); `dropped`
-    are the rows it dropped and `fit` their coefficients C' on the kept
-    ones."""
+    """What A_eq alone fixes, so that a new right-hand side needs only
+    `particular`: the kept independent rows `rows`, the dependent variables
+    `dep`, the factors A_eq[rows][:, dep]' = l1 @ upper with l1 unit lower
+    triangular, kept by `_compact` (at H=121, l1 is 12.5 % nonzero and U
+    0.6 % for a lane changer, 16.5 % and 4.4 % for a straight driver), the
+    dropped rows `dropped` with their coefficients `fit` = C' on the kept
+    ones, and the read-only null-space basis `z_basis` of A_eq, equal to the
+    identity on the free variables."""
 
     rows: np.ndarray
     dep: np.ndarray
@@ -400,10 +363,43 @@ class EqFactors:
 
 
 def factor_equalities(a_eq):
-    """The `EqFactors` of a dense A_eq with finite entries."""
+    """The `EqFactors` of a dense A_eq with finite entries, the one LU of the
+    package: one factorization with partial pivoting of A_eq' splits the
+    variables into dependent and free ones (variable reduction, Nocedal &
+    Wright section 15.3).
+
+    Equality row j is dropped when its pivot is at most max(m, n) * eps times
+    the largest pivot before it; the rest are re-factored, so a near-zero
+    pivot never feeds the elimination of later rows. `lu` reads A_eq' itself
+    until a row is dropped. With no equality rows every variable is free and
+    Z = I."""
     _require_finite(a_eq=a_eq)
-    rows, dep, l1, upper, z_basis = variable_reduction(a_eq)
-    dropped = np.setdiff1d(np.arange(a_eq.shape[0]), rows)
+    m, n = a_eq.shape
+    rows, kept = np.arange(m), a_eq
+    tol = max(m, n) * np.finfo(float).eps
+    while rows.size:
+        perm, lower, upper = lu(kept.T, p_indices=True, check_finite=False)
+        piv = np.abs(np.diag(upper))
+        bad = np.flatnonzero(piv <= tol * np.maximum.accumulate(piv))
+        if bad.size:
+            rows = np.delete(rows, bad[0])
+        elif rows.size > n:
+            rows = rows[:n]  # n independent rows already span every later one
+        else:
+            break
+        kept = a_eq[rows]
+    else:  # no independent equality row
+        perm, lower, upper = np.arange(n), np.zeros((n, 0)), np.zeros((0, 0))
+    rank = rows.size
+    order = np.argsort(perm)
+    dep, free = order[:rank], order[rank:]
+    l1 = lower[:rank]
+    z_basis = np.zeros((n, n - rank))
+    z_basis[free, np.arange(n - rank)] = 1.0
+    z_basis[dep] = -solve_triangular(
+        l1, lower[rank:].T, trans="T", lower=True, unit_diagonal=True, check_finite=False,
+    )
+    dropped = np.setdiff1d(np.arange(m), rows)
     # Dropped rows are combinations C of the kept ones.
     fit = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
     z_basis.flags.writeable = False
@@ -564,7 +560,7 @@ def solve(problem, settings=None):
 def kkt_residual(problem, s, lam):
     """KKT residuals of a primal point and its inequality multipliers for a
     QpProblem. The equality multipliers `mu` solve stationarity on the
-    dependent variables of `variable_reduction`; dropped rows get zero."""
+    dependent variables of `factor_equalities`; dropped rows get zero."""
     s = np.asarray(s, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     a_eq, a_in = problem.a_eq, problem.a_in
@@ -573,9 +569,9 @@ def kkt_residual(problem, s, lam):
         grad = grad + a_in.T @ lam
     mu = np.zeros(a_eq.shape[0])
     if a_eq.shape[0]:
-        rows, dep, l1, upper, _ = variable_reduction(a_eq)
-        if rows.size:
-            mu[rows] = -_lu_solve(l1, upper, grad[dep])
+        factors = factor_equalities(a_eq)
+        mu[factors.rows] = -_lu_solve(_dense(factors.l1), _dense(factors.upper),
+                                      grad[factors.dep])
         grad = grad + a_eq.T @ mu
     stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
     primal_eq = float(np.max(np.abs(a_eq @ s - problem.b_eq))) if a_eq.shape[0] else 0.0

@@ -285,3 +285,25 @@ def test_non_finite_initial_state_is_refused():
     scen = replace(scen, vehicles=(broken,) + scen.cavs)
     with pytest.raises(ValueError, match="non-finite"):
         solve_games(make_game(scen, _true_weights(scen)))
+
+
+@pytest.mark.parametrize("field", ["reference", "fixed"])
+def test_a_non_finite_reference_or_fixed_strategy_is_refused_naming_the_player(field):
+    scen = _scen()
+    weights = _true_weights(scen)
+    base = make_game(scen, weights)
+    if field == "reference":
+        states = base.references[2].states.copy()
+        states[5, 1] = np.nan
+        references = {**base.references, 2: replace(base.references[2], states=states)}
+        message = "^reference for player 2 has non-finite states$"
+        build = lambda: make_game(scen, weights, references=references,
+                                  initial_states=base.initial_states)
+    else:
+        data = Strategy.from_reference(base.references[2], base.segment).data.copy()
+        data[STEP_VARS + X_V] = np.inf
+        deciding = {vid: w for vid, w in weights.items() if vid != 2}
+        message = "^fixed strategy for player 2 has non-finite entries$"
+        build = lambda: make_game(scen, deciding, fixed={2: Strategy(base.segment, data)})
+    with pytest.raises(ValueError, match=message):
+        solve_games(build())

@@ -208,11 +208,12 @@ def test_every_dataclass_field_is_read():
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
-    """The workflow installs the package, runs the tier-1 tests, runs two short
-    studies through the installed `hypertraffic` console script (the online
-    one re-plans every stage, so it solves cached coefficients for new
-    right-hand sides), and then the benchmark on its reference seed, which
-    exits non-zero when any op misses `bench/reference.json`."""
+    """The workflow installs the package, runs the tier-1 tests, runs three
+    short studies through the installed `hypertraffic` console script (the
+    online one re-plans every stage, so it solves cached coefficients for new
+    right-hand sides; the offline one runs the inverse fit), and then the
+    benchmark on its reference seed, which exits non-zero when any op misses
+    `bench/reference.json`."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
@@ -224,6 +225,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "--continue-on-collection-errors",
         "hypertraffic success-rate --mode random_cognition --reps 3 --seed 0",
         "hypertraffic run-online --reps 2 --seed 0",
+        "hypertraffic interpret-offline --reps 1 --seed 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
     ]

@@ -229,6 +229,15 @@ def test_non_finite_equality_data_is_refused(a_eq, b_eq, field):
         eliminate(a_eq, b_eq)
 
 
+def test_kkt_residual_refuses_non_finite_equality_rows():
+    # The equality multipliers come from `factor_equalities`, which refuses a
+    # non-finite A_eq rather than giving NaN residuals.
+    problem = QpProblem(np.eye(3), np.zeros(3), [[np.nan, 1.0, 0.0]], [1.0],
+                        np.zeros((0, 3)), np.zeros(0))
+    with pytest.raises(ValueError, match="^QP data a_eq has non-finite entries$"):
+        kkt_residual(problem, np.zeros(3), np.zeros(0))
+
+
 def test_non_finite_solve_data_is_refused():
     reduced = ReducedQp(np.eye(2), eliminate([[1.0, 1.0]], [1.0]))
     settings = SolverSettings()

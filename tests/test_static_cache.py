@@ -3,9 +3,10 @@ factors of their equality rows and the particular solution) is cached
 across games. The cache is keyed by what the coefficients read; a new
 right-hand side is solved from the kept factors. These tests pin that a hit
 builds no row and is bitwise a fresh build, that inputs reaching only the
-right-hand sides hit and any change of a coefficient input misses, that every
-field of the key is needed, that a reference stepped otherwise than its
-scenario is refused, and that the cache keeps to its bound."""
+right-hand sides hit and any change of a coefficient input misses, that a
+workspace keeps its system when its entry moves to a new right-hand side,
+that every field of the key is needed, that a reference stepped otherwise
+than its scenario is refused, and that the cache keeps to its bound."""
 
 from dataclasses import fields, is_dataclass, replace
 from functools import lru_cache
@@ -13,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from hypertraffic import constraints
 from hypertraffic import game as game_module
 from hypertraffic import harness
 from hypertraffic.constraints import Segment, Strategy
@@ -74,28 +76,29 @@ def _workspaces(game):
     return {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
 
 
-def _system_parts(system):
-    """The arrays and tags of a player system, in a fixed order: its sparse
-    rows' columns, coefficients and right-hand sides, and the null-space
-    basis and particular solution."""
-    rows = system.rows
+def _system_parts(ws):
+    """The arrays and tags of a workspace's player system, in a fixed order:
+    its static rows' columns, coefficients and right-hand sides, and the
+    null-space basis and particular solution of its `ReducedQp`."""
+    rows = ws.rows
     blocks = rows.eq + rows.head + rows.tail
     arrays = [*(x for a, b, _ in blocks for x in (a.cols, a.coef, b)),
-              system.elimination.z_basis, system.elimination.s_part]
+              ws.reduced.z_basis, ws.reduced.s_part]
     return arrays, tuple(tuple(tags for *_, tags in part) for part in (rows.eq, rows.head, rows.tail))
 
 
 def _same_system(a, b):
+    """Whether two workspaces hold the same player system bitwise."""
     (arrays_a, tags_a), (arrays_b, tags_b) = _system_parts(a), _system_parts(b)
     return (len(arrays_a) == len(arrays_b) and tags_a == tags_b
             and all(x.shape == y.shape and np.array_equal(x, y)
                     for x, y in zip(arrays_a, arrays_b))
-            and a.elimination.eq_residual == b.elimination.eq_residual)
+            and a.reduced.eq_residual == b.reduced.eq_residual)
 
 
 def _stack(ws):
     """A workspace's stacked inequality rows, their b and their d."""
-    return ws._rows.cols, ws._rows.coef, ws._b, ws._d
+    return ws._stack.cols, ws._stack.coef, ws._b, ws._d
 
 
 def _assert_same_workspaces(got, want, game):
@@ -105,7 +108,7 @@ def _assert_same_workspaces(got, want, game):
         a, b = got[vid], want[vid]
         for name in ("z_basis", "s_part", "eq_residual"):
             assert np.array_equal(getattr(a.reduced, name), getattr(b.reduced, name)), (vid, name)
-        assert _same_system(a.system, b.system), vid
+        assert _same_system(a, b), vid
         assert all(np.array_equal(x, y) for x, y in zip(_stack(a), _stack(b))), vid
         opponents = game.opponents_of(vid, seeds)
         sol_a, sol_b = a.best_response(opponents), b.best_response(opponents)
@@ -127,7 +130,8 @@ def test_a_cache_hit_equals_a_fresh_build(name, factorizations):
     hit = _workspaces(game)
     assert len(factorizations) == n_players
     for vid, ws in hit.items():
-        assert ws.system is warm[vid].system
+        assert ws.rows is warm[vid].rows
+        assert ws.reduced.s_part is warm[vid].reduced.s_part
         assert ws.reduced.z_basis is warm[vid].reduced.z_basis
     game_module._STATIC_PARTS.clear()
     fresh = _workspaces(game)
@@ -301,7 +305,7 @@ def test_a_changed_static_input_never_reuses_a_stale_entry(variant, factorizatio
     _assert_same_workspaces(got, _workspaces(changed), changed)
 
 
-# The key's fields in `_coefficient_key` order, each with the variant that
+# The key's fields in `constraints.coefficient_key` order, each with the variant that
 # changes it alone. The player id and the step count have none: players alike
 # in every other field have the same coefficients, and the step count is the
 # length of the v and psi bytes.
@@ -325,21 +329,41 @@ def test_a_key_without_any_one_field_serves_a_stale_system(field, monkeypatch):
     scen = _scenario("offline")
     weights = {v.vid: v.weights_true for v in scen.vehicles}
     base = make_game(scen, weights)
-    original = game_module._coefficient_key
-    assert len(original(base, 0)) == 9
+    original = constraints.coefficient_key
+    assert game_module.coefficient_key is original
+    assert len(original(scen.vehicle(0), scen, base.segment, base.references[0])) == 9
 
-    def blanked(game, vid):
-        key = list(original(game, vid))
+    def blanked(*args):
+        key = list(original(*args))
         key[slot] = None
         return tuple(key)
 
-    monkeypatch.setattr(game_module, "_coefficient_key", blanked)
+    monkeypatch.setattr(game_module, "coefficient_key", blanked)
     _workspaces(base)
     changed = _variant_game(scen, weights, base, VARIANTS[variant][0])
     stale = _workspaces(changed)
     game_module._STATIC_PARTS.clear()
     fresh = _workspaces(changed)
-    assert not all(_same_system(stale[vid].system, fresh[vid].system) for vid in stale)
+    assert not all(_same_system(stale[vid], fresh[vid]) for vid in stale)
+
+
+@pytest.mark.parametrize("variant", ["start_state", "translated_reference"])
+def test_a_workspace_outlives_its_entry_moving_to_a_new_right_hand_side(variant,
+                                                                        factorizations):
+    # A new right-hand side re-points the entry at new rows and a new
+    # elimination; workspaces built on the old ones keep them as they were.
+    scen = _scenario("offline")
+    weights = {v.vid: v.weights_true for v in scen.vehicles}
+    base = make_game(scen, weights)
+    before = _workspaces(base)
+    misses = len(factorizations)
+    after = _workspaces(_variant_game(scen, weights, base, VARIANTS[variant][0]))
+    assert len(factorizations) == misses
+    moved = [vid for vid in after if after[vid].rows is not before[vid].rows]
+    assert moved and all(after[vid].reduced.s_part is not before[vid].reduced.s_part
+                         for vid in moved)
+    game_module._STATIC_PARTS.clear()
+    _assert_same_workspaces(before, _workspaces(base), base)
 
 
 def test_the_cache_keeps_to_its_bound_and_drops_the_least_recent(factorizations):
