@@ -242,33 +242,49 @@ def lane_rhs(reference, geometry, road, permitted_lanes):
     return np.concatenate(rhs)
 
 
-def collision_rows(reference, opponent_strategy, geometry, opponent_id):
-    """One keep-out row per decision step against a fixed opponent strategy,
-    linearized in the player's own pose about its reference."""
-    n = len(reference) - 1
+def keep_out_axes(geometry):
+    """The semi-axes (a_x, b_y) of the keep-out superellipse about a vehicle's
+    center, in its body frame."""
+    return (geometry.length + geometry.diagonal) / 2.0, (geometry.width + geometry.diagonal) / 2.0
+
+
+def pose_columns(n_steps):
+    """The columns of each step's pose (p_x, p_y, psi) in an n-step strategy,
+    one row per step: where a keep-out row's coefficients sit."""
+    return STEP_VARS * np.arange(n_steps)[:, None] + _POSE_COLUMNS
+
+
+def collision_rows(poses, semi_axes, opponent_strategy):
+    """The keep-out value of p players against one fixed opponent strategy,
+    linearized in each player's own pose about its decision poses, in one
+    array pass.
+
+    `poses` holds each player's decision states (p, n, 4) and `semi_axes`
+    its `keep_out_axes`, as floats. Returns the gradients in (p_x, p_y,
+    psi), (p, n, 3), and b, (p, n): player i's row at step k is grad[i, k]
+    on that step's `pose_columns`, <= b[i, k]."""
+    n = poses.shape[1]
     if opponent_strategy.segment.n_steps != n:
         raise ValueError("opponent strategy does not cover the player's segment")
     opp = opponent_strategy.positions()
-    poses = reference.states[1:, :]
-    ax = (geometry.length + geometry.diagonal) / 2.0
-    by = (geometry.width + geometry.diagonal) / 2.0
-    cos = np.cos(poses[:, 3])
-    sin = np.sin(poses[:, 3])
-    dx = opp[:, 0] - poses[:, 0]
-    dy = opp[:, 1] - poses[:, 1]
+    ax, by, ax6, by6 = np.array([(a, b, a**6, b**6) for a, b in semi_axes]).T[:, :, None]
+    px, py, psi = poses[:, :, 0], poses[:, :, 1], poses[:, :, 3]
+    cos = np.cos(psi)
+    sin = np.sin(psi)
+    dx = opp[:, 0] - px
+    dy = opp[:, 1] - py
     rx = cos * dx + sin * dy
     ry = -sin * dx + cos * dy
     h_ref = 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
-    gx = 6.0 * rx**5 / ax**6
-    gy = 6.0 * ry**5 / by**6
-    grad = np.empty((n, 3))  # the gradient in (p_x, p_y, psi), one row per step
-    grad[:, 0] = gx * cos - gy * sin
-    grad[:, 1] = gx * sin + gy * cos
-    grad[:, 2] = -gx * ry + gy * rx
-    d_px, d_py, d_psi = grad.T
-    grad_dot_ref = d_px * poses[:, 0] + d_py * poses[:, 1] + d_psi * poses[:, 3]
-    rows = _step_rows(np.arange(n), _POSE_COLUMNS, grad, n)
-    return rows, grad_dot_ref - h_ref, (f"collision({opponent_id})",) * n
+    gx = 6.0 * rx**5 / ax6
+    gy = 6.0 * ry**5 / by6
+    grad = np.empty((*px.shape, 3))
+    grad[:, :, 0] = gx * cos - gy * sin
+    grad[:, :, 1] = gx * sin + gy * cos
+    grad[:, :, 2] = -gx * ry + gy * rx
+    d_px, d_py, d_psi = grad.transpose(2, 0, 1)
+    grad_dot_ref = d_px * px + d_py * py + d_psi * psi
+    return grad, grad_dot_ref - h_ref
 
 
 def behavior_rows(behavior, reference, road):
@@ -320,8 +336,16 @@ class StaticRows:
 
 def stack_dense(blocks):
     """(A, b, tags) of (rows, rhs, tags) blocks stacked in order, with A
-    dense: the form the equality elimination and the inverse fit read."""
-    return (np.vstack([rows.dense() for rows, _, _ in blocks]),
+    dense: the form the equality elimination and the inverse fit read. A is
+    written once, by one `bincount` over every block's flat indices: a
+    column repeated in a row gets the sum of its coefficients, added slot by
+    slot."""
+    n = blocks[0][0].n_cols
+    starts = np.cumsum([0] + [rows.shape[0] for rows, _, _ in blocks])
+    flat = np.concatenate([((start + np.arange(rows.shape[0]))[:, None] * n + rows.cols).ravel()
+                           for start, (rows, _, _) in zip(starts, blocks)])
+    coef = np.concatenate([rows.coef.ravel() for rows, _, _ in blocks])
+    return (np.bincount(flat, coef, starts[-1] * n).reshape(starts[-1], n),
             np.concatenate([rhs for _, rhs, _ in blocks]),
             sum((tags for _, _, tags in blocks), ()))
 
@@ -396,12 +420,16 @@ def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=
     if initial_state is None:
         initial_state = start_state(vehicle, segment, reference)
     rows = static_rows(vehicle, scenario, segment, reference, initial_state)
-    collisions = tuple(
-        collision_rows(reference, opponent_strategies[opp_id], vehicle.geometry, opp_id)
-        for opp_id in sorted(opponent_strategies)
-    )
+    n = segment.n_steps
+    collisions = []
+    for opp_id in sorted(opponent_strategies):
+        (grad,), (b_in,) = collision_rows(reference.states[None, 1:],
+                                          (keep_out_axes(vehicle.geometry),),
+                                          opponent_strategies[opp_id])
+        collisions.append((SparseRows(pose_columns(n), grad, segment.n_vars), b_in,
+                           (f"collision({opp_id})",) * n))
     a_eq, b_eq, eq_tags = stack_dense(rows.eq)
-    a_in, b_in, in_tags = stack_dense(rows.head + collisions + rows.tail)
+    a_in, b_in, in_tags = stack_dense(rows.head + tuple(collisions) + rows.tail)
     return ConstraintSystem(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, a_in=a_in, b_in=b_in,
                             in_tags=in_tags)
 
@@ -435,8 +463,7 @@ def profile_violation(strategies, scenario):
         dy = np.delete(positions[:, :, 1], k, axis=0) - py
         rx = cos * dx + sin * dy
         ry = -sin * dx + cos * dy
-        ax = (geo.length + geo.diagonal) / 2.0
-        by = (geo.width + geo.diagonal) / 2.0
+        ax, by = keep_out_axes(geo)
         worst = max(worst, *(float(np.max(term, initial=0.0)) for term in (
             np.maximum(limited - upper, lower - limited),
             np.maximum(vy - road.boundary_y(max(lanes) + 1), road.boundary_y(min(lanes)) - vy),

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (Segment, StaticRows, Strategy, coefficient_key, collision_rows,
-                          restated_rows, stack_dense, start_state, static_rows)
-from .qp import (OPTIMAL, Elimination, EqFactors, ReducedQp, SparseRows, factor_equalities,
-                 particular)
+                          keep_out_axes, pose_columns, restated_rows, stack_dense, start_state,
+                          static_rows)
+from .qp import (OPTIMAL, Elimination, EqFactors, ReducedQp, SparseRows, _require_finite,
+                 factor_equalities, particular)
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
@@ -195,32 +196,63 @@ def _player_system(game, vid):
     return entry.rows, entry.elimination
 
 
+class _KeepOut:
+    """The keep-out rows of the decision players of one game against the
+    latest strategy of each opponent. The first workspace that needs rows
+    against an opponent's `Strategy` object (checked by identity, as the
+    slots check it) builds them in one `collision_rows` call for every
+    decision player that faces that opponent."""
+
+    def __init__(self, game):
+        ids = game.decision_ids
+        axes = {vid: keep_out_axes(game.scenario.vehicle(vid).geometry) for vid in ids}
+        self._facing = {}  # opponent id -> (row of each player, their poses, their semi-axes)
+        for oid in set(game.weights) | set(game.fixed):
+            players = [vid for vid in ids if vid != oid]
+            if players:
+                self._facing[oid] = ({vid: k for k, vid in enumerate(players)},
+                                     np.stack([game.references[vid].states[1:] for vid in players]),
+                                     [axes[vid] for vid in players])
+        self._latest = {}  # opponent id -> (strategy, gradients, b)
+
+    def rows(self, vid, oid, strategy):
+        """Player `vid`'s keep-out gradients (n, 3) and b (n,) against
+        `strategy`, opponent `oid`'s."""
+        index, poses, axes = self._facing[oid]
+        held = self._latest.get(oid)
+        if held is None or held[0] is not strategy:
+            grad, b_in = collision_rows(poses, axes, strategy)
+            _require_finite(b_in=b_in)
+            held = self._latest[oid] = (strategy, grad, b_in)
+        return held[1][index[vid]], held[2][index[vid]]
+
+
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the player's shared
     static rows `rows`, the reduced quadratic block for its weights on their
     shared elimination, and one stack of its inequality rows in solver order,
     as the solver reads them: `SparseRows` padded to the widest static block
     (a collision row touches the pose columns, as a lane row does), with each
-    row's b and its d from `ReducedQp.reduce_rows`. Between the static head
-    and tail blocks sits one collision slot per opponent, written in place
-    from the rows `collision_rows` builds against the opponent `Strategy`
-    object the slot records. The check is by identity: every accepted best
-    response makes a new strategy object, and a transport passes on the
-    objects it receives. A slot is rebuilt only when its opponent's strategy
-    has changed; a best response against the same opponent objects as the
-    last one returns the stored solution. Every solve uses the scenario's
-    solver settings."""
+    row's b and its d = b - A s_part. Between the static head and tail blocks
+    sits one collision slot per opponent. A slot's columns, and s_part at
+    them, are fixed when the workspace is built; its coefficients, b and d
+    are copied in from the game's `_KeepOut` batch when the opponent
+    `Strategy` object the slot records changes. The check is by identity:
+    every accepted best response makes a new strategy object, and a
+    transport passes on the objects it receives. A best response against the
+    same opponent objects as the last one returns the stored solution. Every
+    solve uses the scenario's solver settings. A workspace built without a
+    batch gets one of its own."""
 
-    def __init__(self, game, vid):
+    def __init__(self, game, vid, keep_out=None):
         self.vid = vid
-        self.geometry = game.scenario.vehicle(vid).geometry
         self.settings = game.scenario.solver
-        self.reference = game.references[vid]
-        self.s_ref = reference_vector(self.reference, game.segment)
-        self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.reference,
-                                                    game.segment)
+        reference = game.references[vid]
+        self.s_ref = reference_vector(reference, game.segment)
+        self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], reference, game.segment)
         self.rows, elimination = _player_system(game, vid)
         self.reduced = ReducedQp(self.h_diag, elimination)
+        self._keep_out = keep_out or _KeepOut(game)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
         head, tail = self.rows.head, self.rows.tail
         n = game.segment.n_steps
@@ -241,6 +273,10 @@ class _PlayerWorkspace:
                 self._write(slice(at, at + b.size), a, b)
                 at += b.size
             at += slots
+        columns = pose_columns(n)
+        for span in self._slots.values():
+            self._cols[span, :3] = columns
+        self._pose_part = self.reduced.s_part.take(columns)  # s_part at a slot's columns
         self._built = dict.fromkeys(self.opponent_ids)  # the strategy each slot holds
         self._solved = None  # (opponent strategies, solution)
         self._warm = ()  # the last optimal working set, as row indices of the stack
@@ -260,8 +296,10 @@ class _PlayerWorkspace:
         strategies = tuple(opponents[oid] for oid in self.opponent_ids)
         for oid, strat in zip(self.opponent_ids, strategies):
             if self._built[oid] is not strat:
-                rows, b_in, _ = collision_rows(self.reference, strat, self.geometry, oid)
-                self._write(self._slots[oid], rows, b_in)
+                grad, b_in = self._keep_out.rows(self.vid, oid, strat)
+                span = self._slots[oid]
+                self._coef[span, :3], self._b[span] = grad, b_in
+                self._d[span] = b_in - np.einsum("ij,ij->i", grad, self._pose_part)
                 self._built[oid] = strat
         return strategies
 
@@ -353,7 +391,8 @@ def solve_games(game, observer=None):
     """
     settings = game.scenario.solver
     observer = observer or _NullObserver()
-    workspaces = {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
+    keep_out = _KeepOut(game)
+    workspaces = {vid: _PlayerWorkspace(game, vid, keep_out) for vid in game.decision_ids}
     strategies = {vid: Strategy.from_reference(game.references[vid], game.segment)
                   for vid in game.decision_ids}
     current = dict(game.fixed)
@@ -435,8 +474,15 @@ class VeReport:
 
 
 def ve_residual(strategies, game):
-    """Best-response gaps and worst violation of a given joint profile."""
-    workspaces = {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
+    """Best-response gaps and worst violation of a given joint profile, which
+    must hold a strategy on the game's segment for every decision player."""
+    for vid in game.decision_ids:
+        if vid not in strategies:
+            raise ValueError(f"decision player {vid} has no strategy in the profile")
+        if strategies[vid].segment != game.segment:
+            raise ValueError(f"strategy for player {vid} lives on a different segment")
+    keep_out = _KeepOut(game)
+    workspaces = {vid: _PlayerWorkspace(game, vid, keep_out) for vid in game.decision_ids}
     current = dict(game.fixed)
     current.update({vid: strategies[vid] for vid in game.decision_ids})
     gaps, objectives = _profile_certificates(game, workspaces, current)

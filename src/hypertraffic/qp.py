@@ -312,13 +312,6 @@ class SparseRows:
             raise ValueError(f"rows have {self.n_cols} columns, the operand {x.shape[0]} rows")
         return np.einsum("ij,ij...->i...", self.coef, x.take(self.cols, axis=0))
 
-    def dense(self):
-        """The dense matrix; a column repeated in a row gets the sum of its
-        coefficients, added slot by slot."""
-        m, n = self.shape
-        flat = np.arange(m)[:, None] * n + self.cols
-        return np.bincount(flat.ravel(), self.coef.ravel(), m * n).reshape(m, n)
-
 
 def _lu_solve(l1, upper, rhs):
     """Solve (l1 @ upper) x = rhs with the triangles of an `EqFactors`, given

@@ -92,6 +92,13 @@ def test_verify_hne_accepts_the_aligned_pipeline():
     assert verdict.max_violation <= 1e-3
 
 
+def test_verify_hne_refuses_a_profile_without_a_player():
+    scen = _scen()
+    model = predict_hv(scen, scen.hv.weights_true)
+    with pytest.raises(ValueError, match="^decision player 1 has no strategy in the profile$"):
+        verify_hne({0: model.s_0c}, scen, eps_p=1e-4)
+
+
 def test_verify_hne_flags_deviating_players():
     scen = interpolated_scenario(_scen(), 0.0)
     model = predict_hv(scen, scen.hv.weights_true)

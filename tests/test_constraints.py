@@ -18,10 +18,16 @@ from hypertraffic.constraints import (
     box_rows,
     collision_rows,
     dynamics_rows,
+    keep_out_axes,
     lane_rows,
+    pose_columns,
     profile_violation,
+    stack_dense,
+    start_state,
+    static_rows,
 )
 from hypertraffic.dynamics import ControlInput, VehicleGeometry, VehicleState, linearize_discrete
+from hypertraffic.qp import SparseRows
 from hypertraffic.scenario import (
     default_offline_scenario,
     default_online_scenario,
@@ -57,6 +63,16 @@ def _ref(scen, vid):
 
 def _seed_strategy(scen, vid):
     return Strategy.from_reference(_ref(scen, vid), Segment(1, scen.horizon))
+
+
+def _collision_block(reference, opponent_strategy, geometry, opponent_id):
+    """One player's keep-out rows as (rows, rhs, tags), from a one-player
+    `collision_rows` call, as `assemble` forms them."""
+    (grad,), (rhs,) = collision_rows(reference.states[None, 1:], (keep_out_axes(geometry),),
+                                     opponent_strategy)
+    n = len(reference) - 1
+    return (SparseRows(pose_columns(n), grad, STEP_VARS * n), rhs,
+            (f"collision({opponent_id})",) * n)
 
 
 def test_segment_basics():
@@ -204,8 +220,71 @@ def test_vectorized_rows_match_the_loop_oracles(make_scenario):
             for other in sorted(set(full_refs) - {vid}):
                 opp = Strategy.from_reference(full_refs[other].window(segment.start, segment.stop),
                                               segment)
-                _assert_dense_equal(collision_rows(ref, opp, geo, other),
+                _assert_dense_equal(_collision_block(ref, opp, geo, other),
                                     dense_collision_rows(ref, opp, geo, other))
+
+
+@pytest.mark.parametrize(
+    "make_scenario", [default_offline_scenario, default_online_scenario, success_study_scenario]
+)
+def test_collision_rows_of_a_stack_of_players_equal_one_call_per_player(make_scenario):
+    # On the full horizon and on an online stage's window, the rows of every
+    # player against one opponent strategy, built in one call, are bitwise
+    # those of one call per player, and so the dense oracle's rows exactly.
+    scen = make_scenario()
+    full_refs = scen.references()
+    ids = sorted(full_refs)
+    for segment in (Segment(1, scen.horizon), Segment(13, 25)):
+        refs = {vid: full_refs[vid].window(segment.start, segment.stop) for vid in ids}
+        poses = np.stack([refs[vid].states[1:] for vid in ids])
+        axes = [keep_out_axes(scen.vehicle(vid).geometry) for vid in ids]
+        for other in ids:
+            opp = Strategy.from_reference(refs[other], segment)
+            grad, rhs = collision_rows(poses, axes, opp)
+            assert grad.shape == (len(ids), segment.n_steps, 3)
+            assert rhs.shape == (len(ids), segment.n_steps)
+            for k, vid in enumerate(ids):
+                (one_grad,), (one_rhs,) = collision_rows(poses[k:k + 1], axes[k:k + 1], opp)
+                assert np.array_equal(grad[k].view(np.uint64), one_grad.view(np.uint64))
+                assert np.array_equal(rhs[k].view(np.uint64), one_rhs.view(np.uint64))
+                if vid != other:
+                    geo = scen.vehicle(vid).geometry
+                    block = (SparseRows(pose_columns(segment.n_steps), grad[k], segment.n_vars),
+                             rhs[k], (f"collision({other})",) * segment.n_steps)
+                    _assert_dense_equal(block, dense_collision_rows(refs[vid], opp, geo, other))
+
+
+def _dense_block(rows):
+    """One block made dense by a `bincount` of its own."""
+    m, n = rows.shape
+    flat = np.arange(m)[:, None] * n + rows.cols
+    return np.bincount(flat.ravel(), rows.coef.ravel(), m * n).reshape(m, n)
+
+
+@pytest.mark.parametrize(
+    "make_scenario", [default_offline_scenario, default_online_scenario, success_study_scenario]
+)
+def test_stack_dense_equals_the_dense_blocks_stacked_bitwise(make_scenario):
+    # One write of A over every block's flat indices gives the bits of each
+    # block made dense on its own by a `bincount` and stacked, as A was
+    # written before, repeated columns included.
+    scen = make_scenario()
+    for segment in (Segment(1, scen.horizon), Segment(13, 25)):
+        refs = {vid: full.window(segment.start, segment.stop)
+                for vid, full in scen.references().items()}
+        for vid, ref in refs.items():
+            vehicle = scen.vehicle(vid)
+            rows = static_rows(vehicle, scen, segment, ref, start_state(vehicle, segment, ref))
+            collisions = tuple(_collision_block(ref, Strategy.from_reference(refs[k], segment),
+                                                vehicle.geometry, k)
+                               for k in sorted(set(refs) - {vid}))
+            for blocks in (rows.eq, rows.head + collisions + rows.tail):
+                a, b, tags = stack_dense(blocks)
+                want = np.vstack([_dense_block(block) for block, _, _ in blocks])
+                assert a.shape == want.shape
+                assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(b, np.concatenate([rhs for _, rhs, _ in blocks]))
+                assert tags == sum((t for _, _, t in blocks), ())
 
 
 def _assert_dense_equal(sparse, dense):
@@ -280,7 +359,7 @@ def test_collision_rows_reproduce_nonlinear_value_at_reference():
     ref = _ref(scen, 0)
     geo = scen.vehicle(0).geometry
     opp = _seed_strategy(scen, 1)
-    a_in, rhs, tags = collision_rows(ref, opp, geo, 1)
+    a_in, rhs, tags = _collision_block(ref, opp, geo, 1)
     n = len(ref) - 1
     assert a_in.shape == (n, STEP_VARS * n)
     assert set(tags) == {"collision(1)"}
@@ -298,7 +377,7 @@ def test_collision_row_gradient_matches_finite_differences():
     ref = _ref(scen, 0)
     geo = scen.vehicle(0).geometry
     opp = _seed_strategy(scen, 1)
-    a_in = densify(collision_rows(ref, opp, geo, 1)[0])
+    a_in = densify(_collision_block(ref, opp, geo, 1)[0])
     opp_pos = opp.positions()
     for k in (5, 20, 34):
         pose = ref.states[k + 1]
@@ -319,8 +398,8 @@ def test_collision_rows_segment_mismatch():
     short = Strategy.from_reference(
         scen.references()[1].window(1, 10), Segment(1, 10)
     )
-    with pytest.raises(ValueError):
-        collision_rows(ref, short, scen.vehicle(0).geometry, 1)
+    with pytest.raises(ValueError, match="does not cover the player's segment"):
+        collision_rows(ref.states[None, 1:], (keep_out_axes(scen.vehicle(0).geometry),), short)
 
 
 def test_behavior_rows_straight_pins_heading():

@@ -307,3 +307,22 @@ def test_a_non_finite_reference_or_fixed_strategy_is_refused_naming_the_player(f
         build = lambda: make_game(scen, deciding, fixed={2: Strategy(base.segment, data)})
     with pytest.raises(ValueError, match=message):
         solve_games(build())
+
+
+@pytest.mark.parametrize("fault", ["missing", "segment"])
+def test_ve_residual_refuses_a_profile_without_a_decision_player_or_off_the_segment(fault):
+    # The parent raised a bare KeyError(3) for the missing player, and failed
+    # deep in the sweep for the short strategy.
+    scen = _scen()
+    game = make_game(scen, _true_weights(scen))
+    profile = {vid: Strategy.from_reference(game.references[vid], game.segment)
+               for vid in game.decision_ids}
+    if fault == "missing":
+        del profile[3]
+        message = "^decision player 3 has no strategy in the profile$"
+    else:
+        short = Segment(1, 10)
+        profile[3] = Strategy.from_reference(scen.references()[3].window(1, 10), short)
+        message = "^strategy for player 3 lives on a different segment$"
+    with pytest.raises(ValueError, match=message):
+        ve_residual(profile, game)

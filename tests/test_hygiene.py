@@ -211,9 +211,10 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     """The workflow installs the package, runs the tier-1 tests, runs three
     short studies through the installed `hypertraffic` console script (the
     online one re-plans every stage, so it solves cached coefficients for new
-    right-hand sides; the offline one runs the inverse fit), and then the
+    right-hand sides; the offline one runs the inverse fit), then the
     benchmark on its reference seed, which exits non-zero when any op misses
-    `bench/reference.json`."""
+    `bench/reference.json`, and last one traced benchmark run, which exits
+    non-zero when any op's traced and untraced results differ bitwise."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
@@ -228,6 +229,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic interpret-offline --reps 1 --seed 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
+        "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "
+        "--seconds 5 --trace 1",
     ]
     assert runs[1][1] == {"OPENBLAS_NUM_THREADS": "1"}
 

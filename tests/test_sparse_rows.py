@@ -2,7 +2,7 @@
 active-set solver reads, against the dense matrix `_oracles.densify` builds
 from it entry by entry: the product with a vector, the reduced rows A Z the
 solver forms for its working set, the right-hand sides `reduce_rows` gives,
-its own densified form, and the rows `SparseRows.from_dense` reads off the
+its densified form (`constraints.stack_dense` of the one block), and the rows `SparseRows.from_dense` reads off the
 dense matrix, on random blocks. The sparse products gather and sum at most k
 products per row where BLAS sums n, so they agree within a few ulps of the
 row's sum of |products|."""
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertraffic.constraints import stack_dense
 from hypertraffic.qp import ReducedQp, SparseRows, _reduced_rows, eliminate
 
 from _oracles import densify, sparsify
@@ -54,7 +55,7 @@ def test_sparse_rows_agree_with_their_dense_oracle(block):
     rows, x, a_eq, b_eq = block
     dense = densify(rows)
     assert rows.shape == dense.shape
-    assert np.array_equal(rows.dense(), dense)
+    assert np.array_equal(stack_dense([(rows, np.zeros(rows.shape[0]), ())])[0], dense)
     assert np.all(np.abs(rows @ x - dense @ x) <= 16 * EPS * _gathered_scale(rows, x))
 
     reduced = ReducedQp(np.ones(rows.n_cols), eliminate(a_eq, b_eq))

@@ -1,5 +1,6 @@
-"""A player workspace builds each opponent's collision rows once per opponent
-strategy, reuses its last solve when nothing it reads has changed, and starts
+"""A game builds the collision rows against each opponent strategy once, for
+every decision player in one call; a player workspace copies its rows into
+its slot, reuses its last solve when nothing it reads has changed, and starts
 each solve from the working set of its last optimal one. These tests pin that
 the row and solve reuse moves no bit, and that the warm start moves strategies
 by round-off only: 1e-9 of the cold solve, relative to the strategy's size."""
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from hypertraffic import game as game_module
-from hypertraffic.constraints import Strategy
+from hypertraffic.constraints import Segment, Strategy, collision_rows, keep_out_axes, pose_columns
 from hypertraffic.game import _PlayerWorkspace, best_response, make_game, solve_games, ve_residual
 from hypertraffic.netsim import run_distributed
-from hypertraffic.qp import GiSolver, ReducedQp
+from hypertraffic.qp import GiSolver, ReducedQp, SparseRows
 from hypertraffic.scenario import (
     default_offline_scenario,
     default_online_scenario,
@@ -28,9 +29,9 @@ SCENARIOS = {
 
 
 @lru_cache(maxsize=None)
-def _game(name):
+def _game(name, segment=None):
     scen = SCENARIOS[name]()
-    return make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
+    return make_game(scen, {v.vid: v.weights_true for v in scen.vehicles}, segment)
 
 
 def _seeds(game):
@@ -67,38 +68,64 @@ def _cold_sweeps(monkeypatch):
 @pytest.mark.parametrize("transport", ["centralized", "distributed"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, name, transport):
+    # One `collision_rows` call per (opponent id, Strategy object) per game,
+    # for every other decision player at once: a slot update that finds the
+    # rows built by another player's workspace makes no call.
     game = _game(name)
-    builds = {}
-    keep = []  # holds every argument, so no id() is reused during the solve
-    built = []  # every collision block, in build order
+    built = []  # the opponent strategy of every call, which also keeps it alive
+    needed = []  # (opponent id, strategy) of every slot update
     original_rows = game_module.collision_rows
+    original_batch = game_module._KeepOut.rows
 
-    def counting_rows(reference, opponent_strategy, geometry, opponent_id):
-        keep.append((reference, opponent_strategy))
-        key = (id(reference), opponent_id, id(opponent_strategy))
-        builds[key] = builds.get(key, 0) + 1
-        block = original_rows(reference, opponent_strategy, geometry, opponent_id)
-        built.append(block[0])
-        return block
+    def counting_rows(poses, semi_axes, opponent_strategy):
+        assert poses.shape[0] == len(semi_axes) == len(game.decision_ids) - 1
+        built.append(opponent_strategy)
+        return original_rows(poses, semi_axes, opponent_strategy)
 
-    reduced = []  # every block `reduce_rows` is given, in call order
-    original_reduce = ReducedQp.reduce_rows
-
-    def counting_reduce(self, a_in, b_in):
-        reduced.append(a_in)
-        return original_reduce(self, a_in, b_in)
+    def recording_batch(self, vid, oid, strategy):
+        needed.append((oid, strategy))
+        return original_batch(self, vid, oid, strategy)
 
     monkeypatch.setattr(game_module, "collision_rows", counting_rows)
-    monkeypatch.setattr(ReducedQp, "reduce_rows", counting_reduce)
+    monkeypatch.setattr(game_module._KeepOut, "rows", recording_batch)
     if transport == "distributed":
-        result, _ = run_distributed(game)
+        run_distributed(game)
     else:
-        result = solve_games(game)
-    assert builds and max(builds.values()) == 1
-    # Each collision block built is reduced once, in build order.
-    collisions = [rows for rows in reduced if any(rows is block for block in built)]
-    assert len(collisions) == len(built)
-    assert all(a is b for a, b in zip(collisions, built))
+        solve_games(game)
+    pairs = {(oid, id(strat)) for oid, strat in needed}
+    assert len({id(strat) for _, strat in needed}) == len(pairs)  # a strategy is one player's
+    assert len(built) == len(pairs)
+    assert {id(strat) for strat in built} == {id(strat) for _, strat in needed}
+    assert len(built) < len(needed)
+
+
+@pytest.mark.parametrize("name, segment", [(name, None) for name in sorted(SCENARIOS)]
+                         + [("online", Segment(13, 25))], ids=[*sorted(SCENARIOS), "online-stage"])
+def test_every_slot_holds_its_rows_and_the_d_of_reduce_rows(name, segment):
+    # Each slot holds bitwise the rows of a one-player `collision_rows` call
+    # against its opponent's strategy, on the columns the rows name, with the
+    # d that `ReducedQp.reduce_rows` gives for them; on the full horizon and
+    # on an online stage, at the seeds and at the solved profile.
+    game = _game(name, segment)
+    n, n_vars = game.segment.n_steps, game.segment.n_vars
+    solved = {**game.fixed, **solve_games(game).strategies}
+    keep_out = game_module._KeepOut(game)
+    workspaces = {vid: _PlayerWorkspace(game, vid, keep_out) for vid in game.decision_ids}
+    for profile in (_seeds(game), solved):
+        for vid, ws in workspaces.items():
+            opponents = game.opponents_of(vid, profile)
+            ws.best_response(opponents)
+            poses = game.references[vid].states[None, 1:]
+            axes = (keep_out_axes(game.scenario.vehicle(vid).geometry),)
+            for oid, span in ws._slots.items():
+                (grad,), (b_in,) = collision_rows(poses, axes, opponents[oid])
+                rows = SparseRows(pose_columns(n), grad, n_vars)
+                assert np.array_equal(ws._cols[span, :3], rows.cols)
+                assert np.array_equal(ws._coef[span, :3].view(np.uint64), grad.view(np.uint64))
+                assert not np.any(ws._coef[span, 3:])
+                assert np.array_equal(ws._b[span].view(np.uint64), b_in.view(np.uint64))
+                _, d_want = ws.reduced.reduce_rows(rows, b_in)
+                assert np.array_equal(ws._d[span].view(np.uint64), d_want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -164,10 +191,11 @@ def test_a_new_strategy_object_with_equal_data_is_rebuilt(monkeypatch):
     calls = []
     original = game_module.collision_rows
     monkeypatch.setattr(game_module, "collision_rows",
-                        lambda *args: calls.append(args[3]) or original(*args))
+                        lambda poses, axes, strategy: calls.append(strategy)
+                        or original(poses, axes, strategy))
     copies = {k: Strategy(s.segment, s.data.copy()) for k, s in opponents.items()}
     again = ws.best_response(copies)
-    assert sorted(calls) == sorted(opponents)
+    assert sorted(map(id, calls)) == sorted(map(id, copies.values()))
     assert again is not first
     _assert_same_solution(again, first)
 
