@@ -122,10 +122,15 @@ class ConstraintSystem:
             raise ValueError("equality and inequality column counts differ")
 
 
+def _step_columns(steps, offsets):
+    """Row i holds the columns `offsets` (broadcast per row) of step steps[i]."""
+    return STEP_VARS * steps[:, None] + offsets
+
+
 def _step_rows(steps, offsets, coef, n_steps):
     """`SparseRows` over an n-step strategy whose row i has the coefficients
     coef[i] on the columns `offsets` (broadcast per row) of step steps[i]."""
-    return SparseRows(STEP_VARS * steps[:, None] + offsets, coef, STEP_VARS * n_steps)
+    return SparseRows(_step_columns(steps, offsets), coef, STEP_VARS * n_steps)
 
 
 def dynamics_rows(reference, geometry, initial_state=None):
@@ -251,7 +256,7 @@ def keep_out_axes(geometry):
 def pose_columns(n_steps):
     """The columns of each step's pose (p_x, p_y, psi) in an n-step strategy,
     one row per step: where a keep-out row's coefficients sit."""
-    return STEP_VARS * np.arange(n_steps)[:, None] + _POSE_COLUMNS
+    return _step_columns(np.arange(n_steps), _POSE_COLUMNS)
 
 
 def collision_rows(poses, semi_axes, opponent_strategy):
@@ -426,7 +431,7 @@ def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=
         (grad,), (b_in,) = collision_rows(reference.states[None, 1:],
                                           (keep_out_axes(vehicle.geometry),),
                                           opponent_strategies[opp_id])
-        collisions.append((SparseRows(pose_columns(n), grad, segment.n_vars), b_in,
+        collisions.append((_step_rows(np.arange(n), _POSE_COLUMNS, grad, n), b_in,
                            (f"collision({opp_id})",) * n))
     a_eq, b_eq, eq_tags = stack_dense(rows.eq)
     a_in, b_in, in_tags = stack_dense(rows.head + tuple(collisions) + rows.tail)

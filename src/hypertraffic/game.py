@@ -197,34 +197,29 @@ def _player_system(game, vid):
 
 
 class _KeepOut:
-    """The keep-out rows of the decision players of one game against the
-    latest strategy of each opponent. The first workspace that needs rows
-    against an opponent's `Strategy` object (checked by identity, as the
-    slots check it) builds them in one `collision_rows` call for every
-    decision player that faces that opponent."""
+    """The keep-out rows of a game's decision players against the latest
+    strategy of each opponent. The first workspace that needs rows against an
+    opponent's `Strategy` object (checked by identity, as the slots check it)
+    builds them in one `collision_rows` call for every decision player; an
+    opponent's row against its own strategy is built too and never read."""
 
     def __init__(self, game):
         ids = game.decision_ids
-        axes = {vid: keep_out_axes(game.scenario.vehicle(vid).geometry) for vid in ids}
-        self._facing = {}  # opponent id -> (row of each player, their poses, their semi-axes)
-        for oid in set(game.weights) | set(game.fixed):
-            players = [vid for vid in ids if vid != oid]
-            if players:
-                self._facing[oid] = ({vid: k for k, vid in enumerate(players)},
-                                     np.stack([game.references[vid].states[1:] for vid in players]),
-                                     [axes[vid] for vid in players])
+        self._index = {vid: k for k, vid in enumerate(ids)}
+        self._poses = np.stack([game.references[vid].states[1:] for vid in ids])
+        self._axes = [keep_out_axes(game.scenario.vehicle(vid).geometry) for vid in ids]
         self._latest = {}  # opponent id -> (strategy, gradients, b)
 
     def rows(self, vid, oid, strategy):
         """Player `vid`'s keep-out gradients (n, 3) and b (n,) against
         `strategy`, opponent `oid`'s."""
-        index, poses, axes = self._facing[oid]
         held = self._latest.get(oid)
         if held is None or held[0] is not strategy:
-            grad, b_in = collision_rows(poses, axes, strategy)
+            grad, b_in = collision_rows(self._poses, self._axes, strategy)
             _require_finite(b_in=b_in)
             held = self._latest[oid] = (strategy, grad, b_in)
-        return held[1][index[vid]], held[2][index[vid]]
+        k = self._index[vid]
+        return held[1][k], held[2][k]
 
 
 class _PlayerWorkspace:
@@ -235,16 +230,16 @@ class _PlayerWorkspace:
     (a collision row touches the pose columns, as a lane row does), with each
     row's b and its d = b - A s_part. Between the static head and tail blocks
     sits one collision slot per opponent. A slot's columns, and s_part at
-    them, are fixed when the workspace is built; its coefficients, b and d
-    are copied in from the game's `_KeepOut` batch when the opponent
-    `Strategy` object the slot records changes. The check is by identity:
-    every accepted best response makes a new strategy object, and a
-    transport passes on the objects it receives. A best response against the
-    same opponent objects as the last one returns the stored solution. Every
-    solve uses the scenario's solver settings. A workspace built without a
-    batch gets one of its own."""
+    them, are fixed when the workspace is built; when the opponent
+    `Strategy` object the slot records changes, the player's coefficients
+    and b are copied in from the game's `_KeepOut` batch and d is formed on
+    the gathered s_part. The check is by identity: every accepted best
+    response makes a new strategy object, and a transport passes on the
+    objects it receives. A best response against the same opponent objects
+    as the last one returns the stored solution. Every solve uses the
+    scenario's solver settings."""
 
-    def __init__(self, game, vid, keep_out=None):
+    def __init__(self, game, vid, keep_out):
         self.vid = vid
         self.settings = game.scenario.solver
         reference = game.references[vid]
@@ -252,7 +247,7 @@ class _PlayerWorkspace:
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], reference, game.segment)
         self.rows, elimination = _player_system(game, vid)
         self.reduced = ReducedQp(self.h_diag, elimination)
-        self._keep_out = keep_out or _KeepOut(game)
+        self._keep_out = keep_out
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
         head, tail = self.rows.head, self.rows.tail
         n = game.segment.n_steps
@@ -299,6 +294,8 @@ class _PlayerWorkspace:
                 grad, b_in = self._keep_out.rows(self.vid, oid, strat)
                 span = self._slots[oid]
                 self._coef[span, :3], self._b[span] = grad, b_in
+                # Bitwise `reduce_rows`'s d (the product `SparseRows @` forms)
+                # at a third of the cost of a `_write` of the slot.
                 self._d[span] = b_in - np.einsum("ij,ij->i", grad, self._pose_part)
                 self._built[oid] = strat
         return strategies
@@ -461,7 +458,7 @@ def solve_games(game, observer=None):
 
 def best_response(player, opponents, game):
     """Single best-response QP of one player against fixed opponent strategies."""
-    return _PlayerWorkspace(game, player).best_response(opponents)
+    return _PlayerWorkspace(game, player, _KeepOut(game)).best_response(opponents)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypertraffic.constraints import Segment, Strategy, X_V, STEP_VARS, assemble, profile_violation
 from hypertraffic.game import (
     WEIGHT_PATTERN,
+    _KeepOut,
     _PlayerWorkspace,
     best_response,
     make_game,
@@ -75,7 +76,8 @@ def test_objective_value_matches_qp_data():
     s_ref = reference_vector(ref, seg)
     const = 0.5 * s_ref @ (h_diag * s_ref)
     quad = 0.5 * s.data @ (h_diag * s.data) + f_vec @ s.data + const
-    workspace = _PlayerWorkspace(make_game(scen, {0: weights}), 0)
+    game = make_game(scen, {0: weights})
+    workspace = _PlayerWorkspace(game, 0, _KeepOut(game))
     assert workspace.objective(s.data) == pytest.approx(quad, rel=1e-12)
     # zero cost exactly on the reference
     on_ref = Strategy.from_reference(ref, seg)

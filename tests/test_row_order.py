@@ -71,7 +71,7 @@ def _solved_rows(monkeypatch, game, vid, opponents):
         return original(self, f_vec, rows, d_red, settings, warm=warm)
 
     monkeypatch.setattr(ReducedQp, "solve", spy)
-    workspace = game_module._PlayerWorkspace(game, vid)
+    workspace = game_module._PlayerWorkspace(game, vid, game_module._KeepOut(game))
     workspace.best_response(opponents)
     monkeypatch.setattr(ReducedQp, "solve", original)
     assert len(seen) == 1 and seen[0][0] is workspace.reduced

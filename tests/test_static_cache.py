@@ -18,7 +18,7 @@ from hypertraffic import constraints
 from hypertraffic import game as game_module
 from hypertraffic import harness
 from hypertraffic.constraints import Segment, Strategy
-from hypertraffic.game import _PlayerWorkspace, make_game, solve_games
+from hypertraffic.game import _KeepOut, _PlayerWorkspace, make_game, solve_games
 from hypertraffic.scenario import (
     STRAIGHT,
     StyleWeights,
@@ -73,7 +73,8 @@ def _scaled_weights(scen, seed):
 
 
 def _workspaces(game):
-    return {vid: _PlayerWorkspace(game, vid) for vid in game.decision_ids}
+    keep_out = _KeepOut(game)
+    return {vid: _PlayerWorkspace(game, vid, keep_out) for vid in game.decision_ids}
 
 
 def _system_parts(ws):
@@ -462,7 +463,7 @@ def test_a_cache_entry_at_h121_stays_small(kind, bound):
     scen = _scenario("h121")
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
-    _PlayerWorkspace(game, vid)
+    _PlayerWorkspace(game, vid, _KeepOut(game))
     (entry,) = game_module._STATIC_PARTS.values()
     held = _kept_arrays(entry, {})
     assert any(a is entry.factors.l1[2] or a is entry.factors.l1[2].base for a in held.values())

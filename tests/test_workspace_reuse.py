@@ -12,7 +12,7 @@ import pytest
 
 from hypertraffic import game as game_module
 from hypertraffic.constraints import Segment, Strategy, collision_rows, keep_out_axes, pose_columns
-from hypertraffic.game import _PlayerWorkspace, best_response, make_game, solve_games, ve_residual
+from hypertraffic.game import _KeepOut, _PlayerWorkspace, best_response, make_game, solve_games, ve_residual
 from hypertraffic.netsim import run_distributed
 from hypertraffic.qp import GiSolver, ReducedQp, SparseRows
 from hypertraffic.scenario import (
@@ -69,33 +69,35 @@ def _cold_sweeps(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_each_collision_row_is_built_once_per_opponent_strategy(monkeypatch, name, transport):
     # One `collision_rows` call per (opponent id, Strategy object) per game,
-    # for every other decision player at once: a slot update that finds the
-    # rows built by another player's workspace makes no call.
+    # for every decision player at once: a slot update that finds the rows
+    # built by another player's workspace makes no call. A workspace updates
+    # a slot once per opponent strategy.
     game = _game(name)
     built = []  # the opponent strategy of every call, which also keeps it alive
-    needed = []  # (opponent id, strategy) of every slot update
+    needed = []  # (player, opponent id, strategy) of every slot update
     original_rows = game_module.collision_rows
-    original_batch = game_module._KeepOut.rows
+    original_batch = _KeepOut.rows
 
     def counting_rows(poses, semi_axes, opponent_strategy):
-        assert poses.shape[0] == len(semi_axes) == len(game.decision_ids) - 1
+        assert poses.shape[0] == len(semi_axes) == len(game.decision_ids)
         built.append(opponent_strategy)
         return original_rows(poses, semi_axes, opponent_strategy)
 
     def recording_batch(self, vid, oid, strategy):
-        needed.append((oid, strategy))
+        needed.append((vid, oid, strategy))
         return original_batch(self, vid, oid, strategy)
 
     monkeypatch.setattr(game_module, "collision_rows", counting_rows)
-    monkeypatch.setattr(game_module._KeepOut, "rows", recording_batch)
+    monkeypatch.setattr(_KeepOut, "rows", recording_batch)
     if transport == "distributed":
         run_distributed(game)
     else:
         solve_games(game)
-    pairs = {(oid, id(strat)) for oid, strat in needed}
-    assert len({id(strat) for _, strat in needed}) == len(pairs)  # a strategy is one player's
+    assert len(needed) == len({(vid, oid, id(strat)) for vid, oid, strat in needed})
+    pairs = {(oid, id(strat)) for _, oid, strat in needed}
+    assert len({id(strat) for _, _, strat in needed}) == len(pairs)  # a strategy is one player's
     assert len(built) == len(pairs)
-    assert {id(strat) for strat in built} == {id(strat) for _, strat in needed}
+    assert {id(strat) for strat in built} == {id(strat) for _, _, strat in needed}
     assert len(built) < len(needed)
 
 
@@ -109,7 +111,7 @@ def test_every_slot_holds_its_rows_and_the_d_of_reduce_rows(name, segment):
     game = _game(name, segment)
     n, n_vars = game.segment.n_steps, game.segment.n_vars
     solved = {**game.fixed, **solve_games(game).strategies}
-    keep_out = game_module._KeepOut(game)
+    keep_out = _KeepOut(game)
     workspaces = {vid: _PlayerWorkspace(game, vid, keep_out) for vid in game.decision_ids}
     for profile in (_seeds(game), solved):
         for vid, ws in workspaces.items():
@@ -134,7 +136,7 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
     solved = solve_games(game).strategies
     seeds = _seeds(game)
     for vid in game.decision_ids:
-        ws = _PlayerWorkspace(game, vid)
+        ws = _PlayerWorkspace(game, vid, _KeepOut(game))
         ws.best_response(game.opponents_of(vid, seeds))
         # Rows rebuilt by a violation check, then projected by the next solve.
         ws.violation_at(solved[vid].data, game.opponents_of(vid, solved))
@@ -143,7 +145,7 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
             opponents = game.opponents_of(vid, profile)
             got = ws.best_response(opponents)
             _assert_same_solution(got, best_response(vid, opponents, game))
-            fresh = _PlayerWorkspace(game, vid)
+            fresh = _PlayerWorkspace(game, vid, _KeepOut(game))
             s_vec = profile[vid].data
             assert ws.violation_at(s_vec, opponents) == fresh.violation_at(s_vec, opponents)
 
@@ -185,7 +187,7 @@ def test_a_new_strategy_object_with_equal_data_is_rebuilt(monkeypatch):
     # object always gets fresh rows, even for equal data.
     game = _game("offline")
     seeds = _seeds(game)
-    ws = _PlayerWorkspace(game, 0)
+    ws = _PlayerWorkspace(game, 0, _KeepOut(game))
     opponents = game.opponents_of(0, seeds)
     first = ws.best_response(opponents)
     calls = []
@@ -235,6 +237,6 @@ def test_the_warm_start_saves_iterations(monkeypatch):
     monkeypatch.setattr(_PlayerWorkspace, "best_response", recording_response)
     solve_games(game)
     opponents, (warm,) = [(opp, its) for vid, opp, its in responses if vid == 0][1]
-    _PlayerWorkspace(game, 0).best_response(opponents)
+    _PlayerWorkspace(game, 0, _KeepOut(game)).best_response(opponents)
     (cold,) = responses[-1][2]
     assert warm < cold
