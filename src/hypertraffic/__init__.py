@@ -17,7 +17,7 @@ from .cognition import (
     predict_hv,
     verify_hne,
 )
-from .constraints import Segment, Strategy, assemble, profile_violation
+from .constraints import Segment, Strategy, profile_violation
 from .dynamics import ControlInput, VehicleGeometry, VehicleState, linearize_discrete, rollout
 from .game import (
     EquilibriumResult,

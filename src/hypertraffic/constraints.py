@@ -101,27 +101,6 @@ def body_offsets(geometry):
     return np.array([[l, w], [-l, w], [-l, -w], [l, -w]])
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Stacked affine rows A_eq s = b_eq, A_in s <= b_in with one provenance
-    tag per row."""
-
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    eq_tags: tuple
-    a_in: np.ndarray
-    b_in: np.ndarray
-    in_tags: tuple
-
-    def __post_init__(self):
-        if self.a_eq.shape[0] != self.b_eq.shape[0] or self.a_eq.shape[0] != len(self.eq_tags):
-            raise ValueError("equality rows, rhs, and tags must agree in length")
-        if self.a_in.shape[0] != self.b_in.shape[0] or self.a_in.shape[0] != len(self.in_tags):
-            raise ValueError("inequality rows, rhs, and tags must agree in length")
-        if self.a_eq.shape[0] and self.a_in.shape[0] and self.a_eq.shape[1] != self.a_in.shape[1]:
-            raise ValueError("equality and inequality column counts differ")
-
-
 def _step_columns(steps, offsets):
     """Row i holds the columns `offsets` (broadcast per row) of step steps[i]."""
     return STEP_VARS * steps[:, None] + offsets
@@ -403,62 +382,39 @@ def restated_rows(rows, vehicle, scenario, reference, initial_state):
                         for part in (rows.eq, rows.head, rows.tail)))
 
 
-def assemble(player_vid, opponent_strategies, scenario, segment=None, reference=None,
-             initial_state=None):
-    """Full constraint system for one player against fixed opponent strategies.
-
-    Row order: the static equalities; then the head inequalities, collision
-    rows by opponent id ascending, and the tail (see ``StaticRows``).
-    """
-    if segment is None:
-        segment = Segment(1, scenario.horizon)
-    if reference is None:
-        reference = scenario.references()[player_vid].window(segment.start, segment.stop)
-    if len(reference) != segment.n_steps + 1 or reference.start != segment.start:
-        raise ValueError("reference does not cover the requested segment")
-    if reference.ts != scenario.ts:
-        raise ValueError(f"reference for player {player_vid} has step {reference.ts}, "
-                         f"the scenario {scenario.ts}")
-    if player_vid in opponent_strategies:
-        raise ValueError(f"player {player_vid} listed among its own opponents")
-    vehicle = scenario.vehicle(player_vid)
-    if initial_state is None:
-        initial_state = start_state(vehicle, segment, reference)
-    rows = static_rows(vehicle, scenario, segment, reference, initial_state)
-    n = segment.n_steps
+def assemble(rows, geometry, reference, opponent_strategies):
+    """A player's inequality blocks (rows, rhs, tags) in solver order: the
+    head of its static rows `rows`, then one keep-out block per opponent in
+    ascending id, linearized by `collision_rows` about the decision poses of
+    `reference`, then the tail."""
+    n = len(reference) - 1
     collisions = []
     for opp_id in sorted(opponent_strategies):
-        (grad,), (b_in,) = collision_rows(reference.states[None, 1:],
-                                          (keep_out_axes(vehicle.geometry),),
+        (grad,), (b_in,) = collision_rows(reference.states[None, 1:], (keep_out_axes(geometry),),
                                           opponent_strategies[opp_id])
         collisions.append((_step_rows(np.arange(n), _POSE_COLUMNS, grad, n), b_in,
                            (f"collision({opp_id})",) * n))
-    a_eq, b_eq, eq_tags = stack_dense(rows.eq)
-    a_in, b_in, in_tags = stack_dense(rows.head + tuple(collisions) + rows.tail)
-    return ConstraintSystem(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, a_in=a_in, b_in=b_in,
-                            in_tags=in_tags)
+    return rows.head + tuple(collisions) + rows.tail
 
 
 def profile_violation(strategies, scenario):
     """Worst nonlinear constraint violation of a realized joint profile.
 
-    Checks box limits directly, lane containment of the extended-rectangle
-    vertices, and the pairwise keep-out value, one array pass per player over
-    all steps and opponents; behavior rows are planning commitments and are
-    not graded here. Returns the largest violation (0 when the profile is
-    clean).
+    Checks the box limits by `box_rows`, which are exact, lane containment
+    of the extended-rectangle vertices, and the pairwise keep-out value, one
+    array pass per player over all steps and opponents; behavior rows are
+    planning commitments and are not graded here. Returns the largest
+    violation (0 when the profile is clean).
     """
-    lim, road = scenario.limits, scenario.road
-    lower = np.array([lim.v_min, lim.a_min, lim.delta_min])
-    upper = np.array([lim.v_max, lim.a_max, lim.delta_max])
+    road = scenario.road
     ids = sorted(strategies)
     positions = np.stack([strategies[vid].positions() for vid in ids])
+    box, box_rhs, _ = box_rows(scenario.limits, strategies[ids[0]].segment)
     worst = 0.0
     for k, vid in enumerate(ids):
         vehicle = scenario.vehicle(vid)
         geo = vehicle.geometry
         blocks = strategies[vid].blocks()
-        limited = blocks[:, [X_V, U_A, U_DELTA]]
         px, py, psi = blocks[:, X_PX], blocks[:, X_PY], blocks[:, X_PSI]
         cos, sin = np.cos(psi), np.sin(psi)
         lanes = vehicle.behavior.permitted_lanes(road, vehicle.initial.p_y)
@@ -470,7 +426,7 @@ def profile_violation(strategies, scenario):
         ry = -sin * dx + cos * dy
         ax, by = keep_out_axes(geo)
         worst = max(worst, *(float(np.max(term, initial=0.0)) for term in (
-            np.maximum(limited - upper, lower - limited),
+            box @ strategies[vid].data - box_rhs,
             np.maximum(vy - road.boundary_y(max(lanes) + 1), road.boundary_y(min(lanes)) - vy),
             1.0 - (rx / ax) ** 6 - (ry / by) ** 6)))
     return worst

@@ -76,6 +76,17 @@ def pseudo_gradient(strategies, weights, references):
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def check_reference(name, reference, segment, scenario):
+    """Refuse a player's reference, called `name` in the message, unless it
+    covers `segment` exactly, is stepped with `scenario.ts` and is finite."""
+    if reference.start != segment.start or len(reference) != segment.n_steps + 1:
+        raise ValueError(f"{name} does not cover the segment")
+    if reference.ts != scenario.ts:
+        raise ValueError(f"{name} has step {reference.ts}, the scenario {scenario.ts}")
+    if not np.all(np.isfinite(reference.states)):
+        raise ValueError(f"{name} has non-finite states")
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """One concrete game: who decides with which weights, who is frozen data.
@@ -104,13 +115,7 @@ class GameSpec:
             ref = self.references.get(vid)
             if ref is None:
                 raise ValueError(f"decision player {vid} has no reference")
-            if ref.start != self.segment.start or len(ref) != self.segment.n_steps + 1:
-                raise ValueError(f"reference for player {vid} does not cover the segment")
-            if ref.ts != self.scenario.ts:
-                raise ValueError(f"reference for player {vid} has step {ref.ts}, "
-                                 f"the scenario {self.scenario.ts}")
-            if not np.all(np.isfinite(ref.states)):
-                raise ValueError(f"reference for player {vid} has non-finite states")
+            check_reference(f"reference for player {vid}", ref, self.segment, self.scenario)
             if vid not in self.initial_states:
                 raise ValueError(f"decision player {vid} has no initial state")
             if not np.all(np.isfinite(self.initial_states[vid].as_array())):
@@ -167,25 +172,24 @@ class _StaticEntry:
 _STATIC_PARTS = OrderedDict()
 
 
-def _player_system(game, vid):
-    """Player `vid`'s static rows and their `Elimination`, from its entry in
-    `_STATIC_PARTS` under `constraints.coefficient_key`.
+def _player_system(vehicle, scenario, segment, reference, start):
+    """A player's static rows and their `Elimination`, from its entry in
+    `_STATIC_PARTS` under `constraints.coefficient_key`: what a forward
+    workspace and the inverse fit both read.
 
     A miss builds the static rows and factors their equality rows. A new
     right-hand side, keyed by the bytes of the reference and the start
     state, takes its b from `restated_rows` and s_part from the kept factors
     by `qp.particular`; the entry's last right-hand side is returned as it
     is."""
-    vehicle, reference = game.scenario.vehicle(vid), game.references[vid]
-    start = game.initial_states[vid]
-    key = coefficient_key(vehicle, game.scenario, game.segment, reference)
+    key = coefficient_key(vehicle, scenario, segment, reference)
     rhs_key = (reference.states.tobytes(), start.as_array().tobytes())
     entry = _STATIC_PARTS.pop(key, None)
     if entry is None:
-        rows = static_rows(vehicle, game.scenario, game.segment, reference, start)
+        rows = static_rows(vehicle, scenario, segment, reference, start)
         entry = _StaticEntry(factor_equalities(stack_dense(rows.eq)[0]), None, rows, None)
     elif entry.rhs_key != rhs_key:
-        entry.rows = restated_rows(entry.rows, vehicle, game.scenario, reference, start)
+        entry.rows = restated_rows(entry.rows, vehicle, scenario, reference, start)
     if entry.rhs_key != rhs_key:
         b_eq = np.concatenate([b for _, b, _ in entry.rows.eq])
         entry.elimination = particular(entry.factors, b_eq, entry.rows.eq_miss)
@@ -245,7 +249,9 @@ class _PlayerWorkspace:
         reference = game.references[vid]
         self.s_ref = reference_vector(reference, game.segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], reference, game.segment)
-        self.rows, elimination = _player_system(game, vid)
+        self.rows, elimination = _player_system(game.scenario.vehicle(vid), game.scenario,
+                                                game.segment, reference,
+                                                game.initial_states[vid])
         self.reduced = ReducedQp(self.h_diag, elimination)
         self._keep_out = keep_out
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))

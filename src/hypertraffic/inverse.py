@@ -19,9 +19,9 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .cognition import average_weights
-from .constraints import Segment, Strategy, assemble
-from .game import WEIGHT_PATTERN, make_game, reference_vector, solve_games
-from .qp import factor_equalities
+from .constraints import Segment, Strategy, assemble, stack_dense, start_state
+from .game import (WEIGHT_PATTERN, _player_system, check_reference, make_game, reference_vector,
+                   solve_games)
 from .scenario import EFFECTIVE_INDICES, StyleWeights
 
 IDENTIFIABILITY_EPS = 1e-8
@@ -72,25 +72,37 @@ def _embedded_cav_solve(observation, scenario):
     return {vid: result.strategies[vid] for vid in game.decision_ids}
 
 
-def null_space(a_eq):
-    """Orthonormal basis of the null space of A_eq: the Z of the forward
-    solver's `factor_equalities`, orthonormalized by one QR. The fit's
-    identifiability test and column weighting assume orthonormal columns."""
-    return np.linalg.qr(factor_equalities(a_eq).z_basis)[0]
+def null_space(z_basis):
+    """Orthonormal basis of the span of `z_basis`, the null-space basis Z of
+    the human's equality rows that the forward game's `qp.factor_equalities`
+    gave, by one QR. The fit's identifiability test and column weighting
+    assume orthonormal columns."""
+    return np.linalg.qr(z_basis)[0]
 
 
 def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
                hv_reference=None, hv_initial=None):
     """Stationarity fit with rows farther than `kappa` from active pinned to
     zero multipliers and, when `omega` > 0, a pull of weight `omega` toward
-    `prev_theta`; the weights stay in the scenario's box."""
+    `prev_theta`; the weights stay in the scenario's box. The human's static
+    rows and null space are the ones its forward workspace reads, from
+    `game._player_system`, so a fit whose coefficients a game just solved
+    with builds no static row and factors nothing."""
     segment = observation.segment
+    vehicle = scenario.hv
     if hv_reference is None:
         hv_reference = scenario.references()[0].window(segment.start, segment.stop)
-    system = assemble(
-        0, cav_strategies, scenario, segment=segment,
-        reference=hv_reference, initial_state=hv_initial,
-    )
+    check_reference("hv_reference", hv_reference, segment, scenario)
+    if hv_initial is None:
+        hv_initial = start_state(vehicle, segment, hv_reference)
+    if not np.all(np.isfinite(hv_initial.as_array())):
+        raise ValueError("hv_initial has non-finite entries")
+    if 0 in cav_strategies:
+        raise ValueError("player 0 listed among its own opponents")
+    rows, elimination = _player_system(vehicle, scenario, segment, hv_reference, hv_initial)
+    a_in, b_in, in_tags = stack_dense(assemble(rows, vehicle.geometry, hv_reference,
+                                               cav_strategies))
+
     s_hat = observation.strategy.data
     s_ref = reference_vector(hv_reference, segment)
     dev = s_hat - s_ref
@@ -100,19 +112,19 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     c_mat[np.arange(n), np.tile(WEIGHT_PATTERN, segment.n_steps)] = dev
 
     warnings = []
-    g_vals = system.a_in @ s_hat - system.b_in
+    g_vals = a_in @ s_hat - b_in
     free_idx = np.flatnonzero(g_vals + kappa >= 0.0)
     violated = np.flatnonzero(g_vals > kappa)
     if violated.size:
-        tags = sorted({system.in_tags[j] for j in violated})
+        tags = sorted({in_tags[j] for j in violated})
         warnings.append(
             f"observation violates {violated.size} constraint rows beyond kappa "
             f"({', '.join(tags)}); treating them as active"
         )
 
-    z_basis = null_space(system.a_eq)
+    z_basis = null_space(elimination.z_basis)
     zc = z_basis.T @ c_mat
-    a_free = system.a_in[free_idx]
+    a_free = a_in[free_idx]
     za_t = z_basis.T @ a_free.T
 
     # A multiplier whose constraint gradient vanishes on the equality null
@@ -122,7 +134,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     kept_idx = free_idx[keep]
     za_kept = za_t[:, keep]
 
-    eff = list(EFFECTIVE_INDICES[scenario.hv.behavior.kind])
+    eff = list(EFFECTIVE_INDICES[vehicle.behavior.kind])
     eff_block = zc[:, eff]
     sigma_min = float(np.linalg.svd(eff_block, compute_uv=False).min()) if eff_block.size else 0.0
     low_ident = sigma_min < IDENTIFIABILITY_EPS
@@ -150,14 +162,12 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     fit = lsq_linear(m_mat, b_vec, bounds=(lower, upper), method="bvls", tol=1e-14)
 
     theta_raw = np.clip(fit.x[:6], theta_min, theta_max)
-    lam = np.zeros(system.a_in.shape[0])
+    lam = np.zeros(a_in.shape[0])
     lam[kept_idx] = np.maximum(fit.x[6:], 0.0)
 
-    residual = float(np.linalg.norm(z_basis.T @ (c_mat @ theta_raw + system.a_in.T @ lam)))
+    residual = float(np.linalg.norm(z_basis.T @ (c_mat @ theta_raw + a_in.T @ lam)))
 
-    theta_0c = StyleWeights(theta_raw, theta_min, theta_max).normalized(
-        scenario.hv.behavior.kind
-    )
+    theta_0c = StyleWeights(theta_raw, theta_min, theta_max).normalized(vehicle.behavior.kind)
     return InverseResult(
         theta_0c=theta_0c,
         theta_raw=theta_raw,

@@ -7,6 +7,7 @@ calculus. None of it imports solver internals.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -314,6 +315,63 @@ def dense_behavior_rows(behavior, reference, road):
     a_rows[np.arange(n), cols + 2] = a
     a_rows[np.arange(n), cols + 3] = b
     return a_rows, np.full(n, -c), ("behavior",) * n, False
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """Stacked affine rows A_eq s = b_eq, A_in s <= b_in with one provenance
+    tag per row."""
+
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    eq_tags: tuple
+    a_in: np.ndarray
+    b_in: np.ndarray
+    in_tags: tuple
+
+    def __post_init__(self):
+        if self.a_eq.shape[0] != self.b_eq.shape[0] or self.a_eq.shape[0] != len(self.eq_tags):
+            raise ValueError("equality rows, rhs, and tags must agree in length")
+        if self.a_in.shape[0] != self.b_in.shape[0] or self.a_in.shape[0] != len(self.in_tags):
+            raise ValueError("inequality rows, rhs, and tags must agree in length")
+        if self.a_eq.shape[0] and self.a_in.shape[0] and self.a_eq.shape[1] != self.a_in.shape[1]:
+            raise ValueError("equality and inequality column counts differ")
+
+
+def dense_system(player_vid, opponent_strategies, scenario, segment=None, reference=None,
+                 initial_state=None):
+    """One player's full constraint system against fixed opponent
+    strategies, every row built fresh and made dense: its `static_rows`
+    from scratch, not from the game's cache, and one one-player
+    `collision_rows` call per opponent. Row order: the static equalities;
+    then the head inequalities, the keep-out rows by opponent id ascending,
+    and the tail. The segment, reference and start state default as
+    `game.make_game` defaults them."""
+    from hypertraffic.constraints import (
+        STEP_VARS, Segment, collision_rows, keep_out_axes, pose_columns, stack_dense,
+        start_state, static_rows)
+    from hypertraffic.qp import SparseRows
+
+    if segment is None:
+        segment = Segment(1, scenario.horizon)
+    if reference is None:
+        reference = scenario.references()[player_vid].window(segment.start, segment.stop)
+    vehicle = scenario.vehicle(player_vid)
+    if initial_state is None:
+        initial_state = start_state(vehicle, segment, reference)
+    rows = static_rows(vehicle, scenario, segment, reference, initial_state)
+    n = segment.n_steps
+    collisions = []
+    for opp_id in sorted(opponent_strategies):
+        (grad,), (b_in,) = collision_rows(reference.states[None, 1:],
+                                          (keep_out_axes(vehicle.geometry),),
+                                          opponent_strategies[opp_id])
+        collisions.append((SparseRows(pose_columns(n), grad, STEP_VARS * n), b_in,
+                           (f"collision({opp_id})",) * n))
+    a_eq, b_eq, eq_tags = stack_dense(rows.eq)
+    a_in, b_in, in_tags = stack_dense(rows.head + tuple(collisions) + rows.tail)
+    return ConstraintSystem(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, a_in=a_in, b_in=b_in,
+                            in_tags=in_tags)
 
 
 def collision_value(own_pose, opponent_pos, geometry):

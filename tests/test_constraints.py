@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,6 @@ from hypertraffic.constraints import (
     X_PX,
     X_PY,
     X_V,
-    ConstraintSystem,
     Segment,
     Strategy,
     assemble,
@@ -36,6 +33,7 @@ from hypertraffic.scenario import (
 
 from _oracles import (
     VIOLATION_FAMILIES,
+    ConstraintSystem,
     collision_value,
     dense_behavior_rows,
     dense_box_rows,
@@ -432,40 +430,35 @@ def test_behavior_rows_lane_change_is_one_sided():
 
 
 def test_assemble_counts_and_tag_order():
+    # `assemble` gives the inequality blocks in solver order: the static
+    # head, one keep-out block per opponent by ascending id, the static tail.
     scen = _scen()
     n = scen.horizon - 1
-    opponents = {vid: _seed_strategy(scen, vid) for vid in (1, 2, 3)}
+    segment = Segment(1, scen.horizon)
 
-    sys_hv = assemble(0, opponents, scen)
-    assert sys_hv.a_eq.shape[0] == 4 * n + n  # dynamics plus pinned heading
-    assert sys_hv.a_in.shape[0] == 6 * n + 8 * n + 3 * n
-    tags = sys_hv.in_tags
+    def blocks(vid, opponent_ids):
+        vehicle, ref = scen.vehicle(vid), _ref(scen, vid)
+        rows = static_rows(vehicle, scen, segment, ref, start_state(vehicle, segment, ref))
+        # Given out of order, to show the blocks come by ascending id.
+        opponents = {k: _seed_strategy(scen, k) for k in reversed(opponent_ids)}
+        got = assemble(rows, vehicle.geometry, ref, opponents)
+        assert got[:len(rows.head)] == rows.head and got[len(got) - len(rows.tail):] == rows.tail
+        return rows, stack_dense(got)[2]
+
+    rows_hv, tags = blocks(0, (1, 2, 3))
+    assert sum(b.size for _, b, _ in rows_hv.eq) == 4 * n + n  # dynamics plus pinned heading
+    assert len(tags) == 6 * n + 8 * n + 3 * n
     assert set(tags[: 6 * n]) == {"box"}
     assert set(tags[6 * n : 14 * n]) == {"lane"}
     assert set(tags[14 * n : 15 * n]) == {"collision(1)"}
     assert set(tags[15 * n : 16 * n]) == {"collision(2)"}
     assert set(tags[16 * n :]) == {"collision(3)"}
 
-    opponents_of_1 = {vid: _seed_strategy(scen, vid) for vid in (0, 2, 3)}
-    sys_cav = assemble(1, opponents_of_1, scen)
-    assert sys_cav.a_eq.shape[0] == 4 * n  # lane change has no heading pin
-    assert sys_cav.a_in.shape[0] == 6 * n + 8 * n + 3 * n + n
-    assert set(sys_cav.in_tags[17 * n :]) == {"behavior"}
-
-
-def test_assemble_rejects_self_opponent_and_short_reference():
-    scen = _scen()
-    with pytest.raises(ValueError):
-        assemble(0, {0: _seed_strategy(scen, 0)}, scen)
-    with pytest.raises(ValueError):
-        assemble(0, {}, scen, reference=scen.references()[0].window(1, 10))
-
-
-def test_assemble_refuses_a_reference_stepped_otherwise_than_the_scenario():
-    scen = _scen()
-    longer = replace(_ref(scen, 1), ts=1.1 * scen.ts)
-    with pytest.raises(ValueError, match="^reference for player 1 has step"):
-        assemble(1, {}, scen, reference=longer)
+    rows_cav, tags = blocks(1, (0, 2, 3))
+    assert sum(b.size for _, b, _ in rows_cav.eq) == 4 * n  # lane change has no heading pin
+    assert len(tags) == 6 * n + 8 * n + 3 * n + n
+    assert set(tags[14 * n : 15 * n]) == {"collision(0)"}
+    assert set(tags[17 * n :]) == {"behavior"}
 
 
 @pytest.mark.parametrize("start, stop", [(1, 36), (5, 12), (35, 36)])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypertraffic.constraints import Segment, Strategy, X_V, STEP_VARS, assemble, profile_violation
+from hypertraffic.constraints import Segment, Strategy, X_V, STEP_VARS, profile_violation
 from hypertraffic.game import (
     WEIGHT_PATTERN,
     _KeepOut,
@@ -25,7 +25,7 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import system_violation
+from _oracles import dense_system, system_violation
 
 
 def _scen():
@@ -147,7 +147,7 @@ def test_best_response_satisfies_kkt_and_constraints():
     opponents = {vid: _seed(scen, vid) for vid in (1, 2, 3)}
     sol = best_response(0, opponents, game)
     assert sol.status == OPTIMAL and sol.ok
-    system = assemble(0, opponents, scen)
+    system = dense_system(0, opponents, scen)
     ref = game.references[0]
     h_diag, f_vec = objective_qp_data(game.weights[0], ref, game.segment)
     problem = QpProblem(np.diag(h_diag), f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)

@@ -208,10 +208,11 @@ def test_every_dataclass_field_is_read():
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
-    """The workflow installs the package, runs the tier-1 tests, runs three
+    """The workflow installs the package, runs the tier-1 tests, runs four
     short studies through the installed `hypertraffic` console script (the
     online one re-plans every stage, so it solves cached coefficients for new
-    right-hand sides; the offline one runs the inverse fit), then the
+    right-hand sides; the offline one runs the inverse fit, and the noise
+    sweep runs it on noisy observations), then the
     benchmark on its reference seed, which exits non-zero when any op misses
     `bench/reference.json`, and last one traced benchmark run, which exits
     non-zero when any op's traced and untraced results differ bitwise."""
@@ -227,6 +228,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic success-rate --mode random_cognition --reps 3 --seed 0",
         "hypertraffic run-online --reps 2 --seed 0",
         "hypertraffic interpret-offline --reps 1 --seed 0",
+        "hypertraffic sweep-noise --reps 2 --stds 0.05,0.2 --seed 0 --out /tmp/sweep.csv",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "

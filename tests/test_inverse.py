@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypertraffic import harness, inverse
+from hypertraffic import constraints, harness, inverse, qp
+from hypertraffic import game as game_module
 from hypertraffic.cognition import hv_subjective_game
-from hypertraffic.constraints import Segment, Strategy, assemble
+from hypertraffic.constraints import Segment, Strategy, coefficient_key, start_state
 from hypertraffic.game import solve_games
 from hypertraffic.harness import apply_noise, run_online_experiment
 from hypertraffic.inverse import (
@@ -25,7 +26,7 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import svd_null_space
+from _oracles import dense_system, svd_null_space
 
 
 def _observed_truth(scen):
@@ -210,26 +211,39 @@ def test_observation_refuses_bad_input(field, entry):
         Observation(Strategy(strat.segment, data))
 
 
-def _svd_null_space(a_eq):
-    return svd_null_space(a_eq, np.zeros(a_eq.shape[0]))[0]
-
-
 def _hv_systems():
     """The human's full-horizon constraint system in each built-in scenario,
-    the CAVs held at their reference strategies."""
+    built fresh by the oracle, with the LU basis Z of its equality rows that
+    the fit reads, from the game's static cache."""
     for make in (default_offline_scenario, success_study_scenario, default_online_scenario):
         scen = make()
-        yield assemble(0, {cav.vid: _reference_strategy(scen, cav.vid) for cav in scen.cavs}, scen)
+        segment = Segment(1, scen.horizon)
+        ref = scen.references()[0].window(1, scen.horizon)
+        _, elimination = game_module._player_system(scen.hv, scen, segment, ref,
+                                                    start_state(scen.hv, segment, ref))
+        yield dense_system(0, {}, scen), elimination.z_basis
 
 
 def test_null_space_is_orthonormal_and_spans_the_svd_null_space():
-    for system in _hv_systems():
-        z_basis = inverse.null_space(system.a_eq)
-        z_svd = _svd_null_space(system.a_eq)
+    for system, z_lu in _hv_systems():
+        z_basis = inverse.null_space(z_lu)
+        z_svd = svd_null_space(system.a_eq, system.b_eq)[0]
         assert z_basis.shape == z_svd.shape
         assert np.max(np.abs(z_basis.T @ z_basis - np.eye(z_basis.shape[1]))) <= 1e-12
         assert np.linalg.norm(system.a_eq @ z_basis) <= 1e-10 * np.linalg.norm(system.a_eq)
         assert np.max(np.abs(z_basis @ z_basis.T - z_svd @ z_svd.T)) <= 1e-12
+
+
+def _use_the_svd_basis(patch, system):
+    """Make the fit read the SVD null-space basis of the oracle's dense A_eq
+    in place of the orthonormalized LU basis the game keeps."""
+    z_svd = svd_null_space(system.a_eq, system.b_eq)[0]
+
+    def substitute(z_lu):
+        assert z_lu.shape == z_svd.shape
+        return z_svd
+
+    patch.setattr(inverse, "null_space", substitute)
 
 
 def _assert_fits_agree(fast, slow):
@@ -249,7 +263,7 @@ def test_offline_fit_matches_the_svd_basis_fit(monkeypatch):
             obs = apply_noise(s_actual, std, np.random.default_rng([seed, 7]))
             fast = interpret_offline(obs, scen, cav_strategies=cavs)
             with monkeypatch.context() as patch:
-                patch.setattr(inverse, "null_space", _svd_null_space)
+                _use_the_svd_basis(patch, dense_system(0, cavs, scen))
                 slow = interpret_offline(obs, scen, cav_strategies=cavs)
             _assert_fits_agree(fast, slow)
 
@@ -267,6 +281,135 @@ def test_online_stage_fit_matches_the_svd_basis_fit(monkeypatch):
     assert pulled
     args, kwargs = pulled[0]
     fast = interpret_online(*args, **kwargs)
-    monkeypatch.setattr(inverse, "null_space", _svd_null_space)
+    observation, _, scen = args
+    _use_the_svd_basis(monkeypatch, dense_system(
+        0, kwargs["cav_strategies"], scen, observation.segment, kwargs["hv_reference"],
+        kwargs["hv_initial"]))
     slow = interpret_online(*args, **kwargs)
     _assert_fits_agree(fast, slow)
+
+
+def test_fit_rejects_self_opponent_and_short_reference():
+    scen = default_offline_scenario()
+    obs = Observation(_reference_strategy(scen))
+    prev = style_weights_for(STRAIGHT, COMFORT)
+    with pytest.raises(ValueError, match="^player 0 listed among its own opponents"):
+        interpret_offline(obs, scen, cav_strategies={0: obs.strategy})
+    with pytest.raises(ValueError, match="^hv_reference does not cover the segment"):
+        interpret_online(obs, prev, scen, {}, hv_reference=scen.references()[0].window(1, 10))
+
+
+def test_fit_refuses_a_reference_stepped_otherwise_than_the_scenario():
+    scen = default_offline_scenario()
+    obs = Observation(_reference_strategy(scen))
+    longer = replace(scen.references()[0].window(1, scen.horizon), ts=1.1 * scen.ts)
+    with pytest.raises(ValueError, match="^hv_reference has step"):
+        interpret_online(obs, style_weights_for(STRAIGHT, COMFORT), scen, {},
+                         hv_reference=longer)
+
+
+@pytest.mark.parametrize("field", ["hv_reference", "hv_initial"])
+def test_online_fit_refuses_a_non_finite_reference_or_start(field):
+    scen = default_offline_scenario()
+    obs = Observation(_reference_strategy(scen))
+    ref = scen.references()[0].window(1, scen.horizon)
+    start = start_state(scen.hv, obs.segment, ref)
+    if field == "hv_reference":
+        states = ref.states.copy()
+        states[3, 0] = np.nan
+        ref = replace(ref, states=states)
+    else:
+        start = replace(start, p_y=np.nan)
+    with pytest.raises(ValueError, match=f"^{field} has non-finite"):
+        interpret_online(obs, style_weights_for(STRAIGHT, COMFORT), scen, {},
+                         hv_reference=ref, hv_initial=start)
+
+
+def _counting(calls, name, fn):
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return spy
+
+
+def test_a_fit_on_cached_coefficients_runs_no_lu_and_builds_no_static_row(monkeypatch):
+    # In one online repetition every fit finds the human's coefficients in
+    # the static cache, from the stage's prediction game, and so factors
+    # nothing and builds no static row.
+    calls = []
+    for module, name in ((qp, "factor_equalities"), (game_module, "factor_equalities"),
+                         (constraints, "dynamics_rows"), (constraints, "box_rows"),
+                         (constraints, "lane_rows"), (constraints, "behavior_rows")):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+    fits = []
+    player_system, interpret = inverse._player_system, inverse._interpret
+
+    def cached_system(vehicle, scenario, segment, reference, start):
+        key = coefficient_key(vehicle, scenario, segment, reference)
+        fits.append([key in game_module._STATIC_PARTS])
+        return player_system(vehicle, scenario, segment, reference, start)
+
+    def counted_interpret(*args, **kwargs):
+        before = len(calls)
+        result = interpret(*args, **kwargs)
+        fits[-1].append(calls[before:])
+        return result
+
+    monkeypatch.setattr(inverse, "_player_system", cached_system)
+    monkeypatch.setattr(inverse, "_interpret", counted_interpret)
+    game_module._STATIC_PARTS.clear()
+    harness._online_rep(default_online_scenario(), 0, 1)
+    assert len(fits) == len(harness.stage_segments(default_online_scenario())) - 1
+    assert calls  # the forward games did build and factor
+    assert fits == [[True, []]] * len(fits)
+
+
+def _recorded_fits(monkeypatch, run):
+    """Run `run`, recording for every fit its arguments, what it read (its
+    stacked inequality rows (A_in, b_in, tags) and Z before the QR) and its
+    result."""
+    fits = []
+    interpret, stack, orthonormal = inverse._interpret, inverse.stack_dense, inverse.null_space
+
+    def recorded(*args, **kwargs):
+        fits.append({"args": args, "kwargs": kwargs})
+        fits[-1]["result"] = interpret(*args, **kwargs)
+        return fits[-1]["result"]
+
+    def stacked(blocks):
+        fits[-1]["rows"] = stack(blocks)
+        return fits[-1]["rows"]
+
+    def basis(z_basis):
+        fits[-1]["z"] = z_basis
+        return orthonormal(z_basis)
+
+    monkeypatch.setattr(inverse, "_interpret", recorded)
+    monkeypatch.setattr(inverse, "stack_dense", stacked)
+    monkeypatch.setattr(inverse, "null_space", basis)
+    run()
+    return fits
+
+
+def test_the_fit_reads_the_oracles_rows_and_basis_bitwise(monkeypatch):
+    # Every fit of one online and one offline repetition (whose embedded CAV
+    # solve leaves the human's coefficients uncached) reads bitwise the rows,
+    # tags, free rows and LU basis Z that a fresh dense build gives.
+    online = default_online_scenario()
+    offline = default_offline_scenario()
+    s_actual = _observed_truth(offline)
+    fits = _recorded_fits(monkeypatch, lambda: (
+        harness._online_rep(online, 0, 1),
+        harness._offline_rep(offline, s_actual, 0.05, 0, 0)))
+    # One fit per online stage but the last, then the offline one.
+    assert len(fits) == len(harness.stage_segments(online)) - 1 + 1
+    for fit in fits:
+        observation, scen, kappa, _, _, cavs = fit["args"]
+        system = dense_system(0, cavs, scen, observation.segment,
+                              fit["kwargs"].get("hv_reference"), fit["kwargs"].get("hv_initial"))
+        a_in, b_in, tags = fit["rows"]
+        assert np.array_equal(a_in, system.a_in) and np.array_equal(b_in, system.b_in)
+        assert tags == system.in_tags
+        g_vals = system.a_in @ observation.strategy.data - system.b_in
+        assert np.array_equal(fit["result"].active_rows, np.flatnonzero(g_vals + kappa >= 0.0))
+        assert np.array_equal(fit["z"], qp.factor_equalities(system.a_eq).z_basis)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from hypertraffic import qp as qp_module
-from hypertraffic.constraints import Strategy, assemble
+from hypertraffic.constraints import Strategy
 from hypertraffic.game import make_game, objective_qp_data
 from hypertraffic.qp import (
     INFEASIBLE,
@@ -28,6 +28,7 @@ from hypertraffic.scenario import (
 )
 
 from _oracles import (
+    dense_system,
     enumerate_qp,
     exact_kkt_objective,
     loop_gi_solve,
@@ -289,8 +290,8 @@ def _player_qps(scenario):
     }
     for vid in game.decision_ids:
         opponents = {k: s for k, s in seeds.items() if k != vid}
-        system = assemble(vid, opponents, scenario, game.segment, game.references[vid],
-                          game.initial_states[vid])
+        system = dense_system(vid, opponents, scenario, game.segment, game.references[vid],
+                              game.initial_states[vid])
         h_diag, f = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
         yield np.diag(h_diag), f, system
 

@@ -1,9 +1,11 @@
 """The forward game and the inverse fit must read the same constraint rows.
 
-`constraints.assemble` (used by the inverse) and the game's per-player
-workspace both build from `constraints.static_rows`; these tests pin that the
-rows a best response actually solves with are bitwise the assembled ones, in
-the same order, and that every assembled row carries its family's tag.
+The game's per-player workspace and the inverse fit both take a player's
+static rows from `game._player_system`; these tests pin that the rows a best
+response actually solves with are bitwise those of `_oracles.dense_system`,
+which builds every row fresh and dense, in the same order, and that every
+row carries its family's tag. `test_inverse.py` pins the fit's rows against
+the same oracle.
 """
 
 from dataclasses import replace
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertraffic import game as game_module
-from hypertraffic.constraints import Segment, Strategy, assemble
+from hypertraffic.constraints import Segment, Strategy
 from hypertraffic.dynamics import VehicleState
 from hypertraffic.harness import _anchored_reference
 from hypertraffic.qp import ReducedQp, eliminate
@@ -30,6 +32,7 @@ from _oracles import (
     dense_box_rows,
     dense_collision_rows,
     dense_lane_rows,
+    dense_system,
     densify,
     sparsify,
     system_violation,
@@ -121,11 +124,11 @@ def test_game_solves_with_assembled_rows_on_full_horizon(monkeypatch, name):
     game = game_module.make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     seeds = {vid: Strategy.from_reference(game.references[vid], game.segment)
              for vid in game.decision_ids}
-    # `make_game` and `assemble` both default the segment, the reference and
+    # `make_game` and `dense_system` both default the segment, the reference and
     # the start state, by the same rule.
     _assert_game_reads_assembled_rows(
         monkeypatch, game, lambda vid: {k: s for k, s in seeds.items() if k != vid},
-        lambda vid, opponents: assemble(vid, opponents, scen),
+        lambda vid, opponents: dense_system(vid, opponents, scen),
     )
 
 
@@ -148,8 +151,8 @@ def test_game_solves_with_assembled_rows_on_reanchored_stage(monkeypatch, name):
     )
     _assert_game_reads_assembled_rows(
         monkeypatch, game, lambda vid: {k: s for k, s in seeds.items() if k != vid},
-        lambda vid, opponents: assemble(vid, opponents, scen, segment, refs[vid],
-                                        initials[vid]),
+        lambda vid, opponents: dense_system(vid, opponents, scen, segment, refs[vid],
+                                            initials[vid]),
     )
 
 
@@ -174,7 +177,7 @@ def test_assembled_row_counts_and_tags_follow_the_families(name, vid, start, len
     others = [k for k in sorted(full) if k != vid][:opponent_count]
     opponents = {k: Strategy.from_reference(full[k].window(start, stop), segment)
                  for k in others}
-    system = assemble(vid, opponents, scen, segment, reference)
+    system = dense_system(vid, opponents, scen, segment, reference)
 
     straight = vehicle.behavior.kind == STRAIGHT
     assert system.a_eq.shape == (4 * n + (n if straight else 0), 6 * n)
