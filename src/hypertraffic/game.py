@@ -16,23 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (Segment, StaticRows, Strategy, coefficient_key, collision_rows,
-                          keep_out_axes, pose_columns, restated_rows, stack_dense, start_state,
-                          static_rows)
-from .qp import (OPTIMAL, Elimination, EqFactors, ReducedQp, SparseRows, _require_finite,
-                 factor_equalities, particular)
+from .constraints import (STEP_VARS, Segment, StaticRows, Strategy, coefficient_key,
+                          collision_rows, keep_out_axes, pose_columns, restated_rows, stack_dense,
+                          start_state, static_rows)
+from .qp import (OPTIMAL, Elimination, EqFactors, GramBlocks, ReducedQp, SparseRows,
+                 _require_finite, factor_equalities, gram_blocks, particular)
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
 # Most player systems kept in `_STATIC_PARTS`. At H=121 (120 steps, 720
-# variables) an entry holds the basis Z, the static rows in sparse form with
-# their right-hand sides, s_part, and the triangular factors of the equality
-# rows by their nonzeros: 1,892,472 bytes for a lane changer (Z 720 x 240, the
-# factors 361,272) and 1,738,788 for a straight driver (Z 720 x 120, the
-# factors 899,748), so a full cache holds at most 15.1 MB. Dense, the factors
-# would take 3.7 MB and 5.8 MB.
+# variables) an entry holds the basis Z, its Gram blocks, the static rows in
+# sparse form with their right-hand sides, s_part, and the triangular factors
+# of the equality rows by their nonzeros: 4,657,320 bytes for a lane changer
+# (Z 720 x 240, six blocks 2,764,848, the factors 361,272) and 2,084,412 for
+# a straight driver (Z 720 x 120, three blocks 345,624, the factors 899,748),
+# so a full cache holds at most 37.3 MB. Dense, the factors would take 3.7 MB
+# and 5.8 MB; the blocks kept as packed triangles would take half.
 STATIC_CACHE_ENTRIES = 8
 
 
@@ -157,15 +158,27 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
 @dataclass
 class _StaticEntry:
     """What players with the same coefficients share: the factors of their
-    equality rows, and the static rows and elimination of the latest
-    right-hand side, keyed by `rhs_key`, whose rows a later right-hand side
-    re-states. A new right-hand side re-points `rhs_key`, `rows` and
-    `elimination` at new objects; the arrays they held stay as they were."""
+    equality rows, the `GramBlocks` of the null-space basis Z those give,
+    one per step position, from which each player's weights form its
+    reduced Hessian, and the static rows of the latest right-hand side,
+    keyed by `rhs_key`, whose rows a later right-hand side re-states. Their
+    `Elimination` is formed when a forward workspace first asks for it. A
+    new right-hand side re-points `rhs_key` and `rows` at new objects and
+    forgets the elimination; the arrays they held stay as they were."""
 
     factors: EqFactors
+    gram: GramBlocks
     rhs_key: tuple
     rows: StaticRows
-    elimination: Elimination
+    _elimination: Elimination = None
+
+    def elimination(self):
+        """The `Elimination` of the current right-hand side, by
+        `qp.particular` on the kept factors the first time it is asked for."""
+        if self._elimination is None:
+            b_eq = np.concatenate([b for _, b, _ in self.rows.eq])
+            self._elimination = particular(self.factors, b_eq, self.rows.eq_miss)
+        return self._elimination
 
 
 # Least recently used first; see STATIC_CACHE_ENTRIES.
@@ -173,31 +186,30 @@ _STATIC_PARTS = OrderedDict()
 
 
 def _player_system(vehicle, scenario, segment, reference, start):
-    """A player's static rows and their `Elimination`, from its entry in
-    `_STATIC_PARTS` under `constraints.coefficient_key`: what a forward
-    workspace and the inverse fit both read.
+    """A player's `_StaticEntry` in `_STATIC_PARTS` under
+    `constraints.coefficient_key`, holding its static rows for this
+    reference and start state: what a forward workspace and the inverse fit
+    both read.
 
-    A miss builds the static rows and factors their equality rows. A new
+    A miss builds the static rows, factors their equality rows and forms
+    the Gram blocks of the null-space basis, per step position. A new
     right-hand side, keyed by the bytes of the reference and the start
-    state, takes its b from `restated_rows` and s_part from the kept factors
-    by `qp.particular`; the entry's last right-hand side is returned as it
-    is."""
+    state, takes its b from `restated_rows`; the entry's last right-hand
+    side is returned as it is."""
     key = coefficient_key(vehicle, scenario, segment, reference)
     rhs_key = (reference.states.tobytes(), start.as_array().tobytes())
     entry = _STATIC_PARTS.pop(key, None)
     if entry is None:
         rows = static_rows(vehicle, scenario, segment, reference, start)
-        entry = _StaticEntry(factor_equalities(stack_dense(rows.eq)[0]), None, rows, None)
+        factors = factor_equalities(stack_dense(rows.eq)[0])
+        entry = _StaticEntry(factors, gram_blocks(factors.z_basis, STEP_VARS), rhs_key, rows)
     elif entry.rhs_key != rhs_key:
         entry.rows = restated_rows(entry.rows, vehicle, scenario, reference, start)
-    if entry.rhs_key != rhs_key:
-        b_eq = np.concatenate([b for _, b, _ in entry.rows.eq])
-        entry.elimination = particular(entry.factors, b_eq, entry.rows.eq_miss)
-        entry.rhs_key = rhs_key
+        entry.rhs_key, entry._elimination = rhs_key, None
     _STATIC_PARTS[key] = entry
     while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
         _STATIC_PARTS.popitem(last=False)
-    return entry.rows, entry.elimination
+    return entry
 
 
 class _KeepOut:
@@ -246,13 +258,14 @@ class _PlayerWorkspace:
     def __init__(self, game, vid, keep_out):
         self.vid = vid
         self.settings = game.scenario.solver
+        self._segment = game.segment
         reference = game.references[vid]
         self.s_ref = reference_vector(reference, game.segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], reference, game.segment)
-        self.rows, elimination = _player_system(game.scenario.vehicle(vid), game.scenario,
-                                                game.segment, reference,
-                                                game.initial_states[vid])
-        self.reduced = ReducedQp(self.h_diag, elimination)
+        entry = _player_system(game.scenario.vehicle(vid), game.scenario, game.segment,
+                               reference, game.initial_states[vid])
+        self.rows = entry.rows
+        self.reduced = ReducedQp(self.h_diag, entry.elimination(), entry.gram)
         self._keep_out = keep_out
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
         head, tail = self.rows.head, self.rows.tail
@@ -322,6 +335,16 @@ class _PlayerWorkspace:
         eq = self.rows.eq_miss(s_vec)
         return max(float(np.abs(eq).max()), float((self._stack @ s_vec - self._b).max()))
 
+    def row_origin(self, p):
+        """(family tag, decision point) of row p of the stack, read through
+        its layout: the head blocks, one collision slot per opponent, the
+        tail blocks. Every row constrains the variables of one step only."""
+        segment = self._segment
+        families = sum((tags for _, _, tags in self.rows.head), ())
+        families += sum(((f"collision({oid})",) * segment.n_steps for oid in self.opponent_ids), ())
+        families += sum((tags for _, _, tags in self.rows.tail), ())
+        return families[p], segment.start + 1 + int(self._cols[p, 0]) // STEP_VARS
+
     def objective(self, s_vec):
         dev = s_vec - self.s_ref
         return float(0.5 * dev @ (self.h_diag * dev))
@@ -329,7 +352,11 @@ class _PlayerWorkspace:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Outcome of a best-response sweep: the profile plus its certificates."""
+    """Outcome of a best-response sweep: the profile plus its certificates.
+    `degraded_players` maps each player whose best response failed in some
+    round to (round, status, origin) per failed round, where origin is the
+    (family tag, decision point) of the row an INFEASIBLE solve could not
+    enforce (`_PlayerWorkspace.row_origin`), else None."""
 
     strategies: dict
     converged: bool
@@ -339,6 +366,7 @@ class EquilibriumResult:
     max_violation: float
     gaps: dict
     objectives: dict
+    degraded_players: dict
 
 
 class _NullObserver:
@@ -403,7 +431,7 @@ def solve_games(game, observer=None):
     observer.session_started(game, dict(current))
 
     converged = False
-    degraded = False
+    degraded_players = {}
     rel_step = float("inf")
     violation = float("inf")
     iterations = 0
@@ -421,7 +449,9 @@ def solve_games(game, observer=None):
                 strategies[vid] = Strategy(game.segment, sol.s_star)
                 current[vid] = strategies[vid]
             else:
-                degraded = True
+                origin = None if sol.row is None else workspaces[vid].row_origin(sol.row)
+                failed = (zeta, sol.status, origin)
+                degraded_players[vid] = degraded_players.get(vid, ()) + (failed,)
             observer.computed(vid, zeta, strategies[vid], seconds, sol.status)
         t0 = time.perf_counter()
         rel_step = max(
@@ -451,12 +481,13 @@ def solve_games(game, observer=None):
     result = EquilibriumResult(
         strategies=dict(strategies),
         converged=converged,
-        degraded=degraded,
+        degraded=bool(degraded_players),
         iterations=iterations,
         rel_step=rel_step,
         max_violation=violation,
         gaps=gaps,
         objectives=objectives,
+        degraded_players=degraded_players,
     )
     observer.session_finished(result)
     return result

@@ -87,7 +87,8 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     `prev_theta`; the weights stay in the scenario's box. The human's static
     rows and null space are the ones its forward workspace reads, from
     `game._player_system`, so a fit whose coefficients a game just solved
-    with builds no static row and factors nothing."""
+    with builds no static row and factors nothing; it reads no particular
+    solution, so it forms none."""
     segment = observation.segment
     vehicle = scenario.hv
     if hv_reference is None:
@@ -99,8 +100,8 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
         raise ValueError("hv_initial has non-finite entries")
     if 0 in cav_strategies:
         raise ValueError("player 0 listed among its own opponents")
-    rows, elimination = _player_system(vehicle, scenario, segment, hv_reference, hv_initial)
-    a_in, b_in, in_tags = stack_dense(assemble(rows, vehicle.geometry, hv_reference,
+    entry = _player_system(vehicle, scenario, segment, hv_reference, hv_initial)
+    a_in, b_in, in_tags = stack_dense(assemble(entry.rows, vehicle.geometry, hv_reference,
                                                cav_strategies))
 
     s_hat = observation.strategy.data
@@ -122,7 +123,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
             f"({', '.join(tags)}); treating them as active"
         )
 
-    z_basis = null_space(elimination.z_basis)
+    z_basis = null_space(entry.factors.z_basis)
     zc = z_basis.T @ c_mat
     a_free = a_in[free_idx]
     za_t = z_basis.T @ a_free.T

@@ -105,6 +105,10 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """A solve's outcome. `row` is the inequality row an INFEASIBLE solve
+    could not enforce, violated by `infeasibility`; None when the solve is
+    OPTIMAL, ran out of iterations or was refused on the equality residual."""
+
     status: str
     s_star: np.ndarray
     lam: np.ndarray
@@ -112,6 +116,7 @@ class QpSolution:
     iterations: int
     infeasibility: float = 0.0
     working_set: tuple = ()
+    row: int | None = None
 
     @property
     def ok(self):
@@ -120,12 +125,15 @@ class QpSolution:
 
 @dataclass
 class GiResult:
+    """`row` is the violated row of an INFEASIBLE solve's dual ray, else None."""
+
     status: str
     y: np.ndarray
     lam: np.ndarray
     iterations: int
     infeasibility: float = 0.0
     working_set: tuple = ()
+    row: int | None = None
 
 
 class GiSolver:
@@ -161,10 +169,10 @@ class GiSolver:
             -dpotrs(self._factor, a_vec, lower=1)[0], rows, z_basis, d_vec, list(warm),
             max_iterations)
 
-        def result(status, infeasibility=0.0):
+        def result(status, infeasibility=0.0, row=None):
             lam = np.zeros(m)
             lam[work] = lam_w
-            return GiResult(status, y, lam, iterations, infeasibility, tuple(work))
+            return GiResult(status, y, lam, iterations, infeasibility, tuple(work), row)
 
         while True:
             iterations += 1
@@ -195,7 +203,7 @@ class GiSolver:
                 if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
                     # Constraint value cannot move: dual-only step.
                     if t1 == np.inf:
-                        return result(INFEASIBLE, viol_p)
+                        return result(INFEASIBLE, viol_p, p)
                     lam_w = lam_w + t1 * dlam
                     lam_p += t1
                     work, s_chol, lam_w, ginv_cw = _drop(j_out, work, s_chol, lam_w, ginv_cw)
@@ -460,6 +468,35 @@ def eliminate(a_eq, b_eq):
     return particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
 
 
+@dataclass(frozen=True)
+class GramBlocks:
+    """The Gram blocks G_j = Z_j'Z_j of a null-space basis Z, where Z_j holds
+    the rows of Z at positions j, j + period, j + 2 period, ...: for a
+    diagonal H that repeats `period` weights w along the variables, Z'HZ is
+    the sum of w_j G_j (the reduced Hessian of variable reduction, Nocedal &
+    Wright section 16.2). `positions` lists, ascending, the j whose rows of Z
+    are not all zero, and `blocks` their G_j, read-only."""
+
+    period: int
+    positions: np.ndarray
+    blocks: np.ndarray
+
+
+def gram_blocks(z_basis, period):
+    """The `GramBlocks` of Z for diagonals that repeat `period` weights."""
+    n, k = z_basis.shape
+    if period < 1 or n % period:
+        raise ValueError(f"Z has {n} rows, not a multiple of the period {period}")
+    steps = z_basis.reshape(n // period, period, k)
+    positions = np.flatnonzero(np.any(steps != 0.0, axis=(0, 2)))
+    blocks = np.empty((positions.size, k, k))
+    for out, j in zip(blocks, positions):
+        z_j = np.ascontiguousarray(steps[:, j])
+        np.matmul(z_j.T, z_j, out=out)
+    blocks.flags.writeable = False
+    return GramBlocks(period, positions, blocks)
+
+
 class ReducedQp:
     """Equality-eliminated view of a QP with a fixed quadratic block.
 
@@ -467,12 +504,14 @@ class ReducedQp:
     solution; this class adds the quadratic block H and keeps the Cholesky
     factor of Z'HZ, so repeated solves that differ only in the linear term
     and the inequality rows stay cheap. H is given either as its diagonal,
-    as the game's tracking objectives are, and then Z'HZ, H s and s'Hs cost
-    no dense n x n product, or as a dense symmetric matrix for a one-shot
-    `QpProblem`. Both forms give bitwise the same numbers for a diagonal H.
+    as the game's tracking objectives are, or as a dense symmetric matrix
+    for a one-shot `QpProblem`. A diagonal must repeat the first `period`
+    weights of the `GramBlocks` of Z that come with it; Z'HZ is then the
+    weighted sum of the blocks, and H s and s'Hs cost no dense n x n product.
+    The two forms agree to round-off.
     """
 
-    def __init__(self, h, elimination):
+    def __init__(self, h, elimination, gram=None):
         self.z_basis, self.s_part = elimination.z_basis, elimination.s_part
         self.eq_residual = elimination.eq_residual
         self._eq_scale = elimination.eq_scale
@@ -483,16 +522,19 @@ class ReducedQp:
                              f"of that size, got {h.shape}")
         _require_finite(h=h)
         self.h = h
-        z_basis = self.z_basis
         if h.ndim == 1:
-            # The contiguous copy keeps the product bitwise equal to the
-            # dense Z' diag(h) Z.
-            g_red = np.ascontiguousarray(z_basis.T * h) @ z_basis
+            if gram is None or gram.blocks.shape[1:] != (self.null_dim,) * 2:
+                raise ValueError("a diagonal H needs the Gram blocks of its null-space basis")
+            period = gram.period
+            if h.tobytes() != h[:period].tobytes() * (self.n // period):
+                raise ValueError(f"a diagonal H must repeat its first {period} weights")
+            g_red = np.einsum("j,jkl->kl", h[gram.positions], gram.blocks)
             self._h_spart = h * self.s_part
         else:
-            g_red = z_basis.T @ h @ z_basis
+            g_red = self.z_basis.T @ h @ self.z_basis
+            g_red = 0.5 * (g_red + g_red.T)
             self._h_spart = h @ self.s_part
-        self.gi = GiSolver(0.5 * (g_red + g_red.T)) if self.null_dim else None
+        self.gi = GiSolver(g_red) if self.null_dim else None
 
     def reduce_rows(self, a_in, b_in):
         """Inequality rows A_in s <= b_in in the null-space coordinates y,
@@ -523,19 +565,23 @@ class ReducedQp:
             # active-set solver judges it.
             miss = -d_red
             worst = float(np.max(miss, initial=0.0))
-            status = OPTIMAL if np.all(miss <= tol * (1.0 + np.abs(d_red))) else INFEASIBLE
-            return self._finish(status, self.s_part, no_lam, f_vec, 0, infeasibility=worst)
+            if np.all(miss <= tol * (1.0 + np.abs(d_red))):
+                return self._finish(OPTIMAL, self.s_part, no_lam, f_vec, 0, infeasibility=worst)
+            return self._finish(INFEASIBLE, self.s_part, no_lam, f_vec, 0, infeasibility=worst,
+                                row=int(np.argmax(miss / (1.0 + np.abs(d_red)))))
         a_red = self.z_basis.T @ (self._h_spart + f_vec)
         res = self.gi.solve(a_red, rows, self.z_basis, d_red, tol=tol, warm=warm)
         s_star = self.s_part + self.z_basis @ res.y
         return self._finish(res.status, s_star, res.lam, f_vec, res.iterations,
-                            res.infeasibility, res.working_set)
+                            res.infeasibility, res.working_set, res.row)
 
-    def _finish(self, status, s_star, lam, f_vec, iterations, infeasibility=0.0, working_set=()):
+    def _finish(self, status, s_star, lam, f_vec, iterations, infeasibility=0.0, working_set=(),
+                row=None):
         half = 0.5 * s_star
         quad = (half * self.h if self.h.ndim == 1 else half @ self.h) @ s_star
         objective = float(quad + f_vec @ s_star)
-        return QpSolution(status, s_star, lam, objective, iterations, infeasibility, working_set)
+        return QpSolution(status, s_star, lam, objective, iterations, infeasibility, working_set,
+                          row)
 
 
 def solve(problem, settings=None):

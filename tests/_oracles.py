@@ -374,6 +374,20 @@ def dense_system(player_vid, opponent_strategies, scenario, segment=None, refere
                             in_tags=in_tags)
 
 
+def block_sum_hessian(z_basis, h_diag, period):
+    """Z' diag(h) Z for a diagonal h that repeats `period` weights, as the
+    sum over positions j, in ascending order, of h_j Z_j'Z_j, where Z_j
+    stacks the rows j, j + period, j + 2 period, ... of Z; a position whose
+    rows are all zero adds nothing and is skipped."""
+    k = z_basis.shape[1]
+    total = np.zeros((k, k))
+    for j in range(period):
+        z_j = np.ascontiguousarray(z_basis[j::period])
+        if np.any(z_j != 0.0):
+            total += h_diag[j] * (z_j.T @ z_j)
+    return total
+
+
 def collision_value(own_pose, opponent_pos, geometry):
     """Nonlinear keep-out value: negative outside the inflated super-ellipse
     around the opponent, zero on its boundary, positive inside."""

@@ -17,8 +17,10 @@ from hypertraffic.game import (
     ve_residual,
     weight_diagonal,
 )
-from hypertraffic.qp import OPTIMAL, QpProblem, kkt_residual
+from hypertraffic.cognition import hv_subjective_game
+from hypertraffic.qp import INFEASIBLE, OPTIMAL, QpProblem, kkt_residual
 from hypertraffic.scenario import (
+    LANE_CHANGE,
     StyleWeights,
     default_offline_scenario,
     style_weights_for,
@@ -220,6 +222,51 @@ def test_blocked_game_stalls_without_convergence(monkeypatch):
 
     monkeypatch.setattr(_PlayerWorkspace, "best_response", cold)
     assert solve_games(game).iterations == result.iterations
+
+
+def test_the_success_study_ground_truth_names_its_infeasible_row(monkeypatch):
+    # The study's ground truth ends degraded: from round 2 on, the human's QP
+    # cannot enforce its keep-out row against player 3 at the last decision
+    # point, a miss of about 2.6e4. Every other solve is optimal and names
+    # no row.
+    solves = []
+    original = _PlayerWorkspace.best_response
+
+    def recorded(self, opponents):
+        sol = original(self, opponents)
+        origin = None if sol.row is None else self.row_origin(sol.row)
+        solves.append((self.vid, sol.status, origin, sol.infeasibility))
+        return sol
+
+    monkeypatch.setattr(_PlayerWorkspace, "best_response", recorded)
+    scen = success_study_scenario()
+    result = solve_games(hv_subjective_game(scen))
+    assert (result.converged, result.degraded, result.iterations) == (False, True, 3)
+    origin = ("collision(3)", scen.horizon)
+    assert result.degraded_players == {0: ((2, INFEASIBLE, origin), (3, INFEASIBLE, origin))}
+    human = [(status, origin) for vid, status, origin, _ in solves if vid == 0]
+    # One solve per round, then the certificate's.
+    assert human == [(OPTIMAL, None)] + [(INFEASIBLE, origin)] * 3
+    misses = [miss for vid, status, _, miss in solves if status == INFEASIBLE]
+    assert misses == pytest.approx([2.5622e4] * 3, rel=1e-4)
+    assert all(status == OPTIMAL for vid, status, _, _ in solves if vid != 0)
+
+
+def test_row_origin_follows_the_stack_layout():
+    # A lane changer's stack: box rows (upper and lower per step, family by
+    # family), lane rows (four vertices per step, boundary by boundary), one
+    # collision slot per opponent, then its behavior rows, one per step.
+    scen = _scen()
+    game = make_game(scen, _subjective_weights(scen))
+    vid = next(v.vid for v in scen.vehicles if v.behavior.kind == LANE_CHANGE)
+    ws = _PlayerWorkspace(game, vid, _KeepOut(game))
+    steps = np.arange(game.segment.n_steps)
+    layout = [("box", np.tile(np.repeat(steps, 2), 3)), ("lane", np.tile(np.repeat(steps, 4), 2))]
+    layout += [(f"collision({oid})", steps) for oid in ws.opponent_ids]
+    layout += [("behavior", steps)]
+    want = [(tag, game.segment.start + 1 + int(step)) for tag, at in layout for step in at]
+    assert ws._stack.shape[0] == len(want)
+    assert [ws.row_origin(p) for p in range(len(want))] == want
 
 
 def test_ve_residual_flags_perturbed_profile():

@@ -214,8 +214,10 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     right-hand sides; the offline one runs the inverse fit, and the noise
     sweep runs it on noisy observations), then the
     benchmark on its reference seed, which exits non-zero when any op misses
-    `bench/reference.json`, and last one traced benchmark run, which exits
-    non-zero when any op's traced and untraced results differ bitwise."""
+    `bench/reference.json`, and last two traced benchmark runs (random
+    cognition, and the H=121 forward game, whose reduced Hessians are the
+    largest), which exit non-zero when any op's traced and untraced results
+    differ bitwise."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
@@ -232,6 +234,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "
+        "--seconds 5 --trace 1",
+        "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload forward-h121 --seed 0 "
         "--seconds 5 --trace 1",
     ]
     assert runs[1][1] == {"OPENBLAS_NUM_THREADS": "1"}

@@ -219,9 +219,9 @@ def _hv_systems():
         scen = make()
         segment = Segment(1, scen.horizon)
         ref = scen.references()[0].window(1, scen.horizon)
-        _, elimination = game_module._player_system(scen.hv, scen, segment, ref,
-                                                    start_state(scen.hv, segment, ref))
-        yield dense_system(0, {}, scen), elimination.z_basis
+        entry = game_module._player_system(scen.hv, scen, segment, ref,
+                                           start_state(scen.hv, segment, ref))
+        yield dense_system(0, {}, scen), entry.factors.z_basis
 
 
 def test_null_space_is_orthonormal_and_spans_the_svd_null_space():
@@ -335,9 +335,11 @@ def _counting(calls, name, fn):
 def test_a_fit_on_cached_coefficients_runs_no_lu_and_builds_no_static_row(monkeypatch):
     # In one online repetition every fit finds the human's coefficients in
     # the static cache, from the stage's prediction game, and so factors
-    # nothing and builds no static row.
+    # nothing and builds no static row. It reads no particular solution, so
+    # it forms none, though its right-hand side is new to the entry.
     calls = []
     for module, name in ((qp, "factor_equalities"), (game_module, "factor_equalities"),
+                         (game_module, "particular"),
                          (constraints, "dynamics_rows"), (constraints, "box_rows"),
                          (constraints, "lane_rows"), (constraints, "behavior_rows")):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
@@ -360,7 +362,7 @@ def test_a_fit_on_cached_coefficients_runs_no_lu_and_builds_no_static_row(monkey
     game_module._STATIC_PARTS.clear()
     harness._online_rep(default_online_scenario(), 0, 1)
     assert len(fits) == len(harness.stage_segments(default_online_scenario())) - 1
-    assert calls  # the forward games did build and factor
+    assert {"factor_equalities", "particular"} <= set(calls)  # the forward games did
     assert fits == [[True, []]] * len(fits)
 
 

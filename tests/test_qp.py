@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
+from hypertraffic import game as game_module
 from hypertraffic import qp as qp_module
-from hypertraffic.constraints import Strategy
-from hypertraffic.game import make_game, objective_qp_data
+from hypertraffic.constraints import STEP_VARS, Strategy
+from hypertraffic.game import _KeepOut, _PlayerWorkspace, make_game, objective_qp_data
 from hypertraffic.qp import (
     INFEASIBLE,
     MAX_ITER,
@@ -18,6 +20,7 @@ from hypertraffic.qp import (
     SolverSettings,
     SparseRows,
     eliminate,
+    gram_blocks,
     kkt_residual,
     solve,
 )
@@ -28,6 +31,7 @@ from hypertraffic.scenario import (
 )
 
 from _oracles import (
+    block_sum_hessian,
     dense_system,
     enumerate_qp,
     exact_kkt_objective,
@@ -134,6 +138,8 @@ def test_detects_contradictory_rows():
     assert sol.status == INFEASIBLE
     assert not sol.ok
     assert sol.infeasibility > 0.0
+    # s >= 1 enters first; then s <= 0 cannot be enforced against it.
+    assert sol.row == 0
 
 
 def test_bitwise_determinism():
@@ -216,9 +222,11 @@ def test_redundant_equality_rows():
     assert kkt.mu[1] == 0.0
     single_kkt = kkt_residual(QpProblem(h, f, a_eq[:1], [1.0], *none), single.s_star, single.lam)
     assert abs(kkt.mu[0] - single_kkt.mu[0]) < 1e-12
+    assert sol.row is None
     bad = solve(QpProblem(h, f, a_eq, [1.0, 2.0], *none))
     assert bad.status == INFEASIBLE
     assert abs(bad.infeasibility - 0.5) < 1e-9
+    assert bad.row is None  # refused on the equality residual, before any row
 
 
 @pytest.mark.parametrize(
@@ -274,6 +282,7 @@ def test_fully_determined_qp(b_in, status, infeasibility):
     sol = solve(QpProblem(h, f, a_eq, [2.0, 1.0], a_in, b_in))
     assert sol.status == status
     assert sol.infeasibility == infeasibility
+    assert sol.row == (None if status == OPTIMAL else 0)  # s_0 + s_1 <= b_0 fails
     assert np.array_equal(sol.s_star, [1.5, 0.5])
     assert np.array_equal(sol.lam, [0.0, 0.0])
     assert sol.iterations == 0
@@ -351,7 +360,10 @@ def test_reduced_qp_matches_enumeration_on_degenerate_rows(seed, copies, diagona
         b_in = np.append(b_in, scale * b_in[row])
     h_mat = np.diag(h) if diagonal else h
     expect_s, expect_obj = enumerate_qp(h_mat, f, a_eq, b_eq, a_in, b_in)
-    reduced = ReducedQp(h, eliminate(a_eq, b_eq))
+    elimination = eliminate(a_eq, b_eq)
+    # A diagonal with no repeating pattern has one Gram block per variable.
+    gram = gram_blocks(elimination.z_basis, h.shape[0]) if diagonal else None
+    reduced = ReducedQp(h, elimination, gram)
     sol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), SolverSettings())
     if expect_s is None:
         assert sol.status == INFEASIBLE
@@ -362,36 +374,95 @@ def test_reduced_qp_matches_enumeration_on_degenerate_rows(seed, copies, diagona
     assert np.all(sol.lam >= 0.0)
 
 
-@pytest.mark.parametrize(
-    "make_scenario",
-    [default_offline_scenario, success_study_scenario, default_online_scenario],
-)
-def test_diagonal_and_dense_h_give_bitwise_equal_reductions(monkeypatch, make_scenario):
-    # The game passes the weights as a diagonal; the one-shot solve passes a
-    # dense matrix. On every player's QP both must form the same reduced
-    # Hessian and land on the same point, bit for bit.
-    reduced_hessians = []
+def _h121_scenario():
+    return replace(default_offline_scenario(), horizon=121)
+
+
+ALL_SCENARIOS = [default_offline_scenario, success_study_scenario, default_online_scenario,
+                 _h121_scenario]
+
+
+def _reduced_hessians(monkeypatch, scenario):
+    """Each decision player's workspace in the scenario's full-horizon game
+    with the true weights, with the reduced Hessian its `ReducedQp` factors
+    from the Gram blocks of the static cache."""
+    game_module._STATIC_PARTS.clear()
+    game = make_game(scenario, {v.vid: v.weights_true for v in scenario.vehicles})
+    keep_out = _KeepOut(game)
+    seen = []
     original = qp_module.GiSolver
 
     def capture(g_mat):
-        reduced_hessians.append(g_mat)
+        seen.append(g_mat)
         return original(g_mat)
 
     monkeypatch.setattr(qp_module, "GiSolver", capture)
+    for vid in game.decision_ids:
+        before = len(seen)
+        workspace = _PlayerWorkspace(game, vid, keep_out)
+        assert len(seen) == before + 1
+        yield game, workspace, seen[-1]
+
+
+@pytest.mark.parametrize("make_scenario", ALL_SCENARIOS)
+def test_the_reduced_hessian_is_bitwise_the_oracles_block_sum(monkeypatch, make_scenario):
+    for _, workspace, g_mat in _reduced_hessians(monkeypatch, make_scenario()):
+        z_basis = workspace.reduced.z_basis
+        assert np.array_equal(g_mat, block_sum_hessian(z_basis, workspace.h_diag, STEP_VARS))
+        assert np.array_equal(g_mat, g_mat.T)
+
+
+@pytest.mark.parametrize("make_scenario", ALL_SCENARIOS)
+def test_the_block_sum_is_the_dense_product_to_round_off(monkeypatch, make_scenario):
+    # The sum over step positions adds the products of Z'diag(h)Z in another
+    # order, so the two agree to round-off, not bitwise.
+    for _, workspace, g_mat in _reduced_hessians(monkeypatch, make_scenario()):
+        z_basis = workspace.reduced.z_basis
+        g_dense = z_basis.T @ np.diag(workspace.h_diag) @ z_basis
+        assert np.max(np.abs(g_mat - g_dense)) <= 1e-13 * np.max(np.abs(g_dense))
+
+
+@pytest.mark.parametrize("make_scenario", ALL_SCENARIOS)
+def test_a_best_response_ends_as_the_dense_h_one_shot_solve(monkeypatch, make_scenario):
     settings = SolverSettings()
-    for h, f, system in _player_qps(make_scenario()):
-        elimination = eliminate(system.a_eq, system.b_eq)
-        solutions = []
-        for form in (np.diag(h), h):
-            reduced = ReducedQp(form, elimination)
-            solutions.append(reduced.solve(f, *reduced.reduce_rows(system.a_in, system.b_in),
-                                           settings))
-        g_diag, g_dense = reduced_hessians[-2:]
-        assert np.array_equal(g_diag, g_dense)
-        assert solutions[0].status == solutions[1].status
-        for field in ("s_star", "lam"):
-            assert np.array_equal(getattr(solutions[0], field), getattr(solutions[1], field))
-        assert solutions[0].objective == solutions[1].objective
+    statuses = set()
+    for game, workspace, _ in _reduced_hessians(monkeypatch, make_scenario()):
+        opponents = {vid: Strategy.from_reference(game.references[vid], game.segment)
+                     for vid in game.decision_ids if vid != workspace.vid}
+        system = dense_system(workspace.vid, opponents, game.scenario, game.segment,
+                              game.references[workspace.vid],
+                              game.initial_states[workspace.vid])
+        one_shot = solve(QpProblem(np.diag(workspace.h_diag), workspace.f_vec, system.a_eq,
+                                   system.b_eq, system.a_in, system.b_in), settings)
+        sol = workspace.best_response(opponents)
+        # Near ties among entering rows may resolve in another order.
+        assert sol.status == one_shot.status and sol.row == one_shot.row
+        assert sorted(sol.working_set) == sorted(one_shot.working_set)
+        if sol.status == OPTIMAL:
+            assert np.max(np.abs(sol.s_star - one_shot.s_star)) <= 1e-9
+        statuses.add(sol.status)
+    assert OPTIMAL in statuses
+
+
+def test_a_diagonal_h_needs_its_gram_blocks_and_a_repeating_pattern():
+    elimination = eliminate([[1.0, 1.0, 0.0, 0.0]], [1.0])
+    gram = gram_blocks(elimination.z_basis, 2)
+    assert list(gram.positions) == [0, 1]
+    with pytest.raises(ValueError, match="Gram blocks"):
+        ReducedQp(np.ones(4), elimination)
+    with pytest.raises(ValueError, match="Gram blocks"):
+        ReducedQp(np.ones(4), elimination, gram_blocks(np.eye(4), 2))
+    with pytest.raises(ValueError, match="repeat its first 2 weights"):
+        ReducedQp(np.array([1.0, 2.0, 1.0, 3.0]), elimination, gram)
+    with pytest.raises(ValueError, match="multiple of the period 3"):
+        gram_blocks(elimination.z_basis, 3)
+    h = np.array([1.0, 2.0, 1.0, 2.0])
+    reduced = ReducedQp(h, elimination, gram)
+    dense = ReducedQp(np.diag(h), elimination)
+    f = np.array([0.5, -1.0, 0.0, 2.0])
+    sol, want = (r.solve(f, *r.reduce_rows(np.zeros((0, 4)), np.zeros(0)), SolverSettings())
+                 for r in (reduced, dense))
+    assert np.max(np.abs(sol.s_star - want.s_star)) <= 1e-12
 
 
 @pytest.mark.parametrize("warm, max_iterations, status, point, iterations, working_set", [

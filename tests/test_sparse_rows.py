@@ -58,7 +58,7 @@ def test_sparse_rows_agree_with_their_dense_oracle(block):
     assert np.array_equal(stack_dense([(rows, np.zeros(rows.shape[0]), ())])[0], dense)
     assert np.all(np.abs(rows @ x - dense @ x) <= 16 * EPS * _gathered_scale(rows, x))
 
-    reduced = ReducedQp(np.ones(rows.n_cols), eliminate(a_eq, b_eq))
+    reduced = ReducedQp(np.eye(rows.n_cols), eliminate(a_eq, b_eq))
     z_basis = reduced.z_basis
     c_sparse = _reduced_rows(rows, z_basis, np.arange(rows.shape[0]))
     assert c_sparse.shape == (rows.shape[0], z_basis.shape[1])
@@ -84,7 +84,7 @@ def test_sparse_rows_refuse_mismatched_shapes():
     rows = SparseRows(np.zeros((2, 1), dtype=int), np.ones((2, 1)), 4)
     with pytest.raises(ValueError, match="4 columns"):
         rows @ np.ones(3)
-    reduced = ReducedQp(np.ones(3), eliminate(np.zeros((0, 3)), np.zeros(0)))
+    reduced = ReducedQp(np.eye(3), eliminate(np.zeros((0, 3)), np.zeros(0)))
     with pytest.raises(ValueError, match="4 columns"):
         reduced.reduce_rows(rows, np.zeros(2))
     assert not rows.cols.flags.writeable and not rows.coef.flags.writeable

@@ -452,14 +452,16 @@ def _kept_arrays(obj, seen):
     return seen
 
 
-@pytest.mark.parametrize("kind, bound", [("lane change", 1.95e6), ("straight", 1.8e6)])
+@pytest.mark.parametrize("kind, bound", [("lane change", 4.8e6), ("straight", 2.15e6)])
 def test_a_cache_entry_at_h121_stays_small(kind, bound):
-    # An entry is about the basis Z (1.38 MB for a lane changer, 0.69 MB for
-    # a straight driver) and the triangular factors of the equality rows,
-    # kept by their nonzeros (l1 is 12.5 % and 16.5 % nonzero, U 0.6 % and
-    # 4.4 %): 0.36 MB and 0.90 MB. Whole, the entry holds 1.89 MB and
-    # 1.74 MB; kept dense, the factors alone would take 3.7 MB and 5.8 MB.
-    # Every array reachable from the entry counts, a view as its base.
+    # An entry is about the Gram blocks of Z (six of 240 x 240, 2.76 MB, for
+    # a lane changer; three of 120 x 120, 0.35 MB, for a straight driver),
+    # the basis Z (1.38 MB and 0.69 MB) and the triangular factors of the
+    # equality rows, kept by their nonzeros (l1 is 12.5 % and 16.5 % nonzero,
+    # U 0.6 % and 4.4 %): 0.36 MB and 0.90 MB. Whole, the entry holds
+    # 4.66 MB and 2.08 MB; kept dense, the factors alone would take 3.7 MB
+    # and 5.8 MB. Every array reachable from the entry counts, a view as its
+    # base.
     scen = _scenario("h121")
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
@@ -482,6 +484,31 @@ def test_cold_and_warm_caches_give_the_same_online_repetition(factorizations):
     warm, _ = harness._online_rep(scen, 3, 1)
     assert len(factorizations) == misses
     assert timeless(warm) == timeless(cold)
+
+
+def test_gram_blocks_are_built_once_per_coefficient_key(monkeypatch, factorizations):
+    # A miss forms the Gram blocks of its basis with its factors; every later
+    # workspace on that key, whatever its weights and right-hand side, reads
+    # them, so a warm online repetition builds none.
+    keys, built = set(), []
+    key_of, blocks_of = game_module.coefficient_key, game_module.gram_blocks
+
+    def keyed(*args):
+        key = key_of(*args)
+        keys.add(key)
+        return key
+
+    def counting(z_basis, period):
+        built.append(z_basis)
+        return blocks_of(z_basis, period)
+
+    monkeypatch.setattr(game_module, "coefficient_key", keyed)
+    monkeypatch.setattr(game_module, "gram_blocks", counting)
+    scen = default_online_scenario()
+    harness._online_rep(scen, 3, 1)
+    assert 0 < len(built) == len(keys) == len(factorizations) <= game_module.STATIC_CACHE_ENTRIES
+    harness._online_rep(scen, 3, 1)
+    assert len(built) == len(keys)
 
 
 def test_a_reference_stepped_otherwise_than_the_scenario_is_refused():
