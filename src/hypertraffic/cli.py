@@ -101,6 +101,13 @@ def _cmd_solve(args):
     for vid in sorted(result.gaps):
         print(f"player {vid}: objective={result.objectives[vid]:.6f} "
               f"gap={result.gaps[vid]:.3e}")
+    for vid, failures in sorted(result.degraded_players.items()):
+        rounds = {}
+        for zeta, status, origin in failures:
+            rounds.setdefault((status, origin), []).append(str(zeta))
+        for (status, origin), zetas in rounds.items():
+            where = "" if origin is None else f" at {origin[0]}, decision point {origin[1]}"
+            print(f"player {vid} degraded: {status}{where}, rounds {', '.join(zetas)}")
     if args.out:
         fields = ("player", "step", "p_x", "p_y", "v", "psi")
         rows = [dict(zip(fields, (vid, k, *state)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .cognition import average_weights
 from .constraints import Segment, Strategy, assemble, stack_dense, start_state
@@ -25,6 +24,16 @@ from .game import (WEIGHT_PATTERN, _player_system, check_reference, make_game, r
 from .scenario import EFFECTIVE_INDICES, StyleWeights
 
 IDENTIFIABILITY_EPS = 1e-8
+
+
+def lsq_linear(*args, **kwargs):
+    """`scipy.optimize.lsq_linear`, imported on the first fit: importing
+    scipy.optimize costs about 0.2 s and 20 MB, which a forward game, a
+    `solve` or a random-cognition run would otherwise pay for a solver it
+    never calls."""
+    from scipy.optimize import lsq_linear as solver
+
+    return solver(*args, **kwargs)
 
 
 @dataclass(frozen=True)

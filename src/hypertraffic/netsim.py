@@ -46,13 +46,15 @@ class ProtocolMessage:
 
 @dataclass(frozen=True)
 class ComputeEvent:
-    """One node-local computation with its measured duration."""
+    """One node-local computation with its measured duration. `status` is a
+    best response's QP status, None for a criterion check."""
 
     node: str
     kind: str
     player: object
     iteration: int
     seconds: float
+    status: object
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ class _DistributedObserver:
 
     def computed(self, vid, zeta, strategy, seconds, status):
         sender = node_for(vid)
-        self.events.append(ComputeEvent(sender, "best_response", vid, zeta, seconds))
+        self.events.append(ComputeEvent(sender, "best_response", vid, zeta, seconds, status))
         self.mailboxes[sender][vid] = strategy
         recipients = tuple(n for n in self.nodes if n != sender)
         self.messages.append(
@@ -176,7 +178,7 @@ class _DistributedObserver:
             self.mailboxes[node][vid] = strategy
 
     def criterion(self, zeta, rel_step, violation, seconds, stop):
-        self.events.append(ComputeEvent(RSU, "criterion", None, zeta, seconds))
+        self.events.append(ComputeEvent(RSU, "criterion", None, zeta, seconds, None))
         if stop:
             self.messages.append(
                 ProtocolMessage(

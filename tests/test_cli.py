@@ -102,6 +102,7 @@ def test_solve_writes_trajectory_csv(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "converged=True" in captured
     assert "player 0:" in captured
+    assert "degraded:" not in captured
     header, rows = _read_csv(out)
     assert header == ["player", "step", "p_x", "p_y", "v", "psi"]
     # Four vehicles, 35 decision steps each.
@@ -111,6 +112,19 @@ def test_solve_writes_trajectory_csv(tmp_path, capsys):
     # Step 1 is the fixed initial state; the first decision point is step 2.
     assert first[1] == "2"
     assert rows[34].split(",")[1] == "36"
+
+
+def test_solve_names_the_row_that_degraded_a_game(monkeypatch, capsys):
+    # With true weights the success study's human cannot enforce its
+    # keep-out row against player 3 at the last decision point from round 2
+    # on, so the game stalls unconverged and `solve` exits 1.
+    monkeypatch.setattr(cli, "default_offline_scenario", success_study_scenario)
+    assert cli.main(["solve"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "degraded:" in line] == [
+        "player 0 degraded: infeasible at collision(3), decision point 36, rounds 2, 3"
+    ]
+    assert lines[-1].startswith("player 0 degraded:")
 
 
 def test_solve_accepts_scenario_config(tmp_path, capsys):
@@ -147,6 +161,8 @@ def test_solve_trace_writes_the_session_and_changes_no_output(tmp_path, capsys):
     broadcasts = [r for r in rows if r.get("kind") == "strategy_broadcast"]
     assert len(broadcasts) == 4 * iterations
     assert summary["messages"] == sum(r["record"] == "message" for r in rows)
+    events = [r for r in rows if r["record"] == "event"]
+    assert {r["status"] for r in events if r["kind"] == "best_response"} == {"optimal"}
 
 
 def test_interpret_offline_noise_free(tmp_path, capsys):

@@ -9,9 +9,13 @@ and every dataclass field is read as an attribute by some library,
 benchmark or test module.
 Also, the CI workflow (read with PyYAML) installs the package, runs the
 tier-1 command and the installed console script, and checks the benchmark
-against its reference."""
+against its reference. And a fresh interpreter that imports the package and
+solves a forward game loads neither scipy.optimize nor PyYAML."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,7 +216,9 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     short studies through the installed `hypertraffic` console script (the
     online one re-plans every stage, so it solves cached coefficients for new
     right-hand sides; the offline one runs the inverse fit, and the noise
-    sweep runs it on noisy observations), then the
+    sweep runs it on noisy observations) and one `solve` of the default
+    forward game, the command whose start-up the deferred imports shorten,
+    then the
     benchmark on its reference seed, which exits non-zero when any op misses
     `bench/reference.json`, and last two traced benchmark runs (random
     cognition, and the H=121 forward game, whose reduced Hessians are the
@@ -231,6 +237,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic run-online --reps 2 --seed 0",
         "hypertraffic interpret-offline --reps 1 --seed 0",
         "hypertraffic sweep-noise --reps 2 --stds 0.05,0.2 --seed 0 --out /tmp/sweep.csv",
+        "hypertraffic solve --out /tmp/solve.csv",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "
@@ -247,3 +254,49 @@ def test_property_tests_draw_the_same_examples_on_every_run():
     from hypothesis import settings
 
     assert settings.default.derandomize and settings.default.database is None
+
+
+DEFERRED_IMPORTS = """
+import sys
+
+import numpy as np
+
+import hypertraffic
+from hypertraffic import inverse, scenario
+from hypertraffic.game import make_game, solve_games
+
+
+def loaded():
+    return "scipy.optimize" in sys.modules, "yaml" in sys.modules
+
+
+scen = scenario.default_offline_scenario()
+solve_games(make_game(scen, {v.vid: v.weights_true for v in scen.vehicles}))
+after_solve = loaded()
+scenario.load_config(
+    "vehicles:\\n"
+    "  - {id: 0, is_hv: true, style: comfort_oriented, behavior: {kind: straight},"
+    " initial: {x: 0.0, y: 2.0, v: 10.0}}\\n"
+)
+after_config = loaded()
+args = (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]), np.array([1.0, -2.0, 0.5]))
+kwargs = dict(bounds=([0.0, -1.0], [2.0, 1.0]), method="bvls", tol=1e-14)
+x = inverse.lsq_linear(*args, **kwargs).x
+after_fit = loaded()
+from scipy.optimize import lsq_linear
+
+print(after_solve, after_config, after_fit, x.tobytes() == lsq_linear(*args, **kwargs).x.tobytes())
+"""
+
+
+def test_the_package_imports_scipy_optimize_and_pyyaml_on_first_use():
+    """`import hypertraffic` and a forward game load neither scipy.optimize
+    (about 0.2 s of import) nor PyYAML; the first config read loads PyYAML,
+    and the first `inverse.lsq_linear` call loads scipy.optimize and returns
+    scipy's result bitwise. Run in a fresh interpreter, since this process
+    has imported both already."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", DEFERRED_IMPORTS], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    assert proc.stdout.strip() == "(False, False) (False, True) (True, True) True"

@@ -78,6 +78,12 @@ def test_stalled_session_sends_no_stop_signal():
     kinds = [m.kind for m in trace.messages]
     assert kinds.count(STOP_SIGNAL) == 0
     assert kinds.count(ROUND_START) == result.iterations
+    # Each best-response event carries its QP status: the human's QP is
+    # infeasible in rounds 2 and 3, every other one optimal.
+    failed = [(e.player, e.iteration, e.status) for e in trace.events
+              if e.kind == "best_response" and e.status != "optimal"]
+    assert failed == [(0, 2, "infeasible"), (0, 3, "infeasible")]
+    assert {e.status for e in trace.events if e.kind == "criterion"} == {None}
 
 
 def test_broadcast_recipients_exclude_sender():
@@ -121,6 +127,8 @@ def test_trace_jsonl_round_trip(tmp_path):
     events = [r for r in rows if r["record"] == "event"]
     assert len(messages) == trace.message_count
     assert len(events) == len(trace.events)
+    assert [r["status"] for r in events] == [e.status for e in trace.events]
+    assert {r["status"] for r in events} == {"optimal", None}
     # broadcast payloads are summarized by norm, never dumped raw
     for row in messages:
         if row["kind"] == STRATEGY_BROADCAST:
