@@ -12,6 +12,7 @@ produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -320,7 +321,7 @@ class StaticRows:
 
 def stack_dense(blocks):
     """(A, b, tags) of (rows, rhs, tags) blocks stacked in order, with A
-    dense: the form the equality elimination and the inverse fit read. A is
+    dense: the form the equality elimination and the test oracles read. A is
     written once, by one `bincount` over every block's flat indices: a
     column repeated in a row gets the sum of its coefficients, added slot by
     slot."""
@@ -382,19 +383,52 @@ def restated_rows(rows, vehicle, scenario, reference, initial_state):
                         for part in (rows.eq, rows.head, rows.tail)))
 
 
-def assemble(rows, geometry, reference, opponent_strategies):
-    """A player's inequality blocks (rows, rhs, tags) in solver order: the
-    head of its static rows `rows`, then one keep-out block per opponent in
-    ascending id, linearized by `collision_rows` about the decision poses of
-    `reference`, then the tail."""
-    n = len(reference) - 1
-    collisions = []
-    for opp_id in sorted(opponent_strategies):
-        (grad,), (b_in,) = collision_rows(reference.states[None, 1:], (keep_out_axes(geometry),),
-                                          opponent_strategies[opp_id])
-        collisions.append((_step_rows(np.arange(n), _POSE_COLUMNS, grad, n), b_in,
-                           (f"collision({opp_id})",) * n))
-    return rows.head + tuple(collisions) + rows.tail
+class InequalityStack:
+    """A player's inequality rows A s <= b in the order `assemble` lays out:
+    `rows` (`SparseRows`), `b`, each row's family in `tags` (formed on first
+    read) and each opponent's keep-out rows in `slots`. A slot holds zero
+    rows on its steps' pose columns until `keep_out` writes it through the
+    read-only view `rows`."""
+
+    def __init__(self, rows, coef, b, slots, static):
+        self.rows, self._coef, self.b, self.slots, self._static = rows, coef, b, slots, static
+
+    @cached_property
+    def tags(self):
+        n_steps = self.rows.n_cols // STEP_VARS
+        slots = tuple(f"collision({oid})" for oid in self.slots for _ in range(n_steps))
+        head, tail = (sum((tags for _, _, tags in part), ()) for part in self._static)
+        return head + slots + tail
+
+    def keep_out(self, oid, grad, b):
+        """Write opponent `oid`'s keep-out gradients (n, 3) and b, as
+        `collision_rows` gives them, into its slot."""
+        span = self.slots[oid]
+        self._coef[span, :3], self.b[span] = grad, b
+
+
+def assemble(rows, n_steps, opponent_ids):
+    """The one layout of a player's inequality rows, for the forward game and
+    the inverse fit: the head of its static rows `rows`, one empty keep-out
+    slot of `n_steps` rows per opponent by ascending id, then the tail."""
+    ids = sorted(opponent_ids)
+    width = max(a.coef.shape[1] for a, _, _ in (*rows.head, *rows.tail))
+    n_head, n_slots = sum(b.size for _, b, _ in rows.head), n_steps * len(ids)
+    m = n_head + n_slots + sum(b.size for _, b, _ in rows.tail)
+    cols, coef, b_all = np.zeros((m, width), dtype=np.intp), np.zeros((m, width)), np.zeros(m)
+    at = 0
+    for blocks, skip in ((rows.head, n_slots), (rows.tail, 0)):
+        for a, b, _ in blocks:
+            span, k = slice(at, at + b.size), a.coef.shape[1]
+            cols[span, :k], coef[span, :k], b_all[span] = a.cols, a.coef, b
+            at += b.size
+        at += skip
+    slot_cols = cols[n_head:n_head + n_slots].reshape(len(ids), n_steps, width)
+    slot_cols[:, :, :3] = pose_columns(n_steps)
+    slots = {oid: slice(n_head + k * n_steps, n_head + (k + 1) * n_steps)
+             for k, oid in enumerate(ids)}
+    return InequalityStack(SparseRows(cols.view(), coef.view(), STEP_VARS * n_steps), coef, b_all,
+                           slots, (rows.head, rows.tail))
 
 
 def profile_violation(strategies, scenario):

@@ -54,6 +54,15 @@ class ControlInput:
         return ControlInput(float(u[0]), float(u[1]))
 
 
+def require_finite(owner, *names):
+    """Refuse `owner` unless each of its fields `names` is finite, naming the
+    first that is not."""
+    for name in names:
+        value = getattr(owner, name)
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{type(owner).__name__}.{name} is not finite: {value!r}")
+
+
 @dataclass(frozen=True)
 class VehicleGeometry:
     """Body rectangle and the enlarged rectangle used for lane constraints.
@@ -69,6 +78,7 @@ class VehicleGeometry:
     diagonal: float = field(init=False)
 
     def __post_init__(self):
+        require_finite(self, "length", "width", "extended_length", "extended_width")
         if self.length <= 0 or self.width <= 0:
             raise ValueError("vehicle length and width must be positive")
         if self.extended_length < self.length or self.extended_width < self.width:

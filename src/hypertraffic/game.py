@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (STEP_VARS, Segment, StaticRows, Strategy, coefficient_key,
+from .constraints import (STEP_VARS, Segment, StaticRows, Strategy, assemble, coefficient_key,
                           collision_rows, keep_out_axes, pose_columns, restated_rows, stack_dense,
                           start_state, static_rows)
-from .qp import (OPTIMAL, Elimination, EqFactors, GramBlocks, ReducedQp, SparseRows,
-                 _require_finite, factor_equalities, gram_blocks, particular)
+from .qp import (OPTIMAL, Elimination, EqFactors, GramBlocks, ReducedQp, _require_finite,
+                 factor_equalities, gram_blocks, particular)
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
@@ -241,15 +241,13 @@ class _KeepOut:
 class _PlayerWorkspace:
     """Per-player QP data that survives the whole game: the player's shared
     static rows `rows`, the reduced quadratic block for its weights on their
-    shared elimination, and one stack of its inequality rows in solver order,
-    as the solver reads them: `SparseRows` padded to the widest static block
-    (a collision row touches the pose columns, as a lane row does), with each
-    row's b and its d = b - A s_part. Between the static head and tail blocks
-    sits one collision slot per opponent. A slot's columns, and s_part at
-    them, are fixed when the workspace is built; when the opponent
-    `Strategy` object the slot records changes, the player's coefficients
-    and b are copied in from the game's `_KeepOut` batch and d is formed on
-    the gathered s_part. The check is by identity: every accepted best
+    shared elimination, its inequality rows as `constraints.assemble` lays
+    them out (`stack`), and each row's d = b - A s_part, from one
+    `ReducedQp.reduce_rows` of the whole stack. s_part at a keep-out slot's
+    columns is gathered when the workspace is built; when the opponent
+    `Strategy` object a slot records changes, the player's coefficients and
+    b are written into it from the game's `_KeepOut` batch and d is formed
+    on the gathered s_part. The check is by identity: every accepted best
     response makes a new strategy object, and a transport passes on the
     objects it receives. A best response against the same opponent objects
     as the last one returns the stored solution. Every solve uses the
@@ -268,41 +266,15 @@ class _PlayerWorkspace:
         self.reduced = ReducedQp(self.h_diag, entry.elimination(), entry.gram)
         self._keep_out = keep_out
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
-        head, tail = self.rows.head, self.rows.tail
-        n = game.segment.n_steps
-        n_head = sum(b.size for _, b, _ in head)
-        n_coll = n * len(self.opponent_ids)
-        m = n_head + n_coll + sum(b.size for _, b, _ in tail)
-        width = max(a.coef.shape[1] for a, _, _ in (*head, *tail))
-        self._cols = np.zeros((m, width), dtype=np.intp)
-        self._coef = np.zeros((m, width))
-        self._b, self._d = np.zeros(m), np.zeros(m)
-        # Views: the rows are read-only, the slots written here show through.
-        self._stack = SparseRows(self._cols.view(), self._coef.view(), game.segment.n_vars)
-        self._slots = {oid: slice(n_head + k * n, n_head + (k + 1) * n)
-                       for k, oid in enumerate(self.opponent_ids)}
-        at = 0
-        for blocks, slots in ((head, n_coll), (tail, 0)):
-            for a, b, _ in blocks:
-                self._write(slice(at, at + b.size), a, b)
-                at += b.size
-            at += slots
-        columns = pose_columns(n)
-        for span in self._slots.values():
-            self._cols[span, :3] = columns
-        self._pose_part = self.reduced.s_part.take(columns)  # s_part at a slot's columns
+        self.stack = assemble(self.rows, game.segment.n_steps, self.opponent_ids)
+        self._d = self.reduced.reduce_rows(self.stack.rows, self.stack.b)[1]
+        self._pose_part = self.reduced.s_part.take(pose_columns(game.segment.n_steps))
         self._built = dict.fromkeys(self.opponent_ids)  # the strategy each slot holds
         self._solved = None  # (opponent strategies, solution)
         self._warm = ()  # the last optimal working set, as row indices of the stack
 
-    def _write(self, span, rows, b_in):
-        """Write a block of rows, its b and its d into the rows `span` of the stack."""
-        k = rows.coef.shape[1]
-        self._cols[span, :k], self._coef[span, :k] = rows.cols, rows.coef
-        self._b[span], self._d[span] = b_in, self.reduced.reduce_rows(rows, b_in)[1]
-
     def _sync(self, opponents):
-        """Bring the collision slots up to date with `opponents`; returns the
+        """Bring the keep-out slots up to date with `opponents`; returns the
         opponent strategies in solver order."""
         if tuple(sorted(opponents)) != self.opponent_ids:
             raise ValueError(f"player {self.vid} plays against {self.opponent_ids}, "
@@ -311,11 +283,11 @@ class _PlayerWorkspace:
         for oid, strat in zip(self.opponent_ids, strategies):
             if self._built[oid] is not strat:
                 grad, b_in = self._keep_out.rows(self.vid, oid, strat)
-                span = self._slots[oid]
-                self._coef[span, :3], self._b[span] = grad, b_in
+                self.stack.keep_out(oid, grad, b_in)
                 # Bitwise `reduce_rows`'s d (the product `SparseRows @` forms)
-                # at a third of the cost of a `_write` of the slot.
-                self._d[span] = b_in - np.einsum("ij,ij->i", grad, self._pose_part)
+                # at a fraction of the cost of reducing the whole stack again.
+                self._d[self.stack.slots[oid]] = b_in - np.einsum("ij,ij->i", grad,
+                                                                  self._pose_part)
                 self._built[oid] = strat
         return strategies
 
@@ -325,7 +297,7 @@ class _PlayerWorkspace:
             last, sol = self._solved
             if all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self._stack, self._d, self.settings, self._warm)
+        sol = self.reduced.solve(self.f_vec, self.stack.rows, self._d, self.settings, self._warm)
         self._warm = sol.working_set if sol.ok else self._warm
         self._solved = (strategies, sol)
         return sol
@@ -333,17 +305,15 @@ class _PlayerWorkspace:
     def violation_at(self, s_vec, opponents):
         self._sync(opponents)
         eq = self.rows.eq_miss(s_vec)
-        return max(float(np.abs(eq).max()), float((self._stack @ s_vec - self._b).max()))
+        return max(float(np.abs(eq).max()),
+                   float((self.stack.rows @ s_vec - self.stack.b).max()))
 
     def row_origin(self, p):
-        """(family tag, decision point) of row p of the stack, read through
-        its layout: the head blocks, one collision slot per opponent, the
-        tail blocks. Every row constrains the variables of one step only."""
-        segment = self._segment
-        families = sum((tags for _, _, tags in self.rows.head), ())
-        families += sum(((f"collision({oid})",) * segment.n_steps for oid in self.opponent_ids), ())
-        families += sum((tags for _, _, tags in self.rows.tail), ())
-        return families[p], segment.start + 1 + int(self._cols[p, 0]) // STEP_VARS
+        """(family tag, decision point) of row p of the stack, by its tag
+        and the step of its first column: every row constrains the variables
+        of one step only."""
+        step = int(self.stack.rows.cols[p, 0]) // STEP_VARS
+        return self.stack.tags[p], self._segment.start + 1 + step
 
     def objective(self, s_vec):
         dev = s_vec - self.s_ref

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cognition import average_weights
-from .constraints import Segment, Strategy, assemble, stack_dense, start_state
+from .constraints import (Segment, Strategy, assemble, collision_rows, keep_out_axes,
+                          start_state)
 from .game import (WEIGHT_PATTERN, _player_system, check_reference, make_game, reference_vector,
                    solve_games)
+from .qp import _reduced_rows
 from .scenario import EFFECTIVE_INDICES, StyleWeights
 
 IDENTIFIABILITY_EPS = 1e-8
@@ -97,7 +99,8 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     rows and null space are the ones its forward workspace reads, from
     `game._player_system`, so a fit whose coefficients a game just solved
     with builds no static row and factors nothing; it reads no particular
-    solution, so it forms none."""
+    solution, so it forms none. It reads the stack `constraints.assemble`
+    lays out for a workspace, sparse."""
     segment = observation.segment
     vehicle = scenario.hv
     if hv_reference is None:
@@ -110,8 +113,11 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     if 0 in cav_strategies:
         raise ValueError("player 0 listed among its own opponents")
     entry = _player_system(vehicle, scenario, segment, hv_reference, hv_initial)
-    a_in, b_in, in_tags = stack_dense(assemble(entry.rows, vehicle.geometry, hv_reference,
-                                               cav_strategies))
+    stack = assemble(entry.rows, segment.n_steps, cav_strategies)
+    axes = (keep_out_axes(vehicle.geometry),)
+    for oid in stack.slots:
+        (grad,), (b_in,) = collision_rows(hv_reference.states[None, 1:], axes, cav_strategies[oid])
+        stack.keep_out(oid, grad, b_in)
 
     s_hat = observation.strategy.data
     s_ref = reference_vector(hv_reference, segment)
@@ -122,11 +128,11 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     c_mat[np.arange(n), np.tile(WEIGHT_PATTERN, segment.n_steps)] = dev
 
     warnings = []
-    g_vals = a_in @ s_hat - b_in
+    g_vals = stack.rows @ s_hat - stack.b
     free_idx = np.flatnonzero(g_vals + kappa >= 0.0)
     violated = np.flatnonzero(g_vals > kappa)
     if violated.size:
-        tags = sorted({in_tags[j] for j in violated})
+        tags = sorted({stack.tags[j] for j in violated})
         warnings.append(
             f"observation violates {violated.size} constraint rows beyond kappa "
             f"({', '.join(tags)}); treating them as active"
@@ -134,8 +140,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
 
     z_basis = null_space(entry.factors.z_basis)
     zc = z_basis.T @ c_mat
-    a_free = a_in[free_idx]
-    za_t = z_basis.T @ a_free.T
+    za_t = _reduced_rows(stack.rows, z_basis, free_idx).T  # (A_free Z)'
 
     # A multiplier whose constraint gradient vanishes on the equality null
     # space cannot influence stationarity; drop it and report it as zero.
@@ -172,10 +177,10 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     fit = lsq_linear(m_mat, b_vec, bounds=(lower, upper), method="bvls", tol=1e-14)
 
     theta_raw = np.clip(fit.x[:6], theta_min, theta_max)
-    lam = np.zeros(a_in.shape[0])
+    lam = np.zeros(stack.b.size)
     lam[kept_idx] = np.maximum(fit.x[6:], 0.0)
 
-    residual = float(np.linalg.norm(z_basis.T @ (c_mat @ theta_raw + a_in.T @ lam)))
+    residual = float(np.linalg.norm(zc @ theta_raw + za_t @ lam[free_idx]))
 
     theta_0c = StyleWeights(theta_raw, theta_min, theta_max).normalized(vehicle.behavior.kind)
     return InverseResult(

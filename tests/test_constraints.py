@@ -430,35 +430,69 @@ def test_behavior_rows_lane_change_is_one_sided():
 
 
 def test_assemble_counts_and_tag_order():
-    # `assemble` gives the inequality blocks in solver order: the static
-    # head, one keep-out block per opponent by ascending id, the static tail.
+    # `assemble` lays out the inequality stack in solver order: the static
+    # head, one keep-out slot per opponent by ascending id, the static tail.
     scen = _scen()
     n = scen.horizon - 1
     segment = Segment(1, scen.horizon)
 
-    def blocks(vid, opponent_ids):
+    def stacked(vid, opponent_ids):
         vehicle, ref = scen.vehicle(vid), _ref(scen, vid)
         rows = static_rows(vehicle, scen, segment, ref, start_state(vehicle, segment, ref))
-        # Given out of order, to show the blocks come by ascending id.
-        opponents = {k: _seed_strategy(scen, k) for k in reversed(opponent_ids)}
-        got = assemble(rows, vehicle.geometry, ref, opponents)
-        assert got[:len(rows.head)] == rows.head and got[len(got) - len(rows.tail):] == rows.tail
-        return rows, stack_dense(got)[2]
+        # Given out of order, to show the slots come by ascending id.
+        stack = assemble(rows, n, reversed(opponent_ids))
+        assert list(stack.slots) == sorted(opponent_ids)
+        return rows, stack
 
-    rows_hv, tags = blocks(0, (1, 2, 3))
+    rows_hv, stack = stacked(0, (1, 2, 3))
+    tags = stack.tags
     assert sum(b.size for _, b, _ in rows_hv.eq) == 4 * n + n  # dynamics plus pinned heading
-    assert len(tags) == 6 * n + 8 * n + 3 * n
+    assert len(tags) == 6 * n + 8 * n + 3 * n == stack.rows.shape[0] == stack.b.size
     assert set(tags[: 6 * n]) == {"box"}
     assert set(tags[6 * n : 14 * n]) == {"lane"}
     assert set(tags[14 * n : 15 * n]) == {"collision(1)"}
     assert set(tags[15 * n : 16 * n]) == {"collision(2)"}
     assert set(tags[16 * n :]) == {"collision(3)"}
+    assert [stack.slots[k] for k in (1, 2, 3)] == [slice(14 * n + k * n, 15 * n + k * n)
+                                                  for k in range(3)]
 
-    rows_cav, tags = blocks(1, (0, 2, 3))
+    rows_cav, stack = stacked(1, (0, 2, 3))
+    tags = stack.tags
     assert sum(b.size for _, b, _ in rows_cav.eq) == 4 * n  # lane change has no heading pin
     assert len(tags) == 6 * n + 8 * n + 3 * n + n
     assert set(tags[14 * n : 15 * n]) == {"collision(0)"}
     assert set(tags[17 * n :]) == {"behavior"}
+
+
+def test_assemble_stacks_the_static_blocks_and_fills_a_slot_by_keep_out():
+    # The stack densifies to the static head, zero rows in each empty slot
+    # and the static tail; `keep_out` writes one slot's rows and b, bitwise
+    # a one-player `collision_rows` block, and leaves every other row as it
+    # was. The rows themselves stay read-only.
+    scen = _scen()
+    segment = Segment(1, scen.horizon)
+    n = segment.n_steps
+    vehicle, ref = scen.vehicle(1), _ref(scen, 1)
+    rows = static_rows(vehicle, scen, segment, ref, start_state(vehicle, segment, ref))
+    stack = assemble(rows, n, (0, 2, 3))
+    head = stack_dense(rows.head)
+    tail = stack_dense(rows.tail)
+    empty = np.zeros((3 * n, segment.n_vars))
+    assert np.array_equal(densify(stack.rows), np.vstack([head[0], empty, tail[0]]))
+    assert np.array_equal(stack.b, np.concatenate([head[1], np.zeros(3 * n), tail[1]]))
+    assert np.array_equal(stack.rows.cols[stack.slots[2], :3], pose_columns(n))
+    before = densify(stack.rows), stack.b.copy()
+    block = _collision_block(ref, _seed_strategy(scen, 2), vehicle.geometry, 2)
+    stack.keep_out(2, block[0].coef, block[1])
+    span = stack.slots[2]
+    after = densify(stack.rows)
+    assert np.array_equal(after[span], densify(block[0]))
+    assert np.array_equal(stack.b[span], block[1]) and stack.tags[span] == block[2]
+    others = np.ones(stack.b.size, dtype=bool)
+    others[span] = False
+    assert np.array_equal(after[others], before[0][others])
+    assert np.array_equal(stack.b[others], before[1][others])
+    assert not stack.rows.coef.flags.writeable and not stack.rows.cols.flags.writeable
 
 
 @pytest.mark.parametrize("start, stop", [(1, 36), (5, 12), (35, 36)])

@@ -103,3 +103,10 @@ def test_geometry_diagonal():
     assert abs(geo.diagonal - math.hypot(geo.length, geo.width)) < 1e-12
     with pytest.raises(ValueError):
         VehicleGeometry(length=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["length", "width", "extended_length", "extended_width"])
+def test_geometry_refuses_a_non_finite_field_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^VehicleGeometry\.{field} is not finite: "):
+        VehicleGeometry(**{field: value})

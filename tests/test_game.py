@@ -265,7 +265,7 @@ def test_row_origin_follows_the_stack_layout():
     layout += [(f"collision({oid})", steps) for oid in ws.opponent_ids]
     layout += [("behavior", steps)]
     want = [(tag, game.segment.start + 1 + int(step)) for tag, at in layout for step in at]
-    assert ws._stack.shape[0] == len(want)
+    assert ws.stack.rows.shape[0] == len(want)
     assert [ws.row_origin(p) for p in range(len(want))] == want
 
 

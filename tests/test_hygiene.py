@@ -216,14 +216,14 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     short studies through the installed `hypertraffic` console script (the
     online one re-plans every stage, so it solves cached coefficients for new
     right-hand sides; the offline one runs the inverse fit, and the noise
-    sweep runs it on noisy observations) and one `solve` of the default
-    forward game, the command whose start-up the deferred imports shorten,
-    then the
-    benchmark on its reference seed, which exits non-zero when any op misses
-    `bench/reference.json`, and last two traced benchmark runs (random
-    cognition, and the H=121 forward game, whose reduced Hessians are the
-    largest), which exit non-zero when any op's traced and untraced results
-    differ bitwise."""
+    sweep runs it on noisy observations), one `solve` of the default forward
+    game, the command whose start-up the deferred imports shorten, and the
+    stage timing and the gap sweep, so that every subcommand runs once; then
+    the benchmark on its reference seed, which exits non-zero when any op
+    misses `bench/reference.json`, and last two traced benchmark runs
+    (random cognition, and the H=121 forward game, whose reduced Hessians
+    are the largest), which exit non-zero when any op's traced and untraced
+    results differ bitwise."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
@@ -238,6 +238,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic interpret-offline --reps 1 --seed 0",
         "hypertraffic sweep-noise --reps 2 --stds 0.05,0.2 --seed 0 --out /tmp/sweep.csv",
         "hypertraffic solve --out /tmp/solve.csv",
+        "hypertraffic timing --reps 1 --seed 0 --out /tmp/timing.csv",
+        "hypertraffic gap-sweep",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "

@@ -26,7 +26,7 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import dense_system, svd_null_space
+from _oracles import dense_system, densify, svd_null_space
 
 
 def _observed_truth(scen):
@@ -104,6 +104,23 @@ def test_violated_rows_are_reported():
     rough = Strategy(s_actual.segment, data)
     interp = interpret_offline(Observation(rough), scen)
     assert any("treating them as active" in w for w in interp.warnings)
+    assert interp.warnings[0] == ("observation violates 35 constraint rows beyond kappa (box); "
+                                  "treating them as active")
+
+
+def test_violated_rows_are_named_by_their_family_tags():
+    # The human's last five poses put on CAV 1's, which ends in the human's
+    # lane: the warning names the rows by the stack's tags, so it names the
+    # keep-out rows against CAV 1 and nothing else.
+    scen = default_offline_scenario()
+    s_actual = _observed_truth(scen)
+    cavs = inverse._embedded_cav_solve(Observation(s_actual), scen)
+    data = s_actual.data.copy()
+    data.reshape(-1, 6)[-5:, 2:4] = cavs[1].positions()[-5:]  # (p_x, p_y) columns
+    interp = interpret_offline(Observation(Strategy(s_actual.segment, data)), scen,
+                               cav_strategies=cavs)
+    assert interp.warnings == ("observation violates 5 constraint rows beyond kappa "
+                               "(collision(1)); treating them as active",)
 
 
 def test_zero_deviation_is_low_identifiability():
@@ -367,36 +384,37 @@ def test_a_fit_on_cached_coefficients_runs_no_lu_and_builds_no_static_row(monkey
 
 
 def _recorded_fits(monkeypatch, run):
-    """Run `run`, recording for every fit its arguments, what it read (its
-    stacked inequality rows (A_in, b_in, tags) and Z before the QR) and its
-    result."""
+    """Run `run`, recording for every fit its arguments, what it read (the
+    `InequalityStack` that `assemble` gave it, which it then filled, and Z
+    before and after the QR) and its result."""
     fits = []
-    interpret, stack, orthonormal = inverse._interpret, inverse.stack_dense, inverse.null_space
+    interpret, assemble, orthonormal = inverse._interpret, inverse.assemble, inverse.null_space
 
     def recorded(*args, **kwargs):
         fits.append({"args": args, "kwargs": kwargs})
         fits[-1]["result"] = interpret(*args, **kwargs)
         return fits[-1]["result"]
 
-    def stacked(blocks):
-        fits[-1]["rows"] = stack(blocks)
-        return fits[-1]["rows"]
+    def assembled(*args):
+        fits[-1]["stack"] = assemble(*args)
+        return fits[-1]["stack"]
 
     def basis(z_basis):
         fits[-1]["z"] = z_basis
-        return orthonormal(z_basis)
+        fits[-1]["q"] = orthonormal(z_basis)
+        return fits[-1]["q"]
 
     monkeypatch.setattr(inverse, "_interpret", recorded)
-    monkeypatch.setattr(inverse, "stack_dense", stacked)
+    monkeypatch.setattr(inverse, "assemble", assembled)
     monkeypatch.setattr(inverse, "null_space", basis)
     run()
     return fits
 
 
-def test_the_fit_reads_the_oracles_rows_and_basis_bitwise(monkeypatch):
-    # Every fit of one online and one offline repetition (whose embedded CAV
-    # solve leaves the human's coefficients uncached) reads bitwise the rows,
-    # tags, free rows and LU basis Z that a fresh dense build gives.
+def _online_and_offline_fits(monkeypatch):
+    """Every fit of one online and one offline repetition (whose embedded
+    CAV solve leaves the human's coefficients uncached), each with the
+    fresh dense system of its rows from `_oracles.dense_system`."""
     online = default_online_scenario()
     offline = default_offline_scenario()
     s_actual = _observed_truth(offline)
@@ -406,12 +424,76 @@ def test_the_fit_reads_the_oracles_rows_and_basis_bitwise(monkeypatch):
     # One fit per online stage but the last, then the offline one.
     assert len(fits) == len(harness.stage_segments(online)) - 1 + 1
     for fit in fits:
-        observation, scen, kappa, _, _, cavs = fit["args"]
-        system = dense_system(0, cavs, scen, observation.segment,
-                              fit["kwargs"].get("hv_reference"), fit["kwargs"].get("hv_initial"))
-        a_in, b_in, tags = fit["rows"]
-        assert np.array_equal(a_in, system.a_in) and np.array_equal(b_in, system.b_in)
-        assert tags == system.in_tags
+        observation, scen, _, _, _, cavs = fit["args"]
+        fit["system"] = dense_system(0, cavs, scen, observation.segment,
+                                     fit["kwargs"].get("hv_reference"),
+                                     fit["kwargs"].get("hv_initial"))
+    return fits
+
+
+def test_the_fit_reads_the_oracles_rows_and_basis_bitwise(monkeypatch):
+    # Every fit reads bitwise the rows, b, tags, free rows and LU basis Z
+    # that a fresh dense build gives.
+    for fit in _online_and_offline_fits(monkeypatch):
+        observation, kappa, stack, system = fit["args"][0], fit["args"][2], fit["stack"], fit["system"]
+        assert np.array_equal(densify(stack.rows), system.a_in)
+        assert np.array_equal(stack.b, system.b_in)
+        assert stack.tags == system.in_tags
         g_vals = system.a_in @ observation.strategy.data - system.b_in
         assert np.array_equal(fit["result"].active_rows, np.flatnonzero(g_vals + kappa >= 0.0))
         assert np.array_equal(fit["z"], qp.factor_equalities(system.a_eq).z_basis)
+
+
+def test_the_sparse_fit_matches_the_dense_oracle(monkeypatch):
+    # The fit's g = A s - b, its A_free Z and its stationarity residual,
+    # read sparse, agree with the dense products of the oracle's system to
+    # 1e-12 of the sums of |terms| they add up.
+    for fit in _online_and_offline_fits(monkeypatch):
+        observation, scen = fit["args"][:2]
+        stack, system, q, result = fit["stack"], fit["system"], fit["q"], fit["result"]
+        s_hat = observation.strategy.data
+        abs_a = np.abs(system.a_in)
+        g_dense = system.a_in @ s_hat - system.b_in
+        g_scale = abs_a @ np.abs(s_hat) + np.abs(system.b_in)
+        assert np.all(np.abs(stack.rows @ s_hat - stack.b - g_dense) <= 1e-12 * g_scale)
+        free = np.array(result.active_rows, dtype=int)
+        az_dense = system.a_in[free] @ q
+        az_scale = abs_a[free] @ np.abs(q)
+        assert np.all(np.abs(qp._reduced_rows(stack.rows, q, free) - az_dense) <= 1e-12 * az_scale)
+        reference = fit["kwargs"].get("hv_reference")
+        if reference is None:
+            reference = scen.references()[0].window(observation.segment.start,
+                                                    observation.segment.stop)
+        dev = s_hat - game_module.reference_vector(reference, observation.segment)
+        c_theta = dev * np.tile(result.theta_raw[game_module.WEIGHT_PATTERN],
+                                observation.segment.n_steps)
+        terms = c_theta + system.a_in.T @ result.lam
+        scale = np.abs(q).T @ (np.abs(c_theta) + abs_a.T @ np.abs(result.lam))
+        assert abs(result.residual - np.linalg.norm(q.T @ terms)) <= 1e-12 * np.linalg.norm(scale)
+
+
+def test_a_fit_forms_no_dense_inequality_matrix(monkeypatch):
+    # With the human's coefficients uncached, the only rows a fit makes
+    # dense are its equality rows, for their LU; the inverse module has no
+    # dense stacking of its own.
+    assert not hasattr(inverse, "stack_dense")
+    dense_tags = []
+    stack_dense = constraints.stack_dense
+
+    def spy(blocks):
+        dense_tags.append({tag for _, _, tags in blocks for tag in tags})
+        return stack_dense(blocks)
+
+    def refuse(cls, a):
+        raise AssertionError("a dense matrix was converted to rows")
+
+    scen = default_offline_scenario()
+    s_actual = _observed_truth(scen)
+    cavs = inverse._embedded_cav_solve(Observation(s_actual), scen)
+    monkeypatch.setattr(game_module, "stack_dense", spy)
+    monkeypatch.setattr(constraints, "stack_dense", spy)
+    monkeypatch.setattr(qp.SparseRows, "from_dense", classmethod(refuse))
+    game_module._STATIC_PARTS.clear()
+    interp = interpret_offline(Observation(s_actual), scen, cav_strategies=cavs)
+    assert dense_tags == [{"dynamics", "behavior"}]  # the human pins its heading
+    assert interp.residual < 1e-8

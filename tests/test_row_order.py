@@ -1,11 +1,12 @@
 """The forward game and the inverse fit must read the same constraint rows.
 
 The game's per-player workspace and the inverse fit both take a player's
-static rows from `game._player_system`; these tests pin that the rows a best
-response actually solves with are bitwise those of `_oracles.dense_system`,
-which builds every row fresh and dense, in the same order, and that every
-row carries its family's tag. `test_inverse.py` pins the fit's rows against
-the same oracle.
+static rows from `game._player_system` and lay out its inequality rows with
+`constraints.assemble`; these tests pin that the stack a best response
+actually solves with (`stack.rows`, `stack.b` and `stack.tags`) is bitwise
+that of `_oracles.dense_system`, which builds every row fresh and dense, in
+the same order, and that every row carries its family's tag.
+`test_inverse.py` pins the fit's stack against the same oracle.
 """
 
 from dataclasses import replace
@@ -95,7 +96,9 @@ def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled
         # The stacked rows solved with are the assembled ones, padded with
         # zero coefficients, and so are the stacked b they are judged by.
         assert np.array_equal(a_in, system.a_in), vid
-        assert np.array_equal(workspace._b, system.b_in), vid
+        assert np.array_equal(densify(workspace.stack.rows), system.a_in), vid
+        assert np.array_equal(workspace.stack.b, system.b_in), vid
+        assert workspace.stack.tags == system.in_tags, vid
         # Their d matches a fresh `reduce_rows` of the assembled rows, read
         # in the row form the game builds, ...
         _, d_want = reduced.reduce_rows(sparsify(system.a_in), system.b_in)

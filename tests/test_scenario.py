@@ -387,3 +387,45 @@ def test_scenario_refuses_non_finite_settings(name, value):
     scen = default_offline_scenario()
     with pytest.raises(ValueError, match=f"^{name} must be a finite "):
         replace(scen, **{name: value})
+
+
+# (field, a constructor that sets it to the given value), for every numeric
+# field the scenario dataclasses check for finiteness.
+NON_FINITE_FIELDS = [
+    ("LaneGeometry.lane_count", lambda v: LaneGeometry(lane_count=v)),
+    ("LaneGeometry.lane_width", lambda v: LaneGeometry(lane_width=v)),
+    ("LaneGeometry.x_extent", lambda v: LaneGeometry(x_extent=(-200.0, v))),
+    *((f"BoxLimits.{name}", lambda v, name=name: BoxLimits(**{name: v}))
+      for name in ("v_min", "v_max", "a_min", "a_max", "delta_min", "delta_max")),
+    ("BehaviorSpec.direction", lambda v: BehaviorSpec(kind=STRAIGHT, direction=(1.0, v))),
+    *((f"BehaviorSpec.{name}", lambda v, name=name: BehaviorSpec(
+        **{"kind": LANE_CHANGE, "source_lane": 0, "target_lane": 1, name: v}))
+      for name in ("source_lane", "target_lane", "start_x", "transition_length")),
+    ("StyleWeights.theta", lambda v: StyleWeights(np.array([1.0, 1.0, v, 1.0, 1.0, 1.0]))),
+    ("StyleWeights.theta_min", lambda v: StyleWeights(np.ones(6), theta_min=v)),
+    ("StyleWeights.theta_max", lambda v: StyleWeights(np.ones(6), theta_max=v)),
+    ("ScenarioConfig.theta_min", lambda v: replace(default_offline_scenario(), theta_min=v)),
+    ("ScenarioConfig.theta_max", lambda v: replace(default_offline_scenario(), theta_max=v)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, make", NON_FINITE_FIELDS, ids=[f for f, _ in NON_FINITE_FIELDS])
+def test_a_non_finite_field_is_refused_at_construction_by_name(field, make, value):
+    # Each of these once passed construction and failed deep in a solve, as
+    # "QP data b_in has non-finite entries" for BoxLimits(v_max=nan) or as
+    # "cannot convert float NaN to integer" for LaneGeometry(lane_width=nan).
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} is not finite: "):
+        make(value)
+
+
+@pytest.mark.parametrize("theta_min, theta_max", [(0.0, 1.0), (-1e-3, 1.0), (2.0, 1.0),
+                                                  (1.0, 1.0)])
+@pytest.mark.parametrize("make", [
+    lambda lo, hi: StyleWeights(np.full(6, 1.0), lo, hi),
+    lambda lo, hi: replace(default_offline_scenario(), theta_min=lo, theta_max=hi),
+], ids=["StyleWeights", "ScenarioConfig"])
+def test_a_theta_box_without_0_lt_min_lt_max_is_refused(make, theta_min, theta_max):
+    with pytest.raises(ValueError, match=r"\.theta_min must lie in \(0, theta_max\), got "
+                                         rf"theta_min={theta_min}, theta_max={theta_max}$"):
+        make(theta_min, theta_max)

@@ -99,7 +99,7 @@ def _same_system(a, b):
 
 def _stack(ws):
     """A workspace's stacked inequality rows, their b and their d."""
-    return ws._stack.cols, ws._stack.coef, ws._b, ws._d
+    return ws.stack.rows.cols, ws.stack.rows.coef, ws.stack.b, ws._d
 
 
 def _assert_same_workspaces(got, want, game):

@@ -119,13 +119,15 @@ def test_every_slot_holds_its_rows_and_the_d_of_reduce_rows(name, segment):
             ws.best_response(opponents)
             poses = game.references[vid].states[None, 1:]
             axes = (keep_out_axes(game.scenario.vehicle(vid).geometry),)
-            for oid, span in ws._slots.items():
+            stack = ws.stack
+            for oid, span in stack.slots.items():
                 (grad,), (b_in,) = collision_rows(poses, axes, opponents[oid])
                 rows = SparseRows(pose_columns(n), grad, n_vars)
-                assert np.array_equal(ws._cols[span, :3], rows.cols)
-                assert np.array_equal(ws._coef[span, :3].view(np.uint64), grad.view(np.uint64))
-                assert not np.any(ws._coef[span, 3:])
-                assert np.array_equal(ws._b[span].view(np.uint64), b_in.view(np.uint64))
+                assert np.array_equal(stack.rows.cols[span, :3], rows.cols)
+                coef = stack.rows.coef[span]
+                assert np.array_equal(coef[:, :3].view(np.uint64), grad.view(np.uint64))
+                assert not np.any(coef[:, 3:])
+                assert np.array_equal(stack.b[span].view(np.uint64), b_in.view(np.uint64))
                 _, d_want = ws.reduced.reduce_rows(rows, b_in)
                 assert np.array_equal(ws._d[span].view(np.uint64), d_want.view(np.uint64))
 
