@@ -8,6 +8,7 @@ everywhere inside the library; degree conversion happens at config boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,15 @@ def require_finite(owner, *names):
         value = getattr(owner, name)
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"{type(owner).__name__}.{name} is not finite: {value!r}")
+
+
+def require_integer(owner, *names):
+    """Refuse `owner` unless each of its fields `names` is an integer and not
+    a bool, naming the first that is not."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{type(owner).__name__}.{name} is not an integer: {value!r}")
 
 
 @dataclass(frozen=True)

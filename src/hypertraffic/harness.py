@@ -29,12 +29,12 @@ import math
 import time
 import numpy as np
 
-from .cognition import average_weights, hv_subjective_game, plan_cavs, predict_hv
+from .cognition import hv_subjective_game, plan_cavs, predict_hv
 from .constraints import STEP_VARS, X_PX, Segment, Strategy, profile_violation
 from .dynamics import VehicleState
 from .game import make_game, solve_games
-from .inverse import Observation, interpret_offline, interpret_online, parameter_error
-from .netsim import run_distributed
+from .inverse import (Observation, _embedded_cav_solve, interpret_offline, interpret_online,
+                      parameter_error)
 from .scenario import EFFECTIVE_INDICES, StyleWeights, style_weights_for
 
 SUCCESS_VIOLATION = 1e-3
@@ -298,14 +298,9 @@ def _online_rep(scenario, seed, rep):
         rows.append(row)
 
         if t < len(segments):
-            # Interpret the observation against the CAV-only equilibrium with
-            # the observed human as data and typical CAV weights: what the
-            # human reacted to.
             t0 = time.perf_counter()
-            cav_game = make_game(scenario, average_weights(scenario), segment=segment,
-                                 fixed={0: observation.strategy}, references=cav_refs,
-                                 initial_states=cav_initials)
-            embed_result, embed_trace = run_distributed(cav_game)
+            cav_strategies, embed_trace = _embedded_cav_solve(
+                observation, scenario, references=cav_refs, initial_states=cav_initials)
             # The first update, from stage 1, would only be pulled toward the
             # initial guess, so it runs without the pull.
             update = interpret_online(
@@ -313,7 +308,7 @@ def _online_rep(scenario, seed, rep):
                 theta,
                 scenario,
                 include_conservativeness=(t >= 2),
-                cav_strategies={vid: embed_result.strategies[vid] for vid in cav_ids},
+                cav_strategies=cav_strategies,
                 hv_reference=hv_ref_cav,
                 hv_initial=hv_seen_by_cavs,
             )

@@ -20,8 +20,8 @@ import numpy as np
 from .cognition import average_weights
 from .constraints import (Segment, Strategy, assemble, collision_rows, keep_out_axes,
                           start_state)
-from .game import (WEIGHT_PATTERN, _player_system, check_reference, make_game, reference_vector,
-                   solve_games)
+from .game import WEIGHT_PATTERN, _player_system, check_reference, make_game, reference_vector
+from .netsim import run_distributed
 from .qp import _reduced_rows
 from .scenario import EFFECTIVE_INDICES, StyleWeights
 
@@ -70,17 +70,15 @@ class InverseResult:
     cav_strategies: dict
 
 
-def _embedded_cav_solve(observation, scenario):
+def _embedded_cav_solve(observation, scenario, references=None, initial_states=None):
     """CAV-only equilibrium with the observed human strategy as data and the
-    typical per-style weights, reconstructing what the human reacted to."""
-    game = make_game(
-        scenario,
-        average_weights(scenario),
-        segment=observation.segment,
-        fixed={0: observation.strategy},
-    )
-    result = solve_games(game)
-    return {vid: result.strategies[vid] for vid in game.decision_ids}
+    typical per-style weights, reconstructing what the human reacted to:
+    the CAVs' strategies and the session trace of the solve."""
+    game = make_game(scenario, average_weights(scenario), segment=observation.segment,
+                     fixed={0: observation.strategy}, references=references,
+                     initial_states=initial_states)
+    result, trace = run_distributed(game)
+    return {vid: result.strategies[vid] for vid in game.decision_ids}, trace
 
 
 def null_space(z_basis):
@@ -112,6 +110,9 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
         raise ValueError("hv_initial has non-finite entries")
     if 0 in cav_strategies:
         raise ValueError("player 0 listed among its own opponents")
+    for vid, strategy in cav_strategies.items():
+        if not np.all(np.isfinite(strategy.data)):
+            raise ValueError(f"strategy of CAV {vid} has non-finite entries")
     entry = _player_system(vehicle, scenario, segment, hv_reference, hv_initial)
     stack = assemble(entry.rows, segment.n_steps, cav_strategies)
     axes = (keep_out_axes(vehicle.geometry),)
@@ -206,7 +207,7 @@ def interpret_offline(observation, scenario, cav_strategies=None):
     if observation.segment != Segment(1, scenario.horizon):
         raise ValueError("offline interpretation needs a full-horizon observation")
     if cav_strategies is None:
-        cav_strategies = _embedded_cav_solve(observation, scenario)
+        cav_strategies, _ = _embedded_cav_solve(observation, scenario)
     return _interpret(observation, scenario, scenario.kappa_offline, 0.0, None,
                       cav_strategies)
 

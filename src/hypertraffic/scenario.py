@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .dynamics import VehicleGeometry, VehicleState, require_finite
+from .dynamics import VehicleGeometry, VehicleState, require_finite, require_integer
 from .qp import SolverSettings
 
 STRAIGHT = "straight"
@@ -134,6 +135,7 @@ class LaneGeometry:
 
     def __post_init__(self):
         require_finite(self, "lane_count", "lane_width", "x_extent")
+        require_integer(self, "lane_count")
         if self.lane_count < 1:
             raise ValueError("lane_count must be at least 1")
         if self.lane_width <= 0:
@@ -200,6 +202,7 @@ class BehaviorSpec:
             raise ValueError(f"unknown behavior kind {self.kind!r}")
         require_finite(self, "direction", "source_lane", "target_lane", "start_x",
                        "transition_length")
+        require_integer(self, "source_lane", "target_lane")
         d = np.asarray(self.direction, dtype=float)
         n = float(np.linalg.norm(d))
         if n == 0.0:
@@ -537,15 +540,14 @@ def _path(context, key):
 
 
 def _fields(raw, context, known):
-    """A config mapping whose keys are all known; the first unknown key is
-    refused with its path, so a misspelled field never falls back to its
-    default."""
+    """Refuse a config mapping unless all its keys are known, naming the
+    first unknown key by its path, so a misspelled field never falls back to
+    its default."""
     if not isinstance(raw, dict):
         raise ValueError(f"config field {context} must be a mapping")
     for key in raw:
         if key not in known:
             raise ValueError(f"config field {_path(context, key)} is not a known field")
-    return raw
 
 
 def _req(mapping, key, context):
@@ -554,18 +556,20 @@ def _req(mapping, key, context):
     return mapping[key]
 
 
-def _num(mapping, key, context, default=None, vector=False, integer=False, length=None):
-    """A numeric field as a float, or as a tuple of floats when `vector` is
-    set (with exactly `length` entries when given); required when no default
-    is given. A value of the wrong shape or length, one that is not a number,
-    a non-finite one, or a non-integral one for an `integer` field (returned
-    as int) is refused with the field's path."""
-    raw = _req(mapping, key, context) if default is None else mapping.get(key, default)
+def _num(mapping, key, context, vector=False, integer=False, length=None):
+    """A required numeric field as a float, or as a tuple of floats when
+    `vector` is set (with exactly `length` entries when given). A value of the
+    wrong shape or length, one that is not a number (a boolean is not), a
+    non-finite one, or a non-integral one for an `integer` field (returned as
+    int) is refused with the field's path."""
+    raw = _req(mapping, key, context)
     path = _path(context, key)
     try:
         value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"config field {path} is not a number: {raw!r}") from None
+    if any(isinstance(v, bool) for v in np.ravel(np.asarray(raw, dtype=object))):
+        raise ValueError(f"config field {path} is not a number: {raw!r}")
     if value.ndim != (1 if vector else 0):
         shape = "a list of numbers" if vector else "a single number"
         raise ValueError(f"config field {path} must be {shape}: {raw!r}")
@@ -580,134 +584,117 @@ def _num(mapping, key, context, default=None, vector=False, integer=False, lengt
     return tuple(value.tolist()) if vector else float(value)
 
 
-_BEHAVIOR_FIELDS = {
-    STRAIGHT: ("kind", "direction"),
-    LANE_CHANGE: ("kind", "source_lane", "target_lane", "start_x", "transition_length"),
+# Readers of one document key, each (mapping, key, context) -> value.
+_int = partial(_num, integer=True)
+_ints = partial(_num, vector=True, integer=True)
+_pair = partial(_num, vector=True, length=2)
+
+
+def _deg(mapping, key, context):
+    return math.radians(_num(mapping, key, context))
+
+
+def _section(cls, raw, context, spec, required=(), **given):
+    """`cls` built from the config mapping `raw` found at `context`. `spec`
+    maps each document key to (field, reader) and is the list of known keys.
+    A key the document omits takes its value from `given`, or else from the
+    dataclass default; a key in `required` must be present."""
+    _fields(raw, context, spec)
+    values = dict(given)
+    for key, (name, read) in spec.items():
+        if key in raw:
+            values[name] = read(raw, key, context)
+        elif key in required:
+            raise ValueError(f"config field {_path(context, key)} is missing")
+    return cls(**values)
+
+
+def _subsection(cls, spec):
+    """Reader of a nested section; an omitted one is the scenario's default."""
+    return lambda mapping, key, context: _section(cls, mapping[key], _path(context, key), spec)
+
+
+_GEOMETRY = {key: (key, _num) for key in ("length", "width", "extended_length",
+                                          "extended_width")}
+_INITIAL = {"x": ("p_x", _num), "y": ("p_y", _num), "v": ("v", _num), "psi_deg": ("psi", _deg)}
+_BEHAVIOR = {
+    STRAIGHT: ({"kind": ("kind", _req), "direction": ("direction", _pair)}, ()),
+    LANE_CHANGE: ({"kind": ("kind", _req), "source_lane": ("source_lane", _int),
+                   "target_lane": ("target_lane", _int), "start_x": ("start_x", _num),
+                   "transition_length": ("transition_length", _num)},
+                  ("source_lane", "target_lane", "start_x")),
+}
+_SCENARIO = {
+    "road": ("road", _subsection(LaneGeometry, {"lane_count": ("lane_count", _int),
+                                                "lane_width": ("lane_width", _num),
+                                                "x_extent": ("x_extent", _pair)})),
+    "limits": ("limits", _subsection(BoxLimits, {
+        **{key: (key, _num) for key in ("v_min", "v_max", "a_min", "a_max")},
+        "delta_min_deg": ("delta_min", _deg), "delta_max_deg": ("delta_max", _deg)})),
+    "solver": ("solver", _subsection(SolverSettings, {
+        "violation_eps": ("violation_eps", _num), "step_eps": ("step_eps", _num),
+        "max_iterations": ("max_iterations", _int), "qp_tolerance": ("qp_tolerance", _num)})),
+    "horizon": ("horizon", _int),
+    "ts": ("ts", _num),
+    "stages": ("stages", _ints),
+    **{key: (key, _num) for key in ("noise_std", "kappa_offline", "kappa_online",
+                                    "omega_dist")},
 }
 
 
-def _behavior_from_config(raw, context):
-    kind = _req(raw, "kind", context)
-    if kind not in _BEHAVIOR_FIELDS:
-        raise ValueError(f"config field {context}.kind has unknown value {kind!r}")
-    _fields(raw, context, _BEHAVIOR_FIELDS[kind])
-    if kind == STRAIGHT:
-        direction = _num(raw, "direction", context, BehaviorSpec.direction, vector=True,
-                         length=2)
-        return BehaviorSpec(kind=STRAIGHT, direction=direction)
-    return BehaviorSpec(
-        kind=LANE_CHANGE,
-        source_lane=_num(raw, "source_lane", context, integer=True),
-        target_lane=_num(raw, "target_lane", context, integer=True),
-        start_x=_num(raw, "start_x", context),
-        transition_length=_num(raw, "transition_length", context,
-                               BehaviorSpec.transition_length),
-    )
+def _vehicle(raw, context, geometry):
+    _fields(raw, context, ("id", "is_hv", "style", "behavior", "initial", "weights_true"))
+    vid = _int(raw, "id", context)
+    behavior_raw = _req(raw, "behavior", context)
+    kind = _req(behavior_raw, "kind", f"{context}.behavior")
+    if kind not in tuple(_BEHAVIOR):  # by equality, so an unhashable value is refused too
+        raise ValueError(f"config field {context}.behavior.kind has unknown value {kind!r}")
+    behavior = _section(BehaviorSpec, behavior_raw, f"{context}.behavior", *_BEHAVIOR[kind])
+    initial = _section(VehicleState, _req(raw, "initial", context), f"{context}.initial",
+                       _INITIAL, ("x", "y", "v"), psi=0.0)
+    if initial.v < 0:
+        raise ValueError(f"config field {context}.initial.v cannot be negative: {initial.v}")
+    style = _req(raw, "style", context)
+    is_hv = raw.get("is_hv", vid == 0)
+    if not isinstance(is_hv, bool):
+        raise ValueError(f"config field {context}.is_hv must be true or false: {is_hv!r}")
+    if "weights_true" in raw:
+        theta = np.asarray(_num(raw, "weights_true", context, vector=True, length=6))
+        weights = StyleWeights(theta).normalized(kind)
+    else:
+        weights = true_style_weights(kind, style)
+    return VehicleConfig(vid=vid, is_hv=is_hv, style=style, behavior=behavior,
+                         initial=initial, weights_true=weights, geometry=geometry)
+
+
+def _vehicles(mapping, key, context, geometry):
+    listed = mapping[key]
+    if not isinstance(listed, list):
+        raise ValueError(f"config field {_path(context, key)} must be a list: {listed!r}")
+    return tuple(_vehicle(raw, f"vehicles[{i}]", geometry) for i, raw in enumerate(listed))
 
 
 def load_config(text):
     """Parse a YAML scenario document into a ScenarioConfig.
 
-    Angles appear in degrees in the document (psi_deg, delta bounds) and are
-    converted here; everything downstream is radians. A missing required
-    field, an unknown field, a value of the wrong type or shape, a
-    non-finite number or a negative initial speed fails here, naming the
-    field. PyYAML is imported here, on the first config read: its import
-    costs about 18 ms that no built-in scenario needs.
+    Every section is read through `_section`, so a key the document omits
+    takes the default of its dataclass field. Angles appear in degrees in the
+    document (psi_deg, delta bounds) and are converted here; everything
+    downstream is radians. A missing required field, an unknown field, a
+    value of the wrong type or shape, a non-finite number or a negative
+    initial speed fails here, naming the field; the dataclasses refuse the
+    rest at construction. The `geometry` section applies to every vehicle.
+    PyYAML is imported here, on the first config read: its import costs
+    about 18 ms that no built-in scenario needs.
     """
     import yaml
 
     raw = yaml.safe_load(text)
     if not isinstance(raw, dict):
         raise ValueError("config document must be a mapping")
-    _fields(raw, "", ("vehicles", "road", "limits", "geometry", "solver", "horizon", "ts",
-                      "stages", "noise_std", "kappa_offline", "kappa_online", "omega_dist"))
-    road_raw = _fields(raw.get("road", {}), "road", ("lane_count", "lane_width", "x_extent"))
-    road = LaneGeometry(
-        lane_count=_num(road_raw, "lane_count", "road", LaneGeometry.lane_count, integer=True),
-        lane_width=_num(road_raw, "lane_width", "road", LaneGeometry.lane_width),
-        x_extent=_num(road_raw, "x_extent", "road", LaneGeometry.x_extent, vector=True,
-                      length=2),
-    )
-    lim_raw = _fields(raw.get("limits", {}), "limits",
-                      ("v_min", "v_max", "a_min", "a_max", "delta_min_deg", "delta_max_deg"))
-    defaults = BoxLimits()
-    limits = BoxLimits(
-        v_min=_num(lim_raw, "v_min", "limits", defaults.v_min),
-        v_max=_num(lim_raw, "v_max", "limits", defaults.v_max),
-        a_min=_num(lim_raw, "a_min", "limits", defaults.a_min),
-        a_max=_num(lim_raw, "a_max", "limits", defaults.a_max),
-        delta_min=math.radians(
-            _num(lim_raw, "delta_min_deg", "limits", math.degrees(defaults.delta_min))),
-        delta_max=math.radians(
-            _num(lim_raw, "delta_max_deg", "limits", math.degrees(defaults.delta_max))),
-    )
-    geo_keys = ("length", "width", "extended_length", "extended_width")
-    geo_raw = _fields(raw.get("geometry", {}), "geometry", geo_keys)
-    geometry = VehicleGeometry(**{key: _num(geo_raw, key, "geometry", getattr(VehicleGeometry, key))
-                                  for key in geo_keys})
-    sol_raw = _fields(raw.get("solver", {}), "solver",
-                      ("violation_eps", "step_eps", "max_iterations", "qp_tolerance"))
-    sd = SolverSettings()
-    solver = SolverSettings(
-        violation_eps=_num(sol_raw, "violation_eps", "solver", sd.violation_eps),
-        step_eps=_num(sol_raw, "step_eps", "solver", sd.step_eps),
-        max_iterations=_num(sol_raw, "max_iterations", "solver", sd.max_iterations,
-                            integer=True),
-        qp_tolerance=_num(sol_raw, "qp_tolerance", "solver", sd.qp_tolerance),
-    )
-    vehicles_raw = _req(raw, "vehicles", "")
-    if not isinstance(vehicles_raw, list):
-        raise ValueError(f"config field vehicles must be a list: {vehicles_raw!r}")
-    vehicles = []
-    for idx, v_raw in enumerate(vehicles_raw):
-        ctx = f"vehicles[{idx}]"
-        _fields(v_raw, ctx, ("id", "is_hv", "style", "behavior", "initial", "weights_true"))
-        vid = _num(v_raw, "id", ctx, integer=True)
-        behavior = _behavior_from_config(_req(v_raw, "behavior", ctx), f"{ctx}.behavior")
-        init_raw = _fields(_req(v_raw, "initial", ctx), f"{ctx}.initial",
-                           ("x", "y", "v", "psi_deg"))
-        initial = VehicleState(
-            p_x=_num(init_raw, "x", f"{ctx}.initial"),
-            p_y=_num(init_raw, "y", f"{ctx}.initial"),
-            v=_num(init_raw, "v", f"{ctx}.initial"),
-            psi=math.radians(_num(init_raw, "psi_deg", f"{ctx}.initial", 0.0)),
-        )
-        if initial.v < 0:
-            raise ValueError(f"config field {ctx}.initial.v cannot be negative: {initial.v}")
-        style = _req(v_raw, "style", ctx)
-        is_hv = v_raw.get("is_hv", vid == 0)
-        if not isinstance(is_hv, bool):
-            raise ValueError(f"config field {ctx}.is_hv must be true or false: {is_hv!r}")
-        if "weights_true" in v_raw:
-            theta = np.asarray(_num(v_raw, "weights_true", ctx, vector=True, length=6))
-            weights = StyleWeights(theta).normalized(behavior.kind)
-        else:
-            weights = true_style_weights(behavior.kind, style)
-        vehicles.append(
-            VehicleConfig(
-                vid=vid,
-                is_hv=is_hv,
-                style=style,
-                behavior=behavior,
-                initial=initial,
-                weights_true=weights,
-                geometry=geometry,
-            )
-        )
-    return ScenarioConfig(
-        vehicles=tuple(vehicles),
-        road=road,
-        horizon=_num(raw, "horizon", "", ScenarioConfig.horizon, integer=True),
-        ts=_num(raw, "ts", "", ScenarioConfig.ts),
-        limits=limits,
-        stages=_num(raw, "stages", "", ScenarioConfig.stages, vector=True, integer=True),
-        solver=solver,
-        noise_std=_num(raw, "noise_std", "", ScenarioConfig.noise_std),
-        kappa_offline=_num(raw, "kappa_offline", "", ScenarioConfig.kappa_offline),
-        kappa_online=_num(raw, "kappa_online", "", ScenarioConfig.kappa_online),
-        omega_dist=_num(raw, "omega_dist", "", ScenarioConfig.omega_dist),
-    )
+    geometry = _section(VehicleGeometry, raw.pop("geometry", {}), "geometry", _GEOMETRY)
+    spec = {**_SCENARIO, "vehicles": ("vehicles", partial(_vehicles, geometry=geometry))}
+    return _section(ScenarioConfig, raw, "", spec, ("vehicles",))
 
 
 def load_config_file(path):

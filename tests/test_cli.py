@@ -5,12 +5,15 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hypertraffic import cli, harness
 from hypertraffic.harness import OFFLINE_FIELDS, SUCCESS_FIELDS, TIMING_FIELDS
 from hypertraffic.scenario import success_study_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG_DOC = """
 horizon: 20
@@ -134,6 +137,16 @@ def test_solve_accepts_scenario_config(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "converged=True" in captured
     assert "player 1:" in captured
+
+
+def test_the_readme_scenario_file_is_the_checked_in_example_and_solves(capsys):
+    example = ROOT / "examples" / "scenario.yaml"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Scenario files"):]
+    block = section[section.index("```yaml\n") + len("```yaml\n"):]
+    assert block[:block.index("```")] == example.read_text(encoding="utf-8")
+    assert cli.main(["solve", "--config", str(example)]) == 0
+    assert capsys.readouterr().out.startswith("converged=True ")
 
 
 def test_solve_reads_the_config_solver_settings(tmp_path, capsys):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypertraffic import game, harness, inverse, netsim
+from hypertraffic import game, harness, netsim
 from hypertraffic.cognition import plan_cavs, predict_hv
 from hypertraffic.constraints import STEP_VARS, X_PX, Segment, Strategy
 from hypertraffic.harness import (
@@ -287,7 +287,7 @@ def test_every_solve_reads_the_scenario_solver_settings(monkeypatch):
             return result
         return solve
 
-    for module in (netsim, inverse, harness):
+    for module in (netsim, harness):
         monkeypatch.setattr(module, "solve_games", recording(module))
 
     def one_round(scen):
@@ -298,7 +298,8 @@ def test_every_solve_reads_the_scenario_solver_settings(monkeypatch):
     _, result, _ = plan_cavs(scen, model.s_0c)
     assert model.result.iterations == 1 and result.iterations == 1
     interpret_offline(Observation(model.s_0c), scen)
-    assert rounds.pop("hypertraffic.inverse") == [1]
+    # prediction, planning and the fit's embedded CAV solve, all distributed
+    assert rounds.pop("hypertraffic.netsim") == [1, 1, 1]
     run_online_experiment(one_round(default_online_scenario()), repetitions=1, seed=0)
     assert rounds.pop("hypertraffic.harness") == [1] * 5
     assert set(rounds.pop("hypertraffic.netsim")) == {1}

@@ -218,7 +218,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     right-hand sides; the offline one runs the inverse fit, and the noise
     sweep runs it on noisy observations), one `solve` of the default forward
     game, the command whose start-up the deferred imports shorten, and the
-    stage timing and the gap sweep, so that every subcommand runs once; then
+    stage timing and the gap sweep, so that every subcommand runs once, and a
+    `solve` of the README's example scenario file; then
     the benchmark on its reference seed, which exits non-zero when any op
     misses `bench/reference.json`, and last two traced benchmark runs
     (random cognition, and the H=121 forward game, whose reduced Hessians
@@ -240,6 +241,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic solve --out /tmp/solve.csv",
         "hypertraffic timing --reps 1 --seed 0 --out /tmp/timing.csv",
         "hypertraffic gap-sweep",
+        "hypertraffic solve --config examples/scenario.yaml --out /tmp/config_solve.csv",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "

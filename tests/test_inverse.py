@@ -114,7 +114,7 @@ def test_violated_rows_are_named_by_their_family_tags():
     # keep-out rows against CAV 1 and nothing else.
     scen = default_offline_scenario()
     s_actual = _observed_truth(scen)
-    cavs = inverse._embedded_cav_solve(Observation(s_actual), scen)
+    cavs, _ = inverse._embedded_cav_solve(Observation(s_actual), scen)
     data = s_actual.data.copy()
     data.reshape(-1, 6)[-5:, 2:4] = cavs[1].positions()[-5:]  # (p_x, p_y) columns
     interp = interpret_offline(Observation(Strategy(s_actual.segment, data)), scen,
@@ -342,6 +342,23 @@ def test_online_fit_refuses_a_non_finite_reference_or_start(field):
                          hv_reference=ref, hv_initial=start)
 
 
+@pytest.mark.parametrize("entry", ["offline", "online"])
+def test_the_fit_refuses_a_non_finite_cav_strategy_naming_the_player(entry):
+    # A NaN keep-out row is never active, so the fit once returned weights as
+    # if CAV 1 were absent.
+    scen = default_offline_scenario()
+    obs = Observation(_reference_strategy(scen))
+    cavs = {vid: _reference_strategy(scen, vid) for vid in (1, 2, 3)}
+    data = cavs[1].data.copy()
+    data.reshape(-1, 6)[:, 2] = np.nan  # the p_x column
+    cavs[1] = Strategy(cavs[1].segment, data)
+    with pytest.raises(ValueError, match="^strategy of CAV 1 has non-finite entries$"):
+        if entry == "offline":
+            interpret_offline(obs, scen, cav_strategies=cavs)
+        else:
+            interpret_online(obs, style_weights_for(STRAIGHT, COMFORT), scen, cavs)
+
+
 def _counting(calls, name, fn):
     def spy(*args, **kwargs):
         calls.append(name)
@@ -489,7 +506,7 @@ def test_a_fit_forms_no_dense_inequality_matrix(monkeypatch):
 
     scen = default_offline_scenario()
     s_actual = _observed_truth(scen)
-    cavs = inverse._embedded_cav_solve(Observation(s_actual), scen)
+    cavs, _ = inverse._embedded_cav_solve(Observation(s_actual), scen)
     monkeypatch.setattr(game_module, "stack_dense", spy)
     monkeypatch.setattr(constraints, "stack_dense", spy)
     monkeypatch.setattr(qp.SparseRows, "from_dense", classmethod(refuse))

@@ -1,11 +1,12 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from hypertraffic.dynamics import VehicleGeometry, VehicleState
+from hypertraffic.qp import SolverSettings
 from hypertraffic.scenario import (
     COMFORT,
     LANE_CHANGE,
@@ -317,6 +318,10 @@ def test_load_config_refuses_a_field_that_is_not_a_mapping():
     [
         ("v: 10.0}", "v: fast}", "config field vehicles[0].initial.v is not a number"),
         ("v: 10.0}", "v: [1, 2]}", "config field vehicles[0].initial.v must be a single number"),
+        ("lane_count: 2", "lane_count: true", "config field road.lane_count is not a number"),
+        ("[1.0, 1.0, 4.0", "[1.0, false, 4.0", "config field vehicles[1].weights_true is not a number"),
+        ("{kind: straight}", "{kind: [straight]}",
+         "config field vehicles[0].behavior.kind has unknown value ['straight']"),
         ("horizon: 20", "horizon: 20\nstages: [1, x]", "config field stages is not a number"),
         ("horizon: 20", "horizon: 20\nstages: [1, 10.5, 20]",
          "config field stages is not an integer"),
@@ -370,6 +375,79 @@ def test_load_config_fills_omitted_fields_with_the_dataclass_defaults():
     assert hv.is_hv and not cav.is_hv and hv.initial.psi == 0.0
 
 
+EVERY_KEY_DOC = """
+horizon: 40
+ts: 0.2
+stages: [1, 20, 40]
+noise_std: 0.1
+kappa_offline: 2.0
+kappa_online: 0.5
+omega_dist: 2.0
+road: {lane_count: 3, lane_width: 3.5, x_extent: [-100.0, 1500.0]}
+limits: {v_min: 1.0, v_max: 18.0, a_min: -6.0, a_max: 3.0, delta_min_deg: -25.0,
+         delta_max_deg: 20.0}
+geometry: {length: 4.0, width: 1.9, extended_length: 4.2, extended_width: 2.1}
+solver: {violation_eps: 2.0e-3, step_eps: 2.0e-2, max_iterations: 50, qp_tolerance: 1.0e-9}
+vehicles:
+  - id: 0
+    is_hv: true
+    style: pose_tracking
+    behavior: {kind: straight, direction: [3.0, 4.0]}
+    initial: {x: -3.0, y: 6.0, v: 10.0, psi_deg: 10.0}
+    weights_true: [1.0, 1.0, 2.0, 1.0, 3.0, 1.0]
+  - id: 1
+    is_hv: false
+    style: comfort_oriented
+    behavior: {kind: lane_change, source_lane: 2, target_lane: 1, start_x: 7.0,
+               transition_length: 20.0}
+    initial: {x: 0.0, y: 9.0, v: 12.0, psi_deg: -5.0}
+"""
+
+
+def _differs_in_every_field(value, default):
+    return all(getattr(value, f.name) != getattr(default, f.name) for f in fields(default))
+
+
+def test_load_config_reads_every_key_into_its_field():
+    scen = load_config(EVERY_KEY_DOC)
+    road = LaneGeometry(lane_count=3, lane_width=3.5, x_extent=(-100.0, 1500.0))
+    limits = BoxLimits(v_min=1.0, v_max=18.0, a_min=-6.0, a_max=3.0,
+                       delta_min=math.radians(-25.0), delta_max=math.radians(20.0))
+    solver = SolverSettings(violation_eps=2e-3, step_eps=2e-2, max_iterations=50,
+                            qp_tolerance=1e-9)
+    geometry = VehicleGeometry(length=4.0, width=1.9, extended_length=4.2, extended_width=2.1)
+    assert (scen.road, scen.limits, scen.solver) == (road, limits, solver)
+    for value, default in ((road, LaneGeometry()), (limits, BoxLimits()),
+                           (solver, SolverSettings()), (geometry, VehicleGeometry())):
+        assert _differs_in_every_field(value, default)
+    settings = dict(horizon=40, ts=0.2, stages=(1, 20, 40), noise_std=0.1, kappa_offline=2.0,
+                    kappa_online=0.5, omega_dist=2.0)
+    assert {name: getattr(scen, name) for name in settings} == settings
+    default = ScenarioConfig(vehicles=scen.vehicles)
+    assert all(getattr(default, name) != value for name, value in settings.items())
+    hv, cav = scen.vehicles
+    assert (hv.vid, hv.is_hv, hv.style, cav.vid, cav.is_hv, cav.style) == (
+        0, True, POSE, 1, False, COMFORT)
+    assert hv.geometry == cav.geometry == geometry
+    assert hv.behavior == BehaviorSpec(kind=STRAIGHT, direction=(3.0, 4.0))
+    assert cav.behavior == BehaviorSpec(kind=LANE_CHANGE, source_lane=2, target_lane=1,
+                                        start_x=7.0, transition_length=20.0)
+    assert hv.initial == VehicleState(-3.0, 6.0, 10.0, math.radians(10.0))
+    assert cav.initial == VehicleState(0.0, 9.0, 12.0, math.radians(-5.0))
+    expect = StyleWeights(np.array([1.0, 1.0, 2.0, 1.0, 3.0, 1.0])).normalized(STRAIGHT)
+    assert np.array_equal(hv.weights_true.theta, expect.theta)
+    assert np.array_equal(cav.weights_true.theta, true_style_weights(LANE_CHANGE, COMFORT).theta)
+
+
+@pytest.mark.parametrize("entry", ["source_lane: 0, ", "target_lane: 1, ", "start_x: 2.0, "])
+def test_load_config_refuses_a_lane_change_without_its_lanes_or_start(entry):
+    key = entry.split(":")[0]
+    assert entry in CONFIG_DOC
+    with pytest.raises(ValueError,
+                       match=re.escape(f"config field vehicles[1].behavior.{key} is missing")):
+        load_config(CONFIG_DOC.replace(entry, "", 1))
+
+
 def test_load_config_reads_integer_lists_and_exponent_strings():
     # PyYAML reads 1e-8 (no dot) as a string; it must still load as a number.
     doc = CONFIG_DOC.replace("horizon: 20", "horizon: 20\nstages: [1, 10, 20]\n"
@@ -416,6 +494,20 @@ def test_a_non_finite_field_is_refused_at_construction_by_name(field, make, valu
     # "QP data b_in has non-finite entries" for BoxLimits(v_max=nan) or as
     # "cannot convert float NaN to integer" for LaneGeometry(lane_width=nan).
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} is not finite: "):
+        make(value)
+
+
+INTEGER_FIELDS = [(field, make) for field, make in NON_FINITE_FIELDS
+                  if field in ("LaneGeometry.lane_count", "BehaviorSpec.source_lane",
+                               "BehaviorSpec.target_lane")]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field, make", INTEGER_FIELDS, ids=[f for f, _ in INTEGER_FIELDS])
+def test_a_non_integral_lane_index_is_refused_at_construction_by_name(field, make, value):
+    # LaneGeometry(lane_count=2.5) once solved and reported converged, and
+    # lane_count=True failed later as "centerline index 1 out of range".
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} is not an integer: "):
         make(value)
 
 
