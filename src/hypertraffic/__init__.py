@@ -22,10 +22,8 @@ from .dynamics import ControlInput, VehicleGeometry, VehicleState, linearize_dis
 from .game import (
     EquilibriumResult,
     GameSpec,
-    best_response,
     make_game,
     objective_qp_data,
-    pseudo_gradient,
     solve_games,
     ve_residual,
     weight_diagonal,
@@ -46,7 +44,7 @@ from .inverse import (
     parameter_error,
 )
 from .netsim import ProtocolMessage, SessionTrace, run_distributed
-from .qp import QpProblem, QpSolution, SolverSettings, kkt_residual, solve
+from .qp import QpSolution, SolverSettings
 from .scenario import (
     BehaviorSpec,
     BoxLimits,

@@ -61,22 +61,6 @@ def objective_qp_data(weights, reference, segment):
     return h_diag, -h_diag * reference_vector(reference, segment)
 
 
-def pseudo_gradient(strategies, weights, references):
-    """Stacked per-player objective gradients for the autonomous players.
-
-    The human player is excluded by contract; ids are stacked ascending.
-    """
-    if 0 in strategies:
-        raise ValueError("pseudo-gradient stacks autonomous players only; id 0 given")
-    parts = []
-    for vid in sorted(strategies):
-        strat = strategies[vid]
-        h_diag = weight_diagonal(weights[vid].theta, strat.segment.n_steps)
-        s_ref = reference_vector(references[vid], strat.segment)
-        parts.append(h_diag * (strat.data - s_ref))
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def check_reference(name, reference, segment, scenario):
     """Refuse a player's reference, called `name` in the message, unless it
     covers `segment` exactly, is stepped with `scenario.ts` and is finite."""
@@ -461,11 +445,6 @@ def solve_games(game, observer=None):
     )
     observer.session_finished(result)
     return result
-
-
-def best_response(player, opponents, game):
-    """Single best-response QP of one player against fixed opponent strategies."""
-    return _PlayerWorkspace(game, player, _KeepOut(game)).best_response(opponents)
 
 
 @dataclass(frozen=True)

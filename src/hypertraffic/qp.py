@@ -4,8 +4,8 @@ The solver eliminates equalities by variable reduction: one LU factorization
 with partial pivoting of A_eq' splits the variables into dependent and free
 ones, the null-space basis is the identity on the free variables, and the
 same triangular factors give the particular solution. The factor step
-(`factor_equalities`, the one LU, which `kkt_residual` and the inverse fit's
-null space read too) reads A_eq only, so systems that differ in b_eq alone
+(`factor_equalities`, the one LU, which the inverse fit's null space reads
+too) reads A_eq only, so systems that differ in b_eq alone
 share it and take their particular solutions by two triangular solves
 (`particular`); the resulting `Elimination` does not depend on the
 objective, so many objectives can share one. A dual
@@ -23,7 +23,7 @@ those rows; the multipliers keep the round-off of the steps.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
 enforced and no working-set row opposes it. A solve returns the primal point,
-the inequality multipliers and a status; `kkt_residual` certifies it on demand.
+the inequality multipliers and a status.
 """
 
 from __future__ import annotations
@@ -56,51 +56,6 @@ class SolverSettings:
                 raise ValueError(f"{name} must be a finite positive number, got {value}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-
-
-@dataclass(frozen=True)
-class KktResiduals:
-    """KKT residuals of a candidate point; `mu` are its equality multipliers."""
-
-    stationarity: float
-    primal_eq: float
-    primal_in: float
-    complementarity: float
-    min_lambda: float
-    mu: np.ndarray
-
-
-@dataclass(frozen=True)
-class QpProblem:
-    """minimize 0.5 s'Hs + f's  s.t.  A_eq s = b_eq, A_in s <= b_in."""
-
-    h_mat: np.ndarray
-    f_vec: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_in: np.ndarray
-    b_in: np.ndarray
-
-    def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.h_mat, dtype=float))
-        n = h.shape[0]
-        if h.shape != (n, n):
-            raise ValueError(f"H must be square, got {h.shape}")
-        if not np.allclose(h, h.T, atol=1e-10):
-            raise ValueError("H must be symmetric")
-        f = np.asarray(self.f_vec, dtype=float).reshape(-1)
-        if f.shape != (n,):
-            raise ValueError(f"f must have length {n}, got {f.shape}")
-        object.__setattr__(self, "h_mat", h)
-        object.__setattr__(self, "f_vec", f)
-        for a_name, b_name in (("a_eq", "b_eq"), ("a_in", "b_in")):
-            a = getattr(self, a_name)
-            a = np.asarray(a, dtype=float).reshape(-1, n) if np.size(a) else np.zeros((0, n))
-            b = np.asarray(getattr(self, b_name), dtype=float).reshape(-1)
-            if a.shape[0] != b.shape[0]:
-                raise ValueError(f"A{a_name[1:]} and {b_name} row counts differ")
-            object.__setattr__(self, a_name, a)
-            object.__setattr__(self, b_name, b)
 
 
 @dataclass(frozen=True)
@@ -300,17 +255,6 @@ class SparseRows:
                              f"got {self.cols.shape} and {self.coef.shape}")
         self.cols.flags.writeable = self.coef.flags.writeable = False
 
-    @classmethod
-    def from_dense(cls, a):
-        """The rows of a dense matrix: each row's nonzero columns in
-        increasing order, padded with its zero entries to the longest row's
-        count."""
-        a = np.asarray(a, dtype=float)
-        nonzero = a != 0.0
-        k = int(np.max(np.sum(nonzero, axis=1), initial=0))
-        cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
-        return cls(cols, np.take_along_axis(a, cols, axis=1), a.shape[1])
-
     @property
     def shape(self):
         return self.cols.shape[0], self.n_cols
@@ -422,8 +366,8 @@ class Elimination:
 
 
 def particular(factors, b_eq, eq_miss):
-    """The particular step of `eliminate`: the `Elimination` of A_eq s = b_eq
-    from the `EqFactors` of A_eq, by two triangular solves. With dropped rows
+    """The `Elimination` of A_eq s = b_eq from the `EqFactors` of A_eq, by
+    two triangular solves. With dropped rows
     the particular solution fits b_eq over all rows in the least-squares
     sense. `eq_miss(s)` is A_eq s - b_eq, in whatever form the caller keeps
     A_eq; `eq_residual` is its largest magnitude at s_part."""
@@ -450,22 +394,6 @@ def particular(factors, b_eq, eq_miss):
     eq_scale = 1.0 + float(np.max(np.abs(b_eq), initial=0.0))
     s_part.flags.writeable = False
     return Elimination(factors.z_basis, s_part, eq_residual, eq_scale)
-
-
-def eliminate(a_eq, b_eq):
-    """The `Elimination` of A_eq s = b_eq: `particular` on the
-    `factor_equalities` of A_eq.
-
-    A_eq must be two-dimensional, with zero rows when there are no
-    equalities. Redundant rows are dropped from the factorization, and
-    `eq_residual` over all rows flags inconsistent systems.
-    """
-    a_eq = np.asarray(a_eq, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-    if a_eq.ndim != 2 or a_eq.shape[0] != b_eq.shape[0]:
-        raise ValueError(f"A_eq must be a matrix with one row per b_eq entry, "
-                         f"got {a_eq.shape} and {b_eq.shape}")
-    return particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
 
 
 @dataclass(frozen=True)
@@ -504,11 +432,11 @@ class ReducedQp:
     solution; this class adds the quadratic block H and keeps the Cholesky
     factor of Z'HZ, so repeated solves that differ only in the linear term
     and the inequality rows stay cheap. H is given either as its diagonal,
-    as the game's tracking objectives are, or as a dense symmetric matrix
-    for a one-shot `QpProblem`. A diagonal must repeat the first `period`
-    weights of the `GramBlocks` of Z that come with it; Z'HZ is then the
-    weighted sum of the blocks, and H s and s'Hs cost no dense n x n product.
-    The two forms agree to round-off.
+    as the game's tracking objectives are, or as a dense symmetric matrix.
+    A diagonal must repeat the first `period` weights of the `GramBlocks`
+    of Z that come with it; Z'HZ is then the weighted sum of the blocks,
+    and H s and s'Hs cost no dense n x n product. The two forms agree to
+    round-off.
     """
 
     def __init__(self, h, elimination, gram=None):
@@ -539,10 +467,8 @@ class ReducedQp:
     def reduce_rows(self, a_in, b_in):
         """Inequality rows A_in s <= b_in in the null-space coordinates y,
         where s = s_part + Z y, as the pair (A_in, b_in - A_in s_part): the
-        rows stay as they are, as `SparseRows` (a dense A_in is converted),
-        and the solver reduces a row against Z only when it needs it."""
-        if not isinstance(a_in, SparseRows):
-            a_in = SparseRows.from_dense(np.asarray(a_in, dtype=float).reshape(-1, self.n))
+        `SparseRows` A_in stay as they are, and the solver reduces a row
+        against Z only when it needs it."""
         b_in = np.asarray(b_in, dtype=float).reshape(-1)
         if b_in.shape != (a_in.shape[0],):
             raise ValueError(f"A_in has {a_in.shape[0]} rows but b_in {b_in.shape[0]} entries")
@@ -583,42 +509,3 @@ class ReducedQp:
         return QpSolution(status, s_star, lam, objective, iterations, infeasibility, working_set,
                           row)
 
-
-def solve(problem, settings=None):
-    """Solve a convex QP; H must be positive definite on the equality null space.
-
-    Returns a QpSolution carrying the primal point, the inequality
-    multipliers and a status of optimal / infeasible / max_iter.
-    """
-    settings = settings or SolverSettings()
-    reduced = ReducedQp(problem.h_mat, eliminate(problem.a_eq, problem.b_eq))
-    return reduced.solve(problem.f_vec, *reduced.reduce_rows(problem.a_in, problem.b_in),
-                         settings)
-
-
-def kkt_residual(problem, s, lam):
-    """KKT residuals of a primal point and its inequality multipliers for a
-    QpProblem. The equality multipliers `mu` solve stationarity on the
-    dependent variables of `factor_equalities`; dropped rows get zero."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    a_eq, a_in = problem.a_eq, problem.a_in
-    grad = problem.h_mat @ s + problem.f_vec
-    if a_in.shape[0]:
-        grad = grad + a_in.T @ lam
-    mu = np.zeros(a_eq.shape[0])
-    if a_eq.shape[0]:
-        factors = factor_equalities(a_eq)
-        mu[factors.rows] = -_lu_solve(_dense(factors.l1), _dense(factors.upper),
-                                      grad[factors.dep])
-        grad = grad + a_eq.T @ mu
-    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-    primal_eq = float(np.max(np.abs(a_eq @ s - problem.b_eq))) if a_eq.shape[0] else 0.0
-    if a_in.shape[0]:
-        slack = a_in @ s - problem.b_in
-        primal_in = float(np.max(np.maximum(slack, 0.0)))
-        complementarity = float(np.max(np.abs(lam * slack)))
-        min_lambda = float(np.min(lam))
-    else:
-        primal_in = complementarity = min_lambda = 0.0
-    return KktResiduals(stationarity, primal_eq, primal_in, complementarity, min_lambda, mu)

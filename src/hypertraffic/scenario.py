@@ -655,6 +655,8 @@ def _vehicle(raw, context, geometry):
     if initial.v < 0:
         raise ValueError(f"config field {context}.initial.v cannot be negative: {initial.v}")
     style = _req(raw, "style", context)
+    if style not in STYLE_NAMES:  # by equality, so an unhashable value is refused too
+        raise ValueError(f"config field {context}.style has unknown value {style!r}")
     is_hv = raw.get("is_hv", vid == 0)
     if not isinstance(is_hv, bool):
         raise ValueError(f"config field {context}.is_hv must be true or false: {is_hv!r}")

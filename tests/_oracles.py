@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way: exhaustive
 enumeration instead of pivoting, finite differences instead of hand-derived
-calculus. None of it imports solver internals.
+calculus. None of it imports solver internals, except the dense QP entry
+points (`dense_elimination`, `solve_dense`) and the `kkt_residual`
+certificate, which drive the package's own LU on dense data.
 """
 
 import itertools
@@ -183,18 +185,94 @@ def densify(rows):
 
 def sparsify(a):
     """`SparseRows` of a dense matrix: each row's nonzero columns in
-    increasing order, padded with coefficient 0 on column 0 to the longest
-    row's count."""
+    increasing order, padded with its zero columns, in increasing order, to
+    the longest row's count."""
     from hypertraffic.qp import SparseRows
 
+    a = np.asarray(a, dtype=float)
     nonzero = [np.flatnonzero(row) for row in a]
     k = max((len(c) for c in nonzero), default=0)
     cols = np.zeros((a.shape[0], k), dtype=np.intp)
-    coef = np.zeros((a.shape[0], k))
-    for i, c in enumerate(nonzero):
-        cols[i, :len(c)] = c
-        coef[i, :len(c)] = a[i, c]
-    return SparseRows(cols, coef, a.shape[1])
+    for i, (c, row) in enumerate(zip(nonzero, a)):
+        cols[i] = np.concatenate([c, np.flatnonzero(row == 0.0)])[:k]
+    return SparseRows(cols, np.take_along_axis(a, cols, axis=1), a.shape[1])
+
+
+def dense_elimination(a_eq, b_eq):
+    """The `qp.Elimination` of dense equality rows A_eq s = b_eq: `particular`
+    on the `factor_equalities` of A_eq, with the miss A_eq s - b_eq."""
+    from hypertraffic.qp import factor_equalities, particular
+
+    a_eq = np.asarray(a_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    return particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
+
+
+def solve_dense(h, f, a_eq, b_eq, a_in, b_in, settings=None):
+    """minimize 0.5 s'Hs + f's  s.t.  A_eq s = b_eq, A_in s <= b_in, all
+    dense, through the game's solver path: `qp.ReducedQp` with the dense H
+    on the `dense_elimination`, the inequality rows as `sparsify` reads them.
+    Returns the `qp.QpSolution`."""
+    from hypertraffic.qp import ReducedQp, SolverSettings
+
+    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    return reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in),
+                         settings or SolverSettings())
+
+
+@dataclass(frozen=True)
+class KktResiduals:
+    """KKT residuals of a candidate point; `mu` are its equality multipliers."""
+
+    stationarity: float
+    primal_eq: float
+    primal_in: float
+    complementarity: float
+    min_lambda: float
+    mu: np.ndarray
+
+
+def kkt_residual(h_mat, f_vec, a_eq, b_eq, a_in, b_in, s, lam):
+    """KKT residuals of a primal point and its inequality multipliers for
+    the dense QP of `solve_dense`. The equality multipliers `mu` solve
+    stationarity on the dependent variables of `factor_equalities`; dropped
+    rows get zero."""
+    from hypertraffic.qp import _dense, _lu_solve, factor_equalities
+
+    s = np.asarray(s, dtype=float).reshape(-1)
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    grad = h_mat @ s + f_vec
+    if a_in.shape[0]:
+        grad = grad + a_in.T @ lam
+    mu = np.zeros(a_eq.shape[0])
+    if a_eq.shape[0]:
+        factors = factor_equalities(a_eq)
+        mu[factors.rows] = -_lu_solve(_dense(factors.l1), _dense(factors.upper),
+                                      grad[factors.dep])
+        grad = grad + a_eq.T @ mu
+    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
+    primal_eq = float(np.max(np.abs(a_eq @ s - b_eq))) if a_eq.shape[0] else 0.0
+    if a_in.shape[0]:
+        slack = a_in @ s - b_in
+        primal_in = float(np.max(np.maximum(slack, 0.0)))
+        complementarity = float(np.max(np.abs(lam * slack)))
+        min_lambda = float(np.min(lam))
+    else:
+        primal_in = complementarity = min_lambda = 0.0
+    return KktResiduals(stationarity, primal_eq, primal_in, complementarity, min_lambda, mu)
+
+
+def pseudo_gradient(strategies, weights, references):
+    """The players' objective gradients h * s + f, with (h, f) from
+    `game.objective_qp_data`, stacked by ascending id."""
+    from hypertraffic.game import objective_qp_data
+
+    parts = []
+    for vid in sorted(strategies):
+        strat = strategies[vid]
+        h_diag, f_vec = objective_qp_data(weights[vid], references[vid], strat.segment)
+        parts.append(h_diag * strat.data + f_vec)
+    return np.concatenate(parts)
 
 
 # The vectorized dense row builders the library used before its rows became

@@ -9,7 +9,7 @@ import numpy as np
 from hypertraffic.cognition import hne_gap_sweep
 from hypertraffic.constraints import Segment, Strategy
 from hypertraffic.dynamics import VehicleGeometry, linearize_discrete
-from hypertraffic.game import make_game, pseudo_gradient, solve_games
+from hypertraffic.game import make_game, solve_games
 from hypertraffic.harness import (
     run_offline_experiment,
     run_online_experiment,
@@ -18,7 +18,7 @@ from hypertraffic.harness import (
     stage_segments,
 )
 from hypertraffic.netsim import run_distributed
-from hypertraffic.qp import INFEASIBLE, OPTIMAL, QpProblem, solve
+from hypertraffic.qp import INFEASIBLE, OPTIMAL
 from hypertraffic.scenario import (
     StyleWeights,
     default_offline_scenario,
@@ -26,7 +26,8 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import enumerate_qp, fd_step_jacobians, random_nominal, random_qp
+from _oracles import (enumerate_qp, fd_step_jacobians, pseudo_gradient, random_nominal,
+                      random_qp, solve_dense)
 
 
 def _report(number, detail):
@@ -42,7 +43,7 @@ def test_criterion_01_qp_solver_matches_enumeration():
     for _ in range(1000):
         h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
         expect_s, expect_obj = enumerate_qp(h, f, a_eq, b_eq, a_in, b_in)
-        sol = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
+        sol = solve_dense(h, f, a_eq, b_eq, a_in, b_in)
         if expect_s is None:
             n_infeasible += 1
             assert sol.status == INFEASIBLE

@@ -130,6 +130,38 @@ def test_solve_names_the_row_that_degraded_a_game(monkeypatch, capsys):
     assert lines[-1].startswith("player 0 degraded:")
 
 
+OVERLAPPING_STARTS = """
+horizon: 36
+vehicles:
+  - id: 0
+    is_hv: true
+    style: comfort_oriented
+    behavior: {kind: straight}
+    initial: {x: 0.0, y: 2.0, v: 10.0}
+  - id: 1
+    style: comfort_oriented
+    behavior: {kind: straight}
+    initial: {x: 1.0, y: 2.0, v: 10.0}
+"""
+
+
+def test_overlapping_starts_name_the_player_the_family_and_the_step(tmp_path, capsys):
+    # Two vehicles 1 m apart in one lane overlap from the start: neither can
+    # enforce its keep-out row against the other at the first decision
+    # point, so round 1 moves nothing and the game stops unconverged.
+    config = tmp_path / "overlap.yaml"
+    config.write_text(OVERLAPPING_STARTS, encoding="utf-8")
+    assert cli.main(["solve", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if "degraded:" in line] == [
+        "player 0 degraded: infeasible at collision(1), decision point 2, rounds 1",
+        "player 1 degraded: infeasible at collision(0), decision point 2, rounds 1",
+    ]
+    assert captured.err.splitlines() == [
+        'error kind=RuntimeError msg="best-response iteration did not converge"'
+    ]
+
+
 def test_solve_accepts_scenario_config(tmp_path, capsys):
     config = tmp_path / "scenario.yaml"
     config.write_text(CONFIG_DOC, encoding="utf-8")

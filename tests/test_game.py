@@ -8,17 +8,15 @@ from hypertraffic.game import (
     WEIGHT_PATTERN,
     _KeepOut,
     _PlayerWorkspace,
-    best_response,
     make_game,
     objective_qp_data,
-    pseudo_gradient,
     reference_vector,
     solve_games,
     ve_residual,
     weight_diagonal,
 )
 from hypertraffic.cognition import hv_subjective_game
-from hypertraffic.qp import INFEASIBLE, OPTIMAL, QpProblem, kkt_residual
+from hypertraffic.qp import INFEASIBLE, OPTIMAL
 from hypertraffic.scenario import (
     LANE_CHANGE,
     StyleWeights,
@@ -27,7 +25,7 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import dense_system, system_violation
+from _oracles import dense_system, kkt_residual, pseudo_gradient, system_violation
 
 
 def _scen():
@@ -109,15 +107,6 @@ def test_pseudo_gradient_is_strongly_monotone():
         assert inner <= hi * sq + 1e-9 * (1.0 + abs(inner))
 
 
-def test_pseudo_gradient_rejects_human_id():
-    scen = _scen()
-    seg = Segment(1, scen.horizon)
-    refs = {0: scen.references()[0].window(1, scen.horizon)}
-    strat = {0: _seed(scen, 0)}
-    with pytest.raises(ValueError):
-        pseudo_gradient(strat, {0: scen.hv.weights_true}, refs)
-
-
 def test_make_game_defaults_and_validation():
     scen = _scen()
     weights = _subjective_weights(scen)
@@ -147,13 +136,14 @@ def test_best_response_satisfies_kkt_and_constraints():
     scen = _scen()
     game = make_game(scen, _subjective_weights(scen))
     opponents = {vid: _seed(scen, vid) for vid in (1, 2, 3)}
-    sol = best_response(0, opponents, game)
+    sol = _PlayerWorkspace(game, 0, _KeepOut(game)).best_response(opponents)
     assert sol.status == OPTIMAL and sol.ok
     system = dense_system(0, opponents, scen)
     ref = game.references[0]
     h_diag, f_vec = objective_qp_data(game.weights[0], ref, game.segment)
-    problem = QpProblem(np.diag(h_diag), f_vec, system.a_eq, system.b_eq, system.a_in, system.b_in)
-    assert kkt_residual(problem, sol.s_star, sol.lam).stationarity < 1e-6
+    kkt = kkt_residual(np.diag(h_diag), f_vec, system.a_eq, system.b_eq, system.a_in,
+                       system.b_in, sol.s_star, sol.lam)
+    assert kkt.stationarity < 1e-6
     assert system_violation(system, sol.s_star) < 1e-8
     # the raw QP value omits the constant reference term; adding it back
     # gives the tracking cost, which is positive because the seeded merge

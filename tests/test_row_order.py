@@ -20,7 +20,7 @@ from hypertraffic import game as game_module
 from hypertraffic.constraints import Segment, Strategy
 from hypertraffic.dynamics import VehicleState
 from hypertraffic.harness import _anchored_reference
-from hypertraffic.qp import ReducedQp, eliminate
+from hypertraffic.qp import ReducedQp
 from hypertraffic.scenario import (
     STRAIGHT,
     default_offline_scenario,
@@ -32,6 +32,7 @@ from _oracles import (
     dense_behavior_rows,
     dense_box_rows,
     dense_collision_rows,
+    dense_elimination,
     dense_lane_rows,
     dense_system,
     densify,
@@ -90,7 +91,7 @@ def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled
         system = assembled(vid, opponents)
         # The equalities reach the solve as their elimination, which may come
         # from the cache of static parts.
-        elimination = eliminate(system.a_eq, system.b_eq)
+        elimination = dense_elimination(system.a_eq, system.b_eq)
         assert np.array_equal(reduced.z_basis, elimination.z_basis), vid
         assert np.array_equal(reduced.s_part, elimination.s_part), vid
         # The stacked rows solved with are the assembled ones, padded with

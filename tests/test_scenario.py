@@ -322,6 +322,11 @@ def test_load_config_refuses_a_field_that_is_not_a_mapping():
         ("[1.0, 1.0, 4.0", "[1.0, false, 4.0", "config field vehicles[1].weights_true is not a number"),
         ("{kind: straight}", "{kind: [straight]}",
          "config field vehicles[0].behavior.kind has unknown value ['straight']"),
+        ("style: comfort_oriented", "style: reckless",
+         "config field vehicles[0].style has unknown value 'reckless'"),
+        ("style: velocity_consistent", "style: reckless",
+         "config field vehicles[1].style has unknown value 'reckless'"),
+        ("style: comfort_oriented", "style: [1]", "config field vehicles[0].style has unknown value [1]"),
         ("horizon: 20", "horizon: 20\nstages: [1, x]", "config field stages is not a number"),
         ("horizon: 20", "horizon: 20\nstages: [1, 10.5, 20]",
          "config field stages is not an integer"),

@@ -2,19 +2,19 @@
 active-set solver reads, against the dense matrix `_oracles.densify` builds
 from it entry by entry: the product with a vector, the reduced rows A Z the
 solver forms for its working set, the right-hand sides `reduce_rows` gives,
-its densified form (`constraints.stack_dense` of the one block), and the rows `SparseRows.from_dense` reads off the
-dense matrix, on random blocks. The sparse products gather and sum at most k
-products per row where BLAS sums n, so they agree within a few ulps of the
-row's sum of |products|."""
+and its densified form (`constraints.stack_dense` of the one block), on
+random blocks. The sparse products gather and sum at most k products per row
+where BLAS sums n, so they agree within a few ulps of the row's sum of
+|products|."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertraffic.constraints import stack_dense
-from hypertraffic.qp import ReducedQp, SparseRows, _reduced_rows, eliminate
+from hypertraffic.qp import ReducedQp, SparseRows, _reduced_rows
 
-from _oracles import densify, sparsify
+from _oracles import dense_elimination, densify
 
 EPS = np.finfo(float).eps
 # Zero in both signs is a coefficient the builders emit: the padding slots
@@ -58,24 +58,18 @@ def test_sparse_rows_agree_with_their_dense_oracle(block):
     assert np.array_equal(stack_dense([(rows, np.zeros(rows.shape[0]), ())])[0], dense)
     assert np.all(np.abs(rows @ x - dense @ x) <= 16 * EPS * _gathered_scale(rows, x))
 
-    reduced = ReducedQp(np.eye(rows.n_cols), eliminate(a_eq, b_eq))
+    reduced = ReducedQp(np.eye(rows.n_cols), dense_elimination(a_eq, b_eq))
     z_basis = reduced.z_basis
     c_sparse = _reduced_rows(rows, z_basis, np.arange(rows.shape[0]))
     assert c_sparse.shape == (rows.shape[0], z_basis.shape[1])
     assert np.all(np.abs(c_sparse - dense @ z_basis) <= 16 * EPS * _gathered_scale(rows, z_basis))
 
-    # Sparse rows pass through `reduce_rows` as they are; dense ones come
-    # back as the rows `from_dense` reads: the same matrix, as many slots
-    # as the longest row has nonzeros (`sparsify` pads to that count too).
+    # Sparse rows pass through `reduce_rows` as they are.
     b_in = np.arange(rows.shape[0], dtype=float)
     same, d_sparse = reduced.reduce_rows(rows, b_in)
     assert same is rows
-    read, d_dense = reduced.reduce_rows(dense, b_in)
-    assert np.array_equal(densify(read), dense)
-    assert read.coef.shape == sparsify(dense).coef.shape
     d_scale = _gathered_scale(rows, reduced.s_part) + np.abs(b_in)
     assert np.all(np.abs(d_sparse - (b_in - dense @ reduced.s_part)) <= 16 * EPS * d_scale)
-    assert np.all(np.abs(d_dense - d_sparse) <= 16 * EPS * d_scale)
 
 
 def test_sparse_rows_refuse_mismatched_shapes():
@@ -84,7 +78,7 @@ def test_sparse_rows_refuse_mismatched_shapes():
     rows = SparseRows(np.zeros((2, 1), dtype=int), np.ones((2, 1)), 4)
     with pytest.raises(ValueError, match="4 columns"):
         rows @ np.ones(3)
-    reduced = ReducedQp(np.eye(3), eliminate(np.zeros((0, 3)), np.zeros(0)))
+    reduced = ReducedQp(np.eye(3), dense_elimination(np.zeros((0, 3)), np.zeros(0)))
     with pytest.raises(ValueError, match="4 columns"):
         reduced.reduce_rows(rows, np.zeros(2))
     assert not rows.cols.flags.writeable and not rows.coef.flags.writeable

@@ -12,7 +12,7 @@ import pytest
 
 from hypertraffic import game as game_module
 from hypertraffic.constraints import Segment, Strategy, collision_rows, keep_out_axes, pose_columns
-from hypertraffic.game import _KeepOut, _PlayerWorkspace, best_response, make_game, solve_games, ve_residual
+from hypertraffic.game import _KeepOut, _PlayerWorkspace, make_game, solve_games, ve_residual
 from hypertraffic.netsim import run_distributed
 from hypertraffic.qp import GiSolver, ReducedQp, SparseRows
 from hypertraffic.scenario import (
@@ -146,8 +146,8 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
         for profile in (solved, mixed, dict(mixed)):
             opponents = game.opponents_of(vid, profile)
             got = ws.best_response(opponents)
-            _assert_same_solution(got, best_response(vid, opponents, game))
             fresh = _PlayerWorkspace(game, vid, _KeepOut(game))
+            _assert_same_solution(got, fresh.best_response(opponents))
             s_vec = profile[vid].data
             assert ws.violation_at(s_vec, opponents) == fresh.violation_at(s_vec, opponents)
 
