@@ -11,7 +11,7 @@ produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -117,14 +117,15 @@ def dynamics_rows(reference, geometry, initial_state=None):
     """Equality rows chaining the linearized Euler steps along the segment.
 
     Step j is linearized at reference point j with zero nominal control, so
-    the coefficients read only the reference's v and psi; the initial state
-    (default: the reference's first point) enters only the right-hand side,
-    `dynamics_rhs`. Row 4 j + i holds -B_j[i] on u(j), 1 on x_i(j) and
-    -A_j[i] on x(j-1), seven slots; the first step's previous state is data,
-    so its last four slots hold 0 on x_i(0).
+    the coefficients and the affine terms c read only the reference's v and
+    psi; the initial state x(0) (default: the reference's first point)
+    enters only the first step's right-hand side, c_0 + A_0 x(0). Row 4 j + i
+    holds -B_j[i] on u(j), 1 on x_i(j) and -A_j[i] on x(j-1), seven slots;
+    the first step's previous state is data, so its last four slots hold 0
+    on x_i(0).
     """
     n = len(reference) - 1
-    a_mat, b_mat, _ = _linearized(reference, geometry)
+    a_mat, b_mat, c_vec = _linearized(reference, geometry)
     state = X_PX + np.arange(4)
     offsets = np.empty((n, 4, 7), dtype=np.intp)
     coef = np.empty((n, 4, 7))
@@ -138,24 +139,21 @@ def dynamics_rows(reference, geometry, initial_state=None):
     coef[0, :, 3:] = 0.0
     rows = _step_rows(np.repeat(np.arange(n), 4), offsets.reshape(4 * n, 7),
                       coef.reshape(4 * n, 7), n)
-    return rows, dynamics_rhs(reference, geometry, initial_state), ("dynamics",) * (4 * n)
+    x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
+    b_eq = c_vec.reshape(-1)
+    b_eq[:4] = c_vec[0] + a_mat[0] @ x0
+    return rows, b_eq, ("dynamics",) * (4 * n)
 
 
 def _linearized(reference, geometry):
     """(A, B, c) of the Euler steps at the reference's points but its last,
-    with zero nominal control."""
-    return linearize_steps(reference.states[:-1], np.zeros((len(reference) - 1, CONTROL_DIM)),
-                           geometry, reference.ts)
-
-
-def dynamics_rhs(reference, geometry, initial_state=None):
-    """The right-hand side of `dynamics_rows`: each step's affine term, the
-    first step's also carrying A_0 x(0)."""
-    x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
-    a_mat, _, c_vec = _linearized(reference, geometry)
-    b_eq = c_vec.reshape(-1)
-    b_eq[:4] += a_mat[0] @ x0
-    return b_eq
+    with zero nominal control and zero position: A is the identity on (p_x,
+    p_y), so c is the same at any position, and none of them reads more than
+    `coefficient_key` holds."""
+    states = reference.states[:-1].copy()
+    states[:, :2] = 0.0
+    return linearize_steps(states, np.zeros((len(reference) - 1, CONTROL_DIM)), geometry,
+                           reference.ts)
 
 
 def box_rows(limits, segment):
@@ -175,27 +173,16 @@ def lane_rows(reference, geometry, road, permitted_lanes):
     """Keep all four extended-rectangle vertices inside the permitted lane
     band, linearized about the reference poses.
 
-    Four rows per boundary per decision step: the band's outer boundaries are
-    the relevant curves, one tangent query each. The coefficients read the
-    reference's headings only; its positions enter the right-hand side,
-    `lane_rhs`.
+    Four rows per boundary per decision step (row step * 4 + vertex): the
+    band's outer boundaries are the relevant curves, one tangent query each
+    at the first decision point, which must lie within the road's x extent.
+    A boundary's feasible side is f = a (p_x + ox) + b (p_y + oy) + c <= 0,
+    (ox, oy) a vertex's offset from the center; the right-hand side
+    grad f . pose - f = dpsi psi - a ox - b oy - c has no position term, so
+    coefficients and right-hand sides alike read the reference's headings
+    only.
     """
     n = len(reference) - 1
-    coefs = []
-    for a, b, _, dpsi in _lane_lines(reference, geometry, road, permitted_lanes)[2]:
-        coef = np.empty((4 * n, 3))
-        coef[:, :2] = a, b
-        coef[:, 2] = dpsi.reshape(-1)
-        coefs.append(coef)
-    rows = _step_rows(np.tile(np.repeat(np.arange(n), 4), 2), _POSE_COLUMNS, np.vstack(coefs), n)
-    return rows, lane_rhs(reference, geometry, road, permitted_lanes), ("lane",) * (8 * n)
-
-
-def _lane_lines(reference, geometry, road, permitted_lanes):
-    """(vx, vy, lines): the vertex positions at the reference's decision
-    poses, one column per vertex (row-major flattening gives the row order
-    step * 4 + vertex), and per band boundary its feasible side a x + b y + c
-    <= 0 with the vertex rows' d/dpsi."""
     lanes = sorted(permitted_lanes)
     boundaries = (lanes[0], lanes[-1] + 1)
     band_mid = 0.5 * (road.boundary_y(boundaries[0]) + road.boundary_y(boundaries[1]))
@@ -203,28 +190,19 @@ def _lane_lines(reference, geometry, road, permitted_lanes):
     cos = np.cos(poses[:, 3])[:, None]
     sin = np.sin(poses[:, 3])[:, None]
     lx, wy = body_offsets(geometry).T
-    vx = poses[:, 0, None] + lx * cos - wy * sin
-    vy = poses[:, 1, None] + lx * sin + wy * cos
-    lines = []
+    ox, oy = lx * cos - wy * sin, lx * sin + wy * cos
+    coefs, rhs = [], []
     for b_idx in boundaries:
-        probe = (float(poses[0, 0]), band_mid)
-        a, b, c = road.tangent_at(road.boundary_y(b_idx), poses[0, :2], probe)
-        # f = a*(px + lx cos - wy sin) + b*(py + lx sin + wy cos) + c
-        lines.append((a, b, c, a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)))
-    return vx, vy, lines
-
-
-def lane_rhs(reference, geometry, road, permitted_lanes):
-    """The right-hand side of `lane_rows`: grad f . pose - f at each
-    reference pose."""
-    poses = reference.states[1:, :]
-    vx, vy, lines = _lane_lines(reference, geometry, road, permitted_lanes)
-    rhs = []
-    for a, b, c, dpsi in lines:
-        f_ref = a * vx + b * vy + c
-        grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
-        rhs.append((grad_dot_ref - f_ref).reshape(-1))
-    return np.concatenate(rhs)
+        a, b, c = road.tangent_at(road.boundary_y(b_idx), poses[0, :2],
+                                  (float(poses[0, 0]), band_mid))
+        dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
+        coef = np.empty((4 * n, 3))
+        coef[:, :2] = a, b
+        coef[:, 2] = dpsi.reshape(-1)
+        coefs.append(coef)
+        rhs.append((dpsi * poses[:, 3, None] - a * ox - b * oy - c).reshape(-1))
+    rows = _step_rows(np.tile(np.repeat(np.arange(n), 4), 2), _POSE_COLUMNS, np.vstack(coefs), n)
+    return rows, np.concatenate(rhs), ("lane",) * (8 * n)
 
 
 def keep_out_axes(geometry):
@@ -239,20 +217,29 @@ def pose_columns(n_steps):
     return _step_columns(np.arange(n_steps), _POSE_COLUMNS)
 
 
+def keep_out_value(rx, ry, ax, by):
+    """The keep-out value 1 - u^6 - w^6 of body-frame offsets (rx, ry),
+    u = rx / ax and w = ry / by, with u^5 and w^5, all by products."""
+    u, w = rx / ax, ry / by
+    u2, w2 = u * u, w * w
+    u5, w5 = u2 * u2 * u, w2 * w2 * w
+    return 1.0 - u5 * u - w5 * w, u5, w5
+
+
 def collision_rows(poses, semi_axes, opponent_strategy):
     """The keep-out value of p players against one fixed opponent strategy,
     linearized in each player's own pose about its decision poses, in one
     array pass.
 
     `poses` holds each player's decision states (p, n, 4) and `semi_axes`
-    its `keep_out_axes`, as floats. Returns the gradients in (p_x, p_y,
-    psi), (p, n, 3), and b, (p, n): player i's row at step k is grad[i, k]
-    on that step's `pose_columns`, <= b[i, k]."""
+    its `keep_out_axes`, (p, 2). Returns the gradients in (p_x, p_y, psi),
+    (p, n, 3), and b, (p, n): player i's row at step k is grad[i, k] on
+    that step's `pose_columns`, <= b[i, k]."""
     n = poses.shape[1]
     if opponent_strategy.segment.n_steps != n:
         raise ValueError("opponent strategy does not cover the player's segment")
     opp = opponent_strategy.positions()
-    ax, by, ax6, by6 = np.array([(a, b, a**6, b**6) for a, b in semi_axes]).T[:, :, None]
+    ax, by = np.asarray(semi_axes, dtype=float).T[:, :, None]
     px, py, psi = poses[:, :, 0], poses[:, :, 1], poses[:, :, 3]
     cos = np.cos(psi)
     sin = np.sin(psi)
@@ -260,9 +247,9 @@ def collision_rows(poses, semi_axes, opponent_strategy):
     dy = opp[:, 1] - py
     rx = cos * dx + sin * dy
     ry = -sin * dx + cos * dy
-    h_ref = 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
-    gx = 6.0 * rx**5 / ax6
-    gy = 6.0 * ry**5 / by6
+    h_ref, u5, w5 = keep_out_value(rx, ry, ax, by)
+    gx = 6.0 * u5 / ax
+    gy = 6.0 * w5 / by
     grad = np.empty((*px.shape, 3))
     grad[:, :, 0] = gx * cos - gy * sin
     grad[:, :, 1] = gx * sin + gy * cos
@@ -301,14 +288,17 @@ class StaticRows:
     The equality blocks are the dynamics chain then the straight heading
     pins. The inequality blocks split around the collision blocks, which
     depend on the opponents: the head is box then lane rows, the tail the
-    lane-change behavior rows (empty when driving straight). The right-hand
-    sides are made read-only, as `SparseRows` makes its arrays, so that many
-    solves can share the rows.
+    lane-change behavior rows (empty when driving straight). `start` holds
+    (c_0, A_0) of the first Euler step: the first four dynamics right-hand
+    sides are c_0 + A_0 x(0) in the start state x(0), and no other entry
+    reads the start state. The right-hand sides are made read-only, as
+    `SparseRows` makes its arrays, so that many solves can share the rows.
     """
 
     eq: tuple
     head: tuple
     tail: tuple
+    start: tuple
 
     def __post_init__(self):
         for _, b, _ in (*self.eq, *self.head, *self.tail):
@@ -317,6 +307,15 @@ class StaticRows:
     def eq_miss(self, s_vec):
         """A_eq s - b_eq over the equality blocks, in order."""
         return np.concatenate([a @ s_vec - b for a, b, _ in self.eq])
+
+    def start_columns(self):
+        """The equality right-hand side as the columns [b_0, E], b_eq = b_0 +
+        E A_0 x(0): b_0 is b_eq at x(0) = 0, E the unit columns of its first
+        four entries."""
+        cols = np.zeros((sum(b.size for _, b, _ in self.eq), 5))
+        cols[:, 0] = np.concatenate([b for _, b, _ in self.eq])
+        cols[:4, 0], cols[:4, 1:] = self.start[0], np.eye(4)
+        return cols
 
 
 def stack_dense(blocks):
@@ -348,9 +347,10 @@ def coefficient_key(vehicle, scenario, segment, reference):
     its id, geometry, behavior and permitted lanes, the road, the limits,
     the step count and step, each by its repr, which spells every float
     exactly (0.0 and -0.0 apart), and the bytes of the reference's v and psi
-    columns. The reference's positions, the start state and the segment's
-    first step reach only the right-hand sides, which `restated_rows`
-    recomputes."""
+    columns. Every right-hand side reads only these too, but for the first
+    four dynamics entries, c_0 + A_0 x(0), which `restated_rows` rewrites
+    for a new start state; the reference's positions and the segment's
+    first step reach no row, only the x-extent check."""
     lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
     return (*map(repr, (vehicle.vid, vehicle.geometry, vehicle.behavior, lanes, scenario.road,
                         scenario.limits, segment.n_steps, reference.ts)),
@@ -367,20 +367,23 @@ def static_rows(vehicle, scenario, segment, reference, initial_state):
     lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
     head = (box_rows(scenario.limits, segment),
             lane_rows(reference, vehicle.geometry, scenario.road, lanes))
-    return StaticRows(eq=eq, head=head, tail=tail)
+    a_mat, _, c_vec = _linearized(reference, vehicle.geometry)
+    return StaticRows(eq=eq, head=head, tail=tail, start=(c_vec[0].copy(), a_mat[0].copy()))
 
 
-def restated_rows(rows, vehicle, scenario, reference, initial_state):
+def restated_rows(rows, road, reference, initial_state):
     """`rows`, a player's static rows, as `static_rows` would give them for
     a reference and start state with the same `coefficient_key`: only the
-    dynamics and lane rows' right-hand sides read what the key leaves out,
-    and they come from the functions the row builders call. No row is built,
-    but the lane rows' x-extent check runs on the new reference."""
-    lanes = vehicle.behavior.permitted_lanes(scenario.road, vehicle.initial.p_y)
-    rhs = {"dynamics": dynamics_rhs(reference, vehicle.geometry, initial_state),
-           "lane": lane_rhs(reference, vehicle.geometry, scenario.road, lanes)}
-    return StaticRows(*(tuple((a, rhs.get(tags[0], b), tags) for a, b, tags in part)
-                        for part in (rows.eq, rows.head, rows.tail)))
+    first four dynamics right-hand sides, c_0 + A_0 x(0), change, and they
+    are written as `dynamics_rows` writes them. No row is built, but the
+    x-extent check of the lane and behavior rows' tangent queries runs on
+    the new reference's first decision point."""
+    road.tangent_at(0.0, reference.states[1])
+    (dynamics, b_eq, tags), *pins = rows.eq
+    c_0, a_0 = rows.start
+    b_eq = b_eq.copy()
+    b_eq[:4] = c_0 + a_0 @ initial_state.as_array()
+    return replace(rows, eq=((dynamics, b_eq, tags), *pins))
 
 
 class InequalityStack:
@@ -462,5 +465,5 @@ def profile_violation(strategies, scenario):
         worst = max(worst, *(float(np.max(term, initial=0.0)) for term in (
             box @ strategies[vid].data - box_rhs,
             np.maximum(vy - road.boundary_y(max(lanes) + 1), road.boundary_y(min(lanes)) - vy),
-            1.0 - (rx / ax) ** 6 - (ry / by) ** 6)))
+            keep_out_value(rx, ry, ax, by)[0])))
     return worst

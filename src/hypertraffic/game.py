@@ -28,12 +28,12 @@ WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
 # Most player systems kept in `_STATIC_PARTS`. At H=121 (120 steps, 720
 # variables) an entry holds the basis Z, its Gram blocks, the static rows in
-# sparse form with their right-hand sides, s_part, and the triangular factors
-# of the equality rows by their nonzeros: 4,657,320 bytes for a lane changer
-# (Z 720 x 240, six blocks 2,764,848, the factors 361,272) and 2,084,412 for
-# a straight driver (Z 720 x 120, three blocks 345,624, the factors 899,748),
-# so a full cache holds at most 37.3 MB. Dense, the factors would take 3.7 MB
-# and 5.8 MB; the blocks kept as packed triangles would take half.
+# sparse form with their right-hand sides, s_key and N (28,800 bytes), s_part
+# and the triangular factors of the equality rows by their nonzeros: 4,686,312
+# bytes for a lane changer (Z 720 x 240, six blocks 2,764,848, the factors
+# 361,272) and 2,113,404 for a straight driver (Z 720 x 120, three blocks
+# 345,624, the factors 899,748), so a full cache holds at most 37.5 MB. Dense,
+# the factors would take 3.7 MB and 5.8 MB; packed triangles, the blocks half.
 STATIC_CACHE_ENTRIES = 8
 
 
@@ -53,12 +53,12 @@ def reference_vector(reference, segment):
     return Strategy.from_reference(reference, segment).data
 
 
-def objective_qp_data(weights, reference, segment):
-    """Objective 0.5 s'diag(h)s + f's whose minimizer tracks the reference at
-    zero cost, as (h, f): the diagonal h of the quadratic form, not a matrix,
-    and the linear term f."""
-    h_diag = weight_diagonal(weights.theta, segment.n_steps)
-    return h_diag, -h_diag * reference_vector(reference, segment)
+def objective_qp_data(weights, s_ref):
+    """Objective 0.5 s'diag(h)s + f's whose minimizer tracks the reference
+    vector `s_ref` (`reference_vector`) at zero cost, as (h, f): the
+    diagonal h of the quadratic form, not a matrix, and the linear term f."""
+    h_diag = weight_diagonal(weights.theta, s_ref.size // STEP_VARS)
+    return h_diag, -h_diag * s_ref
 
 
 def check_reference(name, reference, segment, scenario):
@@ -144,24 +144,31 @@ class _StaticEntry:
     """What players with the same coefficients share: the factors of their
     equality rows, the `GramBlocks` of the null-space basis Z those give,
     one per step position, from which each player's weights form its
-    reduced Hessian, and the static rows of the latest right-hand side,
-    keyed by `rhs_key`, whose rows a later right-hand side re-states. Their
-    `Elimination` is formed when a forward workspace first asks for it. A
-    new right-hand side re-points `rhs_key` and `rows` at new objects and
-    forgets the elimination; the arrays they held stay as they were."""
+    reduced Hessian, the particular solution s_key at start state x(0) = 0
+    and N (n x 4), its map from x(0), which reaches b_eq only as A_0 x(0)
+    (`StaticRows.start_columns`), and the static rows and start state `x_0`
+    of the latest right-hand side, keyed by `rhs_key`, which a later one
+    re-states. Their `Elimination` is formed when a forward workspace first
+    asks for it. A new right-hand side re-points `rhs_key`, `rows` and `x_0`
+    at new objects and forgets the elimination; the arrays stay as they were."""
 
     factors: EqFactors
     gram: GramBlocks
+    s_key: np.ndarray
+    n_map: np.ndarray
     rhs_key: tuple
     rows: StaticRows
+    x_0: np.ndarray
     _elimination: Elimination = None
 
     def elimination(self):
-        """The `Elimination` of the current right-hand side, by
-        `qp.particular` on the kept factors the first time it is asked for."""
+        """The `Elimination` of the current right-hand side, s_key + N x(0)
+        on a built entry as on a re-stated one, so both are bitwise equal."""
         if self._elimination is None:
             b_eq = np.concatenate([b for _, b, _ in self.rows.eq])
-            self._elimination = particular(self.factors, b_eq, self.rows.eq_miss)
+            self._elimination = Elimination.of(self.factors.z_basis,
+                                               self.s_key + self.n_map @ self.x_0, b_eq,
+                                               self.rows.eq_miss)
         return self._elimination
 
 
@@ -175,21 +182,24 @@ def _player_system(vehicle, scenario, segment, reference, start):
     reference and start state: what a forward workspace and the inverse fit
     both read.
 
-    A miss builds the static rows, factors their equality rows and forms
-    the Gram blocks of the null-space basis, per step position. A new
-    right-hand side, keyed by the bytes of the reference and the start
-    state, takes its b from `restated_rows`; the entry's last right-hand
-    side is returned as it is."""
+    A miss builds the static rows, factors their equality rows, forms the
+    Gram blocks of the null-space basis, per step position, and solves for
+    s_key and N in one `particular` call. A new right-hand side, keyed by
+    the bytes of the reference and the start state, takes its rows from
+    `restated_rows` and runs no linearization and no triangular solve; the
+    entry's last right-hand side is returned as it is."""
     key = coefficient_key(vehicle, scenario, segment, reference)
     rhs_key = (reference.states.tobytes(), start.as_array().tobytes())
     entry = _STATIC_PARTS.pop(key, None)
     if entry is None:
         rows = static_rows(vehicle, scenario, segment, reference, start)
         factors = factor_equalities(stack_dense(rows.eq)[0])
-        entry = _StaticEntry(factors, gram_blocks(factors.z_basis, STEP_VARS), rhs_key, rows)
+        s_cols = particular(factors, rows.start_columns())
+        entry = _StaticEntry(factors, gram_blocks(factors.z_basis, STEP_VARS), s_cols[:, 0].copy(),
+                             s_cols[:, 1:] @ rows.start[1], rhs_key, rows, start.as_array())
     elif entry.rhs_key != rhs_key:
-        entry.rows = restated_rows(entry.rows, vehicle, scenario, reference, start)
-        entry.rhs_key, entry._elimination = rhs_key, None
+        entry.rows = restated_rows(entry.rows, scenario.road, reference, start)
+        entry.rhs_key, entry.x_0, entry._elimination = rhs_key, start.as_array(), None
     _STATIC_PARTS[key] = entry
     while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
         _STATIC_PARTS.popitem(last=False)
@@ -207,7 +217,7 @@ class _KeepOut:
         ids = game.decision_ids
         self._index = {vid: k for k, vid in enumerate(ids)}
         self._poses = np.stack([game.references[vid].states[1:] for vid in ids])
-        self._axes = [keep_out_axes(game.scenario.vehicle(vid).geometry) for vid in ids]
+        self._axes = np.array([keep_out_axes(game.scenario.vehicle(vid).geometry) for vid in ids])
         self._latest = {}  # opponent id -> (strategy, gradients, b)
 
     def rows(self, vid, oid, strategy):
@@ -243,7 +253,7 @@ class _PlayerWorkspace:
         self._segment = game.segment
         reference = game.references[vid]
         self.s_ref = reference_vector(reference, game.segment)
-        self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], reference, game.segment)
+        self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.s_ref)
         entry = _player_system(game.scenario.vehicle(vid), game.scenario, game.segment,
                                reference, game.initial_states[vid])
         self.rows = entry.rows

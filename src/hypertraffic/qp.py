@@ -7,8 +7,9 @@ same triangular factors give the particular solution. The factor step
 (`factor_equalities`, the one LU, which the inverse fit's null space reads
 too) reads A_eq only, so systems that differ in b_eq alone
 share it and take their particular solutions by two triangular solves
-(`particular`); the resulting `Elimination` does not depend on the
-objective, so many objectives can share one. A dual
+(`particular`, linear in b_eq, one column per right-hand side); the
+resulting `Elimination` does not depend on the objective, so many
+objectives can share one. A dual
 active-set method then runs on the reduced problem, reading the inequality
 rows as the sparse rows A they were built as (`SparseRows`), with d = b -
 A s_part: it starts at the unconstrained minimum, or warm on a given
@@ -155,8 +156,10 @@ class GiSolver:
                 np.divide(lam_w, -dlam, out=ratios[:-1], where=dlam < -1e-14)
                 j_out = int(np.argmin(ratios))
                 t1 = ratios[j_out]
-                if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
-                    # Constraint value cannot move: dual-only step.
+                # The descent c_p'G^-1 c_p - u'S^-1 u (u = C_W G^-1 c_p) cancels to
+                # round-off as c_p nears the working rows' span: under 1e-8 of
+                # c_p'G^-1 c_p the constraint value cannot move; dual-only step.
+                if descent <= max(1e-13 * (1.0 + float(c_p @ c_p)), 1e-8 * float(c_p @ ginv_cp)):
                     if t1 == np.inf:
                         return result(INFEASIBLE, viol_p, p)
                     lam_w = lam_w + t1 * dlam
@@ -364,20 +367,27 @@ class Elimination:
     eq_residual: float
     eq_scale: float
 
+    @classmethod
+    def of(cls, z_basis, s_part, b_eq, eq_miss):
+        """The elimination with particular solution `s_part`, made read-only,
+        of A_eq s = b_eq, whose miss A_eq s - b_eq is `eq_miss(s)`."""
+        s_part.flags.writeable = False
+        return cls(z_basis, s_part, float(np.max(np.abs(eq_miss(s_part)), initial=0.0)),
+                   1.0 + float(np.max(np.abs(b_eq), initial=0.0)))
 
-def particular(factors, b_eq, eq_miss):
-    """The `Elimination` of A_eq s = b_eq from the `EqFactors` of A_eq, by
-    two triangular solves. With dropped rows
-    the particular solution fits b_eq over all rows in the least-squares
-    sense. `eq_miss(s)` is A_eq s - b_eq, in whatever form the caller keeps
-    A_eq; `eq_residual` is its largest magnitude at s_part."""
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+
+def particular(factors, b_eq):
+    """A particular solution of A_eq s = b_eq from the `EqFactors` of A_eq,
+    by two triangular solves, (n,) for b_eq (m,) or (n, k) for k columns
+    (m, k). With dropped rows it fits b_eq over all rows in the
+    least-squares sense; s is linear in b_eq either way."""
+    b_eq = np.asarray(b_eq, dtype=float)
     rank = factors.rows.size
-    if b_eq.size != rank + factors.dropped.size:
-        raise ValueError(f"b_eq has {b_eq.size} entries for "
+    if b_eq.shape[0] != rank + factors.dropped.size:
+        raise ValueError(f"b_eq has {b_eq.shape[0]} entries for "
                          f"{rank + factors.dropped.size} equality rows")
     _require_finite(b_eq=b_eq)
-    s_part = np.zeros(factors.z_basis.shape[0])
+    s_part = np.zeros((factors.z_basis.shape[0], *b_eq.shape[1:]))
     if rank:
         b_fit = b_eq[factors.rows]
         if factors.dropped.size:
@@ -390,10 +400,7 @@ def particular(factors, b_eq, eq_miss):
         s_part[factors.dep] = solve_triangular(
             _dense(factors.l1), w, trans="T", lower=True, unit_diagonal=True, check_finite=False
         )
-    eq_residual = float(np.max(np.abs(eq_miss(s_part)), initial=0.0))
-    eq_scale = 1.0 + float(np.max(np.abs(b_eq), initial=0.0))
-    s_part.flags.writeable = False
-    return Elimination(factors.z_basis, s_part, eq_residual, eq_scale)
+    return s_part
 
 
 @dataclass(frozen=True)

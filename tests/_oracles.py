@@ -161,15 +161,15 @@ def loop_lane_rows(reference, geometry, road, permitted_lanes):
         block_rhs = np.zeros(n * 4)
         for v_idx, (lx, wy) in enumerate(offsets):
             dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
-            vx = poses[:, 0] + lx * cos - wy * sin
-            vy = poses[:, 1] + lx * sin + wy * cos
-            f_ref = a * vx + b * vy + c
+            # The vertex's offset from the center; grad f . pose - f at the
+            # reference pose, whose position terms cancel.
+            ox = lx * cos - wy * sin
+            oy = lx * sin + wy * cos
             rows_idx = np.arange(n) * 4 + v_idx
             block[rows_idx, 6 * np.arange(n) + 2] = a
             block[rows_idx, 6 * np.arange(n) + 3] = b
             block[rows_idx, 6 * np.arange(n) + 5] = dpsi
-            grad_dot_ref = a * poses[:, 0] + b * poses[:, 1] + dpsi * poses[:, 3]
-            block_rhs[rows_idx] = grad_dot_ref - f_ref
+            block_rhs[rows_idx] = dpsi * poses[:, 3] - a * ox - b * oy - c
         blocks.append((block, block_rhs))
     return np.vstack([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
 
@@ -198,14 +198,29 @@ def sparsify(a):
     return SparseRows(cols, np.take_along_axis(a, cols, axis=1), a.shape[1])
 
 
-def dense_elimination(a_eq, b_eq):
+def dense_elimination(a_eq, b_eq, start=None):
     """The `qp.Elimination` of dense equality rows A_eq s = b_eq: `particular`
-    on the `factor_equalities` of A_eq, with the miss A_eq s - b_eq."""
-    from hypertraffic.qp import factor_equalities, particular
+    on the `factor_equalities` of A_eq, with the miss A_eq s - b_eq. With
+    `start` = (c_0, A_0, x_0), b_eq's first four entries being c_0 + A_0 x_0,
+    the particular solution is formed as the game's cache forms it: s_0 +
+    (M A_0) x_0, where s_0 solves b_eq with c_0 in those entries and the
+    four columns M solve the unit vectors there."""
+    from hypertraffic.qp import Elimination, factor_equalities, particular
 
     a_eq = np.asarray(a_eq, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
-    return particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
+    factors = factor_equalities(a_eq)
+    if start is None:
+        s_part = particular(factors, b_eq)
+    else:
+        c_0, a_0, x_0 = start
+        cols = np.zeros((b_eq.size, 5))
+        cols[:, 0] = b_eq
+        cols[:4, 0] = c_0
+        cols[:4, 1:] = np.eye(4)
+        sol = particular(factors, cols)
+        s_part = sol[:, 0] + (sol[:, 1:] @ a_0) @ x_0
+    return Elimination.of(factors.z_basis, s_part, b_eq, lambda s: a_eq @ s - b_eq)
 
 
 def solve_dense(h, f, a_eq, b_eq, a_in, b_in, settings=None):
@@ -265,12 +280,13 @@ def kkt_residual(h_mat, f_vec, a_eq, b_eq, a_in, b_in, s, lam):
 def pseudo_gradient(strategies, weights, references):
     """The players' objective gradients h * s + f, with (h, f) from
     `game.objective_qp_data`, stacked by ascending id."""
-    from hypertraffic.game import objective_qp_data
+    from hypertraffic.game import objective_qp_data, reference_vector
 
     parts = []
     for vid in sorted(strategies):
         strat = strategies[vid]
-        h_diag, f_vec = objective_qp_data(weights[vid], references[vid], strat.segment)
+        h_diag, f_vec = objective_qp_data(weights[vid],
+                                          reference_vector(references[vid], strat.segment))
         parts.append(h_diag * strat.data + f_vec)
     return np.concatenate(parts)
 
@@ -284,9 +300,12 @@ def dense_dynamics_rows(reference, geometry, initial_state=None):
 
     n = len(reference) - 1
     x0 = (initial_state.as_array() if initial_state is not None else reference.states[0])
-    a_mat, b_mat, c_vec = linearize_steps(
-        reference.states[:-1], np.zeros((n, CONTROL_DIM)), geometry, reference.ts
-    )
+    # Linearized at the reference with its positions zeroed: A is the
+    # identity on (p_x, p_y), so the affine terms c are position-free.
+    nominal = reference.states[:-1].copy()
+    nominal[:, :2] = 0.0
+    a_mat, b_mat, c_vec = linearize_steps(nominal, np.zeros((n, CONTROL_DIM)), geometry,
+                                          reference.ts)
     a_eq = np.zeros((4 * n, 6 * n))
     blocks = a_eq.reshape(n, 4, n, 6)  # [step, row, step, column] view
     j = np.arange(n)
@@ -294,7 +313,7 @@ def dense_dynamics_rows(reference, geometry, initial_state=None):
     blocks[j, :, j, 2:] = np.eye(4)
     blocks[j[1:], :, j[:-1], 2:] = -a_mat[1:]
     b_eq = c_vec.reshape(-1)
-    b_eq[:4] += a_mat[0] @ x0
+    b_eq[:4] = c_vec[0] + a_mat[0] @ x0
     return a_eq, b_eq, ("dynamics",) * (4 * n)
 
 
@@ -325,8 +344,8 @@ def dense_lane_rows(reference, geometry, road, permitted_lanes):
     cos = np.cos(poses[:, 3])[:, None]
     sin = np.sin(poses[:, 3])[:, None]
     lx, wy = offsets[:, 0], offsets[:, 1]
-    vx = poses[:, 0, None] + lx * cos - wy * sin
-    vy = poses[:, 1, None] + lx * sin + wy * cos
+    ox = lx * cos - wy * sin
+    oy = lx * sin + wy * cos
     rows_idx = np.arange(4 * n)
     cols = np.repeat(6 * np.arange(n), 4)
     blocks = []
@@ -335,13 +354,14 @@ def dense_lane_rows(reference, geometry, road, permitted_lanes):
         a, b, c = road.tangent_at(road.boundary_y(b_idx), (float(poses[0, 0]), float(poses[0, 1])),
                                   probe)
         dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
-        f_ref = a * vx + b * vy + c
-        grad_dot_ref = a * poses[:, 0, None] + b * poses[:, 1, None] + dpsi * poses[:, 3, None]
+        # grad f . pose - f with f = a (p_x + ox) + b (p_y + oy) + c: the
+        # position terms cancel.
+        rhs = dpsi * poses[:, 3, None] - a * ox - b * oy - c
         block = np.zeros((n * 4, 6 * n))
         block[rows_idx, cols + 2] = a
         block[rows_idx, cols + 3] = b
         block[rows_idx, cols + 5] = dpsi.reshape(-1)
-        blocks.append((block, (grad_dot_ref - f_ref).reshape(-1)))
+        blocks.append((block, rhs.reshape(-1)))
     a_rows = np.vstack([a for a, _ in blocks])
     return a_rows, np.concatenate([b for _, b in blocks]), ("lane",) * a_rows.shape[0]
 
@@ -358,9 +378,12 @@ def dense_collision_rows(reference, opponent_strategy, geometry, opponent_id):
     dy = opp[:, 1] - poses[:, 1]
     rx = cos * dx + sin * dy
     ry = -sin * dx + cos * dy
-    h_ref = 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
-    gx = 6.0 * rx**5 / ax**6
-    gy = 6.0 * ry**5 / by**6
+    # The powers of u = rx / ax and w = ry / by as products.
+    u, w = rx / ax, ry / by
+    u5, w5 = (u * u) * (u * u) * u, (w * w) * (w * w) * w
+    h_ref = 1.0 - u5 * u - w5 * w
+    gx = 6.0 * u5 / ax
+    gy = 6.0 * w5 / by
     d_px = gx * cos - gy * sin
     d_py = gx * sin + gy * cos
     d_psi = -gx * ry + gy * rx
@@ -398,7 +421,9 @@ def dense_behavior_rows(behavior, reference, road):
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Stacked affine rows A_eq s = b_eq, A_in s <= b_in with one provenance
-    tag per row."""
+    tag per row; `start` is (c_0, A_0, x_0) of the first dynamics step, whose
+    right-hand sides are c_0 + A_0 x_0, when the rows come from
+    `dense_system`."""
 
     a_eq: np.ndarray
     b_eq: np.ndarray
@@ -406,6 +431,7 @@ class ConstraintSystem:
     a_in: np.ndarray
     b_in: np.ndarray
     in_tags: tuple
+    start: tuple = None
 
     def __post_init__(self):
         if self.a_eq.shape[0] != self.b_eq.shape[0] or self.a_eq.shape[0] != len(self.eq_tags):
@@ -449,7 +475,7 @@ def dense_system(player_vid, opponent_strategies, scenario, segment=None, refere
     a_eq, b_eq, eq_tags = stack_dense(rows.eq)
     a_in, b_in, in_tags = stack_dense(rows.head + tuple(collisions) + rows.tail)
     return ConstraintSystem(a_eq=a_eq, b_eq=b_eq, eq_tags=eq_tags, a_in=a_in, b_in=b_in,
-                            in_tags=in_tags)
+                            in_tags=in_tags, start=(*rows.start, initial_state.as_array()))
 
 
 def block_sum_hessian(z_basis, h_diag, period):
@@ -477,7 +503,8 @@ def collision_value(own_pose, opponent_pos, geometry):
     ry = -s * dx + c * dy
     ax = (geometry.length + geometry.diagonal) / 2.0
     by = (geometry.width + geometry.diagonal) / 2.0
-    return 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
+    u, w = rx / ax, ry / by
+    return 1.0 - (u * u) * (u * u) * u * u - (w * w) * (w * w) * w * w
 
 
 def footprint_vertices(geometry, pose):
@@ -638,7 +665,7 @@ def loop_gi_solve(g_mat, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, war
                 ((lam_work[j] / -dlam[j], j) for j in range(len(work)) if dlam[j] < -1e-14),
                 default=(np.inf, -1),
             )
-            if descent <= 1e-13 * (1.0 + float(c_p @ c_p)):
+            if descent <= max(1e-13 * (1.0 + float(c_p @ c_p)), 1e-8 * float(c_p @ ginv_cp)):
                 if j_out < 0:
                     return result("infeasible", viol_p)
                 lam_work = [lw + t1 * dl for lw, dl in zip(lam_work, dlam)]

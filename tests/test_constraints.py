@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypertraffic.constraints import (
     Strategy,
     assemble,
     behavior_rows,
+    body_offsets,
     box_rows,
     collision_rows,
     dynamics_rows,
@@ -23,7 +26,8 @@ from hypertraffic.constraints import (
     start_state,
     static_rows,
 )
-from hypertraffic.dynamics import ControlInput, VehicleGeometry, VehicleState, linearize_discrete
+from hypertraffic.dynamics import (ControlInput, VehicleGeometry, VehicleState, linearize_discrete,
+                                  linearize_steps)
 from hypertraffic.qp import SparseRows
 from hypertraffic.scenario import (
     default_offline_scenario,
@@ -152,8 +156,10 @@ def test_dynamics_rows_initial_state_only_moves_first_block():
 @pytest.mark.parametrize("vid", [0, 1])
 def test_dynamics_rows_are_the_zero_control_linearization(vid):
     # Block j chains x(j+1) = A_j x(j) + B_j u(j) + c_j, linearized at the
-    # reference state j with zero control: [-B_j | I] on its own step,
-    # -A_j on the previous state, c_j (plus A_0 x0 on the first) on the right.
+    # reference state j with zero control and zero position (A is the
+    # identity on the position, so c is the same at any): [-B_j | I] on its
+    # own step, -A_j on the previous state, c_j (plus A_0 x0 on the first)
+    # on the right.
     scen = _scen()
     ref = _ref(scen, vid)
     geo = scen.vehicle(vid).geometry
@@ -162,8 +168,8 @@ def test_dynamics_rows_are_the_zero_control_linearization(vid):
     a_eq = densify(a_eq)
     n = len(ref) - 1
     for j in range(n):
-        lin = linearize_discrete(VehicleState.from_array(ref.states[j]), ControlInput(0.0, 0.0),
-                                 geo, ref.ts)
+        nominal = VehicleState(0.0, 0.0, ref.states[j][2], ref.states[j][3])
+        lin = linearize_discrete(nominal, ControlInput(0.0, 0.0), geo, ref.ts)
         rows = a_eq[4 * j : 4 * j + 4]
         own = slice(STEP_VARS * j, STEP_VARS * (j + 1))
         assert np.array_equal(rows[:, own], np.hstack([-lin.b_mat, np.eye(4)]))
@@ -566,3 +572,96 @@ def test_profile_violation_matches_the_loop_oracle(make, ids, family, scale, see
     if family is not None and scale <= 0.01:
         worst = {f: loop_profile_violation(profile, scen, (f,)) for f in VIOLATION_FAMILIES}
         assert max(worst, key=worst.get) == family
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("make_scenario", SCENARIOS)
+def test_the_product_and_position_free_spellings_match_the_textbook_forms(make_scenario):
+    # The rows write the keep-out powers as products of u = rx / a, and take
+    # the dynamics' affine terms and the lane right-hand sides with the
+    # positions cancelled analytically. The textbook spellings, `**` and the
+    # linearization at the reference with its positions left in, agree with
+    # them to 16 ulps of the sum of the magnitudes each entry is formed from.
+    scen = make_scenario()
+    full_refs = scen.references()
+    for segment in (Segment(1, scen.horizon), Segment(13, 25)):
+        refs = {vid: full.window(segment.start, segment.stop) for vid, full in full_refs.items()}
+        for vid, ref in refs.items():
+            vehicle = scen.vehicle(vid)
+            geo = vehicle.geometry
+            poses = ref.states[1:]
+            x0 = VehicleState.from_array(ref.states[0] + np.array([0.3, -0.1, 0.2, 0.02]))
+            # Dynamics: c with the positions left in, and A_0 x0 on the first step.
+            a_mat, _, c_vec = linearize_steps(ref.states[:-1], np.zeros((len(poses), 2)), geo,
+                                              ref.ts)
+            want = c_vec.reshape(-1)
+            want[:4] += a_mat[0] @ x0.as_array()
+            scale = 1.0 + np.abs(ref.states[:-1]).sum(axis=1).repeat(4)
+            scale[:4] += np.abs(a_mat[0]) @ np.abs(x0.as_array())
+            got = dynamics_rows(ref, geo, x0)[1]
+            assert np.all(np.abs(got - want) <= 16 * EPS * scale), vid
+            # Lane: grad f . pose - f at each vertex of the reference pose.
+            lanes = sorted(vehicle.behavior.permitted_lanes(scen.road, vehicle.initial.p_y))
+            bounds = (lanes[0], lanes[-1] + 1)
+            band_mid = 0.5 * (scen.road.boundary_y(bounds[0]) + scen.road.boundary_y(bounds[1]))
+            lx, wy = body_offsets(geo).T
+            cos, sin = np.cos(poses[:, 3])[:, None], np.sin(poses[:, 3])[:, None]
+            vx = poses[:, 0, None] + lx * cos - wy * sin
+            vy = poses[:, 1, None] + lx * sin + wy * cos
+            want, scale = [], []
+            for bound in bounds:
+                a, b, c = scen.road.tangent_at(scen.road.boundary_y(bound), poses[0, :2],
+                                               (poses[0, 0], band_mid))
+                dpsi = a * (-lx * sin - wy * cos) + b * (lx * cos - wy * sin)
+                terms = (a * poses[:, 0, None], b * poses[:, 1, None], dpsi * poses[:, 3, None],
+                         -(a * vx + b * vy + c))
+                want.append(sum(terms).reshape(-1))
+                scale.append((sum(np.abs(t) for t in terms) + np.abs(a * vx) + np.abs(b * vy)
+                              + abs(c)).reshape(-1))
+            got = lane_rows(ref, geo, scen.road, lanes)[1]
+            assert np.all(np.abs(got - np.concatenate(want))
+                          <= 16 * EPS * np.concatenate(scale)), vid
+            # Keep-out: 1 - (rx / a)**6 - (ry / b)**6 and its gradient by powers.
+            ax, by = keep_out_axes(geo)
+            for other in sorted(set(refs) - {vid}):
+                opp = Strategy.from_reference(refs[other], segment).positions()
+                (grad,), (got,) = collision_rows(poses[None], (keep_out_axes(geo),),
+                                                 Strategy.from_reference(refs[other], segment))
+                cos, sin = np.cos(poses[:, 3]), np.sin(poses[:, 3])
+                dx, dy = opp[:, 0] - poses[:, 0], opp[:, 1] - poses[:, 1]
+                rx, ry = cos * dx + sin * dy, -sin * dx + cos * dy
+                h = 1.0 - (rx / ax) ** 6 - (ry / by) ** 6
+                gx, gy = 6.0 * rx**5 / ax**6, 6.0 * ry**5 / by**6
+                want_grad = np.column_stack([gx * cos - gy * sin, gx * sin + gy * cos,
+                                             -gx * ry + gy * rx])
+                grad_scale = (np.abs(gx) + np.abs(gy)) * (1.0 + np.abs(rx) + np.abs(ry))
+                assert np.all(np.abs(grad - want_grad) <= 16 * EPS * grad_scale[:, None]), vid
+                want = (want_grad * poses[:, [0, 1, 3]]).sum(axis=1) - h
+                scale = (grad_scale * np.abs(poses[:, [0, 1, 3]]).sum(axis=1)
+                         + 1.0 + (rx / ax) ** 6 + (ry / by) ** 6)
+                assert np.all(np.abs(got - want) <= 16 * EPS * scale), vid
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=st.sampled_from(SCENARIOS), vid=st.integers(0, 3), start=st.sampled_from((1, 13)),
+       shift=st.tuples(st.floats(-150.0, 150.0), st.floats(-3.0, 3.0)))
+def test_translating_a_reference_leaves_the_affine_terms_and_lane_sides_bitwise(make, vid, start,
+                                                                               shift):
+    # c and the lane right-hand sides read the reference's v and psi only, so
+    # moving its positions (on the road) changes none of their bits; the
+    # dynamics rows are taken at the same start state.
+    scen = make()
+    ref = scen.references()[vid].window(start, start + 12)
+    states = ref.states.copy()
+    states[:, :2] += shift
+    moved = replace(ref, states=states)
+    vehicle = scen.vehicle(vid)
+    lanes = vehicle.behavior.permitted_lanes(scen.road, vehicle.initial.p_y)
+    x0 = VehicleState.from_array(ref.states[0])
+    for build in (lambda r: dynamics_rows(r, vehicle.geometry, x0),
+                  lambda r: lane_rows(r, vehicle.geometry, scen.road, lanes)):
+        (rows, rhs, _), (rows_moved, rhs_moved, _) = build(ref), build(moved)
+        assert np.array_equal(rhs.view(np.uint64), rhs_moved.view(np.uint64))
+        assert np.array_equal(rows.coef.view(np.uint64), rows_moved.coef.view(np.uint64))

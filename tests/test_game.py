@@ -72,8 +72,8 @@ def test_objective_value_matches_qp_data():
     weights = scen.hv.weights_true
     rng = np.random.default_rng(5)
     s = Strategy(seg, rng.normal(size=seg.n_vars))
-    h_diag, f_vec = objective_qp_data(weights, ref, seg)
     s_ref = reference_vector(ref, seg)
+    h_diag, f_vec = objective_qp_data(weights, s_ref)
     const = 0.5 * s_ref @ (h_diag * s_ref)
     quad = 0.5 * s.data @ (h_diag * s.data) + f_vec @ s.data + const
     game = make_game(scen, {0: weights})
@@ -140,7 +140,8 @@ def test_best_response_satisfies_kkt_and_constraints():
     assert sol.status == OPTIMAL and sol.ok
     system = dense_system(0, opponents, scen)
     ref = game.references[0]
-    h_diag, f_vec = objective_qp_data(game.weights[0], ref, game.segment)
+    s_ref = reference_vector(ref, game.segment)
+    h_diag, f_vec = objective_qp_data(game.weights[0], s_ref)
     kkt = kkt_residual(np.diag(h_diag), f_vec, system.a_eq, system.b_eq, system.a_in,
                        system.b_in, sol.s_star, sol.lam)
     assert kkt.stationarity < 1e-6
@@ -148,7 +149,6 @@ def test_best_response_satisfies_kkt_and_constraints():
     # the raw QP value omits the constant reference term; adding it back
     # gives the tracking cost, which is positive because the seeded merge
     # overlaps the human's reference and forces a move
-    s_ref = reference_vector(ref, game.segment)
     tracking = sol.objective + 0.5 * s_ref @ (h_diag * s_ref)
     assert tracking > 1e-6
 

@@ -275,10 +275,12 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     the stage timing and the gap sweep, so that every subcommand runs once,
     and a `solve` of the README's example scenario file; then
     the benchmark on its reference seed, which exits non-zero when any op
-    misses `bench/reference.json`, and last two traced benchmark runs
-    (random cognition, and the H=121 forward game, whose reduced Hessians
-    are the largest), which exit non-zero when any op's traced and untraced
-    results differ bitwise."""
+    misses `bench/reference.json`, and last three traced benchmark runs
+    (random cognition; the H=121 forward game, whose reduced Hessians are the
+    largest; and the staged online loop, whose traced and untraced halves
+    meet the static cache in different states, so their results agree only
+    because a cache hit is bitwise a fresh build), which exit non-zero when
+    any op's traced and untraced results differ bitwise."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     steps = job["steps"]
@@ -302,6 +304,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "
         "--seconds 5 --trace 1",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload forward-h121 --seed 0 "
+        "--seconds 5 --trace 1",
+        "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload online-staged --seed 0 "
         "--seconds 5 --trace 1",
     ]
     assert runs[1][1] == {"OPENBLAS_NUM_THREADS": "1"}

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from hypertraffic import game as game_module
 from hypertraffic import qp as qp_module
 from hypertraffic.constraints import STEP_VARS, Strategy
-from hypertraffic.game import _KeepOut, _PlayerWorkspace, make_game, objective_qp_data
+from hypertraffic.game import (_KeepOut, _PlayerWorkspace, make_game, objective_qp_data,
+                               reference_vector)
 from hypertraffic.qp import (
     INFEASIBLE,
     MAX_ITER,
@@ -138,6 +139,35 @@ def test_detects_contradictory_rows():
     assert sol.row == 0
 
 
+@pytest.mark.parametrize("delta, status", [(1e-3, OPTIMAL), (1e-5, INFEASIBLE)])
+def test_a_row_all_but_in_the_working_rows_span_counts_as_dependent(delta, status):
+    # s_1 + delta s_2 <= -1 enters first, then s_1 >= 1. Enforcing both takes
+    # s_2 = -2 / delta: the second row's descent is delta^2 / (1 + delta^2)
+    # of c'G^-1 c. Under 1e-8 of it that descent is what round-off leaves of
+    # a row in the working rows' span, so the row reads as dependent and
+    # cannot be enforced, rather than taking a step t = viol / descent of
+    # order 1 / delta^2.
+    a_in = np.array([[1.0, delta], [-1.0, 0.0]])
+    sol = solve_dense(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0), a_in,
+                      np.array([-1.0, -1.0]))
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert np.allclose(sol.s_star, [1.0, -2.0 / delta], rtol=1e-9)
+    else:
+        assert sol.row == 1 and sol.infeasibility > 1.0
+
+
+def test_an_infeasible_draw_in_a_plane_ends_on_two_working_rows():
+    # Seed 4011589171 draws an infeasible QP whose reduced problem is a
+    # plane. With the entry test absolute in |c|^2, a third, dependent row
+    # entered and the dual ray ended with multipliers near 5e15.
+    h, f, a_eq, b_eq, a_in, b_in = random_qp(np.random.default_rng(4011589171))
+    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), SolverSettings())
+    assert reduced.null_dim == 2 and sol.status == INFEASIBLE
+    assert len(sol.working_set) <= 2 and np.max(sol.lam) < 1e6
+
+
 def test_bitwise_determinism():
     rng = np.random.default_rng(3)
     problem = random_qp(rng)
@@ -199,7 +229,7 @@ def test_non_finite_equality_data_is_refused(a_eq, b_eq, field):
     # `factor_equalities` refuses a non-finite A_eq, `particular` a b_eq.
     a_eq = np.array(a_eq)
     with pytest.raises(ValueError, match=f"^QP data {field} has non-finite entries$"):
-        particular(factor_equalities(a_eq), b_eq, lambda s: a_eq @ s - b_eq)
+        particular(factor_equalities(a_eq), b_eq)
 
 
 def test_kkt_residual_refuses_non_finite_equality_rows():
@@ -265,7 +295,8 @@ def _player_qps(scenario):
         opponents = {k: s for k, s in seeds.items() if k != vid}
         system = dense_system(vid, opponents, scenario, game.segment, game.references[vid],
                               game.initial_states[vid])
-        h_diag, f = objective_qp_data(game.weights[vid], game.references[vid], game.segment)
+        h_diag, f = objective_qp_data(game.weights[vid],
+                                      reference_vector(game.references[vid], game.segment))
         yield np.diag(h_diag), f, system
 
 

@@ -90,8 +90,9 @@ def _assert_game_reads_assembled_rows(monkeypatch, game, opponents_of, assembled
         workspace, reduced, a_in, d_red = _solved_rows(monkeypatch, game, vid, opponents)
         system = assembled(vid, opponents)
         # The equalities reach the solve as their elimination, which may come
-        # from the cache of static parts.
-        elimination = dense_elimination(system.a_eq, system.b_eq)
+        # from the cache of static parts; either way its particular solution
+        # is the start state's map applied to x_0.
+        elimination = dense_elimination(system.a_eq, system.b_eq, system.start)
         assert np.array_equal(reduced.z_basis, elimination.z_basis), vid
         assert np.array_equal(reduced.s_part, elimination.s_part), vid
         # The stacked rows solved with are the assembled ones, padded with

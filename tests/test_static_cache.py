@@ -17,7 +17,9 @@ import pytest
 from hypertraffic import constraints
 from hypertraffic import game as game_module
 from hypertraffic import harness
+from hypertraffic import qp as qp_module
 from hypertraffic.constraints import Segment, Strategy
+from hypertraffic.dynamics import VehicleState
 from hypertraffic.game import _KeepOut, _PlayerWorkspace, make_game, solve_games
 from hypertraffic.scenario import (
     STRAIGHT,
@@ -458,10 +460,11 @@ def test_a_cache_entry_at_h121_stays_small(kind, bound):
     # a lane changer; three of 120 x 120, 0.35 MB, for a straight driver),
     # the basis Z (1.38 MB and 0.69 MB) and the triangular factors of the
     # equality rows, kept by their nonzeros (l1 is 12.5 % and 16.5 % nonzero,
-    # U 0.6 % and 4.4 %): 0.36 MB and 0.90 MB. Whole, the entry holds
-    # 4.66 MB and 2.08 MB; kept dense, the factors alone would take 3.7 MB
-    # and 5.8 MB. Every array reachable from the entry counts, a view as its
-    # base.
+    # U 0.6 % and 4.4 %): 0.36 MB and 0.90 MB. The particular solution at a
+    # zero start state and its map N from the start state add 0.03 MB. Whole,
+    # the entry holds 4.69 MB and 2.11 MB; kept dense, the factors alone would
+    # take 3.7 MB and 5.8 MB. Every array reachable from the entry counts, a
+    # view as its base.
     scen = _scenario("h121")
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
@@ -519,3 +522,59 @@ def test_a_reference_stepped_otherwise_than_the_scenario_is_refused():
               for vid, ref in base.references.items()}
     with pytest.raises(ValueError, match="^reference for player 2 has step"):
         make_game(scen, weights, references=longer, initial_states=base.initial_states)
+
+
+def test_a_new_right_hand_side_on_a_hit_runs_no_linearization_and_no_triangular_solve(
+        monkeypatch, factorizations):
+    # A hit whose start state or reference positions are new re-states the
+    # first four dynamics entries from the kept (c_0, A_0) and forms s_part as
+    # s_key + N x(0): it linearizes nothing and runs no triangular solve. A
+    # miss runs all three spied functions.
+    scen = _scenario("offline")
+    weights = {v.vid: v.weights_true for v in scen.vehicles}
+    base = make_game(scen, weights)
+    before = _workspaces(base)
+    misses = len(factorizations)
+    calls = []
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for module, name in ((constraints, "linearize_steps"), (qp_module, "solve_triangular"),
+                         (game_module, "particular")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for variant in ("start_state", "translated_reference", "restaged"):
+        after = _workspaces(_variant_game(scen, weights, base, VARIANTS[variant][0]))
+        assert any(after[vid].reduced.s_part is not before[vid].reduced.s_part for vid in after)
+        before = after
+    assert len(factorizations) == misses and calls == []
+    game_module._STATIC_PARTS.clear()
+    _workspaces(base)
+    assert {"linearize_steps", "solve_triangular", "particular"} <= set(calls)
+
+
+@pytest.mark.parametrize("name", ["offline", "online", "success"])
+def test_the_start_state_map_matches_a_particular_solution_of_the_whole_right_hand_side(name):
+    # Every elimination is s_key + N x(0); for every decision player, on the
+    # full horizon and on the stage [13, 25], from shifted start states, it
+    # matches `particular` on the full b_eq within 1e-12 (1 + |s|).
+    scen = _scenario(name)
+    full = scen.references()
+    weights = {v.vid: v.weights_true for v in scen.vehicles}
+    rng = np.random.default_rng(4)
+    for segment in (Segment(1, scen.horizon), Segment(13, 25)):
+        refs = {vid: full[vid].window(segment.start, segment.stop) for vid in weights}
+        starts = {vid: VehicleState.from_array(
+                      ref.states[0] + rng.normal(0.0, [0.5, 0.2, 0.3, 0.02]))
+                  for vid, ref in refs.items()}
+        game = make_game(scen, weights, segment=segment, references=refs, initial_states=starts)
+        for vid, ws in _workspaces(game).items():
+            entry = game_module._player_system(scen.vehicle(vid), scen, segment, refs[vid],
+                                               starts[vid])
+            want = qp_module.particular(entry.factors,
+                                        np.concatenate([b for _, b, _ in ws.rows.eq]))
+            got = ws.reduced.s_part
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (segment, vid)
