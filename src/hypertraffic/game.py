@@ -241,11 +241,14 @@ class _PlayerWorkspace:
     columns is gathered when the workspace is built; when the opponent
     `Strategy` object a slot records changes, the player's coefficients and
     b are written into it from the game's `_KeepOut` batch and d is formed
-    on the gathered s_part. The check is by identity: every accepted best
-    response makes a new strategy object, and a transport passes on the
-    objects it receives. A best response against the same opponent objects
-    as the last one returns the stored solution. Every solve uses the
-    scenario's solver settings."""
+    on the gathered s_part. The check is by identity: an accepted best
+    response that moves makes a new strategy object, one that repeats keeps
+    the old one (`solve_games`), and a transport passes on the objects it
+    receives. The stored solve is an exact memo: a best response against the
+    same opponent objects as the stored one, from the same start working
+    set, returns the stored solution, which a re-solve would repeat bit for
+    bit (the same deterministic solve on the same data); any other solves.
+    Every solve uses the scenario's solver settings."""
 
     def __init__(self, game, vid, keep_out):
         self.vid = vid
@@ -264,7 +267,7 @@ class _PlayerWorkspace:
         self._d = self.reduced.reduce_rows(self.stack.rows, self.stack.b)[1]
         self._pose_part = self.reduced.s_part.take(pose_columns(game.segment.n_steps))
         self._built = dict.fromkeys(self.opponent_ids)  # the strategy each slot holds
-        self._solved = None  # (opponent strategies, solution)
+        self._solved = None  # (opponent strategies, start working set, solution)
         self._warm = ()  # the last optimal working set, as row indices of the stack
 
     def _sync(self, opponents):
@@ -287,13 +290,14 @@ class _PlayerWorkspace:
 
     def best_response(self, opponents):
         strategies = self._sync(opponents)
+        start = self._warm
         if self._solved is not None:
-            last, sol = self._solved
-            if all(a is b for a, b in zip(last, strategies)):
+            last, last_start, sol = self._solved
+            if last_start == start and all(a is b for a, b in zip(last, strategies)):
                 return sol
-        sol = self.reduced.solve(self.f_vec, self.stack.rows, self._d, self.settings, self._warm)
-        self._warm = sol.working_set if sol.ok else self._warm
-        self._solved = (strategies, sol)
+        sol = self.reduced.solve(self.f_vec, self.stack.rows, self._d, self.settings, start)
+        self._warm = sol.working_set if sol.ok else start
+        self._solved = (strategies, start, sol)
         return sol
 
     def violation_at(self, s_vec, opponents):
@@ -374,6 +378,14 @@ def _profile_violation(game, workspaces, current):
     )
 
 
+def _accept(held, s_star):
+    """`held` if `s_star` repeats its data bit for bit (-0.0 is not 0.0),
+    else a new `Strategy` on its segment."""
+    if np.array_equal(s_star.view(np.uint64), held.data.view(np.uint64)):
+        return held
+    return Strategy(held.segment, s_star)
+
+
 def solve_games(game, observer=None):
     """Best-response iteration to a generalized equilibrium of one game.
 
@@ -383,6 +395,11 @@ def solve_games(game, observer=None):
     that player's previous iterate and marks the result degraded. Every
     player starts from its reference; the thresholds and the round budget are
     the scenario's solver settings.
+
+    An optimal best response that repeats its player's strategy bit for bit
+    keeps that `Strategy` object (`_accept`), and the observer passes the
+    same object on, so the identity checks of `_KeepOut` and of every
+    workspace's slots and stored solve see an unchanged opponent.
     """
     settings = game.scenario.solver
     observer = observer or _NullObserver()
@@ -410,8 +427,7 @@ def solve_games(game, observer=None):
             sol = workspaces[vid].best_response(opponents)
             seconds = time.perf_counter() - t0
             if sol.status == OPTIMAL:
-                strategies[vid] = Strategy(game.segment, sol.s_star)
-                current[vid] = strategies[vid]
+                strategies[vid] = current[vid] = _accept(strategies[vid], sol.s_star)
             else:
                 origin = None if sol.row is None else workspaces[vid].row_origin(sol.row)
                 failed = (zeta, sol.status, origin)

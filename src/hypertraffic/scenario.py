@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -72,14 +72,16 @@ def _require_theta_box(owner):
 
 @dataclass(frozen=True)
 class StyleWeights:
-    """Objective weight vector with its admissible box."""
+    """Objective weight vector with its admissible box. `theta` is a
+    read-only copy of the vector given, so one object can be shared."""
 
     theta: np.ndarray
     theta_min: float = THETA_MIN_DEFAULT
     theta_max: float = THETA_MAX_DEFAULT
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.array(self.theta, dtype=float)
+        theta.flags.writeable = False
         if theta.shape != (6,):
             raise ValueError(f"weight vector must have 6 components, got {theta.shape}")
         require_finite(self, "theta")
@@ -104,8 +106,10 @@ class StyleWeights:
         return StyleWeights(scaled, self.theta_min, self.theta_max)
 
 
+@cache
 def style_weights_for(behavior_kind, style):
-    """Typical (commonly assumed) weights for a style, unit effective norm."""
+    """Typical (commonly assumed) weights for a style, unit effective norm;
+    one shared object per (kind, style)."""
     if style not in STYLE_NAMES:
         raise ValueError(f"unknown style {style!r}, expected one of {STYLE_NAMES}")
     full = _ratio_to_full(behavior_kind, TYPICAL_RATIOS[(behavior_kind, style)])

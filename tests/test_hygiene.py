@@ -265,12 +265,14 @@ def test_every_dataclass_field_is_read():
 
 
 def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
-    """The workflow installs the package, runs the tier-1 tests, runs four
+    """The workflow installs the package, runs the tier-1 tests, runs five
     short studies through the installed `hypertraffic` console script (the
-    online one re-plans every stage, so it solves cached coefficients for new
-    right-hand sides; the offline one runs the inverse fit, and the noise
-    sweep runs it on noisy observations), one `solve` of the default forward
-    game, the command whose start-up the deferred imports shorten, the same
+    success rate in both modes, so random guesses and the interpreted
+    estimate each plan the fleet; the online one re-plans every stage, so it
+    solves cached coefficients for new right-hand sides; the offline one runs
+    the inverse fit, and the noise sweep runs it on noisy observations), one
+    `solve` of the default forward game, the command whose start-up the
+    deferred imports shorten, the same
     `solve` with `--trace`, the one command that writes a session trace, and
     the stage timing and the gap sweep, so that every subcommand runs once,
     and a `solve` of the README's example scenario file; then
@@ -291,6 +293,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
         "--continue-on-collection-errors",
         "hypertraffic success-rate --mode random_cognition --reps 3 --seed 0",
+        "hypertraffic success-rate --mode with_interpretation --reps 2 --seed 0",
         "hypertraffic run-online --reps 2 --seed 0",
         "hypertraffic interpret-offline --reps 1 --seed 0",
         "hypertraffic sweep-noise --reps 2 --stds 0.05,0.2 --seed 0 --out /tmp/sweep.csv",

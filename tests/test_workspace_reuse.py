@@ -1,20 +1,26 @@
 """A game builds the collision rows against each opponent strategy once, for
 every decision player in one call; a player workspace copies its rows into
 its slot, reuses its last solve when nothing it reads has changed, and starts
-each solve from the working set of its last optimal one. These tests pin that
-the row and solve reuse moves no bit, and that the warm start moves strategies
-by round-off only: 1e-9 of the cold solve, relative to the strategy's size."""
+each solve from the working set of its last optimal one. A best response that
+repeats its player's strategy keeps the `Strategy` object, so its opponents
+see nothing new. These tests pin that the row and solve reuse moves no bit:
+the sweep equals, bit for bit, one that makes a new object for every response
+and solves every best response. The warm start moves strategies by round-off
+only: 1e-9 of the cold solve, relative to the strategy's size."""
 
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from hypertraffic import game as game_module
+from hypertraffic import harness, netsim
 from hypertraffic.constraints import Segment, Strategy, collision_rows, keep_out_axes, pose_columns
-from hypertraffic.game import _KeepOut, _PlayerWorkspace, make_game, solve_games, ve_residual
+from hypertraffic.game import (EquilibriumResult, _KeepOut, _NullObserver, _PlayerWorkspace,
+                               make_game, solve_games, ve_residual)
 from hypertraffic.netsim import run_distributed
-from hypertraffic.qp import GiSolver, ReducedQp, SparseRows
+from hypertraffic.qp import OPTIMAL, GiSolver, ReducedQp, SparseRows
 from hypertraffic.scenario import (
     default_offline_scenario,
     default_online_scenario,
@@ -32,6 +38,54 @@ SCENARIOS = {
 def _game(name, segment=None):
     scen = SCENARIOS[name]()
     return make_game(scen, {v.vid: v.weights_true for v in scen.vehicles}, segment)
+
+
+@lru_cache(maxsize=None)
+def _h121_game():
+    scen = replace(default_offline_scenario(), horizon=121)
+    return make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
+
+
+@lru_cache(maxsize=None)
+def _random_cognition_games():
+    """Fifty of criterion 09's games: a random human weight guess, true CAV
+    weights."""
+    scen = success_study_scenario()
+    games = []
+    for i in range(50):
+        weights = {0: harness._random_hv_guess(scen, np.random.default_rng([0, i]))}
+        weights.update({cav.vid: cav.weights_true for cav in scen.cavs})
+        games.append(make_game(scen, weights))
+    return tuple(games)
+
+
+def _unmemoize(monkeypatch):
+    """From here on, every accepted best response gets a new `Strategy` and
+    every best response solves: the sweep without its memo."""
+    original = _PlayerWorkspace.best_response
+
+    def solve_always(self, opponents):
+        self._solved = None
+        return original(self, opponents)
+
+    monkeypatch.setattr(game_module, "_accept", lambda held, s_star: Strategy(held.segment, s_star))
+    monkeypatch.setattr(_PlayerWorkspace, "best_response", solve_always)
+
+
+def _bits(value):
+    """`value` with every float and strategy replaced by its bytes."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, Strategy):
+        return value.data.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+def _assert_bitwise_equal(got, want):
+    for field in fields(EquilibriumResult):
+        assert _bits(getattr(got, field.name)) == _bits(getattr(want, field.name)), field.name
 
 
 def _seeds(game):
@@ -155,25 +209,34 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_certificates_equal_ve_residual_and_reuse_the_last_solve(monkeypatch, name):
     game = _game(name)
-    solves = []
+    solves, fresh_inputs = [], []
+    stored = {}  # workspace -> (opponent strategies, start working set) of its last solve
     original = ReducedQp.solve
+    original_response = _PlayerWorkspace.best_response
 
     def counting_solve(self, *args, **kwargs):
         solves.append(self)
         return original(self, *args, **kwargs)
 
+    def recording_response(self, opponents):
+        inputs = (tuple(opponents[oid] for oid in sorted(opponents)), self._warm)
+        last = stored.get(self)
+        if (last is None or last[1] != inputs[1]
+                or any(a is not b for a, b in zip(last[0], inputs[0]))):
+            stored[self] = inputs
+            fresh_inputs.append(self.vid)
+        return original_response(self, opponents)
+
     monkeypatch.setattr(ReducedQp, "solve", counting_solve)
+    monkeypatch.setattr(_PlayerWorkspace, "best_response", recording_response)
     result = solve_games(game)
-    n_players = len(game.decision_ids)
-    # One solve per player per round, then one certificate solve per player
-    # except the last, whose inputs have not changed since its last round.
-    # A player whose QP fails keeps its strategy object, so in a degraded game
-    # more solves can find their inputs unchanged.
-    expected = result.iterations * n_players + n_players - 1
-    if result.degraded:
-        assert len(solves) <= expected
-    else:
-        assert len(solves) == expected
+    # One solve per best response, round or certificate, whose opponent
+    # objects or start working set differ from its workspace's last solve;
+    # every other returns the stored solution, and in each of these games
+    # some do.
+    assert len(solves) == len(fresh_inputs)
+    assert len(solves) < (result.iterations + 1) * len(game.decision_ids)
+    monkeypatch.setattr(_PlayerWorkspace, "best_response", original_response)
     monkeypatch.setattr(ReducedQp, "solve", original)
     report = ve_residual(result.strategies, game)
     assert report.gaps.keys() == result.gaps.keys()
@@ -242,3 +305,71 @@ def test_the_warm_start_saves_iterations(monkeypatch):
     _PlayerWorkspace(game, 0, _KeepOut(game)).best_response(opponents)
     (cold,) = responses[-1][2]
     assert warm < cold
+
+
+@pytest.mark.parametrize("name", [*sorted(SCENARIOS), "offline-h121"])
+def test_the_sweep_equals_the_unmemoized_sweep_bitwise(monkeypatch, name):
+    game = _h121_game() if name == "offline-h121" else _game(name)
+    memo = solve_games(game)
+    _unmemoize(monkeypatch)
+    _assert_bitwise_equal(memo, solve_games(game))
+
+
+def test_random_cognition_draws_equal_the_unmemoized_sweep_with_fewer_solves(monkeypatch):
+    games = _random_cognition_games()
+    solves = []
+    original = ReducedQp.solve
+
+    def counting_solve(self, *args, **kwargs):
+        solves.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReducedQp, "solve", counting_solve)
+    memo = [solve_games(game) for game in games]
+    memo_solves = len(solves)
+    _unmemoize(monkeypatch)
+    for game, result in zip(games, memo):
+        _assert_bitwise_equal(result, solve_games(game))
+    assert memo_solves < len(solves) - memo_solves
+
+
+def test_every_game_of_an_online_repetition_equals_the_unmemoized_sweep(monkeypatch):
+    played = []  # (game, solved over the message layer, result)
+    original = game_module.solve_games
+
+    def recording(game, observer=None):
+        result = original(game, observer)
+        played.append((game, observer is not None, result))
+        return result
+
+    for module in (harness, netsim):
+        monkeypatch.setattr(module, "solve_games", recording)
+    harness.run_online_experiment(default_online_scenario(), repetitions=1, seed=0)
+    monkeypatch.undo()
+    assert {distributed for _, distributed, _ in played} == {False, True}
+    _unmemoize(monkeypatch)
+    for game, distributed, result in played:
+        again = run_distributed(game)[0] if distributed else solve_games(game)
+        _assert_bitwise_equal(result, again)
+
+
+def test_a_repeated_best_response_keeps_its_strategy_object():
+    # An optimal best response hands the observer its player's previous
+    # `Strategy` object exactly when it repeats that strategy's data bit for
+    # bit; the degraded random-cognition games have both kinds.
+    kinds = []
+
+    class Recorder(_NullObserver):
+        def session_started(self, game, strategies):
+            self.held = dict(strategies)
+
+        def computed(self, vid, zeta, strategy, seconds, status):
+            if status == OPTIMAL:
+                repeated = strategy.data.tobytes() == self.held[vid].data.tobytes()
+                assert (strategy is self.held[vid]) == repeated
+                kinds.append(repeated)
+            self.held[vid] = strategy
+
+    for game in _random_cognition_games():
+        solve_games(game, Recorder())
+    assert set(kinds) == {False, True}
