@@ -15,8 +15,11 @@ rows as the sparse rows A they were built as (`SparseRows`), with d = b -
 A s_part: it starts at the unconstrained minimum, or warm on a given
 working set (say the one a solve of a nearby problem ended on, which every
 solve returns) after dropping its rows with negative multipliers, then
-repeatedly enforces the most violated inequality, dropping working-set rows
-whose multipliers would cross zero.
+repeatedly enforces a violated inequality, dropping working-set rows whose
+multipliers would cross zero. A pass over every row keeps the rows it finds
+violated as candidates; each step enters the most violated candidate, and
+the next pass over every row comes only when no candidate is violated, so
+only such a pass declares the optimum.
 All pivots break ties by lowest index, so identical inputs and starting sets
 give bitwise-identical outputs. The working rows' Cholesky factor is updated,
 not re-formed, so at the optimum one refinement step puts the point back on
@@ -95,11 +98,15 @@ class GiResult:
 class GiSolver:
     """Dual active-set method (Goldfarb & Idnani, 1983) for min 0.5 y'Gy + a'y
     s.t. C y <= d, C = A Z, with G positive definite, reusing the Cholesky
-    factor of G across solves. A step judges every row of the `SparseRows` A
-    by one gather of Z y; a row c_p = A_p Z is formed, from at most k rows of
-    Z, only when row p enters the working set W or starts in it. A solve
-    updates the Cholesky factor of S = C_W G^{-1} C_W' as rows enter W
-    (bordered) and leave it (`_drop`)."""
+    factor of G across solves. A full pricing judges every row of the
+    `SparseRows` A by one gather of Z y and keeps the violated ones as
+    candidates, forming their rows C_cand = A_cand Z once, each from at most
+    k rows of Z; later steps price only C_cand y - d_cand and enter the most
+    violated candidate (any violated row may enter), and the next full
+    pricing comes when no candidate is violated. Rows that start in the
+    working set W are formed the same way. A solve updates the Cholesky
+    factor of S = C_W G^{-1} C_W' as rows enter W (bordered) and leave it
+    (`_drop`)."""
 
     def __init__(self, g_mat):
         g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
@@ -118,6 +125,7 @@ class GiSolver:
         if max_iterations is None:
             max_iterations = 50 + 10 * (m + self.dim)
         scale = 1.0 + np.abs(d_vec)
+        bound = tol * scale
 
         # The working set, its multipliers, its rows G^{-1} c_j and the lower
         # Cholesky factor of S, all in working-set order.
@@ -130,17 +138,26 @@ class GiSolver:
             lam[work] = lam_w
             return GiResult(status, y, lam, iterations, infeasibility, tuple(work), row)
 
+        # The rows the last full pricing found violated, with their reduced
+        # rows, d, scale and bound; none before the first pricing.
+        cand = ()
         while True:
             iterations += 1
             if iterations > max_iterations:
                 return result(MAX_ITER)
-            resid = rows @ (z_basis @ y) - d_vec
-            if np.all(resid <= tol * scale):
-                if work:
-                    y = y - dpotrs(s_chol, resid[work], lower=1)[0] @ ginv_cw
-                return result(OPTIMAL)
-            p = int(np.argmax(resid / scale))
-            c_p = _reduced_rows(rows, z_basis, [p])[0]
+            r = c_cand @ y - d_cand if len(cand) else None
+            if r is None or not np.any(r > bound_cand):
+                resid = rows @ (z_basis @ y) - d_vec
+                if np.all(resid <= bound):
+                    if work:
+                        y = y - dpotrs(s_chol, resid[work], lower=1)[0] @ ginv_cw
+                    return result(OPTIMAL)
+                cand = np.flatnonzero(resid > bound)
+                c_cand = _reduced_rows(rows, z_basis, cand)
+                d_cand, scale_cand, r = d_vec[cand], scale[cand], resid[cand]
+                bound_cand = bound[cand]
+            k = int(np.argmax(r / scale_cand))
+            p, c_p = int(cand[k]), c_cand[k]
             ginv_cp = dpotrs(self._factor, c_p, lower=1)[0]
             lam_p = 0.0
             while True:
@@ -201,7 +218,8 @@ class GiSolver:
         s_mat = c_w @ ginv_cw.T
         s_chol, info = dpotrf(s_mat, lower=1)
         if (info or not np.isfinite(s_mat).all()
-                or np.any(np.diag(s_chol) ** 2 <= 1e-13 * (1.0 + np.sum(c_w * c_w, axis=1)))):
+                or np.any(np.diag(s_chol) ** 2 <= np.maximum(
+                    1e-13 * (1.0 + np.sum(c_w * c_w, axis=1)), 1e-8 * np.diag(s_mat)))):
             return *cold, 1
         rhs = c_w @ y - d_vec[work]
         for solves in range(1, budget + 1):

@@ -595,6 +595,8 @@ def loop_gi_solve(g_mat, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, war
     between its steps: every inner step gathers the working rows C_W, forms
     S = C_W G^{-1} C_W' and solves it afresh, every warm-start repair factors
     S again, and the ratio test loops over the working set. Same pivot rules
+    (the entering row is the most violated of the rows its last full pass
+    `c_mat @ y - d` found violated; the next full pass comes when none is)
     and iteration count, no refinement step. Returns a namespace with
     `status` ("optimal", "infeasible" or "max_iter"), `y`, `lam`,
     `iterations`, `infeasibility` and `working_set`."""
@@ -624,7 +626,9 @@ def loop_gi_solve(g_mat, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, war
             factor, _ = cho_factor(c_w @ ginv_cw, lower=True)
         except (np.linalg.LinAlgError, ValueError):
             break
-        if np.any(np.diag(factor) ** 2 <= 1e-13 * (1.0 + np.sum(c_w * c_w, axis=1))):
+        floor = np.maximum(1e-13 * (1.0 + np.sum(c_w * c_w, axis=1)),
+                           1e-8 * np.einsum("ij,ji->i", c_w, ginv_cw))
+        if np.any(np.diag(factor) ** 2 <= floor):
             break
         lam = cho_solve((factor, True), c_w @ y - d_vec[work])
         j = int(np.argmin(lam))
@@ -641,15 +645,20 @@ def loop_gi_solve(g_mat, a_vec, c_mat, d_vec, tol=1e-8, max_iterations=None, war
         return SimpleNamespace(status=status, y=y, lam=lam, iterations=iterations,
                                infeasibility=infeasibility, working_set=tuple(work))
 
+    scale = 1.0 + np.abs(d_vec)
+    cand = np.zeros(0, dtype=int)  # the rows the last full pass found violated
     while True:
         iterations += 1
         if iterations > max_iterations:
             return result("max_iter")
-        resid = c_mat @ y - d_vec if m else np.zeros(0)
-        scale = 1.0 + np.abs(d_vec) if m else np.zeros(0)
-        if m == 0 or np.all(resid <= tol * scale):
-            return result("optimal")
-        p = int(np.argmax(resid / scale))
+        resid = c_mat[cand] @ y - d_vec[cand]
+        if not np.any(resid > tol * scale[cand]):
+            resid = c_mat @ y - d_vec
+            if np.all(resid <= tol * scale):
+                return result("optimal")
+            cand = np.flatnonzero(resid > tol * scale)
+            resid = resid[cand]
+        p = int(cand[np.argmax(resid / scale[cand])])
         c_p = c_mat[p]
         lam_p = 0.0
         while True:

@@ -277,7 +277,10 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     the stage timing and the gap sweep, so that every subcommand runs once,
     and a `solve` of the README's example scenario file; then
     the benchmark on its reference seed, which exits non-zero when any op
-    misses `bench/reference.json`, and last three traced benchmark runs
+    misses `bench/reference.json`, then the H=121 forward game on a second
+    seed, which has no reference but where every op must pass the converged,
+    gap and violation gate (the active set's candidate pricing takes its
+    longest paths on H=121 games), and last three traced benchmark runs
     (random cognition; the H=121 forward game, whose reduced Hessians are the
     largest; and the staged online loop, whose traced and untraced halves
     meet the static cache in different states, so their results agree only
@@ -304,6 +307,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic solve --config examples/scenario.yaml --out /tmp/config_solve.csv",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
+        "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload forward-h121 --seed 17 "
+        "--seconds 5 --trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "
         "--seconds 5 --trace 1",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload forward-h121 --seed 0 "

@@ -594,6 +594,17 @@ def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra,
         assert np.all(hot.lam >= 0.0)
 
 
+def _gi_problem(h, f, a_eq, b_eq, a_in, b_in):
+    """(Z, G = Z'HZ, a, A_in, d) of a dense QP: the data `GiSolver.solve`
+    takes for the reduced problem, A_in read in s-space against Z."""
+    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    z_basis = reduced.z_basis
+    g_mat = z_basis.T @ h @ z_basis
+    g_mat = 0.5 * (g_mat + g_mat.T)
+    a_vec = z_basis.T @ (h @ reduced.s_part + f)
+    return z_basis, g_mat, a_vec, *reduced.reduce_rows(sparsify(a_in), b_in)
+
+
 @hyp_settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -638,12 +649,7 @@ def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm, 
         b_in = rng.uniform(-0.5, 1.0, 1)
     a_in, b_in = _degenerate_rows(a_in, b_in, extra)
     warm = tuple(dict.fromkeys(i % a_in.shape[0] for i in warm))
-    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
-    z_basis = reduced.z_basis
-    g_mat = z_basis.T @ h @ z_basis
-    g_mat = 0.5 * (g_mat + g_mat.T)
-    a_vec = z_basis.T @ (h @ reduced.s_part + f)
-    rows, d_vec = reduced.reduce_rows(sparsify(a_in), b_in)
+    z_basis, g_mat, a_vec, rows, d_vec = _gi_problem(h, f, a_eq, b_eq, a_in, b_in)
     c_mat = a_in @ z_basis
     if s_space:
         new = GiSolver(g_mat).solve(a_vec, rows, z_basis, d_vec, warm=warm)
@@ -658,3 +664,69 @@ def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm, 
     assert np.max(np.abs(new.y - old.y)) <= 1e-9 * (1.0 + np.max(np.abs(old.y)))
     if not extra:
         assert new.iterations == old.iterations
+
+
+def test_a_near_singular_warm_set_is_refused_by_the_relative_pivot_test():
+    # Seed 1852456101 seeds rows (0, 3, 4) on a 2-dimensional null space: the
+    # third Cholesky pivot^2 of S is 2.7e-12, above 1e-13 (1 + |c|^2) but
+    # under 1e-8 S_jj = 2.9e-8. The warm start refuses that factor (one
+    # solve) and the loop starts cold, as the main loop would refuse the
+    # row's entry; an absolute test kept it and dropped all three rows one by
+    # one.
+    rng = np.random.default_rng(1852456101)
+    h, f, a_eq, b_eq, a_in, b_in = random_qp(rng)
+    a_in, b_in = _degenerate_rows(a_in, b_in, [("dup", 2, 3, 0.5563541670300529, 0.0)])
+    z_basis, g_mat, a_vec, rows, d_vec = _gi_problem(h, f, a_eq, b_eq, a_in, b_in)
+    assert z_basis.shape[1] == 2
+    solver = GiSolver(g_mat)
+    cold = solver.solve(a_vec, rows, z_basis, d_vec)
+    warm = solver.solve(a_vec, rows, z_basis, d_vec, warm=(0, 3, 4))
+    assert warm.status == cold.status == OPTIMAL
+    assert warm.iterations == cold.iterations + 1
+    assert warm.working_set == cold.working_set
+    assert np.array_equal(warm.y, cold.y)
+    old = loop_gi_solve(g_mat, a_vec, a_in @ z_basis, d_vec, warm=(0, 3, 4))
+    assert old.iterations == warm.iterations
+
+
+def test_a_long_cold_solve_prices_every_row_only_a_few_times(monkeypatch):
+    # The human's round-1 best response at H=121 (it moves first, against the
+    # references, from an empty working set) runs about 70 iterations, and
+    # every row it enters was found violated by its first pass over all the
+    # rows: the steps between full passes price only those candidates.
+    scenario = replace(default_offline_scenario(), horizon=121)
+    game = make_game(scenario, {v.vid: v.weights_true for v in scenario.vehicles})
+    inside, products = [False], []
+    solve, matmul = GiSolver.solve, qp_module.SparseRows.__matmul__
+
+    def counting_solve(self, *args, **kwargs):
+        inside[0] = True
+        try:
+            return solve(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_matmul(self, x):
+        if inside[0]:
+            products.append(self.shape)
+        return matmul(self, x)
+
+    monkeypatch.setattr(GiSolver, "solve", counting_solve)
+    monkeypatch.setattr(qp_module.SparseRows, "__matmul__", counting_matmul)
+    (hv,) = [v.vid for v in scenario.vehicles if v.is_hv]
+    workspace = _PlayerWorkspace(game, hv, _KeepOut(game))
+    seeds = {vid: Strategy.from_reference(game.references[vid], game.segment)
+             for vid in game.decision_ids}
+    opponents = game.opponents_of(hv, seeds)
+    sol = workspace.best_response(opponents)
+    assert sol.status == OPTIMAL and sol.iterations >= 60
+    assert 1 <= len(products) <= 3
+    system = dense_system(hv, opponents, scenario, game.segment, game.references[hv],
+                          game.initial_states[hv])
+    kkt = kkt_residual(np.diag(workspace.h_diag), workspace.f_vec, system.a_eq, system.b_eq,
+                       system.a_in, system.b_in, sol.s_star, sol.lam)
+    assert kkt.stationarity < 1e-7
+    assert kkt.primal_eq < 1e-8
+    assert kkt.primal_in < 1e-8
+    assert kkt.complementarity < 1e-7
+    assert kkt.min_lambda > -1e-9

@@ -199,9 +199,24 @@ def test_warmed_workspace_best_response_equals_a_fresh_one(name):
         mixed = {k: (solved[k] if k < vid else seeds[k]) for k in game.decision_ids}
         for profile in (solved, mixed, dict(mixed)):
             opponents = game.opponents_of(vid, profile)
+            start = ws._warm
             got = ws.best_response(opponents)
+            # The same opponents from the same start set give the same solve,
+            # bit for bit: the property the stored solve rests on.
             fresh = _PlayerWorkspace(game, vid, _KeepOut(game))
-            _assert_same_solution(got, fresh.best_response(opponents))
+            fresh._warm = start
+            want = fresh.best_response(opponents)
+            assert got.status == want.status and got.row == want.row
+            assert got.working_set == want.working_set
+            assert np.array_equal(got.s_star.view(np.uint64), want.s_star.view(np.uint64))
+            # From a cold start only the status must agree, and at an optimum
+            # the point and objective to round-off: the working set on which
+            # an infeasible solve shows its dual ray depends on where it
+            # started.
+            cold = _PlayerWorkspace(game, vid, _KeepOut(game)).best_response(opponents)
+            assert got.status == cold.status
+            if got.status == OPTIMAL:
+                _assert_same_solution(got, cold)
             s_vec = profile[vid].data
             assert ws.violation_at(s_vec, opponents) == fresh.violation_at(s_vec, opponents)
 
