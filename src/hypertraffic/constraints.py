@@ -371,14 +371,11 @@ def static_rows(vehicle, scenario, segment, reference, initial_state):
     return StaticRows(eq=eq, head=head, tail=tail, start=(c_vec[0].copy(), a_mat[0].copy()))
 
 
-def restated_rows(rows, road, reference, initial_state):
+def restated_rows(rows, initial_state):
     """`rows`, a player's static rows, as `static_rows` would give them for
-    a reference and start state with the same `coefficient_key`: only the
+    a start state, on a reference with the same `coefficient_key`: only the
     first four dynamics right-hand sides, c_0 + A_0 x(0), change, and they
-    are written as `dynamics_rows` writes them. No row is built, but the
-    x-extent check of the lane and behavior rows' tangent queries runs on
-    the new reference's first decision point."""
-    road.tangent_at(0.0, reference.states[1])
+    are written as `dynamics_rows` writes them. No row is built."""
     (dynamics, b_eq, tags), *pins = rows.eq
     c_0, a_0 = rows.start
     b_eq = b_eq.copy()
@@ -386,28 +383,40 @@ def restated_rows(rows, road, reference, initial_state):
     return replace(rows, eq=((dynamics, b_eq, tags), *pins))
 
 
+@dataclass(eq=False)
 class InequalityStack:
     """A player's inequality rows A s <= b in the order `assemble` lays out:
-    `rows` (`SparseRows`), `b`, each row's family in `tags` (formed on first
-    read) and each opponent's keep-out rows in `slots`. A slot holds zero
-    rows on its steps' pose columns until `keep_out` writes it through the
-    read-only view `rows`."""
+    `rows` (`SparseRows`, a read-only view of `coef`), `b`, each row's
+    family in `tags` (formed on first read) and each opponent's keep-out
+    rows in `slots`; `static` holds the head and tail blocks of the static
+    rows. A slot holds zero rows on its steps' pose columns until
+    `keep_out` writes it."""
 
-    def __init__(self, rows, coef, b, slots, static):
-        self.rows, self._coef, self.b, self.slots, self._static = rows, coef, b, slots, static
+    rows: SparseRows
+    coef: np.ndarray
+    b: np.ndarray
+    slots: dict
+    static: tuple
 
     @cached_property
     def tags(self):
         n_steps = self.rows.n_cols // STEP_VARS
         slots = tuple(f"collision({oid})" for oid in self.slots for _ in range(n_steps))
-        head, tail = (sum((tags for _, _, tags in part), ()) for part in self._static)
+        head, tail = (sum((tags for _, _, tags in part), ()) for part in self.static)
         return head + slots + tail
 
     def keep_out(self, oid, grad, b):
         """Write opponent `oid`'s keep-out gradients (n, 3) and b, as
         `collision_rows` gives them, into its slot."""
         span = self.slots[oid]
-        self._coef[span, :3], self.b[span] = grad, b
+        self.coef[span, :3], self.b[span] = grad, b
+
+    def copy(self):
+        """A stack on the same read-only columns whose coefficients and b
+        are its own, so that its slots are written apart from this one's."""
+        coef = self.coef.copy()
+        return InequalityStack(SparseRows(self.rows.cols, coef.view(), self.rows.n_cols), coef,
+                               self.b.copy(), self.slots, self.static)
 
 
 def assemble(rows, n_steps, opponent_ids):
@@ -438,32 +447,34 @@ def profile_violation(strategies, scenario):
     """Worst nonlinear constraint violation of a realized joint profile.
 
     Checks the box limits by `box_rows`, which are exact, lane containment
-    of the extended-rectangle vertices, and the pairwise keep-out value, one
-    array pass per player over all steps and opponents; behavior rows are
+    of the extended-rectangle vertices, and the pairwise keep-out value, in
+    one array pass over all players, steps and opponents; behavior rows are
     planning commitments and are not graded here. Returns the largest
     violation (0 when the profile is clean).
     """
     road = scenario.road
     ids = sorted(strategies)
-    positions = np.stack([strategies[vid].positions() for vid in ids])
+    vehicles = [scenario.vehicle(vid) for vid in ids]
+    data = np.stack([strategies[vid].data for vid in ids])
+    blocks = data.reshape(len(ids), -1, STEP_VARS)
+    px, py, psi = blocks[:, :, X_PX], blocks[:, :, X_PY], blocks[:, :, X_PSI]
+    cos, sin = np.cos(psi), np.sin(psi)
     box, box_rhs, _ = box_rows(scenario.limits, strategies[ids[0]].segment)
-    worst = 0.0
-    for k, vid in enumerate(ids):
-        vehicle = scenario.vehicle(vid)
-        geo = vehicle.geometry
-        blocks = strategies[vid].blocks()
-        px, py, psi = blocks[:, X_PX], blocks[:, X_PY], blocks[:, X_PSI]
-        cos, sin = np.cos(psi), np.sin(psi)
-        lanes = vehicle.behavior.permitted_lanes(road, vehicle.initial.p_y)
-        lx, wy = body_offsets(geo).T
-        vy = py[:, None] + (lx * sin[:, None] + wy * cos[:, None])
-        dx = np.delete(positions[:, :, 0], k, axis=0) - px
-        dy = np.delete(positions[:, :, 1], k, axis=0) - py
-        rx = cos * dx + sin * dy
-        ry = -sin * dx + cos * dy
-        ax, by = keep_out_axes(geo)
-        worst = max(worst, *(float(np.max(term, initial=0.0)) for term in (
-            box @ strategies[vid].data - box_rhs,
-            np.maximum(vy - road.boundary_y(max(lanes) + 1), road.boundary_y(min(lanes)) - vy),
-            keep_out_value(rx, ry, ax, by)[0])))
-    return worst
+    # Per player: the body's vertex offsets (p, 1, 4), its lane band and its
+    # keep-out semi-axes (p, 1, 1).
+    lx, wy = np.stack([body_offsets(v.geometry) for v in vehicles]).transpose(2, 0, 1)[:, :, None]
+    lanes = [v.behavior.permitted_lanes(road, v.initial.p_y) for v in vehicles]
+    upper, lower = (np.array([road.boundary_y(lane) for lane in band])[:, None, None]
+                    for band in ([max(l) + 1 for l in lanes], [min(l) for l in lanes]))
+    ax, by = np.array([keep_out_axes(v.geometry) for v in vehicles]).T[:, :, None, None]
+    vy = py[:, :, None] + (lx * sin[:, :, None] + wy * cos[:, :, None])
+    # Pair (i, j): opponent j's offset from player i, in player i's frame.
+    dx = px[None, :, :] - px[:, None, :]
+    dy = py[None, :, :] - py[:, None, :]
+    rx = cos[:, None] * dx + sin[:, None] * dy
+    ry = -sin[:, None] * dx + cos[:, None] * dy
+    pairs = ~np.eye(len(ids), dtype=bool)
+    return max(0.0, *(float(np.max(term, initial=0.0)) for term in (
+        box @ data.T - box_rhs[:, None],
+        np.maximum(vy - upper, lower - vy),
+        keep_out_value(rx, ry, ax, by)[0][pairs])))

@@ -19,22 +19,28 @@ import numpy as np
 from .constraints import (STEP_VARS, Segment, StaticRows, Strategy, assemble, coefficient_key,
                           collision_rows, keep_out_axes, pose_columns, restated_rows, stack_dense,
                           start_state, static_rows)
-from .qp import (OPTIMAL, Elimination, EqFactors, GramBlocks, ReducedQp, _require_finite,
-                 factor_equalities, gram_blocks, particular)
+from .qp import (OPTIMAL, Elimination, EqFactors, GramBlocks, ReducedHessian, ReducedQp,
+                 _require_finite, factor_equalities, gram_blocks, particular)
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
-# Most player systems kept in `_STATIC_PARTS`. At H=121 (120 steps, 720
-# variables) an entry holds the basis Z, its Gram blocks, the static rows in
-# sparse form with their right-hand sides, s_key and N (28,800 bytes), s_part
-# and the triangular factors of the equality rows by their nonzeros: 4,686,312
-# bytes for a lane changer (Z 720 x 240, six blocks 2,764,848, the factors
-# 361,272) and 2,113,404 for a straight driver (Z 720 x 120, three blocks
-# 345,624, the factors 899,748), so a full cache holds at most 37.5 MB. Dense,
-# the factors would take 3.7 MB and 5.8 MB; packed triangles, the blocks half.
+# Most player systems kept in `_STATIC_PARTS`, and most layouts in
+# `_LAYOUTS`. At H=121 (120 steps, 720 variables) an entry holds the basis
+# Z, its Gram blocks, the static rows in sparse form with their right-hand
+# sides, s_key and N (28,800 bytes) and the triangular factors of the
+# equality rows by their nonzeros: 4,680,520 bytes for a lane changer (Z 720
+# x 240, six blocks 2,764,848, the factors 361,272) and 2,107,612 for a
+# straight driver (Z 720 x 120, three blocks 345,624, the factors 899,748),
+# so a full cache holds at most 37.5 MB. Dense, the factors would take 3.7 MB
+# and 5.8 MB; packed triangles, the blocks half. Beside an entry, the memos
+# hold per key SLOTS_PER_KEY reduced Hessians (466,560 bytes for a lane
+# changer, its 240 x 240 factor and H; 120,960 for a straight driver) and
+# SLOTS_PER_KEY right-hand sides (29,760 and 28,800), and a layout holds
+# 120,960 and 114,240 bytes against three opponents: full, at most 9 MB more.
 STATIC_CACHE_ENTRIES = 8
+SLOTS_PER_KEY = 2
 
 
 def weight_diagonal(theta, n_steps):
@@ -144,128 +150,175 @@ class _StaticEntry:
     """What players with the same coefficients share: the factors of their
     equality rows, the `GramBlocks` of the null-space basis Z those give,
     one per step position, from which each player's weights form its
-    reduced Hessian, the particular solution s_key at start state x(0) = 0
-    and N (n x 4), its map from x(0), which reaches b_eq only as A_0 x(0)
-    (`StaticRows.start_columns`), and the static rows and start state `x_0`
-    of the latest right-hand side, keyed by `rhs_key`, which a later one
-    re-states. Their `Elimination` is formed when a forward workspace first
-    asks for it. A new right-hand side re-points `rhs_key`, `rows` and `x_0`
-    at new objects and forgets the elimination; the arrays stay as they were."""
+    reduced Hessian, the particular solution s_key at start state x(0) = 0,
+    N (n x 4), its map from x(0), which reaches b_eq only as A_0 x(0)
+    (`StaticRows.start_columns`), and the static rows `rows`, built at the
+    reference's first point, which `restated_rows` re-states for a start."""
 
     factors: EqFactors
     gram: GramBlocks
     s_key: np.ndarray
     n_map: np.ndarray
-    rhs_key: tuple
     rows: StaticRows
-    x_0: np.ndarray
-    _elimination: Elimination = None
 
-    def elimination(self):
-        """The `Elimination` of the current right-hand side, s_key + N x(0)
-        on a built entry as on a re-stated one, so both are bitwise equal."""
-        if self._elimination is None:
-            b_eq = np.concatenate([b for _, b, _ in self.rows.eq])
-            self._elimination = Elimination.of(self.factors.z_basis,
-                                               self.s_key + self.n_map @ self.x_0, b_eq,
-                                               self.rows.eq_miss)
-        return self._elimination
+    def side(self, start):
+        """The `_RightHandSide` of start state `start`: s_part = s_key + N
+        x(0), for every start, so a re-stated one is bitwise a fresh build."""
+        rows = restated_rows(self.rows, start)
+        b_eq = np.concatenate([b for _, b, _ in rows.eq])
+        elimination = Elimination.of(self.factors.z_basis,
+                                     self.s_key + self.n_map @ start.as_array(), b_eq,
+                                     rows.eq_miss)
+        n_steps = self.factors.z_basis.shape[0] // STEP_VARS
+        return _RightHandSide(rows, elimination, elimination.s_part.take(pose_columns(n_steps)))
 
 
-# Least recently used first; see STATIC_CACHE_ENTRIES.
+@dataclass
+class _RightHandSide:
+    """What a start state fixes on top of a `_StaticEntry`: its static rows
+    `rows`, their `Elimination`, s_part at the pose columns (n, 3), which
+    the d of every keep-out row reads, and d = b - A s_part of the head and
+    of the tail of the inequality stack, which the first workspace on it
+    forms by one `ReducedQp.reduce_rows` of its stack."""
+
+    rows: StaticRows
+    elimination: Elimination
+    pose_part: np.ndarray
+    d_head: np.ndarray = None
+    d_tail: np.ndarray = None
+
+
+# Least recently used first, each: `_STATIC_PARTS` by coefficient key (see
+# STATIC_CACHE_ENTRIES), `_LAYOUTS`, the `assemble` stacks with empty slots,
+# by (key, opponent ids), and per key the `ReducedHessian`s by the bytes of
+# the player's weights, `_HESSIANS`, and the `_RightHandSide`s by the bytes
+# of its start state, `_SIDES`, SLOTS_PER_KEY of each.
 _STATIC_PARTS = OrderedDict()
+_LAYOUTS = OrderedDict()
+_HESSIANS = OrderedDict()
+_SIDES = OrderedDict()
 
 
-def _player_system(vehicle, scenario, segment, reference, start):
-    """A player's `_StaticEntry` in `_STATIC_PARTS` under
-    `constraints.coefficient_key`, holding its static rows for this
-    reference and start state: what a forward workspace and the inverse fit
-    both read.
+def _memo(cache, key, bound, build):
+    """cache[key], from `build()` if it is missing, as the most recently
+    used; the least recently used beyond `bound` are dropped."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+    cache[key] = value
+    while len(cache) > bound:
+        cache.popitem(last=False)
+    return value
+
+
+def _player_system(vehicle, scenario, segment, reference):
+    """A player's `constraints.coefficient_key` and its `_StaticEntry` in
+    `_STATIC_PARTS` under that key: what a forward workspace and the inverse
+    fit both read.
 
     A miss builds the static rows, factors their equality rows, forms the
     Gram blocks of the null-space basis, per step position, and solves for
-    s_key and N in one `particular` call. A new right-hand side, keyed by
-    the bytes of the reference and the start state, takes its rows from
-    `restated_rows` and runs no linearization and no triangular solve; the
-    entry's last right-hand side is returned as it is."""
+    s_key and N in one `particular` call. A hit builds nothing, but runs the
+    x-extent check of the rows' tangent queries on the reference's first
+    decision point."""
     key = coefficient_key(vehicle, scenario, segment, reference)
-    rhs_key = (reference.states.tobytes(), start.as_array().tobytes())
-    entry = _STATIC_PARTS.pop(key, None)
-    if entry is None:
-        rows = static_rows(vehicle, scenario, segment, reference, start)
+
+    def build():
+        rows = static_rows(vehicle, scenario, segment, reference, None)
         factors = factor_equalities(stack_dense(rows.eq)[0])
         s_cols = particular(factors, rows.start_columns())
-        entry = _StaticEntry(factors, gram_blocks(factors.z_basis, STEP_VARS), s_cols[:, 0].copy(),
-                             s_cols[:, 1:] @ rows.start[1], rhs_key, rows, start.as_array())
-    elif entry.rhs_key != rhs_key:
-        entry.rows = restated_rows(entry.rows, scenario.road, reference, start)
-        entry.rhs_key, entry.x_0, entry._elimination = rhs_key, start.as_array(), None
-    _STATIC_PARTS[key] = entry
-    while len(_STATIC_PARTS) > STATIC_CACHE_ENTRIES:
-        _STATIC_PARTS.popitem(last=False)
-    return entry
+        return _StaticEntry(factors, gram_blocks(factors.z_basis, STEP_VARS), s_cols[:, 0].copy(),
+                            s_cols[:, 1:] @ rows.start[1], rows)
+
+    if key in _STATIC_PARTS:
+        scenario.road.tangent_at(0.0, reference.states[1])
+    return key, _memo(_STATIC_PARTS, key, STATIC_CACHE_ENTRIES, build)
 
 
 class _KeepOut:
     """The keep-out rows of a game's decision players against the latest
-    strategy of each opponent. The first workspace that needs rows against an
-    opponent's `Strategy` object (checked by identity, as the slots check it)
-    builds them in one `collision_rows` call for every decision player; an
-    opponent's row against its own strategy is built too and never read."""
+    strategy of each opponent, with their d = b - grad . s_part at the pose
+    columns. The first workspace that needs rows against an opponent's
+    `Strategy` object (checked by identity, as the slots check it) builds
+    them in one `collision_rows` call for every decision player, and their d
+    in one pass; an opponent's row against its own strategy is built too and
+    never read. Each workspace attaches its s_part at the pose columns when
+    it is built, which drops the rows built before."""
 
     def __init__(self, game):
         ids = game.decision_ids
         self._index = {vid: k for k, vid in enumerate(ids)}
         self._poses = np.stack([game.references[vid].states[1:] for vid in ids])
         self._axes = np.array([keep_out_axes(game.scenario.vehicle(vid).geometry) for vid in ids])
-        self._latest = {}  # opponent id -> (strategy, gradients, b)
+        self._pose_parts = np.zeros((len(ids), game.segment.n_steps, 3))
+        self._latest = {}  # opponent id -> (strategy, gradients, b, d)
+
+    def attach(self, vid, pose_part):
+        """Take player `vid`'s s_part at its pose columns, (n, 3)."""
+        self._pose_parts[self._index[vid]] = pose_part
+        self._latest.clear()
 
     def rows(self, vid, oid, strategy):
-        """Player `vid`'s keep-out gradients (n, 3) and b (n,) against
-        `strategy`, opponent `oid`'s."""
+        """Player `vid`'s keep-out gradients (n, 3), b (n,) and d (n,)
+        against `strategy`, opponent `oid`'s."""
         held = self._latest.get(oid)
         if held is None or held[0] is not strategy:
             grad, b_in = collision_rows(self._poses, self._axes, strategy)
             _require_finite(b_in=b_in)
-            held = self._latest[oid] = (strategy, grad, b_in)
+            # Bitwise `reduce_rows`'s d (the product `SparseRows @` forms).
+            d = b_in - np.einsum("pij,pij->pi", grad, self._pose_parts)
+            held = self._latest[oid] = (strategy, grad, b_in, d)
         k = self._index[vid]
-        return held[1][k], held[2][k]
+        return held[1][k], held[2][k], held[3][k]
 
 
 class _PlayerWorkspace:
-    """Per-player QP data that survives the whole game: the player's shared
-    static rows `rows`, the reduced quadratic block for its weights on their
-    shared elimination, its inequality rows as `constraints.assemble` lays
-    them out (`stack`), and each row's d = b - A s_part, from one
-    `ReducedQp.reduce_rows` of the whole stack. s_part at a keep-out slot's
-    columns is gathered when the workspace is built; when the opponent
-    `Strategy` object a slot records changes, the player's coefficients and
-    b are written into it from the game's `_KeepOut` batch and d is formed
-    on the gathered s_part. The check is by identity: an accepted best
-    response that moves makes a new strategy object, one that repeats keeps
-    the old one (`solve_games`), and a transport passes on the objects it
-    receives. The stored solve is an exact memo: a best response against the
-    same opponent objects as the stored one, from the same start working
-    set, returns the stored solution, which a re-solve would repeat bit for
-    bit (the same deterministic solve on the same data); any other solves.
+    """Per-player QP data that survives the whole game: the player's static
+    rows `rows` for its start state, the reduced quadratic block for its
+    weights on their elimination, its inequality rows as
+    `constraints.assemble` lays them out (`stack`), and each row's d = b -
+    A s_part. All but the keep-out rows come from the memos, keyed by the
+    coefficient key and the exact bytes of what each reads: the
+    `ReducedHessian` by the weights, the `_RightHandSide`, with the static
+    rows' d, by the start state, and the stack's layout, whose coefficients
+    and b the workspace copies, by the opponent ids. When the opponent
+    `Strategy` object a keep-out slot records changes, the player's
+    coefficients, b and d are copied into it from the game's `_KeepOut`
+    batch. The check is by identity: an accepted best response that moves
+    makes a new strategy object, one that repeats keeps the old one
+    (`solve_games`), and a transport passes on the objects it receives. The
+    stored solve is an exact memo: a best response against the same
+    opponent objects as the stored one, from the same start working set,
+    returns the stored solution, which a re-solve would repeat bit for bit
+    (the same deterministic solve on the same data); any other solves.
     Every solve uses the scenario's solver settings."""
 
     def __init__(self, game, vid, keep_out):
         self.vid = vid
         self.settings = game.scenario.solver
-        self._segment = game.segment
-        reference = game.references[vid]
-        self.s_ref = reference_vector(reference, game.segment)
+        self._segment = segment = game.segment
+        reference, start = game.references[vid], game.initial_states[vid]
+        self.s_ref = reference_vector(reference, segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.s_ref)
-        entry = _player_system(game.scenario.vehicle(vid), game.scenario, game.segment,
-                               reference, game.initial_states[vid])
-        self.rows = entry.rows
-        self.reduced = ReducedQp(self.h_diag, entry.elimination(), entry.gram)
+        key, entry = _player_system(game.scenario.vehicle(vid), game.scenario, segment, reference)
+        side = _memo(_memo(_SIDES, key, STATIC_CACHE_ENTRIES, OrderedDict),
+                     start.as_array().tobytes(), SLOTS_PER_KEY, lambda: entry.side(start))
+        hessian = _memo(_memo(_HESSIANS, key, STATIC_CACHE_ENTRIES, OrderedDict),
+                        self.h_diag[:STEP_VARS].tobytes(), SLOTS_PER_KEY,
+                        lambda: ReducedHessian.of(self.h_diag, entry.factors.z_basis, entry.gram))
+        self.rows = side.rows
+        self.reduced = ReducedQp(hessian, side.elimination)
         self._keep_out = keep_out
+        keep_out.attach(vid, side.pose_part)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
-        self.stack = assemble(self.rows, game.segment.n_steps, self.opponent_ids)
-        self._d = self.reduced.reduce_rows(self.stack.rows, self.stack.b)[1]
-        self._pose_part = self.reduced.s_part.take(pose_columns(game.segment.n_steps))
+        self.stack = _memo(_LAYOUTS, (key, self.opponent_ids), STATIC_CACHE_ENTRIES,
+                           lambda: assemble(entry.rows, segment.n_steps, self.opponent_ids)).copy()
+        n_head = sum(b.size for _, b, _ in self.rows.head)
+        n_slots = segment.n_steps * len(self.opponent_ids)
+        if side.d_head is None:
+            d = self.reduced.reduce_rows(self.stack.rows, self.stack.b)[1]
+            side.d_head, side.d_tail = d[:n_head], d[n_head + n_slots:]
+        self._d = np.concatenate([side.d_head, np.zeros(n_slots), side.d_tail])
         self._built = dict.fromkeys(self.opponent_ids)  # the strategy each slot holds
         self._solved = None  # (opponent strategies, start working set, solution)
         self._warm = ()  # the last optimal working set, as row indices of the stack
@@ -279,12 +332,9 @@ class _PlayerWorkspace:
         strategies = tuple(opponents[oid] for oid in self.opponent_ids)
         for oid, strat in zip(self.opponent_ids, strategies):
             if self._built[oid] is not strat:
-                grad, b_in = self._keep_out.rows(self.vid, oid, strat)
+                grad, b_in, d = self._keep_out.rows(self.vid, oid, strat)
                 self.stack.keep_out(oid, grad, b_in)
-                # Bitwise `reduce_rows`'s d (the product `SparseRows @` forms)
-                # at a fraction of the cost of reducing the whole stack again.
-                self._d[self.stack.slots[oid]] = b_in - np.einsum("ij,ij->i", grad,
-                                                                  self._pose_part)
+                self._d[self.stack.slots[oid]] = d
                 self._built[oid] = strat
         return strategies
 
@@ -324,7 +374,10 @@ class EquilibriumResult:
     `degraded_players` maps each player whose best response failed in some
     round to (round, status, origin) per failed round, where origin is the
     (family tag, decision point) of the row an INFEASIBLE solve could not
-    enforce (`_PlayerWorkspace.row_origin`), else None."""
+    enforce (`_PlayerWorkspace.row_origin`), else None. `degraded` describes
+    the sweep's path, not the final profile: it is set when any best
+    response failed in any round, even one that a later round's optimal
+    response replaced, so it can hold together with `converged`."""
 
     strategies: dict
     converged: bool

@@ -113,7 +113,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     for vid, strategy in cav_strategies.items():
         if not np.all(np.isfinite(strategy.data)):
             raise ValueError(f"strategy of CAV {vid} has non-finite entries")
-    entry = _player_system(vehicle, scenario, segment, hv_reference, hv_initial)
+    _, entry = _player_system(vehicle, scenario, segment, hv_reference)
     stack = assemble(entry.rows, segment.n_steps, cav_strategies)
     axes = (keep_out_axes(vehicle.geometry),)
     for oid in stack.slots:

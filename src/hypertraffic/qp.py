@@ -95,25 +95,33 @@ class GiResult:
     row: int | None = None
 
 
+@dataclass(frozen=True)
 class GiSolver:
     """Dual active-set method (Goldfarb & Idnani, 1983) for min 0.5 y'Gy + a'y
-    s.t. C y <= d, C = A Z, with G positive definite, reusing the Cholesky
-    factor of G across solves. A full pricing judges every row of the
-    `SparseRows` A by one gather of Z y and keeps the violated ones as
-    candidates, forming their rows C_cand = A_cand Z once, each from at most
-    k rows of Z; later steps price only C_cand y - d_cand and enter the most
-    violated candidate (any violated row may enter), and the next full
-    pricing comes when no candidate is violated. Rows that start in the
-    working set W are formed the same way. A solve updates the Cholesky
-    factor of S = C_W G^{-1} C_W' as rows enter W (bordered) and leave it
-    (`_drop`)."""
+    s.t. C y <= d, C = A Z, with G positive definite, reusing the lower
+    Cholesky factor `factor` of G across solves. A full pricing judges
+    every row of the `SparseRows` A by one gather of Z y and keeps the
+    violated ones as candidates, forming their rows C_cand = A_cand Z once,
+    each from at most k rows of Z; later steps price only C_cand y - d_cand
+    and enter the most violated candidate (any violated row may enter), and
+    the next full pricing comes when no candidate is violated. Rows that
+    start in the working set W are formed the same way. A solve updates the
+    Cholesky factor of S = C_W G^{-1} C_W' as rows enter W (bordered) and
+    leave it (`_drop`)."""
 
-    def __init__(self, g_mat):
-        g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
-        self._factor, info = dpotrf(g_mat, lower=1, clean=0)
+    factor: np.ndarray
+
+    @classmethod
+    def of(cls, g_mat):
+        """The solver of G, refused unless G is positive definite."""
+        factor, info = dpotrf(np.atleast_2d(np.asarray(g_mat, dtype=float)), lower=1, clean=0)
         if info:
             raise np.linalg.LinAlgError(f"G is not positive definite (LAPACK info {info})")
-        self.dim = g_mat.shape[0]
+        return cls(factor)
+
+    @property
+    def dim(self):
+        return self.factor.shape[0]
 
     def solve(self, a_vec, rows, z_basis, d_vec, tol=1e-8, max_iterations=None, warm=()):
         """Solve from the start `_warm_start` makes of the row indices `warm`.
@@ -130,7 +138,7 @@ class GiSolver:
         # The working set, its multipliers, its rows G^{-1} c_j and the lower
         # Cholesky factor of S, all in working-set order.
         y, work, lam_w, ginv_cw, s_chol, iterations = self._warm_start(
-            -dpotrs(self._factor, a_vec, lower=1)[0], rows, z_basis, d_vec, list(warm),
+            -dpotrs(self.factor, a_vec, lower=1)[0], rows, z_basis, d_vec, list(warm),
             max_iterations)
 
         def result(status, infeasibility=0.0, row=None):
@@ -158,7 +166,7 @@ class GiSolver:
                 bound_cand = bound[cand]
             k = int(np.argmax(r / scale_cand))
             p, c_p = int(cand[k]), c_cand[k]
-            ginv_cp = dpotrs(self._factor, c_p, lower=1)[0]
+            ginv_cp = dpotrs(self.factor, c_p, lower=1)[0]
             lam_p = 0.0
             while True:
                 # Direction pair: move y along dy while growing lambda_p,
@@ -214,7 +222,7 @@ class GiSolver:
         if not work or budget < 1:
             return *cold, 0
         c_w = _reduced_rows(rows, z_basis, work)
-        ginv_cw = dpotrs(self._factor, c_w.T, lower=1)[0].T
+        ginv_cw = dpotrs(self.factor, c_w.T, lower=1)[0].T
         s_mat = c_w @ ginv_cw.T
         s_chol, info = dpotrf(s_mat, lower=1)
         if (info or not np.isfinite(s_mat).all()
@@ -450,44 +458,63 @@ def gram_blocks(z_basis, period):
     return GramBlocks(period, positions, blocks)
 
 
+@dataclass(frozen=True)
+class ReducedHessian:
+    """A QP's quadratic block H, given either as its diagonal, as the game's
+    tracking objectives are, or as a dense symmetric matrix, with the
+    `GiSolver` of the reduced Hessian Z'HZ on a null-space basis Z (None
+    when Z has no columns). It reads no right-hand side, so every QP on the
+    same H and Z can share it; h is read-only.
+
+    A diagonal must repeat the first `period` weights of the `GramBlocks` of
+    Z that come with it; Z'HZ is then the weighted sum of the blocks, and no
+    dense n x n product is formed. The two forms agree to round-off."""
+
+    h: np.ndarray
+    gi: GiSolver | None
+
+    @classmethod
+    def of(cls, h, z_basis, gram=None):
+        """The reduced Hessian of H on Z, the one place its factor is formed;
+        H is refused unless finite and shaped for Z."""
+        n, null_dim = z_basis.shape
+        h = np.asarray(h, dtype=float)
+        if h.shape not in ((n,), (n, n)):
+            raise ValueError(f"H must be a diagonal of length {n} or a square matrix "
+                             f"of that size, got {h.shape}")
+        _require_finite(h=h)
+        if h.ndim == 1:
+            if gram is None or gram.blocks.shape[1:] != (null_dim,) * 2:
+                raise ValueError("a diagonal H needs the Gram blocks of its null-space basis")
+            period = gram.period
+            if h.tobytes() != h[:period].tobytes() * (n // period):
+                raise ValueError(f"a diagonal H must repeat its first {period} weights")
+            g_red = np.einsum("j,jkl->kl", h[gram.positions], gram.blocks)
+        else:
+            g_red = z_basis.T @ h @ z_basis
+            g_red = 0.5 * (g_red + g_red.T)
+        h.flags.writeable = False
+        return cls(h, GiSolver.of(g_red) if null_dim else None)
+
+
 class ReducedQp:
     """Equality-eliminated view of a QP with a fixed quadratic block.
 
     The `Elimination` carries the null-space basis Z and the particular
-    solution; this class adds the quadratic block H and keeps the Cholesky
-    factor of Z'HZ, so repeated solves that differ only in the linear term
-    and the inequality rows stay cheap. H is given either as its diagonal,
-    as the game's tracking objectives are, or as a dense symmetric matrix.
-    A diagonal must repeat the first `period` weights of the `GramBlocks`
-    of Z that come with it; Z'HZ is then the weighted sum of the blocks,
-    and H s and s'Hs cost no dense n x n product. The two forms agree to
-    round-off.
+    solution and the `ReducedHessian` the quadratic block H with the
+    Cholesky factor of Z'HZ, so repeated solves that differ only in the
+    linear term and the inequality rows stay cheap; both can be shared, and
+    this class forms only H s_part. With H a diagonal, H s and s'Hs cost
+    no dense n x n product.
     """
 
-    def __init__(self, h, elimination, gram=None):
+    def __init__(self, hessian, elimination):
         self.z_basis, self.s_part = elimination.z_basis, elimination.s_part
         self.eq_residual = elimination.eq_residual
         self._eq_scale = elimination.eq_scale
-        self.n, self.null_dim = self.z_basis.shape
-        h = np.asarray(h, dtype=float)
-        if h.shape not in ((self.n,), (self.n, self.n)):
-            raise ValueError(f"H must be a diagonal of length {self.n} or a square matrix "
-                             f"of that size, got {h.shape}")
-        _require_finite(h=h)
-        self.h = h
-        if h.ndim == 1:
-            if gram is None or gram.blocks.shape[1:] != (self.null_dim,) * 2:
-                raise ValueError("a diagonal H needs the Gram blocks of its null-space basis")
-            period = gram.period
-            if h.tobytes() != h[:period].tobytes() * (self.n // period):
-                raise ValueError(f"a diagonal H must repeat its first {period} weights")
-            g_red = np.einsum("j,jkl->kl", h[gram.positions], gram.blocks)
-            self._h_spart = h * self.s_part
-        else:
-            g_red = self.z_basis.T @ h @ self.z_basis
-            g_red = 0.5 * (g_red + g_red.T)
-            self._h_spart = h @ self.s_part
-        self.gi = GiSolver(g_red) if self.null_dim else None
+        self.null_dim = self.z_basis.shape[1]
+        self.h, self.gi = hessian.h, hessian.gi
+        self._h_spart = self.h * self.s_part if self.h.ndim == 1 else self.h @ self.s_part
 
     def reduce_rows(self, a_in, b_in):
         """Inequality rows A_in s <= b_in in the null-space coordinates y,

@@ -223,14 +223,32 @@ def dense_elimination(a_eq, b_eq, start=None):
     return Elimination.of(factors.z_basis, s_part, b_eq, lambda s: a_eq @ s - b_eq)
 
 
+def forget_player_systems():
+    """Empty the static cache of `game` and the memos beside it, so that the
+    next workspace builds every part afresh."""
+    from hypertraffic import game
+
+    for memo in (game._STATIC_PARTS, game._LAYOUTS, game._HESSIANS, game._SIDES):
+        memo.clear()
+
+
+def reduced_qp(h, elimination, gram=None):
+    """`qp.ReducedQp` of the quadratic block H, a diagonal with the Gram
+    blocks `gram` of Z or dense, on `elimination`, with its own
+    `qp.ReducedHessian`."""
+    from hypertraffic.qp import ReducedHessian, ReducedQp
+
+    return ReducedQp(ReducedHessian.of(h, elimination.z_basis, gram), elimination)
+
+
 def solve_dense(h, f, a_eq, b_eq, a_in, b_in, settings=None):
     """minimize 0.5 s'Hs + f's  s.t.  A_eq s = b_eq, A_in s <= b_in, all
     dense, through the game's solver path: `qp.ReducedQp` with the dense H
     on the `dense_elimination`, the inequality rows as `sparsify` reads them.
     Returns the `qp.QpSolution`."""
-    from hypertraffic.qp import ReducedQp, SolverSettings
+    from hypertraffic.qp import SolverSettings
 
-    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    reduced = reduced_qp(h, dense_elimination(a_eq, b_eq))
     return reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in),
                          settings or SolverSettings())
 

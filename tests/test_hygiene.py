@@ -280,7 +280,9 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     misses `bench/reference.json`, then the H=121 forward game on a second
     seed, which has no reference but where every op must pass the converged,
     gap and violation gate (the active set's candidate pricing takes its
-    longest paths on H=121 games), and last three traced benchmark runs
+    longest paths on H=121 games), then the staged online loop on that seed,
+    whose workspaces hit the memos beside the static cache across stages on
+    inputs the reference does not pin, and last three traced benchmark runs
     (random cognition; the H=121 forward game, whose reduced Hessians are the
     largest; and the staged online loop, whose traced and untraced halves
     meet the static cache in different states, so their results agree only
@@ -308,6 +310,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload forward-h121 --seed 17 "
+        "--seconds 5 --trace 0",
+        "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload online-staged --seed 17 "
         "--seconds 5 --trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload random-cognition --seed 0 "
         "--seconds 5 --trace 1",

@@ -26,7 +26,7 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import dense_system, densify, svd_null_space
+from _oracles import dense_system, densify, forget_player_systems, svd_null_space
 
 
 def _observed_truth(scen):
@@ -236,8 +236,7 @@ def _hv_systems():
         scen = make()
         segment = Segment(1, scen.horizon)
         ref = scen.references()[0].window(1, scen.horizon)
-        entry = game_module._player_system(scen.hv, scen, segment, ref,
-                                           start_state(scen.hv, segment, ref))
+        _, entry = game_module._player_system(scen.hv, scen, segment, ref)
         yield dense_system(0, {}, scen), entry.factors.z_basis
 
 
@@ -380,10 +379,10 @@ def test_a_fit_on_cached_coefficients_runs_no_lu_and_builds_no_static_row(monkey
     fits = []
     player_system, interpret = inverse._player_system, inverse._interpret
 
-    def cached_system(vehicle, scenario, segment, reference, start):
+    def cached_system(vehicle, scenario, segment, reference):
         key = coefficient_key(vehicle, scenario, segment, reference)
         fits.append([key in game_module._STATIC_PARTS])
-        return player_system(vehicle, scenario, segment, reference, start)
+        return player_system(vehicle, scenario, segment, reference)
 
     def counted_interpret(*args, **kwargs):
         before = len(calls)
@@ -393,7 +392,7 @@ def test_a_fit_on_cached_coefficients_runs_no_lu_and_builds_no_static_row(monkey
 
     monkeypatch.setattr(inverse, "_player_system", cached_system)
     monkeypatch.setattr(inverse, "_interpret", counted_interpret)
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     harness._online_rep(default_online_scenario(), 0, 1)
     assert len(fits) == len(harness.stage_segments(default_online_scenario())) - 1
     assert {"factor_equalities", "particular"} <= set(calls)  # the forward games did
@@ -506,7 +505,7 @@ def test_a_fit_forms_no_dense_inequality_matrix(monkeypatch):
     cavs, _ = inverse._embedded_cav_solve(Observation(s_actual), scen)
     monkeypatch.setattr(game_module, "stack_dense", spy)
     monkeypatch.setattr(constraints, "stack_dense", spy)
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     interp = interpret_offline(Observation(s_actual), scen, cav_strategies=cavs)
     assert dense_tags == [{"dynamics", "behavior"}]  # the human pins its heading
     assert interp.residual < 1e-8

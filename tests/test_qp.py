@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from hypertraffic import game as game_module
 from hypertraffic import qp as qp_module
 from hypertraffic.constraints import STEP_VARS, Strategy
 from hypertraffic.game import (_KeepOut, _PlayerWorkspace, make_game, objective_qp_data,
@@ -16,7 +15,6 @@ from hypertraffic.qp import (
     MAX_ITER,
     OPTIMAL,
     GiSolver,
-    ReducedQp,
     SolverSettings,
     factor_equalities,
     gram_blocks,
@@ -34,9 +32,11 @@ from _oracles import (
     dense_system,
     enumerate_qp,
     exact_kkt_objective,
+    forget_player_systems,
     kkt_residual,
     loop_gi_solve,
     random_qp,
+    reduced_qp,
     solve_dense,
     sparsify,
     svd_null_space,
@@ -162,7 +162,7 @@ def test_an_infeasible_draw_in_a_plane_ends_on_two_working_rows():
     # plane. With the entry test absolute in |c|^2, a third, dependent row
     # entered and the dual ray ended with multipliers near 5e15.
     h, f, a_eq, b_eq, a_in, b_in = random_qp(np.random.default_rng(4011589171))
-    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    reduced = reduced_qp(h, dense_elimination(a_eq, b_eq))
     sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), SolverSettings())
     assert reduced.null_dim == 2 and sol.status == INFEASIBLE
     assert len(sol.working_set) <= 2 and np.max(sol.lam) < 1e6
@@ -242,7 +242,7 @@ def test_kkt_residual_refuses_non_finite_equality_rows():
 
 
 def test_non_finite_solve_data_is_refused():
-    reduced = ReducedQp(np.eye(2), dense_elimination([[1.0, 1.0]], [1.0]))
+    reduced = reduced_qp(np.eye(2), dense_elimination([[1.0, 1.0]], [1.0]))
     settings = SolverSettings()
     with pytest.raises(ValueError, match="f_vec"):
         reduced.solve([np.inf, 0.0], *reduced.reduce_rows(sparsify(np.zeros((0, 2))), np.zeros(0)),
@@ -256,7 +256,7 @@ def test_non_finite_solve_data_is_refused():
 
 def test_reduce_rows_refuses_a_row_count_mismatch():
     # One right-hand side for two rows is refused, not broadcast.
-    reduced = ReducedQp(np.eye(2), dense_elimination([[1.0, 1.0]], [1.0]))
+    reduced = reduced_qp(np.eye(2), dense_elimination([[1.0, 1.0]], [1.0]))
     with pytest.raises(ValueError, match="A_in has 2 rows but b_in 1 entries"):
         reduced.reduce_rows(sparsify(np.eye(2)), [1.0])
 
@@ -309,12 +309,12 @@ def test_lu_basis_matches_svd_oracle_on_player_qps(make_scenario):
     n_optimal = 0
     for h, f, system in _player_qps(make_scenario()):
         a_eq, b_eq, a_in, b_in = system.a_eq, system.b_eq, system.a_in, system.b_in
-        reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+        reduced = reduced_qp(h, dense_elimination(a_eq, b_eq))
         z_svd, s_part = svd_null_space(a_eq, b_eq)
         assert np.linalg.norm(a_eq @ reduced.z_basis) <= 1e-10 * (1.0 + np.linalg.norm(a_eq))
         assert reduced.z_basis.shape[1] == z_svd.shape[1]
         sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), settings)
-        oracle = GiSolver(z_svd.T @ h @ z_svd).solve(
+        oracle = GiSolver.of(z_svd.T @ h @ z_svd).solve(
             z_svd.T @ (h @ s_part + f), sparsify(a_in), z_svd,
             b_in - a_in @ s_part, tol=settings.qp_tolerance,
         )
@@ -358,7 +358,7 @@ def test_reduced_qp_matches_enumeration_on_degenerate_rows(seed, copies, diagona
     elimination = dense_elimination(a_eq, b_eq)
     # A diagonal with no repeating pattern has one Gram block per variable.
     gram = gram_blocks(elimination.z_basis, h.shape[0]) if diagonal else None
-    reduced = ReducedQp(h, elimination, gram)
+    reduced = reduced_qp(h, elimination, gram)
     sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), SolverSettings())
     if expect_s is None:
         assert sol.status == INFEASIBLE
@@ -379,19 +379,19 @@ ALL_SCENARIOS = [default_offline_scenario, success_study_scenario, default_onlin
 
 def _reduced_hessians(monkeypatch, scenario):
     """Each decision player's workspace in the scenario's full-horizon game
-    with the true weights, with the reduced Hessian its `ReducedQp` factors
-    from the Gram blocks of the static cache."""
-    game_module._STATIC_PARTS.clear()
+    with the true weights, with the reduced Hessian its `ReducedHessian`
+    factors from the Gram blocks of the static cache."""
+    forget_player_systems()
     game = make_game(scenario, {v.vid: v.weights_true for v in scenario.vehicles})
     keep_out = _KeepOut(game)
     seen = []
-    original = qp_module.GiSolver
+    original = GiSolver.of.__func__
 
-    def capture(g_mat):
+    def capture(cls, g_mat):
         seen.append(g_mat)
-        return original(g_mat)
+        return original(cls, g_mat)
 
-    monkeypatch.setattr(qp_module, "GiSolver", capture)
+    monkeypatch.setattr(GiSolver, "of", classmethod(capture))
     for vid in game.decision_ids:
         before = len(seen)
         workspace = _PlayerWorkspace(game, vid, keep_out)
@@ -444,16 +444,16 @@ def test_a_diagonal_h_needs_its_gram_blocks_and_a_repeating_pattern():
     gram = gram_blocks(elimination.z_basis, 2)
     assert list(gram.positions) == [0, 1]
     with pytest.raises(ValueError, match="Gram blocks"):
-        ReducedQp(np.ones(4), elimination)
+        reduced_qp(np.ones(4), elimination)
     with pytest.raises(ValueError, match="Gram blocks"):
-        ReducedQp(np.ones(4), elimination, gram_blocks(np.eye(4), 2))
+        reduced_qp(np.ones(4), elimination, gram_blocks(np.eye(4), 2))
     with pytest.raises(ValueError, match="repeat its first 2 weights"):
-        ReducedQp(np.array([1.0, 2.0, 1.0, 3.0]), elimination, gram)
+        reduced_qp(np.array([1.0, 2.0, 1.0, 3.0]), elimination, gram)
     with pytest.raises(ValueError, match="multiple of the period 3"):
         gram_blocks(elimination.z_basis, 3)
     h = np.array([1.0, 2.0, 1.0, 2.0])
-    reduced = ReducedQp(h, elimination, gram)
-    dense = ReducedQp(np.diag(h), elimination)
+    reduced = reduced_qp(h, elimination, gram)
+    dense = reduced_qp(np.diag(h), elimination)
     f = np.array([0.5, -1.0, 0.0, 2.0])
     sol, want = (r.solve(f, *r.reduce_rows(sparsify(np.zeros((0, 4))), np.zeros(0)),
                          SolverSettings())
@@ -477,7 +477,7 @@ def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point
                                              working_set):
     # min 0.5 |y|^2 - 2 y_0  s.t.  y_0 <= 1 (active at the optimum), y_1 <= 5.
     eye = np.eye(2)
-    res = GiSolver(eye).solve([-2.0, 0.0], sparsify(eye), eye, [1.0, 5.0],
+    res = GiSolver.of(eye).solve([-2.0, 0.0], sparsify(eye), eye, [1.0, 5.0],
                               max_iterations=max_iterations, warm=warm)
     assert res.status == status
     assert np.array_equal(res.y, point)
@@ -504,7 +504,7 @@ def test_warm_start_counts_each_repair_solve(warm, max_iterations, status, point
 ])
 def test_hand_worked_drops(a_vec, c_mat, d_vec, point):
     eye = np.eye(3)
-    res = GiSolver(eye).solve(a_vec, sparsify(c_mat), eye, d_vec)
+    res = GiSolver.of(eye).solve(a_vec, sparsify(c_mat), eye, d_vec)
     assert res.status == OPTIMAL
     assert np.array_equal(res.y, point)
     assert res.iterations == 4
@@ -576,7 +576,7 @@ def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra,
     a_in, b_in = _degenerate_rows(a_in, b_in, extra)
     warm = tuple(dict.fromkeys(i % a_in.shape[0] for i in warm))
     expect_s, _ = enumerate_qp(h, f, a_eq, b_eq, a_in, b_in)
-    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    reduced = reduced_qp(h, dense_elimination(a_eq, b_eq))
     rows = reduced.reduce_rows(sparsify(a_in), b_in)
     settings = SolverSettings()
     cold = reduced.solve(f, *rows, settings)
@@ -597,7 +597,7 @@ def test_warm_start_matches_cold_and_enumeration_on_degenerate_rows(seed, extra,
 def _gi_problem(h, f, a_eq, b_eq, a_in, b_in):
     """(Z, G = Z'HZ, a, A_in, d) of a dense QP: the data `GiSolver.solve`
     takes for the reduced problem, A_in read in s-space against Z."""
-    reduced = ReducedQp(h, dense_elimination(a_eq, b_eq))
+    reduced = reduced_qp(h, dense_elimination(a_eq, b_eq))
     z_basis = reduced.z_basis
     g_mat = z_basis.T @ h @ z_basis
     g_mat = 0.5 * (g_mat + g_mat.T)
@@ -652,10 +652,10 @@ def test_updated_factor_matches_the_loop_that_forms_s_afresh(seed, extra, warm, 
     z_basis, g_mat, a_vec, rows, d_vec = _gi_problem(h, f, a_eq, b_eq, a_in, b_in)
     c_mat = a_in @ z_basis
     if s_space:
-        new = GiSolver(g_mat).solve(a_vec, rows, z_basis, d_vec, warm=warm)
+        new = GiSolver.of(g_mat).solve(a_vec, rows, z_basis, d_vec, warm=warm)
     else:
         eye = np.eye(z_basis.shape[1])
-        new = GiSolver(g_mat).solve(a_vec, sparsify(c_mat), eye, d_vec, warm=warm)
+        new = GiSolver.of(g_mat).solve(a_vec, sparsify(c_mat), eye, d_vec, warm=warm)
     old = loop_gi_solve(g_mat, a_vec, c_mat, d_vec, warm=warm)
     assert new.status == old.status
     if new.status == INFEASIBLE:
@@ -678,7 +678,7 @@ def test_a_near_singular_warm_set_is_refused_by_the_relative_pivot_test():
     a_in, b_in = _degenerate_rows(a_in, b_in, [("dup", 2, 3, 0.5563541670300529, 0.0)])
     z_basis, g_mat, a_vec, rows, d_vec = _gi_problem(h, f, a_eq, b_eq, a_in, b_in)
     assert z_basis.shape[1] == 2
-    solver = GiSolver(g_mat)
+    solver = GiSolver.of(g_mat)
     cold = solver.solve(a_vec, rows, z_basis, d_vec)
     warm = solver.solve(a_vec, rows, z_basis, d_vec, warm=(0, 3, 4))
     assert warm.status == cold.status == OPTIMAL

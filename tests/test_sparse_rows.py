@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertraffic.constraints import stack_dense
-from hypertraffic.qp import ReducedQp, SparseRows, _reduced_rows
+from hypertraffic.qp import SparseRows, _reduced_rows
 
 from _oracles import dense_elimination, densify
+from _oracles import reduced_qp as ReducedQp  # a `qp.ReducedQp` with its own H
 
 EPS = np.finfo(float).eps
 # Zero in both signs is a coefficient the builders emit: the padding slots

@@ -1,12 +1,16 @@
 """The weight-independent part of a player's system (its static rows, the
 factors of their equality rows and the particular solution) is cached
-across games. The cache is keyed by what the coefficients read; a new
-right-hand side is solved from the kept factors. These tests pin that a hit
+across games, and beside it three memos keep the reduced Hessian by the
+weights, the right-hand side by the start state and the stack's layout by
+the opponent ids. The cache is keyed by what the coefficients read; a new
+start state is solved from the kept factors. These tests pin that a hit
 builds no row and is bitwise a fresh build, that inputs reaching only the
-right-hand sides hit and any change of a coefficient input misses, that a
-workspace keeps its system when its entry moves to a new right-hand side,
-that every field of the key is needed, that a reference stepped otherwise
-than its scenario is refused, and that the cache keeps to its bound."""
+right-hand sides hit and any change of a coefficient input misses, that
+every input a memo key holds, down to its last bit or the sign of a zero,
+builds its part afresh, that a workspace keeps its right-hand side when the
+memo drops it, that every field of the key is needed, that a reference
+stepped otherwise than its scenario is refused, and that the cache and the
+memos keep to their bounds."""
 
 from dataclasses import fields, is_dataclass, replace
 from functools import lru_cache
@@ -29,6 +33,8 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
+from _oracles import forget_player_systems
+
 SCENARIOS = {
     "offline": default_offline_scenario,
     "online": default_online_scenario,
@@ -39,9 +45,9 @@ SCENARIOS = {
 
 @pytest.fixture(autouse=True)
 def empty_cache():
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     yield
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
 
 
 @pytest.fixture
@@ -104,11 +110,25 @@ def _stack(ws):
     return ws.stack.rows.cols, ws.stack.rows.coef, ws.stack.b, ws._d
 
 
+def _memo_parts(ws):
+    """The arrays a workspace reads from the memos beside the static cache:
+    H and the factor of Z'HZ, its stack's columns, coefficients and b, its
+    d, and s_part at the pose columns as its `_KeepOut` holds it."""
+    keep_out = ws._keep_out
+    return (ws.reduced.h, ws.reduced.gi.factor, *_stack(ws),
+            keep_out._pose_parts[keep_out._index[ws.vid]])
+
+
+def _bitwise_equal(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def _assert_same_workspaces(got, want, game):
     seeds = {vid: Strategy.from_reference(game.references[vid], game.segment)
              for vid in game.decision_ids}
     for vid in game.decision_ids:
         a, b = got[vid], want[vid]
+        assert all(map(_bitwise_equal, _memo_parts(a), _memo_parts(b))), vid
         for name in ("z_basis", "s_part", "eq_residual"):
             assert np.array_equal(getattr(a.reduced, name), getattr(b.reduced, name)), (vid, name)
         assert _same_system(a, b), vid
@@ -136,10 +156,107 @@ def test_a_cache_hit_equals_a_fresh_build(name, factorizations):
         assert ws.rows is warm[vid].rows
         assert ws.reduced.s_part is warm[vid].reduced.s_part
         assert ws.reduced.z_basis is warm[vid].reduced.z_basis
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     fresh = _workspaces(game)
     assert len(factorizations) == 2 * n_players
     _assert_same_workspaces(hit, fresh, game)
+
+
+def test_a_memo_hit_equals_a_fresh_build_bitwise(factorizations):
+    # A second build of a game's workspaces hits every memo: it shares the
+    # first build's reduced Hessians, right-hand sides and stack columns,
+    # copies the stack's coefficients and b, and equals a fresh build bit for
+    # bit, on the full horizon and on an online stage.
+    scen = _scenario("online")
+    full = scen.references()
+    weights = _scaled_weights(scen, 1)
+    for segment in (Segment(1, scen.horizon), Segment(13, 25)):
+        refs = {vid: full[vid].window(segment.start, segment.stop) for vid in weights}
+        game = make_game(scen, weights, segment=segment, references=refs)
+        first = _workspaces(game)
+        misses = len(factorizations)
+        hit = _workspaces(game)
+        assert len(factorizations) == misses
+        for vid, ws in hit.items():
+            assert ws.reduced.gi is first[vid].reduced.gi and ws.rows is first[vid].rows
+            assert ws.stack.rows.cols is first[vid].stack.rows.cols
+            assert ws.stack.coef is not first[vid].stack.coef
+            assert ws.stack.b is not first[vid].stack.b
+        forget_player_systems()
+        _assert_same_workspaces(hit, _workspaces(game), game)
+
+
+def _nudged_weights(scen, game):
+    # Player 0's first weight one ulp up.
+    weights = dict(game.weights)
+    theta = weights[0].theta.copy()
+    theta[0] = np.nextafter(theta[0], np.inf)
+    weights[0] = replace(weights[0], theta=theta)
+    return {"weights": weights}
+
+
+def _signed_zero_start(scen, game):
+    # Player 0's start heading -0.0 in place of 0.0: equal values, other bytes.
+    start = game.initial_states[0]
+    assert start.psi == 0.0 and np.signbit(-0.0)
+    return {"initial_states": {**game.initial_states, 0: replace(start, psi=-0.0)}}
+
+
+def _last_bit_start(scen, game):
+    # Player 0's start speed one ulp up.
+    start = game.initial_states[0]
+    return {"initial_states": {**game.initial_states,
+                               0: replace(start, v=float(np.nextafter(start.v, np.inf)))}}
+
+
+def _without_last_player(scen, game):
+    # The same game without its last player, so every other one faces
+    # another opponent set.
+    last = max(game.decision_ids)
+    return {"weights": {vid: w for vid, w in game.weights.items() if vid != last}}
+
+
+def _reduced_hessian(ws):
+    return ws.reduced.gi
+
+
+def _right_hand_side(ws):
+    return ws.reduced.s_part
+
+
+def _layout(ws):
+    return ws.stack.rows.cols
+
+
+# Each input a memo key holds, changed alone, with the part of player 0's
+# workspace whose memo it keys: a key without that input would serve the
+# base game's part.
+MEMO_KEY_INPUTS = {
+    "weights_one_ulp": (_nudged_weights, _reduced_hessian),
+    "start_sign_of_zero": (_signed_zero_start, _right_hand_side),
+    "start_last_bit": (_last_bit_start, _right_hand_side),
+    "opponent_set": (_without_last_player, _layout),
+}
+
+
+@pytest.mark.parametrize("change", sorted(MEMO_KEY_INPUTS))
+def test_an_input_a_memo_key_holds_builds_its_part_afresh(change, factorizations):
+    # Weights are strictly positive, so the sign of a zero can reach only a
+    # start state. Each changed input builds its part anew on the cached
+    # static entry, and the workspaces equal a fresh build.
+    scen = _scenario("offline")
+    base = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
+    before = _workspaces(base)
+    misses = len(factorizations)
+    variant, part = MEMO_KEY_INPUTS[change]
+    args = {"weights": base.weights, "initial_states": base.initial_states}
+    args.update(variant(scen, base))
+    changed = make_game(scen, args["weights"], initial_states=args["initial_states"])
+    got = _workspaces(changed)
+    assert len(factorizations) == misses
+    assert part(got[0]) is not part(before[0])
+    forget_player_systems()
+    _assert_same_workspaces(got, _workspaces(changed), changed)
 
 
 def _assert_same_result(got, want):
@@ -173,9 +290,11 @@ def _mapped_references(game, change):
     return {"references": refs}
 
 
-def _off_centre_start(scen, game):
-    start = game.initial_states[0]
-    return {"initial_states": {**game.initial_states, 0: replace(start, p_y=start.p_y + 0.4)}}
+def _off_centre_start(dy):
+    def change(scen, game):
+        start = game.initial_states[0]
+        return {"initial_states": {**game.initial_states, 0: replace(start, p_y=start.p_y + dy)}}
+    return change
 
 
 def _translated_reference(scen, game):
@@ -257,7 +376,7 @@ def _lane_changer_start_x(scen):
 # references and starts too), and says whether every player's coefficients
 # stay those of the base game: then the variant must hit.
 VARIANTS = {
-    "start_state": (_off_centre_start, True),
+    "start_state": (_off_centre_start(0.4), True),
     "translated_reference": (_translated_reference, True),
     "restaged": (_restaged, True),
     "reference_window": (_shifted_window, False),
@@ -304,7 +423,7 @@ def test_a_changed_static_input_never_reuses_a_stale_entry(variant, factorizatio
         assert all(got[vid].reduced.z_basis is warm[vid].reduced.z_basis for vid in got)
     else:
         assert len(factorizations) > misses
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     _assert_same_workspaces(got, _workspaces(changed), changed)
 
 
@@ -345,27 +464,26 @@ def test_a_key_without_any_one_field_serves_a_stale_system(field, monkeypatch):
     _workspaces(base)
     changed = _variant_game(scen, weights, base, VARIANTS[variant][0])
     stale = _workspaces(changed)
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     fresh = _workspaces(changed)
     assert not all(_same_system(stale[vid], fresh[vid]) for vid in stale)
 
 
-@pytest.mark.parametrize("variant", ["start_state", "translated_reference"])
-def test_a_workspace_outlives_its_entry_moving_to_a_new_right_hand_side(variant,
-                                                                        factorizations):
-    # A new right-hand side re-points the entry at new rows and a new
-    # elimination; workspaces built on the old ones keep them as they were.
+def test_a_workspace_outlives_its_right_hand_side_leaving_the_memo(factorizations):
+    # New start states push the base game's right-hand side out of the memo;
+    # workspaces built on it keep it as it was.
     scen = _scenario("offline")
     weights = {v.vid: v.weights_true for v in scen.vehicles}
     base = make_game(scen, weights)
     before = _workspaces(base)
     misses = len(factorizations)
-    after = _workspaces(_variant_game(scen, weights, base, VARIANTS[variant][0]))
+    for k in range(1, game_module.SLOTS_PER_KEY + 1):
+        after = _workspaces(_variant_game(scen, weights, base, _off_centre_start(0.4 * k)))
     assert len(factorizations) == misses
-    moved = [vid for vid in after if after[vid].rows is not before[vid].rows]
-    assert moved and all(after[vid].reduced.s_part is not before[vid].reduced.s_part
-                         for vid in moved)
-    game_module._STATIC_PARTS.clear()
+    assert after[0].rows is not before[0].rows
+    assert after[0].reduced.s_part is not before[0].reduced.s_part
+    assert _workspaces(base)[0].rows is not before[0].rows
+    forget_player_systems()
     _assert_same_workspaces(before, _workspaces(base), base)
 
 
@@ -405,7 +523,7 @@ def test_a_cache_hit_builds_no_static_rows(monkeypatch):
     # A new right-hand side builds no row either.
     solve_games(_variant_game(scen, _scaled_weights(scen, 2), hit, _translated_reference))
     assert calls == []
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     _workspaces(hit)
     assert sorted(calls) == sorted(hit.decision_ids)
 
@@ -429,7 +547,7 @@ def test_a_reference_off_the_road_is_refused_on_a_hit_as_on_a_miss(factorization
     with pytest.raises(ValueError, match=message) as on_hit:
         _workspaces(off)
     assert len(factorizations) == misses
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     with pytest.raises(ValueError, match=message) as on_miss:
         _workspaces(off)
     assert str(on_hit.value) == str(on_miss.value)
@@ -473,6 +591,30 @@ def test_a_cache_entry_at_h121_stays_small(kind, bound):
     held = _kept_arrays(entry, {})
     assert any(a is entry.factors.l1[2] or a is entry.factors.l1[2].base for a in held.values())
     assert sum(a.nbytes for a in held.values()) <= bound
+
+
+@pytest.mark.parametrize("kind, bounds", [("lane change", (4.7e5, 1.25e5, 3.1e4)),
+                                          ("straight", (1.25e5, 1.2e5, 3.0e4))])
+def test_the_memos_beside_a_cache_entry_at_h121_stay_small(kind, bounds):
+    # Beside its static entry, a workspace at H=121 leaves in the memos, each
+    # array reachable from them counted once, as its base: its reduced
+    # Hessian, the factor of Z'HZ (240 x 240 for a lane changer, 460,800
+    # bytes; 120 x 120 for a straight driver, 115,200) and H (5,760); its
+    # stack's layout, columns, coefficients and b of 2,160 and 2,040 rows
+    # (120,960 and 114,240 bytes); and its right-hand side, the re-stated
+    # dynamics b, s_part, s_part at the pose columns and the stack's d
+    # (29,760 and 28,800 bytes). `_kept_arrays` sees what the workspace reads.
+    scen = _scenario("h121")
+    game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
+    vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
+    ws = _PlayerWorkspace(game, vid, _KeepOut(game))
+    entry = _kept_arrays(game_module._STATIC_PARTS, {})
+    memos = (game_module._HESSIANS, game_module._LAYOUTS, game_module._SIDES)
+    read = (ws.reduced.gi.factor, ws.stack.rows.cols, ws.reduced.s_part)
+    for memo, array, bound in zip(memos, read, bounds):
+        held = _kept_arrays(memo, {})
+        assert id(array if array.base is None else array.base) in held
+        assert sum(a.nbytes for key, a in held.items() if key not in entry) <= bound
 
 
 def test_cold_and_warm_caches_give_the_same_online_repetition(factorizations):
@@ -526,10 +668,10 @@ def test_a_reference_stepped_otherwise_than_the_scenario_is_refused():
 
 def test_a_new_right_hand_side_on_a_hit_runs_no_linearization_and_no_triangular_solve(
         monkeypatch, factorizations):
-    # A hit whose start state or reference positions are new re-states the
-    # first four dynamics entries from the kept (c_0, A_0) and forms s_part as
-    # s_key + N x(0): it linearizes nothing and runs no triangular solve. A
-    # miss runs all three spied functions.
+    # A hit whose start state is new re-states the first four dynamics
+    # entries from the kept (c_0, A_0) and forms s_part as s_key + N x(0): it
+    # linearizes nothing and runs no triangular solve; new reference positions
+    # change no right-hand side. A miss runs all three spied functions.
     scen = _scenario("offline")
     weights = {v.vid: v.weights_true for v in scen.vehicles}
     base = make_game(scen, weights)
@@ -548,10 +690,11 @@ def test_a_new_right_hand_side_on_a_hit_runs_no_linearization_and_no_triangular_
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     for variant in ("start_state", "translated_reference", "restaged"):
         after = _workspaces(_variant_game(scen, weights, base, VARIANTS[variant][0]))
-        assert any(after[vid].reduced.s_part is not before[vid].reduced.s_part for vid in after)
-        before = after
+        # Only a new start state makes a new right-hand side.
+        assert (any(after[vid].reduced.s_part is not before[vid].reduced.s_part for vid in after)
+                == (variant == "start_state"))
     assert len(factorizations) == misses and calls == []
-    game_module._STATIC_PARTS.clear()
+    forget_player_systems()
     _workspaces(base)
     assert {"linearize_steps", "solve_triangular", "particular"} <= set(calls)
 
@@ -572,8 +715,7 @@ def test_the_start_state_map_matches_a_particular_solution_of_the_whole_right_ha
                   for vid, ref in refs.items()}
         game = make_game(scen, weights, segment=segment, references=refs, initial_states=starts)
         for vid, ws in _workspaces(game).items():
-            entry = game_module._player_system(scen.vehicle(vid), scen, segment, refs[vid],
-                                               starts[vid])
+            _, entry = game_module._player_system(scen.vehicle(vid), scen, segment, refs[vid])
             want = qp_module.particular(entry.factors,
                                         np.concatenate([b for _, b, _ in ws.rows.eq]))
             got = ws.reduced.s_part

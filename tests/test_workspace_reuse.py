@@ -1,7 +1,8 @@
 """A game builds the collision rows against each opponent strategy once, for
-every decision player in one call; a player workspace copies its rows into
-its slot, reuses its last solve when nothing it reads has changed, and starts
-each solve from the working set of its last optimal one. A best response that
+every decision player in one call, with their d; a player workspace copies
+its rows and d into its slot, reuses its last solve when nothing it reads
+has changed, and starts each solve from the working set of its last optimal
+one. A best response that
 repeats its player's strategy keeps the `Strategy` object, so its opponents
 see nothing new. These tests pin that the row and solve reuse moves no bit:
 the sweep equals, bit for bit, one that makes a new object for every response
