@@ -313,10 +313,10 @@ class _PlayerWorkspace:
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
         self.stack = _memo(_LAYOUTS, (key, self.opponent_ids), STATIC_CACHE_ENTRIES,
                            lambda: assemble(entry.rows, segment.n_steps, self.opponent_ids)).copy()
-        n_head = sum(b.size for _, b, _ in self.rows.head)
         n_slots = segment.n_steps * len(self.opponent_ids)
         if side.d_head is None:
             d = self.reduced.reduce_rows(self.stack.rows, self.stack.b)[1]
+            n_head = sum(b.size for _, b, _ in self.rows.head)
             side.d_head, side.d_tail = d[:n_head], d[n_head + n_slots:]
         self._d = np.concatenate([side.d_head, np.zeros(n_slots), side.d_tail])
         self._built = dict.fromkeys(self.opponent_ids)  # the strategy each slot holds
