@@ -21,9 +21,11 @@ violated as candidates; each step enters the most violated candidate, and
 the next pass over every row comes only when no candidate is violated, so
 only such a pass declares the optimum.
 All pivots break ties by lowest index, so identical inputs and starting sets
-give bitwise-identical outputs. The working rows' Cholesky factor is updated,
-not re-formed, so at the optimum one refinement step puts the point back on
-those rows; the multipliers keep the round-off of the steps.
+give bitwise-identical outputs. The working rows, their multipliers and the
+Cholesky factor L of S are updated in place, not re-formed (an entry borders
+L, a drop is a Givens column-delete of L'), so at the optimum one refinement
+step puts the point back on those rows; the multipliers keep the round-off of
+the steps.
 
 Primal infeasibility surfaces as a dual ray: the violated row cannot be
 enforced and no working-set row opposes it. A solve returns the primal point,
@@ -36,8 +38,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu, solve_triangular
-from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs
+from scipy.linalg import lu, qr_delete, solve_triangular
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -105,9 +108,10 @@ class GiSolver:
     each from at most k rows of Z; later steps price only C_cand y - d_cand
     and enter the most violated candidate (any violated row may enter), and
     the next full pricing comes when no candidate is violated. Rows that
-    start in the working set W are formed the same way. A solve updates the
-    Cholesky factor of S = C_W G^{-1} C_W' as rows enter W (bordered) and
-    leave it (`_drop`)."""
+    start in the working set W are formed the same way. A solve keeps W in a
+    `_WorkingSet`: the factor of S = C_W G^{-1} C_W' is bordered as a row
+    enters and loses a column by Givens rotations as one leaves, so a step
+    costs O(|W|^2) plus one pass over the rows G^{-1} c_j of W."""
 
     factor: np.ndarray
 
@@ -134,16 +138,14 @@ class GiSolver:
             max_iterations = 50 + 10 * (m + self.dim)
         scale = 1.0 + np.abs(d_vec)
         bound = tol * scale
-
-        # The working set, its multipliers, its rows G^{-1} c_j and the lower
-        # Cholesky factor of S, all in working-set order.
-        y, work, lam_w, ginv_cw, s_chol, iterations = self._warm_start(
+        y, ws, iterations = self._warm_start(
             -dpotrs(self.factor, a_vec, lower=1)[0], rows, z_basis, d_vec, list(warm),
             max_iterations)
+        work = ws.rows
 
         def result(status, infeasibility=0.0, row=None):
             lam = np.zeros(m)
-            lam[work] = lam_w
+            lam[work] = ws.view()[0]
             return GiResult(status, y, lam, iterations, infeasibility, tuple(work), row)
 
         # The rows the last full pricing found violated, with their reduced
@@ -158,7 +160,8 @@ class GiSolver:
                 resid = rows @ (z_basis @ y) - d_vec
                 if np.all(resid <= bound):
                     if work:
-                        y = y - dpotrs(s_chol, resid[work], lower=1)[0] @ ginv_cw
+                        _, ginv_cw, r_fac = ws.view()
+                        y = y - dpotrs(r_fac, resid[work], lower=0)[0] @ ginv_cw
                     return result(OPTIMAL)
                 cand = np.flatnonzero(resid > bound)
                 c_cand = _reduced_rows(rows, z_basis, cand)
@@ -166,61 +169,56 @@ class GiSolver:
                 bound_cand = bound[cand]
             k = int(np.argmax(r / scale_cand))
             p, c_p = int(cand[k]), c_cand[k]
-            ginv_cp = dpotrs(self.factor, c_p, lower=1)[0]
+            ginv_cp = dtrsv(self.factor, dtrsv(self.factor, c_p, lower=1), trans=1, lower=1)
+            # The descent c_p'G^-1 c_p - u'S^-1 u (u = C_W G^-1 c_p) cancels to
+            # round-off as c_p nears the working rows' span: under 1e-8 of
+            # c_p'G^-1 c_p the constraint value cannot move; dual-only step.
+            floor = max(1e-13 * (1.0 + float(c_p @ c_p)), 1e-8 * float(c_p @ ginv_cp))
             lam_p = 0.0
             while True:
                 # Direction pair: move y along dy while growing lambda_p,
                 # adjusting working-set multipliers along dlam.
-                dlam = -dpotrs(s_chol, ginv_cw @ c_p, lower=1)[0] if work else np.zeros(0)
+                lam_w, ginv_cw, r_fac = ws.view()
+                dlam = -dpotrs(r_fac, ginv_cw @ c_p, lower=0)[0] if work else np.zeros(0)
                 dy = -ginv_cp - dlam @ ginv_cw
                 descent = -float(c_p @ dy)  # equals dy'G dy >= 0
                 viol_p = float(c_p @ y - d_vec[p])
-                # Ratio test: the first working row whose multiplier reaches
-                # zero at t1, lowest index on ties; t1 = inf if none does.
-                ratios = np.full(len(work) + 1, np.inf)
-                np.divide(lam_w, -dlam, out=ratios[:-1], where=dlam < -1e-14)
-                j_out = int(np.argmin(ratios))
-                t1 = ratios[j_out]
-                # The descent c_p'G^-1 c_p - u'S^-1 u (u = C_W G^-1 c_p) cancels to
-                # round-off as c_p nears the working rows' span: under 1e-8 of
-                # c_p'G^-1 c_p the constraint value cannot move; dual-only step.
-                if descent <= max(1e-13 * (1.0 + float(c_p @ c_p)), 1e-8 * float(c_p @ ginv_cp)):
+                # Ratio test over the falling multipliers: the first to reach
+                # zero at t1 leaves, lowest index on ties; t1 = inf if none.
+                j_out, t1 = None, np.inf
+                falling = np.flatnonzero(dlam < -1e-14)
+                if falling.size:
+                    ratios = lam_w[falling] / -dlam[falling]
+                    first = int(np.argmin(ratios))
+                    j_out, t1 = int(falling[first]), ratios[first]
+                if descent <= floor:
                     if t1 == np.inf:
                         return result(INFEASIBLE, viol_p, p)
-                    lam_w = lam_w + t1 * dlam
+                    lam_w += t1 * dlam
                     lam_p += t1
-                    work, s_chol, lam_w, ginv_cw = _drop(j_out, work, s_chol, lam_w, ginv_cw)
+                    ws.drop(j_out)
                     continue
                 t2 = viol_p / descent
                 t = min(t1, t2)
                 y = y + t * dy
-                lam_w = lam_w + t * dlam
+                lam_w += t * dlam
                 lam_p += t
                 if t2 <= t1:
                     # Border the factor: row p's Schur complement is descent.
-                    w = len(work)
-                    bordered = np.zeros((w + 1, w + 1))
-                    bordered[:w, :w] = s_chol
-                    bordered[w, :w] = -(dlam @ s_chol)
-                    bordered[w, w] = math.sqrt(descent)
-                    s_chol = bordered
-                    work.append(p)
-                    lam_w = np.append(lam_w, lam_p)
-                    ginv_cw = np.concatenate([ginv_cw, ginv_cp[None, :]])
+                    ws.enter(p, lam_p, ginv_cp, -(r_fac @ dlam), math.sqrt(descent))
                     break
-                work, s_chol, lam_w, ginv_cw = _drop(j_out, work, s_chol, lam_w, ginv_cw)
+                ws.drop(j_out)
 
     def _warm_start(self, y, rows, z_basis, d_vec, work, budget):
-        """(y, work, lam, G^{-1} C_W' rows, Cholesky factor of S, solves) of a
-        dual feasible start: from the unconstrained minimum y, the minimum with
-        the rows `work` held as equalities, y - G^{-1} C_W' lam where S lam =
-        C_W y - d_W, dropping the row of the most negative lam (lowest index
-        first) until none is. Each solve is one of `budget` iterations. The
-        start is cold if S has non-finite entries, no Cholesky factor or a pivot
-        the main loop would refuse (a drop shrinks none), or if budget runs out."""
-        cold = (y, [], np.zeros(0), np.zeros((0, self.dim)), np.zeros((0, 0)))
+        """(y, `_WorkingSet`, solves) of a dual feasible start: from the
+        unconstrained minimum y, the minimum with the rows `work` held as
+        equalities, y - G^{-1} C_W' lam where S lam = C_W y - d_W, dropping the
+        row of the most negative lam (lowest index first) until none is. Each
+        solve is one of `budget` iterations. The start is cold if S has
+        non-finite entries, no Cholesky factor or a pivot the main loop would
+        refuse (a drop shrinks none), or if budget runs out."""
         if not work or budget < 1:
-            return *cold, 0
+            return y, _WorkingSet(self.dim, []), 0
         c_w = _reduced_rows(rows, z_basis, work)
         ginv_cw = dpotrs(self.factor, c_w.T, lower=1)[0].T
         s_mat = c_w @ ginv_cw.T
@@ -228,35 +226,66 @@ class GiSolver:
         if (info or not np.isfinite(s_mat).all()
                 or np.any(np.diag(s_chol) ** 2 <= np.maximum(
                     1e-13 * (1.0 + np.sum(c_w * c_w, axis=1)), 1e-8 * np.diag(s_mat)))):
-            return *cold, 1
-        rhs = c_w @ y - d_vec[work]
+            return y, _WorkingSet(self.dim, []), 1
+        # The multiplier slots hold C_W y - d_W until the last solve.
+        ws = _WorkingSet(self.dim, work, (c_w @ y - d_vec[work], ginv_cw, s_chol.T))
         for solves in range(1, budget + 1):
-            lam = dpotrs(s_chol, rhs, lower=1)[0]
+            rhs, ginv_cw, r_fac = ws.view()
+            lam = dpotrs(r_fac, rhs, lower=0)[0]
             j = int(np.argmin(lam))
             if lam[j] >= 0.0:
-                return y - lam @ ginv_cw, work, lam, ginv_cw, s_chol, solves
-            work, s_chol, rhs, ginv_cw = _drop(j, work, s_chol, rhs, ginv_cw)
-            if not work:
+                rhs[:] = lam
+                return y - lam @ ginv_cw, ws, solves
+            ws.drop(j)
+            if not ws.rows:
                 break
-        return *cold, solves
+        return y, _WorkingSet(self.dim, []), solves
+
+
+class _WorkingSet:
+    """A working set W (the list `rows`, in entry order) with its multipliers,
+    rows G^{-1} c_j and the upper factor R = L' of S = C_W G^{-1} C_W' = R'R,
+    in buffers that start from `held` and double when full; `view` gives
+    (lam, G^{-1} C_W', R), their first |W| entries."""
+
+    def __init__(self, dim, rows, held=(), capacity=16):
+        self.rows = rows
+        capacity = max(capacity, len(self.rows))
+        self._lam, self._ginv = np.empty(capacity), np.empty((capacity, dim))
+        self._r = np.zeros((capacity, capacity), order="F")
+        for buf, old in zip(self.view(), held):
+            buf[...] = old
+
+    def view(self):
+        w = len(self.rows)
+        return self._lam[:w], self._ginv[:w], self._r[:w, :w]
+
+    def enter(self, p, lam_p, ginv_cp, r_col, pivot):
+        """Row p joins W: R gains the column (r_col, pivot)."""
+        w = len(self.rows)
+        if w == self._lam.size:
+            self.__init__(self._ginv.shape[1], self.rows, self.view(), 2 * w)
+        self._lam[w], self._ginv[w] = lam_p, ginv_cp
+        self._r[:w, w], self._r[w, :w], self._r[w, w] = r_col, 0.0, pivot
+        self.rows.append(p)
+
+    def drop(self, j):
+        """W's j-th row leaves in place: later slots move up one, and R (a QR
+        factor with Q = I) loses column j by the Givens rotations of
+        `qr_delete`, so R'R is S of the rows kept, in O(|W|^2); the last
+        row leaves without a rotation."""
+        w = len(self.rows)
+        if j < w - 1:
+            qr_delete(np.eye(w), self._r[:w, :w], j, which="col", overwrite_qr=True,
+                      check_finite=False)
+        self._lam[j:w - 1], self._ginv[j:w - 1] = self._lam[j + 1:w], self._ginv[j + 1:w]
+        del self.rows[j]
 
 
 def _reduced_rows(rows, z_basis, index):
     """The rows `index` of A Z, each a gather of the rows of Z its row of A
     touches."""
     return np.einsum("ij,ijk->ik", rows.coef[index], z_basis[rows.cols[index]])
-
-
-def _drop(j, work, s_chol, *rows):
-    """`work` and `rows` without their j-th entry, and S's lower Cholesky factor
-    without row j: one QR folds the column j of later rows into their block."""
-    keep = np.arange(len(work)) != j
-    col = s_chol[j + 1:, j]
-    s_chol = s_chol[np.ix_(keep, keep)]
-    if col.size:
-        packed = dgeqrf(np.column_stack([s_chol[j:, j:], col]).T)[0]
-        s_chol[j:, j:] = np.tril(packed[:col.size].T)
-    return work[:j] + work[j + 1:], s_chol, *(r[keep] for r in rows)
 
 
 def _require_finite(**arrays):

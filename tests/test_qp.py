@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from hypertraffic import qp as qp_module
 from hypertraffic.constraints import STEP_VARS, Strategy
@@ -511,6 +512,27 @@ def test_hand_worked_drops(a_vec, c_mat, d_vec, point):
     assert res.working_set == (2, 1)
 
 
+def test_a_tie_in_the_ratio_test_drops_the_lower_index():
+    # G = I in three variables, warm on rows 0 (y_0 <= -1) and 1 (y_1 - y_0
+    # <= 0): S = [[1, -1], [-1, 2]], y = (-1, -1, 0) and lambda = (2, 1).
+    # Row 2 (y_0 + y_1 + y_2 <= -5) is violated by 3. Its u = C_W c_2 =
+    # (1, 0) gives dlam = -S^{-1} u = (-2, -1), so both multipliers reach
+    # zero at t1 = 1, before row 2 holds at t2 = 3. Row 0, the lower index,
+    # leaves; row 1 stays at lambda = 0, since its u is 0 and its multiplier
+    # no longer falls, and row 2 enters at y = -(5/3)(1, 1, 1). Had row 1
+    # left, row 0's multiplier would fall from zero and the solve would end
+    # on (2,) alone.
+    eye = np.eye(3)
+    c_mat = [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+    res = GiSolver.of(eye).solve(np.zeros(3), sparsify(c_mat), eye, [-1.0, 0.0, -5.0],
+                                 warm=(0, 1))
+    assert res.status == OPTIMAL
+    assert res.working_set == (1, 2)
+    assert res.lam[0] == res.lam[1] == 0.0
+    assert abs(res.lam[2] - 5.0 / 3.0) <= 1e-15
+    assert np.max(np.abs(res.y + 5.0 / 3.0)) <= 1e-15
+
+
 def test_ill_conditioned_working_set_meets_the_exact_objective():
     # Criterion 01's draw 540 (rng 2024): two nearly parallel rows are active
     # at the optimum, with multipliers of order 1e5. The refinement step puts
@@ -687,6 +709,105 @@ def test_a_near_singular_warm_set_is_refused_by_the_relative_pivot_test():
     assert np.array_equal(warm.y, cold.y)
     old = loop_gi_solve(g_mat, a_vec, a_in @ z_basis, d_vec, warm=(0, 3, 4))
     assert old.iterations == warm.iterations
+
+
+def _spd(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return a @ a.T + dim * np.eye(dim)
+
+
+def _entered(g_mat, c_mat):
+    """The `_WorkingSet` of the rows of C entered one by one, each bordering
+    R as `GiSolver.solve` does, with multiplier slot j holding j."""
+    ws = qp_module._WorkingSet(g_mat.shape[0], [])
+    for p, c_p in enumerate(c_mat):
+        ginv_cp = np.linalg.solve(g_mat, c_p)
+        _, ginv_cw, r_fac = ws.view()
+        col = solve_triangular(r_fac, ginv_cw @ c_p, trans="T") if p else np.zeros(0)
+        ws.enter(p, float(p), ginv_cp, col, math.sqrt(c_p @ ginv_cp - col @ col))
+    return ws
+
+
+def _assert_factors(r_fac, s_mat):
+    """R is upper triangular with R'R = S to 1e-12 of S's largest entry."""
+    assert np.array_equal(np.tril(r_fac, -1), np.zeros_like(r_fac))
+    assert (np.max(np.abs(r_fac.T @ r_fac - s_mat), initial=0.0)
+            <= 1e-12 * np.max(np.abs(s_mat), initial=0.0))
+
+
+@pytest.mark.parametrize("w", [1, 2, 17, 67])
+def test_a_drop_leaves_the_factor_of_the_rows_kept(w):
+    # The rows enter one by one, through the buffers' doublings from 16
+    # slots; a drop of the first, a middle or the last row must leave R'R
+    # the S = C_keep G^{-1} C_keep' of the rows kept, formed afresh, and the
+    # slots of exactly the other rows.
+    rng = np.random.default_rng(w)
+    g_mat = _spd(rng, 80)
+    c_mat = rng.normal(size=(w, 80))
+    for j in sorted({0, w // 2, w - 1}):
+        ws = _entered(g_mat, c_mat)
+        lam, ginv_cw, _ = (x.copy() for x in ws.view())
+        ws.drop(j)
+        keep = np.arange(w) != j
+        lam_kept, ginv_kept, r_fac = ws.view()
+        assert ws.rows == np.flatnonzero(keep).tolist()
+        assert np.array_equal(lam_kept, lam[keep])
+        assert np.array_equal(ginv_kept, ginv_cw[keep])
+        _assert_factors(r_fac, c_mat[keep] @ np.linalg.solve(g_mat, c_mat[keep].T))
+
+
+def test_a_warm_start_drops_several_rows_in_a_row():
+    # Seven warm rows; three have the most negative multiplier in turn and
+    # leave one after the other through `_WorkingSet.drop`. The rows kept,
+    # their factor and their multipliers are those of S formed afresh for
+    # each repair.
+    rng = np.random.default_rng(0)
+    dim, w = 10, 7
+    g_mat = _spd(rng, dim)
+    c_mat, a_vec, d_vec = rng.normal(size=(w, dim)), rng.normal(size=dim), rng.normal(size=w)
+    y_free = np.linalg.solve(g_mat, -a_vec)
+    y, ws, solves = GiSolver.of(g_mat)._warm_start(y_free, sparsify(c_mat), np.eye(dim), d_vec,
+                                                    list(range(w)), 100)
+    work = list(range(w))
+    while True:
+        ginv = np.linalg.solve(g_mat, c_mat[work].T)
+        lam = np.linalg.solve(c_mat[work] @ ginv, c_mat[work] @ y_free - d_vec[work])
+        if lam.min() >= 0.0:
+            break
+        work.pop(int(np.argmin(lam)))
+    assert ws.rows == work == [1, 4, 5, 6]
+    assert solves == 4
+    lam_w, ginv_cw, r_fac = ws.view()
+    _assert_factors(r_fac, c_mat[work] @ ginv)
+    assert np.max(np.abs(ginv_cw - ginv.T)) <= 1e-12 * np.max(np.abs(ginv))
+    assert np.max(np.abs(lam_w - lam)) <= 1e-9 * (1.0 + np.max(np.abs(lam)))
+    assert np.max(np.abs(y - (y_free - ginv @ lam))) <= 1e-9 * (1.0 + np.max(np.abs(y)))
+
+
+def test_a_solve_past_the_buffers_first_capacity_matches_the_loop_oracle(monkeypatch):
+    # A cold solve whose working set ends on 17 rows: the buffers start with
+    # 16 slots and double once. The oracle forms S afresh at every step.
+    capacities = []
+    init = qp_module._WorkingSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        capacities.append(self._lam.size)
+
+    monkeypatch.setattr(qp_module._WorkingSet, "__init__", counting_init)
+    rng = np.random.default_rng(4)
+    dim, m = 30, 60
+    g_mat = _spd(rng, dim)
+    c_mat = rng.normal(size=(m, dim))
+    a_vec, d_vec = -10.0 * rng.normal(size=dim), rng.uniform(0.0, 1.0, m)
+    new = GiSolver.of(g_mat).solve(a_vec, sparsify(c_mat), np.eye(dim), d_vec)
+    old = loop_gi_solve(g_mat, a_vec, c_mat, d_vec)
+    assert capacities == [16, 32]
+    assert new.status == old.status == OPTIMAL
+    assert len(new.working_set) == 17
+    assert new.working_set == old.working_set
+    assert new.iterations == old.iterations
+    assert np.max(np.abs(new.y - old.y)) <= 1e-9 * (1.0 + np.max(np.abs(old.y)))
 
 
 def test_a_long_cold_solve_prices_every_row_only_a_few_times(monkeypatch):
