@@ -12,33 +12,31 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import (STEP_VARS, Segment, StaticRows, Strategy, assemble, coefficient_key,
                           collision_rows, keep_out_axes, pose_columns, restated_rows, stack_dense,
                           start_state, static_rows)
-from .qp import (OPTIMAL, Elimination, EqFactors, GramBlocks, ReducedHessian, ReducedQp,
-                 _require_finite, factor_equalities, gram_blocks, particular)
+from .qp import (OPTIMAL, Elimination, GramBlocks, ReducedHessian, ReducedQp, _require_finite,
+                 factor_equalities, gram_blocks, particular)
 
 # Weight components are ordered (p_x, p_y, v, psi, a, delta); a strategy step
 # stacks controls before the state, so the per-step weight block is R then Q.
 WEIGHT_PATTERN = np.array([4, 5, 0, 1, 2, 3])
 
-# Most player systems kept in `_STATIC_PARTS`, and most layouts in
-# `_LAYOUTS`. At H=121 (120 steps, 720 variables) an entry holds the basis
-# Z, its Gram blocks, the static rows in sparse form with their right-hand
-# sides, s_key and N (28,800 bytes) and the triangular factors of the
-# equality rows by their nonzeros: 4,680,520 bytes for a lane changer (Z 720
-# x 240, six blocks 2,764,848, the factors 361,272) and 2,107,612 for a
-# straight driver (Z 720 x 120, three blocks 345,624, the factors 899,748),
-# so a full cache holds at most 37.5 MB. Dense, the factors would take 3.7 MB
-# and 5.8 MB; packed triangles, the blocks half. Beside an entry, the memos
-# hold per key SLOTS_PER_KEY reduced Hessians (466,560 bytes for a lane
-# changer, its 240 x 240 factor and H; 120,960 for a straight driver) and
-# SLOTS_PER_KEY right-hand sides (29,760 and 28,800), and a layout holds
-# 120,960 and 114,240 bytes against three opponents: full, at most 9 MB more.
+# Most player systems kept in `_STATIC_PARTS`, each a `_StaticEntry` with
+# its memos. At H=121 (120 steps, 720 variables) an entry holds the basis Z,
+# its Gram blocks, the static rows in sparse form with their right-hand
+# sides, s_key and N (28,800 bytes): 4,309,648 bytes for a lane changer (Z
+# 720 x 240, six blocks 2,764,848) and 1,197,304 for a straight driver (Z
+# 720 x 120, three blocks 345,624). Its memos add SLOTS_PER_KEY times a
+# reduced Hessian (466,560 bytes for a lane changer, its 240 x 240 factor
+# and H; 120,960 for a straight driver), a right-hand side (29,760 and
+# 28,800) and a layout against three opponents (120,960 and 114,240): at
+# most 5.54 MB and 1.73 MB an entry, so a full cache holds at most 44.4 MB.
+# Packed triangles would halve the blocks.
 STATIC_CACHE_ENTRIES = 8
 SLOTS_PER_KEY = 2
 
@@ -147,29 +145,37 @@ def make_game(scenario, weights, segment=None, fixed=None, references=None, init
 
 @dataclass
 class _StaticEntry:
-    """What players with the same coefficients share: the factors of their
-    equality rows, the `GramBlocks` of the null-space basis Z those give,
-    one per step position, from which each player's weights form its
-    reduced Hessian, the particular solution s_key at start state x(0) = 0,
-    N (n x 4), its map from x(0), which reaches b_eq only as A_0 x(0)
+    """What players with the same coefficients share: the read-only
+    null-space basis Z of their equality rows, its `GramBlocks`, one per
+    step position, from which each player's weights form its reduced
+    Hessian, the particular solution s_key at start state x(0) = 0, N (n x
+    4), its map from x(0), which reaches b_eq only as A_0 x(0)
     (`StaticRows.start_columns`), and the static rows `rows`, built at the
-    reference's first point, which `restated_rows` re-states for a start."""
+    reference's first point, which `restated_rows` re-states for a start.
 
-    factors: EqFactors
+    Its memos, least recently used first, SLOTS_PER_KEY each, hold what the
+    workspaces on it build: `hessians`, the `ReducedHessian`s by the bytes of
+    the weights, `sides`, the `_RightHandSide`s by the bytes of the start
+    state, and `layouts`, the `assemble` stacks with empty slots by the
+    opponent ids. They leave the cache with the entry."""
+
+    z_basis: np.ndarray
     gram: GramBlocks
     s_key: np.ndarray
     n_map: np.ndarray
     rows: StaticRows
+    hessians: OrderedDict = field(default_factory=OrderedDict)
+    sides: OrderedDict = field(default_factory=OrderedDict)
+    layouts: OrderedDict = field(default_factory=OrderedDict)
 
     def side(self, start):
         """The `_RightHandSide` of start state `start`: s_part = s_key + N
         x(0), for every start, so a re-stated one is bitwise a fresh build."""
         rows = restated_rows(self.rows, start)
         b_eq = np.concatenate([b for _, b, _ in rows.eq])
-        elimination = Elimination.of(self.factors.z_basis,
-                                     self.s_key + self.n_map @ start.as_array(), b_eq,
-                                     rows.eq_miss)
-        n_steps = self.factors.z_basis.shape[0] // STEP_VARS
+        elimination = Elimination.of(self.z_basis, self.s_key + self.n_map @ start.as_array(),
+                                     b_eq, rows.eq_miss)
+        n_steps = self.z_basis.shape[0] // STEP_VARS
         return _RightHandSide(rows, elimination, elimination.s_part.take(pose_columns(n_steps)))
 
 
@@ -188,15 +194,9 @@ class _RightHandSide:
     d_tail: np.ndarray = None
 
 
-# Least recently used first, each: `_STATIC_PARTS` by coefficient key (see
-# STATIC_CACHE_ENTRIES), `_LAYOUTS`, the `assemble` stacks with empty slots,
-# by (key, opponent ids), and per key the `ReducedHessian`s by the bytes of
-# the player's weights, `_HESSIANS`, and the `_RightHandSide`s by the bytes
-# of its start state, `_SIDES`, SLOTS_PER_KEY of each.
+# The `_StaticEntry`s by coefficient key, least recently used first (see
+# STATIC_CACHE_ENTRIES).
 _STATIC_PARTS = OrderedDict()
-_LAYOUTS = OrderedDict()
-_HESSIANS = OrderedDict()
-_SIDES = OrderedDict()
 
 
 def _memo(cache, key, bound, build):
@@ -212,27 +212,28 @@ def _memo(cache, key, bound, build):
 
 
 def _player_system(vehicle, scenario, segment, reference):
-    """A player's `constraints.coefficient_key` and its `_StaticEntry` in
-    `_STATIC_PARTS` under that key: what a forward workspace and the inverse
+    """A player's `_StaticEntry`, in `_STATIC_PARTS` under its
+    `constraints.coefficient_key`: what a forward workspace and the inverse
     fit both read.
 
     A miss builds the static rows, factors their equality rows, forms the
     Gram blocks of the null-space basis, per step position, and solves for
-    s_key and N in one `particular` call. A hit builds nothing, but runs the
-    x-extent check of the rows' tangent queries on the reference's first
-    decision point."""
+    s_key and N in one `particular` call; of the factors it keeps only Z. A
+    hit builds nothing, but runs the x-extent check of the rows' tangent
+    queries on the reference's first decision point."""
     key = coefficient_key(vehicle, scenario, segment, reference)
 
     def build():
         rows = static_rows(vehicle, scenario, segment, reference, None)
         factors = factor_equalities(stack_dense(rows.eq)[0])
         s_cols = particular(factors, rows.start_columns())
-        return _StaticEntry(factors, gram_blocks(factors.z_basis, STEP_VARS), s_cols[:, 0].copy(),
+        z_basis = factors.z_basis
+        return _StaticEntry(z_basis, gram_blocks(z_basis, STEP_VARS), s_cols[:, 0].copy(),
                             s_cols[:, 1:] @ rows.start[1], rows)
 
     if key in _STATIC_PARTS:
         scenario.road.tangent_at(0.0, reference.states[1])
-    return key, _memo(_STATIC_PARTS, key, STATIC_CACHE_ENTRIES, build)
+    return _memo(_STATIC_PARTS, key, STATIC_CACHE_ENTRIES, build)
 
 
 class _KeepOut:
@@ -277,8 +278,8 @@ class _PlayerWorkspace:
     rows `rows` for its start state, the reduced quadratic block for its
     weights on their elimination, its inequality rows as
     `constraints.assemble` lays them out (`stack`), and each row's d = b -
-    A s_part. All but the keep-out rows come from the memos, keyed by the
-    coefficient key and the exact bytes of what each reads: the
+    A s_part. All but the keep-out rows come from the memos of the player's
+    `_StaticEntry`, keyed by the exact bytes of what each reads: the
     `ReducedHessian` by the weights, the `_RightHandSide`, with the static
     rows' d, by the start state, and the stack's layout, whose coefficients
     and b the workspace copies, by the opponent ids. When the opponent
@@ -300,18 +301,17 @@ class _PlayerWorkspace:
         reference, start = game.references[vid], game.initial_states[vid]
         self.s_ref = reference_vector(reference, segment)
         self.h_diag, self.f_vec = objective_qp_data(game.weights[vid], self.s_ref)
-        key, entry = _player_system(game.scenario.vehicle(vid), game.scenario, segment, reference)
-        side = _memo(_memo(_SIDES, key, STATIC_CACHE_ENTRIES, OrderedDict),
-                     start.as_array().tobytes(), SLOTS_PER_KEY, lambda: entry.side(start))
-        hessian = _memo(_memo(_HESSIANS, key, STATIC_CACHE_ENTRIES, OrderedDict),
-                        self.h_diag[:STEP_VARS].tobytes(), SLOTS_PER_KEY,
-                        lambda: ReducedHessian.of(self.h_diag, entry.factors.z_basis, entry.gram))
+        entry = _player_system(game.scenario.vehicle(vid), game.scenario, segment, reference)
+        side = _memo(entry.sides, start.as_array().tobytes(), SLOTS_PER_KEY,
+                     lambda: entry.side(start))
+        hessian = _memo(entry.hessians, self.h_diag[:STEP_VARS].tobytes(), SLOTS_PER_KEY,
+                        lambda: ReducedHessian.of(self.h_diag, entry.z_basis, entry.gram))
         self.rows = side.rows
         self.reduced = ReducedQp(hessian, side.elimination)
         self._keep_out = keep_out
         keep_out.attach(vid, side.pose_part)
         self.opponent_ids = tuple(sorted((set(game.weights) | set(game.fixed)) - {vid}))
-        self.stack = _memo(_LAYOUTS, (key, self.opponent_ids), STATIC_CACHE_ENTRIES,
+        self.stack = _memo(entry.layouts, self.opponent_ids, SLOTS_PER_KEY,
                            lambda: assemble(entry.rows, segment.n_steps, self.opponent_ids)).copy()
         n_slots = segment.n_steps * len(self.opponent_ids)
         if side.d_head is None:

@@ -368,13 +368,7 @@ def _random_hv_guess(scenario, rng):
     angle = abs(rng.uniform(-np.pi / 4, np.pi / 4))
     ortho = rng.standard_normal(len(axis))
     ortho = ortho - (ortho @ axis) * axis
-    norm = np.linalg.norm(ortho)
-    if norm < 1e-12:
-        ortho = np.zeros(len(axis))
-        ortho[int(np.argmin(np.abs(axis)))] = 1.0
-        ortho = ortho - (ortho @ axis) * axis
-        norm = np.linalg.norm(ortho)
-    direction = np.cos(angle) * axis + np.sin(angle) * (ortho / norm)
+    direction = np.cos(angle) * axis + np.sin(angle) * (ortho / np.linalg.norm(ortho))
     theta = np.ones(6)
     theta[eff] = direction
     theta = np.clip(theta, scenario.theta_min, scenario.theta_max)

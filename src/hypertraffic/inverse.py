@@ -83,9 +83,9 @@ def _embedded_cav_solve(observation, scenario, references=None, initial_states=N
 
 def null_space(z_basis):
     """Orthonormal basis of the span of `z_basis`, the null-space basis Z of
-    the human's equality rows that the forward game's `qp.factor_equalities`
-    gave, by one QR. The fit's identifiability test and column weighting
-    assume orthonormal columns."""
+    the human's equality rows that its `game._StaticEntry` keeps from
+    `qp.factor_equalities`, by one QR. The fit's identifiability test and
+    column weighting assume orthonormal columns."""
     return np.linalg.qr(z_basis)[0]
 
 
@@ -113,7 +113,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
     for vid, strategy in cav_strategies.items():
         if not np.all(np.isfinite(strategy.data)):
             raise ValueError(f"strategy of CAV {vid} has non-finite entries")
-    _, entry = _player_system(vehicle, scenario, segment, hv_reference)
+    entry = _player_system(vehicle, scenario, segment, hv_reference)
     stack = assemble(entry.rows, segment.n_steps, cav_strategies)
     axes = (keep_out_axes(vehicle.geometry),)
     for oid in stack.slots:
@@ -139,7 +139,7 @@ def _interpret(observation, scenario, kappa, omega, prev_theta, cav_strategies,
             f"({', '.join(tags)}); treating them as active"
         )
 
-    z_basis = null_space(entry.factors.z_basis)
+    z_basis = null_space(entry.z_basis)
     zc = z_basis.T @ c_mat
     za_t = _reduced_rows(stack.rows, z_basis, free_idx).T  # (A_free Z)'
 

@@ -324,42 +324,24 @@ class SparseRows:
 
 
 def _lu_solve(l1, upper, rhs):
-    """Solve (l1 @ upper) x = rhs with the triangles of an `EqFactors`, given
-    dense (`_dense` gives them back bitwise)."""
+    """Solve (l1 @ upper) x = rhs with the triangles of an `EqFactors`."""
     y = solve_triangular(l1, rhs, lower=True, unit_diagonal=True, check_finite=False)
     return solve_triangular(upper, y, lower=False, check_finite=False)
-
-
-def _compact(a):
-    """A square matrix as (size, the flat indices of its entries whose bits
-    are not all zero, in the smallest unsigned type that holds them, their
-    values): a -0.0 is kept, so `_dense` gives the matrix back bitwise."""
-    flat = np.flatnonzero(np.ascontiguousarray(a).view(np.uint64))
-    return a.shape[0], flat.astype(np.min_scalar_type(a.size)), a.ravel()[flat]
-
-
-def _dense(compact):
-    size, flat, values = compact
-    a = np.zeros(size * size)
-    a[flat] = values
-    return a.reshape(size, size)
 
 
 @dataclass(frozen=True)
 class EqFactors:
     """What A_eq alone fixes, so that a new right-hand side needs only
     `particular`: the kept independent rows `rows`, the dependent variables
-    `dep`, the factors A_eq[rows][:, dep]' = l1 @ upper with l1 unit lower
-    triangular, kept by `_compact` (at H=121, l1 is 12.5 % nonzero and U
-    0.6 % for a lane changer, 16.5 % and 4.4 % for a straight driver), the
-    dropped rows `dropped` with their coefficients `fit` = C' on the kept
-    ones, and the read-only null-space basis `z_basis` of A_eq, equal to the
-    identity on the free variables."""
+    `dep`, the dense factors A_eq[rows][:, dep]' = l1 @ upper with l1 unit
+    lower triangular, the dropped rows `dropped` with their coefficients
+    `fit` = C' on the kept ones, and the read-only null-space basis
+    `z_basis` of A_eq, equal to the identity on the free variables."""
 
     rows: np.ndarray
     dep: np.ndarray
-    l1: tuple
-    upper: tuple
+    l1: np.ndarray
+    upper: np.ndarray
     dropped: np.ndarray
     fit: np.ndarray
     z_basis: np.ndarray
@@ -406,7 +388,7 @@ def factor_equalities(a_eq):
     # Dropped rows are combinations C of the kept ones.
     fit = _lu_solve(l1, upper, a_eq[dropped][:, dep].T)
     z_basis.flags.writeable = False
-    return EqFactors(rows, dep, _compact(l1), _compact(upper), dropped, fit, z_basis)
+    return EqFactors(rows, dep, l1, upper, dropped, fit, z_basis)
 
 
 @dataclass(frozen=True)
@@ -450,10 +432,9 @@ def particular(factors, b_eq):
             c_t = factors.fit
             b_fit = np.linalg.solve(np.eye(rank) + c_t @ c_t.T,
                                     b_fit + c_t @ b_eq[factors.dropped])
-        w = solve_triangular(_dense(factors.upper), b_fit, trans="T", lower=False,
-                             check_finite=False)
+        w = solve_triangular(factors.upper, b_fit, trans="T", lower=False, check_finite=False)
         s_part[factors.dep] = solve_triangular(
-            _dense(factors.l1), w, trans="T", lower=True, unit_diagonal=True, check_finite=False
+            factors.l1, w, trans="T", lower=True, unit_diagonal=True, check_finite=False
         )
     return s_part
 
@@ -491,22 +472,26 @@ def gram_blocks(z_basis, period):
 class ReducedHessian:
     """A QP's quadratic block H, given either as its diagonal, as the game's
     tracking objectives are, or as a dense symmetric matrix, with the
-    `GiSolver` of the reduced Hessian Z'HZ on a null-space basis Z (None
-    when Z has no columns). It reads no right-hand side, so every QP on the
-    same H and Z can share it; h is read-only.
+    `GiSolver` of the reduced Hessian Z'HZ on a null-space basis Z. It
+    reads no right-hand side, so every QP on the same H and Z can share it;
+    h is read-only.
 
     A diagonal must repeat the first `period` weights of the `GramBlocks` of
     Z that come with it; Z'HZ is then the weighted sum of the blocks, and no
     dense n x n product is formed. The two forms agree to round-off."""
 
     h: np.ndarray
-    gi: GiSolver | None
+    gi: GiSolver
 
     @classmethod
     def of(cls, h, z_basis, gram=None):
         """The reduced Hessian of H on Z, the one place its factor is formed;
-        H is refused unless finite and shaped for Z."""
+        H is refused unless finite and shaped for Z, and Z unless it has a
+        column."""
         n, null_dim = z_basis.shape
+        if not null_dim:
+            raise ValueError("the null-space basis has no column: the equality rows fix "
+                             "every variable")
         h = np.asarray(h, dtype=float)
         if h.shape not in ((n,), (n, n)):
             raise ValueError(f"H must be a diagonal of length {n} or a square matrix "
@@ -523,7 +508,7 @@ class ReducedHessian:
             g_red = z_basis.T @ h @ z_basis
             g_red = 0.5 * (g_red + g_red.T)
         h.flags.writeable = False
-        return cls(h, GiSolver.of(g_red) if null_dim else None)
+        return cls(h, GiSolver.of(g_red))
 
 
 class ReducedQp:
@@ -541,7 +526,6 @@ class ReducedQp:
         self.z_basis, self.s_part = elimination.z_basis, elimination.s_part
         self.eq_residual = elimination.eq_residual
         self._eq_scale = elimination.eq_scale
-        self.null_dim = self.z_basis.shape[1]
         self.h, self.gi = hessian.h, hessian.gi
         self._h_spart = self.h * self.s_part if self.h.ndim == 1 else self.h @ self.s_part
 
@@ -562,22 +546,12 @@ class ReducedQp:
         the active set from the row indices `warm` (see `GiSolver.solve`)."""
         f_vec = np.asarray(f_vec, dtype=float).reshape(-1)
         _require_finite(f_vec=f_vec, d_red=d_red)
-        tol = settings.qp_tolerance
-        no_lam = np.zeros(d_red.shape[0])
         if self.eq_residual > 1e-8 * self._eq_scale:
-            return self._finish(INFEASIBLE, self.s_part, no_lam, f_vec, 0,
+            return self._finish(INFEASIBLE, self.s_part, np.zeros(d_red.shape[0]), f_vec, 0,
                                 infeasibility=self.eq_residual)
-        if self.null_dim == 0:
-            # s_part is the only feasible point; each row is judged as the
-            # active-set solver judges it.
-            miss = -d_red
-            worst = float(np.max(miss, initial=0.0))
-            if np.all(miss <= tol * (1.0 + np.abs(d_red))):
-                return self._finish(OPTIMAL, self.s_part, no_lam, f_vec, 0, infeasibility=worst)
-            return self._finish(INFEASIBLE, self.s_part, no_lam, f_vec, 0, infeasibility=worst,
-                                row=int(np.argmax(miss / (1.0 + np.abs(d_red)))))
         a_red = self.z_basis.T @ (self._h_spart + f_vec)
-        res = self.gi.solve(a_red, rows, self.z_basis, d_red, tol=tol, warm=warm)
+        res = self.gi.solve(a_red, rows, self.z_basis, d_red, tol=settings.qp_tolerance,
+                            warm=warm)
         s_star = self.s_part + self.z_basis @ res.y
         return self._finish(res.status, s_star, res.lam, f_vec, res.iterations,
                             res.infeasibility, res.working_set, res.row)

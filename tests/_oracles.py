@@ -224,12 +224,11 @@ def dense_elimination(a_eq, b_eq, start=None):
 
 
 def forget_player_systems():
-    """Empty the static cache of `game` and the memos beside it, so that the
-    next workspace builds every part afresh."""
+    """Empty the static cache of `game`, and with its entries their memos,
+    so that the next workspace builds every part afresh."""
     from hypertraffic import game
 
-    for memo in (game._STATIC_PARTS, game._LAYOUTS, game._HESSIANS, game._SIDES):
-        memo.clear()
+    game._STATIC_PARTS.clear()
 
 
 def reduced_qp(h, elimination, gram=None):
@@ -270,7 +269,7 @@ def kkt_residual(h_mat, f_vec, a_eq, b_eq, a_in, b_in, s, lam):
     the dense QP of `solve_dense`. The equality multipliers `mu` solve
     stationarity on the dependent variables of `factor_equalities`; dropped
     rows get zero."""
-    from hypertraffic.qp import _dense, _lu_solve, factor_equalities
+    from hypertraffic.qp import _lu_solve, factor_equalities
 
     s = np.asarray(s, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
@@ -280,8 +279,7 @@ def kkt_residual(h_mat, f_vec, a_eq, b_eq, a_in, b_in, s, lam):
     mu = np.zeros(a_eq.shape[0])
     if a_eq.shape[0]:
         factors = factor_equalities(a_eq)
-        mu[factors.rows] = -_lu_solve(_dense(factors.l1), _dense(factors.upper),
-                                      grad[factors.dep])
+        mu[factors.rows] = -_lu_solve(factors.l1, factors.upper, grad[factors.dep])
         grad = grad + a_eq.T @ mu
     stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
     primal_eq = float(np.max(np.abs(a_eq @ s - b_eq))) if a_eq.shape[0] else 0.0

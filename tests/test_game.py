@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypertraffic import game as game_module
 from hypertraffic.constraints import Segment, Strategy, X_V, STEP_VARS, profile_violation
 from hypertraffic.game import (
     WEIGHT_PATTERN,
@@ -25,7 +26,8 @@ from hypertraffic.scenario import (
     success_study_scenario,
 )
 
-from _oracles import dense_system, kkt_residual, pseudo_gradient, system_violation
+from _oracles import (dense_system, forget_player_systems, kkt_residual, pseudo_gradient,
+                      system_violation)
 
 
 def _scen():
@@ -365,3 +367,32 @@ def test_ve_residual_refuses_a_profile_without_a_decision_player_or_off_the_segm
         message = "^strategy for player 3 lives on a different segment$"
     with pytest.raises(ValueError, match=message):
         ve_residual(profile, game)
+
+
+def test_a_stopped_vehicle_drops_its_repeated_heading_rows_and_its_game_converges(monkeypatch):
+    # At v = 0 the heading row of the dynamics loses its steering coefficient
+    # and repeats the straight driver's heading pins, so vehicle 3's 175
+    # equality rows have rank 140: `factor_equalities` drops 35 and
+    # `particular` fits b_eq over all of them. The human's subjective game
+    # still converges, undegraded, with every gap at round-off.
+    base = default_offline_scenario()
+    scen = replace(base, vehicles=tuple(
+        replace(v, initial=replace(v.initial, v=0.0)) if v.vid == 3 else v
+        for v in base.vehicles))
+    factored = []
+    original = game_module.factor_equalities
+
+    def spy(a_eq):
+        factors = original(a_eq)
+        factored.append((a_eq.shape[0], factors.dropped.size))
+        return factors
+
+    monkeypatch.setattr(game_module, "factor_equalities", spy)
+    forget_player_systems()
+    result = solve_games(hv_subjective_game(scen))
+    forget_player_systems()
+    assert (175, 35) in factored
+    assert sum(dropped for _, dropped in factored) == 35
+    assert result.converged and not result.degraded
+    assert all(abs(gap) <= 1e-12 for gap in result.gaps.values())
+    assert result.max_violation <= 1e-12

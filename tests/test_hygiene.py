@@ -276,7 +276,8 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
     deferred imports shorten, the same
     `solve` with `--trace`, the one command that writes a session trace, and
     the stage timing and the gap sweep, so that every subcommand runs once,
-    and a `solve` of the README's example scenario file; then
+    a `solve` of the README's example scenario file and one of a scenario
+    file with a stopped vehicle, whose equality rows are rank deficient; then
     the benchmark on its reference seed, which exits non-zero when any op
     misses `bench/reference.json`, then the H=121 forward game on a second
     seed, which has no reference but where every op must pass the converged,
@@ -308,6 +309,7 @@ def test_ci_workflow_installs_the_package_and_runs_the_tier1_command():
         "hypertraffic timing --reps 1 --seed 0 --out /tmp/timing.csv",
         "hypertraffic gap-sweep",
         "hypertraffic solve --config examples/scenario.yaml --out /tmp/config_solve.csv",
+        "hypertraffic solve --config examples/stopped_vehicle.yaml --out /tmp/stopped.csv",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload all --seed 0 --seconds 5 "
         "--trace 0",
         "OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload forward-h121 --seed 17 "

@@ -236,8 +236,8 @@ def _hv_systems():
         scen = make()
         segment = Segment(1, scen.horizon)
         ref = scen.references()[0].window(1, scen.horizon)
-        _, entry = game_module._player_system(scen.hv, scen, segment, ref)
-        yield dense_system(0, {}, scen), entry.factors.z_basis
+        entry = game_module._player_system(scen.hv, scen, segment, ref)
+        yield dense_system(0, {}, scen), entry.z_basis
 
 
 def test_null_space_is_orthonormal_and_spans_the_svd_null_space():

@@ -165,7 +165,7 @@ def test_an_infeasible_draw_in_a_plane_ends_on_two_working_rows():
     h, f, a_eq, b_eq, a_in, b_in = random_qp(np.random.default_rng(4011589171))
     reduced = reduced_qp(h, dense_elimination(a_eq, b_eq))
     sol = reduced.solve(f, *reduced.reduce_rows(sparsify(a_in), b_in), SolverSettings())
-    assert reduced.null_dim == 2 and sol.status == INFEASIBLE
+    assert reduced.z_basis.shape[1] == 2 and sol.status == INFEASIBLE
     assert len(sol.working_set) <= 2 and np.max(sol.lam) < 1e6
 
 
@@ -262,26 +262,13 @@ def test_reduce_rows_refuses_a_row_count_mismatch():
         reduced.reduce_rows(sparsify(np.eye(2)), [1.0])
 
 
-@pytest.mark.parametrize("b_in, status, infeasibility", [
-    ([2.5, -0.5], OPTIMAL, 0.0),
-    ([1.5, -0.5], INFEASIBLE, 0.5),
-])
-def test_fully_determined_qp(b_in, status, infeasibility):
-    # Two independent equalities in two variables leave an empty null space:
-    # s = (1.5, 0.5) is the only feasible point, and the inequality rows
-    # s_0 + s_1 <= b_0, -s_0 <= b_1 only judge it.
-    h = np.diag([1.0, 2.0])
-    f = np.array([0.5, -1.0])
-    a_eq = np.array([[1.0, 1.0], [1.0, -1.0]])
-    a_in = np.array([[1.0, 1.0], [-1.0, 0.0]])
-    sol = solve_dense(h, f, a_eq, [2.0, 1.0], a_in, b_in)
-    assert sol.status == status
-    assert sol.infeasibility == infeasibility
-    assert sol.row == (None if status == OPTIMAL else 0)  # s_0 + s_1 <= b_0 fails
-    assert np.array_equal(sol.s_star, [1.5, 0.5])
-    assert np.array_equal(sol.lam, [0.0, 0.0])
-    assert sol.iterations == 0
-    assert sol.objective == 0.5 * (1.5**2 + 2.0 * 0.5**2) + 0.75 - 0.5
+def test_a_fully_determined_qp_is_refused():
+    # Two independent equalities in two variables leave an empty null space,
+    # which no game's player system has: the reduced Hessian refuses it.
+    with pytest.raises(ValueError, match="^the null-space basis has no column: the equality "
+                                         "rows fix every variable$"):
+        solve_dense(np.diag([1.0, 2.0]), np.array([0.5, -1.0]), np.array([[1.0, 1.0], [1.0, -1.0]]),
+                    [2.0, 1.0], np.array([[1.0, 1.0], [-1.0, 0.0]]), [2.5, -0.5])
 
 
 def _player_qps(scenario):

@@ -1,17 +1,20 @@
 """The weight-independent part of a player's system (its static rows, the
-factors of their equality rows and the particular solution) is cached
-across games, and beside it three memos keep the reduced Hessian by the
-weights, the right-hand side by the start state and the stack's layout by
-the opponent ids. The cache is keyed by what the coefficients read; a new
-start state is solved from the kept factors. These tests pin that a hit
-builds no row and is bitwise a fresh build, that inputs reaching only the
-right-hand sides hit and any change of a coefficient input misses, that
-every input a memo key holds, down to its last bit or the sign of a zero,
-builds its part afresh, that a workspace keeps its right-hand side when the
-memo drops it, that every field of the key is needed, that a reference
-stepped otherwise than its scenario is refused, and that the cache and the
-memos keep to their bounds."""
+null-space basis of their equality rows and the particular solution) is
+cached across games, and each entry holds three memos that keep the reduced
+Hessian by the weights, the right-hand side by the start state and the
+stack's layout by the opponent ids. The cache is keyed by what the
+coefficients read; a new start state is solved from the kept map N. These
+tests pin that a hit builds no row and is bitwise a fresh build, that inputs
+reaching only the right-hand sides hit and any change of a coefficient input
+misses, that every input a memo key holds, down to its last bit or the sign
+of a zero, builds its part afresh, that a workspace keeps its right-hand
+side when the memo drops it, that every field of the key is needed, that a
+reference stepped otherwise than its scenario is refused, that the cache and
+the memos keep to their bounds, and that an evicted entry's memos go with
+it."""
 
+import gc
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from functools import lru_cache
 
@@ -499,11 +502,19 @@ def test_the_cache_keeps_to_its_bound_and_drops_the_least_recent(factorizations)
         limited = replace(scen, limits=replace(scen.limits, v_max=scen.limits.v_max - 0.01 * k))
         games.append(make_game(limited, weights, references=base.references,
                                initial_states=base.initial_states))
+    evicted = None
     for game in games:
         _workspaces(game)
         assert len(game_module._STATIC_PARTS) <= cap
+        if evicted is None:
+            # A memo value of the first game's first entry, which is evicted.
+            evicted = weakref.ref(next(iter(next(iter(
+                game_module._STATIC_PARTS.values())).hessians.values())))
     assert len(factorizations) == len(games) * n_players > cap
     assert len(game_module._STATIC_PARTS) == cap
+    # Nothing in `game` reaches an evicted entry's memos any more.
+    gc.collect()
+    assert evicted() is None
     # The latest game's systems are kept, the first game's were dropped.
     _workspaces(games[-1])
     assert len(factorizations) == len(games) * n_players
@@ -572,49 +583,63 @@ def _kept_arrays(obj, seen):
     return seen
 
 
-@pytest.mark.parametrize("kind, bound", [("lane change", 4.8e6), ("straight", 2.15e6)])
-def test_a_cache_entry_at_h121_stays_small(kind, bound):
-    # An entry is about the Gram blocks of Z (six of 240 x 240, 2.76 MB, for
-    # a lane changer; three of 120 x 120, 0.35 MB, for a straight driver),
-    # the basis Z (1.38 MB and 0.69 MB) and the triangular factors of the
-    # equality rows, kept by their nonzeros (l1 is 12.5 % and 16.5 % nonzero,
-    # U 0.6 % and 4.4 %): 0.36 MB and 0.90 MB. The particular solution at a
-    # zero start state and its map N from the start state add 0.03 MB. Whole,
-    # the entry holds 4.69 MB and 2.11 MB; kept dense, the factors alone would
-    # take 3.7 MB and 5.8 MB. Every array reachable from the entry counts, a
-    # view as its base.
+MEMOS = ("hessians", "sides", "layouts")
+
+
+def _own_arrays(entry):
+    """The arrays `_kept_arrays` finds in a cache entry's fields but its
+    memos."""
+    return _kept_arrays([getattr(entry, f.name) for f in fields(entry) if f.name not in MEMOS], {})
+
+
+def _h121_entry(kind):
+    """A workspace of the H=121 offline game on a lane changer or a straight
+    driver, with its cache entry, the only one."""
     scen = _scenario("h121")
     game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
     vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
-    _PlayerWorkspace(game, vid, _KeepOut(game))
+    ws = _PlayerWorkspace(game, vid, _KeepOut(game))
     (entry,) = game_module._STATIC_PARTS.values()
-    held = _kept_arrays(entry, {})
-    assert any(a is entry.factors.l1[2] or a is entry.factors.l1[2].base for a in held.values())
+    return ws, entry
+
+
+@pytest.mark.parametrize("kind, bound", [("lane change", 4.35e6), ("straight", 1.21e6)])
+def test_a_cache_entry_at_h121_stays_small(kind, bound):
+    # Without its memos, an entry is about the Gram blocks of Z (six of 240 x
+    # 240, 2.76 MB, for a lane changer; three of 120 x 120, 0.35 MB, for a
+    # straight driver) and the basis Z (1.38 MB and 0.69 MB). The particular
+    # solution at a zero start state and its map N from the start state add
+    # 0.03 MB, and the static rows the rest: whole, 4.31 MB and 1.20 MB. It
+    # keeps no triangular factor of the equality rows, which the build reads
+    # once: no square array of the rank's size. Every array reachable from
+    # the entry's fields but its memos counts, a view as its base.
+    _, entry = _h121_entry(kind)
+    held = _own_arrays(entry)
+    rank = entry.z_basis.shape[0] - entry.z_basis.shape[1]
+    assert [f.name for f in fields(entry)] == ["z_basis", "gram", "s_key", "n_map", "rows", *MEMOS]
+    assert not any(a.shape == (rank, rank) for a in held.values())
     assert sum(a.nbytes for a in held.values()) <= bound
 
 
 @pytest.mark.parametrize("kind, bounds", [("lane change", (4.7e5, 1.25e5, 3.1e4)),
                                           ("straight", (1.25e5, 1.2e5, 3.0e4))])
 def test_the_memos_beside_a_cache_entry_at_h121_stay_small(kind, bounds):
-    # Beside its static entry, a workspace at H=121 leaves in the memos, each
-    # array reachable from them counted once, as its base: its reduced
-    # Hessian, the factor of Z'HZ (240 x 240 for a lane changer, 460,800
-    # bytes; 120 x 120 for a straight driver, 115,200) and H (5,760); its
-    # stack's layout, columns, coefficients and b of 2,160 and 2,040 rows
-    # (120,960 and 114,240 bytes); and its right-hand side, the re-stated
-    # dynamics b, s_part, s_part at the pose columns and the stack's d
-    # (29,760 and 28,800 bytes). `_kept_arrays` sees what the workspace reads.
-    scen = _scenario("h121")
-    game = make_game(scen, {v.vid: v.weights_true for v in scen.vehicles})
-    vid = next(v.vid for v in scen.vehicles if (v.behavior.kind == STRAIGHT) == (kind == "straight"))
-    ws = _PlayerWorkspace(game, vid, _KeepOut(game))
-    entry = _kept_arrays(game_module._STATIC_PARTS, {})
-    memos = (game_module._HESSIANS, game_module._LAYOUTS, game_module._SIDES)
+    # A workspace at H=121 leaves in its entry's memos, each array reachable
+    # from them counted once, as its base: its reduced Hessian, the factor of
+    # Z'HZ (240 x 240 for a lane changer, 460,800 bytes; 120 x 120 for a
+    # straight driver, 115,200) and H (5,760); its stack's layout, columns,
+    # coefficients and b of 2,160 and 2,040 rows (120,960 and 114,240
+    # bytes); and its right-hand side, the re-stated dynamics b, s_part,
+    # s_part at the pose columns and the stack's d (29,760 and 28,800
+    # bytes). `_kept_arrays` sees what the workspace reads.
+    ws, entry = _h121_entry(kind)
+    own = _own_arrays(entry)
+    memos = (entry.hessians, entry.layouts, entry.sides)
     read = (ws.reduced.gi.factor, ws.stack.rows.cols, ws.reduced.s_part)
     for memo, array, bound in zip(memos, read, bounds):
         held = _kept_arrays(memo, {})
         assert id(array if array.base is None else array.base) in held
-        assert sum(a.nbytes for key, a in held.items() if key not in entry) <= bound
+        assert sum(a.nbytes for key, a in held.items() if key not in own) <= bound
 
 
 def test_cold_and_warm_caches_give_the_same_online_repetition(factorizations):
@@ -715,8 +740,7 @@ def test_the_start_state_map_matches_a_particular_solution_of_the_whole_right_ha
                   for vid, ref in refs.items()}
         game = make_game(scen, weights, segment=segment, references=refs, initial_states=starts)
         for vid, ws in _workspaces(game).items():
-            _, entry = game_module._player_system(scen.vehicle(vid), scen, segment, refs[vid])
-            want = qp_module.particular(entry.factors,
-                                        np.concatenate([b for _, b, _ in ws.rows.eq]))
+            a_eq, b_eq, _ = constraints.stack_dense(ws.rows.eq)
+            want = qp_module.particular(qp_module.factor_equalities(a_eq), b_eq)
             got = ws.reduced.s_part
             assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (segment, vid)
